@@ -160,23 +160,22 @@ def sphere_grid(man: Manifold, p0, resolution: int) -> list[SphereSample]:
     return samples
 
 
-def _nu_values(nu, u: np.ndarray, n_params: int):
-    """Per-row nu values and, for expressions, the exact u-gradient."""
-    names = [f"u{k + 1}" for k in range(n_params)]
+def _nu_function(nu, n_params: int):
+    """Compile nu once: a callable u -> (per-row nu values, exact
+    u-gradient, or None for a constant nu)."""
     if isinstance(nu, (int, float)):
         if nu <= 0.0:
             raise BlowupError("constant nu must be positive")
-        return float(nu) * np.ones(u.shape[0]), None
+        return lambda u: (float(nu) * np.ones(u.shape[0]), None)
+    names = [f"u{k + 1}" for k in range(n_params)]
     ast = exprlang.parse(str(nu), names)
-    fn = exprlang.compile_fn(ast, names)
-    args = tuple(u[:, k] for k in range(n_params))
-    vals = np.broadcast_to(np.asarray(fn(*args), dtype=float),
-                           (u.shape[0],)).astype(float)
-    grads = np.empty((u.shape[0], n_params))
-    for k in range(n_params):
-        dfn = exprlang.compile_fn(exprlang.differentiate(ast, names[k]), names)
-        grads[:, k] = dfn(*args)
-    return vals, grads
+    fn = exprlang.compile_fn(
+        [ast] + [exprlang.differentiate(ast, name) for name in names], names)
+
+    def values(u: np.ndarray):
+        out = fn(*(u[:, k] for k in range(n_params)))
+        return out[:, 0], out[:, 1:]
+    return values
 
 
 def simulate_blowup(man: Manifold, force: ForceField,
@@ -192,7 +191,7 @@ def simulate_blowup(man: Manifold, force: ForceField,
     u = np.stack([s.u for s in samples])
     dirs = np.stack([s.direction for s in samples])
     tangents = np.stack([s.tangents for s in samples])
-    nu_vals, nu_grads = _nu_values(cfg.nu, u, n - 1)
+    nu_vals, nu_grads = _nu_function(cfg.nu, n - 1)(u)
     if np.any(nu_vals <= 0.0):
         raise BlowupError("nu must be positive on the whole sphere grid")
 
@@ -227,26 +226,29 @@ def surface_grid(hs: HypersurfaceSpec, n_params: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _surface_frames(man: Manifold, hs: HypersurfaceSpec, u: np.ndarray):
-    """Points, exact tangents, and oriented g-unit normals on the grid."""
-    n = man.dimension
+def _surface_map(n: int, hs: HypersurfaceSpec):
+    """Compile the surface map once: a callable u -> (points x(u), exact
+    tangents dx/du[b, a, k])."""
     n_params = n - 1
     names = [f"u{k + 1}" for k in range(n_params)]
     asts = [exprlang.simplify(exprlang.parse(str(c), names))
             if not isinstance(c, exprlang.Node) else c for c in hs.chart_map]
     if len(asts) != n:
         raise BlowupError("surface map needs one expression per coordinate")
-    args = tuple(u[:, k] for k in range(n_params))
-    nb = u.shape[0]
-    x = np.empty((nb, n))
-    tangents = np.empty((nb, n_params, n))
-    for k in range(n):
-        x[:, k] = exprlang.compile_fn(asts[k], names)(*args)
-        for a in range(n_params):
-            dfn = exprlang.compile_fn(
-                exprlang.differentiate(asts[k], names[a]), names)
-            tangents[:, a, k] = dfn(*args)
+    fn = exprlang.compile_fn(
+        asts + [exprlang.differentiate(asts[k], names[a])
+                for a in range(n_params) for k in range(n)], names)
 
+    def points_and_tangents(u: np.ndarray):
+        out = fn(*(u[:, k] for k in range(n_params)))
+        return out[:, :n], out[:, n:].reshape(u.shape[0], n_params, n)
+    return points_and_tangents
+
+
+def _surface_frames(man: Manifold, surface, u: np.ndarray,
+                    orient_flip: bool):
+    """Points, exact tangents, and oriented g-unit normals on the grid."""
+    x, tangents = surface(u)
     sv = np.linalg.svd(tangents, compute_uv=False)
     degenerate = sv[:, -1] <= 1e-10 * np.maximum(sv[:, 0], 1e-300)
     if np.any(degenerate):
@@ -264,7 +266,7 @@ def _surface_frames(man: Manifold, hs: HypersurfaceSpec, u: np.ndarray):
     basis = np.concatenate([tangents, normal[:, None, :]], axis=1)
     sign = np.sign(np.linalg.det(np.swapaxes(basis, 1, 2)))
     sign = np.where(sign == 0.0, 1.0, sign)
-    if hs.orient_flip:
+    if orient_flip:
         sign = -sign
     return x, tangents, normal * sign[:, None]
 
@@ -276,12 +278,15 @@ def simulate_shift(man: Manifold, force: ForceField, hs: HypersurfaceSpec,
     Variations start at the exact coordinate tangents; their covariant
     rates are the covariant u-derivatives of the launch field nu(u)n(u),
     obtained by central differencing plus the connection correction.
+    The surface map, nu and their u-derivatives are compiled once.
     """
     n = man.dimension
     n_params = n - 1
     u = surface_grid(hs, n_params)
-    x0, tangents, normal = _surface_frames(man, hs, u)
-    nu_vals, _ = _nu_values(hs.nu, u, n_params)
+    surface = _surface_map(n, hs)
+    nu_fn = _nu_function(hs.nu, n_params)
+    x0, tangents, normal = _surface_frames(man, surface, u, hs.orient_flip)
+    nu_vals, _ = nu_fn(u)
     if np.any(nu_vals <= 0.0):
         raise BlowupError("nu must be positive on the surface grid")
     v0 = nu_vals[:, None] * normal
@@ -291,8 +296,8 @@ def simulate_shift(man: Manifold, force: ForceField, hs: HypersurfaceSpec,
     gamma0 = man.christoffel(x0)
 
     def launch_field(params):
-        _, _, normals = _surface_frames(man, hs, params)
-        nus, _ = _nu_values(hs.nu, params, n_params)
+        _, _, normals = _surface_frames(man, surface, params, hs.orient_flip)
+        nus, _ = nu_fn(params)
         return nus[:, None] * normals
 
     for a in range(n_params):

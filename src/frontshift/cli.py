@@ -133,8 +133,10 @@ def cmd_shift(cfg: ScenarioConfig, out_dir: Path, started: float) -> int:
     if cfg.shift is None:
         raise ConfigError("shift", "section required for this command")
     man, force = cfg.build()
-    spec = HypersurfaceSpec(cfg.shift.surface, cfg.shift.box, cfg.shift.nu,
-                            cfg.shift.resolution, cfg.shift.orient_flip)
+    spec = HypersurfaceSpec(cfg.shift.surface, cfg.shift.box,
+                            resolution=cfg.shift.resolution,
+                            nu=cfg.shift.nu,
+                            orient_flip=cfg.shift.orient_flip)
     aborted_at = None
     abort_rows: list = []
     try:

@@ -94,28 +94,37 @@ def _rhs(man: Manifold, force: ForceField, x, v, tau, rho,
 
     x, v: (B, n); tau, rho: (B, J, n).  riemann_sign flips the curvature
     term (debug hook for the selftest convention arbiter).
+
+    One pass: g, g^-1, dg and gamma are built once and handed to the
+    curvature and force-gradient assembly.  gamma contracted with v is
+    shared by the flow and both connection terms, and the curvature term
+    contracts R with v twice before the result is applied to tau.  Every
+    contraction is a batched matrix product.
     """
+    nb, n = x.shape
     g = man.metric(x)
     ginv = np.linalg.inv(g)
     dg = man.metric_partials(x)
     gamma = man.christoffel(x, ginv=ginv, dg=dg)
     f_vals = force.components(x, v)
+    v_col = v[:, :, None]
+    # gam_v[b, k, s] = gamma^k_sr v^r
+    gam_v = (gamma.reshape(nb, n * n, n) @ v_col).reshape(nb, n, n)
     dx = v
-    dv = f_vals - np.einsum('bkij,bi,bj->bk', gamma, v, v)
+    dv = f_vals - (gam_v @ v_col)[:, :, 0]
     if tau.shape[1] == 0:
         return dx, dv, np.zeros_like(tau), np.zeros_like(rho), f_vals
-    riem = man.riemann(x, gamma=gamma)
+    riem = man.riemann(x, gamma=gamma, ginv=ginv, dg=dg)
     spatial, velocity = extended_gradients(man, force, x, v,
                                            gamma=gamma, f_vals=f_vals)
-    curv = -riemann_sign * np.einsum('bkmsr,bjs,br,bm->bjk',
-                                     riem, tau, v, v)
-    rho_rate = (curv
-                + np.einsum('bjs,bsk->bjk', rho, velocity)
-                + np.einsum('bjs,bsk->bjk', tau, spatial))
-    conn_tau = np.einsum('bkrs,br,bjs->bjk', gamma, v, tau)
-    conn_rho = np.einsum('bkrs,br,bjs->bjk', gamma, v, rho)
-    dtau = rho - conn_tau
-    drho = rho_rate - conn_rho
+    # r_v[b, k, m, s] = R^k_msr v^r, then rvv[b, k, s] = r_v[b, k, m, s] v^m
+    r_v = (riem.reshape(nb, n ** 3, n) @ v_col).reshape(nb, n, n, n)
+    rvv = (r_v.swapaxes(2, 3).reshape(nb, n * n, n) @ v_col).reshape(nb, n, n)
+    curv = -riemann_sign * (tau @ rvv.transpose(0, 2, 1))
+    rho_rate = curv + rho @ velocity + tau @ spatial
+    gam_v_t = gam_v.transpose(0, 2, 1)
+    dtau = rho - tau @ gam_v_t
+    drho = rho_rate - rho @ gam_v_t
     return dx, dv, dtau, drho, f_vals
 
 
@@ -169,10 +178,10 @@ def integrate_batch(man: Manifold, force: ForceField, x0, v0, tau0, rho0,
 
     x, v, tau, rho = x0.copy(), v0.copy(), tau0.copy(), rho0.copy()
     with np.errstate(all='ignore'):
-        forces[0] = force.components(x, v)
         xs[0], vs[0], taus[0], rhos[0] = x, v, tau, rho
         for i in range(steps):
             k1 = _rhs(man, force, x, v, tau, rho, riemann_sign)
+            forces[i] = k1[4]
             k2 = _rhs(man, force,
                       x + 0.5 * h * k1[0], v + 0.5 * h * k1[1],
                       tau + 0.5 * h * k1[2], rho + 0.5 * h * k1[3],
@@ -199,7 +208,7 @@ def integrate_batch(man: Manifold, force: ForceField, x0, v0, tau0, rho0,
                 raise IntegrationAbort(partial, i, np.nonzero(~ok)[0])
             xs[i + 1], vs[i + 1] = x, v
             taus[i + 1], rhos[i + 1] = tau, rho
-            forces[i + 1] = force.components(x, v)
+        forces[steps] = force.components(x, v)
     return BatchTrajectory(times, xs, vs, taus, rhos, forces, h)
 
 

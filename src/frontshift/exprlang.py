@@ -512,41 +512,129 @@ _NUMPY_FUNCS = {
 }
 
 
-def compile_fn(node: Node, names: Sequence[str]) -> Callable[..., np.ndarray]:
+def compile_fn(nodes: Node | Sequence[Node],
+               names: Sequence[str]) -> Callable[..., np.ndarray]:
     """Compile to a vectorized callable over positional array arguments.
 
     The fast path for integration: no domain checking, IEEE semantics
     (divisions by zero become inf/nan and are caught by the integrator's
     non-finite abort).  ``evaluate`` stays the checked reference.
+
+    Given one node, the callable returns its value.  Given a sequence of
+    K nodes, it returns one array of shape ``batch + (K,)``, entry k the
+    value of node k, with constant entries broadcast to the batch shape
+    of the arguments.  Either way a subexpression that occurs more than
+    once, within one node or across nodes, is computed once into a
+    temporary.
     """
-    undeclared = variables(node) - set(names)
-    if undeclared:
-        raise UnknownIdentifierError(sorted(undeclared)[0], node.pos)
-    body = _emit(node)
-    src = f"def _compiled({', '.join(names)}):\n    return {body}\n"
+    single = isinstance(nodes, Node)
+    roots = [nodes] if single else list(nodes)
+    for root in roots:
+        undeclared = variables(root) - set(names)
+        if undeclared:
+            raise UnknownIdentifierError(sorted(undeclared)[0], root.pos)
+    program = _Program(roots)
+    results = [program.emit(uid) for uid in program.roots]
+    lines = [f"def _compiled({', '.join(names)}):", *program.lines]
+    if single:
+        lines.append(f"    return {results[0]}")
+    else:
+        shapes = ", ".join(f"np.shape({name})" for name in names)
+        lines.append(f"    _out = np.empty(np.broadcast_shapes({shapes})"
+                     f" + ({len(results)},))")
+        lines += [f"    _out[..., {k}] = {text}"
+                  for k, text in enumerate(results)]
+        lines.append("    return _out")
     scope: dict = {"np": np}
-    exec(src, scope)
+    exec("\n".join(lines) + "\n", scope)
     return scope["_compiled"]
 
 
-def _emit(node: Node) -> str:
+def _children(node: Node) -> tuple:
+    if isinstance(node, (Neg, Call)):
+        return (node.arg,)
+    if isinstance(node, (Add, Sub, Mul, Div)):
+        return (node.left, node.right)
+    if isinstance(node, Pow):
+        return (node.base, node.exponent)
+    return ()
+
+
+class _Program:
+    """Expression DAG with structurally equal subtrees merged.
+
+    A node's key is its type, its payload and the ids of its children, so
+    interning is linear in the tree size; constants are keyed by repr so
+    that 0.0 and -0.0 stay apart.  ``uses`` counts the distinct parents
+    (and roots) of each merged node; a non-leaf with more than one becomes
+    a temporary when emitted.
+    """
+
+    def __init__(self, roots: Sequence[Node]):
+        self.nodes: list[Node] = []
+        self.kids: list[tuple] = []
+        self.uses: list[int] = []
+        self._ids: dict = {}
+        self._seen: dict[int, int] = {}
+        self.roots = [self._intern(root) for root in roots]
+        for uid in self.roots:
+            self.uses[uid] += 1
+        self.lines: list[str] = []
+        self._temps: dict[int, str] = {}
+
+    def _intern(self, node: Node) -> int:
+        uid = self._seen.get(id(node))
+        if uid is not None:
+            return uid
+        kids = tuple(self._intern(child) for child in _children(node))
+        if isinstance(node, Const):
+            key = (Const, repr(node.value))
+        elif isinstance(node, Var):
+            key = (Var, node.name)
+        elif isinstance(node, Call):
+            key = (Call, node.func, kids)
+        else:
+            key = (type(node), kids)
+        uid = self._ids.get(key)
+        if uid is None:
+            uid = self._ids[key] = len(self.nodes)
+            self.nodes.append(node)
+            self.kids.append(kids)
+            self.uses.append(0)
+            for kid in kids:
+                self.uses[kid] += 1
+        self._seen[id(node)] = uid
+        return uid
+
+    def emit(self, uid: int) -> str:
+        """Source text of node uid; shared non-leaves become temporaries."""
+        temp = self._temps.get(uid)
+        if temp is not None:
+            return temp
+        node = self.nodes[uid]
+        args = [self.emit(kid) for kid in self.kids[uid]]
+        text = _format(node, args)
+        if args and self.uses[uid] > 1:
+            temp = self._temps[uid] = f"_t{len(self._temps)}"
+            self.lines.append(f"    {temp} = {text}")
+            return temp
+        return text
+
+
+_BINARY_OPS = {Add: " + ", Sub: " - ", Mul: "*", Div: "/", Pow: "**"}
+
+
+def _format(node: Node, args: list[str]) -> str:
     if isinstance(node, Const):
         # parenthesized so that e.g. (-2)**2 keeps pow from capturing the sign
         return f"({node.value!r})" if node.value < 0 else repr(node.value)
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Neg):
-        return f"(-{_emit(node.arg)})"
-    if isinstance(node, Add):
-        return f"({_emit(node.left)} + {_emit(node.right)})"
-    if isinstance(node, Sub):
-        return f"({_emit(node.left)} - {_emit(node.right)})"
-    if isinstance(node, Mul):
-        return f"({_emit(node.left)}*{_emit(node.right)})"
-    if isinstance(node, Div):
-        return f"({_emit(node.left)}/{_emit(node.right)})"
-    if isinstance(node, Pow):
-        return f"({_emit(node.base)}**{_emit(node.exponent)})"
+        return f"(-{args[0]})"
     if isinstance(node, Call):
-        return f"{_NUMPY_FUNCS[node.func]}({_emit(node.arg)})"
-    raise TypeError(f"not an expression node: {node!r}")
+        return f"{_NUMPY_FUNCS[node.func]}({args[0]})"
+    op = _BINARY_OPS.get(type(node))
+    if op is None:
+        raise TypeError(f"not an expression node: {node!r}")
+    return f"({args[0]}{op}{args[1]})"

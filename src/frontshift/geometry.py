@@ -1,10 +1,13 @@
 """Metric geometry and extended-field gradients at tangent-bundle points.
 
-All tensor assembly is numeric (einsum over batched arrays); all
-differentiation behind it is exact and symbolic, performed once on the
-metric and force component expressions.  Batched methods carry a leading
-axis ``B`` so front simulations evaluate all directions in one call;
-the single-point operations are thin wrappers over the same code path.
+All tensor assembly is numeric: the metric, the force and their exact
+derivatives come from fused compiled evaluators, each tensor is built
+once per call, and every contraction is a batched matrix product (``@``
+over the leading batch axis) in a fixed order.  All differentiation
+behind it is exact and symbolic, performed once on the metric and force
+component expressions.  Batched methods carry a leading axis ``B`` so
+front simulations evaluate all directions in one call; the single-point
+operations are thin wrappers over the same code path.
 
 Index conventions (fixed, and pinned by the dynamics cross-checks):
 
@@ -84,8 +87,33 @@ def _parse(entry, names: Sequence[str]) -> Node:
     return exprlang.parse(str(entry), names)
 
 
+def _symmetric_slots(n: int) -> tuple[list, np.ndarray]:
+    """Pairs (i, j), i <= j, and the [n, n] map from (i, j) to pair index."""
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    slot = np.empty((n, n), dtype=np.intp)
+    for p, (i, j) in enumerate(pairs):
+        slot[i, j] = slot[j, i] = p
+    return pairs, slot
+
+
+def _koszul(d: np.ndarray) -> np.ndarray:
+    """sym[..., r, i, j] = d[..., i, r, j] + d[..., j, r, i] - d[..., r, i, j].
+
+    Applied to dg this is twice the lowered connection; applied to ddg it
+    is that combination's coordinate derivative.
+    """
+    a, b, c = d.ndim - 3, d.ndim - 2, d.ndim - 1
+    lead = tuple(range(a))
+    return d.transpose(*lead, b, a, c) + d.transpose(*lead, b, c, a) - d
+
+
 class Manifold:
-    """Chart of dimension n with metric components g_ij(x1..xn)."""
+    """Chart of dimension n with metric components g_ij(x1..xn).
+
+    g, dg and ddg each come from one compiled callable that evaluates
+    only the unique symmetric slots (i <= j, and l <= k for ddg), sharing
+    repeated subexpressions; the full tensors are gathered from those.
+    """
 
     def __init__(self, dimension: int, metric: Sequence[Sequence]):
         if dimension < 2:
@@ -107,23 +135,20 @@ class Manifold:
         self.metric_ast = g_ast
         # Exact symbolic derivatives of the metric; everything downstream
         # (connection, curvature) is assembled numerically from these.
-        self._dg_ast = [[[exprlang.differentiate(g_ast[i][j], self.coords[k])
-                          for j in range(n)] for i in range(n)]
-                        for k in range(n)]
-        self._ddg_ast = [[[[exprlang.differentiate(
-            self._dg_ast[k][i][j], self.coords[ell])
-            for j in range(n)] for i in range(n)]
-            for k in range(n)] for ell in range(n)]
-
-        self._g_fn = [[exprlang.compile_fn(g_ast[i][j], self.coords)
-                       for j in range(n)] for i in range(n)]
-        self._dg_fn = [[[exprlang.compile_fn(self._dg_ast[k][i][j], self.coords)
-                         for j in range(n)] for i in range(n)]
-                       for k in range(n)]
-        self._ddg_fn = [[[[exprlang.compile_fn(
-            self._ddg_ast[ell][k][i][j], self.coords)
-            for j in range(n)] for i in range(n)]
-            for k in range(n)] for ell in range(n)]
+        pairs, slot = _symmetric_slots(n)
+        npair = len(pairs)
+        g_sym = [g_ast[i][j] for i, j in pairs]
+        dg_sym = [[exprlang.differentiate(entry, self.coords[k])
+                   for entry in g_sym] for k in range(n)]
+        ddg_sym = [exprlang.differentiate(entry, self.coords[ell])
+                   for ell, k in pairs for entry in dg_sym[k]]
+        self._g_fn = exprlang.compile_fn(g_sym, self.coords)
+        self._dg_fn = exprlang.compile_fn(
+            [entry for row in dg_sym for entry in row], self.coords)
+        self._ddg_fn = exprlang.compile_fn(ddg_sym, self.coords)
+        self._g_idx = slot
+        self._dg_idx = np.arange(n)[:, None, None] * npair + slot
+        self._ddg_idx = slot[:, :, None, None] * npair + slot
 
     # -- batched evaluation (leading axis B) --------------------------------
 
@@ -131,49 +156,15 @@ class Manifold:
         return tuple(xs[:, k] for k in range(self.dimension))
 
     def metric(self, xs: np.ndarray) -> np.ndarray:
-        n = self.dimension
-        args = self._args(xs)
-        g = np.empty((xs.shape[0], n, n))
-        for i in range(n):
-            for j in range(i, n):
-                g[:, i, j] = self._g_fn[i][j](*args)
-                if j != i:
-                    g[:, j, i] = g[:, i, j]
-        return g
-
-    def metric_pair(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        g = self.metric(xs)
-        return g, np.linalg.inv(g)
+        return self._g_fn(*self._args(xs))[:, self._g_idx]
 
     def metric_partials(self, xs: np.ndarray) -> np.ndarray:
         """dg[b, k, i, j] = d g_ij / d x^k."""
-        n = self.dimension
-        args = self._args(xs)
-        dg = np.empty((xs.shape[0], n, n, n))
-        for k in range(n):
-            for i in range(n):
-                for j in range(i, n):
-                    dg[:, k, i, j] = self._dg_fn[k][i][j](*args)
-                    if j != i:
-                        dg[:, k, j, i] = dg[:, k, i, j]
-        return dg
+        return self._dg_fn(*self._args(xs))[:, self._dg_idx]
 
     def metric_second_partials(self, xs: np.ndarray) -> np.ndarray:
         """ddg[b, l, k, i, j] = d^2 g_ij / (d x^l d x^k)."""
-        n = self.dimension
-        args = self._args(xs)
-        ddg = np.empty((xs.shape[0], n, n, n, n))
-        for ell in range(n):
-            for k in range(ell, n):
-                for i in range(n):
-                    for j in range(i, n):
-                        val = self._ddg_fn[ell][k][i][j](*args)
-                        ddg[:, ell, k, i, j] = val
-                        ddg[:, ell, k, j, i] = ddg[:, ell, k, i, j]
-                        if k != ell:
-                            ddg[:, k, ell, i, j] = ddg[:, ell, k, i, j]
-                            ddg[:, k, ell, j, i] = ddg[:, ell, k, i, j]
-        return ddg
+        return self._ddg_fn(*self._args(xs))[:, self._ddg_idx]
 
     def christoffel(self, xs: np.ndarray, ginv: np.ndarray | None = None,
                     dg: np.ndarray | None = None) -> np.ndarray:
@@ -182,36 +173,57 @@ class Manifold:
             ginv = np.linalg.inv(self.metric(xs))
         if dg is None:
             dg = self.metric_partials(xs)
-        sym = (np.einsum('birj->brij', dg) + np.einsum('bjri->brij', dg) - dg)
-        return 0.5 * np.einsum('bkr,brij->bkij', ginv, sym)
+        nb, n = xs.shape
+        sym = _koszul(dg).reshape(nb, n, n * n)
+        return (0.5 * (ginv @ sym)).reshape(nb, n, n, n)
 
-    def christoffel_partials(self, xs: np.ndarray) -> np.ndarray:
+    def christoffel_partials(self, xs: np.ndarray,
+                             ginv: np.ndarray | None = None,
+                             dg: np.ndarray | None = None,
+                             ddg: np.ndarray | None = None,
+                             gamma: np.ndarray | None = None) -> np.ndarray:
         """dgamma[b, s, k, i, j] = d gamma[k,i,j] / d x^s, exact.
 
-        Uses d(g^-1) = -g^-1 (dg) g^-1 with symbolic dg/ddg, so no finite
-        differences enter the curvature.
+        With d(g^-1) = -g^-1 (dg) g^-1 the derivative of
+        gamma = g^-1 sym / 2 is g^-1 (d_s sym / 2 - d_s g gamma), built from
+        the symbolic dg/ddg, so no finite differences enter the curvature.
         """
-        g, ginv = self.metric_pair(xs)
-        dg = self.metric_partials(xs)
-        ddg = self.metric_second_partials(xs)
-        sym = (np.einsum('birj->brij', dg) + np.einsum('bjri->brij', dg) - dg)
-        dsym = (np.einsum('bsirj->bsrij', ddg)
-                + np.einsum('bsjri->bsrij', ddg)
-                - ddg)
-        dginv = -np.einsum('bka,bsac,bcr->bskr', ginv, dg, ginv)
-        return (0.5 * np.einsum('bskr,brij->bskij', dginv, sym)
-                + 0.5 * np.einsum('bkr,bsrij->bskij', ginv, dsym))
-
-    def riemann(self, xs: np.ndarray,
-                gamma: np.ndarray | None = None) -> np.ndarray:
-        """riemann[b, k, m, s, r], antisymmetric in (s, r)."""
+        if ginv is None:
+            ginv = np.linalg.inv(self.metric(xs))
+        if dg is None:
+            dg = self.metric_partials(xs)
+        if ddg is None:
+            ddg = self.metric_second_partials(xs)
         if gamma is None:
-            gamma = self.christoffel(xs)
-        dgamma = self.christoffel_partials(xs)
-        return (np.einsum('bskmr->bkmsr', dgamma)
-                - np.einsum('brkms->bkmsr', dgamma)
-                + np.einsum('bksj,bjmr->bkmsr', gamma, gamma)
-                - np.einsum('bkrj,bjms->bkmsr', gamma, gamma))
+            gamma = self.christoffel(xs, ginv=ginv, dg=dg)
+        nb, n = xs.shape
+        # lowered[b, r, s, ij] = d_s sym[r, ij] / 2 - d_s g[r, a] gamma[a, ij],
+        # rows ordered (r, s) so that raising r is one product per row b
+        dsym = _koszul(ddg).swapaxes(1, 2).reshape(nb, n * n, n * n)
+        dg_rs = dg.swapaxes(1, 2).reshape(nb, n * n, n)
+        lowered = 0.5 * dsym - dg_rs @ gamma.reshape(nb, n, n * n)
+        raised = ginv @ lowered.reshape(nb, n, n ** 3)     # [b, k, (s, ij)]
+        return raised.reshape(nb, n, n, n, n).swapaxes(1, 2)
+
+    def riemann(self, xs: np.ndarray, gamma: np.ndarray | None = None,
+                ginv: np.ndarray | None = None, dg: np.ndarray | None = None,
+                ddg: np.ndarray | None = None) -> np.ndarray:
+        """riemann[b, k, m, s, r], antisymmetric in (s, r)."""
+        if ginv is None:
+            ginv = np.linalg.inv(self.metric(xs))
+        if dg is None:
+            dg = self.metric_partials(xs)
+        if gamma is None:
+            gamma = self.christoffel(xs, ginv=ginv, dg=dg)
+        dgamma = self.christoffel_partials(xs, ginv=ginv, dg=dg, ddg=ddg,
+                                           gamma=gamma)
+        nb, n = xs.shape
+        # gg[b, k, s, m, r] = gamma[k,s,j] gamma[j,m,r]
+        gg = (gamma.reshape(nb, n * n, n)
+              @ gamma.reshape(nb, n, n * n)).reshape(nb, n, n, n, n)
+        # half[b, k, m, s, r] = d_s gamma[k,m,r] + gamma[k,s,j] gamma[j,m,r]
+        half = dgamma.transpose(0, 2, 3, 1, 4) + gg.transpose(0, 1, 3, 2, 4)
+        return half - half.swapaxes(3, 4)
 
     def frame(self, xs: np.ndarray, vs: np.ndarray,
               g: np.ndarray | None = None):
@@ -241,7 +253,10 @@ class Manifold:
 
 
 class ForceField:
-    """Extended vector field F^k(x, v) given componentwise as expressions."""
+    """Extended vector field F^k(x, v) given componentwise as expressions.
+
+    F and the pair of Jacobians each come from one compiled callable.
+    """
 
     def __init__(self, manifold: Manifold, components: Sequence):
         n = manifold.dimension
@@ -251,15 +266,13 @@ class ForceField:
         self.manifold = manifold
         self.component_ast = [exprlang.simplify(_parse(c, names))
                               for c in components]
-        self._f_fn = [exprlang.compile_fn(a, names) for a in self.component_ast]
-        # [i][k]: derivative of component k in direction i
-        self._dfdx_fn = [[exprlang.compile_fn(
-            exprlang.differentiate(self.component_ast[k], manifold.coords[i]),
-            names) for k in range(n)] for i in range(n)]
-        self._dfdv_fn = [[exprlang.compile_fn(
-            exprlang.differentiate(self.component_ast[k],
-                                   manifold.velocities[i]),
-            names) for k in range(n)] for i in range(n)]
+        self._f_fn = exprlang.compile_fn(self.component_ast, names)
+        # entry (w, i, k): derivative of component k in direction i of
+        # the coordinates (w = 0) or velocities (w = 1)
+        self._jac_fn = exprlang.compile_fn(
+            [exprlang.differentiate(self.component_ast[k], wrt[i])
+             for wrt in (manifold.coords, manifold.velocities)
+             for i in range(n) for k in range(n)], names)
 
     def _args(self, xs: np.ndarray, vs: np.ndarray) -> tuple:
         n = self.manifold.dimension
@@ -267,24 +280,15 @@ class ForceField:
             vs[:, k] for k in range(n))
 
     def components(self, xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        n = self.manifold.dimension
-        args = self._args(xs, vs)
-        out = np.empty((xs.shape[0], n))
-        for k in range(n):
-            out[:, k] = self._f_fn[k](*args)
-        return out
+        return self._f_fn(*self._args(xs, vs))
 
     def jacobians(self, xs: np.ndarray, vs: np.ndarray):
         """(dfdx[b,i,k], dfdv[b,i,k]) of plain partial derivatives."""
         n = self.manifold.dimension
-        args = self._args(xs, vs)
-        dfdx = np.empty((xs.shape[0], n, n))
-        dfdv = np.empty((xs.shape[0], n, n))
-        for i in range(n):
-            for k in range(n):
-                dfdx[:, i, k] = self._dfdx_fn[i][k](*args)
-                dfdv[:, i, k] = self._dfdv_fn[i][k](*args)
-        return dfdx, dfdv
+        jac = self._jac_fn(*self._args(xs, vs)).reshape(xs.shape[0], 2, n, n)
+        # dfdv is often kept (as the velocity gradient) after dfdx is
+        # used; a copy lets the shared buffer go with dfdx
+        return jac[:, 0], jac[:, 1].copy()
 
 
 def extended_gradients(man: Manifold, force: ForceField, xs: np.ndarray,
@@ -301,9 +305,13 @@ def extended_gradients(man: Manifold, force: ForceField, xs: np.ndarray,
     if f_vals is None:
         f_vals = force.components(xs, vs)
     dfdx, dfdv = force.jacobians(xs, vs)
+    nb, n = xs.shape
+    flat = gamma.reshape(nb, n * n, n)
+    gam_v = (flat @ vs[:, :, None]).reshape(nb, n, n)      # [b, j, i]
+    gam_f = (flat @ f_vals[:, :, None]).reshape(nb, n, n)  # [b, k, i]
     spatial = (dfdx
-               - np.einsum('bjis,bs,bjk->bik', gamma, vs, dfdv)
-               + np.einsum('bkis,bs->bik', gamma, f_vals))
+               - gam_v.transpose(0, 2, 1) @ dfdv
+               + gam_f.transpose(0, 2, 1))
     return spatial, dfdv
 
 

@@ -1,4 +1,7 @@
 import json
+import math
+
+import pytest
 
 from frontshift.cli import main
 
@@ -127,14 +130,25 @@ def test_blowup_abort_keeps_partial_output(tmp_path, capsys):
 
 
 def test_shift_outputs(tmp_path, capsys):
-    cfg = _write_config(tmp_path, BASE)
+    # nu and resolution differ, so swapping them cannot go unnoticed
+    data = dict(BASE, shift=dict(BASE["shift"], nu=1.5))
+    cfg = _write_config(tmp_path, data)
     out_dir = tmp_path / "out"
     code, out, _ = _run(capsys, ["shift", "--config", cfg,
                                  "--out-dir", str(out_dir)])
     assert code == 0
     assert json.loads(out)["stats"]["max_psi"] < 1e-10
-    assert (out_dir / "shift_front.csv").exists()
     assert (out_dir / "shift_orthogonality.json").exists()
+    csv_lines = (out_dir / "shift_front.csv").read_text().splitlines()
+    header = csv_lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in csv_lines[1:]]
+    # 0.2/0.001 = 200 nodes, every 20th plus t=0 -> 11 fronts of 8 rows
+    assert len(rows) == 11 * 8
+    launch = [r for r in rows if float(r["t"]) == 0.0]
+    assert [int(r["dir_index"]) for r in launch] == list(range(8))
+    for r in launch:   # Euclidean chart: the g-speed is |v|
+        speed = math.hypot(float(r["v1"]), float(r["v2"]))
+        assert speed == pytest.approx(1.5, abs=1e-12)
 
 
 def test_rank_free_field(tmp_path, capsys):

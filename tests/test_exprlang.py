@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frontshift import exprlang as el
 
@@ -192,3 +194,127 @@ def test_compiled_matches_evaluate():
         got = float(np.asarray(fn(*args)).ravel()[0])
         checked += 1
         assert got == pytest.approx(ref, rel=1e-15, abs=1e-300)
+
+
+# -- multi-node compile_fn -----------------------------------------------------
+
+def _columns(bindings):
+    return tuple(np.array([b[name] for b in bindings]) for name in VARS)
+
+
+def test_compiled_many_matches_evaluate_entrywise():
+    shared = el.parse("sin(x1)^2*v1", VARS)
+    nodes = [
+        shared,
+        el.Add(shared, el.parse("sin(x1)^2 + cos(x2)", VARS)),
+        el.Const(-2.5),                      # broadcast to the batch
+        el.Mul(shared, shared),
+        shared,                              # the same node twice
+        el.differentiate(el.Mul(shared, el.Var("x2")), "x1"),
+    ]
+    fn = el.compile_fn(nodes, VARS)
+    rng = np.random.default_rng(3)
+    bindings = [_random_binding(rng) for _ in range(5)]
+    got = fn(*_columns(bindings))
+    assert got.shape == (5, len(nodes))
+    assert np.array_equal(got[:, 2], np.full(5, -2.5))
+    assert np.array_equal(got[:, 0], got[:, 4])
+    for b, row in enumerate(bindings):
+        for k, node in enumerate(nodes):
+            assert got[b, k] == pytest.approx(el.evaluate(node, row),
+                                              rel=1e-15, abs=1e-300)
+    # scalar arguments: batch shape ()
+    assert fn(*(bindings[0][name] for name in VARS)).shape == (len(nodes),)
+
+
+def test_compiled_many_rejects_undeclared_names():
+    with pytest.raises(el.UnknownIdentifierError):
+        el.compile_fn([el.Var("x1"), el.Var("q")], ["x1"])
+
+
+EPS = 2.0 ** -52
+
+
+def _value_and_error_bound(node, binding):
+    """Value by ``evaluate``'s arithmetic plus a first-order bound on its
+    rounding error; a numpy evaluation of the same tree may differ from
+    it by a few ulps per elementary function and by the propagation of
+    those differences, which the bound covers."""
+    if isinstance(node, el.Const):
+        return node.value, 0.0
+    if isinstance(node, el.Var):
+        return binding[node.name], 0.0
+    if isinstance(node, el.Neg):
+        val, err = _value_and_error_bound(node.arg, binding)
+        return -val, err
+    if isinstance(node, el.Call):
+        val, err = _value_and_error_bound(node.arg, binding)
+        if node.func == "exp":
+            out = math.exp(val)
+            return out, math.exp(val + err) * err + 4 * EPS * out
+        out = math.sin(val) if node.func == "sin" else math.cos(val)
+        return out, err + 4 * EPS
+    if isinstance(node, el.Pow):
+        val, err = _value_and_error_bound(node.base, binding)
+        c = node.exponent.value
+        out = math.pow(val, c)
+        return out, (c * (abs(val) + err) ** (c - 1.0) * err
+                     + 4 * EPS * abs(out))
+    left, e_left = _value_and_error_bound(node.left, binding)
+    right, e_right = _value_and_error_bound(node.right, binding)
+    if isinstance(node, el.Mul):
+        out = left * right
+        return out, (abs(left) * e_right + abs(right) * e_left
+                     + e_left * e_right + EPS * abs(out))
+    out = left + right if isinstance(node, el.Add) else left - right
+    return out, e_left + e_right + EPS * abs(out)
+
+
+_LEAVES = st.one_of(
+    st.sampled_from(VARS).map(el.Var),
+    st.integers(-2000, 2000).map(lambda k: el.Const(k / 1000.0)))
+
+
+def _grow(children):
+    return st.one_of(
+        st.builds(lambda op, a, b: op(a, b),
+                  st.sampled_from([el.Add, el.Sub, el.Mul]), children,
+                  children),
+        st.builds(el.Neg, children),
+        st.builds(el.Call, st.sampled_from(["sin", "cos", "exp"]), children),
+        st.builds(lambda a, c: el.Pow(a, el.Const(c)), children,
+                  st.sampled_from([2.0, 3.0])))
+
+
+_TREES = st.recursive(_LEAVES, _grow, max_leaves=10)
+_BINDINGS = st.lists(
+    st.fixed_dictionaries({name: st.floats(-1.5, 1.5) for name in VARS}),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(trees=st.lists(_TREES, min_size=1, max_size=3),
+       const=st.integers(-9, 9), bindings=_BINDINGS)
+def test_compiled_many_property(trees, const, bindings):
+    # shared subtrees across and within roots, plus a constant root
+    nodes = trees + [el.Mul(trees[0], el.Add(trees[-1], trees[0])),
+                     trees[-1], el.Const(float(const))]
+    fn = el.compile_fn(nodes, VARS)
+    args = _columns(bindings)
+    with np.errstate(all="ignore"):
+        got = fn(*args)
+        singles = [np.broadcast_to(el.compile_fn(node, VARS)(*args),
+                                   (len(bindings),)) for node in nodes]
+    assert got.shape == (len(bindings), len(nodes))
+    for k, single in enumerate(singles):
+        np.testing.assert_array_equal(got[:, k], single)
+    for b, row in enumerate(bindings):
+        for k, node in enumerate(nodes):
+            try:
+                ref = el.evaluate(node, row)
+                _, bound = _value_and_error_bound(node, row)
+            except (el.ExprError, OverflowError):
+                continue
+            if not math.isfinite(ref + bound):
+                continue
+            assert abs(got[b, k] - ref) <= 4.0 * bound + 1e-300, (k, row)
