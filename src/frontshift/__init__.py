@@ -16,8 +16,8 @@ from .geometry import (ForceField, FrameData, GradientPair, Manifold,
                        TangentPoint, christoffel_at, frame_at, gradients_at,
                        inner, lower_index, metric_at, raise_index,
                        riemann_at)
-from .normality import (ResidualReport, ResidualSample, additional_residual,
-                        classify, raw_first_residual, raw_second_residual,
+from .normality import (ResidualReport, additional_residual, classify,
+                        raw_first_residual, raw_second_residual,
                         weak_residual)
 
 __version__ = "0.1.0"

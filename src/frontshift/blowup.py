@@ -428,22 +428,21 @@ def front_header(dimension: int) -> list[str]:
 
 
 def export_front(record: FrontRecord, output_every: int = 1):
-    """(header, rows) of the front table; one row per (time, direction)."""
+    """(header, table) of the front: one float row per (output time,
+    direction), time-major and direction-minor."""
     if output_every < 1:
         raise BlowupError("output_every must be >= 1")
     n = record.man.dimension
     header = front_header(n)
-    rows = []
-    nb = record.u.shape[0]
-    for i in range(0, record.batch.node_count, output_every):
-        t = float(record.times[i])
-        for b in range(nb):
-            row = [t, b]
-            row += [float(val) for val in record.u[b]]
-            row += [float(val) for val in record.batch.x[i, b]]
-            row += [float(val) for val in record.batch.v[i, b]]
-            row += [float(val) for val in record.batch.tau[i, b].ravel()]
-            row += [float(val) for val in record.phi[i, b]]
-            row += [float(val) for val in record.psi[i, b]]
-            rows.append(row)
-    return header, rows
+    nodes = slice(0, record.batch.node_count, output_every)
+    times = record.times[nodes]
+    shape = (times.shape[0], record.u.shape[0])
+    columns = [
+        np.broadcast_to(times[:, None, None], shape + (1,)),
+        np.broadcast_to(np.arange(shape[1], dtype=float)[None, :, None],
+                        shape + (1,)),
+        np.broadcast_to(record.u, shape + record.u.shape[1:]),
+        record.batch.x[nodes], record.batch.v[nodes],
+        record.batch.tau[nodes].reshape(shape + ((n - 1) * n,)),
+        record.phi[nodes], record.psi[nodes]]
+    return header, np.concatenate(columns, axis=2).reshape(-1, len(header))

@@ -53,7 +53,7 @@ def cmd_check(cfg: ScenarioConfig, out_dir: Path, started: float) -> int:
     residual_doc = {
         "verdict": rep.verdict,
         "tolerance": rep.tolerance,
-        "sample_count": len(rep.samples),
+        "sample_count": len(rep.xs),
         "max_weak_residual": rep.max_weak,
         "mean_weak_residual": rep.mean_weak,
         "max_additional_residual": rep.max_additional,
@@ -61,8 +61,8 @@ def cmd_check(cfg: ScenarioConfig, out_dir: Path, started: float) -> int:
         "additional_trivial": rep.additional_trivial,
         "max_strong_additional": rep.max_strong_additional,
         "worst_sample": {
-            "x": [float(c) for c in rep.samples[rep.worst_index].q.x],
-            "v": [float(c) for c in rep.samples[rep.worst_index].q.v],
+            "x": [float(c) for c in rep.xs[rep.worst_index]],
+            "v": [float(c) for c in rep.vs[rep.worst_index]],
         },
     }
     out = report.write_json(out_dir / "residual_report.json", residual_doc)
@@ -76,8 +76,8 @@ def cmd_check(cfg: ScenarioConfig, out_dir: Path, started: float) -> int:
 def _front_outputs(kind: str, cfg: ScenarioConfig, record, out_dir: Path,
                    aborted_at: int | None, abort_rows: list) -> tuple:
     every = cfg.integrator.output_every
-    header, rows = export_front(record, output_every=every)
-    csv_path = report.write_csv(out_dir / f"{kind}_front.csv", header, rows)
+    header, table = export_front(record, output_every=every)
+    csv_path = report.write_csv(out_dir / f"{kind}_front.csv", header, table)
     orth = orthogonality_report(record)
     per_time = [{"t": float(orth.times[i]),
                  "max_psi": float(orth.max_psi_per_time[i]),

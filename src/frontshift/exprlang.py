@@ -391,7 +391,8 @@ def _is_const(node: Node, value: float) -> bool:
 
 
 def simplify(node: Node) -> Node:
-    """Constant folding plus x+0, x*1, x*0, x^1 rewrites, to fixpoint."""
+    """Constant folding plus x+0, x*1, x*0, 0/x, x^1 rewrites, to
+    fixpoint."""
     while True:
         new = _simplify_once(node)
         if new == node:
@@ -451,6 +452,8 @@ def _simplify_once(node: Node) -> Node:
         if _is_const(right, 1.0):
             return left
     elif isinstance(node, Div):
+        if _is_const(left, 0.0):
+            return Const(0.0)
         if _is_const(right, 1.0):
             return left
     rebuilt = type(node)(left, right, pos=node.pos)

@@ -33,17 +33,9 @@ INCONCLUSIVE = "inconclusive"
 
 
 @dataclass(frozen=True)
-class ResidualSample:
-    q: TangentPoint
-    weak_first: np.ndarray        # covector, n
-    weak_second: np.ndarray       # covector, n
-    additional_first: np.ndarray  # (n, n), both indices low
-    additional_second: np.ndarray  # (n, n), first index up
-
-
-@dataclass(frozen=True)
 class ResidualReport:
-    samples: list
+    xs: np.ndarray                # (count, n) sampled positions
+    vs: np.ndarray                # (count, n) sampled velocities
     max_weak: float
     mean_weak: float
     max_additional: float
@@ -289,11 +281,9 @@ def classify(man: Manifold, force: ForceField, x_box, v_min: float,
     else:
         verdict = NEITHER
 
-    samples = [ResidualSample(TangentPoint(xs[i], vs[i]), first[i],
-                              second[i], a1[i], a2[i])
-               for i in range(count)]
     return ResidualReport(
-        samples=samples,
+        xs=xs,
+        vs=vs,
         max_weak=max_weak,
         mean_weak=float(weak_norms.mean()),
         max_additional=max_add,

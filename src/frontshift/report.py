@@ -2,8 +2,15 @@
 
 Every float is printed with 17 significant digits, which round-trips
 doubles exactly; identical inputs therefore produce byte-identical
-files.  Non-finite values become JSON null and the literal CSV token
-"nan".  numpy scalars and arrays serialize as their Python equivalents.
+files.  Non-finite values become JSON null; in CSV files they print as
+the tokens "nan", "inf" and "-inf".  numpy scalars and arrays serialize
+as their Python equivalents.
+
+CSV tables are float arrays streamed in fixed blocks of rows: each block
+is printed by one ``%`` operation with ``%.17g`` for every cell, which is
+the formatter ``fmt_float`` uses, so integer-valued columns such as
+``dir_index`` print without a decimal point.  Neither the whole file nor
+a list per row is ever held in memory.
 """
 
 from __future__ import annotations
@@ -65,20 +72,16 @@ def write_json(path, obj) -> str:
     return str(path)
 
 
-def _cell(value) -> str:
-    value = _coerce(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return fmt_float(value)
-    return str(value)
+_CSV_BLOCK_ROWS = 1024
 
 
 def write_csv(path, header, rows) -> str:
     path = Path(path)
-    lines = [",".join(header)]
-    lines.extend(",".join(_cell(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    table = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    with path.open("w", encoding="utf-8") as out:
+        out.write(",".join(header) + "\n")
+        for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
+            block = table[start:start + _CSV_BLOCK_ROWS]
+            out.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
     return str(path)

@@ -86,6 +86,12 @@ def test_simplify_examples():
     assert el.simplify(el.parse("2*3", VARS)) == el.Const(6.0)
 
 
+def test_simplify_folds_zero_numerator():
+    assert el.simplify(el.parse("0/x1", VARS)) == el.Const(0.0)
+    assert el.simplify(el.parse("(0*v1)/(2*sqrt(x2))", VARS)) == el.Const(0.0)
+    assert el.simplify(el.parse("v1 + 0/x1", VARS)) == el.Var("v1")
+
+
 def _random_ast(rng, depth):
     """Bounded expression generator; ln and abs are exercised separately
     because finite differences misbehave at their domain boundaries."""

@@ -188,6 +188,16 @@ def test_gradients_velocity_force():
     assert np.allclose(gp.velocity, 0.5 * np.eye(2), atol=0)
 
 
+def test_drag_jacobian_structural_zeros_at_rest():
+    drag = ForceField(SPHERE, ["-0.3*v1*sqrt(v1^2 + sin(x1)^2*v2^2)",
+                               "-0.3*v2*sqrt(v1^2 + sin(x1)^2*v2^2)"])
+    xs = np.array([[1.0, 0.3], [2.0, -1.5]])
+    with np.errstate(invalid='ignore'):
+        dfdx, _ = drag.jacobians(xs, np.zeros_like(xs))
+    # no component depends on x2, so its row is exactly zero, not 0/0
+    assert np.array_equal(dfdx[:, 1, :], np.zeros((2, 2)))
+
+
 def test_gradients_connection_terms_enter():
     force = ForceField(POLAR, ["-x1", "0"])
     gp = gradients_at(POLAR, force, TangentPoint([2.0, 0.3], [1.0, 1.0]))
