@@ -17,7 +17,7 @@ import numpy as np
 
 from . import exprlang
 from .dynamics import BatchTrajectory, IntegrationAbort, integrate_batch
-from .geometry import ForceField, Manifold
+from .geometry import ForceField, Manifold, at_point
 
 TAU_NORM_FLOOR = 1e-12
 
@@ -128,7 +128,7 @@ def sphere_grid(man: Manifold, p0, resolution: int) -> list[SphereSample]:
         raise BlowupError("resolution must be at least 8")
     n = man.dimension
     p0 = np.asarray(p0, dtype=float)
-    g0 = man.metric(p0[None, :])[0]
+    g0 = at_point(man.metric, p0)
     man.check_positive_definite(p0, g0)
     frame = np.linalg.inv(np.linalg.cholesky(g0).T)
 
@@ -204,14 +204,8 @@ def simulate_blowup(man: Manifold, force: ForceField,
     else:
         rho0 = (nu_grads[:, :, None] * dirs[:, None, :]
                 + nu_vals[:, None, None] * tangents)
-    try:
-        batch = integrate_batch(man, force, x0, v0, tau0, rho0,
-                                cfg.t_end, cfg.step)
-    except IntegrationAbort as abort:
-        abort.record = _attach_series("blowup", man, force, u, x0,
-                                      nu_vals, abort.record)
-        raise
-    return _attach_series("blowup", man, force, u, x0, nu_vals, batch)
+    return _integrate_front("blowup", man, force, u, nu_vals, x0, v0, tau0,
+                            rho0, cfg.t_end, cfg.step)
 
 
 def surface_grid(hs: HypersurfaceSpec, n_params: int) -> np.ndarray:
@@ -308,14 +302,24 @@ def simulate_shift(man: Manifold, force: ForceField, hs: HypersurfaceSpec,
         rho0[:, a] = (launch_field(up) - launch_field(down)) / (2.0 * delta)
         rho0[:, a] += np.einsum('bkrs,br,bs->bk', gamma0,
                                 tangents[:, a], v0)
+    return _integrate_front("shift", man, force, u, nu_vals, x0, v0,
+                            tangents.copy(), rho0, t_end, h)
+
+
+def _integrate_front(kind: str, man: Manifold, force: ForceField,
+                     u: np.ndarray, nu_vals: np.ndarray, x0, v0, tau0, rho0,
+                     t_end: float, h: float) -> FrontRecord:
+    """Integrate the launched front and attach its deviation series.
+
+    An IntegrationAbort is re-raised carrying the partial FrontRecord.
+    """
     try:
-        batch = integrate_batch(man, force, x0, v0, tangents.copy(), rho0,
-                                t_end, h)
+        batch = integrate_batch(man, force, x0, v0, tau0, rho0, t_end, h)
     except IntegrationAbort as abort:
-        abort.record = _attach_series("shift", man, force, u, x0,
-                                      nu_vals, abort.record)
+        abort.record = _attach_series(kind, man, force, u, x0, nu_vals,
+                                      abort.record)
         raise
-    return _attach_series("shift", man, force, u, x0, nu_vals, batch)
+    return _attach_series(kind, man, force, u, x0, nu_vals, batch)
 
 
 def _attach_series(kind: str, man: Manifold, force: ForceField,

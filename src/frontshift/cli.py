@@ -73,8 +73,16 @@ def cmd_check(cfg: ScenarioConfig, out_dir: Path, started: float) -> int:
         else EXIT_OK
 
 
-def _front_outputs(kind: str, cfg: ScenarioConfig, record, out_dir: Path,
-                   aborted_at: int | None, abort_rows: list) -> tuple:
+def _run_front(kind: str, cfg: ScenarioConfig, out_dir: Path,
+               started: float, simulate) -> int:
+    """Run simulate(), write the front CSV and orthogonality report, and
+    emit the run report.  An integration abort keeps the partial front,
+    is recorded in the report, and exits 3."""
+    abort = None
+    try:
+        record = simulate()
+    except IntegrationAbort as exc:
+        abort, record = exc, exc.record
     every = cfg.integrator.output_every
     header, table = export_front(record, output_every=every)
     csv_path = report.write_csv(out_dir / f"{kind}_front.csv", header, table)
@@ -90,7 +98,7 @@ def _front_outputs(kind: str, cfg: ScenarioConfig, record, out_dir: Path,
         "mean_psi": orth.mean_psi,
         "undefined_count": orth.undefined_count,
         "inconclusive": orth.inconclusive,
-        "aborted": aborted_at is not None,
+        "aborted": abort is not None,
         "per_time": per_time,
         "initial_slopes": {
             "u": [[float(c) for c in row] for row in record.u],
@@ -98,16 +106,17 @@ def _front_outputs(kind: str, cfg: ScenarioConfig, record, out_dir: Path,
                        if slopes is not None else None),
         },
     }
-    if aborted_at is not None:
-        doc["abort_node"] = aborted_at
-        doc["abort_directions"] = abort_rows
+    if abort is not None:
+        doc["abort_node"] = abort.node_index
+        doc["abort_directions"] = abort.batch_indices
     json_path = report.write_json(out_dir / f"{kind}_orthogonality.json", doc)
     stats = {"max_psi": orth.max_psi, "mean_psi": orth.mean_psi,
              "undefined_count": orth.undefined_count,
              "directions": int(record.u.shape[0]),
              "nodes": int(record.batch.node_count),
-             "aborted": aborted_at is not None}
-    return [csv_path, json_path], stats
+             "aborted": abort is not None}
+    _emit_run_report(kind, cfg.echo(), stats, [csv_path, json_path], started)
+    return EXIT_ABORT if abort is not None else EXIT_OK
 
 
 def cmd_blowup(cfg: ScenarioConfig, out_dir: Path, started: float) -> int:
@@ -116,17 +125,8 @@ def cmd_blowup(cfg: ScenarioConfig, out_dir: Path, started: float) -> int:
     man, force = cfg.build()
     bcfg = BlowupConfig(cfg.blowup.p0, cfg.blowup.nu, cfg.blowup.resolution,
                         cfg.integrator.t_end, cfg.integrator.step)
-    aborted_at = None
-    abort_rows: list = []
-    try:
-        record = simulate_blowup(man, force, bcfg)
-    except IntegrationAbort as abort:
-        record, aborted_at, abort_rows = (abort.record, abort.node_index,
-                                          abort.batch_indices)
-    outputs, stats = _front_outputs("blowup", cfg, record, out_dir,
-                                    aborted_at, abort_rows)
-    _emit_run_report("blowup", cfg.echo(), stats, outputs, started)
-    return EXIT_ABORT if aborted_at is not None else EXIT_OK
+    return _run_front("blowup", cfg, out_dir, started,
+                      lambda: simulate_blowup(man, force, bcfg))
 
 
 def cmd_shift(cfg: ScenarioConfig, out_dir: Path, started: float) -> int:
@@ -137,18 +137,10 @@ def cmd_shift(cfg: ScenarioConfig, out_dir: Path, started: float) -> int:
                             resolution=cfg.shift.resolution,
                             nu=cfg.shift.nu,
                             orient_flip=cfg.shift.orient_flip)
-    aborted_at = None
-    abort_rows: list = []
-    try:
-        record = simulate_shift(man, force, spec, cfg.integrator.t_end,
-                                cfg.integrator.step)
-    except IntegrationAbort as abort:
-        record, aborted_at, abort_rows = (abort.record, abort.node_index,
-                                          abort.batch_indices)
-    outputs, stats = _front_outputs("shift", cfg, record, out_dir,
-                                    aborted_at, abort_rows)
-    _emit_run_report("shift", cfg.echo(), stats, outputs, started)
-    return EXIT_ABORT if aborted_at is not None else EXIT_OK
+    return _run_front("shift", cfg, out_dir, started,
+                      lambda: simulate_shift(man, force, spec,
+                                             cfg.integrator.t_end,
+                                             cfg.integrator.step))
 
 
 def cmd_rank(cfg: ScenarioConfig, out_dir: Path, started: float) -> int:

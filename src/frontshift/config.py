@@ -8,7 +8,7 @@ expressions are strings in the expression-language grammar.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import exprlang
@@ -53,6 +53,12 @@ class SamplerSection:
     count: int = 500
     seed: int = 0
 
+    def __post_init__(self):
+        # checked here rather than in parse_config so that a seed set
+        # with dataclasses.replace (the CLI's --seed) is checked too
+        if self.seed < 0:
+            raise ConfigError("sampler.seed", "must be >= 0")
+
 
 @dataclass(frozen=True)
 class RankSection:
@@ -79,43 +85,10 @@ class ScenarioConfig:
 
     def echo(self) -> dict:
         """Plain dict mirror of the resolved config, for exact reruns."""
-        out = {
-            "dimension": self.dimension,
-            "metric": self.metric,
-            "force": self.force,
-            "integrator": {
-                "step": self.integrator.step,
-                "t_end": self.integrator.t_end,
-                "output_every": self.integrator.output_every,
-            },
-            "sampler": {
-                "x_box": self.sampler.x_box,
-                "v_min": self.sampler.v_min,
-                "v_max": self.sampler.v_max,
-                "count": self.sampler.count,
-                "seed": self.sampler.seed,
-            },
-            "rank": {
-                "variations": self.rank.variations,
-                "window": list(self.rank.window),
-                "trajectories": self.rank.trajectories,
-            },
-            "tolerance": self.tolerance,
-        }
-        if self.blowup is not None:
-            out["blowup"] = {
-                "p0": self.blowup.p0,
-                "nu": self.blowup.nu,
-                "resolution": self.blowup.resolution,
-            }
-        if self.shift is not None:
-            out["shift"] = {
-                "surface": self.shift.surface,
-                "box": self.shift.box,
-                "nu": self.shift.nu,
-                "resolution": self.shift.resolution,
-                "orient_flip": self.shift.orient_flip,
-            }
+        out = {key: value for key, value in asdict(self).items()
+               if value is not None}
+        # a list, as parse_config reads it back; asdict keeps the tuple
+        out["rank"]["window"] = list(self.rank.window)
         return out
 
 

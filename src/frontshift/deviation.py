@@ -13,22 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (TrajectoryRecord, VariationState, integrate_batch,
-                       single_record)
-from .geometry import (ForceField, Manifold, TangentPoint,
-                       extended_gradients, inner)
+from .dynamics import BatchTrajectory, FlowState, VariationState, integrate
+from .geometry import ForceField, Manifold, TangentPoint, force_tensors
 
 
 class DeviationError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class AlphaBeta:
-    """Covector pair weighting the rate and the vector in phi_ddot."""
-
-    alpha: np.ndarray
-    beta: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -56,61 +46,42 @@ class RankResult:
     inconclusive: bool
 
 
-def phi(man: Manifold, q: TangentPoint, tau: np.ndarray) -> float:
-    """Scalar product (v | tau) at the base point of q."""
-    g = man.metric(q.x[None, :])[0]
-    return float(inner(g, q.v, np.asarray(tau, dtype=float)))
-
-
-def _alpha_beta_batch(man: Manifold, force: ForceField, xs, vs):
-    g = man.metric(xs)
-    gamma = man.christoffel(xs, ginv=np.linalg.inv(g))
-    f_vals = force.components(xs, vs)
-    spatial, velocity = extended_gradients(man, force, xs, vs,
-                                           gamma=gamma, f_vals=f_vals)
-    f_cov = np.einsum('bij,bj->bi', g, f_vals)
-    spa_cov = np.einsum('bsk,bkr->bsr', spatial, g)    # nabla_s F_r
-    vel_cov = np.einsum('bsk,bkr->bsr', velocity, g)   # tilde nabla_s F_r
-    alpha = 2.0 * f_cov + np.einsum('brs,bs->br', vel_cov, vs)
+def alpha_beta(b: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Covectors weighting the rate and the vector in phi_ddot, from the
+    force_tensors bundle b: alpha_r = 2 F_r + v^s tnabla_r F_s, beta_r per
+    the paired formula."""
+    vs, spa_cov, vel_cov = b['v'], b['spa_cov'], b['vel_cov']
+    alpha = 2.0 * b['f_cov'] + np.einsum('brs,bs->br', vel_cov, vs)
     beta = (np.einsum('bs,bsr->br', vs, spa_cov)
             + np.einsum('bs,brs->br', vs, spa_cov)
-            + np.einsum('bs,bsr->br', f_vals, vel_cov))
-    return alpha, beta, f_cov, g
+            + np.einsum('bs,bsr->br', b['f'], vel_cov))
+    return alpha, beta
 
 
-def alpha_beta(man: Manifold, force: ForceField, q: TangentPoint) -> AlphaBeta:
-    """alpha_r = 2 F_r + v^s tnabla_r F_s; beta_r per the paired formula."""
-    alpha, beta, _, _ = _alpha_beta_batch(man, force,
-                                          q.x[None, :], q.v[None, :])
-    return AlphaBeta(alpha[0], beta[0])
+def phi_derivatives(man: Manifold, force: ForceField, xs, vs, tau, rho):
+    """(phi, phi_dot, phi_ddot)[b, j] for variations tau[b, j] with
+    covariant rates rho[b, j] at tangent-bundle points (xs, vs).
 
-
-def phi_dot(man: Manifold, force: ForceField, q: TangentPoint,
-            vs: VariationState) -> float:
-    """(F | tau) + (v | rho) with rho the covariant rate of tau."""
-    g = man.metric(q.x[None, :])[0]
-    f_val = force.components(q.x[None, :], q.v[None, :])[0]
-    return float(inner(g, f_val, vs.tau) + inner(g, q.v, vs.rho))
-
-
-def phi_ddot(man: Manifold, force: ForceField, q: TangentPoint,
-             vs: VariationState) -> float:
-    ab = alpha_beta(man, force, q)
-    return float(ab.alpha @ vs.rho + ab.beta @ vs.tau)
+    phi = (v | tau), phi_dot = (F | tau) + (v | rho) and
+    phi_ddot = (alpha | rho) + (beta | tau), in closed form.
+    """
+    b = force_tensors(man, force, xs, vs)
+    alpha, beta = alpha_beta(b)
+    v_cov = np.einsum('bij,bj->bi', b['g'], vs)
+    phi_vals = np.einsum('bi,bji->bj', v_cov, tau)
+    dot_vals = (np.einsum('bi,bji->bj', b['f_cov'], tau)
+                + np.einsum('bi,bji->bj', v_cov, rho))
+    ddot_vals = (np.einsum('br,bjr->bj', alpha, rho)
+                 + np.einsum('br,bjr->bj', beta, tau))
+    return phi_vals, dot_vals, ddot_vals
 
 
 def series_along(man: Manifold, force: ForceField,
-                 record: TrajectoryRecord) -> DeviationSeries:
-    """phi and its formula-based derivatives at every record node."""
-    xs, vs = record.x, record.v
-    alpha, beta, f_cov, g = _alpha_beta_batch(man, force, xs, vs)
-    v_cov = np.einsum('bij,bj->bi', g, vs)
-    phi_vals = np.einsum('bi,bji->bj', v_cov, record.tau)
-    dot_vals = (np.einsum('bi,bji->bj', f_cov, record.tau)
-                + np.einsum('bi,bji->bj', v_cov, record.rho))
-    ddot_vals = (np.einsum('br,bjr->bj', alpha, record.rho)
-                 + np.einsum('br,bjr->bj', beta, record.tau))
-    return DeviationSeries(record.times, phi_vals, dot_vals, ddot_vals)
+                 record: BatchTrajectory) -> DeviationSeries:
+    """phi and its formula-based derivatives at every node of a
+    single-trajectory record."""
+    return DeviationSeries(record.times, *phi_derivatives(
+        man, force, record.x, record.v, record.tau, record.rho))
 
 
 def initial_limits(man: Manifold, force: ForceField, p0, nu0: float,
@@ -118,32 +89,28 @@ def initial_limits(man: Manifold, force: ForceField, p0, nu0: float,
     """Initial-instant diagnostics for one blow-up direction.
 
     phi(0) and phi_dot(0) vanish by the initial data themselves; the
-    second-derivative limit is the direct contraction nu0 * (alpha | K_i),
-    and the third derivative is Richardson-extrapolated from formula
-    values of phi_ddot at t = h and t = 2h.
+    second-derivative limit is the formula value at t = 0, the direct
+    contraction nu0 * (alpha | K_i), and the third derivative is
+    Richardson-extrapolated from formula values of phi_ddot at t = h and
+    t = 2h.
     """
     if nu0 <= 0.0:
         raise DeviationError("nu0 must be positive")
-    p0 = np.asarray(p0, dtype=float)
     direction = np.asarray(sample.direction, dtype=float)
     tangents = np.asarray(sample.tangents, dtype=float)
     nvar = tangents.shape[0]
-    v0 = nu0 * direction
-    ab = alpha_beta(man, force, TangentPoint(p0, v0))
-    ddot_limit = nu0 * (tangents @ ab.alpha)
-
-    tau0 = np.zeros((1, nvar, man.dimension))
-    rho0 = (nu0 * tangents)[None, :, :]
-    batch = integrate_batch(man, force, p0[None, :], v0[None, :],
-                            tau0, rho0, 2.0 * h, h)
-    series = series_along(man, force, single_record(batch, 0))
+    init = FlowState(TangentPoint(p0, nu0 * direction),
+                     [VariationState(np.zeros_like(k), nu0 * k)
+                      for k in tangents])
+    series = series_along(man, force, integrate(man, force, init, 2.0 * h, h))
+    ddot_limit = series.phi_ddot[0]
     d1 = (series.phi_ddot[1] - ddot_limit) / h
     d2 = (series.phi_ddot[2] - ddot_limit) / (2.0 * h)
     dddot = 2.0 * d1 - d2
     return InitialLimits(np.zeros(nvar), np.zeros(nvar), ddot_limit, dddot)
 
 
-def deviation_rank(man: Manifold, record: TrajectoryRecord,
+def deviation_rank(man: Manifold, record: BatchTrajectory,
                    window: tuple[float, float]) -> RankResult:
     """Singular values of the row-normalized phi sample matrix.
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (ForceField, Manifold, TangentPoint,
-                       extended_gradients, gradients_at)
+from .geometry import (ForceField, Manifold, TangentPoint, at_point,
+                       extended_gradients)
 
 
 class DynamicsError(ValueError):
@@ -55,25 +55,10 @@ class BatchTrajectory:
     """Uniform-grid record of B trajectories with J variations each.
 
     Axes: times (M+1,), x/v/force (M+1, B, n), tau/rho (M+1, B, J, n).
-    rho holds covariant rates of tau.
+    rho holds covariant rates of tau.  A single-trajectory record (from
+    ``integrate`` or ``single_record``) is the same type without the B
+    axis: x/v/force (M+1, n), tau/rho (M+1, J, n).
     """
-
-    times: np.ndarray
-    x: np.ndarray
-    v: np.ndarray
-    tau: np.ndarray
-    rho: np.ndarray
-    force: np.ndarray
-    step: float
-
-    @property
-    def node_count(self) -> int:
-        return self.times.shape[0]
-
-
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """Single-trajectory view: x/v/force (M+1, n), tau/rho (M+1, J, n)."""
 
     times: np.ndarray
     x: np.ndarray
@@ -128,24 +113,14 @@ def _rhs(man: Manifold, force: ForceField, x, v, tau, rho,
     return dx, dv, dtau, drho, f_vals
 
 
-def newton_rhs(man: Manifold, force: ForceField, q: TangentPoint):
-    """(dx, dv) of the flow: dx = v, dv^k = F^k - gamma^k_ij v^i v^j."""
-    empty = np.zeros((1, 0, man.dimension))
-    dx, dv, _, _, _ = _rhs(man, force, q.x[None, :], q.v[None, :],
-                           empty, empty, 1.0)
-    return dx[0], dv[0]
-
-
 def variation_rhs(man: Manifold, force: ForceField, q: TangentPoint,
                   vs: VariationState, riemann_sign: float = 1.0):
     """Covariant rates (d_t tau, d_t rho) of one variation state."""
-    g = man.metric(q.x[None, :])
-    gamma = man.christoffel(q.x[None, :], ginv=np.linalg.inv(g))
-    riem = man.riemann(q.x[None, :], gamma=gamma)[0]
-    grads = gradients_at(man, force, q)
+    riem = at_point(man.riemann, q.x)
+    spatial, velocity = at_point(extended_gradients, man, force, q.x, q.v)
     curv = -riemann_sign * np.einsum('kmsr,s,r,m->k',
                                      riem, vs.tau, q.v, q.v)
-    drho = (curv + vs.rho @ grads.velocity + vs.tau @ grads.spatial)
+    drho = (curv + vs.rho @ velocity + vs.tau @ spatial)
     return vs.rho.copy(), drho
 
 
@@ -214,7 +189,7 @@ def integrate_batch(man: Manifold, force: ForceField, x0, v0, tau0, rho0,
 
 def integrate(man: Manifold, force: ForceField, init: FlowState,
               t_end: float, h: float,
-              riemann_sign: float = 1.0) -> TrajectoryRecord:
+              riemann_sign: float = 1.0) -> BatchTrajectory:
     """Integrate one trajectory with its variations."""
     n = man.dimension
     nvar = len(init.variations)
@@ -233,13 +208,14 @@ def integrate(man: Manifold, force: ForceField, init: FlowState,
     return single_record(batch, 0)
 
 
-def single_record(batch: BatchTrajectory, row: int) -> TrajectoryRecord:
-    return TrajectoryRecord(batch.times, batch.x[:, row], batch.v[:, row],
-                            batch.tau[:, row], batch.rho[:, row],
-                            batch.force[:, row], batch.step)
+def single_record(batch: BatchTrajectory, row: int) -> BatchTrajectory:
+    """The record of one batch row, without the batch axis."""
+    return BatchTrajectory(batch.times, batch.x[:, row], batch.v[:, row],
+                           batch.tau[:, row], batch.rho[:, row],
+                           batch.force[:, row], batch.step)
 
 
-def covariant_rate(man: Manifold, record: TrajectoryRecord,
+def covariant_rate(man: Manifold, record: BatchTrajectory,
                    series: np.ndarray) -> np.ndarray:
     """Covariant time derivative of a vector series along the record.
 
@@ -264,6 +240,6 @@ def covariant_rate(man: Manifold, record: TrajectoryRecord,
 def nabla_t_force(man: Manifold, force: ForceField,
                   q: TangentPoint) -> np.ndarray:
     """Covariant rate of the force along the flow through q (chain rule)."""
-    grads = gradients_at(man, force, q)
-    f_val = force.components(q.x[None, :], q.v[None, :])[0]
-    return q.v @ grads.spatial + f_val @ grads.velocity
+    spatial, velocity = at_point(extended_gradients, man, force, q.x, q.v)
+    f_val = at_point(force.components, q.x, q.v)
+    return q.v @ spatial + f_val @ velocity

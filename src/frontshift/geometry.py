@@ -6,8 +6,11 @@ once per call, and every contraction is a batched matrix product (``@``
 over the leading batch axis) in a fixed order.  All differentiation
 behind it is exact and symbolic, performed once on the metric and force
 component expressions.  Batched methods carry a leading axis ``B`` so
-front simulations evaluate all directions in one call; the single-point
-operations are thin wrappers over the same code path.
+front simulations evaluate all directions in one call.  There is no
+separate single-point API: ``at_point`` evaluates any batched function at
+one point by adding and stripping the batch axis, and
+``force_tensors`` builds every metric and force tensor the deviation and
+normality formulas share in one place.
 
 Index conventions (fixed, and pinned by the dynamics cross-checks):
 
@@ -63,22 +66,6 @@ class TangentPoint:
         object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
         if self.x.shape != self.v.shape or self.x.ndim != 1:
             raise GeometryError("x and v must be 1-d arrays of equal length")
-
-
-@dataclass(frozen=True)
-class FrameData:
-    """Speed, unit velocity vector/covector and the orthogonal projector."""
-
-    speed: float
-    unit: np.ndarray          # N^r
-    unit_cov: np.ndarray      # N_i
-    projector: np.ndarray     # P[r, i]
-
-
-@dataclass(frozen=True)
-class GradientPair:
-    spatial: np.ndarray       # [i, k]
-    velocity: np.ndarray      # [i, k]
 
 
 def _parse(entry, names: Sequence[str]) -> Node:
@@ -315,52 +302,40 @@ def extended_gradients(man: Manifold, force: ForceField, xs: np.ndarray,
     return spatial, dfdv
 
 
-# -- single-point operations -------------------------------------------------
+def force_tensors(man: Manifold, force: ForceField, xs: np.ndarray,
+                  vs: np.ndarray) -> dict:
+    """Metric and force tensors at a batch of tangent-bundle points.
 
-def metric_at(man: Manifold, x) -> tuple[np.ndarray, np.ndarray]:
-    """(g, g^-1) at one point, positive-definiteness checked."""
-    xs = np.asarray(x, dtype=float)[None, :]
-    g = man.metric(xs)[0]
-    man.check_positive_definite(x, g)
-    return g, np.linalg.inv(g)
-
-
-def christoffel_at(man: Manifold, x) -> np.ndarray:
-    xs = np.asarray(x, dtype=float)[None, :]
+    g and g^-1; the velocity v, the force F and F lowered; the spatial and
+    velocity gradients of F, raw ([b, i, k], derivative index first) and
+    with the vector index lowered (nabla_i F_j, tnabla_i F_j).  gamma
+    enters the spatial gradient but is not kept: no consumer reads it, and
+    holding it would raise the classifier's peak memory.
+    """
     g = man.metric(xs)
-    man.check_positive_definite(x, g[0])
-    return man.christoffel(xs, ginv=np.linalg.inv(g))[0]
+    ginv = np.linalg.inv(g)
+    gamma = man.christoffel(xs, ginv=ginv)
+    f_vals = force.components(xs, vs)
+    spatial, velocity = extended_gradients(man, force, xs, vs,
+                                           gamma=gamma, f_vals=f_vals)
+    return dict(g=g, ginv=ginv, v=vs, f=f_vals,
+                f_cov=np.einsum('bij,bj->bi', g, f_vals),
+                spa=spatial, vel=velocity,
+                spa_cov=np.einsum('bik,bkj->bij', spatial, g),
+                vel_cov=np.einsum('bik,bkj->bij', velocity, g))
 
 
-def riemann_at(man: Manifold, x) -> np.ndarray:
-    xs = np.asarray(x, dtype=float)[None, :]
-    return man.riemann(xs)[0]
+def at_point(fn, *args):
+    """fn evaluated at one point instead of a batch.
 
-
-def frame_at(man: Manifold, q: TangentPoint) -> FrameData:
-    speed, unit, unit_cov, proj = man.frame(q.x[None, :], q.v[None, :])
-    return FrameData(float(speed[0]), unit[0], unit_cov[0], proj[0])
-
-
-def gradients_at(man: Manifold, force: ForceField,
-                 q: TangentPoint) -> GradientPair:
-    spatial, velocity = extended_gradients(
-        man, force, q.x[None, :], q.v[None, :])
-    return GradientPair(spatial[0], velocity[0])
-
-
-def lower_index(g: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    return np.einsum('...ij,...j->...i', g, vec)
-
-
-def raise_index(ginv: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    return np.einsum('...ij,...j->...i', ginv, cov)
-
-
-def inner(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum('...ij,...i,...j->...', g, a, b)
-
-
-def speed_at(man: Manifold, q: TangentPoint) -> float:
-    g = man.metric(q.x[None, :])[0]
-    return float(np.sqrt(inner(g, q.v, q.v)))
+    Array arguments (arrays, lists and tuples) get a leading batch axis of
+    length one and everything else passes through unchanged; the batch
+    axis is stripped from the result, or from each entry of a tuple
+    result.  ``at_point(man.christoffel, x)`` is gamma[k, i, j] at x.
+    """
+    out = fn(*(np.asarray(a, dtype=float)[None]
+               if isinstance(a, (np.ndarray, list, tuple)) else a
+               for a in args))
+    if isinstance(out, tuple):
+        return tuple(entry[0] for entry in out)
+    return out[0]

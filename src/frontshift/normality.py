@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deviation import _alpha_beta_batch
-from .geometry import (ForceField, Manifold, TangentPoint,
-                       extended_gradients)
+from .deviation import alpha_beta
+from .geometry import ForceField, Manifold, force_tensors
 
 
 class NormalityError(ValueError):
@@ -47,25 +46,19 @@ class ResidualReport:
     worst_index: int              # sample with the largest weak-residual norm
 
 
-def _bundle(man: Manifold, force: ForceField, xs: np.ndarray,
-            vs: np.ndarray) -> dict:
-    """Everything the residual families consume, batched."""
-    g = man.metric(xs)
-    ginv = np.linalg.inv(g)
-    gamma = man.christoffel(xs, ginv=ginv)
-    f_vals = force.components(xs, vs)
-    spatial, velocity = extended_gradients(man, force, xs, vs,
-                                           gamma=gamma, f_vals=f_vals)
-    speed, unit, unit_cov, proj = man.frame(xs, vs, g=g)
-    f_cov = np.einsum('bij,bj->bi', g, f_vals)
-    spa_cov = np.einsum('bik,bkj->bij', spatial, g)   # nabla_i F_j
-    vel_cov = np.einsum('bik,bkj->bij', velocity, g)  # tnabla_i F_j
-    return dict(g=g, ginv=ginv, f=f_vals, f_cov=f_cov, spa=spatial,
-                vel=velocity, spa_cov=spa_cov, vel_cov=vel_cov,
-                speed=speed, unit=unit, unit_cov=unit_cov, proj=proj)
+def bundle(man: Manifold, force: ForceField, xs: np.ndarray,
+           vs: np.ndarray) -> dict:
+    """Everything the residual families consume, batched: the
+    force_tensors of the points plus the velocity frame (speed, unit,
+    unit_cov, proj)."""
+    b = force_tensors(man, force, xs, vs)
+    b['speed'], b['unit'], b['unit_cov'], b['proj'] = man.frame(
+        xs, vs, g=b['g'])
+    return b
 
 
-def _weak_batch(b: dict) -> tuple[np.ndarray, np.ndarray]:
+def weak_batch(b: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Left-hand sides of the combined weak-normality system."""
     s = b['speed']
     # tnabla_i(N^j F_j) expanded with tnabla_i N^j = P^j_i / speed.
     grad_scalar = (np.einsum('bji,bj->bi', b['proj'], b['f_cov']) / s[:, None]
@@ -84,9 +77,9 @@ def _weak_batch(b: dict) -> tuple[np.ndarray, np.ndarray]:
     return first, second
 
 
-def _raw_batch(man: Manifold, force: ForceField, xs, vs,
-               b: dict) -> tuple[np.ndarray, np.ndarray]:
-    alpha, beta, _, _ = _alpha_beta_batch(man, force, xs, vs)
+def raw_batch(b: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Pre-rewrite pair of equations; equals speed times the combined form."""
+    alpha, beta = alpha_beta(b)
     first = np.einsum('br,brk->bk', alpha, b['proj'])
     nf = np.einsum('bs,bs->b', b['unit'], b['f_cov'])
     nn_grad = np.einsum('bs,bq,bsq->b', b['unit'], b['unit'], b['vel_cov'])
@@ -97,36 +90,21 @@ def _raw_batch(man: Manifold, force: ForceField, xs, vs,
     return first, second
 
 
-def _additional_batch(b: dict) -> tuple[np.ndarray, np.ndarray]:
-    n = b['proj'].shape[-1]
-    s = b['speed']
-    n_grad = np.einsum('bm,bmj->bj', b['unit'], b['vel_cov'])
-    x_mat = (np.einsum('bi,bj->bij', b['f_cov'], n_grad) / s[:, None, None]
-             - b['spa_cov'])
-    anti = x_mat - np.einsum('bij->bji', x_mat)
-    a1 = np.einsum('bie,bjs,bij->bes', b['proj'], b['proj'], anti)
-    lhs = np.einsum('bei,bji,bjs->bes', b['proj'], b['vel'], b['proj'])
-    trace = np.einsum('bjm,bji,bmi->b', b['proj'], b['vel'], b['proj'])
-    a2 = lhs - (trace / (n - 1))[:, None, None] * b['proj']
-    return a1, a2
-
-
-def _strong_additional_batch(b: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Unprojected strengthenings of the additional families.
-
-    In dimension two the projected families vanish identically for every
-    force field (the projector has rank one), so they cannot separate
-    the complete verdict from the weak one; these forms can.
-    """
+def additional_batch(b: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both additional-normality families (content requires n >= 3), and
+    s1, the unprojected strengthening of the first: the antisymmetric
+    force-term matrix that the first family projects."""
     n = b['proj'].shape[-1]
     s = b['speed']
     n_grad = np.einsum('bm,bmj->bj', b['unit'], b['vel_cov'])
     x_mat = (np.einsum('bi,bj->bij', b['f_cov'], n_grad) / s[:, None, None]
              - b['spa_cov'])
     s1 = x_mat - np.einsum('bij->bji', x_mat)
-    trace = np.einsum('bmm->b', b['vel'])
-    s2 = b['vel'] - (trace / n)[:, None, None] * np.eye(n)
-    return s1, s2
+    a1 = np.einsum('bie,bjs,bij->bes', b['proj'], b['proj'], s1)
+    lhs = np.einsum('bei,bji,bjs->bes', b['proj'], b['vel'], b['proj'])
+    trace = np.einsum('bjm,bji,bmi->b', b['proj'], b['vel'], b['proj'])
+    a2 = lhs - (trace / (n - 1))[:, None, None] * b['proj']
+    return a1, a2, s1
 
 
 def _norm_cov(ginv: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -139,36 +117,6 @@ def _norm_twolow(ginv: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _norm_uplow(g: np.ndarray, ginv: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum('bea,bsc,bes,bac->b', g, ginv, t, t))
-
-
-def weak_residual(man: Manifold, force: ForceField,
-                  q: TangentPoint) -> tuple[np.ndarray, np.ndarray]:
-    """Left-hand sides of the combined weak-normality system."""
-    b = _bundle(man, force, q.x[None, :], q.v[None, :])
-    first, second = _weak_batch(b)
-    return first[0], second[0]
-
-
-def raw_first_residual(man: Manifold, force: ForceField,
-                       q: TangentPoint) -> np.ndarray:
-    """Pre-rewrite first equation; equals speed times the combined form."""
-    b = _bundle(man, force, q.x[None, :], q.v[None, :])
-    return _raw_batch(man, force, q.x[None, :], q.v[None, :], b)[0][0]
-
-
-def raw_second_residual(man: Manifold, force: ForceField,
-                        q: TangentPoint) -> np.ndarray:
-    """Pre-rewrite second equation; equals speed times the combined form."""
-    b = _bundle(man, force, q.x[None, :], q.v[None, :])
-    return _raw_batch(man, force, q.x[None, :], q.v[None, :], b)[1][0]
-
-
-def additional_residual(man: Manifold, force: ForceField,
-                        q: TangentPoint) -> tuple[np.ndarray, np.ndarray]:
-    """Both additional-normality families (content requires n >= 3)."""
-    b = _bundle(man, force, q.x[None, :], q.v[None, :])
-    a1, a2 = _additional_batch(b)
-    return a1[0], a2[0]
 
 
 def halton(index: np.ndarray, base: int) -> np.ndarray:
@@ -198,6 +146,9 @@ def sample_tangent_points(man: Manifold, x_box, v_min: float, v_max: float,
         raise NormalityError("empty sample set")
     if v_min <= 0.0 or v_max < v_min:
         raise NormalityError("need 0 < v_min <= v_max")
+    # the int64 Halton indices run from seed + 1 to seed + count
+    if not 0 <= seed < 2 ** 63 - count:
+        raise NormalityError("need 0 <= seed < 2^63 - count")
     n = man.dimension
     box = np.asarray(x_box, dtype=float)
     if box.shape != (n, 2):
@@ -247,9 +198,9 @@ def classify(man: Manifold, force: ForceField, x_box, v_min: float,
     Maxima in the guard band (tol, 100 tol) give an inconclusive verdict.
     """
     xs, vs = sample_tangent_points(man, x_box, v_min, v_max, count, seed)
-    b = _bundle(man, force, xs, vs)
-    first, second = _weak_batch(b)
-    a1, a2 = _additional_batch(b)
+    b = bundle(man, force, xs, vs)
+    first, second = weak_batch(b)
+    a1, a2, s1 = additional_batch(b)
 
     weak_norms = np.maximum(_norm_cov(b['ginv'], first),
                             _norm_cov(b['ginv'], second))
@@ -261,7 +212,13 @@ def classify(man: Manifold, force: ForceField, x_box, v_min: float,
     trivial = man.dimension == 2
     max_strong = None
     if trivial:
-        s1, s2 = _strong_additional_batch(b)
+        # The projected families vanish identically for every field when
+        # the projector has rank one, so they cannot separate the complete
+        # verdict from the weak one; their unprojected strengthenings
+        # (s1, and the velocity-gradient isotropy defect s2) can.
+        n = man.dimension
+        trace = np.einsum('bmm->b', b['vel'])
+        s2 = b['vel'] - (trace / n)[:, None, None] * np.eye(n)
         strong_norms = np.maximum(_norm_twolow(b['ginv'], s1),
                                   _norm_uplow(b['g'], b['ginv'], s2))
         max_strong = float(strong_norms.max())

@@ -19,7 +19,7 @@ from .deviation import series_along
 from .dynamics import integrate_batch, single_record
 from .exprlang import Add, Const, Div, Mul, Sub, Var
 from .geometry import ForceField, Manifold
-from .normality import _bundle, _raw_batch, _weak_batch
+from .normality import bundle, raw_batch, weak_batch
 from .systems import BUNDLED, SystemSpec
 
 
@@ -160,9 +160,9 @@ def rewrite_equivalence(count: int = 1000, seed: int = 13) -> SuiteResult:
     for name, spec in BUNDLED.items():
         man, force = spec.build()
         xs, vs = _probe_points(spec, man, count, rng)
-        b = _bundle(man, force, xs, vs)
-        first, second = _weak_batch(b)
-        raw1, raw2 = _raw_batch(man, force, xs, vs, b)
+        b = bundle(man, force, xs, vs)
+        first, second = weak_batch(b)
+        raw1, raw2 = raw_batch(b)
         s = b['speed'][:, None]
         observed = max(float(np.abs(raw1 - s * first).max()),
                        float(np.abs(raw2 - s * second).max()))

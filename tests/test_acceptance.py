@@ -12,10 +12,10 @@ import pytest
 from frontshift.blowup import (BlowupConfig, front_at, initial_slopes,
                                orthogonality_report, simulate_blowup)
 from frontshift.cli import main as cli_main
-from frontshift.deviation import deviation_rank, phi_ddot
-from frontshift.dynamics import (FlowState, VariationState, integrate,
-                                 integrate_batch, single_record)
-from frontshift.geometry import TangentPoint
+from frontshift.deviation import deviation_rank, phi_derivatives
+from frontshift.dynamics import (FlowState, integrate, integrate_batch,
+                                 single_record)
+from frontshift.geometry import TangentPoint, at_point
 from frontshift.normality import classify
 from frontshift.selfcheck import (deviation_formulas, metric_compatibility,
                                   projector_identities, rewrite_equivalence,
@@ -83,9 +83,10 @@ def test_criterion_3_formula_fidelity():
     assert suite.passed, [c for c in suite.cases if not c.passed]
     t = np.pi / 4
     man, force = BUNDLED["euclid-harmonic"].build()
-    q = TangentPoint([np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)])
-    vs = VariationState([0.0, np.sin(t)], [0.0, np.cos(t)])
-    assert phi_ddot(man, force, q, vs) == pytest.approx(-2.0, abs=1e-8)
+    _, _, phi_ddot = at_point(
+        phi_derivatives, man, force, [np.cos(t), np.sin(t)],
+        [-np.sin(t), np.cos(t)], [[0.0, np.sin(t)]], [[0.0, np.cos(t)]])
+    assert phi_ddot[0] == pytest.approx(-2.0, abs=1e-8)
     _ok("criterion 3 (deviation formula fidelity)")
 
 

@@ -8,7 +8,7 @@ from frontshift.blowup import (BlowupConfig, BlowupError, HypersurfaceSpec,
                                taylor_check)
 from frontshift.dynamics import (FlowState, IntegrationAbort, VariationState,
                                  integrate)
-from frontshift.geometry import ForceField, Manifold, TangentPoint, inner
+from frontshift.geometry import ForceField, Manifold, TangentPoint
 
 EUCLID = Manifold(2, [["1", "0"], ["0", "1"]])
 ZERO = ForceField(EUCLID, ["0", "0"])
@@ -42,9 +42,9 @@ def test_sphere_grid_g_orthonormality():
         man = Manifold(2, metric)
         g0 = man.metric(np.asarray(p0, dtype=float)[None, :])[0]
         for s in sphere_grid(man, p0, 16):
-            assert inner(g0, s.direction, s.direction) == pytest.approx(
+            assert s.direction @ g0 @ s.direction == pytest.approx(
                 1.0, abs=1e-12)
-            assert abs(inner(g0, s.direction, s.tangents[0])) < 1e-12
+            assert abs(s.direction @ g0 @ s.tangents[0]) < 1e-12
 
 
 def test_sphere_grid_three_dims():

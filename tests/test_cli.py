@@ -206,6 +206,28 @@ def test_seed_override_changes_samples(tmp_path, capsys):
     assert json.loads(out_b)["config"]["sampler"]["seed"] == 99
 
 
+@pytest.mark.parametrize("command, seed", [("rank", "-1"), ("check", "-3")])
+def test_negative_seed_override_is_config_error(tmp_path, capsys, command,
+                                                seed):
+    cfg = _write_config(tmp_path, BASE)
+    code, out, err = _run(capsys, [command, "--config", cfg,
+                                   "--out-dir", str(tmp_path),
+                                   "--seed", seed])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("sampler.seed:")
+
+
+def test_negative_seed_in_config_is_config_error(tmp_path, capsys):
+    data = dict(BASE, sampler=dict(BASE["sampler"], seed=-1))
+    cfg = _write_config(tmp_path, data)
+    code, out, err = _run(capsys, ["rank", "--config", cfg,
+                                   "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("sampler.seed:")
+
+
 def test_determinism_byte_identical(tmp_path, capsys):
     cfg = _write_config(tmp_path, BASE)
     for cmd, files in (("check", ["residual_report.json"]),

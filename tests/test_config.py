@@ -103,6 +103,13 @@ def test_sampler_validation():
         parse_config(_merged(sampler={"x_box": [[1, -1], [-1, 1]]}))
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(ConfigError) as info:
+        parse_config(_merged(sampler={"seed": -1}))
+    assert str(info.value).startswith("sampler.seed:")
+    assert parse_config(_merged(sampler={"seed": 0})).sampler.seed == 0
+
+
 def test_rank_validation():
     with pytest.raises(ConfigError) as info:
         parse_config(_merged(rank={"variations": 3}))

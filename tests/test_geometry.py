@@ -2,24 +2,29 @@ import numpy as np
 import pytest
 
 from frontshift.geometry import (ForceField, Manifold,
-                                 NonPositiveDefiniteError, TangentPoint,
-                                 ZeroVelocityError, christoffel_at, frame_at,
-                                 gradients_at, inner, lower_index, metric_at,
-                                 raise_index, riemann_at)
+                                 NonPositiveDefiniteError, ZeroVelocityError,
+                                 at_point, extended_gradients)
 
 EUCLID = Manifold(2, [["1", "0"], ["0", "1"]])
 POLAR = Manifold(2, [["1", "0"], ["0", "x1^2"]])
 SPHERE = Manifold(2, [["1", "0"], ["0", "sin(x1)^2"]])
 
 
+def _metric_checked(man, x):
+    """(g, g^-1) at one point, positive-definiteness checked."""
+    g = at_point(man.metric, x)
+    man.check_positive_definite(x, g)
+    return g, np.linalg.inv(g)
+
+
 def test_metric_euclidean_identity():
-    g, ginv = metric_at(EUCLID, [0.7, -0.3])
+    g, ginv = _metric_checked(EUCLID, [0.7, -0.3])
     assert np.array_equal(g, np.eye(2))
     assert np.array_equal(ginv, np.eye(2))
 
 
 def test_metric_polar_values_and_inverse():
-    g, ginv = metric_at(POLAR, [2.0, 0.3])
+    g, ginv = _metric_checked(POLAR, [2.0, 0.3])
     assert np.allclose(g, np.diag([1.0, 4.0]), atol=0)
     assert np.allclose(ginv, np.diag([1.0, 0.25]), atol=1e-15)
     assert np.abs(g @ ginv - np.eye(2)).max() < 1e-12
@@ -28,7 +33,7 @@ def test_metric_polar_values_and_inverse():
 def test_metric_rejects_degenerate():
     bad = Manifold(2, [["0", "0"], ["0", "1"]])
     with pytest.raises(NonPositiveDefiniteError):
-        metric_at(bad, [0.0, 0.0])
+        _metric_checked(bad, [0.0, 0.0])
 
 
 def test_metric_rejects_asymmetric_expressions():
@@ -38,11 +43,11 @@ def test_metric_rejects_asymmetric_expressions():
 
 
 def test_christoffel_flat_zero():
-    assert np.abs(christoffel_at(EUCLID, [0.4, 1.2])).max() == 0.0
+    assert np.abs(at_point(EUCLID.christoffel, [0.4, 1.2])).max() == 0.0
 
 
 def test_christoffel_polar_hand_values():
-    gam = christoffel_at(POLAR, [2.0, 0.3])
+    gam = at_point(POLAR.christoffel, [2.0, 0.3])
     assert gam[0, 1, 1] == pytest.approx(-2.0, abs=1e-14)
     assert gam[1, 0, 1] == pytest.approx(0.5, abs=1e-14)
     assert gam[1, 1, 0] == pytest.approx(0.5, abs=1e-14)
@@ -52,17 +57,17 @@ def test_christoffel_polar_hand_values():
 
 
 def test_christoffel_sphere_hand_values():
-    gam = christoffel_at(SPHERE, [np.pi / 4, 0.0])
+    gam = at_point(SPHERE.christoffel, [np.pi / 4, 0.0])
     assert gam[0, 1, 1] == pytest.approx(-0.5, abs=1e-14)
     assert gam[1, 0, 1] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_christoffel_symmetric_lower_indices():
     rng = np.random.default_rng(3)
-    for _ in range(20):
-        x = np.array([rng.uniform(0.5, 3.0), rng.uniform(0.0, 6.0)])
-        gam = christoffel_at(POLAR, x)
-        assert np.abs(gam - gam.transpose(0, 2, 1)).max() == 0.0
+    xs = np.array([[rng.uniform(0.5, 3.0), rng.uniform(0.0, 6.0)]
+                   for _ in range(20)])
+    gam = POLAR.christoffel(xs)
+    assert np.abs(gam - gam.transpose(0, 1, 3, 2)).max() == 0.0
 
 
 def test_metric_compatibility():
@@ -80,72 +85,76 @@ def test_metric_compatibility():
 
 
 def test_riemann_flat_vanishes():
-    assert np.abs(riemann_at(EUCLID, [1.0, 2.0])).max() < 1e-12
+    assert np.abs(at_point(EUCLID.riemann, [1.0, 2.0])).max() < 1e-12
     rng = np.random.default_rng(9)
-    for _ in range(20):
-        x = np.array([rng.uniform(0.5, 3.0), rng.uniform(0.0, 6.0)])
-        assert np.abs(riemann_at(POLAR, x)).max() < 1e-10
+    xs = np.array([[rng.uniform(0.5, 3.0), rng.uniform(0.0, 6.0)]
+                   for _ in range(20)])
+    assert np.abs(POLAR.riemann(xs)).max() < 1e-10
 
 
 def test_riemann_sphere_unit_curvature():
     # oracle: sectional curvature K = g(R(e1,e2)e2, e1) for an
     # orthonormal pair; the round unit sphere has K = 1 everywhere
     rng = np.random.default_rng(13)
-    for _ in range(20):
-        x = np.array([rng.uniform(0.6, 2.5), rng.uniform(0.0, 6.0)])
-        g, _ = metric_at(SPHERE, x)
-        riem = riemann_at(SPHERE, x)
-        e1 = np.array([1.0, 0.0])
-        e2 = np.array([0.0, 1.0 / np.sin(x[0])])
-        # R(e1, e2)e2 has components R^k_msr e2^m e1^s e2^r
-        vec = np.einsum('kmsr,m,s,r->k', riem, e2, e1, e2)
-        assert inner(g, vec, e1) == pytest.approx(1.0, abs=1e-10)
-    r_eq = riemann_at(SPHERE, [np.pi / 2, 0.0])
+    xs = np.array([[rng.uniform(0.6, 2.5), rng.uniform(0.0, 6.0)]
+                   for _ in range(20)])
+    g = SPHERE.metric(xs)
+    riem = SPHERE.riemann(xs)
+    e1 = np.array([1.0, 0.0])
+    e2 = np.stack([np.zeros(20), 1.0 / np.sin(xs[:, 0])], axis=1)
+    # R(e1, e2)e2 has components R^k_msr e2^m e1^s e2^r
+    vec = np.einsum('bkmsr,bm,s,br->bk', riem, e2, e1, e2)
+    curvature = np.einsum('bij,bi,j->b', g, vec, e1)
+    assert np.abs(curvature - 1.0).max() <= 1e-10
+    r_eq = at_point(SPHERE.riemann, [np.pi / 2, 0.0])
     assert abs(r_eq[0, 1, 0, 1]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_riemann_antisymmetry():
     rng = np.random.default_rng(17)
     for man, lo, hi in ((SPHERE, 0.6, 2.5), (POLAR, 0.5, 3.0)):
-        for _ in range(10):
-            x = np.array([rng.uniform(lo, hi), rng.uniform(0.0, 6.0)])
-            riem = riemann_at(man, x)
-            assert np.abs(riem + riem.transpose(0, 1, 3, 2)).max() == 0.0
+        xs = np.array([[rng.uniform(lo, hi), rng.uniform(0.0, 6.0)]
+                       for _ in range(10)])
+        riem = man.riemann(xs)
+        assert np.abs(riem + riem.transpose(0, 1, 2, 4, 3)).max() == 0.0
 
 
 def test_frame_euclidean():
-    fr = frame_at(EUCLID, TangentPoint([0.0, 0.0], [0.0, 2.0]))
-    assert fr.speed == 2.0
-    assert np.array_equal(fr.unit, [0.0, 1.0])
-    assert np.array_equal(fr.projector, [[1.0, 0.0], [0.0, 0.0]])
+    speed, unit, _, proj = at_point(EUCLID.frame, [0.0, 0.0], [0.0, 2.0])
+    assert speed == 2.0
+    assert np.array_equal(unit, [0.0, 1.0])
+    assert np.array_equal(proj, [[1.0, 0.0], [0.0, 0.0]])
 
 
 def test_frame_curved_hand_values():
     man = Manifold(2, [["1", "0"], ["0", "4"]])
-    fr = frame_at(man, TangentPoint([2.0, 0.0], [0.0, 1.0]))
-    assert fr.speed == pytest.approx(2.0, abs=1e-15)
-    assert np.allclose(fr.unit, [0.0, 0.5], atol=1e-15)
-    assert np.allclose(fr.unit_cov, [0.0, 2.0], atol=1e-15)
-    assert np.allclose(fr.projector, [[1.0, 0.0], [0.0, 0.0]], atol=1e-15)
+    speed, unit, unit_cov, proj = at_point(man.frame, [2.0, 0.0], [0.0, 1.0])
+    assert speed == pytest.approx(2.0, abs=1e-15)
+    assert np.allclose(unit, [0.0, 0.5], atol=1e-15)
+    assert np.allclose(unit_cov, [0.0, 2.0], atol=1e-15)
+    assert np.allclose(proj, [[1.0, 0.0], [0.0, 0.0]], atol=1e-15)
 
 
 def test_frame_identities_random():
     rng = np.random.default_rng(19)
     for man, lo, hi in ((SPHERE, 0.6, 2.5), (POLAR, 0.5, 3.0),
                         (EUCLID, -1.0, 1.0)):
+        xs, vs = [], []
         for _ in range(35):
-            q = TangentPoint([rng.uniform(lo, hi), rng.uniform(0.0, 6.0)],
-                             rng.normal(size=2) + 0.05)
-            g, _ = metric_at(man, q.x)
-            fr = frame_at(man, q)
-            p = fr.projector
-            assert np.abs(p @ p - p).max() < 1e-12
-            assert np.abs(p @ q.v).max() < 1e-12 * max(1.0, fr.speed)
-            assert np.trace(p) == pytest.approx(1.0, abs=1e-12)
-            assert inner(g, fr.unit, fr.unit) == pytest.approx(1.0, abs=1e-12)
-            # g-symmetry: g_rj P^j_i == g_ij P^j_r
-            gp = np.einsum('rj,ji->ri', g, p)
-            assert np.abs(gp - gp.T).max() < 1e-12
+            xs.append([rng.uniform(lo, hi), rng.uniform(0.0, 6.0)])
+            vs.append(rng.normal(size=2) + 0.05)
+        xs, vs = np.array(xs), np.array(vs)
+        g = man.metric(xs)
+        speed, unit, _, p = man.frame(xs, vs, g=g)
+        assert np.abs(p @ p - p).max() < 1e-12
+        assert np.all(np.abs(p @ vs[:, :, None])[:, :, 0].max(axis=1)
+                      < 1e-12 * np.maximum(1.0, speed))
+        assert np.abs(np.trace(p, axis1=1, axis2=2) - 1.0).max() <= 1e-12
+        assert np.abs(np.einsum('bij,bi,bj->b', g, unit, unit)
+                      - 1.0).max() <= 1e-12
+        # g-symmetry: g_rj P^j_i == g_ij P^j_r
+        gp = g @ p
+        assert np.abs(gp - gp.transpose(0, 2, 1)).max() < 1e-12
 
 
 SKEW = Manifold(2, [["1 + x2^2", "0.1*x1*x2"],
@@ -171,21 +180,23 @@ def test_non_diagonal_metric_identities():
 
 def test_frame_zero_velocity_error():
     with pytest.raises(ZeroVelocityError):
-        frame_at(EUCLID, TangentPoint([0.0, 0.0], [0.0, 0.0]))
+        at_point(EUCLID.frame, [0.0, 0.0], [0.0, 0.0])
 
 
 def test_gradients_position_force():
     force = ForceField(EUCLID, ["-x1", "-x2"])
-    gp = gradients_at(EUCLID, force, TangentPoint([0.3, 0.4], [1.0, 2.0]))
-    assert np.allclose(gp.spatial, -np.eye(2), atol=0)
-    assert np.abs(gp.velocity).max() == 0.0
+    spatial, velocity = at_point(extended_gradients, EUCLID, force,
+                                 [0.3, 0.4], [1.0, 2.0])
+    assert np.allclose(spatial, -np.eye(2), atol=0)
+    assert np.abs(velocity).max() == 0.0
 
 
 def test_gradients_velocity_force():
     force = ForceField(EUCLID, ["0.5*v1", "0.5*v2"])
-    gp = gradients_at(EUCLID, force, TangentPoint([0.3, 0.4], [1.0, 2.0]))
-    assert np.abs(gp.spatial).max() == 0.0
-    assert np.allclose(gp.velocity, 0.5 * np.eye(2), atol=0)
+    spatial, velocity = at_point(extended_gradients, EUCLID, force,
+                                 [0.3, 0.4], [1.0, 2.0])
+    assert np.abs(spatial).max() == 0.0
+    assert np.allclose(velocity, 0.5 * np.eye(2), atol=0)
 
 
 def test_drag_jacobian_structural_zeros_at_rest():
@@ -200,25 +211,11 @@ def test_drag_jacobian_structural_zeros_at_rest():
 
 def test_gradients_connection_terms_enter():
     force = ForceField(POLAR, ["-x1", "0"])
-    gp = gradients_at(POLAR, force, TangentPoint([2.0, 0.3], [1.0, 1.0]))
+    spatial, velocity = at_point(extended_gradients, POLAR, force,
+                                 [2.0, 0.3], [1.0, 1.0])
     # nabla_2 F^2 = Gamma^2_{21} F^1 = (1/x1)(-x1) = -1
-    assert gp.spatial[1, 1] == pytest.approx(-1.0, abs=1e-14)
+    assert spatial[1, 1] == pytest.approx(-1.0, abs=1e-14)
     # nabla_2 F^1 = Gamma^1_{22} F^2 = 0, but plain d F^1/d x^2 = 0 too;
     # nabla_1 F^1 = -1 + Gamma^1_{11} F^1 = -1
-    assert gp.spatial[0, 0] == pytest.approx(-1.0, abs=1e-14)
-    assert np.abs(gp.velocity).max() == 0.0
-
-
-def test_lower_raise_inner():
-    g = np.diag([1.0, 4.0])
-    v = np.array([3.0, 2.0])
-    assert np.array_equal(lower_index(g, v), [3.0, 8.0])
-    assert inner(g, v, v) == 25.0
-    assert np.array_equal(lower_index(np.eye(2), v), v)
-    rng = np.random.default_rng(29)
-    for _ in range(100):
-        a = rng.normal(size=(2, 2))
-        g = a @ a.T + 2.0 * np.eye(2)
-        vec = rng.normal(size=2)
-        back = raise_index(np.linalg.inv(g), lower_index(g, vec))
-        assert np.abs(back - vec).max() < 1e-12
+    assert spatial[0, 0] == pytest.approx(-1.0, abs=1e-14)
+    assert np.abs(velocity).max() == 0.0

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from frontshift.geometry import ForceField, Manifold, TangentPoint, speed_at
-from frontshift.normality import (NormalityError, additional_residual,
-                                  classify, raw_first_residual,
-                                  raw_second_residual,
-                                  sample_tangent_points, weak_residual)
+from frontshift.geometry import ForceField, Manifold, at_point
+from frontshift.normality import (NormalityError, additional_batch, bundle,
+                                  classify, raw_batch, sample_tangent_points,
+                                  weak_batch)
 from frontshift.systems import BUNDLED
 
 EUCLID = Manifold(2, [["1", "0"], ["0", "1"]])
@@ -19,47 +18,60 @@ BOX = [[-1.0, 1.0], [-1.0, 1.0]]
 
 
 def _random_points(rng, count, lo=-1.0, hi=1.0):
+    """count points as (xs, vs) batches, velocities at least 0.1 long."""
+    xs, vs = [], []
     for _ in range(count):
-        x = rng.uniform(lo, hi, size=2)
+        xs.append(rng.uniform(lo, hi, size=2))
         v = rng.normal(size=2)
         while np.linalg.norm(v) < 0.1:
             v = rng.normal(size=2)
-        yield TangentPoint(x, v)
+        vs.append(v)
+    return np.array(xs), np.array(vs)
+
+
+def _weak(man, force, xs, vs):
+    return weak_batch(bundle(man, force, xs, vs))
+
+
+def _raw(man, force, xs, vs):
+    return raw_batch(bundle(man, force, xs, vs))
+
+
+def _additional(man, force, xs, vs):
+    a1, a2, _ = additional_batch(bundle(man, force, xs, vs))
+    return a1, a2
 
 
 def test_weak_residual_zero_force_exact():
-    q = TangentPoint([0.3, -0.2], [0.4, 1.0])
-    r1, r2 = weak_residual(EUCLID, ZERO, q)
+    r1, r2 = at_point(_weak, EUCLID, ZERO, [0.3, -0.2], [0.4, 1.0])
     assert np.abs(r1).max() == 0.0
     assert np.abs(r2).max() == 0.0
 
 
 def test_weak_residual_constant_force_hand_value():
-    q = TangentPoint([0.5, 0.5], [0.0, 1.0])
-    r1, r2 = weak_residual(EUCLID, CONST, q)
+    r1, r2 = at_point(_weak, EUCLID, CONST, [0.5, 0.5], [0.0, 1.0])
     assert np.allclose(r1, [2.0, 0.0], atol=1e-15)
     assert np.abs(r2).max() < 1e-15
 
 
 def test_weak_residual_velocity_aligned_vanishes():
     rng = np.random.default_rng(2)
-    for q in _random_points(rng, 100):
-        r1, r2 = weak_residual(EUCLID, LINEAR, q)
-        assert np.abs(r1).max() < 1e-12
-        assert np.abs(r2).max() < 1e-12
+    r1, r2 = _weak(EUCLID, LINEAR, *_random_points(rng, 100))
+    assert np.abs(r1).max() < 1e-12
+    assert np.abs(r2).max() < 1e-12
 
 
 def test_raw_first_residual_examples():
-    q = TangentPoint([0.5, 0.5], [0.0, 1.0])
-    assert np.allclose(raw_first_residual(EUCLID, CONST, q), [2.0, 0.0],
+    x, v = [0.5, 0.5], [0.0, 1.0]
+    assert np.allclose(at_point(_raw, EUCLID, CONST, x, v)[0], [2.0, 0.0],
                        atol=1e-15)
-    assert np.abs(raw_first_residual(EUCLID, ZERO, q)).max() == 0.0
+    assert np.abs(at_point(_raw, EUCLID, ZERO, x, v)[0]).max() == 0.0
 
 
 def test_raw_second_residual_velocity_aligned():
     rng = np.random.default_rng(3)
-    for q in _random_points(rng, 50):
-        assert np.abs(raw_second_residual(EUCLID, LINEAR, q)).max() < 1e-12
+    _, raw2 = _raw(EUCLID, LINEAR, *_random_points(rng, 50))
+    assert np.abs(raw2).max() < 1e-12
 
 
 def test_second_equation_catches_position_modulated_drag():
@@ -67,12 +79,9 @@ def test_second_equation_catches_position_modulated_drag():
     # stays parallel to v), so only the second equation can reject it
     modulated = ForceField(EUCLID, ["x2*v1", "x2*v2"])
     rng = np.random.default_rng(21)
-    saw_second = 0.0
-    for q in _random_points(rng, 50):
-        r1, r2 = weak_residual(EUCLID, modulated, q)
-        assert np.abs(r1).max() < 1e-12
-        saw_second = max(saw_second, np.abs(r2).max())
-    assert saw_second > 1e-2
+    r1, r2 = _weak(EUCLID, modulated, *_random_points(rng, 50))
+    assert np.abs(r1).max() < 1e-12
+    assert np.abs(r2).max() > 1e-2
     rep = classify(EUCLID, modulated, BOX, 0.5, 2.0, 300, seed=0, tol=1e-8)
     assert rep.verdict == "neither"
 
@@ -85,48 +94,47 @@ def test_cosmetic_rewrite_equivalence():
         spec = BUNDLED[name]
         man, force = spec.build()
         box = np.asarray(spec.x_box)
-        count = 0
+        xs, vs = [], []
         for _ in range(1000):
             x = box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random(2)
             v = rng.normal(size=2)
             if np.linalg.norm(v) < 0.1:
                 continue
-            q = TangentPoint(x, v)
-            s = speed_at(man, q)
-            r1, r2 = weak_residual(man, force, q)
-            assert np.abs(raw_first_residual(man, force, q)
-                          - s * r1).max() < 1e-12
-            assert np.abs(raw_second_residual(man, force, q)
-                          - s * r2).max() < 1e-12
-            count += 1
-        assert count > 900
+            xs.append(x)
+            vs.append(v)
+        assert len(xs) > 900
+        b = bundle(man, force, np.array(xs), np.array(vs))
+        s = b['speed'][:, None]
+        r1, r2 = weak_batch(b)
+        raw1, raw2 = raw_batch(b)
+        assert np.abs(raw1 - s * r1).max() < 1e-12
+        assert np.abs(raw2 - s * r2).max() < 1e-12
 
 
 def test_projection_annihilation():
     rng = np.random.default_rng(7)
     for force in (CONST, HARMONIC, DRAG):
-        for q in _random_points(rng, 50):
-            g = EUCLID.metric(q.x[None, :])[0]
-            unit = q.v / np.sqrt(q.v @ g @ q.v)
-            r1, r2 = weak_residual(EUCLID, force, q)
-            assert abs(r1 @ unit) < 1e-12
-            assert abs(r2 @ unit) < 1e-12
-            a1, a2 = additional_residual(EUCLID, force, q)
-            assert np.abs(a1 @ unit).max() < 1e-12
-            assert np.abs(unit @ a1).max() < 1e-12
-            assert np.abs(a2 @ unit).max() < 1e-12
-            unit_cov = g @ unit
-            assert np.abs(unit_cov @ a2).max() < 1e-12
+        xs, vs = _random_points(rng, 50)
+        g = EUCLID.metric(xs)
+        unit = vs / np.sqrt(np.einsum('bij,bi,bj->b', g, vs, vs))[:, None]
+        r1, r2 = _weak(EUCLID, force, xs, vs)
+        assert np.abs(np.einsum('bi,bi->b', r1, unit)).max() < 1e-12
+        assert np.abs(np.einsum('bi,bi->b', r2, unit)).max() < 1e-12
+        a1, a2 = _additional(EUCLID, force, xs, vs)
+        assert np.abs(np.einsum('bij,bj->bi', a1, unit)).max() < 1e-12
+        assert np.abs(np.einsum('bi,bij->bj', unit, a1)).max() < 1e-12
+        assert np.abs(np.einsum('bij,bj->bi', a2, unit)).max() < 1e-12
+        unit_cov = np.einsum('bij,bj->bi', g, unit)
+        assert np.abs(np.einsum('bi,bij->bj', unit_cov, a2)).max() < 1e-12
 
 
 def test_additional_residual_trivial_in_two_dims():
     # rank-one projector: both families vanish for every field
     rng = np.random.default_rng(9)
     for force in (ZERO, CONST, LINEAR, DRAG, HARMONIC):
-        for q in _random_points(rng, 20):
-            a1, a2 = additional_residual(EUCLID, force, q)
-            assert np.abs(a1).max() < 1e-13
-            assert np.abs(a2).max() < 1e-13
+        a1, a2 = _additional(EUCLID, force, *_random_points(rng, 20))
+        assert np.abs(a1).max() < 1e-13
+        assert np.abs(a2).max() < 1e-13
 
 
 EUCLID3 = Manifold(3, [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
@@ -136,15 +144,16 @@ def test_additional_residual_three_dims():
     rng = np.random.default_rng(11)
     aligned = ForceField(EUCLID3, ["0.5*v1", "0.5*v2", "0.5*v3"])
     shear = ForceField(EUCLID3, ["v2", "0", "0"])
-    saw_nonzero = False
+    xs, vs = [], []
     for _ in range(50):
-        q = TangentPoint(rng.uniform(-1, 1, size=3), rng.normal(size=3) + 0.1)
-        a1, a2 = additional_residual(EUCLID3, aligned, q)
-        assert np.abs(a1).max() < 1e-12
-        assert np.abs(a2).max() < 1e-12
-        _, a2s = additional_residual(EUCLID3, shear, q)
-        saw_nonzero = saw_nonzero or np.abs(a2s).max() > 1e-3
-    assert saw_nonzero
+        xs.append(rng.uniform(-1, 1, size=3))
+        vs.append(rng.normal(size=3) + 0.1)
+    xs, vs = np.array(xs), np.array(vs)
+    a1, a2 = _additional(EUCLID3, aligned, xs, vs)
+    assert np.abs(a1).max() < 1e-12
+    assert np.abs(a2).max() < 1e-12
+    _, a2s = _additional(EUCLID3, shear, xs, vs)
+    assert np.abs(a2s).max() > 1e-3
 
 
 def test_classify_dichotomy_verdicts():
@@ -209,6 +218,17 @@ def test_sampler_deterministic_and_in_range():
     assert speeds.min() >= 0.5 - 1e-12
     assert speeds.max() <= 2.0 + 1e-12
     assert xs1.min() >= -1.0 and xs1.max() <= 1.0
+
+
+def test_sampler_seed_range():
+    # indices past the int64 range would wrap to non-positive Halton
+    # indices and put every sample at the box corner
+    top = 2 ** 63 - 101
+    xs, _ = sample_tangent_points(EUCLID, BOX, 0.5, 2.0, 100, seed=top)
+    assert xs.min() < 0.0 < xs.max()
+    for seed in (-1, top + 1):
+        with pytest.raises(NormalityError):
+            sample_tangent_points(EUCLID, BOX, 0.5, 2.0, 100, seed=seed)
 
 
 def test_sampler_curved_metric_speeds():

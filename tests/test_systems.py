@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from frontshift.geometry import metric_at
 from frontshift.systems import BUNDLED, DICHOTOMY, bundled
 
 
@@ -11,9 +10,10 @@ def test_every_bundled_system_builds():
         assert man.dimension == spec.dimension
         box = np.asarray(spec.x_box, dtype=float)
         # positive definite across the probe box, corners and center
-        corners = [box[:, 0], box[:, 1], box.mean(axis=1)]
-        for x in corners:
-            g, ginv = metric_at(man, x)
+        corners = np.stack([box[:, 0], box[:, 1], box.mean(axis=1)])
+        for x, g in zip(corners, man.metric(corners)):
+            man.check_positive_definite(x, g)
+            ginv = np.linalg.inv(g)
             assert np.abs(g @ ginv - np.eye(man.dimension)).max() < 1e-12
         v = np.full(man.dimension, 0.7)
         vals = force.components(box.mean(axis=1)[None, :], v[None, :])
