@@ -12,7 +12,7 @@ from .dynamics import (BatchTrajectory, FlowState, IntegrationAbort,
                        VariationState, covariant_rate, integrate,
                        nabla_t_force, single_record, variation_rhs)
 from .geometry import (ForceField, Manifold, TangentPoint, at_point,
-                       force_tensors)
+                       force_tensors, g_norm, lower)
 from .normality import ResidualReport, classify
 
 __version__ = "0.1.0"

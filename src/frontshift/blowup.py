@@ -17,7 +17,8 @@ import numpy as np
 
 from . import exprlang
 from .dynamics import BatchTrajectory, IntegrationAbort, integrate_batch
-from .geometry import ForceField, Manifold, at_point
+from .geometry import (ForceField, Manifold, at_point, g_norm, lower,
+                       matvec)
 
 TAU_NORM_FLOOR = 1e-12
 
@@ -251,11 +252,9 @@ def _surface_frames(man: Manifold, surface, u: np.ndarray,
             f"{np.nonzero(degenerate)[0].tolist()[:8]}")
 
     g = man.metric(x)
-    rows = np.einsum('baj,bjk->bak', tangents, g)
-    _, _, vt = np.linalg.svd(rows)
+    _, _, vt = np.linalg.svd(lower(g[:, None], tangents))
     normal = vt[:, -1, :]
-    norms = np.sqrt(np.einsum('bij,bi,bj->b', g, normal, normal))
-    normal = normal / norms[:, None]
+    normal = normal / g_norm(g, normal)[:, None]
     # Orientation: (tangents..., normal) positively oriented, optional flip.
     basis = np.concatenate([tangents, normal[:, None, :]], axis=1)
     sign = np.sign(np.linalg.det(np.swapaxes(basis, 1, 2)))
@@ -328,11 +327,9 @@ def _attach_series(kind: str, man: Manifold, force: ForceField,
     m1, nb, nvar, n = batch.tau.shape
     flat_x = batch.x.reshape(m1 * nb, n)
     g = man.metric(flat_x).reshape(m1, nb, n, n)
-    v_cov = np.einsum('tbij,tbj->tbi', g, batch.v)
-    speed = np.sqrt(np.einsum('tbi,tbi->tb', v_cov, batch.v))
-    phi = np.einsum('tbi,tbji->tbj', v_cov, batch.tau)
-    tau_norm = np.sqrt(np.einsum('tbij,tbai,tbaj->tba', g,
-                                 batch.tau, batch.tau))
+    speed = g_norm(g, batch.v)
+    phi = matvec(batch.tau, lower(g, batch.v))
+    tau_norm = g_norm(g[:, :, None], batch.tau)
     with np.errstate(invalid='ignore', divide='ignore'):
         psi = np.where(tau_norm > TAU_NORM_FLOOR,
                        phi / (speed[:, :, None] * tau_norm), np.nan)

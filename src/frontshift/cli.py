@@ -109,6 +109,7 @@ def _run_front(kind: str, cfg: ScenarioConfig, out_dir: Path,
     if abort is not None:
         doc["abort_node"] = abort.node_index
         doc["abort_directions"] = abort.batch_indices
+        doc["abort_quantities"] = abort.quantities
     json_path = report.write_json(out_dir / f"{kind}_orthogonality.json", doc)
     stats = {"max_psi": orth.max_psi, "mean_psi": orth.mean_psi,
              "undefined_count": orth.undefined_count,

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import BatchTrajectory, FlowState, VariationState, integrate
-from .geometry import ForceField, Manifold, TangentPoint, force_tensors
+from .geometry import (ForceField, Manifold, TangentPoint, force_tensors,
+                       lower, matvec, vecmat)
 
 
 class DeviationError(ValueError):
@@ -51,10 +52,9 @@ def alpha_beta(b: dict) -> tuple[np.ndarray, np.ndarray]:
     force_tensors bundle b: alpha_r = 2 F_r + v^s tnabla_r F_s, beta_r per
     the paired formula."""
     vs, spa_cov, vel_cov = b['v'], b['spa_cov'], b['vel_cov']
-    alpha = 2.0 * b['f_cov'] + np.einsum('brs,bs->br', vel_cov, vs)
-    beta = (np.einsum('bs,bsr->br', vs, spa_cov)
-            + np.einsum('bs,brs->br', vs, spa_cov)
-            + np.einsum('bs,bsr->br', b['f'], vel_cov))
+    alpha = 2.0 * b['f_cov'] + matvec(vel_cov, vs)
+    beta = (vecmat(vs, spa_cov) + matvec(spa_cov, vs)
+            + vecmat(b['f'], vel_cov))
     return alpha, beta
 
 
@@ -67,12 +67,10 @@ def phi_derivatives(man: Manifold, force: ForceField, xs, vs, tau, rho):
     """
     b = force_tensors(man, force, xs, vs)
     alpha, beta = alpha_beta(b)
-    v_cov = np.einsum('bij,bj->bi', b['g'], vs)
-    phi_vals = np.einsum('bi,bji->bj', v_cov, tau)
-    dot_vals = (np.einsum('bi,bji->bj', b['f_cov'], tau)
-                + np.einsum('bi,bji->bj', v_cov, rho))
-    ddot_vals = (np.einsum('br,bjr->bj', alpha, rho)
-                 + np.einsum('br,bjr->bj', beta, tau))
+    v_cov = lower(b['g'], vs)
+    phi_vals = matvec(tau, v_cov)
+    dot_vals = matvec(tau, b['f_cov']) + matvec(rho, v_cov)
+    ddot_vals = matvec(rho, alpha) + matvec(tau, beta)
     return phi_vals, dot_vals, ddot_vals
 
 
@@ -125,9 +123,8 @@ def deviation_rank(man: Manifold, record: BatchTrajectory,
     mask = (record.times >= lo - 1e-12) & (record.times <= hi + 1e-12)
     if int(mask.sum()) < 8:
         raise DeviationError("window must cover at least 8 grid nodes")
-    g = man.metric(record.x[mask])
-    v_cov = np.einsum('bij,bj->bi', g, record.v[mask])
-    rows = np.einsum('bi,bji->jb', v_cov, record.tau[mask])
+    v_cov = lower(man.metric(record.x[mask]), record.v[mask])
+    rows = matvec(record.tau[mask], v_cov).T
     scale = np.abs(rows).max(axis=1)
     if np.all(scale < 1e-14):
         return RankResult(np.zeros(min(rows.shape)), None, True)

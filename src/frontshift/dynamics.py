@@ -21,15 +21,18 @@ class DynamicsError(ValueError):
 
 
 class IntegrationAbort(RuntimeError):
-    """Non-finite state encountered; carries the partial record."""
+    """Non-finite state encountered; carries the partial record and the
+    names of the state quantities (among x, v, tau, rho) that went
+    non-finite."""
 
-    def __init__(self, record, node_index: int, batch_indices):
+    def __init__(self, record, node_index: int, batch_indices, quantities):
         self.record = record
         self.node_index = node_index
         self.batch_indices = [int(i) for i in batch_indices]
+        self.quantities = list(quantities)
         super().__init__(
-            f"non-finite state after node {node_index} "
-            f"(batch rows {self.batch_indices})")
+            f"non-finite state ({', '.join(self.quantities)}) after node "
+            f"{node_index} (batch rows {self.batch_indices})")
 
 
 @dataclass(frozen=True)
@@ -180,7 +183,10 @@ def integrate_batch(man: Manifold, force: ForceField, x0, v0, tau0, rho0,
                 partial = BatchTrajectory(
                     times[:i + 1], xs[:i + 1], vs[:i + 1],
                     taus[:i + 1], rhos[:i + 1], forces[:i + 1], h)
-                raise IntegrationAbort(partial, i, np.nonzero(~ok)[0])
+                bad = [name for name, value in
+                       (("x", x), ("v", v), ("tau", tau), ("rho", rho))
+                       if not np.isfinite(value).all()]
+                raise IntegrationAbort(partial, i, np.nonzero(~ok)[0], bad)
             xs[i + 1], vs[i + 1] = x, v
             taus[i + 1], rhos[i + 1] = tau, rho
         forces[steps] = force.components(x, v)

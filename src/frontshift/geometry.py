@@ -12,6 +12,12 @@ one point by adding and stripping the batch axis, and
 ``force_tensors`` builds every metric and force tensor the deviation and
 normality formulas share in one place.
 
+Lowering an index with the metric and the g-length of a vector are the
+two helpers ``lower`` and ``g_norm``; they take any leading axes, and
+every module that needs either calls them.  The lowered force tensors
+and the velocity frame are batched matrix products as well, pinned to
+the einsum forms they replaced by ``tests/test_normality_reference.py``.
+
 Index conventions (fixed, and pinned by the dynamics cross-checks):
 
 * ``gamma[k, i, j]``   connection, upper index first, symmetric in (i, j)
@@ -66,6 +72,26 @@ class TangentPoint:
         object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
         if self.x.shape != self.v.shape or self.x.ndim != 1:
             raise GeometryError("x and v must be 1-d arrays of equal length")
+
+
+def matvec(m: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(m w)[..., i] = m[..., i, j] w[..., j]; leading axes broadcast."""
+    return (m @ w[..., None])[..., 0]
+
+
+def vecmat(w: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """(w m)[..., j] = w[..., i] m[..., i, j]; leading axes broadcast."""
+    return (w[..., None, :] @ m)[..., 0, :]
+
+
+def lower(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """w_i = g_ij w^j over any leading axes, which broadcast."""
+    return matvec(g, w)
+
+
+def g_norm(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The g-length sqrt(g_ij w^i w^j) over any leading axes."""
+    return np.sqrt(np.sum(w * lower(g, w), axis=-1))
 
 
 def _parse(entry, names: Sequence[str]) -> Node:
@@ -217,15 +243,12 @@ class Manifold:
         """speed[b], unit[b,r], unit_cov[b,i], projector[b,r,i]."""
         if g is None:
             g = self.metric(xs)
-        speed2 = np.einsum('bij,bi,bj->b', g, vs, vs)
-        speed = np.sqrt(speed2)
+        speed = g_norm(g, vs)
         if np.any(speed == 0.0) or not np.all(np.isfinite(speed)):
             raise ZeroVelocityError("zero or non-finite g-speed")
         unit = vs / speed[:, None]
-        unit_cov = np.einsum('bij,bj->bi', g, unit)
-        n = self.dimension
-        proj = np.broadcast_to(np.eye(n), (xs.shape[0], n, n)).copy()
-        proj -= np.einsum('br,bi->bri', unit, unit_cov)
+        unit_cov = lower(g, unit)
+        proj = np.eye(self.dimension) - unit[:, :, None] * unit_cov[:, None, :]
         return speed, unit, unit_cov, proj
 
     # -- single-point checked interface -------------------------------------
@@ -319,10 +342,8 @@ def force_tensors(man: Manifold, force: ForceField, xs: np.ndarray,
     spatial, velocity = extended_gradients(man, force, xs, vs,
                                            gamma=gamma, f_vals=f_vals)
     return dict(g=g, ginv=ginv, v=vs, f=f_vals,
-                f_cov=np.einsum('bij,bj->bi', g, f_vals),
-                spa=spatial, vel=velocity,
-                spa_cov=np.einsum('bik,bkj->bij', spatial, g),
-                vel_cov=np.einsum('bik,bkj->bij', velocity, g))
+                f_cov=lower(g, f_vals), spa=spatial, vel=velocity,
+                spa_cov=spatial @ g, vel_cov=velocity @ g)
 
 
 def at_point(fn, *args):

@@ -9,6 +9,11 @@ tangent-bundle points; no PDE is solved.
 Every term of every residual carries the projector onto the hyperplane
 orthogonal to the velocity, so residuals contracted with the unit
 velocity vanish identically; that is asserted by the tests, not here.
+
+The residuals and their norms are batched matrix products (``@`` over
+the leading sample axis) plus elementwise reductions; the einsum forms
+they replaced are kept only in ``tests/test_normality_reference.py``,
+which pins these to them.
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deviation import alpha_beta
-from .geometry import ForceField, Manifold, force_tensors
+from .geometry import (ForceField, Manifold, force_tensors, g_norm, matvec,
+                       vecmat)
 
 
 class NormalityError(ValueError):
@@ -57,36 +63,39 @@ def bundle(man: Manifold, force: ForceField, xs: np.ndarray,
     return b
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.sum(a * b, axis=-1)
+
+
 def weak_batch(b: dict) -> tuple[np.ndarray, np.ndarray]:
     """Left-hand sides of the combined weak-normality system."""
     s = b['speed']
+    unit, f_cov, proj, vel_cov = b['unit'], b['f_cov'], b['proj'], b['vel_cov']
     # tnabla_i(N^j F_j) expanded with tnabla_i N^j = P^j_i / speed.
-    grad_scalar = (np.einsum('bji,bj->bi', b['proj'], b['f_cov']) / s[:, None]
-                   + np.einsum('bj,bij->bi', b['unit'], b['vel_cov']))
-    first = np.einsum('bi,bik->bk',
-                      b['f_cov'] / s[:, None] + grad_scalar, b['proj'])
+    grad_scalar = vecmat(f_cov, proj) / s[:, None] + matvec(vel_cov, unit)
+    first = vecmat(f_cov / s[:, None] + grad_scalar, proj)
 
-    sym = b['spa_cov'] + np.einsum('bij->bji', b['spa_cov'])
-    ff = np.einsum('bi,bj->bij', b['f_cov'], b['f_cov'])
-    term1 = np.einsum('bij,bj->bi', sym - 2.0 * ff / (s ** 2)[:, None, None],
-                      b['unit'])
-    term2 = np.einsum('bj,bji->bi', b['f'], b['vel_cov']) / s[:, None]
-    nn_grad = np.einsum('br,bj,bjr->b', b['unit'], b['unit'], b['vel_cov'])
-    term3 = -b['f_cov'] * (nn_grad / s)[:, None]
-    second = np.einsum('bi,bik->bk', term1 + term2 + term3, b['proj'])
+    spa_cov = b['spa_cov']
+    term1 = (matvec(spa_cov, unit) + vecmat(unit, spa_cov)
+             - f_cov * (2.0 * _dot(f_cov, unit) / s ** 2)[:, None])
+    term2 = vecmat(b['f'], vel_cov) / s[:, None]
+    nn_grad = _dot(unit, matvec(vel_cov, unit))
+    term3 = -f_cov * (nn_grad / s)[:, None]
+    second = vecmat(term1 + term2 + term3, proj)
     return first, second
 
 
 def raw_batch(b: dict) -> tuple[np.ndarray, np.ndarray]:
     """Pre-rewrite pair of equations; equals speed times the combined form."""
     alpha, beta = alpha_beta(b)
-    first = np.einsum('br,brk->bk', alpha, b['proj'])
-    nf = np.einsum('bs,bs->b', b['unit'], b['f_cov'])
-    nn_grad = np.einsum('bs,bq,bsq->b', b['unit'], b['unit'], b['vel_cov'])
+    unit, f_cov = b['unit'], b['f_cov']
+    first = vecmat(alpha, b['proj'])
+    nf = _dot(unit, f_cov)
+    nn_grad = _dot(unit, matvec(b['vel_cov'], unit))
     inner_cov = (beta
-                 - 2.0 * b['f_cov'] * (nf / b['speed'])[:, None]
-                 - b['f_cov'] * nn_grad[:, None])
-    second = np.einsum('br,brk->bk', inner_cov, b['proj'])
+                 - 2.0 * f_cov * (nf / b['speed'])[:, None]
+                 - f_cov * nn_grad[:, None])
+    second = vecmat(inner_cov, b['proj'])
     return first, second
 
 
@@ -94,29 +103,30 @@ def additional_batch(b: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Both additional-normality families (content requires n >= 3), and
     s1, the unprojected strengthening of the first: the antisymmetric
     force-term matrix that the first family projects."""
-    n = b['proj'].shape[-1]
-    s = b['speed']
-    n_grad = np.einsum('bm,bmj->bj', b['unit'], b['vel_cov'])
-    x_mat = (np.einsum('bi,bj->bij', b['f_cov'], n_grad) / s[:, None, None]
-             - b['spa_cov'])
-    s1 = x_mat - np.einsum('bij->bji', x_mat)
-    a1 = np.einsum('bie,bjs,bij->bes', b['proj'], b['proj'], s1)
-    lhs = np.einsum('bei,bji,bjs->bes', b['proj'], b['vel'], b['proj'])
-    trace = np.einsum('bjm,bji,bmi->b', b['proj'], b['vel'], b['proj'])
-    a2 = lhs - (trace / (n - 1))[:, None, None] * b['proj']
+    proj = b['proj']
+    n = proj.shape[-1]
+    n_grad = vecmat(b['unit'], b['vel_cov'])
+    x_mat = (b['f_cov'][:, :, None] * n_grad[:, None, :]
+             / b['speed'][:, None, None] - b['spa_cov'])
+    s1 = x_mat - x_mat.swapaxes(1, 2)
+    a1 = proj.swapaxes(1, 2) @ s1 @ proj
+    lhs = proj @ b['vel'].swapaxes(1, 2) @ proj
+    # sum_jmi P_jm V_ji P_mi, the trace of lhs
+    trace = np.trace(lhs, axis1=1, axis2=2)
+    a2 = lhs - (trace / (n - 1))[:, None, None] * proj
     return a1, a2, s1
 
 
 def _norm_cov(ginv: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum('bij,bi,bj->b', ginv, cov, cov))
+    return np.sqrt(_dot(cov, matvec(ginv, cov)))
 
 
 def _norm_twolow(ginv: np.ndarray, t: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum('bia,bjc,bij,bac->b', ginv, ginv, t, t))
+    return np.sqrt(np.sum(t * (ginv @ t @ ginv), axis=(1, 2)))
 
 
 def _norm_uplow(g: np.ndarray, ginv: np.ndarray, t: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum('bea,bsc,bes,bac->b', g, ginv, t, t))
+    return np.sqrt(np.sum(t * (g @ t @ ginv), axis=(1, 2)))
 
 
 def halton(index: np.ndarray, base: int) -> np.ndarray:
@@ -180,9 +190,7 @@ def sample_tangent_points(man: Manifold, x_box, v_min: float, v_max: float,
 
     shells = np.geomspace(v_min, v_max, num=min(count, 16))
     radii = shells[np.arange(count) % shells.shape[0]]
-    g = man.metric(xs)
-    gspeed = np.sqrt(np.einsum('bij,bi,bj->b', g, dirs, dirs))
-    vs = dirs * (radii / gspeed)[:, None]
+    vs = dirs * (radii / g_norm(man.metric(xs), dirs))[:, None]
     return xs, vs
 
 
@@ -217,7 +225,7 @@ def classify(man: Manifold, force: ForceField, x_box, v_min: float,
         # verdict from the weak one; their unprojected strengthenings
         # (s1, and the velocity-gradient isotropy defect s2) can.
         n = man.dimension
-        trace = np.einsum('bmm->b', b['vel'])
+        trace = np.trace(b['vel'], axis1=1, axis2=2)
         s2 = b['vel'] - (trace / n)[:, None, None] * np.eye(n)
         strong_norms = np.maximum(_norm_twolow(b['ginv'], s1),
                                   _norm_uplow(b['g'], b['ginv'], s2))

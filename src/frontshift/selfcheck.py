@@ -18,7 +18,7 @@ from . import exprlang
 from .deviation import series_along
 from .dynamics import integrate_batch, single_record
 from .exprlang import Add, Const, Div, Mul, Sub, Var
-from .geometry import ForceField, Manifold
+from .geometry import ForceField, Manifold, g_norm
 from .normality import bundle, raw_batch, weak_batch
 from .systems import BUNDLED, SystemSpec
 
@@ -48,10 +48,8 @@ def _probe_points(spec: SystemSpec, man: Manifold, count: int,
     xs = box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random(
         (count, man.dimension))
     dirs = rng.normal(size=(count, man.dimension))
-    g = man.metric(xs)
-    gspeed = np.sqrt(np.einsum('bij,bi,bj->b', g, dirs, dirs))
     radii = spec.v_min + (spec.v_max - spec.v_min) * rng.random(count)
-    vs = dirs * (radii / gspeed)[:, None]
+    vs = dirs * (radii / g_norm(man.metric(xs), dirs))[:, None]
     return xs, vs
 
 

@@ -127,6 +127,7 @@ def test_blowup_abort_keeps_partial_output(tmp_path, capsys):
     assert doc["aborted"] is True
     assert isinstance(doc["abort_node"], int)
     assert doc["abort_directions"]
+    assert doc["abort_quantities"] == ["x", "v", "tau", "rho"]
 
 
 def test_shift_outputs(tmp_path, capsys):
@@ -192,7 +193,8 @@ def test_rank_abort_exits_three(tmp_path, capsys):
     code, _, err = _run(capsys, ["rank", "--config", cfg,
                                  "--out-dir", str(tmp_path)])
     assert code == 3
-    assert "non-finite state" in err
+    # the velocity and its variation rate overflow while x is still finite
+    assert "non-finite state (v, rho) after node" in err
 
 
 def test_seed_override_changes_samples(tmp_path, capsys):

@@ -1,0 +1,43 @@
+"""The classifier path contracts with batched matrix products only.
+
+einsum stays in the oracles (selfcheck, the dynamics reference forms)
+and in the tests; the modules below must not call it, so that the
+normality residuals, their norms and the shared force tensors keep the
+matmul formulation pinned by tests/test_normality_reference.py.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "frontshift"
+MATMUL_ONLY = ("geometry.py", "normality.py", "deviation.py")
+
+
+def _einsum_calls(tree: ast.AST) -> list[int]:
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = (func.attr if isinstance(func, ast.Attribute)
+                    else getattr(func, "id", None))
+            if name == "einsum":
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            if any(alias.name == "einsum" for alias in node.names):
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("module", MATMUL_ONLY)
+def test_no_einsum_on_the_classifier_path(module):
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    assert _einsum_calls(tree) == [], f"einsum in {module}"
+
+
+def test_guard_sees_an_einsum_call():
+    tree = ast.parse("import numpy as np\n"
+                     "from numpy import einsum\n"
+                     "y = np.einsum('ij,j->i', a, b)\n")
+    assert sorted(_einsum_calls(tree)) == [2, 3]

@@ -182,6 +182,9 @@ def test_integration_abort_keeps_partial_record():
     assert abort.node_index < 1000
     assert np.isfinite(abort.record.x).all()
     assert abort.batch_indices == [0]
+    # no variations are carried, so only the flow itself can run away
+    assert abort.quantities == ["x", "v"]
+    assert str(abort).startswith("non-finite state (x, v) after node")
 
 
 def test_batch_row_equals_single_run():

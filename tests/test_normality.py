@@ -239,3 +239,44 @@ def test_sampler_curved_metric_speeds():
     speeds = np.sqrt(np.einsum('bij,bi,bj->b', g, vs, vs))
     assert speeds.min() >= 0.5 - 1e-12
     assert speeds.max() <= 2.0 + 1e-12
+
+
+def _four_dim_cases():
+    flat = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+    # round S^4: diag(1, sin^2 x1, sin^2 x1 sin^2 x2, ...)
+    round_ = [[("*".join(f"sin(x{k + 1})^2" for k in range(i)) or "1")
+               if i == j else "0" for j in range(4)] for i in range(4)]
+    euclid, sphere = Manifold(4, flat), Manifold(4, round_)
+    flat_box = [[-1.0, 1.0]] * 4
+    round_box = [[0.6, 2.5]] * 3 + [[0.0, 6.0]]
+
+    def drag(man, metric):
+        speed = " + ".join(f"{metric[k][k]}*v{k + 1}^2" for k in range(4))
+        return ForceField(man, [f"-0.3*sqrt({speed})*v{k + 1}"
+                                for k in range(4)])
+
+    return {
+        "E4 zero": (euclid, ForceField(euclid, ["0"] * 4), flat_box),
+        "E4 harmonic": (euclid, ForceField(
+            euclid, [f"-2*x{k + 1}" for k in range(4)]), flat_box),
+        "E4 constant": (euclid, ForceField(euclid, ["1", "0", "0", "0"]),
+                        flat_box),
+        "E4 drag": (euclid, drag(euclid, flat), flat_box),
+        "S4 drag": (sphere, drag(sphere, round_), round_box),
+    }
+
+
+@pytest.mark.parametrize("case, verdict", [
+    ("E4 zero", "complete-normal"),
+    ("E4 harmonic", "neither"),
+    ("E4 constant", "neither"),
+    ("E4 drag", "complete-normal"),
+    ("S4 drag", "complete-normal"),
+])
+def test_classify_four_dimensions(case, verdict):
+    man, force, box = _four_dim_cases()[case]
+    rep = classify(man, force, box, 0.5, 2.0, 4000, seed=3)
+    assert rep.verdict == verdict
+    assert not rep.additional_trivial
+    if case.endswith("drag"):
+        assert rep.max_weak <= 1e-14

@@ -1,0 +1,223 @@
+"""The classifier path pinned to the einsum formulation it replaced.
+
+The reference below keeps the einsum forms of the velocity frame, the
+lowered force tensors, the weak, raw and additional residual families,
+the three residual norms, alpha/beta and the deviation derivatives, as
+the production code had them before they became batched matrix
+products.  Metric, inverse and raw force gradients come from the
+production evaluators, which tests/test_rhs_reference.py pins on its own.
+"""
+
+import numpy as np
+import pytest
+
+from frontshift import deviation, normality
+from frontshift.geometry import (ForceField, Manifold, extended_gradients,
+                                 force_tensors)
+from test_rhs_reference import CHARTS, _drag, _sphere
+
+REL = 1e-12
+
+
+def ref_frame(g, vs):
+    speed = np.sqrt(np.einsum('bij,bi,bj->b', g, vs, vs))
+    unit = vs / speed[:, None]
+    unit_cov = np.einsum('bij,bj->bi', g, unit)
+    n = vs.shape[1]
+    proj = np.broadcast_to(np.eye(n), g.shape).copy()
+    proj -= np.einsum('br,bi->bri', unit, unit_cov)
+    return speed, unit, unit_cov, proj
+
+
+def ref_bundle(man, force, xs, vs):
+    g = man.metric(xs)
+    ginv = np.linalg.inv(g)
+    gamma = man.christoffel(xs, ginv=ginv)
+    f_vals = force.components(xs, vs)
+    spatial, velocity = extended_gradients(man, force, xs, vs, gamma=gamma,
+                                           f_vals=f_vals)
+    b = dict(g=g, ginv=ginv, v=vs, f=f_vals,
+             f_cov=np.einsum('bij,bj->bi', g, f_vals),
+             spa=spatial, vel=velocity,
+             spa_cov=np.einsum('bik,bkj->bij', spatial, g),
+             vel_cov=np.einsum('bik,bkj->bij', velocity, g))
+    b['speed'], b['unit'], b['unit_cov'], b['proj'] = ref_frame(g, vs)
+    return b
+
+
+def ref_alpha_beta(b):
+    vs, spa_cov, vel_cov = b['v'], b['spa_cov'], b['vel_cov']
+    alpha = 2.0 * b['f_cov'] + np.einsum('brs,bs->br', vel_cov, vs)
+    beta = (np.einsum('bs,bsr->br', vs, spa_cov)
+            + np.einsum('bs,brs->br', vs, spa_cov)
+            + np.einsum('bs,bsr->br', b['f'], vel_cov))
+    return alpha, beta
+
+
+def ref_phi_derivatives(b, tau, rho):
+    alpha, beta = ref_alpha_beta(b)
+    v_cov = np.einsum('bij,bj->bi', b['g'], b['v'])
+    phi_vals = np.einsum('bi,bji->bj', v_cov, tau)
+    dot_vals = (np.einsum('bi,bji->bj', b['f_cov'], tau)
+                + np.einsum('bi,bji->bj', v_cov, rho))
+    ddot_vals = (np.einsum('br,bjr->bj', alpha, rho)
+                 + np.einsum('br,bjr->bj', beta, tau))
+    return phi_vals, dot_vals, ddot_vals
+
+
+def ref_weak(b):
+    s = b['speed']
+    grad_scalar = (np.einsum('bji,bj->bi', b['proj'], b['f_cov']) / s[:, None]
+                   + np.einsum('bj,bij->bi', b['unit'], b['vel_cov']))
+    first = np.einsum('bi,bik->bk',
+                      b['f_cov'] / s[:, None] + grad_scalar, b['proj'])
+    sym = b['spa_cov'] + np.einsum('bij->bji', b['spa_cov'])
+    ff = np.einsum('bi,bj->bij', b['f_cov'], b['f_cov'])
+    term1 = np.einsum('bij,bj->bi', sym - 2.0 * ff / (s ** 2)[:, None, None],
+                      b['unit'])
+    term2 = np.einsum('bj,bji->bi', b['f'], b['vel_cov']) / s[:, None]
+    nn_grad = np.einsum('br,bj,bjr->b', b['unit'], b['unit'], b['vel_cov'])
+    term3 = -b['f_cov'] * (nn_grad / s)[:, None]
+    second = np.einsum('bi,bik->bk', term1 + term2 + term3, b['proj'])
+    return first, second
+
+
+def ref_raw(b):
+    alpha, beta = ref_alpha_beta(b)
+    first = np.einsum('br,brk->bk', alpha, b['proj'])
+    nf = np.einsum('bs,bs->b', b['unit'], b['f_cov'])
+    nn_grad = np.einsum('bs,bq,bsq->b', b['unit'], b['unit'], b['vel_cov'])
+    inner_cov = (beta
+                 - 2.0 * b['f_cov'] * (nf / b['speed'])[:, None]
+                 - b['f_cov'] * nn_grad[:, None])
+    second = np.einsum('br,brk->bk', inner_cov, b['proj'])
+    return first, second
+
+
+def ref_additional(b):
+    n = b['proj'].shape[-1]
+    s = b['speed']
+    n_grad = np.einsum('bm,bmj->bj', b['unit'], b['vel_cov'])
+    x_mat = (np.einsum('bi,bj->bij', b['f_cov'], n_grad) / s[:, None, None]
+             - b['spa_cov'])
+    s1 = x_mat - np.einsum('bij->bji', x_mat)
+    a1 = np.einsum('bie,bjs,bij->bes', b['proj'], b['proj'], s1)
+    lhs = np.einsum('bei,bji,bjs->bes', b['proj'], b['vel'], b['proj'])
+    trace = np.einsum('bjm,bji,bmi->b', b['proj'], b['vel'], b['proj'])
+    a2 = lhs - (trace / (n - 1))[:, None, None] * b['proj']
+    return a1, a2, s1
+
+
+def ref_norm_cov(ginv, cov):
+    return np.sqrt(np.einsum('bij,bi,bj->b', ginv, cov, cov))
+
+
+def ref_norm_twolow(ginv, t):
+    return np.sqrt(np.einsum('bia,bjc,bij,bac->b', ginv, ginv, t, t))
+
+
+def ref_norm_uplow(g, ginv, t):
+    return np.sqrt(np.einsum('bea,bsc,bes,bac->b', g, ginv, t, t))
+
+
+def _tilted(force, n):
+    # a term mixing positions and velocities, so that no residual family
+    # vanishes and a relative pin has something to hold on to
+    return [f"{f} + 0.2*x{(k + 1) % n + 1}*v{k + 1} - 0.1*v{(k + 2) % n + 1}^2"
+            for k, f in enumerate(force)]
+
+
+S4 = _sphere(4)
+SYSTEMS = {
+    "S2": (CHARTS["S2"][0], _tilted(CHARTS["S2"][1], 2), CHARTS["S2"][2]),
+    "S3": (CHARTS["S3"][0], _tilted(CHARTS["S3"][1], 3), CHARTS["S3"][2]),
+    "skew3": CHARTS["skew3"],
+    "S4": (S4, _tilted(_drag(4, S4), 4), [(0.8, 2.3)] * 3 + [(0.0, 6.0)]),
+}
+
+
+def _close(name, got, ref, scale=None):
+    assert got.shape == ref.shape, name
+    if scale is None:
+        scale = np.abs(ref).max()
+    assert scale > 0.0, name
+    assert np.abs(got - ref).max() <= REL * scale, name
+
+
+@pytest.fixture(params=sorted(SYSTEMS))
+def system(request):
+    metric, force_src, box = SYSTEMS[request.param]
+    n = len(metric)
+    man = Manifold(n, metric)
+    force = ForceField(man, force_src)
+    rng = np.random.default_rng([23, n, len(request.param)])
+    nb = 32
+    lo, hi = np.array(box).T
+    xs = lo + (hi - lo) * rng.random((nb, n))
+    assert np.linalg.eigvalsh(man.metric(xs)).min() > 0.1
+    vs = rng.normal(size=(nb, n))
+    return man, force, xs, vs, rng
+
+
+def test_frame_and_lowered_tensors_match_reference(system):
+    man, force, xs, vs, _ = system
+    got = force_tensors(man, force, xs, vs)
+    ref = ref_bundle(man, force, xs, vs)
+    for key in ('f_cov', 'spa_cov', 'vel_cov'):
+        _close(key, got[key], ref[key])
+    frame = man.frame(xs, vs, g=got['g'])
+    for name, a, r in zip(("speed", "unit", "unit_cov", "proj"), frame,
+                          ref_frame(ref['g'], vs)):
+        _close(name, a, r)
+
+
+def test_residual_families_match_reference(system):
+    man, force, xs, vs, _ = system
+    got = normality.bundle(man, force, xs, vs)
+    ref = ref_bundle(man, force, xs, vs)
+    for name, a, r in zip(("weak first", "weak second", "raw first",
+                           "raw second"),
+                          normality.weak_batch(got) + normality.raw_batch(got),
+                          ref_weak(ref) + ref_raw(ref)):
+        _close(name, a, r)
+    a1, a2, s1 = normality.additional_batch(got)
+    r1, r2, rs1 = ref_additional(ref)
+    _close("s1", s1, rs1)
+    if man.dimension == 2:
+        # the projector has rank one, so both projected families are
+        # rounding noise; pin them on the scale of what they project
+        _close("a1", a1, r1, scale=np.abs(rs1).max())
+        _close("a2", a2, r2, scale=np.abs(ref['vel']).max())
+    else:
+        _close("a1", a1, r1)
+        _close("a2", a2, r2)
+
+
+def test_norms_match_reference(system):
+    man, _, xs, _, rng = system
+    nb, n = xs.shape
+    g = man.metric(xs)
+    ginv = np.linalg.inv(g)
+    cov = rng.normal(size=(nb, n))
+    t = rng.normal(size=(nb, n, n))
+    _close("norm_cov", normality._norm_cov(ginv, cov), ref_norm_cov(ginv, cov))
+    _close("norm_twolow", normality._norm_twolow(ginv, t),
+           ref_norm_twolow(ginv, t))
+    _close("norm_uplow", normality._norm_uplow(g, ginv, t),
+           ref_norm_uplow(g, ginv, t))
+
+
+def test_deviation_formulas_match_reference(system):
+    man, force, xs, vs, rng = system
+    nb, n = xs.shape
+    tau = rng.normal(size=(nb, n - 1, n))
+    rho = rng.normal(size=(nb, n - 1, n))
+    got_b = force_tensors(man, force, xs, vs)
+    ref_b = ref_bundle(man, force, xs, vs)
+    for name, a, r in zip(("alpha", "beta"), deviation.alpha_beta(got_b),
+                          ref_alpha_beta(ref_b)):
+        _close(name, a, r)
+    got = deviation.phi_derivatives(man, force, xs, vs, tau, rho)
+    for name, a, r in zip(("phi", "phi_dot", "phi_ddot"), got,
+                          ref_phi_derivatives(ref_b, tau, rho)):
+        _close(name, a, r)
