@@ -35,13 +35,23 @@ EXIT_ABORT = 3
 
 def _emit_run_report(command: str, config_echo: dict, stats: dict,
                      outputs: list, started: float,
-                     verdict: str | None = None) -> None:
+                     verdict: str | None = None, batch=None) -> None:
+    """Print the run report.  Given the integrated batch (a
+    BatchTrajectory, possibly cut short by an abort), stats gains the work
+    it did: four RHS evaluations and one row step per row for each step
+    completed, and row steps per second of the run's duration."""
+    elapsed = time.perf_counter() - started
+    if batch is not None:
+        steps = batch.node_count - 1
+        row_steps = batch.x.shape[1] * steps
+        stats["work"] = {"rhs_evals": 4 * steps, "row_steps": row_steps,
+                         "row_steps_per_s": row_steps / elapsed}
     run = {"command": command, "config": config_echo}
     if verdict is not None:
         run["verdict"] = verdict
     run["stats"] = stats
     run["outputs"] = outputs
-    run["duration_ms"] = int(round((time.perf_counter() - started) * 1000.0))
+    run["duration_ms"] = int(round(elapsed * 1000.0))
     print(report.dump_json(run))
 
 
@@ -116,7 +126,8 @@ def _run_front(kind: str, cfg: ScenarioConfig, out_dir: Path,
              "directions": int(record.u.shape[0]),
              "nodes": int(record.batch.node_count),
              "aborted": abort is not None}
-    _emit_run_report(kind, cfg.echo(), stats, [csv_path, json_path], started)
+    _emit_run_report(kind, cfg.echo(), stats, [csv_path, json_path], started,
+                     batch=record.batch)
     return EXIT_ABORT if abort is not None else EXIT_OK
 
 
@@ -149,8 +160,8 @@ def cmd_rank(cfg: ScenarioConfig, out_dir: Path, started: float) -> int:
     s = cfg.sampler
     r = cfg.rank
     n = cfg.dimension
-    xs, vs = sample_tangent_points(man, s.x_box, s.v_min, s.v_max,
-                                   r.trajectories, seed=s.seed)
+    xs, vs, _ = sample_tangent_points(man, s.x_box, s.v_min, s.v_max,
+                                      r.trajectories, seed=s.seed)
     rng = np.random.default_rng(s.seed)
     tau0 = rng.normal(size=(r.trajectories, r.variations, n))
     rho0 = rng.normal(size=(r.trajectories, r.variations, n))
@@ -185,7 +196,7 @@ def cmd_rank(cfg: ScenarioConfig, out_dir: Path, started: float) -> int:
              "any_inconclusive": any_inconclusive,
              "trajectories": r.trajectories,
              "variations": r.variations}
-    _emit_run_report("rank", cfg.echo(), stats, [out], started)
+    _emit_run_report("rank", cfg.echo(), stats, [out], started, batch=batch)
     return EXIT_INCONCLUSIVE if any_inconclusive else EXIT_OK
 
 

@@ -4,6 +4,12 @@ The integrated state is kept in plain time derivatives; the variation
 rate stored alongside each variation vector is its covariant rate, and
 the connection terms are folded into the right-hand side on the fly.
 Classic fourth-order Runge-Kutta on a uniform grid; no adaptivity.
+
+Each RK4 stage makes one generated call (``ForceField.jet``: the metric,
+its first and second partials, the force and both force Jacobians) and
+one closed-form metric inverse (``geometry.inverse``); the connection,
+the curvature and the force gradients are assembled from those by batched
+matrix products.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (ForceField, Manifold, TangentPoint, at_point,
-                       extended_gradients)
+                       extended_gradients, inverse)
 
 
 class DynamicsError(ValueError):
@@ -83,18 +89,18 @@ def _rhs(man: Manifold, force: ForceField, x, v, tau, rho,
     x, v: (B, n); tau, rho: (B, J, n).  riemann_sign flips the curvature
     term (debug hook for the selftest convention arbiter).
 
-    One pass: g, g^-1, dg and gamma are built once and handed to the
-    curvature and force-gradient assembly.  gamma contracted with v is
-    shared by the flow and both connection terms, and the curvature term
-    contracts R with v twice before the result is applied to tau.  Every
-    contraction is a batched matrix product.
+    One pass: a single ``force.jet`` call evaluates g, dg, ddg, F and both
+    force Jacobians, and a single closed-form ``inverse`` gives g^-1; these
+    and gamma are handed to the curvature and force-gradient assembly.
+    gamma contracted with v is shared by the flow and both connection
+    terms, and the curvature term contracts R with v twice before the
+    result is applied to tau.  Every contraction is a batched matrix
+    product.
     """
     nb, n = x.shape
-    g = man.metric(x)
-    ginv = np.linalg.inv(g)
-    dg = man.metric_partials(x)
+    g, dg, ddg, f_vals, dfdx, dfdv = force.jet(x, v)
+    ginv = inverse(g)
     gamma = man.christoffel(x, ginv=ginv, dg=dg)
-    f_vals = force.components(x, v)
     v_col = v[:, :, None]
     # gam_v[b, k, s] = gamma^k_sr v^r
     gam_v = (gamma.reshape(nb, n * n, n) @ v_col).reshape(nb, n, n)
@@ -102,9 +108,9 @@ def _rhs(man: Manifold, force: ForceField, x, v, tau, rho,
     dv = f_vals - (gam_v @ v_col)[:, :, 0]
     if tau.shape[1] == 0:
         return dx, dv, np.zeros_like(tau), np.zeros_like(rho), f_vals
-    riem = man.riemann(x, gamma=gamma, ginv=ginv, dg=dg)
-    spatial, velocity = extended_gradients(man, force, x, v,
-                                           gamma=gamma, f_vals=f_vals)
+    riem = man.riemann(x, gamma=gamma, ginv=ginv, dg=dg, ddg=ddg)
+    spatial, velocity = extended_gradients(man, force, x, v, gamma=gamma,
+                                           f_vals=f_vals, jac=(dfdx, dfdv))
     # r_v[b, k, m, s] = R^k_msr v^r, then rvv[b, k, s] = r_v[b, k, m, s] v^m
     r_v = (riem.reshape(nb, n ** 3, n) @ v_col).reshape(nb, n, n, n)
     rvv = (r_v.swapaxes(2, 3).reshape(nb, n * n, n) @ v_col).reshape(nb, n, n)

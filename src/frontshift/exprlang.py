@@ -515,8 +515,8 @@ _NUMPY_FUNCS = {
 }
 
 
-def compile_fn(nodes: Node | Sequence[Node],
-               names: Sequence[str]) -> Callable[..., np.ndarray]:
+def compile_fn(nodes: Node | Sequence[Node] | Sequence[Sequence[Node]],
+               names: Sequence[str]) -> Callable:
     """Compile to a vectorized callable over positional array arguments.
 
     The fast path for integration: no domain checking, IEEE semantics
@@ -526,28 +526,41 @@ def compile_fn(nodes: Node | Sequence[Node],
     Given one node, the callable returns its value.  Given a sequence of
     K nodes, it returns one array of shape ``batch + (K,)``, entry k the
     value of node k, with constant entries broadcast to the batch shape
-    of the arguments.  Either way a subexpression that occurs more than
-    once, within one node or across nodes, is computed once into a
-    temporary.
+    of the arguments.  Given a sequence of node groups (each a sequence
+    of nodes), it returns a tuple with one such array per group.  Either
+    way a subexpression that occurs more than once, within one node or
+    across nodes and groups, is computed once into a temporary.
     """
     single = isinstance(nodes, Node)
-    roots = [nodes] if single else list(nodes)
+    grouped = not single and any(not isinstance(entry, Node)
+                                 for entry in nodes)
+    if single:
+        groups = [[nodes]]
+    elif grouped:
+        groups = [list(group) for group in nodes]
+    else:
+        groups = [list(nodes)]
+    roots = [root for group in groups for root in group]
     for root in roots:
         undeclared = variables(root) - set(names)
         if undeclared:
             raise UnknownIdentifierError(sorted(undeclared)[0], root.pos)
     program = _Program(roots)
-    results = [program.emit(uid) for uid in program.roots]
+    results = iter([program.emit(uid) for uid in program.roots])
     lines = [f"def _compiled({', '.join(names)}):", *program.lines]
     if single:
-        lines.append(f"    return {results[0]}")
+        lines.append(f"    return {next(results)}")
     else:
         shapes = ", ".join(f"np.shape({name})" for name in names)
-        lines.append(f"    _out = np.empty(np.broadcast_shapes({shapes})"
-                     f" + ({len(results)},))")
-        lines += [f"    _out[..., {k}] = {text}"
-                  for k, text in enumerate(results)]
-        lines.append("    return _out")
+        lines.append(f"    _shape = np.broadcast_shapes({shapes})")
+        outs = []
+        for g, group in enumerate(groups):
+            outs.append(f"_out{g}")
+            lines.append(f"    _out{g} = np.empty(_shape + ({len(group)},))")
+            lines += [f"    _out{g}[..., {k}] = {next(results)}"
+                      for k in range(len(group))]
+        lines.append(f"    return ({', '.join(outs)},)" if grouped
+                     else "    return _out0")
     scope: dict = {"np": np}
     exec("\n".join(lines) + "\n", scope)
     return scope["_compiled"]

@@ -5,12 +5,15 @@ derivatives come from fused compiled evaluators, each tensor is built
 once per call, and every contraction is a batched matrix product (``@``
 over the leading batch axis) in a fixed order.  All differentiation
 behind it is exact and symbolic, performed once on the metric and force
-component expressions.  Batched methods carry a leading axis ``B`` so
-front simulations evaluate all directions in one call.  There is no
-separate single-point API: ``at_point`` evaluates any batched function at
-one point by adding and stripping the batch axis, and
-``force_tensors`` builds every metric and force tensor the deviation and
-normality formulas share in one place.
+component expressions.  ``ForceField.jet`` evaluates all of them (g, dg,
+ddg, F and both force Jacobians) in one generated call, and ``inverse``
+is the closed-form metric inverse for n <= 3; together they are one RK4
+stage's input, so each stage makes one jet call and one inverse.
+Batched methods carry a leading axis ``B`` so front simulations evaluate
+all directions in one call.  There is no separate single-point API:
+``at_point`` evaluates any batched function at one point by adding and
+stripping the batch axis, and ``force_tensors`` builds every metric and
+force tensor the deviation and normality formulas share in one place.
 
 Lowering an index with the metric and the g-length of a vector are the
 two helpers ``lower`` and ``g_norm``; they take any leading axes, and
@@ -94,6 +97,44 @@ def g_norm(g: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(w * lower(g, w), axis=-1))
 
 
+# _COFACTOR3[:, 3 i + j]: flat indices of the four metric entries whose
+# products give adj[i, j] = C_ji = g[a, c] g[b, d] - g[a, d] g[b, c], with
+# (a, b) = (j + 1, j + 2) and (c, d) = (i + 1, i + 2) taken mod 3
+_COFACTOR3 = np.array(
+    [[3 * ((j + 1) % 3) + (i + 1) % 3 for i in range(3) for j in range(3)],
+     [3 * ((j + 2) % 3) + (i + 2) % 3 for i in range(3) for j in range(3)],
+     [3 * ((j + 1) % 3) + (i + 2) % 3 for i in range(3) for j in range(3)],
+     [3 * ((j + 2) % 3) + (i + 1) % 3 for i in range(3) for j in range(3)]])
+
+
+def inverse(g: np.ndarray) -> np.ndarray:
+    """g^-1 over any leading axes.
+
+    n = 2 and n = 3 use the closed-form adjugate over the determinant:
+    each step is one vectorized operation over the whole batch, and the
+    result is written into one preallocated array.  From about a hundred
+    rows up that is several times faster than LAPACK's per-matrix
+    ``np.linalg.inv``; at a handful of rows it costs a few microseconds
+    more.  n >= 4 falls back to ``np.linalg.inv``.
+    """
+    n = g.shape[-1]
+    if n > 3:
+        return np.linalg.inv(g)
+    t = g.reshape(-1, n * n).T          # t[n i + j] is g_ij over the batch
+    if n == 2:
+        adj = t[[3, 1, 2, 0]]
+        np.negative(adj[1:3], out=adj[1:3])
+        det = t[0] * t[3] - t[1] * t[2]
+    else:
+        a, b, c, d = _COFACTOR3
+        adj = t[a] * t[b]
+        adj -= t[c] * t[d]
+        det = t[0] * adj[0] + t[1] * adj[3] + t[2] * adj[6]
+    out = np.empty(g.shape)
+    np.divide(adj.T, det[:, None], out=out.reshape(-1, n * n))
+    return out
+
+
 def _parse(entry, names: Sequence[str]) -> Node:
     if isinstance(entry, Node):
         return entry
@@ -155,9 +196,11 @@ class Manifold:
                    for entry in g_sym] for k in range(n)]
         ddg_sym = [exprlang.differentiate(entry, self.coords[ell])
                    for ell, k in pairs for entry in dg_sym[k]]
+        # the slot expressions, kept for ForceField.jet
+        self._slot_asts = (g_sym, [entry for row in dg_sym for entry in row],
+                           ddg_sym)
         self._g_fn = exprlang.compile_fn(g_sym, self.coords)
-        self._dg_fn = exprlang.compile_fn(
-            [entry for row in dg_sym for entry in row], self.coords)
+        self._dg_fn = exprlang.compile_fn(self._slot_asts[1], self.coords)
         self._ddg_fn = exprlang.compile_fn(ddg_sym, self.coords)
         self._g_idx = slot
         self._dg_idx = np.arange(n)[:, None, None] * npair + slot
@@ -183,7 +226,7 @@ class Manifold:
                     dg: np.ndarray | None = None) -> np.ndarray:
         """gamma[b, k, i, j] of the metric connection."""
         if ginv is None:
-            ginv = np.linalg.inv(self.metric(xs))
+            ginv = inverse(self.metric(xs))
         if dg is None:
             dg = self.metric_partials(xs)
         nb, n = xs.shape
@@ -202,7 +245,7 @@ class Manifold:
         the symbolic dg/ddg, so no finite differences enter the curvature.
         """
         if ginv is None:
-            ginv = np.linalg.inv(self.metric(xs))
+            ginv = inverse(self.metric(xs))
         if dg is None:
             dg = self.metric_partials(xs)
         if ddg is None:
@@ -223,7 +266,7 @@ class Manifold:
                 ddg: np.ndarray | None = None) -> np.ndarray:
         """riemann[b, k, m, s, r], antisymmetric in (s, r)."""
         if ginv is None:
-            ginv = np.linalg.inv(self.metric(xs))
+            ginv = inverse(self.metric(xs))
         if dg is None:
             dg = self.metric_partials(xs)
         if gamma is None:
@@ -266,6 +309,10 @@ class ForceField:
     """Extended vector field F^k(x, v) given componentwise as expressions.
 
     F and the pair of Jacobians each come from one compiled callable.
+    ``jet`` evaluates them together with the metric and its first and
+    second partials in one further callable, compiled on first use, that
+    shares every subexpression among all of them; it is what one RK4
+    stage of the variation equation consumes.
     """
 
     def __init__(self, manifold: Manifold, components: Sequence):
@@ -277,12 +324,14 @@ class ForceField:
         self.component_ast = [exprlang.simplify(_parse(c, names))
                               for c in components]
         self._f_fn = exprlang.compile_fn(self.component_ast, names)
-        # entry (w, i, k): derivative of component k in direction i of
-        # the coordinates (w = 0) or velocities (w = 1)
-        self._jac_fn = exprlang.compile_fn(
-            [exprlang.differentiate(self.component_ast[k], wrt[i])
-             for wrt in (manifold.coords, manifold.velocities)
-             for i in range(n) for k in range(n)], names)
+        # entry (i, k) of group w: derivative of component k in direction
+        # i of the coordinates (w = 0) or velocities (w = 1)
+        self._jac_asts = [[exprlang.differentiate(self.component_ast[k],
+                                                  wrt[i])
+                           for i in range(n) for k in range(n)]
+                          for wrt in (manifold.coords, manifold.velocities)]
+        self._jac_fn = exprlang.compile_fn(self._jac_asts, names)
+        self._jet_fn = None
 
     def _args(self, xs: np.ndarray, vs: np.ndarray) -> tuple:
         n = self.manifold.dimension
@@ -294,27 +343,45 @@ class ForceField:
 
     def jacobians(self, xs: np.ndarray, vs: np.ndarray):
         """(dfdx[b,i,k], dfdv[b,i,k]) of plain partial derivatives."""
-        n = self.manifold.dimension
-        jac = self._jac_fn(*self._args(xs, vs)).reshape(xs.shape[0], 2, n, n)
-        # dfdv is often kept (as the velocity gradient) after dfdx is
-        # used; a copy lets the shared buffer go with dfdx
-        return jac[:, 0], jac[:, 1].copy()
+        nb, n = xs.shape
+        dfdx, dfdv = self._jac_fn(*self._args(xs, vs))
+        return dfdx.reshape(nb, n, n), dfdv.reshape(nb, n, n)
+
+    def jet(self, xs: np.ndarray, vs: np.ndarray):
+        """(g, dg, ddg, f, dfdx, dfdv) from one compiled call.
+
+        The same arrays, bit for bit, as ``metric``, ``metric_partials``
+        and ``metric_second_partials`` at xs and ``components`` and
+        ``jacobians`` at (xs, vs), built from the expressions those
+        already derived.
+        """
+        man = self.manifold
+        if self._jet_fn is None:
+            self._jet_fn = exprlang.compile_fn(
+                [*man._slot_asts, self.component_ast, *self._jac_asts],
+                man.coords + man.velocities)
+        g, dg, ddg, f, dfdx, dfdv = self._jet_fn(*self._args(xs, vs))
+        nb, n = xs.shape
+        return (g[:, man._g_idx], dg[:, man._dg_idx], ddg[:, man._ddg_idx],
+                f, dfdx.reshape(nb, n, n), dfdv.reshape(nb, n, n))
 
 
 def extended_gradients(man: Manifold, force: ForceField, xs: np.ndarray,
                        vs: np.ndarray, gamma: np.ndarray | None = None,
-                       f_vals: np.ndarray | None = None):
+                       f_vals: np.ndarray | None = None,
+                       jac: tuple | None = None):
     """Batched spatial and velocity gradients of the force field.
 
     velocity[b,i,k] is the plain v-derivative; spatial[b,i,k] adds the
     connection correction for the vector index and the chase of the
-    velocity argument along coordinate directions.
+    velocity argument along coordinate directions.  jac, when given, is
+    the pair ``force.jacobians(xs, vs)`` already evaluated.
     """
     if gamma is None:
         gamma = man.christoffel(xs)
     if f_vals is None:
         f_vals = force.components(xs, vs)
-    dfdx, dfdv = force.jacobians(xs, vs)
+    dfdx, dfdv = force.jacobians(xs, vs) if jac is None else jac
     nb, n = xs.shape
     flat = gamma.reshape(nb, n * n, n)
     gam_v = (flat @ vs[:, :, None]).reshape(nb, n, n)      # [b, j, i]
@@ -326,17 +393,19 @@ def extended_gradients(man: Manifold, force: ForceField, xs: np.ndarray,
 
 
 def force_tensors(man: Manifold, force: ForceField, xs: np.ndarray,
-                  vs: np.ndarray) -> dict:
+                  vs: np.ndarray, g: np.ndarray | None = None) -> dict:
     """Metric and force tensors at a batch of tangent-bundle points.
 
     g and g^-1; the velocity v, the force F and F lowered; the spatial and
     velocity gradients of F, raw ([b, i, k], derivative index first) and
     with the vector index lowered (nabla_i F_j, tnabla_i F_j).  gamma
     enters the spatial gradient but is not kept: no consumer reads it, and
-    holding it would raise the classifier's peak memory.
+    holding it would raise the classifier's peak memory.  g, when given,
+    is the metric at xs already evaluated.
     """
-    g = man.metric(xs)
-    ginv = np.linalg.inv(g)
+    if g is None:
+        g = man.metric(xs)
+    ginv = inverse(g)
     gamma = man.christoffel(xs, ginv=ginv)
     f_vals = force.components(xs, vs)
     spatial, velocity = extended_gradients(man, force, xs, vs,

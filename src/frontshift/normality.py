@@ -53,11 +53,11 @@ class ResidualReport:
 
 
 def bundle(man: Manifold, force: ForceField, xs: np.ndarray,
-           vs: np.ndarray) -> dict:
+           vs: np.ndarray, g: np.ndarray | None = None) -> dict:
     """Everything the residual families consume, batched: the
     force_tensors of the points plus the velocity frame (speed, unit,
-    unit_cov, proj)."""
-    b = force_tensors(man, force, xs, vs)
+    unit_cov, proj).  g, when given, is the metric at xs."""
+    b = force_tensors(man, force, xs, vs, g=g)
     b['speed'], b['unit'], b['unit_cov'], b['proj'] = man.frame(
         xs, vs, g=b['g'])
     return b
@@ -150,7 +150,9 @@ def sample_tangent_points(man: Manifold, x_box, v_min: float, v_max: float,
 
     Positions fill the configured box, velocity directions sweep the
     sphere, and g-speeds walk log-spaced shells in [v_min, v_max].  The
-    seed offsets the Halton index, so runs are reproducible.
+    seed offsets the Halton index, so runs are reproducible.  Returns
+    (xs, vs, g): g is the metric at xs, which the g-speeds needed, so
+    that callers do not evaluate it again.
     """
     if count < 1:
         raise NormalityError("empty sample set")
@@ -190,8 +192,9 @@ def sample_tangent_points(man: Manifold, x_box, v_min: float, v_max: float,
 
     shells = np.geomspace(v_min, v_max, num=min(count, 16))
     radii = shells[np.arange(count) % shells.shape[0]]
-    vs = dirs * (radii / g_norm(man.metric(xs), dirs))[:, None]
-    return xs, vs
+    g = man.metric(xs)
+    vs = dirs * (radii / g_norm(g, dirs))[:, None]
+    return xs, vs, g
 
 
 def classify(man: Manifold, force: ForceField, x_box, v_min: float,
@@ -205,8 +208,9 @@ def classify(man: Manifold, force: ForceField, x_box, v_min: float,
     strengthenings decide the upgrade (see report flag).
     Maxima in the guard band (tol, 100 tol) give an inconclusive verdict.
     """
-    xs, vs = sample_tangent_points(man, x_box, v_min, v_max, count, seed)
-    b = bundle(man, force, xs, vs)
+    xs, vs, g = sample_tangent_points(man, x_box, v_min, v_max, count,
+                                      seed)
+    b = bundle(man, force, xs, vs, g=g)
     first, second = weak_batch(b)
     a1, a2, s1 = additional_batch(b)
 

@@ -90,6 +90,10 @@ def test_blowup_outputs(tmp_path, capsys):
     assert code == 0
     run = json.loads(out)
     assert run["stats"]["max_psi"] < 1e-10
+    # 200 steps of 8 rows, four RHS evaluations per step
+    work = run["stats"]["work"]
+    assert (work["rhs_evals"], work["row_steps"]) == (800, 1600)
+    assert work["row_steps_per_s"] > 0
     csv_lines = (out_dir / "blowup_front.csv").read_text().splitlines()
     assert csv_lines[0] == ("t,dir_index,u1,x1,x2,v1,v2,tau1_1,tau1_2,"
                             "phi_1,psi_1")
@@ -128,6 +132,13 @@ def test_blowup_abort_keeps_partial_output(tmp_path, capsys):
     assert isinstance(doc["abort_node"], int)
     assert doc["abort_directions"]
     assert doc["abort_quantities"] == ["x", "v", "tau", "rho"]
+    # the work counts the steps completed before the failing one; it is
+    # in the run report only
+    steps = doc["abort_node"]
+    assert 0 < steps < 1000
+    assert run["stats"]["work"]["rhs_evals"] == 4 * steps
+    assert run["stats"]["work"]["row_steps"] == 8 * steps
+    assert "work" not in doc
 
 
 def test_shift_outputs(tmp_path, capsys):
@@ -161,6 +172,8 @@ def test_rank_free_field(tmp_path, capsys):
     assert code == 0
     doc = json.loads((tmp_path / "r" / "rank_report.json").read_text())
     assert doc["max_sigma3_over_sigma1"] <= 1e-10
+    work = json.loads(out)["stats"]["work"]
+    assert (work["rhs_evals"], work["row_steps"]) == (4000, 5000)
     assert len(doc["trajectories"]) == 5
     assert all(len(t["singular_values"]) == 5 for t in doc["trajectories"])
 

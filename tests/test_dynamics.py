@@ -7,6 +7,7 @@ from frontshift.dynamics import (DynamicsError, FlowState, IntegrationAbort,
                                  variation_rhs)
 from frontshift.geometry import ForceField, Manifold, TangentPoint, at_point
 from frontshift.selfcheck import variation_errors
+from test_rhs_reference import CHARTS
 
 EUCLID = Manifold(2, [["1", "0"], ["0", "1"]])
 POLAR = Manifold(2, [["1", "0"], ["0", "x1^2"]])
@@ -20,6 +21,60 @@ def newton_rhs(man, force, x, v):
     empty = np.zeros((0, man.dimension))
     dx, dv, _, _, _ = at_point(_rhs, man, force, x, v, empty, empty, 1.0)
     return dx, dv
+
+
+def _s3_drag_batch(nb=6):
+    metric, force_src, box = CHARTS["S3"]
+    man = Manifold(3, metric)
+    rng = np.random.default_rng(43)
+    lo, hi = np.array(box).T
+    x0 = lo + (hi - lo) * rng.random((nb, 3))
+    return (man, ForceField(man, force_src), x0, rng.normal(size=(nb, 3)),
+            rng.normal(size=(nb, 2, 3)), rng.normal(size=(nb, 2, 3)))
+
+
+def test_rk4_stage_is_one_jet_one_riemann_no_lapack(monkeypatch):
+    man, force, x0, v0, tau0, rho0 = _s3_drag_batch()
+    calls = {}
+
+    def count(cls, name):
+        real = getattr(cls, name)
+        calls[name] = 0
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cls, name, counted)
+
+    for name in ("metric", "metric_partials", "metric_second_partials",
+                 "riemann"):
+        count(Manifold, name)
+    for name in ("jet", "jacobians", "components"):
+        count(ForceField, name)
+    count(np.linalg, "inv")
+    steps = 5
+    integrate_batch(man, force, x0, v0, tau0, rho0, steps * 1e-2, 1e-2)
+    assert calls == {"jet": 4 * steps, "riemann": 4 * steps,
+                     "metric": 0, "metric_partials": 0,
+                     "metric_second_partials": 0, "jacobians": 0,
+                     "inv": 0,
+                     # the force recorded at the last node
+                     "components": 1}
+
+
+def test_curvature_term_is_what_riemann_returns(monkeypatch):
+    # the benchmark's curvature flip negates Manifold.riemann; that must
+    # act on the RHS exactly as the riemann_sign debug hook does
+    man, force, x, v, tau, rho = _s3_drag_batch()
+    flipped = _rhs(man, force, x, v, tau, rho, -1.0)
+    riemann = Manifold.riemann
+    monkeypatch.setattr(Manifold, "riemann",
+                        lambda self, *a, **k: -riemann(self, *a, **k))
+    negated = _rhs(man, force, x, v, tau, rho, 1.0)
+    for a, b in zip(flipped, negated, strict=True):
+        assert np.array_equal(a, b)
+    assert not np.array_equal(flipped[3],
+                              _rhs(man, force, x, v, tau, rho, -1.0)[3])
 
 
 def test_newton_rhs_free():

@@ -233,6 +233,25 @@ def test_compiled_many_matches_evaluate_entrywise():
     assert fn(*(bindings[0][name] for name in VARS)).shape == (len(nodes),)
 
 
+def test_compiled_groups_match_the_flat_form():
+    shared = el.parse("sin(x1)^2*v1", VARS)
+    groups = [[shared, el.Const(-2.5)],
+              [el.Mul(shared, el.Var("x2"))],
+              [shared, el.parse("cos(x2) + sin(x1)^2", VARS), el.Const(1.0)]]
+    fn = el.compile_fn(groups, VARS)
+    flat = el.compile_fn([node for group in groups for node in group], VARS)
+    rng = np.random.default_rng(4)
+    args = _columns([_random_binding(rng) for _ in range(6)])
+    got = fn(*args)
+    want = flat(*args)
+    assert isinstance(got, tuple)
+    assert [a.shape for a in got] == [(6, 2), (6, 1), (6, 3)]
+    assert np.array_equal(np.concatenate(got, axis=1), want)
+    # one group is still a tuple
+    (only,) = el.compile_fn([groups[0]], VARS)(*args)
+    assert np.array_equal(only, want[:, :2])
+
+
 def test_compiled_many_rejects_undeclared_names():
     with pytest.raises(el.UnknownIdentifierError):
         el.compile_fn([el.Var("x1"), el.Var("q")], ["x1"])

@@ -3,7 +3,8 @@ import pytest
 
 from frontshift.geometry import (ForceField, Manifold,
                                  NonPositiveDefiniteError, ZeroVelocityError,
-                                 at_point, extended_gradients)
+                                 at_point, extended_gradients, inverse)
+from test_rhs_reference import CHARTS, _drag, _sphere
 
 EUCLID = Manifold(2, [["1", "0"], ["0", "1"]])
 POLAR = Manifold(2, [["1", "0"], ["0", "x1^2"]])
@@ -207,6 +208,72 @@ def test_drag_jacobian_structural_zeros_at_rest():
         dfdx, _ = drag.jacobians(xs, np.zeros_like(xs))
     # no component depends on x2, so its row is exactly zero, not 0/0
     assert np.array_equal(dfdx[:, 1, :], np.zeros((2, 2)))
+
+
+# the RHS charts, a non-diagonal 2-D chart, and round S^4, where inverse
+# takes the LAPACK branch
+JET_CHARTS = dict(
+    CHARTS,
+    skew2=([["1 + x2^2", "0.1*x1*x2"], ["0.1*x1*x2", "2 + x1^2"]],
+           ["-0.2*v1*sqrt(v1^2 + v2^2) + 0.1*x2", "sin(x1)*v2 - x1"],
+           [(-1.0, 1.0)] * 2),
+    S4=(_sphere(4), _drag(4, _sphere(4)), [(0.6, 2.5)] * 3 + [(0.0, 6.0)]))
+
+
+def _chart_points(chart, nb=40):
+    metric, force_src, box = JET_CHARTS[chart]
+    n = len(metric)
+    man = Manifold(n, metric)
+    rng = np.random.default_rng([29, n, len(chart)])
+    lo, hi = np.array(box).T
+    xs = lo + (hi - lo) * rng.random((nb, n))
+    return man, ForceField(man, force_src), xs, rng.normal(size=(nb, n))
+
+
+@pytest.mark.parametrize("chart", sorted(JET_CHARTS))
+def test_inverse_matches_lapack(chart, monkeypatch):
+    man, _, xs, _ = _chart_points(chart)
+    n = man.dimension
+    g = man.metric(xs)
+    ref = np.linalg.inv(g)
+    lapack_calls = []
+    real_inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: (
+        lapack_calls.append(a.shape), real_inv(a))[1])
+    got = inverse(g)
+    assert got.shape == g.shape and got.flags.c_contiguous
+    scale = np.abs(ref).max(axis=(1, 2), keepdims=True)
+    assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+    assert np.abs(g @ got - np.eye(n)).max() <= 1e-13
+    # any leading axes
+    stacked = inverse(g.reshape(4, -1, n, n))
+    assert np.array_equal(stacked, got.reshape(stacked.shape))
+    assert lapack_calls == ([] if n <= 3 else [g.shape, (4, 10, n, n)])
+
+
+def test_inverse_hand_values():
+    g = np.array([[[2.0, 1.0], [1.0, 3.0]],
+                  [[4.0, 0.0], [0.0, 0.5]]])
+    want = np.array([[[0.6, -0.2], [-0.2, 0.4]],
+                     [[0.25, 0.0], [0.0, 2.0]]])
+    assert np.allclose(inverse(g), want, rtol=0, atol=1e-15)
+    g3 = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
+    want3 = np.array([[3.0, -2.0, 1.0], [-2.0, 4.0, -2.0],
+                      [1.0, -2.0, 3.0]]) / 4.0
+    assert np.allclose(inverse(g3), want3, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("chart", sorted(JET_CHARTS))
+def test_jet_is_the_per_quantity_methods(chart):
+    man, force, xs, vs = _chart_points(chart)
+    got = force.jet(xs, vs)
+    want = (man.metric(xs), man.metric_partials(xs),
+            man.metric_second_partials(xs), force.components(xs, vs),
+            *force.jacobians(xs, vs))
+    names = ("g", "dg", "ddg", "f", "dfdx", "dfdv")
+    for name, a, b in zip(names, got, want, strict=True):
+        assert a.shape == b.shape, name
+        assert np.array_equal(a, b), name
 
 
 def test_gradients_connection_terms_enter():

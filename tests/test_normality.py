@@ -6,6 +6,7 @@ from frontshift.normality import (NormalityError, additional_batch, bundle,
                                   classify, raw_batch, sample_tangent_points,
                                   weak_batch)
 from frontshift.systems import BUNDLED
+from test_rhs_reference import CHARTS
 
 EUCLID = Manifold(2, [["1", "0"], ["0", "1"]])
 ZERO = ForceField(EUCLID, ["0", "0"])
@@ -209,10 +210,10 @@ def test_classify_empty_sample_set():
 
 
 def test_sampler_deterministic_and_in_range():
-    xs1, vs1 = sample_tangent_points(EUCLID, BOX, 0.5, 2.0, 100, seed=4)
-    xs2, vs2 = sample_tangent_points(EUCLID, BOX, 0.5, 2.0, 100, seed=4)
+    xs1, vs1, _ = sample_tangent_points(EUCLID, BOX, 0.5, 2.0, 100, seed=4)
+    xs2, vs2, _ = sample_tangent_points(EUCLID, BOX, 0.5, 2.0, 100, seed=4)
     assert np.array_equal(xs1, xs2) and np.array_equal(vs1, vs2)
-    xs3, _ = sample_tangent_points(EUCLID, BOX, 0.5, 2.0, 100, seed=5)
+    xs3, _, _ = sample_tangent_points(EUCLID, BOX, 0.5, 2.0, 100, seed=5)
     assert not np.array_equal(xs1, xs3)
     speeds = np.linalg.norm(vs1, axis=1)
     assert speeds.min() >= 0.5 - 1e-12
@@ -220,11 +221,28 @@ def test_sampler_deterministic_and_in_range():
     assert xs1.min() >= -1.0 and xs1.max() <= 1.0
 
 
+@pytest.mark.parametrize("chart", ["S2", "S3"])
+def test_classify_evaluates_the_metric_once(monkeypatch, chart):
+    # the sampler's metric (for the g-speeds) is the one the residuals use
+    metric_src, force_src, box = CHARTS[chart]
+    man = Manifold(len(metric_src), metric_src)
+    force = ForceField(man, force_src)
+    calls = []
+    metric = Manifold.metric
+
+    def counted(self, xs):
+        calls.append(len(xs))
+        return metric(self, xs)
+    monkeypatch.setattr(Manifold, "metric", counted)
+    classify(man, force, box, 0.5, 2.0, 300)
+    assert calls == [300]
+
+
 def test_sampler_seed_range():
     # indices past the int64 range would wrap to non-positive Halton
     # indices and put every sample at the box corner
     top = 2 ** 63 - 101
-    xs, _ = sample_tangent_points(EUCLID, BOX, 0.5, 2.0, 100, seed=top)
+    xs, _, _ = sample_tangent_points(EUCLID, BOX, 0.5, 2.0, 100, seed=top)
     assert xs.min() < 0.0 < xs.max()
     for seed in (-1, top + 1):
         with pytest.raises(NormalityError):
@@ -234,8 +252,8 @@ def test_sampler_seed_range():
 def test_sampler_curved_metric_speeds():
     spec = BUNDLED["sphere-free"]
     man, _ = spec.build()
-    xs, vs = sample_tangent_points(man, spec.x_box, 0.5, 2.0, 64, seed=0)
-    g = man.metric(xs)
+    xs, vs, g = sample_tangent_points(man, spec.x_box, 0.5, 2.0, 64, seed=0)
+    assert np.array_equal(g, man.metric(xs))
     speeds = np.sqrt(np.einsum('bij,bi,bj->b', g, vs, vs))
     assert speeds.min() >= 0.5 - 1e-12
     assert speeds.max() <= 2.0 + 1e-12
