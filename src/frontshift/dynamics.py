@@ -6,10 +6,14 @@ the connection terms are folded into the right-hand side on the fly.
 Classic fourth-order Runge-Kutta on a uniform grid; no adaptivity.
 
 Each RK4 stage makes one generated call (``ForceField.jet``: the metric,
-its first and second partials, the force and both force Jacobians) and
-one closed-form metric inverse (``geometry.inverse``); the connection,
-the curvature and the force gradients are assembled from those by batched
-matrix products.
+its first and second partials, the force and both force Jacobians; or
+``ForceField.flow_jet`` when there are no variations) and one
+closed-form metric inverse (``geometry.inverse``).  The connection
+enters only as gamma contracted with v and F, and the curvature only as
+the Jacobi operator R(., v)v (``Manifold.riemann`` with the velocity
+passed), so no stage builds gamma, its derivative or the curvature
+tensor.  The full tensors survive in ``variation_rhs``, the covariant
+oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (ForceField, Manifold, TangentPoint, at_point,
-                       extended_gradients, inverse)
+                       extended_gradients, inverse, spray)
 
 
 class DynamicsError(ValueError):
@@ -84,42 +88,37 @@ class BatchTrajectory:
 
 def _rhs(man: Manifold, force: ForceField, x, v, tau, rho,
          riemann_sign: float):
-    """Plain time derivatives of the batched state.
+    """Plain time derivatives of the batched state: (dx, dv, dtau, drho, F).
 
     x, v: (B, n); tau, rho: (B, J, n).  riemann_sign flips the curvature
     term (debug hook for the selftest convention arbiter).
 
-    One pass: a single ``force.jet`` call evaluates g, dg, ddg, F and both
-    force Jacobians, and a single closed-form ``inverse`` gives g^-1; these
-    and gamma are handed to the curvature and force-gradient assembly.
-    gamma contracted with v is shared by the flow and both connection
-    terms, and the curvature term contracts R with v twice before the
-    result is applied to tau.  Every contraction is a batched matrix
-    product.
+    One generated call (``force.jet``, or ``force.flow_jet`` when J = 0)
+    and one closed-form ``inverse``.  gamma enters only through its
+    products with v and F (``spray``), shared by the flow, the force
+    gradient, the curvature and both connection terms, and the curvature
+    only as K = R(., v)v from ``man.riemann``.  With (gamma v)^T[i, k] =
+    gamma^k_ij v^j, the variation rates are three products per row:
+
+        dtau = rho - tau (gamma v)^T
+        drho = tau (spatial - riemann_sign K^T) + rho (dF/dv - (gamma v)^T)
     """
-    nb, n = x.shape
-    g, dg, ddg, f_vals, dfdx, dfdv = force.jet(x, v)
-    ginv = inverse(g)
-    gamma = man.christoffel(x, ginv=ginv, dg=dg)
-    v_col = v[:, :, None]
-    # gam_v[b, k, s] = gamma^k_sr v^r
-    gam_v = (gamma.reshape(nb, n * n, n) @ v_col).reshape(nb, n, n)
-    dx = v
-    dv = f_vals - (gam_v @ v_col)[:, :, 0]
     if tau.shape[1] == 0:
-        return dx, dv, np.zeros_like(tau), np.zeros_like(rho), f_vals
-    riem = man.riemann(x, gamma=gamma, ginv=ginv, dg=dg, ddg=ddg)
-    spatial, velocity = extended_gradients(man, force, x, v, gamma=gamma,
-                                           f_vals=f_vals, jac=(dfdx, dfdv))
-    # r_v[b, k, m, s] = R^k_msr v^r, then rvv[b, k, s] = r_v[b, k, m, s] v^m
-    r_v = (riem.reshape(nb, n ** 3, n) @ v_col).reshape(nb, n, n, n)
-    rvv = (r_v.swapaxes(2, 3).reshape(nb, n * n, n) @ v_col).reshape(nb, n, n)
-    curv = -riemann_sign * (tau @ rvv.transpose(0, 2, 1))
-    rho_rate = curv + rho @ velocity + tau @ spatial
-    gam_v_t = gam_v.transpose(0, 2, 1)
-    dtau = rho - tau @ gam_v_t
-    drho = rho_rate - rho @ gam_v_t
-    return dx, dv, dtau, drho, f_vals
+        g, dg, f_vals = force.flow_jet(x, v)
+    else:
+        g, dg, ddg, f_vals, dfdx, dfdv = force.jet(x, v)
+    ginv = inverse(g)
+    along = spray(ginv, dg, v, f_vals)
+    dv = f_vals - along.gvv
+    if tau.shape[1] == 0:
+        return v, dv, np.zeros_like(tau), np.zeros_like(rho), f_vals
+    jacobi = man.riemann(x, ginv=ginv, dg=dg, ddg=ddg, vs=v, along=along)
+    spatial, velocity = extended_gradients(man, force, x, v, f_vals=f_vals,
+                                           jac=(dfdx, dfdv), along=along)
+    dtau = rho - tau @ along.gam_v
+    drho = (tau @ (spatial - riemann_sign * jacobi.swapaxes(1, 2))
+            + rho @ (velocity - along.gam_v))
+    return v, dv, dtau, drho, f_vals
 
 
 def variation_rhs(man: Manifold, force: ForceField, q: TangentPoint,

@@ -6,14 +6,23 @@ once per call, and every contraction is a batched matrix product (``@``
 over the leading batch axis) in a fixed order.  All differentiation
 behind it is exact and symbolic, performed once on the metric and force
 component expressions.  ``ForceField.jet`` evaluates all of them (g, dg,
-ddg, F and both force Jacobians) in one generated call, and ``inverse``
-is the closed-form metric inverse for n <= 3; together they are one RK4
-stage's input, so each stage makes one jet call and one inverse.
+ddg, F and both force Jacobians) in one generated call, ``flow_jet``
+only g, dg and F, and ``inverse`` is the closed-form metric inverse for
+n <= 3; together they are one RK4 stage's input, so each stage makes one
+generated call and one inverse.
 Batched methods carry a leading axis ``B`` so front simulations evaluate
 all directions in one call.  There is no separate single-point API:
 ``at_point`` evaluates any batched function at one point by adding and
 stripping the batch axis, and ``force_tensors`` builds every metric and
 force tensor the deviation and normality formulas share in one place.
+
+The variation equation needs the connection and the curvature only
+contracted with vectors: ``spray`` gives gamma contracted with v and F
+without building gamma, and ``Manifold.riemann`` with the velocity
+passed gives the Jacobi operator K[k, s] = R^k_msr v^m v^r at O(n^4) per
+point, without d gamma or any (n, n, n, n) intermediate.  The full
+tensors (``christoffel_partials``, ``riemann`` without a velocity) are
+oracles: ``dynamics.variation_rhs`` and the test references use them.
 
 Lowering an index with the metric and the g-length of a vector are the
 two helpers ``lower`` and ``g_norm``; they take any leading axes, and
@@ -27,6 +36,8 @@ Index conventions (fixed, and pinned by the dynamics cross-checks):
 * ``dgamma[s, k, i, j]`` coordinate derivative of the connection
 * ``riemann[k, m, s, r] = d_s gamma[k,m,r] - d_r gamma[k,m,s]
   + sum_j (gamma[k,s,j] gamma[j,m,r] - gamma[k,r,j] gamma[j,m,s])``
+* ``jacobi[k, s] = riemann[k, m, s, r] v^m v^r``, the vector index first:
+  R(tau, v)v = jacobi @ tau
 * spatial/velocity gradients of a force are stored ``[i, k]`` with the
   derivative index first: ``spatial[i, k]`` is the i-th covariant
   derivative of the k-th component.
@@ -35,7 +46,7 @@ Index conventions (fixed, and pinned by the dynamics cross-checks):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -161,6 +172,40 @@ def _koszul(d: np.ndarray) -> np.ndarray:
     return d.transpose(*lead, b, a, c) + d.transpose(*lead, b, c, a) - d
 
 
+class Spray(NamedTuple):
+    """The connection contracted with a velocity v (and a force F).
+
+    koszul[b, j, i, r] = d_j g_ir + d_i g_jr - d_r g_ij = 2 gamma_rij, with
+    the first index lowered; low_v[b, i, r] = gamma_rij v^j (no inverse
+    enters); gam_v[b, i, k] = gamma^k_ij v^j and gam_f[b, i, k] =
+    gamma^k_ij F^j (None without F); gvv[b, k] = gamma^k_ij v^i v^j.
+    """
+
+    koszul: np.ndarray
+    low_v: np.ndarray
+    gam_v: np.ndarray
+    gam_f: np.ndarray | None
+    gvv: np.ndarray
+
+
+def spray(ginv: np.ndarray, dg: np.ndarray, vs: np.ndarray,
+          f_vals: np.ndarray | None = None) -> Spray:
+    """gamma contracted with vs and f_vals, without building gamma.
+
+    The products with v and F are formed together: one batched product of
+    the Koszul combination with the rows [v, F], then one with g^-1.
+    """
+    nb, n = vs.shape
+    koszul = dg + dg.swapaxes(1, 2) - dg.transpose(0, 3, 2, 1)
+    rows = (vs[:, None, :] if f_vals is None else
+            np.concatenate((vs, f_vals), axis=1).reshape(nb, 2, n))
+    low = 0.5 * (rows @ koszul.reshape(nb, n, n * n))
+    up = (low.reshape(nb, -1, n) @ ginv).reshape(nb, -1, n, n)
+    gam_v = up[:, 0]
+    return Spray(koszul, low[:, 0].reshape(nb, n, n), gam_v,
+                 None if f_vals is None else up[:, 1], vecmat(vs, gam_v))
+
+
 class Manifold:
     """Chart of dimension n with metric components g_ij(x1..xn).
 
@@ -263,17 +308,55 @@ class Manifold:
 
     def riemann(self, xs: np.ndarray, gamma: np.ndarray | None = None,
                 ginv: np.ndarray | None = None, dg: np.ndarray | None = None,
-                ddg: np.ndarray | None = None) -> np.ndarray:
-        """riemann[b, k, m, s, r], antisymmetric in (s, r)."""
+                ddg: np.ndarray | None = None, vs: np.ndarray | None = None,
+                along: Spray | None = None) -> np.ndarray:
+        """The curvature tensor, or with vs its Jacobi operator along vs.
+
+        Without vs: riemann[b, k, m, s, r], antisymmetric in (s, r), built
+        from the full connection derivative; this is the oracle form.
+
+        With vs: jacobi[b, k, s] = R^k_msr v^m v^r, so that R(tau, v)v is
+        jacobi @ tau.  It costs O(n^4) per point: ddg is contracted with v
+        twice before anything else, and neither d gamma nor any
+        (n, n, n, n) intermediate is formed.  With c = gamma(v, v), the
+        lowered L_ls = gamma_lsr v^r and gamma v = g^-1 L,
+
+            jacobi = g^-1 [(P + P^T - W - H - E - E^T + D) / 2 + L^T gamma v]
+
+        where P_sl = d_s d_m g_lj v^m v^j, W_sl = d_s d_l g(v, v),
+        H_ls = d_v d_v g_ls, E_sl = d_s g_lb c^b and D_ls = c^j d_j g_ls;
+        E + E^T - D is the Koszul combination of dg contracted with c.
+        along, when given, is ``spray(ginv, dg, vs, ...)`` already formed;
+        gamma is not used on this path.
+        """
         if ginv is None:
             ginv = inverse(self.metric(xs))
         if dg is None:
             dg = self.metric_partials(xs)
+        if ddg is None:
+            ddg = self.metric_second_partials(xs)
+        nb, n = xs.shape
+        if vs is not None:
+            if along is None:
+                along = spray(ginv, dg, vs)
+            v_row, v_col = vs[:, None, :], vs[:, :, None]
+            # q[b, s, l, j] = d_v d_s g_lj, which gives P and H
+            q = (v_row @ ddg.reshape(nb, n, n ** 3)).reshape(nb, n * n, n)
+            p = (q @ v_col).reshape(nb, n, n)
+            sym = p + p.swapaxes(1, 2)
+            sym -= (v_row @ q.reshape(nb, n, n * n)).reshape(nb, n, n)
+            vv = (v_col * v_row).reshape(nb, n * n, 1)
+            sym -= (ddg.reshape(nb, n * n, n * n) @ vv).reshape(nb, n, n)
+            sym -= (along.koszul.reshape(nb, n * n, n)
+                    @ along.gvv[:, :, None]).reshape(nb, n, n)
+            sym *= 0.5
+            # a contiguous right operand keeps the product on the fast path
+            sym += along.low_v @ along.gam_v.transpose(0, 2, 1).copy()
+            return ginv @ sym
         if gamma is None:
             gamma = self.christoffel(xs, ginv=ginv, dg=dg)
         dgamma = self.christoffel_partials(xs, ginv=ginv, dg=dg, ddg=ddg,
                                            gamma=gamma)
-        nb, n = xs.shape
         # gg[b, k, s, m, r] = gamma[k,s,j] gamma[j,m,r]
         gg = (gamma.reshape(nb, n * n, n)
               @ gamma.reshape(nb, n, n * n)).reshape(nb, n, n, n, n)
@@ -310,9 +393,11 @@ class ForceField:
 
     F and the pair of Jacobians each come from one compiled callable.
     ``jet`` evaluates them together with the metric and its first and
-    second partials in one further callable, compiled on first use, that
-    shares every subexpression among all of them; it is what one RK4
-    stage of the variation equation consumes.
+    second partials in one further callable that shares every
+    subexpression among all of them; it is what one RK4 stage of the
+    variation equation consumes.  ``flow_jet`` evaluates only g, dg and F,
+    what a stage of the flow alone consumes.  Both are compiled on first
+    use.
     """
 
     def __init__(self, manifold: Manifold, components: Sequence):
@@ -331,7 +416,7 @@ class ForceField:
                            for i in range(n) for k in range(n)]
                           for wrt in (manifold.coords, manifold.velocities)]
         self._jac_fn = exprlang.compile_fn(self._jac_asts, names)
-        self._jet_fn = None
+        self._jet_fn = self._flow_fn = None
 
     def _args(self, xs: np.ndarray, vs: np.ndarray) -> tuple:
         n = self.manifold.dimension
@@ -365,30 +450,44 @@ class ForceField:
         return (g[:, man._g_idx], dg[:, man._dg_idx], ddg[:, man._ddg_idx],
                 f, dfdx.reshape(nb, n, n), dfdv.reshape(nb, n, n))
 
+    def flow_jet(self, xs: np.ndarray, vs: np.ndarray):
+        """(g, dg, f) from one compiled call, bit for bit as ``jet``'s."""
+        man = self.manifold
+        if self._flow_fn is None:
+            self._flow_fn = exprlang.compile_fn(
+                [*man._slot_asts[:2], self.component_ast],
+                man.coords + man.velocities)
+        g, dg, f = self._flow_fn(*self._args(xs, vs))
+        return g[:, man._g_idx], dg[:, man._dg_idx], f
+
 
 def extended_gradients(man: Manifold, force: ForceField, xs: np.ndarray,
                        vs: np.ndarray, gamma: np.ndarray | None = None,
                        f_vals: np.ndarray | None = None,
-                       jac: tuple | None = None):
+                       jac: tuple | None = None, along: Spray | None = None):
     """Batched spatial and velocity gradients of the force field.
 
     velocity[b,i,k] is the plain v-derivative; spatial[b,i,k] adds the
     connection correction for the vector index and the chase of the
     velocity argument along coordinate directions.  jac, when given, is
-    the pair ``force.jacobians(xs, vs)`` already evaluated.
+    the pair ``force.jacobians(xs, vs)`` already evaluated.  along, when
+    given, is ``spray(ginv, dg, vs, f_vals)`` already formed; gamma is then
+    not needed.
     """
-    if gamma is None:
-        gamma = man.christoffel(xs)
     if f_vals is None:
         f_vals = force.components(xs, vs)
     dfdx, dfdv = force.jacobians(xs, vs) if jac is None else jac
-    nb, n = xs.shape
-    flat = gamma.reshape(nb, n * n, n)
-    gam_v = (flat @ vs[:, :, None]).reshape(nb, n, n)      # [b, j, i]
-    gam_f = (flat @ f_vals[:, :, None]).reshape(nb, n, n)  # [b, k, i]
-    spatial = (dfdx
-               - gam_v.transpose(0, 2, 1) @ dfdv
-               + gam_f.transpose(0, 2, 1))
+    if along is None:
+        if gamma is None:
+            gamma = man.christoffel(xs)
+        nb, n = xs.shape
+        flat = gamma.reshape(nb, n * n, n)
+        # [b, i, k] = gamma^k_ij v^j and gamma^k_ij F^j
+        gam_v, gam_f = [(flat @ w[:, :, None]).reshape(nb, n, n)
+                        .transpose(0, 2, 1) for w in (vs, f_vals)]
+    else:
+        gam_v, gam_f = along.gam_v, along.gam_f
+    spatial = dfdx - gam_v @ dfdv + gam_f
     return spatial, dfdv
 
 

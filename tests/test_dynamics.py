@@ -47,19 +47,38 @@ def test_rk4_stage_is_one_jet_one_riemann_no_lapack(monkeypatch):
         monkeypatch.setattr(cls, name, counted)
 
     for name in ("metric", "metric_partials", "metric_second_partials",
-                 "riemann"):
+                 "christoffel", "christoffel_partials", "riemann"):
         count(Manifold, name)
-    for name in ("jet", "jacobians", "components"):
+    for name in ("jet", "flow_jet", "jacobians", "components"):
         count(ForceField, name)
     count(np.linalg, "inv")
     steps = 5
     integrate_batch(man, force, x0, v0, tau0, rho0, steps * 1e-2, 1e-2)
     assert calls == {"jet": 4 * steps, "riemann": 4 * steps,
-                     "metric": 0, "metric_partials": 0,
-                     "metric_second_partials": 0, "jacobians": 0,
+                     "flow_jet": 0, "metric": 0, "metric_partials": 0,
+                     "metric_second_partials": 0, "christoffel": 0,
+                     "christoffel_partials": 0, "jacobians": 0,
                      "inv": 0,
                      # the force recorded at the last node
                      "components": 1}
+    # without variations each stage evaluates only g, dg and F
+    for name in calls:
+        calls[name] = 0
+    integrate_batch(man, force, x0, v0, tau0[:, :0], rho0[:, :0],
+                    steps * 1e-2, 1e-2)
+    assert calls["flow_jet"] == 4 * steps
+    assert {name: k for name, k in calls.items() if k} == {
+        "flow_jet": 4 * steps, "components": 1}
+
+
+def test_flow_does_not_depend_on_the_variations():
+    man, force, x, v, tau, rho = _s3_drag_batch()
+    with_variations = _rhs(man, force, x, v, tau, rho, 1.0)
+    flow_only = _rhs(man, force, x, v, tau[:, :0], rho[:, :0], 1.0)
+    for a, b in zip(with_variations[:2] + with_variations[4:],
+                    flow_only[:2] + flow_only[4:], strict=True):
+        assert np.array_equal(a, b)
+    assert flow_only[2].shape == flow_only[3].shape == (len(x), 0, 3)
 
 
 def test_curvature_term_is_what_riemann_returns(monkeypatch):

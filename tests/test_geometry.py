@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from frontshift.geometry import (ForceField, Manifold,
                                  NonPositiveDefiniteError, ZeroVelocityError,
-                                 at_point, extended_gradients, inverse)
+                                 at_point, extended_gradients, inverse, spray)
 from test_rhs_reference import CHARTS, _drag, _sphere
 
 EUCLID = Manifold(2, [["1", "0"], ["0", "1"]])
@@ -274,6 +276,66 @@ def test_jet_is_the_per_quantity_methods(chart):
     for name, a, b in zip(names, got, want, strict=True):
         assert a.shape == b.shape, name
         assert np.array_equal(a, b), name
+    for name, a, b in zip(("g", "dg", "f"), force.flow_jet(xs, vs),
+                          (got[0], got[1], got[3]), strict=True):
+        assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("chart", sorted(JET_CHARTS))
+def test_jacobi_operator_is_the_contracted_tensor(chart):
+    man, force, xs, vs = _chart_points(chart)
+    want = np.einsum('bkmsr,bm,br->bks', man.riemann(xs), vs, vs)
+    scale = np.abs(want).max()
+    assert scale > 0.0
+    got = man.riemann(xs, vs=vs)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * scale
+    # the RHS path: every input precomputed, the spray formed with F
+    g, dg, ddg, f, _, _ = force.jet(xs, vs)
+    ginv = inverse(g)
+    along = man.riemann(xs, ginv=ginv, dg=dg, ddg=ddg, vs=vs,
+                        along=spray(ginv, dg, vs, f))
+    assert np.abs(along - want).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("chart", sorted(JET_CHARTS))
+def test_jacobi_operator_identities(chart):
+    man, _, xs, vs = _chart_points(chart)
+    jacobi = man.riemann(xs, vs=vs)
+    scale = np.abs(jacobi).max()
+    # R(v, v)v = 0
+    kv = (jacobi @ vs[:, :, None])[:, :, 0]
+    assert np.abs(kv).max() <= 1e-12 * scale * np.abs(vs).max()
+    # pair symmetry: g(R(a, v)v, b) = g(R(b, v)v, a)
+    low = man.metric(xs) @ jacobi
+    assert np.abs(low - low.swapaxes(1, 2)).max() <= 1e-12 * np.abs(low).max()
+    # quadratic in v; a power-of-two scale is exact in every product
+    assert np.array_equal(man.riemann(xs, vs=2.0 * vs), 4.0 * jacobi)
+    scaled = man.riemann(xs, vs=-0.7 * vs)
+    assert np.abs(scaled - 0.49 * jacobi).max() <= 1e-12 * scale
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_jacobi_operator_builds_no_rank_four_array():
+    # any (B, n, n, n, n) temporary is as large as ddg itself; in n = 4 it
+    # is n times any rank-three one, so the contracted form's temporaries
+    # together stay well below ddg, and the full tensor's do not
+    man, force, xs, vs = _chart_points("S4", nb=256)
+    g, dg, ddg, f, _, _ = force.jet(xs, vs)
+    ginv = inverse(g)
+    along = spray(ginv, dg, vs, f)
+    contracted = _peak_bytes(lambda: man.riemann(
+        xs, ginv=ginv, dg=dg, ddg=ddg, vs=vs, along=along))
+    full = _peak_bytes(lambda: man.riemann(xs, ginv=ginv, dg=dg, ddg=ddg))
+    assert contracted < ddg.nbytes < full
 
 
 def test_gradients_connection_terms_enter():

@@ -1,8 +1,10 @@
-"""scripts/golden_diff.py on small out-dir trees."""
+"""scripts/golden_diff.py on small out-dir trees; scripts/golden_run.py's
+plan of runs and its exit-code record."""
 
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -90,3 +92,35 @@ def test_row_count_and_nan_placement_must_match(tmp_path, capsys):
     assert _run(capsys, parent, short)[0] == 1
     moved = _tree(tmp_path / "c", csv_text=CSV.replace("nan", "0"))
     assert _run(capsys, parent, moved)[0] == 1
+
+
+RUN_SCRIPT = SCRIPT.parent / "golden_run.py"
+_run_spec = importlib.util.spec_from_file_location("golden_run", RUN_SCRIPT)
+golden_run = importlib.util.module_from_spec(_run_spec)
+_run_spec.loader.exec_module(golden_run)
+
+
+def test_golden_run_plans_every_command_and_records_exit_codes(
+        tmp_path, monkeypatch, capsys):
+    plan = golden_run.runs(golden_run.ROOT / "configs")
+    expected = {key: code for key, _, code in plan}
+    assert len(plan) == len(expected) == 22
+    assert {key.split("/")[0] for key in expected} == {
+        "check", "blowup", "rank", "shift", "selftest"}
+    assert sorted(key for key, code in expected.items() if code) == [
+        "selftest/flip-riemann-sign", "shift/harmonic",
+        "shift/sphere-geodesic", "shift/varying-nu"]
+    assert expected["selftest/flip-riemann-sign"] == 3
+
+    def fake_run(argv, **kwargs):
+        # every run exits as expected except the plain selftest
+        out = Path(argv[-1])
+        key = f"{out.parent.name}/{out.name}"
+        return SimpleNamespace(
+            returncode=3 if key == "selftest/plain" else expected[key])
+
+    monkeypatch.setattr(golden_run.subprocess, "run", fake_run)
+    assert golden_run.main([str(tmp_path)]) == 1
+    codes = json.loads((tmp_path / "exit_codes.json").read_text())
+    assert codes == dict(expected, **{"selftest/plain": 3})
+    assert "selftest/plain: exit 3 (want 0)" in capsys.readouterr().out
