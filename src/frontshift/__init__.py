@@ -3,17 +3,14 @@ wavefronts, deviation measurements, and normality verdicts for force
 fields."""
 
 from .blowup import (BlowupConfig, FrontRecord, HypersurfaceSpec,
-                     SphereSample, export_front, front_at, initial_slopes,
-                     orthogonality_report, simulate_blowup, simulate_shift,
-                     sphere_grid, taylor_check)
-from .deviation import (DeviationSeries, deviation_rank, initial_limits,
-                        phi_derivatives, series_along)
-from .dynamics import (BatchTrajectory, FlowState, IntegrationAbort,
-                       VariationState, covariant_rate, integrate,
-                       nabla_t_force, single_record, variation_rhs)
-from .geometry import (ForceField, Manifold, TangentPoint, at_point,
-                       force_tensors, g_norm, lower)
-from .normality import ResidualReport, classify
+                     export_front, initial_slopes, orthogonality_report,
+                     simulate_blowup, simulate_shift, sphere_grid)
+from .deviation import deviation_rank, phi_derivatives, series_along
+from .dynamics import (BatchTrajectory, IntegrationAbort, integrate_batch,
+                       single_record)
+from .geometry import (ForceField, Manifold, at_point, force_tensors, g_norm,
+                       lower)
+from .normality import classify
 
 __version__ = "0.1.0"
 

@@ -6,6 +6,13 @@ parametrized hypersurface along its normals.  Both produce the same
 record shape: batched trajectories with one variation per surface
 parameter, plus the deviation and normalized-deviation series that
 measure how far the moving fronts are from orthogonality.
+
+Each front is described by one dataclass, ``BlowupConfig`` or
+``HypersurfaceSpec``, which is also its section of a scenario file, and
+integrated by ``simulate_blowup`` or ``simulate_shift`` with the same
+arguments (man, force, spec, t_end, h).  A launch speed nu that is not
+positive and finite on the grid, or whose u-gradient is not finite, is a
+``BlowupError``.
 """
 
 from __future__ import annotations
@@ -38,21 +45,23 @@ class SphereSample:
 
 @dataclass(frozen=True)
 class BlowupConfig:
+    """Blow-up of the point p0 with launch speed nu(u) over a sphere grid
+    of the given resolution; the ``blowup`` section of a scenario."""
+
     p0: Sequence[float]
-    nu: float | str
-    resolution: int
-    t_end: float
-    step: float
+    nu: float | str = 1.0
+    resolution: int = 64
 
 
 @dataclass(frozen=True)
 class HypersurfaceSpec:
-    """Parametric hypersurface x^k(u) with launch speed nu(u)."""
+    """Parametric hypersurface x^k(u) with launch speed nu(u); the
+    ``shift`` section of a scenario."""
 
-    chart_map: Sequence        # n expressions in u1..u{n-1}
+    surface: Sequence          # n expressions in u1..u{n-1}
     box: Sequence              # (n-1) pairs [lo, hi)
-    resolution: int
-    nu: float | str
+    nu: float | str = 1.0
+    resolution: int = 64
     orient_flip: bool = False
 
 
@@ -78,18 +87,6 @@ class FrontRecord:
 
 
 @dataclass(frozen=True)
-class FrontSample:
-    t: float
-    u: np.ndarray
-    x: np.ndarray
-    v: np.ndarray
-    tau: np.ndarray
-    rho: np.ndarray
-    phi: np.ndarray
-    psi: np.ndarray
-
-
-@dataclass(frozen=True)
 class OrthogonalityReport:
     times: np.ndarray
     max_psi_per_time: np.ndarray   # nan where no defined entries
@@ -98,23 +95,6 @@ class OrthogonalityReport:
     mean_psi: float
     undefined_count: int
     inconclusive: bool
-
-
-@dataclass(frozen=True)
-class TaylorReport:
-    """Remainders of the launch expansions at t = h, 2h, 4h.
-
-    Ratios r(2h)/r(h) and r(4h)/r(2h) track the remainder order: about 4
-    for the position and variation fits (quadratic remainder), about 2
-    for the velocity fit (linear remainder).  Exact fits report nan.
-    """
-
-    x_remainder: np.ndarray      # (B, 3)
-    v_remainder: np.ndarray      # (B, 3)
-    tau_remainder: np.ndarray    # (B, n-1, 3)
-    x_ratios: np.ndarray         # (B, 2)
-    v_ratios: np.ndarray
-    tau_ratios: np.ndarray       # (B, n-1, 2)
 
 
 def sphere_grid(man: Manifold, p0, resolution: int) -> list[SphereSample]:
@@ -179,24 +159,38 @@ def _nu_function(nu, n_params: int):
     return values
 
 
-def simulate_blowup(man: Manifold, force: ForceField,
-                    cfg: BlowupConfig) -> FrontRecord:
-    """Integrate the blow-up of cfg.p0 over the sphere grid.
+def _launch_speeds(nu_fn, u: np.ndarray, where: str):
+    """nu_fn(u), checked: nu positive and finite and its u-gradient finite
+    at every launch point.  nan and inf pass a sign test, and the
+    variations' launch rates need the gradient, so either would otherwise
+    surface later as an integration abort.  The check replaces numpy's
+    floating-point warnings."""
+    with np.errstate(divide='ignore', invalid='ignore', over='ignore'):
+        nu_vals, nu_grads = nu_fn(u)
+    if not (np.isfinite(nu_vals).all() and (nu_vals > 0.0).all()):
+        raise BlowupError(f"nu must be positive and finite on {where}")
+    if nu_grads is not None and not np.isfinite(nu_grads).all():
+        raise BlowupError(f"the u-gradient of nu must be finite on {where}")
+    return nu_vals, nu_grads
+
+
+def simulate_blowup(man: Manifold, force: ForceField, spec: BlowupConfig,
+                    t_end: float, h: float) -> FrontRecord:
+    """Integrate the blow-up of spec.p0 over the sphere grid.
 
     Variations start at zero with covariant rate nu0 * K_a for constant
     nu, and d(nu n)/du^a when nu varies over the sphere.
     """
-    samples = sphere_grid(man, cfg.p0, cfg.resolution)
+    samples = sphere_grid(man, spec.p0, spec.resolution)
     nb = len(samples)
     n = man.dimension
     u = np.stack([s.u for s in samples])
     dirs = np.stack([s.direction for s in samples])
     tangents = np.stack([s.tangents for s in samples])
-    nu_vals, nu_grads = _nu_function(cfg.nu, n - 1)(u)
-    if np.any(nu_vals <= 0.0):
-        raise BlowupError("nu must be positive on the whole sphere grid")
+    nu_vals, nu_grads = _launch_speeds(_nu_function(spec.nu, n - 1), u,
+                                       "the whole sphere grid")
 
-    p0 = np.asarray(cfg.p0, dtype=float)
+    p0 = np.asarray(spec.p0, dtype=float)
     x0 = np.broadcast_to(p0, (nb, n)).copy()
     v0 = nu_vals[:, None] * dirs
     tau0 = np.zeros((nb, n - 1, n))
@@ -206,7 +200,7 @@ def simulate_blowup(man: Manifold, force: ForceField,
         rho0 = (nu_grads[:, :, None] * dirs[:, None, :]
                 + nu_vals[:, None, None] * tangents)
     return _integrate_front("blowup", man, force, u, nu_vals, x0, v0, tau0,
-                            rho0, cfg.t_end, cfg.step)
+                            rho0, t_end, h)
 
 
 def surface_grid(hs: HypersurfaceSpec, n_params: int) -> np.ndarray:
@@ -227,7 +221,7 @@ def _surface_map(n: int, hs: HypersurfaceSpec):
     n_params = n - 1
     names = [f"u{k + 1}" for k in range(n_params)]
     asts = [exprlang.simplify(exprlang.parse(str(c), names))
-            if not isinstance(c, exprlang.Node) else c for c in hs.chart_map]
+            if not isinstance(c, exprlang.Node) else c for c in hs.surface]
     if len(asts) != n:
         raise BlowupError("surface map needs one expression per coordinate")
     fn = exprlang.compile_fn(
@@ -279,9 +273,7 @@ def simulate_shift(man: Manifold, force: ForceField, hs: HypersurfaceSpec,
     surface = _surface_map(n, hs)
     nu_fn = _nu_function(hs.nu, n_params)
     x0, tangents, normal = _surface_frames(man, surface, u, hs.orient_flip)
-    nu_vals, _ = nu_fn(u)
-    if np.any(nu_vals <= 0.0):
-        raise BlowupError("nu must be positive on the surface grid")
+    nu_vals, _ = _launch_speeds(nu_fn, u, "the surface grid")
     v0 = nu_vals[:, None] * normal
 
     box = np.asarray(hs.box, dtype=float)
@@ -372,49 +364,6 @@ def initial_slopes(record: FrontRecord) -> np.ndarray:
     d1 = record.phi[1] / t1
     d2 = record.phi[2] / t2
     return 2.0 * d1 - d2
-
-
-def taylor_check(record: FrontRecord) -> TaylorReport:
-    """Remainders of the launch-time expansions at t = h, 2h, 4h."""
-    if record.batch.node_count < 5:
-        raise BlowupError("record needs nodes at t = h, 2h, 4h")
-    nodes = [1, 2, 4]
-    x0 = record.batch.x[0]
-    v0 = record.batch.v[0]
-    rho0 = record.batch.rho[0]
-    tau0 = record.batch.tau[0]
-    x_rem = np.empty((x0.shape[0], 3))
-    v_rem = np.empty_like(x_rem)
-    tau_rem = np.empty((x0.shape[0], tau0.shape[1], 3))
-    for col, i in enumerate(nodes):
-        t = record.times[i]
-        x_rem[:, col] = np.linalg.norm(
-            record.batch.x[i] - x0 - v0 * t, axis=1)
-        v_rem[:, col] = np.linalg.norm(record.batch.v[i] - v0, axis=1)
-        tau_rem[:, :, col] = np.linalg.norm(
-            record.batch.tau[i] - tau0 - rho0 * t, axis=2)
-
-    def ratios(rem):
-        scale = np.maximum(np.abs(rem).max(axis=-1, keepdims=True), 1.0)
-        safe = rem[..., :-1] > 1e-13 * scale
-        with np.errstate(invalid='ignore', divide='ignore'):
-            r = np.where(safe, rem[..., 1:] / rem[..., :-1], np.nan)
-        return r
-
-    return TaylorReport(x_rem, v_rem, tau_rem,
-                        ratios(x_rem), ratios(v_rem), ratios(tau_rem))
-
-
-def front_at(record: FrontRecord, t: float) -> FrontSample:
-    """Front snapshot at a grid time; off-grid times are an error."""
-    idx = int(round(t / record.batch.step))
-    if (idx < 0 or idx >= record.batch.node_count
-            or abs(record.times[idx] - t) > 1e-9 * max(1.0, abs(t))):
-        raise BlowupError(f"t={t} is not on the output grid")
-    return FrontSample(float(record.times[idx]), record.u,
-                       record.batch.x[idx], record.batch.v[idx],
-                       record.batch.tau[idx], record.batch.rho[idx],
-                       record.phi[idx], record.psi[idx])
 
 
 def front_header(dimension: int) -> list[str]:

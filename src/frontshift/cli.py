@@ -17,9 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import normality, report, selfcheck
-from .blowup import (BlowupConfig, BlowupError, HypersurfaceSpec,
-                     export_front, initial_slopes, orthogonality_report,
-                     simulate_blowup, simulate_shift)
+from .blowup import (BlowupError, export_front, initial_slopes,
+                     orthogonality_report, simulate_blowup, simulate_shift)
 from .config import ConfigError, ScenarioConfig, load_config
 from .deviation import DeviationError, deviation_rank
 from .dynamics import (DynamicsError, IntegrationAbort, integrate_batch,
@@ -135,22 +134,18 @@ def cmd_blowup(cfg: ScenarioConfig, out_dir: Path, started: float) -> int:
     if cfg.blowup is None:
         raise ConfigError("blowup", "section required for this command")
     man, force = cfg.build()
-    bcfg = BlowupConfig(cfg.blowup.p0, cfg.blowup.nu, cfg.blowup.resolution,
-                        cfg.integrator.t_end, cfg.integrator.step)
     return _run_front("blowup", cfg, out_dir, started,
-                      lambda: simulate_blowup(man, force, bcfg))
+                      lambda: simulate_blowup(man, force, cfg.blowup,
+                                              cfg.integrator.t_end,
+                                              cfg.integrator.step))
 
 
 def cmd_shift(cfg: ScenarioConfig, out_dir: Path, started: float) -> int:
     if cfg.shift is None:
         raise ConfigError("shift", "section required for this command")
     man, force = cfg.build()
-    spec = HypersurfaceSpec(cfg.shift.surface, cfg.shift.box,
-                            resolution=cfg.shift.resolution,
-                            nu=cfg.shift.nu,
-                            orient_flip=cfg.shift.orient_flip)
     return _run_front("shift", cfg, out_dir, started,
-                      lambda: simulate_shift(man, force, spec,
+                      lambda: simulate_shift(man, force, cfg.shift,
                                              cfg.integrator.t_end,
                                              cfg.integrator.step))
 

@@ -12,6 +12,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import exprlang
+from .blowup import BlowupConfig, HypersurfaceSpec
 from .exprlang import ExprError
 from .geometry import ForceField, GeometryError, Manifold
 
@@ -27,22 +28,6 @@ class IntegratorConfig:
     step: float = 1e-3
     t_end: float = 1.0
     output_every: int = 10
-
-
-@dataclass(frozen=True)
-class BlowupSection:
-    p0: list
-    nu: float | str = 1.0
-    resolution: int = 64
-
-
-@dataclass(frozen=True)
-class ShiftSection:
-    surface: list
-    box: list
-    nu: float | str = 1.0
-    resolution: int = 64
-    orient_flip: bool = False
 
 
 @dataclass(frozen=True)
@@ -76,8 +61,8 @@ class ScenarioConfig:
     sampler: SamplerSection
     rank: RankSection
     tolerance: float = 1e-8
-    blowup: BlowupSection | None = None
-    shift: ShiftSection | None = None
+    blowup: BlowupConfig | None = None
+    shift: HypersurfaceSpec | None = None
 
     def build(self) -> tuple[Manifold, ForceField]:
         man = Manifold(self.dimension, self.metric)
@@ -249,7 +234,7 @@ def parse_config(data: dict) -> ScenarioConfig:
                               "blowup.resolution")
         if resolution < 8:
             raise ConfigError("blowup.resolution", "must be >= 8")
-        blowup = BlowupSection(p0, nu, resolution)
+        blowup = BlowupConfig(p0, nu, resolution)
 
     shift = None
     if "shift" in data:
@@ -271,7 +256,7 @@ def parse_config(data: dict) -> ScenarioConfig:
         orient_flip = sdata.get("orient_flip", False)
         if not isinstance(orient_flip, bool):
             raise ConfigError("shift.orient_flip", "expected a boolean")
-        shift = ShiftSection(surface, box, nu, resolution, orient_flip)
+        shift = HypersurfaceSpec(surface, box, nu, resolution, orient_flip)
 
     return ScenarioConfig(n, metric, force, integrator, sampler, rank,
                           tolerance, blowup, shift)

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import BatchTrajectory, FlowState, VariationState, integrate
-from .geometry import (ForceField, Manifold, TangentPoint, force_tensors,
-                       lower, matvec, vecmat)
+from .dynamics import BatchTrajectory
+from .geometry import (ForceField, Manifold, force_tensors, lower, matvec,
+                       vecmat)
 
 
 class DeviationError(ValueError):
@@ -28,16 +28,6 @@ class DeviationSeries:
     phi: np.ndarray        # (M+1, J)
     phi_dot: np.ndarray
     phi_ddot: np.ndarray
-
-
-@dataclass(frozen=True)
-class InitialLimits:
-    """Per-variation values and limits at the blow-up instant."""
-
-    phi: np.ndarray
-    phi_dot: np.ndarray
-    phi_ddot_limit: np.ndarray
-    phi_dddot_estimate: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -80,32 +70,6 @@ def series_along(man: Manifold, force: ForceField,
     single-trajectory record."""
     return DeviationSeries(record.times, *phi_derivatives(
         man, force, record.x, record.v, record.tau, record.rho))
-
-
-def initial_limits(man: Manifold, force: ForceField, p0, nu0: float,
-                   sample, h: float = 1e-3) -> InitialLimits:
-    """Initial-instant diagnostics for one blow-up direction.
-
-    phi(0) and phi_dot(0) vanish by the initial data themselves; the
-    second-derivative limit is the formula value at t = 0, the direct
-    contraction nu0 * (alpha | K_i), and the third derivative is
-    Richardson-extrapolated from formula values of phi_ddot at t = h and
-    t = 2h.
-    """
-    if nu0 <= 0.0:
-        raise DeviationError("nu0 must be positive")
-    direction = np.asarray(sample.direction, dtype=float)
-    tangents = np.asarray(sample.tangents, dtype=float)
-    nvar = tangents.shape[0]
-    init = FlowState(TangentPoint(p0, nu0 * direction),
-                     [VariationState(np.zeros_like(k), nu0 * k)
-                      for k in tangents])
-    series = series_along(man, force, integrate(man, force, init, 2.0 * h, h))
-    ddot_limit = series.phi_ddot[0]
-    d1 = (series.phi_ddot[1] - ddot_limit) / h
-    d2 = (series.phi_ddot[2] - ddot_limit) / (2.0 * h)
-    dddot = 2.0 * d1 - d2
-    return InitialLimits(np.zeros(nvar), np.zeros(nvar), ddot_limit, dddot)
 
 
 def deviation_rank(man: Manifold, record: BatchTrajectory,

@@ -12,18 +12,18 @@ closed-form metric inverse (``geometry.inverse``).  The connection
 enters only as gamma contracted with v and F, and the curvature only as
 the Jacobi operator R(., v)v (``Manifold.riemann`` with the velocity
 passed), so no stage builds gamma, its derivative or the curvature
-tensor.  The full tensors survive in ``variation_rhs``, the covariant
-oracle.
+tensor.  ``integrate_batch`` is the one integrator: a single trajectory
+is a batch of one, read back with ``single_record``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (ForceField, Manifold, TangentPoint, at_point,
-                       extended_gradients, inverse, spray)
+from .geometry import (ForceField, Manifold, extended_gradients, inverse,
+                       spray)
 
 
 class DynamicsError(ValueError):
@@ -46,31 +46,13 @@ class IntegrationAbort(RuntimeError):
 
 
 @dataclass(frozen=True)
-class VariationState:
-    """Variation vector tau and its covariant rate along the trajectory."""
-
-    tau: np.ndarray
-    rho: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "tau", np.asarray(self.tau, dtype=float))
-        object.__setattr__(self, "rho", np.asarray(self.rho, dtype=float))
-
-
-@dataclass(frozen=True)
-class FlowState:
-    q: TangentPoint
-    variations: list[VariationState] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
 class BatchTrajectory:
     """Uniform-grid record of B trajectories with J variations each.
 
     Axes: times (M+1,), x/v/force (M+1, B, n), tau/rho (M+1, B, J, n).
-    rho holds covariant rates of tau.  A single-trajectory record (from
-    ``integrate`` or ``single_record``) is the same type without the B
-    axis: x/v/force (M+1, n), tau/rho (M+1, J, n).
+    rho holds covariant rates of tau.  One row of it (``single_record``)
+    is the same type without the B axis: x/v/force (M+1, n), tau/rho
+    (M+1, J, n).
     """
 
     times: np.ndarray
@@ -119,17 +101,6 @@ def _rhs(man: Manifold, force: ForceField, x, v, tau, rho,
     drho = (tau @ (spatial - riemann_sign * jacobi.swapaxes(1, 2))
             + rho @ (velocity - along.gam_v))
     return v, dv, dtau, drho, f_vals
-
-
-def variation_rhs(man: Manifold, force: ForceField, q: TangentPoint,
-                  vs: VariationState, riemann_sign: float = 1.0):
-    """Covariant rates (d_t tau, d_t rho) of one variation state."""
-    riem = at_point(man.riemann, q.x)
-    spatial, velocity = at_point(extended_gradients, man, force, q.x, q.v)
-    curv = -riemann_sign * np.einsum('kmsr,s,r,m->k',
-                                     riem, vs.tau, q.v, q.v)
-    drho = (curv + vs.rho @ velocity + vs.tau @ spatial)
-    return vs.rho.copy(), drho
 
 
 def integrate_batch(man: Manifold, force: ForceField, x0, v0, tau0, rho0,
@@ -198,59 +169,8 @@ def integrate_batch(man: Manifold, force: ForceField, x0, v0, tau0, rho0,
     return BatchTrajectory(times, xs, vs, taus, rhos, forces, h)
 
 
-def integrate(man: Manifold, force: ForceField, init: FlowState,
-              t_end: float, h: float,
-              riemann_sign: float = 1.0) -> BatchTrajectory:
-    """Integrate one trajectory with its variations."""
-    n = man.dimension
-    nvar = len(init.variations)
-    tau0 = np.zeros((1, nvar, n))
-    rho0 = np.zeros((1, nvar, n))
-    for j, vst in enumerate(init.variations):
-        tau0[0, j] = vst.tau
-        rho0[0, j] = vst.rho
-    try:
-        batch = integrate_batch(man, force, init.q.x[None, :],
-                                init.q.v[None, :], tau0, rho0, t_end, h,
-                                riemann_sign=riemann_sign)
-    except IntegrationAbort as abort:
-        abort.record = single_record(abort.record, 0)
-        raise
-    return single_record(batch, 0)
-
-
 def single_record(batch: BatchTrajectory, row: int) -> BatchTrajectory:
     """The record of one batch row, without the batch axis."""
     return BatchTrajectory(batch.times, batch.x[:, row], batch.v[:, row],
                            batch.tau[:, row], batch.rho[:, row],
                            batch.force[:, row], batch.step)
-
-
-def covariant_rate(man: Manifold, record: BatchTrajectory,
-                   series: np.ndarray) -> np.ndarray:
-    """Covariant time derivative of a vector series along the record.
-
-    Central differences inside, second-order one-sided at the ends, plus
-    the connection term gamma^k_rs v^r series^s per node.
-    """
-    series = np.asarray(series, dtype=float)
-    m = record.node_count
-    if m < 3:
-        raise DynamicsError("record must have at least 3 nodes")
-    if series.shape[0] != m:
-        raise DynamicsError("series not aligned with record nodes")
-    h = record.step
-    deriv = np.empty_like(series)
-    deriv[1:-1] = (series[2:] - series[:-2]) / (2.0 * h)
-    deriv[0] = (-3.0 * series[0] + 4.0 * series[1] - series[2]) / (2.0 * h)
-    deriv[-1] = (3.0 * series[-1] - 4.0 * series[-2] + series[-3]) / (2.0 * h)
-    gamma = man.christoffel(record.x)
-    return deriv + np.einsum('bkrs,br,bs->bk', gamma, record.v, series)
-
-
-def nabla_t_force(man: Manifold, force: ForceField,
-                  q: TangentPoint) -> np.ndarray:
-    """Covariant rate of the force along the flow through q (chain rule)."""
-    spatial, velocity = at_point(extended_gradients, man, force, q.x, q.v)
-    f_val = at_point(force.components, q.x, q.v)
-    return q.v @ spatial + f_val @ velocity

@@ -22,7 +22,8 @@ without building gamma, and ``Manifold.riemann`` with the velocity
 passed gives the Jacobi operator K[k, s] = R^k_msr v^m v^r at O(n^4) per
 point, without d gamma or any (n, n, n, n) intermediate.  The full
 tensors (``christoffel_partials``, ``riemann`` without a velocity) are
-oracles: ``dynamics.variation_rhs`` and the test references use them.
+oracles: no production path builds them, and the test references compare
+the contracted forms against them.
 
 Lowering an index with the metric and the g-length of a vector are the
 two helpers ``lower`` and ``g_norm``; they take any leading axes, and
@@ -45,7 +46,6 @@ Index conventions (fixed, and pinned by the dynamics cross-checks):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -72,20 +72,6 @@ def coord_names(n: int) -> list[str]:
 
 def velocity_names(n: int) -> list[str]:
     return [f"v{k + 1}" for k in range(n)]
-
-
-@dataclass(frozen=True)
-class TangentPoint:
-    """A point of the tangent bundle: chart coordinates plus velocity."""
-
-    x: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
-        if self.x.shape != self.v.shape or self.x.ndim != 1:
-            raise GeometryError("x and v must be 1-d arrays of equal length")
 
 
 def matvec(m: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -306,9 +292,9 @@ class Manifold:
         raised = ginv @ lowered.reshape(nb, n, n ** 3)     # [b, k, (s, ij)]
         return raised.reshape(nb, n, n, n, n).swapaxes(1, 2)
 
-    def riemann(self, xs: np.ndarray, gamma: np.ndarray | None = None,
-                ginv: np.ndarray | None = None, dg: np.ndarray | None = None,
-                ddg: np.ndarray | None = None, vs: np.ndarray | None = None,
+    def riemann(self, xs: np.ndarray, ginv: np.ndarray | None = None,
+                dg: np.ndarray | None = None, ddg: np.ndarray | None = None,
+                vs: np.ndarray | None = None,
                 along: Spray | None = None) -> np.ndarray:
         """The curvature tensor, or with vs its Jacobi operator along vs.
 
@@ -326,8 +312,7 @@ class Manifold:
         where P_sl = d_s d_m g_lj v^m v^j, W_sl = d_s d_l g(v, v),
         H_ls = d_v d_v g_ls, E_sl = d_s g_lb c^b and D_ls = c^j d_j g_ls;
         E + E^T - D is the Koszul combination of dg contracted with c.
-        along, when given, is ``spray(ginv, dg, vs, ...)`` already formed;
-        gamma is not used on this path.
+        along, when given, is ``spray(ginv, dg, vs, ...)`` already formed.
         """
         if ginv is None:
             ginv = inverse(self.metric(xs))
@@ -353,8 +338,7 @@ class Manifold:
             # a contiguous right operand keeps the product on the fast path
             sym += along.low_v @ along.gam_v.transpose(0, 2, 1).copy()
             return ginv @ sym
-        if gamma is None:
-            gamma = self.christoffel(xs, ginv=ginv, dg=dg)
+        gamma = self.christoffel(xs, ginv=ginv, dg=dg)
         dgamma = self.christoffel_partials(xs, ginv=ginv, dg=dg, ddg=ddg,
                                            gamma=gamma)
         # gg[b, k, s, m, r] = gamma[k,s,j] gamma[j,m,r]

@@ -1,0 +1,85 @@
+"""Independent oracles that tests compare the package against.
+
+None of these is production code; each exists to pin one convention or
+one formula from a second, simpler route.
+
+- ``run_one``: one trajectory as a batch of one.  It is the package's
+  own integrator (``integrate_batch``) read back with ``single_record``,
+  so tests of single trajectories exercise the one production path.
+- ``covariant_rate``: the covariant time derivative of a vector series
+  along a record, by finite differences of the recorded series plus the
+  connection term.  It pins the spatial-gradient convention of
+  ``extended_gradients`` (the pointwise chain rule v . spatial +
+  F . velocity must equal it along a trajectory) and the covariant rate
+  rho that the integrator carries beside tau.
+- ``initial_instant``: phi, phi_dot and phi_ddot at the blow-up instant
+  of one sphere-grid direction, from the closed-form derivatives
+  (``phi_derivatives``) along a two-step integration, and phi_dddot
+  Richardson-extrapolated from the phi_ddot values at t = h and 2h.  It
+  pins the paper's statements about the first derivatives at t = 0:
+  phi and phi_dot vanish for every force, phi_ddot is the direct
+  contraction with the launch data, and for a modulated drag the defect
+  first appears in the third derivative.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from frontshift.deviation import phi_derivatives
+from frontshift.dynamics import integrate_batch, single_record
+
+
+def run_one(man, force, x, v, t_end, h, tau=None, rho=None):
+    """Record of one trajectory with variations tau[j] and covariant
+    rates rho[j] (none by default; rho defaults to zero)."""
+    n = man.dimension
+    tau = (np.zeros((0, n)) if tau is None
+           else np.asarray(tau, dtype=float).reshape(-1, n))
+    rho = (np.zeros_like(tau) if rho is None
+           else np.asarray(rho, dtype=float).reshape(tau.shape))
+    batch = integrate_batch(man, force, np.asarray(x, dtype=float)[None],
+                            np.asarray(v, dtype=float)[None], tau[None],
+                            rho[None], t_end, h)
+    return single_record(batch, 0)
+
+
+def covariant_rate(man, record, series):
+    """Covariant time derivative of a vector series along a
+    single-trajectory record.
+
+    Central differences inside, second-order one-sided at the ends, plus
+    the connection term gamma^k_rs v^r series^s per node.
+    """
+    series = np.asarray(series, dtype=float)
+    m = record.node_count
+    if m < 3:
+        raise ValueError("record must have at least 3 nodes")
+    if series.shape[0] != m:
+        raise ValueError("series not aligned with record nodes")
+    h = record.step
+    deriv = np.empty_like(series)
+    deriv[1:-1] = (series[2:] - series[:-2]) / (2.0 * h)
+    deriv[0] = (-3.0 * series[0] + 4.0 * series[1] - series[2]) / (2.0 * h)
+    deriv[-1] = (3.0 * series[-1] - 4.0 * series[-2] + series[-3]) / (2.0 * h)
+    gamma = man.christoffel(record.x)
+    return deriv + np.einsum('bkrs,br,bs->bk', gamma, record.v, series)
+
+
+def initial_instant(man, force, p0, nu0, sample, h=1e-3):
+    """(phi, phi_dot, phi_ddot, phi_dddot)[j] at t = 0 for the blow-up of
+    p0 at launch speed nu0 along one sphere-grid sample.
+
+    The launch is the blow-up's: v = nu0 n, tau = 0, rho = nu0 K_j.  The
+    first three come from the closed forms at node 0; the third
+    derivative is Richardson-extrapolated from the closed-form phi_ddot
+    at t = h and t = 2h.
+    """
+    tangents = np.asarray(sample.tangents, dtype=float)
+    rec = run_one(man, force, p0, nu0 * np.asarray(sample.direction), 2.0 * h,
+                  h, tau=np.zeros_like(tangents), rho=nu0 * tangents)
+    phi, phi_dot, phi_ddot = phi_derivatives(man, force, rec.x, rec.v,
+                                             rec.tau, rec.rho)
+    d1 = (phi_ddot[1] - phi_ddot[0]) / h
+    d2 = (phi_ddot[2] - phi_ddot[0]) / (2.0 * h)
+    return phi[0], phi_dot[0], phi_ddot[0], 2.0 * d1 - d2

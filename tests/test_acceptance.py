@@ -9,18 +9,18 @@ import json
 import numpy as np
 import pytest
 
-from frontshift.blowup import (BlowupConfig, front_at, initial_slopes,
+from frontshift.blowup import (BlowupConfig, initial_slopes,
                                orthogonality_report, simulate_blowup)
 from frontshift.cli import main as cli_main
 from frontshift.deviation import deviation_rank, phi_derivatives
-from frontshift.dynamics import (FlowState, integrate, integrate_batch,
-                                 single_record)
-from frontshift.geometry import TangentPoint, at_point
+from frontshift.dynamics import integrate_batch, single_record
+from frontshift.geometry import at_point
 from frontshift.normality import classify
 from frontshift.selfcheck import (deviation_formulas, metric_compatibility,
                                   projector_identities, rewrite_equivalence,
                                   variation_errors)
 from frontshift.systems import BUNDLED, DICHOTOMY
+from oracles import run_one
 
 SAMPLER_BOX = [[-1.0, 1.0], [-1.0, 1.0]]
 
@@ -49,9 +49,9 @@ def test_criterion_1_dichotomy():
         rep = classify(man, force, SAMPLER_BOX, 0.5, 2.0, 1000,
                        seed=0, tol=1e-8)
         assert rep.verdict == expected, (name, rep.verdict, expected)
-        cfg = BlowupConfig(p0=BLOWUP_CENTERS[name], nu=1.0, resolution=64,
-                           t_end=1.0, step=1e-3)
-        orth = orthogonality_report(simulate_blowup(man, force, cfg))
+        cfg = BlowupConfig(p0=BLOWUP_CENTERS[name], nu=1.0, resolution=64)
+        orth = orthogonality_report(
+            simulate_blowup(man, force, cfg, 1.0, 1e-3))
         if expected in ("complete-normal", "weak-normal"):
             assert orth.max_psi <= 1e-5, (name, orth.max_psi)
         else:
@@ -62,17 +62,16 @@ def test_criterion_1_dichotomy():
 def test_criterion_2_constant_speed_necessity():
     """A varying launch speed tilts fronts at exactly nu * d(nu)/du."""
     man, force = BUNDLED["euclid-free"].build()
-    cfg = BlowupConfig(p0=[0.0, 0.0], nu="1 + 0.5*sin(u1)", resolution=16,
-                       t_end=0.01, step=1e-3)
-    record = simulate_blowup(man, force, cfg)
+    cfg = BlowupConfig(p0=[0.0, 0.0], nu="1 + 0.5*sin(u1)", resolution=16)
+    record = simulate_blowup(man, force, cfg, 0.01, 1e-3)
     slopes = initial_slopes(record)[:, 0]
     u = record.u[:, 0]
     expected = (1.0 + 0.5 * np.sin(u)) * (0.5 * np.cos(u))
     assert u.shape[0] == 16
     assert np.abs(slopes - expected).max() <= 1e-6
-    cfg_const = BlowupConfig(p0=[0.0, 0.0], nu=1.0, resolution=16,
-                             t_end=0.01, step=1e-3)
-    const_slopes = initial_slopes(simulate_blowup(man, force, cfg_const))
+    cfg_const = BlowupConfig(p0=[0.0, 0.0], nu=1.0, resolution=16)
+    const_slopes = initial_slopes(
+        simulate_blowup(man, force, cfg_const, 0.01, 1e-3))
     assert np.abs(const_slopes).max() <= 1e-10
     _ok("criterion 2 (constant launch speed necessity)")
 
@@ -147,25 +146,21 @@ def test_criterion_6_rank_two_deviation_space():
 def test_criterion_7_exactness_anchors():
     """Straight-line fronts, fourth-order convergence, speed drift."""
     man, force = BUNDLED["euclid-free"].build()
-    cfg = BlowupConfig(p0=[0.0, 0.0], nu=1.0, resolution=64,
-                       t_end=0.5, step=1e-3)
-    sample = front_at(simulate_blowup(man, force, cfg), 0.5)
-    assert np.abs(np.linalg.norm(sample.x, axis=1) - 0.5).max() <= 1e-12
+    cfg = BlowupConfig(p0=[0.0, 0.0], nu=1.0, resolution=64)
+    front = simulate_blowup(man, force, cfg, 0.5, 1e-3).batch.x[-1]
+    assert np.abs(np.linalg.norm(front, axis=1) - 0.5).max() <= 1e-12
 
     man_h, force_h = BUNDLED["euclid-harmonic"].build()
-    init = FlowState(TangentPoint([1.0, 0.0], [0.0, 1.0]))
     errs = []
     for h in (2e-3, 1e-3):
-        rec = integrate(man_h, force_h, init, 2.0, h)
+        rec = run_one(man_h, force_h, [1.0, 0.0], [0.0, 1.0], 2.0, h)
         exact = np.stack([np.cos(rec.times), np.sin(rec.times)], axis=1)
         errs.append(np.abs(rec.x - exact).max())
     ratio = errs[0] / errs[1]
     assert 16.0 * 0.8 <= ratio <= 16.0 * 1.2, ratio
 
     man_s, force_s = BUNDLED["sphere-free"].build()
-    rec = integrate(man_s, force_s,
-                    FlowState(TangentPoint([np.pi / 2, 0.0], [0.3, 1.0])),
-                    10.0, 1e-3)
+    rec = run_one(man_s, force_s, [np.pi / 2, 0.0], [0.3, 1.0], 10.0, 1e-3)
     g = man_s.metric(rec.x)
     speeds = np.sqrt(np.einsum('bij,bi,bj->b', g, rec.v, rec.v))
     assert np.abs(speeds - speeds[0]).max() <= 1e-8

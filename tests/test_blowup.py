@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from frontshift.blowup import (BlowupConfig, BlowupError, HypersurfaceSpec,
-                               export_front, front_at, front_header,
-                               initial_slopes, orthogonality_report,
-                               simulate_blowup, simulate_shift, sphere_grid,
-                               taylor_check)
-from frontshift.dynamics import (FlowState, IntegrationAbort, VariationState,
-                                 integrate)
-from frontshift.geometry import ForceField, Manifold, TangentPoint
+                               export_front, front_header, initial_slopes,
+                               orthogonality_report, simulate_blowup,
+                               simulate_shift, sphere_grid)
+from frontshift.dynamics import IntegrationAbort
+from frontshift.geometry import ForceField, Manifold
+from oracles import run_one
 
 EUCLID = Manifold(2, [["1", "0"], ["0", "1"]])
 ZERO = ForceField(EUCLID, ["0", "0"])
@@ -65,15 +64,14 @@ def test_sphere_grid_rejects_low_resolution():
 
 
 def _free_blowup(resolution=16, t_end=1.0, nu=1.0):
-    cfg = BlowupConfig(p0=[0.0, 0.0], nu=nu, resolution=resolution,
-                       t_end=t_end, step=1e-3)
-    return simulate_blowup(EUCLID, ZERO, cfg)
+    cfg = BlowupConfig(p0=[0.0, 0.0], nu=nu, resolution=resolution)
+    return simulate_blowup(EUCLID, ZERO, cfg, t_end, 1e-3)
 
 
 def test_free_blowup_circle_front():
     record = _free_blowup()
-    sample = front_at(record, 0.5)
-    radii = np.linalg.norm(sample.x, axis=1)
+    assert record.times[500] == 0.5
+    radii = np.linalg.norm(record.batch.x[500], axis=1)
     assert np.abs(radii - 0.5).max() < 1e-12
     assert np.abs(record.phi).max() < 1e-12
 
@@ -100,6 +98,22 @@ def test_blowup_rejects_nonpositive_nu():
         _free_blowup(nu=-1.0)
 
 
+@pytest.mark.parametrize("nu", ["1/(u1 - 0)", "sqrt(u1 - 1)", "1 + sqrt(u1)"])
+def test_blowup_rejects_non_finite_nu(nu):
+    # inf or nan launch speeds, or an infinite u-gradient (the last one, at
+    # u1 = 0), are config errors, not integration aborts
+    with pytest.raises(BlowupError, match="finite"):
+        _free_blowup(resolution=8, t_end=0.01, nu=nu)
+
+
+@pytest.mark.parametrize("nu", ["1/(u1 - 0)", "sqrt(u1 - 1)", "1 + sqrt(u1)"])
+def test_shift_rejects_non_finite_nu(nu):
+    spec = HypersurfaceSpec(surface=["sin(u1)", "cos(u1)"],
+                            box=[[0.0, TWO_PI]], resolution=8, nu=nu)
+    with pytest.raises(BlowupError, match="finite"):
+        simulate_shift(EUCLID, ZERO, spec, 0.01, 1e-3)
+
+
 def test_variable_nu_slope_matches_closed_form():
     record = _free_blowup(t_end=0.1, nu="1 + 0.5*sin(u1)")
     slopes = initial_slopes(record)[:, 0]
@@ -113,8 +127,8 @@ def test_variable_nu_slopes_three_dims():
     eu3 = Manifold(3, [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
     zero3 = ForceField(eu3, ["0", "0", "0"])
     cfg = BlowupConfig(p0=[0.0, 0.0, 0.0], nu="1 + 0.1*sin(u1)*cos(u2)",
-                       resolution=8, t_end=0.01, step=1e-3)
-    record = simulate_blowup(eu3, zero3, cfg)
+                       resolution=8)
+    record = simulate_blowup(eu3, zero3, cfg, 0.01, 1e-3)
     slopes = initial_slopes(record)
     u1, u2 = record.u[:, 0], record.u[:, 1]
     nu = 1.0 + 0.1 * np.sin(u1) * np.cos(u2)
@@ -129,16 +143,16 @@ def test_constant_nu_slope_vanishes():
 
 
 def test_constant_force_front_tilts():
-    cfg = BlowupConfig(p0=[0.0, 0.0], nu=1.0, resolution=64,
-                       t_end=1.0, step=1e-3)
-    report = orthogonality_report(simulate_blowup(EUCLID, CONST, cfg))
+    cfg = BlowupConfig(p0=[0.0, 0.0], nu=1.0, resolution=64)
+    report = orthogonality_report(
+        simulate_blowup(EUCLID, CONST, cfg, 1.0, 1e-3))
     assert report.max_psi >= 1e-2
 
 
 def test_drag_blowup_stays_orthogonal():
-    cfg = BlowupConfig(p0=[0.0, 0.0], nu=1.0, resolution=16,
-                       t_end=1.0, step=1e-3)
-    report = orthogonality_report(simulate_blowup(EUCLID, DRAG, cfg))
+    cfg = BlowupConfig(p0=[0.0, 0.0], nu=1.0, resolution=16)
+    report = orthogonality_report(
+        simulate_blowup(EUCLID, DRAG, cfg, 1.0, 1e-3))
     assert report.max_psi <= 1e-6
 
 
@@ -146,9 +160,8 @@ def test_weakly_normal_fields_keep_phi_flat():
     # residual-clean fields must keep the deviation series at noise level
     linear = ForceField(EUCLID, ["0.5*v1", "0.5*v2"])
     for force in (ZERO, linear, DRAG):
-        cfg = BlowupConfig(p0=[0.0, 0.0], nu=1.0, resolution=16,
-                           t_end=1.0, step=1e-3)
-        record = simulate_blowup(EUCLID, force, cfg)
+        cfg = BlowupConfig(p0=[0.0, 0.0], nu=1.0, resolution=16)
+        record = simulate_blowup(EUCLID, force, cfg, 1.0, 1e-3)
         assert np.abs(record.phi).max() <= 1e-6  # 1e-6 * nu0^2 * t_end
 
 
@@ -163,40 +176,41 @@ def test_variation_initialization_consistency():
             assert np.abs(record.batch.tau[i, b, 0] - expected).max() < 1e-10
 
 
+def _launch_remainders(record):
+    """Remainders of the launch expansions x0 + v0 t, v0 and tau0 + rho0 t
+    at t = h, 2h, 4h: (x, v, tau), each with the node axis first."""
+    b, nodes = record.batch, [1, 2, 4]
+    t = b.times[nodes, None, None]
+    x = np.linalg.norm(b.x[nodes] - b.x[0] - b.v[0] * t, axis=-1)
+    v = np.linalg.norm(b.v[nodes] - b.v[0], axis=-1)
+    tau = np.linalg.norm(b.tau[nodes] - b.tau[0] - b.rho[0] * t[..., None],
+                         axis=-1)
+    return x, v, tau
+
+
 def test_taylor_check_exact_for_free_flow():
-    tr = taylor_check(_free_blowup(t_end=0.05))
-    assert np.abs(tr.x_remainder).max() < 1e-14
-    assert np.abs(tr.v_remainder).max() < 1e-14
-    assert np.abs(tr.tau_remainder).max() < 1e-14
-    assert np.isnan(tr.x_ratios).all()
+    for remainder in _launch_remainders(_free_blowup(t_end=0.05)):
+        assert remainder.max() < 1e-14
 
 
 def test_taylor_check_orders_harmonic():
-    cfg = BlowupConfig(p0=[1.0, 0.0], nu=1.0, resolution=8,
-                       t_end=0.05, step=1e-3)
-    tr = taylor_check(simulate_blowup(EUCLID, HARMONIC, cfg))
-    assert np.allclose(tr.x_ratios[:, 0], 4.0, rtol=0.05)
-    assert np.allclose(tr.v_ratios[:, 0], 2.0, rtol=0.05)
+    # quadratic remainder for the position, linear for the velocity
+    cfg = BlowupConfig(p0=[1.0, 0.0], nu=1.0, resolution=8)
+    x, v, _ = _launch_remainders(
+        simulate_blowup(EUCLID, HARMONIC, cfg, 0.05, 1e-3))
+    assert np.allclose(x[1] / x[0], 4.0, rtol=0.05)
+    assert np.allclose(v[1] / v[0], 2.0, rtol=0.05)
 
 
 def test_blowup_single_direction_bitwise_agreement():
     record = _free_blowup(t_end=0.2)
     grid = sphere_grid(EUCLID, [0.0, 0.0], 16)
     k = 3
-    init = FlowState(TangentPoint([0.0, 0.0], grid[k].direction),
-                     [VariationState(np.zeros(2), grid[k].tangents[0])])
-    single = integrate(EUCLID, ZERO, init, 0.2, 1e-3)
+    single = run_one(EUCLID, ZERO, [0.0, 0.0], grid[k].direction, 0.2, 1e-3,
+                     tau=np.zeros((1, 2)), rho=grid[k].tangents)
     assert np.array_equal(single.x, record.batch.x[:, k])
     assert np.array_equal(single.v, record.batch.v[:, k])
     assert np.array_equal(single.tau, record.batch.tau[:, k])
-
-
-def test_front_at_off_grid_errors():
-    record = _free_blowup(t_end=0.1)
-    with pytest.raises(BlowupError):
-        front_at(record, 0.05050001)
-    with pytest.raises(BlowupError):
-        front_at(record, 7.5)
 
 
 def test_export_front_shape_and_tokens():
@@ -219,25 +233,25 @@ def test_export_front_three_dim_header():
 
 
 def test_shift_circle_concentric():
-    spec = HypersurfaceSpec(chart_map=["sin(u1)", "cos(u1)"],
+    spec = HypersurfaceSpec(surface=["sin(u1)", "cos(u1)"],
                             box=[[0.0, TWO_PI]], resolution=32, nu=1.0)
     record = simulate_shift(EUCLID, ZERO, spec, 1.0, 1e-3)
-    sample = front_at(record, 1.0)
-    assert np.abs(np.linalg.norm(sample.x, axis=1) - 2.0).max() < 1e-12
+    front = record.batch.x[-1]  # t = 1.0
+    assert np.abs(np.linalg.norm(front, axis=1) - 2.0).max() < 1e-12
     assert orthogonality_report(record).max_psi < 1e-10
 
 
 def test_shift_orient_flip_moves_inward():
-    spec = HypersurfaceSpec(chart_map=["sin(u1)", "cos(u1)"],
+    spec = HypersurfaceSpec(surface=["sin(u1)", "cos(u1)"],
                             box=[[0.0, TWO_PI]], resolution=32, nu=1.0,
                             orient_flip=True)
     record = simulate_shift(EUCLID, ZERO, spec, 0.5, 1e-3)
-    sample = front_at(record, 0.5)
-    assert np.abs(np.linalg.norm(sample.x, axis=1) - 0.5).max() < 1e-12
+    front = record.batch.x[-1]  # t = 0.5
+    assert np.abs(np.linalg.norm(front, axis=1) - 0.5).max() < 1e-12
 
 
 def test_shift_variable_nu_tilts_immediately():
-    spec = HypersurfaceSpec(chart_map=["sin(u1)", "cos(u1)"],
+    spec = HypersurfaceSpec(surface=["sin(u1)", "cos(u1)"],
                             box=[[0.0, TWO_PI]], resolution=32,
                             nu="1 + 0.5*sin(u1)")
     record = simulate_shift(EUCLID, ZERO, spec, 0.2, 1e-3)
@@ -250,14 +264,14 @@ def test_shift_variable_nu_tilts_immediately():
 
 
 def test_shift_line_under_drag_stays_orthogonal():
-    spec = HypersurfaceSpec(chart_map=["u1", "0"], box=[[-1.0, 1.0]],
+    spec = HypersurfaceSpec(surface=["u1", "0"], box=[[-1.0, 1.0]],
                             resolution=16, nu=1.0)
     record = simulate_shift(EUCLID, DRAG, spec, 1.0, 1e-3)
     assert orthogonality_report(record).max_psi <= 1e-5
 
 
 def test_shift_rejects_degenerate_map():
-    spec = HypersurfaceSpec(chart_map=["0", "0"], box=[[-1.0, 1.0]],
+    spec = HypersurfaceSpec(surface=["0", "0"], box=[[-1.0, 1.0]],
                             resolution=8, nu=1.0)
     with pytest.raises(BlowupError):
         simulate_shift(EUCLID, ZERO, spec, 0.1, 1e-3)
@@ -266,11 +280,10 @@ def test_shift_rejects_degenerate_map():
 def test_three_dim_blowup_spherical_front():
     eu3 = Manifold(3, [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
     zero3 = ForceField(eu3, ["0", "0", "0"])
-    cfg = BlowupConfig(p0=[0.0, 0.0, 0.0], nu=1.0, resolution=8,
-                       t_end=0.5, step=1e-3)
-    record = simulate_blowup(eu3, zero3, cfg)
-    sample = front_at(record, 0.5)
-    assert np.abs(np.linalg.norm(sample.x, axis=1) - 0.5).max() < 1e-12
+    cfg = BlowupConfig(p0=[0.0, 0.0, 0.0], nu=1.0, resolution=8)
+    record = simulate_blowup(eu3, zero3, cfg, 0.5, 1e-3)
+    front = record.batch.x[-1]  # t = 0.5
+    assert np.abs(np.linalg.norm(front, axis=1) - 0.5).max() < 1e-12
     assert orthogonality_report(record).max_psi < 1e-10
 
 
@@ -278,11 +291,11 @@ def test_three_dim_shift_of_sphere():
     eu3 = Manifold(3, [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
     zero3 = ForceField(eu3, ["0", "0", "0"])
     spec = HypersurfaceSpec(
-        chart_map=["sin(u1)*cos(u2)", "sin(u1)*sin(u2)", "cos(u1)"],
+        surface=["sin(u1)*cos(u2)", "sin(u1)*sin(u2)", "cos(u1)"],
         box=[[0.3, np.pi - 0.3], [0.0, TWO_PI]], resolution=8, nu=1.0)
     record = simulate_shift(eu3, zero3, spec, 0.5, 1e-3)
-    sample = front_at(record, 0.5)
-    assert np.abs(np.linalg.norm(sample.x, axis=1) - 1.5).max() < 1e-12
+    front = record.batch.x[-1]  # t = 0.5
+    assert np.abs(np.linalg.norm(front, axis=1) - 1.5).max() < 1e-12
     assert orthogonality_report(record).max_psi < 1e-10
 
 
@@ -291,36 +304,33 @@ def test_curved_chart_blowups_stay_orthogonal():
     # geodesics on any manifold; exercises curvature in the variation flow
     sphere = Manifold(2, [["1", "0"], ["0", "sin(x1)^2"]])
     free_s = ForceField(sphere, ["0", "0"])
-    cfg = BlowupConfig(p0=[np.pi / 2, 0.0], nu=1.0, resolution=16,
-                       t_end=1.0, step=1e-3)
+    cfg = BlowupConfig(p0=[np.pi / 2, 0.0], nu=1.0, resolution=16)
     assert orthogonality_report(
-        simulate_blowup(sphere, free_s, cfg)).max_psi < 1e-10
+        simulate_blowup(sphere, free_s, cfg, 1.0, 1e-3)).max_psi < 1e-10
 
     polar = Manifold(2, [["1", "0"], ["0", "x1^2"]])
     free_p = ForceField(polar, ["0", "0"])
-    cfg = BlowupConfig(p0=[2.0, 0.3], nu=1.0, resolution=16,
-                       t_end=0.5, step=1e-3)
+    cfg = BlowupConfig(p0=[2.0, 0.3], nu=1.0, resolution=16)
     assert orthogonality_report(
-        simulate_blowup(polar, free_p, cfg)).max_psi < 1e-10
+        simulate_blowup(polar, free_p, cfg, 0.5, 1e-3)).max_psi < 1e-10
 
 
 def test_polar_chart_circle_shift():
     polar = Manifold(2, [["1", "0"], ["0", "x1^2"]])
     free_p = ForceField(polar, ["0", "0"])
-    spec = HypersurfaceSpec(chart_map=["2", "u1"], box=[[0.0, TWO_PI]],
+    spec = HypersurfaceSpec(surface=["2", "u1"], box=[[0.0, TWO_PI]],
                             resolution=16, nu=1.0, orient_flip=True)
     record = simulate_shift(polar, free_p, spec, 0.5, 1e-3)
-    sample = front_at(record, 0.5)
-    assert np.abs(sample.x[:, 0] - 2.5).max() < 1e-12
+    front = record.batch.x[-1]  # t = 0.5
+    assert np.abs(front[:, 0] - 2.5).max() < 1e-12
     assert orthogonality_report(record).max_psi < 1e-10
 
 
 def test_blowup_abort_carries_front_record():
     runaway = ForceField(EUCLID, ["x1^3", "0"])
-    cfg = BlowupConfig(p0=[2.0, 0.0], nu=5.0, resolution=8,
-                       t_end=1.0, step=1e-3)
+    cfg = BlowupConfig(p0=[2.0, 0.0], nu=5.0, resolution=8)
     with pytest.raises(IntegrationAbort) as info:
-        simulate_blowup(EUCLID, runaway, cfg)
+        simulate_blowup(EUCLID, runaway, cfg, 1.0, 1e-3)
     partial = info.value.record
     assert partial.kind == "blowup"
     assert partial.batch.node_count >= 1

@@ -115,6 +115,20 @@ def test_blowup_requires_section(tmp_path, capsys):
     assert err.startswith("blowup:")
 
 
+@pytest.mark.parametrize("command", ["blowup", "shift"])
+def test_non_finite_nu_is_a_config_error(tmp_path, capsys, command):
+    # nu = inf at u1 = 0 used to pass the sign test and abort the run
+    data = dict(BASE, **{command: dict(BASE[command], nu="1/(u1 - 0)")})
+    cfg = _write_config(tmp_path, data)
+    out_dir = tmp_path / "out"
+    code, out, err = _run(capsys, [command, "--config", cfg,
+                                   "--out-dir", str(out_dir)])
+    assert code == 1
+    assert out == ""
+    assert "finite" in err
+    assert not (out_dir / f"{command}_front.csv").exists()
+
+
 def test_blowup_abort_keeps_partial_output(tmp_path, capsys):
     data = dict(BASE, force=["x1^3", "0"],
                 blowup={"p0": [2.0, 0.0], "nu": 5.0, "resolution": 8},

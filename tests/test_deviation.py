@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from frontshift.blowup import sphere_grid
+from frontshift.blowup import (BlowupConfig, BlowupError, simulate_blowup,
+                               sphere_grid)
 from frontshift.deviation import (DeviationError, alpha_beta, deviation_rank,
-                                  initial_limits, phi_derivatives,
-                                  series_along)
-from frontshift.dynamics import FlowState, VariationState, integrate
-from frontshift.geometry import (ForceField, Manifold, TangentPoint, at_point,
-                                 force_tensors)
+                                  phi_derivatives, series_along)
+from frontshift.geometry import ForceField, Manifold, at_point, force_tensors
+from oracles import initial_instant, run_one
 
 EUCLID = Manifold(2, [["1", "0"], ["0", "1"]])
 ZERO = ForceField(EUCLID, ["0", "0"])
@@ -17,9 +16,10 @@ DRAG = ForceField(EUCLID, ["-0.3*v1*sqrt(v1^2+v2^2)",
 CONST = ForceField(EUCLID, ["1", "0"])
 
 
-def _phis(man, force, q, vs):
-    """(phi, phi_dot, phi_ddot) of one variation state at q."""
-    phis = at_point(phi_derivatives, man, force, q.x, q.v, [vs.tau], [vs.rho])
+def _phis(man, force, x, v, tau, rho):
+    """(phi, phi_dot, phi_ddot) of one variation tau with covariant rate
+    rho at the tangent-bundle point (x, v)."""
+    phis = at_point(phi_derivatives, man, force, x, v, [tau], [rho])
     return tuple(float(p[0]) for p in phis)
 
 
@@ -29,27 +29,25 @@ def _alpha_beta(force, x, v):
 
 
 def test_phi_values():
-    def phi(man, q, tau):
+    def phi(man, x, v, tau):
         zero = ForceField(man, ["0", "0"])
-        return _phis(man, zero, q, VariationState(tau, [0, 0]))[0]
-    assert phi(EUCLID, TangentPoint([0, 0], [0, 1]), [1, 0]) == 0.0
+        return _phis(man, zero, x, v, tau, [0, 0])[0]
+    assert phi(EUCLID, [0, 0], [0, 1], [1, 0]) == 0.0
     t = 0.7
-    q = TangentPoint([np.cos(t), np.sin(t)], [0.0, 1.0])
-    assert phi(EUCLID, q, [0.0, np.sin(t)]) == pytest.approx(np.sin(t))
+    assert phi(EUCLID, [np.cos(t), np.sin(t)], [0.0, 1.0],
+               [0.0, np.sin(t)]) == pytest.approx(np.sin(t))
     scaled = Manifold(2, [["1", "0"], ["0", "4"]])
-    assert phi(scaled, TangentPoint([0, 0], [0, 1]), [0, 1]) == 4.0
+    assert phi(scaled, [0, 0], [0, 1], [0, 1]) == 4.0
 
 
 def test_phi_dot_harmonic_initial():
-    q = TangentPoint([1.0, 0.0], [0.0, 1.0])
-    vs = VariationState([0.0, 0.0], [0.0, 1.0])
-    assert _phis(EUCLID, HARMONIC, q, vs)[1] == 1.0
+    assert _phis(EUCLID, HARMONIC, [1.0, 0.0], [0.0, 1.0], [0.0, 0.0],
+                 [0.0, 1.0])[1] == 1.0
 
 
 def test_phi_dot_zero_force_zero_rate():
-    q = TangentPoint([1.0, 0.0], [0.0, 1.0])
-    vs = VariationState([0.4, -0.2], [0.0, 0.0])
-    assert _phis(EUCLID, ZERO, q, vs)[1] == 0.0
+    assert _phis(EUCLID, ZERO, [1.0, 0.0], [0.0, 1.0], [0.4, -0.2],
+                 [0.0, 0.0])[1] == 0.0
 
 
 def test_alpha_beta_position_force():
@@ -73,18 +71,17 @@ def test_alpha_beta_velocity_force():
 
 def test_phi_ddot_harmonic_closed_form():
     t = np.pi / 4
-    q = TangentPoint([np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)])
-    vs = VariationState([0.0, np.sin(t)], [0.0, np.cos(t)])
-    assert _phis(EUCLID, HARMONIC, q, vs)[2] == pytest.approx(-2.0, abs=1e-8)
-    assert _phis(EUCLID, ZERO, q, vs)[2] == 0.0
+    point = ([np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)],
+             [0.0, np.sin(t)], [0.0, np.cos(t)])
+    assert _phis(EUCLID, HARMONIC, *point)[2] == pytest.approx(-2.0, abs=1e-8)
+    assert _phis(EUCLID, ZERO, *point)[2] == 0.0
 
 
 def test_formula_derivatives_match_differencing():
     h = 1e-3
-    init = FlowState(TangentPoint([1.0, 0.2], [0.3, 1.0]),
-                     [VariationState([0.1, -0.4], [0.2, 0.3])])
     for force in (HARMONIC, DRAG, CONST):
-        rec = integrate(EUCLID, force, init, 1.0, h)
+        rec = run_one(EUCLID, force, [1.0, 0.2], [0.3, 1.0], 1.0, h,
+                      tau=[[0.1, -0.4]], rho=[[0.2, 0.3]])
         ser = series_along(EUCLID, force, rec)
         num_dot = (ser.phi[2:] - ser.phi[:-2]) / (2 * h)
         num_ddot = (ser.phi[2:] - 2 * ser.phi[1:-1] + ser.phi[:-2]) / h ** 2
@@ -104,32 +101,33 @@ def test_initial_limits_universal_zeroes():
     # phi(0) and its first derivative vanish from the initial data alone,
     # even for a force that is not weakly normal
     sample = _one_direction(0.8)
-    lim = initial_limits(EUCLID, CONST, [0.0, 0.0], 1.0, sample)
-    assert np.abs(lim.phi).max() == 0.0
-    assert np.abs(lim.phi_dot).max() == 0.0
+    phi, phi_dot, _, _ = initial_instant(EUCLID, CONST, [0.0, 0.0], 1.0,
+                                         sample)
+    assert np.abs(phi).max() == 0.0
+    assert np.abs(phi_dot).max() < 1e-15
 
 
 def test_initial_limits_constant_force_contraction():
     for u_target in (0.0, 0.8, 2.3, 4.0):
         sample = _one_direction(u_target)
         u = sample.u[0]
-        lim = initial_limits(EUCLID, CONST, [0.0, 0.0], 1.0, sample)
-        assert lim.phi_ddot_limit[0] == pytest.approx(-2.0 * np.sin(u),
-                                                      abs=1e-12)
+        phi_ddot = initial_instant(EUCLID, CONST, [0.0, 0.0], 1.0, sample)[2]
+        assert phi_ddot[0] == pytest.approx(-2.0 * np.sin(u), abs=1e-12)
 
 
 def test_initial_limits_velocity_aligned_force_vanishes():
     force = ForceField(EUCLID, ["0.5*v1", "0.5*v2"])
     sample = _one_direction(1.1)
-    lim = initial_limits(EUCLID, force, [0.0, 0.0], 1.0, sample)
-    assert np.abs(lim.phi_ddot_limit).max() < 1e-14
+    phi_ddot = initial_instant(EUCLID, force, [0.0, 0.0], 1.0, sample)[2]
+    assert np.abs(phi_ddot).max() < 1e-14
 
 
 def test_initial_limits_third_derivative_weakly_normal():
     sample = _one_direction(0.8)
     for force in (ZERO, DRAG):
-        lim = initial_limits(EUCLID, force, [0.0, 0.0], 1.0, sample)
-        assert np.abs(lim.phi_dddot_estimate).max() < 1e-9
+        phi_dddot = initial_instant(EUCLID, force, [0.0, 0.0], 1.0,
+                                    sample)[3]
+        assert np.abs(phi_dddot).max() < 1e-9
 
 
 def test_initial_limits_third_derivative_catches_modulated_drag():
@@ -140,29 +138,32 @@ def test_initial_limits_third_derivative_catches_modulated_drag():
     worst_ddd = 0.0
     for u_target in (0.0, 0.8, 1.6, 2.3, 4.0):
         sample = _one_direction(u_target)
-        lim = initial_limits(EUCLID, modulated, [0.0, 0.5], 1.0, sample)
-        worst_dd = max(worst_dd, abs(lim.phi_ddot_limit[0]))
-        worst_ddd = max(worst_ddd, abs(lim.phi_dddot_estimate[0]))
+        _, _, phi_ddot, phi_dddot = initial_instant(
+            EUCLID, modulated, [0.0, 0.5], 1.0, sample)
+        worst_dd = max(worst_dd, abs(phi_ddot[0]))
+        worst_ddd = max(worst_ddd, abs(phi_dddot[0]))
     assert worst_dd < 1e-12
     assert worst_ddd > 0.1
 
 
 def test_initial_limits_rejects_bad_nu():
-    sample = _one_direction(0.0)
-    with pytest.raises(DeviationError):
-        initial_limits(EUCLID, ZERO, [0.0, 0.0], 0.0, sample)
+    # a blow-up launched at zero speed has no initial front
+    with pytest.raises(BlowupError):
+        simulate_blowup(EUCLID, ZERO, BlowupConfig([0.0, 0.0], 0.0), 1e-3,
+                        1e-3)
 
 
-def _rank_variations(rng, count=5):
-    return [VariationState(rng.normal(size=2), rng.normal(size=2))
-            for _ in range(count)]
+def _rank_run(force, rng, count=5):
+    """One trajectory with count random variations (tau, rho drawn in
+    turn per variation)."""
+    pairs = rng.normal(size=(count, 2, 2))
+    return run_one(EUCLID, force, [1.0, 0.2], [0.3, 1.0], 1.0, 1e-3,
+                   tau=pairs[:, 0], rho=pairs[:, 1])
 
 
 def test_rank_free_affine_deviations():
     rng = np.random.default_rng(0)
-    init = FlowState(TangentPoint([1.0, 0.2], [0.3, 1.0]),
-                     _rank_variations(rng))
-    rec = integrate(EUCLID, ZERO, init, 1.0, 1e-3)
+    rec = _rank_run(ZERO, rng)
     result = deviation_rank(EUCLID, rec, (0.2, 1.0))
     assert not result.inconclusive
     assert result.ratio <= 1e-10
@@ -170,41 +171,31 @@ def test_rank_free_affine_deviations():
 
 def test_rank_harmonic_exceeds_two():
     rng = np.random.default_rng(0)
-    init = FlowState(TangentPoint([1.0, 0.2], [0.3, 1.0]),
-                     _rank_variations(rng))
-    rec = integrate(EUCLID, HARMONIC, init, 1.0, 1e-3)
+    rec = _rank_run(HARMONIC, rng)
     result = deviation_rank(EUCLID, rec, (0.2, 1.0))
     assert result.ratio >= 1e-3
 
 
 def test_rank_drag_weakly_normal():
     rng = np.random.default_rng(0)
-    init = FlowState(TangentPoint([1.0, 0.2], [0.3, 1.0]),
-                     _rank_variations(rng))
-    rec = integrate(EUCLID, DRAG, init, 1.0, 1e-3)
+    rec = _rank_run(DRAG, rng)
     result = deviation_rank(EUCLID, rec, (0.2, 1.0))
     assert result.ratio <= 1e-6
 
 
 def test_rank_degenerate_window_inconclusive():
     # variations orthogonal to a straight-line trajectory keep phi at 0
-    init = FlowState(TangentPoint([0.0, 0.0], [1.0, 0.0]),
-                     [VariationState([0.0, 0.0], [0.0, 0.0])
-                      for _ in range(4)])
-    rec = integrate(EUCLID, ZERO, init, 1.0, 1e-3)
+    rec = run_one(EUCLID, ZERO, [0.0, 0.0], [1.0, 0.0], 1.0, 1e-3,
+                  tau=np.zeros((4, 2)))
     result = deviation_rank(EUCLID, rec, (0.2, 1.0))
     assert result.inconclusive
 
 
 def test_rank_preconditions():
     rng = np.random.default_rng(1)
-    init = FlowState(TangentPoint([1.0, 0.2], [0.3, 1.0]),
-                     _rank_variations(rng, count=3))
-    rec = integrate(EUCLID, ZERO, init, 1.0, 1e-3)
+    rec = _rank_run(ZERO, rng, count=3)
     with pytest.raises(DeviationError):
         deviation_rank(EUCLID, rec, (0.2, 1.0))
-    init = FlowState(TangentPoint([1.0, 0.2], [0.3, 1.0]),
-                     _rank_variations(rng))
-    rec = integrate(EUCLID, ZERO, init, 1.0, 1e-3)
+    rec = _rank_run(ZERO, rng)
     with pytest.raises(DeviationError):
         deviation_rank(EUCLID, rec, (0.5, 0.504))

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from frontshift.dynamics import (DynamicsError, FlowState, IntegrationAbort,
-                                 VariationState, _rhs, covariant_rate,
-                                 integrate, integrate_batch, nabla_t_force,
-                                 variation_rhs)
-from frontshift.geometry import ForceField, Manifold, TangentPoint, at_point
+from frontshift.dynamics import (DynamicsError, IntegrationAbort, _rhs,
+                                 integrate_batch)
+from frontshift.geometry import (ForceField, Manifold, at_point,
+                                 extended_gradients, vecmat)
 from frontshift.selfcheck import variation_errors
+from oracles import covariant_rate, run_one
 from test_rhs_reference import CHARTS
 
 EUCLID = Manifold(2, [["1", "0"], ["0", "1"]])
@@ -21,6 +21,14 @@ def newton_rhs(man, force, x, v):
     empty = np.zeros((0, man.dimension))
     dx, dv, _, _, _ = at_point(_rhs, man, force, x, v, empty, empty, 1.0)
     return dx, dv
+
+
+def force_rate(man, force, xs, vs):
+    """Covariant rate of the force along the flow through (xs, vs), by the
+    chain rule: v . spatial + F . velocity."""
+    spatial, velocity = extended_gradients(man, force, xs, vs)
+    return (vecmat(vs, spatial)
+            + vecmat(force.components(xs, vs), velocity))
 
 
 def _s3_drag_batch(nb=6):
@@ -114,60 +122,38 @@ def test_newton_rhs_polar_connection():
     assert dv[1] == pytest.approx(0.0, abs=1e-14)
 
 
-def test_variation_rhs_harmonic_closed_form():
-    q = TangentPoint([1.0, 0.0], [0.0, 1.0])
-    vs = VariationState([0.2, 0.5], [0.0, 0.0])
-    dtau, drho = variation_rhs(EUCLID, HARMONIC, q, vs)
-    assert np.array_equal(dtau, [0.0, 0.0])
-    assert np.allclose(drho, [-0.2, -0.5], atol=1e-15)
-
-
-def test_variation_rhs_free_affine():
-    q = TangentPoint([1.0, 0.0], [0.0, 1.0])
-    vs = VariationState([0.2, 0.5], [0.3, 0.1])
-    dtau, drho = variation_rhs(EUCLID, ZERO, q, vs)
-    assert np.array_equal(dtau, vs.rho)
-    assert np.abs(drho).max() == 0.0
-
-
 def test_integrate_harmonic_oracle():
     # closed form x = (cos t, sin t); step chosen so t_end is a grid point
     steps = 1571
     h = (np.pi / 2) / steps
-    init = FlowState(TangentPoint([1.0, 0.0], [0.0, 1.0]))
-    rec = integrate(EUCLID, HARMONIC, init, np.pi / 2, h)
+    rec = run_one(EUCLID, HARMONIC, [1.0, 0.0], [0.0, 1.0], np.pi / 2, h)
     assert np.abs(rec.x[-1] - np.array([np.cos(np.pi / 2), 1.0])).max() < 1e-10
     assert np.abs(rec.v[-1] - np.array([-1.0, np.cos(np.pi / 2)])).max() < 1e-10
 
 
 def test_integrate_straight_line_exact():
-    init = FlowState(TangentPoint([0.0, 0.0], [1.0, 2.0]))
-    rec = integrate(EUCLID, ZERO, init, 1.0, 1e-3)
+    rec = run_one(EUCLID, ZERO, [0.0, 0.0], [1.0, 2.0], 1.0, 1e-3)
     assert np.abs(rec.x[-1] - np.array([1.0, 2.0])).max() < 1e-12
 
 
 def test_integrate_rejects_offgrid_t_end():
-    init = FlowState(TangentPoint([0.0, 0.0], [1.0, 0.0]))
-    with pytest.raises(DynamicsError):
-        integrate(EUCLID, ZERO, init, 1.0005, 1e-3)
-    with pytest.raises(DynamicsError):
-        integrate(EUCLID, ZERO, init, 1.0, -1e-3)
+    for t_end, h in ((1.0005, 1e-3), (1.0, -1e-3)):
+        with pytest.raises(DynamicsError):
+            run_one(EUCLID, ZERO, [0.0, 0.0], [1.0, 0.0], t_end, h)
 
 
 def test_integrate_harmonic_variation_closed_form():
-    init = FlowState(TangentPoint([1.0, 0.0], [0.0, 1.0]),
-                     [VariationState([0.0, 0.0], [0.0, 1.0])])
-    rec = integrate(EUCLID, HARMONIC, init, 2.0, 1e-3)
+    rec = run_one(EUCLID, HARMONIC, [1.0, 0.0], [0.0, 1.0], 2.0, 1e-3,
+                  tau=[[0.0, 0.0]], rho=[[0.0, 1.0]])
     assert np.abs(rec.tau[:, 0, 1] - np.sin(rec.times)).max() < 1e-11
     assert np.abs(rec.tau[:, 0, 0]).max() < 1e-12
     assert np.abs(rec.rho[:, 0, 1] - np.cos(rec.times)).max() < 1e-11
 
 
 def test_rk4_fourth_order():
-    init = FlowState(TangentPoint([1.0, 0.0], [0.0, 1.0]))
     errs = []
     for h in (4e-3, 2e-3):
-        rec = integrate(EUCLID, HARMONIC, init, 2.0, h)
+        rec = run_one(EUCLID, HARMONIC, [1.0, 0.0], [0.0, 1.0], 2.0, h)
         exact = np.stack([np.cos(rec.times), np.sin(rec.times)], axis=1)
         errs.append(np.abs(rec.x - exact).max())
     ratio = errs[0] / errs[1]
@@ -176,8 +162,7 @@ def test_rk4_fourth_order():
 
 def test_sphere_geodesic_speed_conserved():
     force = ForceField(SPHERE, ["0", "0"])
-    init = FlowState(TangentPoint([np.pi / 2, 0.0], [0.3, 1.0]))
-    rec = integrate(SPHERE, force, init, 2.0, 1e-3)
+    rec = run_one(SPHERE, force, [np.pi / 2, 0.0], [0.3, 1.0], 2.0, 1e-3)
     g = SPHERE.metric(rec.x)
     speeds = np.sqrt(np.einsum('bij,bi,bj->b', g, rec.v, rec.v))
     assert np.abs(speeds - speeds[0]).max() < 1e-10
@@ -186,40 +171,36 @@ def test_sphere_geodesic_speed_conserved():
 def test_speed_monotone_under_drag():
     drag = ForceField(EUCLID, ["-0.3*v1*sqrt(v1^2+v2^2)",
                                "-0.3*v2*sqrt(v1^2+v2^2)"])
-    init = FlowState(TangentPoint([0.0, 0.0], [1.0, 0.7]))
-    rec = integrate(EUCLID, drag, init, 2.0, 1e-3)
+    rec = run_one(EUCLID, drag, [0.0, 0.0], [1.0, 0.7], 2.0, 1e-3)
     speeds = np.linalg.norm(rec.v, axis=1)
     assert np.all(np.diff(speeds) <= 1e-15)
 
 
 def test_covariant_rate_plain_derivative_euclidean():
-    init = FlowState(TangentPoint([0.0, 0.0], [1.0, 0.0]))
-    rec = integrate(EUCLID, ZERO, init, 1.0, 1e-3)
+    rec = run_one(EUCLID, ZERO, [0.0, 0.0], [1.0, 0.0], 1.0, 1e-3)
     const_series = np.tile([0.3, -0.7], (rec.node_count, 1))
     rate = covariant_rate(EUCLID, rec, const_series)
     assert np.abs(rate).max() < 1e-10
 
 
 def test_covariant_rate_harmonic_variation():
-    init = FlowState(TangentPoint([1.0, 0.0], [0.0, 1.0]),
-                     [VariationState([0.0, 0.0], [0.0, 1.0])])
-    rec = integrate(EUCLID, HARMONIC, init, 2.0, 1e-3)
+    rec = run_one(EUCLID, HARMONIC, [1.0, 0.0], [0.0, 1.0], 2.0, 1e-3,
+                  tau=[[0.0, 0.0]], rho=[[0.0, 1.0]])
     rate = covariant_rate(EUCLID, rec, rec.tau[:, 0])
     assert np.abs(rate[:, 1] - np.cos(rec.times)).max() < 1e-6
 
 
 def test_covariant_rate_needs_three_nodes():
-    init = FlowState(TangentPoint([0.0, 0.0], [1.0, 0.0]))
-    rec = integrate(EUCLID, ZERO, init, 1e-3, 1e-3)
-    with pytest.raises(DynamicsError):
+    rec = run_one(EUCLID, ZERO, [0.0, 0.0], [1.0, 0.0], 1e-3, 1e-3)
+    with pytest.raises(ValueError):
         covariant_rate(EUCLID, rec, rec.v)
 
 
 def test_nabla_t_force_harmonic():
-    out = nabla_t_force(EUCLID, HARMONIC, TangentPoint([1.0, 0.0], [0.0, 1.0]))
-    assert np.allclose(out, [0.0, -1.0], atol=1e-15)
-    zero = nabla_t_force(EUCLID, ZERO, TangentPoint([1.0, 0.0], [0.0, 1.0]))
-    assert np.abs(zero).max() == 0.0
+    xs, vs = np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])
+    assert np.allclose(force_rate(EUCLID, HARMONIC, xs, vs), [[0.0, -1.0]],
+                       atol=1e-15)
+    assert np.abs(force_rate(EUCLID, ZERO, xs, vs)).max() == 0.0
 
 
 def test_force_chain_rule_matches_trajectory_oracle():
@@ -227,12 +208,9 @@ def test_force_chain_rule_matches_trajectory_oracle():
     # pointwise chain rule against differencing the recorded force series
     speed = "sqrt(v1^2 + x1^2*v2^2)"
     drag = ForceField(POLAR, [f"-0.3*{speed}*v1", f"-0.3*{speed}*v2"])
-    init = FlowState(TangentPoint([2.0, 0.3], [0.4, 0.5]))
-    rec = integrate(POLAR, drag, init, 1.0, 1e-3)
+    rec = run_one(POLAR, drag, [2.0, 0.3], [0.4, 0.5], 1.0, 1e-3)
     oracle = covariant_rate(POLAR, rec, rec.force)
-    direct = np.stack([
-        nabla_t_force(POLAR, drag, TangentPoint(rec.x[i], rec.v[i]))
-        for i in range(0, rec.node_count, 50)])
+    direct = force_rate(POLAR, drag, rec.x[::50], rec.v[::50])
     assert np.abs(direct - oracle[::50]).max() < 1e-5
 
 
@@ -248,9 +226,8 @@ def test_variation_matches_finite_differences():
 def test_integration_abort_keeps_partial_record():
     # cubic feedback escapes to infinity in finite time
     runaway = ForceField(EUCLID, ["x1^3", "0"])
-    init = FlowState(TangentPoint([2.0, 0.0], [5.0, 0.0]))
     with pytest.raises(IntegrationAbort) as info:
-        integrate(EUCLID, runaway, init, 1.0, 1e-3)
+        run_one(EUCLID, runaway, [2.0, 0.0], [5.0, 0.0], 1.0, 1e-3)
     abort = info.value
     assert abort.record.node_count >= 1
     assert abort.node_index < 1000
@@ -271,9 +248,8 @@ def test_batch_row_equals_single_run():
     rho0 = rng.normal(size=(4, 1, 2))
     batch = integrate_batch(EUCLID, drag, x0, v0, tau0, rho0, 0.2, 1e-3)
     for row in range(4):
-        init = FlowState(TangentPoint(x0[row], v0[row]),
-                         [VariationState(tau0[row, 0], rho0[row, 0])])
-        single = integrate(EUCLID, drag, init, 0.2, 1e-3)
+        single = run_one(EUCLID, drag, x0[row], v0[row], 0.2, 1e-3,
+                         tau=tau0[row], rho=rho0[row])
         assert np.array_equal(single.x, batch.x[:, row])
         assert np.array_equal(single.v, batch.v[:, row])
         assert np.array_equal(single.tau, batch.tau[:, row])

@@ -74,12 +74,11 @@ S3_DRAG = ForceField(S3, [f"-0.3*v{k}*{S3_SPEED}" for k in (1, 2, 3)])
 
 def _record(dimension):
     if dimension == 2:
-        cfg = BlowupConfig(p0=[1.2, 0.3], nu=1.0, resolution=12,
-                           t_end=0.05, step=1e-3)
-        return simulate_blowup(S2, S2_DRAG, cfg)
+        cfg = BlowupConfig(p0=[1.2, 0.3], nu=1.0, resolution=12)
+        return simulate_blowup(S2, S2_DRAG, cfg, 0.05, 1e-3)
     cfg = BlowupConfig(p0=[1.2, 1.0, 0.3], nu="1 + 0.2*cos(u1)",
-                       resolution=8, t_end=0.03, step=1e-3)
-    return simulate_blowup(S3, S3_DRAG, cfg)
+                       resolution=8)
+    return simulate_blowup(S3, S3_DRAG, cfg, 0.03, 1e-3)
 
 
 @pytest.fixture(scope="module")
@@ -105,10 +104,9 @@ def test_blowup_front_bytes_match_reference(tmp_path, records, dimension,
 def test_aborted_partial_front_bytes_match_reference(tmp_path):
     euclid = Manifold(2, [["1", "0"], ["0", "1"]])
     runaway = ForceField(euclid, ["x1^3", "0"])
-    cfg = BlowupConfig(p0=[2.0, 0.0], nu=5.0, resolution=8,
-                       t_end=1.0, step=1e-3)
+    cfg = BlowupConfig(p0=[2.0, 0.0], nu=5.0, resolution=8)
     with pytest.raises(IntegrationAbort) as info:
-        simulate_blowup(euclid, runaway, cfg)
+        simulate_blowup(euclid, runaway, cfg, 1.0, 1e-3)
     partial = info.value.record
     assert 1 <= partial.batch.node_count < 1001
     for every in (1, 7):
