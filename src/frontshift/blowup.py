@@ -235,9 +235,16 @@ def _surface_map(n: int, hs: HypersurfaceSpec):
 
 
 def _surface_frames(man: Manifold, surface, u: np.ndarray,
-                    orient_flip: bool):
-    """Points, exact tangents, and oriented g-unit normals on the grid."""
-    x, tangents = surface(u)
+                    orient_flip: bool, where: str = "the surface grid"):
+    """Points, exact tangents, and oriented g-unit normals at u."""
+    with np.errstate(divide='ignore', invalid='ignore', over='ignore'):
+        x, tangents = surface(u)
+    undefined = ~(np.isfinite(x).all(axis=1)
+                  & np.isfinite(tangents).all(axis=(1, 2)))
+    if np.any(undefined):
+        raise BlowupError(
+            f"the surface map and its tangents must be finite on {where}; "
+            f"they are not at rows {np.nonzero(undefined)[0].tolist()[:8]}")
     sv = np.linalg.svd(tangents, compute_uv=False)
     degenerate = sv[:, -1] <= 1e-10 * np.maximum(sv[:, 0], 1e-300)
     if np.any(degenerate):
@@ -265,7 +272,9 @@ def simulate_shift(man: Manifold, force: ForceField, hs: HypersurfaceSpec,
     Variations start at the exact coordinate tangents; their covariant
     rates are the covariant u-derivatives of the launch field nu(u)n(u),
     obtained by central differencing plus the connection correction.
-    The surface map, nu and their u-derivatives are compiled once.
+    The surface map, nu and their u-derivatives are compiled once.  The
+    differences evaluate nu and the surface just off the grid, so launch
+    rates that come out non-finite there are a ``BlowupError`` too.
     """
     n = man.dimension
     n_params = n - 1
@@ -280,19 +289,27 @@ def simulate_shift(man: Manifold, force: ForceField, hs: HypersurfaceSpec,
     rho0 = np.empty((u.shape[0], n_params, n))
     gamma0 = man.christoffel(x0)
 
-    def launch_field(params):
-        _, _, normals = _surface_frames(man, surface, params, hs.orient_flip)
-        nus, _ = nu_fn(params)
+    def launch_field(params, where):
+        _, _, normals = _surface_frames(man, surface, params, hs.orient_flip,
+                                        where)
+        with np.errstate(divide='ignore', invalid='ignore', over='ignore'):
+            nus, _ = nu_fn(params)
         return nus[:, None] * normals
 
     for a in range(n_params):
         delta = 1e-6 * max(1.0, abs(box[a, 1] - box[a, 0]))
+        where = f"the surface grid shifted by {delta:g} along u{a + 1}"
         up, down = u.copy(), u.copy()
         up[:, a] += delta
         down[:, a] -= delta
-        rho0[:, a] = (launch_field(up) - launch_field(down)) / (2.0 * delta)
+        rho0[:, a] = (launch_field(up, where)
+                      - launch_field(down, where)) / (2.0 * delta)
         rho0[:, a] += np.einsum('bkrs,br,bs->bk', gamma0,
                                 tangents[:, a], v0)
+    if not np.isfinite(rho0).all():
+        raise BlowupError(
+            "the launch rates must be finite on the surface grid; they "
+            "difference nu and the surface map just off it")
     return _integrate_front("shift", man, force, u, nu_vals, x0, v0,
                             tangents.copy(), rho0, t_end, h)
 

@@ -14,7 +14,7 @@ from pathlib import Path
 from . import exprlang
 from .blowup import BlowupConfig, HypersurfaceSpec
 from .exprlang import ExprError
-from .geometry import ForceField, GeometryError, Manifold
+from .geometry import ForceField, GeometryError, Manifold, metric_asts
 
 
 class ConfigError(ValueError):
@@ -157,7 +157,7 @@ def parse_config(data: dict) -> ScenarioConfig:
         for j, entry in enumerate(row):
             _expression(entry, xnames, f"metric[{i}][{j}]")
     try:
-        Manifold(n, metric)
+        metric_asts(n, metric)
     except GeometryError as exc:
         raise ConfigError("metric", str(exc)) from None
 

@@ -14,6 +14,15 @@ the Jacobi operator R(., v)v (``Manifold.riemann`` with the velocity
 passed), so no stage builds gamma, its derivative or the curvature
 tensor.  ``integrate_batch`` is the one integrator: a single trajectory
 is a batch of one, read back with ``single_record``.
+
+The integrator packs each row's x, v, tau and rho into one state row of
+2n + 2Jn numbers, so each stage input, the step's combination and the
+finite check are one array operation for the whole batch however many
+quantities it carries; ``_rhs`` still takes and returns the quantities
+one by one, as views of that row.  The elementwise arithmetic is the
+same as on four separate arrays, bit for bit.  The stored nodes are one
+(M+1, B, 2n + 2Jn) history array, and the record's x, v, tau and rho are
+views of it.
 """
 
 from __future__ import annotations
@@ -50,7 +59,9 @@ class BatchTrajectory:
     """Uniform-grid record of B trajectories with J variations each.
 
     Axes: times (M+1,), x/v/force (M+1, B, n), tau/rho (M+1, B, J, n).
-    rho holds covariant rates of tau.  One row of it (``single_record``)
+    rho holds covariant rates of tau.  From ``integrate_batch``, x, v, tau
+    and rho are views of one packed history array; force is its own
+    array.  One row of it (``single_record``)
     is the same type without the B axis: x/v/force (M+1, n), tau/rho
     (M+1, J, n).
     """
@@ -117,56 +128,56 @@ def integrate_batch(man: Manifold, force: ForceField, x0, v0, tau0, rho0,
     if steps < 1 or abs(steps * h - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise DynamicsError("t_end must be an integer multiple of the step")
     x0 = np.asarray(x0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    tau0 = np.asarray(tau0, dtype=float)
-    rho0 = np.asarray(rho0, dtype=float)
     nb, n = x0.shape
+    tau0 = np.asarray(tau0, dtype=float)
     nvar = tau0.shape[1]
+    # each trajectory's state row is [x, v, tau, rho], split at these ends
+    ends = np.cumsum([n, n, nvar * n, nvar * n])
+    names = ("x", "v", "tau", "rho")
+
+    def split(y):
+        x, v, tau, rho = np.split(y, ends[:-1], axis=-1)
+        lead = y.shape[:-1]
+        return (x, v, tau.reshape(lead + (nvar, n)),
+                rho.reshape(lead + (nvar, n)))
+
+    def rate(point, out):
+        dx, dv, dtau, drho, f_vals = _rhs(man, force, *point, riemann_sign)
+        np.concatenate((dx, dv, dtau.reshape(nb, -1), drho.reshape(nb, -1)),
+                       axis=1, out=out)
+        return f_vals
 
     times = np.arange(steps + 1) * h
-    xs = np.empty((steps + 1, nb, n))
-    vs = np.empty((steps + 1, nb, n))
-    taus = np.empty((steps + 1, nb, nvar, n))
-    rhos = np.empty((steps + 1, nb, nvar, n))
+    history = np.empty((steps + 1, nb, ends[-1]))
     forces = np.empty((steps + 1, nb, n))
-
-    x, v, tau, rho = x0.copy(), v0.copy(), tau0.copy(), rho0.copy()
+    # the state, the stage input and the four stage rates, with views of
+    # the state and the stage input made once
+    state, stage, k1, k2, k3, k4 = np.empty((6, nb, ends[-1]))
+    at_state, at_stage = split(state), split(stage)
+    for part, value in zip(at_state, (x0, v0, tau0, rho0)):
+        part[...] = value
+    history[0] = state
     with np.errstate(all='ignore'):
-        xs[0], vs[0], taus[0], rhos[0] = x, v, tau, rho
         for i in range(steps):
-            k1 = _rhs(man, force, x, v, tau, rho, riemann_sign)
-            forces[i] = k1[4]
-            k2 = _rhs(man, force,
-                      x + 0.5 * h * k1[0], v + 0.5 * h * k1[1],
-                      tau + 0.5 * h * k1[2], rho + 0.5 * h * k1[3],
-                      riemann_sign)
-            k3 = _rhs(man, force,
-                      x + 0.5 * h * k2[0], v + 0.5 * h * k2[1],
-                      tau + 0.5 * h * k2[2], rho + 0.5 * h * k2[3],
-                      riemann_sign)
-            k4 = _rhs(man, force,
-                      x + h * k3[0], v + h * k3[1],
-                      tau + h * k3[2], rho + h * k3[3],
-                      riemann_sign)
-            x = x + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-            v = v + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-            tau = tau + (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-            rho = rho + (h / 6.0) * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
-            ok = (np.isfinite(x).all(axis=1) & np.isfinite(v).all(axis=1)
-                  & np.isfinite(tau).all(axis=(1, 2))
-                  & np.isfinite(rho).all(axis=(1, 2)))
+            forces[i] = rate(at_state, k1)
+            np.add(state, 0.5 * h * k1, out=stage)
+            rate(at_stage, k2)
+            np.add(state, 0.5 * h * k2, out=stage)
+            rate(at_stage, k3)
+            np.add(state, h * k3, out=stage)
+            rate(at_stage, k4)
+            state += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            ok = np.isfinite(state).all(axis=1)
             if not ok.all():
-                partial = BatchTrajectory(
-                    times[:i + 1], xs[:i + 1], vs[:i + 1],
-                    taus[:i + 1], rhos[:i + 1], forces[:i + 1], h)
-                bad = [name for name, value in
-                       (("x", x), ("v", v), ("tau", tau), ("rho", rho))
-                       if not np.isfinite(value).all()]
+                partial = BatchTrajectory(times[:i + 1],
+                                          *split(history[:i + 1]),
+                                          forces[:i + 1], h)
+                bad = [name for name, part in zip(names, at_state)
+                       if not np.isfinite(part).all()]
                 raise IntegrationAbort(partial, i, np.nonzero(~ok)[0], bad)
-            xs[i + 1], vs[i + 1] = x, v
-            taus[i + 1], rhos[i + 1] = tau, rho
-        forces[steps] = force.components(x, v)
-    return BatchTrajectory(times, xs, vs, taus, rhos, forces, h)
+            history[i + 1] = state
+        forces[steps] = force.components(*at_state[:2])
+    return BatchTrajectory(times, *split(history), forces, h)
 
 
 def single_record(batch: BatchTrajectory, row: int) -> BatchTrajectory:

@@ -515,6 +515,10 @@ _NUMPY_FUNCS = {
 }
 
 
+# np.broadcast's argument limit under numpy 1.x (numpy 2 allows 64)
+_MAX_BROADCAST_ARGS = 32
+
+
 def compile_fn(nodes: Node | Sequence[Node] | Sequence[Sequence[Node]],
                names: Sequence[str]) -> Callable:
     """Compile to a vectorized callable over positional array arguments.
@@ -525,11 +529,19 @@ def compile_fn(nodes: Node | Sequence[Node] | Sequence[Sequence[Node]],
 
     Given one node, the callable returns its value.  Given a sequence of
     K nodes, it returns one array of shape ``batch + (K,)``, entry k the
-    value of node k, with constant entries broadcast to the batch shape
-    of the arguments.  Given a sequence of node groups (each a sequence
-    of nodes), it returns a tuple with one such array per group.  Either
+    value of node k, where ``batch`` is the broadcast shape of the
+    arguments.  Given a sequence of node groups (each a sequence of
+    nodes), it returns a tuple with one such array per group.  Either
     way a subexpression that occurs more than once, within one node or
     across nodes and groups, is computed once into a temporary.
+
+    The cost of a call grows with the entries that vary, not with all of
+    them: the constant entries of a group (``Const`` roots, -0.0 kept
+    apart from 0.0) are one row computed at compile time and broadcast
+    into the output in one store, and only the varying entries are
+    stored one by one.  The batch shape is ``np.broadcast(...).shape``,
+    which numpy 1.x allows for at most 32 arguments, so array outputs
+    take at most 32 names.
     """
     single = isinstance(nodes, Node)
     grouped = not single and any(not isinstance(entry, Node)
@@ -545,23 +557,33 @@ def compile_fn(nodes: Node | Sequence[Node] | Sequence[Sequence[Node]],
         undeclared = variables(root) - set(names)
         if undeclared:
             raise UnknownIdentifierError(sorted(undeclared)[0], root.pos)
+    if not single and len(names) > _MAX_BROADCAST_ARGS:
+        raise ValueError(f"array outputs take at most {_MAX_BROADCAST_ARGS} "
+                         f"argument names, got {len(names)}")
     program = _Program(roots)
     results = iter([program.emit(uid) for uid in program.roots])
     lines = [f"def _compiled({', '.join(names)}):", *program.lines]
+    scope: dict = {"np": np}
     if single:
         lines.append(f"    return {next(results)}")
     else:
-        shapes = ", ".join(f"np.shape({name})" for name in names)
-        lines.append(f"    _shape = np.broadcast_shapes({shapes})")
+        lines.append(f"    _shape = np.broadcast({', '.join(names)}).shape")
         outs = []
         for g, group in enumerate(groups):
-            outs.append(f"_out{g}")
-            lines.append(f"    _out{g} = np.empty(_shape + ({len(group)},))")
-            lines += [f"    _out{g}[..., {k}] = {next(results)}"
-                      for k in range(len(group))]
+            out = f"_out{g}"
+            outs.append(out)
+            lines.append(f"    {out} = np.empty(_shape + ({len(group)},))")
+            texts = [next(results) for _ in group]
+            if any(isinstance(root, Const) for root in group):
+                scope[f"_row{g}"] = np.array(
+                    [root.value if isinstance(root, Const) else 0.0
+                     for root in group])
+                lines.append(f"    {out}[...] = _row{g}")
+            lines += [f"    {out}[..., {k}] = {text}"
+                      for k, (root, text) in enumerate(zip(group, texts))
+                      if not isinstance(root, Const)]
         lines.append(f"    return ({', '.join(outs)},)" if grouped
                      else "    return _out0")
-    scope: dict = {"np": np}
     exec("\n".join(lines) + "\n", scope)
     return scope["_compiled"]
 

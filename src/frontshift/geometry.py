@@ -46,6 +46,7 @@ Index conventions (fixed, and pinned by the dynamics cross-checks):
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -192,12 +193,37 @@ def spray(ginv: np.ndarray, dg: np.ndarray, vs: np.ndarray,
                  None if f_vals is None else up[:, 1], vecmat(vs, gam_v))
 
 
+def metric_asts(dimension: int, metric: Sequence[Sequence]) -> list:
+    """The n x n metric entries parsed and simplified, checked symmetric.
+
+    The one symbolic step a scenario's metric needs before anything is
+    differentiated: ``Manifold`` builds on it, and the config parser
+    calls it alone to reject an asymmetric metric.
+    """
+    n = dimension
+    if len(metric) != n or any(len(row) != n for row in metric):
+        raise GeometryError("metric must be an n x n expression array")
+    coords = coord_names(n)
+    g_ast = [[exprlang.simplify(_parse(metric[i][j], coords))
+              for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if g_ast[i][j] != g_ast[j][i]:
+                raise GeometryError(
+                    f"metric not symmetric: entry ({i},{j}) differs from "
+                    f"({j},{i}) after simplification")
+    return g_ast
+
+
 class Manifold:
     """Chart of dimension n with metric components g_ij(x1..xn).
 
     g, dg and ddg each come from one compiled callable that evaluates
     only the unique symmetric slots (i <= j, and l <= k for ddg), sharing
     repeated subexpressions; the full tensors are gathered from those.
+    The exact first partials are derived on construction; the second
+    partials and every callable are built on first use, so a command
+    pays only for what it evaluates.
     """
 
     def __init__(self, dimension: int, metric: Sequence[Sequence]):
@@ -206,36 +232,38 @@ class Manifold:
         self.dimension = n = dimension
         self.coords = coord_names(n)
         self.velocities = velocity_names(n)
-        if len(metric) != n or any(len(row) != n for row in metric):
-            raise GeometryError("metric must be an n x n expression array")
-
-        g_ast = [[exprlang.simplify(_parse(metric[i][j], self.coords))
-                  for j in range(n)] for i in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if g_ast[i][j] != g_ast[j][i]:
-                    raise GeometryError(
-                        f"metric not symmetric: entry ({i},{j}) differs from "
-                        f"({j},{i}) after simplification")
-        self.metric_ast = g_ast
+        self.metric_ast = g_ast = metric_asts(n, metric)
         # Exact symbolic derivatives of the metric; everything downstream
         # (connection, curvature) is assembled numerically from these.
         pairs, slot = _symmetric_slots(n)
         npair = len(pairs)
-        g_sym = [g_ast[i][j] for i, j in pairs]
-        dg_sym = [[exprlang.differentiate(entry, self.coords[k])
-                   for entry in g_sym] for k in range(n)]
-        ddg_sym = [exprlang.differentiate(entry, self.coords[ell])
-                   for ell, k in pairs for entry in dg_sym[k]]
-        # the slot expressions, kept for ForceField.jet
-        self._slot_asts = (g_sym, [entry for row in dg_sym for entry in row],
-                           ddg_sym)
-        self._g_fn = exprlang.compile_fn(g_sym, self.coords)
-        self._dg_fn = exprlang.compile_fn(self._slot_asts[1], self.coords)
-        self._ddg_fn = exprlang.compile_fn(ddg_sym, self.coords)
+        self._pairs = pairs
+        self._g_asts = [g_ast[i][j] for i, j in pairs]
+        # slot p of dg along x^k at k * npair + p
+        self._dg_asts = [exprlang.differentiate(entry, self.coords[k])
+                         for k in range(n) for entry in self._g_asts]
         self._g_idx = slot
         self._dg_idx = np.arange(n)[:, None, None] * npair + slot
         self._ddg_idx = slot[:, :, None, None] * npair + slot
+
+    @functools.cached_property
+    def _ddg_asts(self) -> list:
+        npair = len(self._pairs)
+        return [exprlang.differentiate(self._dg_asts[k * npair + p],
+                                       self.coords[ell])
+                for ell, k in self._pairs for p in range(npair)]
+
+    @functools.cached_property
+    def _g_fn(self):
+        return exprlang.compile_fn(self._g_asts, self.coords)
+
+    @functools.cached_property
+    def _dg_fn(self):
+        return exprlang.compile_fn(self._dg_asts, self.coords)
+
+    @functools.cached_property
+    def _ddg_fn(self):
+        return exprlang.compile_fn(self._ddg_asts, self.coords)
 
     # -- batched evaluation (leading axis B) --------------------------------
 
@@ -380,27 +408,45 @@ class ForceField:
     second partials in one further callable that shares every
     subexpression among all of them; it is what one RK4 stage of the
     variation equation consumes.  ``flow_jet`` evaluates only g, dg and F,
-    what a stage of the flow alone consumes.  Both are compiled on first
-    use.
+    what a stage of the flow alone consumes.  Every callable is compiled
+    on first use.
     """
 
     def __init__(self, manifold: Manifold, components: Sequence):
         n = manifold.dimension
         if len(components) != n:
             raise GeometryError("force needs one component per dimension")
-        names = manifold.coords + manifold.velocities
+        self._names = names = manifold.coords + manifold.velocities
         self.manifold = manifold
         self.component_ast = [exprlang.simplify(_parse(c, names))
                               for c in components]
-        self._f_fn = exprlang.compile_fn(self.component_ast, names)
         # entry (i, k) of group w: derivative of component k in direction
         # i of the coordinates (w = 0) or velocities (w = 1)
         self._jac_asts = [[exprlang.differentiate(self.component_ast[k],
                                                   wrt[i])
                            for i in range(n) for k in range(n)]
                           for wrt in (manifold.coords, manifold.velocities)]
-        self._jac_fn = exprlang.compile_fn(self._jac_asts, names)
-        self._jet_fn = self._flow_fn = None
+
+    @functools.cached_property
+    def _f_fn(self):
+        return exprlang.compile_fn(self.component_ast, self._names)
+
+    @functools.cached_property
+    def _jac_fn(self):
+        return exprlang.compile_fn(self._jac_asts, self._names)
+
+    @functools.cached_property
+    def _jet_fn(self):
+        man = self.manifold
+        return exprlang.compile_fn(
+            [man._g_asts, man._dg_asts, man._ddg_asts, self.component_ast,
+             *self._jac_asts], self._names)
+
+    @functools.cached_property
+    def _flow_fn(self):
+        man = self.manifold
+        return exprlang.compile_fn(
+            [man._g_asts, man._dg_asts, self.component_ast], self._names)
 
     def _args(self, xs: np.ndarray, vs: np.ndarray) -> tuple:
         n = self.manifold.dimension
@@ -425,10 +471,6 @@ class ForceField:
         already derived.
         """
         man = self.manifold
-        if self._jet_fn is None:
-            self._jet_fn = exprlang.compile_fn(
-                [*man._slot_asts, self.component_ast, *self._jac_asts],
-                man.coords + man.velocities)
         g, dg, ddg, f, dfdx, dfdv = self._jet_fn(*self._args(xs, vs))
         nb, n = xs.shape
         return (g[:, man._g_idx], dg[:, man._dg_idx], ddg[:, man._ddg_idx],
@@ -437,10 +479,6 @@ class ForceField:
     def flow_jet(self, xs: np.ndarray, vs: np.ndarray):
         """(g, dg, f) from one compiled call, bit for bit as ``jet``'s."""
         man = self.manifold
-        if self._flow_fn is None:
-            self._flow_fn = exprlang.compile_fn(
-                [*man._slot_asts[:2], self.component_ast],
-                man.coords + man.velocities)
         g, dg, f = self._flow_fn(*self._args(xs, vs))
         return g[:, man._g_idx], dg[:, man._dg_idx], f
 

@@ -130,14 +130,17 @@ def _norm_uplow(g: np.ndarray, ginv: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def halton(index: np.ndarray, base: int) -> np.ndarray:
-    """Van der Corput radical inverse, vectorized over indices."""
+    """Van der Corput radical inverse, vectorized over non-negative
+    indices: one pass per base-``base`` digit of the largest index."""
     out = np.zeros(index.shape, dtype=float)
     frac = 1.0
-    idx = index.astype(np.int64).copy()
-    while np.any(idx > 0):
+    idx = index.astype(np.int64)
+    top = int(idx.max()) if idx.size else 0
+    while top > 0:
+        top //= base
         frac /= base
-        out += frac * (idx % base)
-        idx //= base
+        idx, digit = np.divmod(idx, base)
+        out += frac * digit
     return out
 
 

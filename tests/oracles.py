@@ -20,6 +20,11 @@ one formula from a second, simpler route.
   phi and phi_dot vanish for every force, phi_ddot is the direct
   contraction with the launch data, and for a modulated drag the defect
   first appears in the third derivative.
+- ``rk4_per_quantity``: the RK4 loop with x, v, tau and rho held as four
+  arrays, each stage input, each combination and each finite check made
+  per quantity.  ``integrate_batch`` packs the four into one state row;
+  this pins it to the same arithmetic, bit for bit, and to the same
+  abort.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ from __future__ import annotations
 import numpy as np
 
 from frontshift.deviation import phi_derivatives
-from frontshift.dynamics import integrate_batch, single_record
+from frontshift.dynamics import (BatchTrajectory, IntegrationAbort, _rhs,
+                                 integrate_batch, single_record)
 
 
 def run_one(man, force, x, v, t_end, h, tau=None, rho=None):
@@ -83,3 +89,56 @@ def initial_instant(man, force, p0, nu0, sample, h=1e-3):
     d1 = (phi_ddot[1] - phi_ddot[0]) / h
     d2 = (phi_ddot[2] - phi_ddot[0]) / (2.0 * h)
     return phi[0], phi_dot[0], phi_ddot[0], 2.0 * d1 - d2
+
+
+def rk4_per_quantity(man, force, x0, v0, tau0, rho0, t_end, h,
+                     riemann_sign=1.0):
+    """integrate_batch's record, from four per-quantity state arrays."""
+    steps = int(round(t_end / h))
+    x0, v0, tau0, rho0 = (np.asarray(a, dtype=float)
+                          for a in (x0, v0, tau0, rho0))
+    nb, n = x0.shape
+    nvar = tau0.shape[1]
+    times = np.arange(steps + 1) * h
+    xs = np.empty((steps + 1, nb, n))
+    vs = np.empty((steps + 1, nb, n))
+    taus = np.empty((steps + 1, nb, nvar, n))
+    rhos = np.empty((steps + 1, nb, nvar, n))
+    forces = np.empty((steps + 1, nb, n))
+    x, v, tau, rho = x0.copy(), v0.copy(), tau0.copy(), rho0.copy()
+    with np.errstate(all='ignore'):
+        xs[0], vs[0], taus[0], rhos[0] = x, v, tau, rho
+        for i in range(steps):
+            k1 = _rhs(man, force, x, v, tau, rho, riemann_sign)
+            forces[i] = k1[4]
+            k2 = _rhs(man, force,
+                      x + 0.5 * h * k1[0], v + 0.5 * h * k1[1],
+                      tau + 0.5 * h * k1[2], rho + 0.5 * h * k1[3],
+                      riemann_sign)
+            k3 = _rhs(man, force,
+                      x + 0.5 * h * k2[0], v + 0.5 * h * k2[1],
+                      tau + 0.5 * h * k2[2], rho + 0.5 * h * k2[3],
+                      riemann_sign)
+            k4 = _rhs(man, force,
+                      x + h * k3[0], v + h * k3[1],
+                      tau + h * k3[2], rho + h * k3[3],
+                      riemann_sign)
+            x = x + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+            v = v + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+            tau = tau + (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+            rho = rho + (h / 6.0) * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
+            ok = (np.isfinite(x).all(axis=1) & np.isfinite(v).all(axis=1)
+                  & np.isfinite(tau).all(axis=(1, 2))
+                  & np.isfinite(rho).all(axis=(1, 2)))
+            if not ok.all():
+                partial = BatchTrajectory(
+                    times[:i + 1], xs[:i + 1], vs[:i + 1],
+                    taus[:i + 1], rhos[:i + 1], forces[:i + 1], h)
+                bad = [name for name, value in
+                       (("x", x), ("v", v), ("tau", tau), ("rho", rho))
+                       if not np.isfinite(value).all()]
+                raise IntegrationAbort(partial, i, np.nonzero(~ok)[0], bad)
+            xs[i + 1], vs[i + 1] = x, v
+            taus[i + 1], rhos[i + 1] = tau, rho
+        forces[steps] = force.components(x, v)
+    return BatchTrajectory(times, xs, vs, taus, rhos, forces, h)

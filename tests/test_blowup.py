@@ -114,6 +114,26 @@ def test_shift_rejects_non_finite_nu(nu):
         simulate_shift(EUCLID, ZERO, spec, 0.01, 1e-3)
 
 
+@pytest.mark.parametrize("surface, nu", [
+    (["u1", "0"], "1 + sqrt(u1)"),      # nu is nan at u1 - 1e-6 < 0
+    (["u1", "sqrt(u1)"], 1.0),          # so is the surface
+])
+def test_shift_rejects_launch_data_undefined_off_the_grid(surface, nu):
+    # nu and the surface are finite on the grid, which starts at 1e-7,
+    # but the launch rates' central difference evaluates them at u -+ 1e-6
+    spec = HypersurfaceSpec(surface=surface, box=[[1e-7, 1.0]],
+                            resolution=8, nu=nu)
+    with pytest.raises(BlowupError, match="finite"):
+        simulate_shift(EUCLID, ZERO, spec, 0.01, 1e-3)
+
+
+def test_shift_rejects_a_surface_undefined_on_the_grid():
+    spec = HypersurfaceSpec(surface=["u1", "sqrt(u1)"], box=[[-1.0, 1.0]],
+                            resolution=8, nu=1.0)
+    with pytest.raises(BlowupError, match=r"finite on the surface grid;"):
+        simulate_shift(EUCLID, ZERO, spec, 0.01, 1e-3)
+
+
 def test_variable_nu_slope_matches_closed_form():
     record = _free_blowup(t_end=0.1, nu="1 + 0.5*sin(u1)")
     slopes = initial_slopes(record)[:, 0]

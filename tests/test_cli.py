@@ -1,9 +1,13 @@
 import json
 import math
+import sys
 
 import pytest
 
-from frontshift.cli import main
+from frontshift import exprlang
+from frontshift.cli import cmd_check, cmd_rank, main
+from frontshift.config import load_config
+from test_rhs_reference import CHARTS
 
 BASE = {
     "dimension": 2,
@@ -127,6 +131,22 @@ def test_non_finite_nu_is_a_config_error(tmp_path, capsys, command):
     assert out == ""
     assert "finite" in err
     assert not (out_dir / f"{command}_front.csv").exists()
+
+
+def test_shift_launch_rates_undefined_off_the_grid_are_a_config_error(
+        tmp_path, capsys):
+    # nu is finite on the grid [1e-7, 1) but nan at u1 - 1e-6, where the
+    # launch rates' central difference evaluates it
+    shift = dict(BASE["shift"], surface=["u1", "0"], box=[[1e-7, 1.0]],
+                 nu="1 + sqrt(u1)")
+    cfg = _write_config(tmp_path, dict(BASE, shift=shift))
+    out_dir = tmp_path / "out"
+    code, out, err = _run(capsys, ["shift", "--config", cfg,
+                                   "--out-dir", str(out_dir)])
+    assert code == 1
+    assert out == ""
+    assert "launch rates must be finite" in err
+    assert list(out_dir.iterdir()) == []
 
 
 def test_blowup_abort_keeps_partial_output(tmp_path, capsys):
@@ -295,3 +315,61 @@ def test_selftest_flipped_riemann_fails(tmp_path, capsys):
     doc = json.loads((tmp_path / "selftest_report.json").read_text())
     failing = [s for s in doc["suites"] if not s["passed"]]
     assert [s["name"] for s in failing] == ["variation-fidelity"]
+
+
+def _s3_drag_config(tmp_path):
+    metric, force, box = CHARTS["S3"]
+    data = {"dimension": 3, "metric": metric, "force": force,
+            "integrator": {"step": 0.01, "t_end": 0.2, "output_every": 5},
+            "sampler": {"x_box": box, "count": 300, "seed": 2},
+            "rank": {"variations": 4, "window": [0.0, 0.2],
+                     "trajectories": 2}}
+    return _write_config(tmp_path, data)
+
+
+def _spy_on_symbolic_work(monkeypatch):
+    """Counts of differentiate calls, and the compile_fn calls listed by
+    the name of the function that made them (``_jet_fn``, ...)."""
+    seen = {"differentiate": 0, "compiled_by": []}
+    compile_fn, differentiate = exprlang.compile_fn, exprlang.differentiate
+
+    def counted_compile(*args, **kwargs):
+        seen["compiled_by"].append(sys._getframe(1).f_code.co_name)
+        return compile_fn(*args, **kwargs)
+
+    def counted_differentiate(*args, **kwargs):
+        seen["differentiate"] += 1
+        return differentiate(*args, **kwargs)
+    monkeypatch.setattr(exprlang, "compile_fn", counted_compile)
+    monkeypatch.setattr(exprlang, "differentiate", counted_differentiate)
+    return seen
+
+
+def test_load_config_does_no_symbolic_work(tmp_path, monkeypatch):
+    path = _s3_drag_config(tmp_path)
+    seen = _spy_on_symbolic_work(monkeypatch)
+    load_config(path)
+    assert seen == {"differentiate": 0, "compiled_by": []}
+
+
+def test_check_compiles_no_second_partials_and_no_jet(tmp_path, capsys,
+                                                      monkeypatch):
+    cfg = load_config(_s3_drag_config(tmp_path))
+    seen = _spy_on_symbolic_work(monkeypatch)
+    assert cmd_check(cfg, tmp_path, 0.0) == 0
+    capsys.readouterr()
+    assert sorted(seen["compiled_by"]) == ["_dg_fn", "_f_fn", "_g_fn",
+                                           "_jac_fn"]
+    # the metric's first partials (3 x 6) and the force's (2 x 3 x 3) once
+    assert seen["differentiate"] == 18 + 18
+
+
+def test_rank_compiles_the_jet_once(tmp_path, capsys, monkeypatch):
+    cfg = load_config(_s3_drag_config(tmp_path))
+    seen = _spy_on_symbolic_work(monkeypatch)
+    assert cmd_rank(cfg, tmp_path, 0.0) == 0
+    capsys.readouterr()
+    assert seen["compiled_by"].count("_jet_fn") == 1
+    assert "_ddg_fn" not in seen["compiled_by"]
+    # first partials, the force's, and the 36 second-partial slots
+    assert seen["differentiate"] == 18 + 18 + 6 * 6

@@ -6,7 +6,7 @@ from frontshift.dynamics import (DynamicsError, IntegrationAbort, _rhs,
 from frontshift.geometry import (ForceField, Manifold, at_point,
                                  extended_gradients, vecmat)
 from frontshift.selfcheck import variation_errors
-from oracles import covariant_rate, run_one
+from oracles import covariant_rate, rk4_per_quantity, run_one
 from test_rhs_reference import CHARTS
 
 EUCLID = Manifold(2, [["1", "0"], ["0", "1"]])
@@ -254,3 +254,52 @@ def test_batch_row_equals_single_run():
         assert np.array_equal(single.v, batch.v[:, row])
         assert np.array_equal(single.tau, batch.tau[:, row])
         assert np.array_equal(single.rho, batch.rho[:, row])
+
+
+FIELDS = ("times", "x", "v", "tau", "rho", "force")
+
+
+@pytest.mark.parametrize("nvar", [2, 0])
+@pytest.mark.parametrize("chart", ["S2", "skew3"])
+def test_packed_state_is_the_per_quantity_loop(chart, nvar):
+    metric, force_src, box = CHARTS[chart]
+    n = len(metric)
+    man = Manifold(n, metric)
+    force = ForceField(man, force_src)
+    rng = np.random.default_rng([29, n, nvar])
+    lo, hi = np.array(box).T
+    x0 = lo + (hi - lo) * rng.random((7, n))
+    v0 = rng.normal(size=(7, n))
+    tau0, rho0 = rng.normal(size=(2, 7, nvar, n))
+    packed = integrate_batch(man, force, x0, v0, tau0, rho0, 0.1, 1e-2)
+    loop = rk4_per_quantity(man, force, x0, v0, tau0, rho0, 0.1, 1e-2)
+    for name in FIELDS:
+        assert np.array_equal(getattr(packed, name), getattr(loop, name)), \
+            name
+    assert packed.tau.shape == (11, 7, nvar, n)
+    # x, v, tau and rho are views of one history array
+    assert np.may_share_memory(packed.x, packed.v)
+
+
+def test_packed_abort_is_the_per_quantity_abort():
+    # rows 1 and 3 run away, mirror images of each other, at the same
+    # step; their variations follow them to inf/nan
+    runaway = ForceField(EUCLID, ["x1^3", "0"])
+    x0 = np.array([[0.1, 0.0], [2.0, 0.0], [0.0, 1.0], [-2.0, 0.5]])
+    v0 = np.array([[0.1, 0.0], [5.0, 0.0], [0.2, 0.1], [-5.0, 0.0]])
+    rng = np.random.default_rng(8)
+    tau0, rho0 = rng.normal(size=(2, 4, 2, 2))
+    aborts = []
+    for run in (integrate_batch, rk4_per_quantity):
+        with pytest.raises(IntegrationAbort) as info:
+            run(EUCLID, runaway, x0, v0, tau0, rho0, 1.0, 1e-3)
+        aborts.append(info.value)
+    packed, loop = aborts
+    assert (packed.node_index, packed.batch_indices, packed.quantities) == \
+        (loop.node_index, loop.batch_indices, loop.quantities)
+    assert packed.batch_indices == [1, 3]
+    assert packed.quantities == ["x", "v", "tau", "rho"]
+    assert str(packed) == str(loop)
+    for name in FIELDS:
+        assert np.array_equal(getattr(packed.record, name),
+                              getattr(loop.record, name)), name

@@ -252,6 +252,40 @@ def test_compiled_groups_match_the_flat_form():
     assert np.array_equal(only, want[:, :2])
 
 
+def test_compiled_constants_are_bit_exact():
+    # an all-constant group, and constants between varying entries; -0.0
+    # stays -0.0 and every constant keeps its exact bits
+    consts = [el.Const(-0.0), el.Const(0.0), el.Const(0.1),
+              el.Const(-2.5e-300), el.Const(math.pi)]
+    mixed = [el.Const(-0.0), el.parse("x1*v1", VARS), el.Const(1 / 3),
+             el.Var("x2")]
+    fn = el.compile_fn([consts, mixed], VARS)
+    rng = np.random.default_rng(6)
+    bindings = [_random_binding(rng) for _ in range(4)]
+    for args, batch in ((_columns(bindings), (4,)),
+                        (tuple(bindings[0][name] for name in VARS), ())):
+        all_const, some_const = fn(*args)
+        assert all_const.shape == batch + (5,)
+        assert some_const.shape == batch + (4,)
+        want = np.broadcast_to([c.value for c in consts], batch + (5,))
+        assert all_const.tobytes() == np.ascontiguousarray(want).tobytes()
+        assert np.signbit(all_const[..., 0]).all()
+        assert not np.signbit(all_const[..., 1]).any()
+        assert np.signbit(some_const[..., 0]).all()
+        assert (some_const[..., 2] == 1 / 3).all()
+        assert np.array_equal(some_const[..., 1],
+                              np.multiply(args[0], args[2]))
+        assert np.array_equal(some_const[..., 3], args[1])
+
+
+def test_compiled_arrays_take_at_most_32_names():
+    names = [f"a{k}" for k in range(33)]
+    with pytest.raises(ValueError, match="at most 32"):
+        el.compile_fn([el.Var("a0")], names)
+    # a single node needs no broadcast and takes any number
+    assert el.compile_fn(el.Var("a0"), names)(*range(33)) == 0
+
+
 def test_compiled_many_rejects_undeclared_names():
     with pytest.raises(el.UnknownIdentifierError):
         el.compile_fn([el.Var("x1"), el.Var("q")], ["x1"])

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from frontshift.geometry import ForceField, Manifold, at_point
-from frontshift.normality import (NormalityError, additional_batch, bundle,
-                                  classify, raw_batch, sample_tangent_points,
-                                  weak_batch)
+from frontshift.normality import (_PRIMES, NormalityError, additional_batch,
+                                  bundle, classify, halton, raw_batch,
+                                  sample_tangent_points, weak_batch)
 from frontshift.systems import BUNDLED
 from test_rhs_reference import CHARTS
 
@@ -247,6 +247,32 @@ def test_sampler_seed_range():
     for seed in (-1, top + 1):
         with pytest.raises(NormalityError):
             sample_tangent_points(EUCLID, BOX, 0.5, 2.0, 100, seed=seed)
+
+
+def _halton_reference(index, base):
+    """The radical inverse digit by digit until every index is spent."""
+    out = np.zeros(index.shape, dtype=float)
+    frac = 1.0
+    idx = index.astype(np.int64).copy()
+    while np.any(idx > 0):
+        frac /= base
+        out += frac * (idx % base)
+        idx //= base
+    return out
+
+
+@pytest.mark.parametrize("first", [1, 2 ** 63 - 2000])
+def test_halton_is_the_digit_loop_bit_for_bit(first):
+    # seed 0, and the last indices the sampler's seed range allows
+    count = 2000
+    idx = np.arange(count, dtype=np.int64) + first
+    assert idx[-1] == (2 ** 63 - 1 if first > 1 else count)
+    for base in _PRIMES:
+        assert np.array_equal(halton(idx, base), _halton_reference(idx, base))
+    # a zero index among others, and no index at all
+    assert np.array_equal(halton(np.array([0, 5, 0]), 3),
+                          _halton_reference(np.array([0, 5, 0]), 3))
+    assert halton(np.zeros(0, dtype=np.int64), 2).shape == (0,)
 
 
 def test_sampler_curved_metric_speeds():
