@@ -34,17 +34,24 @@ EXIT_ABORT = 3
 
 def _emit_run_report(command: str, config_echo: dict, stats: dict,
                      outputs: list, started: float,
-                     verdict: str | None = None, batch=None) -> None:
+                     verdict: str | None = None, batch=None,
+                     samples: int | None = None) -> None:
     """Print the run report.  Given the integrated batch (a
     BatchTrajectory, possibly cut short by an abort), stats gains the work
     it did: four RHS evaluations and one row step per row for each step
-    completed, and row steps per second of the run's duration."""
+    completed, and row steps per second of the run's duration.  Given the
+    classifier's sample count, it gains the samples, the residual blocks
+    they were evaluated in, and samples per second."""
     elapsed = time.perf_counter() - started
     if batch is not None:
         steps = batch.node_count - 1
         row_steps = batch.x.shape[1] * steps
         stats["work"] = {"rhs_evals": 4 * steps, "row_steps": row_steps,
                          "row_steps_per_s": row_steps / elapsed}
+    if samples is not None:
+        stats["work"] = {"samples": samples,
+                         "sample_blocks": normality.sample_blocks(samples),
+                         "samples_per_s": samples / elapsed}
     run = {"command": command, "config": config_echo}
     if verdict is not None:
         run["verdict"] = verdict
@@ -77,7 +84,7 @@ def cmd_check(cfg: ScenarioConfig, out_dir: Path, started: float) -> int:
     out = report.write_json(out_dir / "residual_report.json", residual_doc)
     stats = dict(residual_doc)
     _emit_run_report("check", cfg.echo(), stats, [out], started,
-                     verdict=rep.verdict)
+                     verdict=rep.verdict, samples=len(rep.xs))
     return EXIT_INCONCLUSIVE if rep.verdict == normality.INCONCLUSIVE \
         else EXIT_OK
 

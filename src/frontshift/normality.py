@@ -14,6 +14,11 @@ The residuals and their norms are batched matrix products (``@`` over
 the leading sample axis) plus elementwise reductions; the einsum forms
 they replaced are kept only in ``tests/test_normality_reference.py``,
 which pins these to them.
+
+``classify`` draws its samples once and evaluates the residuals over
+fixed blocks of them, keeping per sample only the positions, velocities,
+metric and norms, so its memory grows by a few hundred bytes per sample
+instead of by every residual tensor.
 """
 
 from __future__ import annotations
@@ -146,6 +151,16 @@ def halton(index: np.ndarray, base: int) -> np.ndarray:
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 
+# Samples per residual block of ``classify``.  A block's residual phase
+# peaks near 1 kB per sample in 3-D (2 MiB at 2048); smaller blocks save
+# little more, since the sampler then dominates, and cost more calls.
+_SAMPLE_BLOCK = 2048
+
+
+def sample_blocks(count: int) -> int:
+    """How many residual blocks ``classify`` evaluates count samples in."""
+    return -(-count // _SAMPLE_BLOCK)
+
 
 def sample_tangent_points(man: Manifold, x_box, v_min: float, v_max: float,
                           count: int, seed: int = 0):
@@ -200,6 +215,30 @@ def sample_tangent_points(man: Manifold, x_box, v_min: float, v_max: float,
     return xs, vs, g
 
 
+def _block_norms(man: Manifold, force: ForceField, xs: np.ndarray,
+                 vs: np.ndarray, g: np.ndarray):
+    """Per-sample weak, additional and (n = 2, else None) strong residual
+    norms of one block of samples; g is the metric at xs."""
+    b = bundle(man, force, xs, vs, g=g)
+    ginv = b['ginv']
+    first, second = weak_batch(b)
+    a1, a2, s1 = additional_batch(b)
+    weak = np.maximum(_norm_cov(ginv, first), _norm_cov(ginv, second))
+    add = np.maximum(_norm_twolow(ginv, a1), _norm_uplow(b['g'], ginv, a2))
+    if man.dimension != 2:
+        return weak, add, None
+    # The projected families vanish identically for every field when the
+    # projector has rank one, so they cannot separate the complete verdict
+    # from the weak one; their unprojected strengthenings (s1, and the
+    # velocity-gradient isotropy defect s2) can.
+    n = man.dimension
+    trace = np.trace(b['vel'], axis1=1, axis2=2)
+    s2 = b['vel'] - (trace / n)[:, None, None] * np.eye(n)
+    strong = np.maximum(_norm_twolow(ginv, s1),
+                        _norm_uplow(b['g'], ginv, s2))
+    return weak, add, strong
+
+
 def classify(man: Manifold, force: ForceField, x_box, v_min: float,
              v_max: float, count: int, seed: int = 0,
              tol: float = 1e-8) -> ResidualReport:
@@ -210,36 +249,44 @@ def classify(man: Manifold, force: ForceField, x_box, v_min: float,
     the projected families are vacuous, so their unprojected
     strengthenings decide the upgrade (see report flag).
     Maxima in the guard band (tol, 100 tol) give an inconclusive verdict.
+
+    The samples (xs, vs and the metric g) are drawn once; the residuals
+    are evaluated over blocks of ``_SAMPLE_BLOCK`` samples, and only each
+    sample's norms outlive its block, so working memory is bounded by the
+    block, not the count.  Every per-sample quantity is row-independent,
+    so the norms, and hence the report, are those of a single block.
+    Raises NormalityError when a norm is not finite (the force or metric
+    undefined at a sample).
     """
     xs, vs, g = sample_tangent_points(man, x_box, v_min, v_max, count,
                                       seed)
-    b = bundle(man, force, xs, vs, g=g)
-    first, second = weak_batch(b)
-    a1, a2, s1 = additional_batch(b)
+    trivial = man.dimension == 2
+    weak_norms = np.empty(count)
+    add_norms = np.empty(count)
+    strong_norms = np.empty(count) if trivial else None
+    with np.errstate(divide='ignore', invalid='ignore', over='ignore'):
+        for lo in range(0, count, _SAMPLE_BLOCK):
+            rows = slice(lo, lo + _SAMPLE_BLOCK)
+            weak, add, strong = _block_norms(man, force, xs[rows], vs[rows],
+                                             g[rows])
+            weak_norms[rows], add_norms[rows] = weak, add
+            if trivial:
+                strong_norms[rows] = strong
 
-    weak_norms = np.maximum(_norm_cov(b['ginv'], first),
-                            _norm_cov(b['ginv'], second))
-    add_norms = np.maximum(_norm_twolow(b['ginv'], a1),
-                           _norm_uplow(b['g'], b['ginv'], a2))
+    defined = np.isfinite(weak_norms) & np.isfinite(add_norms)
+    if trivial:
+        defined &= np.isfinite(strong_norms)
+    if not defined.all():
+        first = int(np.argmin(defined))
+        raise NormalityError(
+            f"residuals undefined at {count - int(defined.sum())} of "
+            f"{count} samples, first at x={[float(c) for c in xs[first]]}, "
+            f"v={[float(c) for c in vs[first]]}")
+
     max_weak = float(weak_norms.max())
     max_add = float(add_norms.max())
-
-    trivial = man.dimension == 2
-    max_strong = None
-    if trivial:
-        # The projected families vanish identically for every field when
-        # the projector has rank one, so they cannot separate the complete
-        # verdict from the weak one; their unprojected strengthenings
-        # (s1, and the velocity-gradient isotropy defect s2) can.
-        n = man.dimension
-        trace = np.trace(b['vel'], axis1=1, axis2=2)
-        s2 = b['vel'] - (trace / n)[:, None, None] * np.eye(n)
-        strong_norms = np.maximum(_norm_twolow(b['ginv'], s1),
-                                  _norm_uplow(b['g'], b['ginv'], s2))
-        max_strong = float(strong_norms.max())
-        upgrade_value = max_strong
-    else:
-        upgrade_value = max_add
+    max_strong = float(strong_norms.max()) if trivial else None
+    upgrade_value = max_strong if trivial else max_add
 
     if max_weak <= tol:
         if upgrade_value <= tol:

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import warnings
 
 import pytest
 
@@ -66,6 +67,37 @@ def test_check_inconclusive_exit_code(tmp_path, capsys):
                                  "--out-dir", str(tmp_path)])
     assert code == 2
     assert json.loads(out)["verdict"] == "inconclusive"
+
+
+def test_check_reports_its_sampling_work(tmp_path, capsys):
+    data = dict(BASE, sampler=dict(BASE["sampler"], count=5000))
+    cfg = _write_config(tmp_path, data)
+    code, out, _ = _run(capsys, ["check", "--config", cfg,
+                                 "--out-dir", str(tmp_path / "out")])
+    assert code == 0
+    work = json.loads(out)["stats"]["work"]
+    assert (work["samples"], work["sample_blocks"]) == (5000, 3)
+    assert work["samples_per_s"] > 0
+    doc = json.loads((tmp_path / "out" / "residual_report.json").read_text())
+    assert "work" not in doc
+
+
+def test_check_undefined_residuals_are_a_config_error(tmp_path, capsys):
+    # the force is nan for x1 < 0.5 and its x1-derivative infinite at 0.5:
+    # the residuals are undefined at half the box, not a verdict
+    force = ["-0.3*sqrt(v1^2 + v2^2)*v1",
+             "-0.3*sqrt(v1^2 + v2^2)*v2 + 1e-30*sqrt(x1 - 0.5)*v2"]
+    sampler = dict(BASE["sampler"], x_box=[[0, 1], [0, 1]])
+    cfg = _write_config(tmp_path, dict(BASE, force=force, sampler=sampler))
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, ["check", "--config", cfg,
+                                       "--out-dir", str(out_dir)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("residuals undefined at ")
+    assert list(out_dir.iterdir()) == []
 
 
 def test_check_config_error_exit_and_message(tmp_path, capsys):

@@ -1,6 +1,11 @@
+import dataclasses
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
+from frontshift import normality
 from frontshift.geometry import ForceField, Manifold, at_point
 from frontshift.normality import (_PRIMES, NormalityError, additional_batch,
                                   bundle, classify, halton, raw_batch,
@@ -324,3 +329,85 @@ def test_classify_four_dimensions(case, verdict):
     assert not rep.additional_trivial
     if case.endswith("drag"):
         assert rep.max_weak <= 1e-14
+
+
+def _blocked_cases():
+    cases = {}
+    for chart in ("S2", "S3"):
+        metric_src, force_src, box = CHARTS[chart]
+        man = Manifold(len(metric_src), metric_src)
+        cases[f"{chart} drag"] = (man, ForceField(man, force_src), box)
+    euclid3 = Manifold(3, [["1" if i == j else "0" for j in range(3)]
+                           for i in range(3)])
+    cases["E3 harmonic"] = (euclid3, ForceField(
+        euclid3, ["-1.3*x1", "-1.3*x2", "-1.3*x3"]), [[-1.0, 1.0]] * 3)
+    cases["S4 drag"] = _four_dim_cases()["S4 drag"]
+    return cases
+
+
+@pytest.mark.parametrize("count, block", [(50, 7), (4500, None)])
+@pytest.mark.parametrize("case", ["S2 drag", "S3 drag", "E3 harmonic",
+                                  "S4 drag"])
+def test_blocked_classify_is_the_single_block_bit_for_bit(monkeypatch, case,
+                                                          count, block):
+    # block None keeps the module's own size: blocks of 2048, 2048, 404
+    man, force, box = _blocked_cases()[case]
+
+    def run(size):
+        if size is not None:
+            monkeypatch.setattr(normality, "_SAMPLE_BLOCK", size)
+        return classify(man, force, box, 0.5, 2.0, count, seed=11)
+    blocked = run(block)
+    assert normality.sample_blocks(count) > 2
+    single = run(count)
+    for field in dataclasses.fields(single):
+        a, b = getattr(single, field.name), getattr(blocked, field.name)
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
+
+
+def test_classify_memory_is_bounded_by_the_block():
+    # 20 000 samples in 3-D: every residual tensor at once peaks at 22 MiB;
+    # one block at a time leaves the sampler's arrays and the norms
+    metric_src, force_src, box = CHARTS["S3"]
+    man = Manifold(3, metric_src)
+    force = ForceField(man, force_src)
+    classify(man, force, box, 0.5, 2.0, 10)       # compile outside the trace
+    tracemalloc.start()
+    try:
+        classify(man, force, box, 0.5, 2.0, 20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+def test_classify_rejects_undefined_residuals():
+    # nan for x1 < 0.5, and the x1-derivative infinite at x1 = 0.5
+    force = ForceField(EUCLID, [
+        "-0.3*sqrt(v1^2 + v2^2)*v1",
+        "-0.3*sqrt(v1^2 + v2^2)*v2 + 1e-30*sqrt(x1 - 0.5)*v2"])
+    box = [[0.0, 1.0], [0.0, 1.0]]
+    xs, vs, _ = sample_tangent_points(EUCLID, box, 0.5, 2.0, 300, seed=0)
+    undefined = xs[:, 0] <= 0.5
+    first = int(np.argmax(undefined))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NormalityError) as exc:
+            classify(EUCLID, force, box, 0.5, 2.0, 300, seed=0)
+    assert str(exc.value) == (
+        f"residuals undefined at {int(undefined.sum())} of 300 samples, "
+        f"first at x={[float(c) for c in xs[first]]}, "
+        f"v={[float(c) for c in vs[first]]}")
+
+
+def test_classify_rejects_an_overflowing_strong_residual():
+    # a steep rotation field on a tiny box: the weak and additional norms
+    # stay finite, but the n = 2 strong one squares 1e154 and overflows
+    force = ForceField(EUCLID, ["1e154*x2", "-1e154*x1"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NormalityError, match="undefined at 50 of 50 "):
+            classify(EUCLID, force, [[-1e-80, 1e-80]] * 2, 0.5, 2.0, 50)
