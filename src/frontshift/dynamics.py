@@ -6,23 +6,26 @@ the connection terms are folded into the right-hand side on the fly.
 Classic fourth-order Runge-Kutta on a uniform grid; no adaptivity.
 
 Each RK4 stage makes one generated call (``ForceField.jet``: the metric,
-its first and second partials, the force and both force Jacobians; or
+the Koszul symbol of its first partials, its second partials contracted
+with v twice, the force and both force Jacobians; or
 ``ForceField.flow_jet`` when there are no variations) and one
 closed-form metric inverse (``geometry.inverse``).  The connection
 enters only as gamma contracted with v and F, and the curvature only as
 the Jacobi operator R(., v)v (``Manifold.riemann`` with the velocity
-passed), so no stage builds gamma, its derivative or the curvature
-tensor.  ``integrate_batch`` is the one integrator: a single trajectory
-is a batch of one, read back with ``single_record``.
+passed, once per stage), so no stage builds gamma, its derivative, the
+metric's second partials or the curvature tensor.  The force recorded at
+the last node comes from the same callable.  ``integrate_batch`` is the
+one integrator: a single trajectory is a batch of one, read back with
+``single_record``.
 
 The integrator packs each row's x, v, tau and rho into one state row of
 2n + 2Jn numbers, so each stage input, the step's combination and the
 finite check are one array operation for the whole batch however many
-quantities it carries; ``_rhs`` still takes and returns the quantities
-one by one, as views of that row.  The elementwise arithmetic is the
-same as on four separate arrays, bit for bit.  The stored nodes are one
-(M+1, B, 2n + 2Jn) history array, and the record's x, v, tau and rho are
-views of it.
+quantities it carries; ``_rhs`` takes the quantities one by one, as
+views of that row, and writes the four rates into views of a stage
+rate row.  The elementwise arithmetic is the same as on four separate
+arrays, bit for bit.  The stored nodes are one (M+1, B, 2n + 2Jn)
+history array, and the record's x, v, tau and rho are views of it.
 """
 
 from __future__ import annotations
@@ -80,38 +83,46 @@ class BatchTrajectory:
 
 
 def _rhs(man: Manifold, force: ForceField, x, v, tau, rho,
-         riemann_sign: float):
+         riemann_sign: float, out=None):
     """Plain time derivatives of the batched state: (dx, dv, dtau, drho, F).
 
     x, v: (B, n); tau, rho: (B, J, n).  riemann_sign flips the curvature
-    term (debug hook for the selftest convention arbiter).
+    term (debug hook for the selftest convention arbiter).  out, when
+    given, is the four rate arrays (dx, dv, dtau, drho) to write into,
+    e.g. views of a packed state row; they are returned with F.
 
     One generated call (``force.jet``, or ``force.flow_jet`` when J = 0)
     and one closed-form ``inverse``.  gamma enters only through its
-    products with v and F (``spray``), shared by the flow, the force
-    gradient, the curvature and both connection terms, and the curvature
-    only as K = R(., v)v from ``man.riemann``.  With (gamma v)^T[i, k] =
-    gamma^k_ij v^j, the variation rates are three products per row:
+    products with v and F (``spray``, from the jet's Koszul symbol),
+    shared by the flow, the force gradient, the curvature and both
+    connection terms, and the curvature only as K = R(., v)v from
+    ``man.riemann``, which takes the jet's ddg contracted with v twice.
+    With (gamma v)^T[i, k] = gamma^k_ij v^j, the variation rates are
+    three products per row:
 
         dtau = rho - tau (gamma v)^T
         drho = tau (spatial - riemann_sign K^T) + rho (dF/dv - (gamma v)^T)
     """
+    if out is None:
+        out = tuple(np.empty_like(a) for a in (v, v, tau, rho))
+    dx, dv, dtau, drho = out
     if tau.shape[1] == 0:
-        g, dg, f_vals = force.flow_jet(x, v)
+        g, koszul, f_vals = force.flow_jet(x, v)
     else:
-        g, dg, ddg, f_vals, dfdx, dfdv = force.jet(x, v)
+        g, koszul, ddg_vv, f_vals, dfdx, dfdv = force.jet(x, v)
     ginv = inverse(g)
-    along = spray(ginv, dg, v, f_vals)
-    dv = f_vals - along.gvv
+    along = spray(ginv, koszul, v, f_vals)
+    dx[...] = v
+    np.subtract(f_vals, along.gvv, out=dv)
     if tau.shape[1] == 0:
-        return v, dv, np.zeros_like(tau), np.zeros_like(rho), f_vals
-    jacobi = man.riemann(x, ginv=ginv, dg=dg, ddg=ddg, vs=v, along=along)
+        return dx, dv, dtau, drho, f_vals
+    jacobi = man.riemann(x, ginv=ginv, vs=v, along=along, ddg_vv=ddg_vv)
     spatial, velocity = extended_gradients(man, force, x, v, f_vals=f_vals,
                                            jac=(dfdx, dfdv), along=along)
-    dtau = rho - tau @ along.gam_v
-    drho = (tau @ (spatial - riemann_sign * jacobi.swapaxes(1, 2))
-            + rho @ (velocity - along.gam_v))
-    return v, dv, dtau, drho, f_vals
+    np.subtract(rho, tau @ along.gam_v, out=dtau)
+    np.add(tau @ (spatial - riemann_sign * jacobi.swapaxes(1, 2)),
+           rho @ (velocity - along.gam_v), out=drho)
+    return dx, dv, dtau, drho, f_vals
 
 
 def integrate_batch(man: Manifold, force: ForceField, x0, v0, tau0, rho0,
@@ -142,30 +153,29 @@ def integrate_batch(man: Manifold, force: ForceField, x0, v0, tau0, rho0,
                 rho.reshape(lead + (nvar, n)))
 
     def rate(point, out):
-        dx, dv, dtau, drho, f_vals = _rhs(man, force, *point, riemann_sign)
-        np.concatenate((dx, dv, dtau.reshape(nb, -1), drho.reshape(nb, -1)),
-                       axis=1, out=out)
-        return f_vals
+        """Writes the rates at point into out's views; returns F."""
+        return _rhs(man, force, *point, riemann_sign, out=out)[4]
 
     times = np.arange(steps + 1) * h
     history = np.empty((steps + 1, nb, ends[-1]))
     forces = np.empty((steps + 1, nb, n))
     # the state, the stage input and the four stage rates, with views of
-    # the state and the stage input made once
+    # each made once
     state, stage, k1, k2, k3, k4 = np.empty((6, nb, ends[-1]))
     at_state, at_stage = split(state), split(stage)
+    r1, r2, r3, r4 = split(k1), split(k2), split(k3), split(k4)
     for part, value in zip(at_state, (x0, v0, tau0, rho0)):
         part[...] = value
     history[0] = state
     with np.errstate(all='ignore'):
         for i in range(steps):
-            forces[i] = rate(at_state, k1)
+            forces[i] = rate(at_state, r1)
             np.add(state, 0.5 * h * k1, out=stage)
-            rate(at_stage, k2)
+            rate(at_stage, r2)
             np.add(state, 0.5 * h * k2, out=stage)
-            rate(at_stage, k3)
+            rate(at_stage, r3)
             np.add(state, h * k3, out=stage)
-            rate(at_stage, k4)
+            rate(at_stage, r4)
             state += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             ok = np.isfinite(state).all(axis=1)
             if not ok.all():
@@ -176,7 +186,11 @@ def integrate_batch(man: Manifold, force: ForceField, x0, v0, tau0, rho0,
                        if not np.isfinite(part).all()]
                 raise IntegrationAbort(partial, i, np.nonzero(~ok)[0], bad)
             history[i + 1] = state
-        forces[steps] = force.components(*at_state[:2])
+        # the last node's force from the stages' own callable: its F is
+        # bit for bit that of ``components``, which is not compiled
+        x, v = at_state[:2]
+        forces[steps] = (force.jet(x, v)[3] if nvar else
+                         force.flow_jet(x, v)[2])
     return BatchTrajectory(times, *split(history), forces, h)
 
 

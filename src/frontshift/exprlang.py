@@ -465,6 +465,35 @@ def _simplify_once(node: Node) -> Node:
     return rebuilt
 
 
+def commutative_key(node: Node) -> tuple:
+    """A key of the expression that ignores the order of the operands
+    within each chain of ``+`` and each chain of ``*``.
+
+    ``a*b*c`` and ``c*(a*b)`` get the same key, and so do ``a + b`` and
+    ``b + a``; everything else is compared structurally, with constants
+    keyed by repr (so 0.0 and -0.0 differ).  Nothing is rewritten: equal
+    keys say the two expressions are equal as real functions, while
+    different keys say nothing.
+    """
+    if isinstance(node, Const):
+        return ("Const", repr(node.value))
+    if isinstance(node, Var):
+        return ("Var", node.name)
+    if isinstance(node, Call):
+        return ("Call", node.func, commutative_key(node.arg))
+    if isinstance(node, (Add, Mul)):
+        operands, stack = [], [node]
+        while stack:
+            cur = stack.pop()
+            if type(cur) is type(node):
+                stack.extend((cur.left, cur.right))
+            else:
+                operands.append(commutative_key(cur))
+        return (type(node).__name__, tuple(sorted(operands)))
+    return (type(node).__name__,) + tuple(
+        commutative_key(child) for child in _children(node))
+
+
 _PRECEDENCE = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4}
 
 

@@ -5,11 +5,12 @@ derivatives come from fused compiled evaluators, each tensor is built
 once per call, and every contraction is a batched matrix product (``@``
 over the leading batch axis) in a fixed order.  All differentiation
 behind it is exact and symbolic, performed once on the metric and force
-component expressions.  ``ForceField.jet`` evaluates all of them (g, dg,
-ddg, F and both force Jacobians) in one generated call, ``flow_jet``
-only g, dg and F, and ``inverse`` is the closed-form metric inverse for
-n <= 3; together they are one RK4 stage's input, so each stage makes one
-generated call and one inverse.
+component expressions.  ``ForceField.jet`` evaluates what one RK4 stage
+of the variation equation consumes (g, the Koszul symbol of dg, ddg
+contracted with v twice, F and both force Jacobians) in one generated
+call, ``flow_jet`` only g, the Koszul symbol and F, and ``inverse`` is
+the closed-form metric inverse for n <= 3; so each stage makes one
+generated call and one inverse, and no stage gathers dg or ddg.
 Batched methods carry a leading axis ``B`` so front simulations evaluate
 all directions in one call.  There is no separate single-point API:
 ``at_point`` evaluates any batched function at one point by adding and
@@ -18,12 +19,15 @@ force tensor the deviation and normality formulas share in one place.
 
 The variation equation needs the connection and the curvature only
 contracted with vectors: ``spray`` gives gamma contracted with v and F
-without building gamma, and ``Manifold.riemann`` with the velocity
-passed gives the Jacobi operator K[k, s] = R^k_msr v^m v^r at O(n^4) per
-point, without d gamma or any (n, n, n, n) intermediate.  The full
-tensors (``christoffel_partials``, ``riemann`` without a velocity) are
-oracles: no production path builds them, and the test references compare
-the contracted forms against them.
+from the Koszul symbol without building gamma, and ``Manifold.riemann``
+with the velocity passed gives the Jacobi operator K[k, s] =
+R^k_msr v^m v^r from S, the second partials contracted with v twice,
+which the jet's generated code sums symbolically; the rest costs O(n^3)
+per point, without ddg, d gamma or any (n, n, n, n) intermediate.  The
+full tensors (``metric_second_partials``, ``christoffel_partials``,
+``riemann`` without a velocity) are oracles: no production path builds
+them, and the test references compare the contracted forms against
+them.
 
 Lowering an index with the metric and the g-length of a vector are the
 two helpers ``lower`` and ``g_norm``; they take any leading axes, and
@@ -47,12 +51,13 @@ Index conventions (fixed, and pinned by the dynamics cross-checks):
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import exprlang
-from .exprlang import Node
+from .exprlang import Add, Const, Mul, Neg, Node, Pow, Sub, Var
 
 
 class GeometryError(ValueError):
@@ -148,6 +153,23 @@ def _symmetric_slots(n: int) -> tuple[list, np.ndarray]:
     return pairs, slot
 
 
+def _signed_sum(terms: Sequence) -> tuple[int, Node | None]:
+    """(sign, node) with sign * node = sum_k w_k node_k, for nonzero
+    integer weights w_k, and no negation in node: the positive terms come
+    first, and sign is -1 only when no weight is positive.  (0, None)
+    when there are no terms."""
+    if not terms:
+        return 0, None
+    sign = 1 if any(w > 0 for w, _ in terms) else -1
+    total = None
+    for w, node in sorted(terms, key=lambda term: term[0] * sign < 0):
+        w *= sign
+        term = node if abs(w) == 1 else Mul(Const(float(abs(w))), node)
+        total = (term if total is None else
+                 Add(total, term) if w > 0 else Sub(total, term))
+    return sign, total
+
+
 def _koszul(d: np.ndarray) -> np.ndarray:
     """sym[..., r, i, j] = d[..., i, r, j] + d[..., j, r, i] - d[..., r, i, j].
 
@@ -175,15 +197,16 @@ class Spray(NamedTuple):
     gvv: np.ndarray
 
 
-def spray(ginv: np.ndarray, dg: np.ndarray, vs: np.ndarray,
+def spray(ginv: np.ndarray, koszul: np.ndarray, vs: np.ndarray,
           f_vals: np.ndarray | None = None) -> Spray:
     """gamma contracted with vs and f_vals, without building gamma.
 
-    The products with v and F are formed together: one batched product of
-    the Koszul combination with the rows [v, F], then one with g^-1.
+    koszul[b, j, i, r] is the Koszul combination of dg (``Spray.koszul``,
+    as ``ForceField.jet`` returns it).  The products with v and F are
+    formed together: one batched product of it with the rows [v, F], then
+    one with g^-1.
     """
     nb, n = vs.shape
-    koszul = dg + dg.swapaxes(1, 2) - dg.transpose(0, 3, 2, 1)
     rows = (vs[:, None, :] if f_vals is None else
             np.concatenate((vs, f_vals), axis=1).reshape(nb, 2, n))
     low = 0.5 * (rows @ koszul.reshape(nb, n, n * n))
@@ -198,7 +221,10 @@ def metric_asts(dimension: int, metric: Sequence[Sequence]) -> list:
 
     The one symbolic step a scenario's metric needs before anything is
     differentiated: ``Manifold`` builds on it, and the config parser
-    calls it alone to reject an asymmetric metric.
+    calls it alone to reject an asymmetric metric.  Entries (i, j) and
+    (j, i) count as equal when they differ only in the order of operands
+    within sums and products (``exprlang.commutative_key``); the ASTs
+    returned are the simplified entries as written.
     """
     n = dimension
     if len(metric) != n or any(len(row) != n for row in metric):
@@ -208,7 +234,8 @@ def metric_asts(dimension: int, metric: Sequence[Sequence]) -> list:
               for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            if g_ast[i][j] != g_ast[j][i]:
+            if (exprlang.commutative_key(g_ast[i][j])
+                    != exprlang.commutative_key(g_ast[j][i])):
                 raise GeometryError(
                     f"metric not symmetric: entry ({i},{j}) differs from "
                     f"({j},{i}) after simplification")
@@ -222,8 +249,10 @@ class Manifold:
     only the unique symmetric slots (i <= j, and l <= k for ddg), sharing
     repeated subexpressions; the full tensors are gathered from those.
     The exact first partials are derived on construction; the second
-    partials and every callable are built on first use, so a command
-    pays only for what it evaluates.
+    partials, the two combinations the variation equation consumes (the
+    Koszul symbol of dg and ddg contracted with v twice) and every
+    callable are built on first use, so a command pays only for what it
+    evaluates.
     """
 
     def __init__(self, dimension: int, metric: Sequence[Sequence]):
@@ -245,6 +274,7 @@ class Manifold:
         self._g_idx = slot
         self._dg_idx = np.arange(n)[:, None, None] * npair + slot
         self._ddg_idx = slot[:, :, None, None] * npair + slot
+        self._koszul_idx = slot[:, :, None] * n + np.arange(n)
 
     @functools.cached_property
     def _ddg_asts(self) -> list:
@@ -252,6 +282,80 @@ class Manifold:
         return [exprlang.differentiate(self._dg_asts[k * npair + p],
                                        self.coords[ell])
                 for ell, k in self._pairs for p in range(npair)]
+
+    @functools.cached_property
+    def _koszul_asts(self) -> list:
+        """koszul[j, i, r] = d_j g_ir + d_i g_jr - d_r g_ij, slot p * n + r
+        for the pair p = (j, i), j <= i."""
+        n, npair, slot = self.dimension, len(self._pairs), self._g_idx
+
+        def dg(k, i, j):
+            return self._dg_asts[k * npair + slot[i, j]]
+        return [exprlang.simplify(Sub(Add(dg(j, i, r), dg(i, j, r)),
+                                      dg(r, i, j)))
+                for j, i in self._pairs for r in range(n)]
+
+    @functools.cached_property
+    def _ddg_vv_asts(self) -> list:
+        """S[s, l] = d_s d_m g_lj v^m v^j + d_l d_m g_sj v^m v^j
+        - d_m d_j g_sl v^m v^j - d_s d_l g_mj v^m v^j, one per pair (s, l).
+
+        S_sl = Q_sjml v^j v^m with Q_abce = d_a d_c g_be + d_b d_e g_ac
+        - d_a d_e g_bc - d_b d_c g_ae, which is antisymmetric in (a, b) and
+        in (c, e) and symmetric under the swap of the two pairs.  So each
+        distinct component of Q is formed once, from four ``_ddg_asts``,
+        and S_sl sums them over the monomials v^j v^m, j <= m (a square
+        written v^2, as a force usually has it, so that the two share it).
+        The components are simplified and the zero ones dropped, so the
+        sums need no further simplification.
+        """
+        n, npair, slot = self.dimension, len(self._pairs), self._g_idx
+        vel = [Var(name) for name in self.velocities]
+
+        def ddg(a, b, c, e):
+            return self._ddg_asts[slot[a, b] * npair + slot[c, e]]
+
+        def component(a, b, c, e):
+            """(sign, key) with Q_abce = sign Q_key; sign 0 when it
+            vanishes by antisymmetry."""
+            if a == b or c == e:
+                return 0, None
+            sign = 1
+            if a > b:
+                a, b, sign = b, a, -sign
+            if c > e:
+                c, e, sign = e, c, -sign
+            if (a, b) > (c, e):
+                a, b, c, e = c, e, a, b
+            return sign, (a, b, c, e)
+
+        @functools.cache
+        def q(a, b, c, e):
+            return exprlang.simplify(Sub(
+                Add(ddg(a, c, b, e), ddg(b, e, a, c)),
+                Add(ddg(a, e, b, c), ddg(b, c, a, e))))
+
+        out = []
+        for s, ell in self._pairs:
+            terms = []
+            for j in range(n):
+                for m in range(j, n):
+                    weights = Counter()
+                    for a, b in {(j, m), (m, j)}:
+                        sign, key = component(s, a, b, ell)
+                        if sign:
+                            weights[key] += sign
+                    sign, coef = _signed_sum(
+                        [(w, q(*key)) for key, w in weights.items()
+                         if w and q(*key) != Const(0.0)])
+                    if sign:
+                        mono = (Pow(vel[j], Const(2.0)) if j == m
+                                else Mul(vel[j], vel[m]))
+                        terms.append((sign, Mul(coef, mono)))
+            sign, total = _signed_sum(terms)
+            out.append(Const(0.0) if not sign else total if sign > 0
+                       else Neg(total))
+        return out
 
     @functools.cached_property
     def _g_fn(self):
@@ -264,6 +368,11 @@ class Manifold:
     @functools.cached_property
     def _ddg_fn(self):
         return exprlang.compile_fn(self._ddg_asts, self.coords)
+
+    @functools.cached_property
+    def _ddg_vv_fn(self):
+        return exprlang.compile_fn(self._ddg_vv_asts,
+                                   self.coords + self.velocities)
 
     # -- batched evaluation (leading axis B) --------------------------------
 
@@ -280,6 +389,15 @@ class Manifold:
     def metric_second_partials(self, xs: np.ndarray) -> np.ndarray:
         """ddg[b, l, k, i, j] = d^2 g_ij / (d x^l d x^k)."""
         return self._ddg_fn(*self._args(xs))[:, self._ddg_idx]
+
+    def metric_second_partials_vv(self, xs: np.ndarray,
+                                  vs: np.ndarray) -> np.ndarray:
+        """S[b, s, l] = P_sl + P_ls - W_sl - H_sl, ddg contracted with v
+        twice (see ``riemann``), symmetric; bit for bit ``jet``'s S."""
+        n = self.dimension
+        args = tuple(xs[:, k] for k in range(n)) + tuple(
+            vs[:, k] for k in range(n))
+        return self._ddg_vv_fn(*args)[:, self._g_idx]
 
     def christoffel(self, xs: np.ndarray, ginv: np.ndarray | None = None,
                     dg: np.ndarray | None = None) -> np.ndarray:
@@ -322,50 +440,46 @@ class Manifold:
 
     def riemann(self, xs: np.ndarray, ginv: np.ndarray | None = None,
                 dg: np.ndarray | None = None, ddg: np.ndarray | None = None,
-                vs: np.ndarray | None = None,
-                along: Spray | None = None) -> np.ndarray:
+                vs: np.ndarray | None = None, along: Spray | None = None,
+                ddg_vv: np.ndarray | None = None) -> np.ndarray:
         """The curvature tensor, or with vs its Jacobi operator along vs.
 
         Without vs: riemann[b, k, m, s, r], antisymmetric in (s, r), built
         from the full connection derivative; this is the oracle form.
 
         With vs: jacobi[b, k, s] = R^k_msr v^m v^r, so that R(tau, v)v is
-        jacobi @ tau.  It costs O(n^4) per point: ddg is contracted with v
-        twice before anything else, and neither d gamma nor any
-        (n, n, n, n) intermediate is formed.  With c = gamma(v, v), the
-        lowered L_ls = gamma_lsr v^r and gamma v = g^-1 L,
+        jacobi @ tau.  It costs O(n^3) per point on top of S, and neither
+        ddg, d gamma nor any (n, n, n, n) array is formed.  With
+        c = gamma(v, v), the lowered L_ls = gamma_lsr v^r and
+        gamma v = g^-1 L,
 
-            jacobi = g^-1 [(P + P^T - W - H - E - E^T + D) / 2 + L^T gamma v]
+            jacobi = g^-1 [(S - E - E^T + D) / 2 + L^T gamma v]
 
-        where P_sl = d_s d_m g_lj v^m v^j, W_sl = d_s d_l g(v, v),
-        H_ls = d_v d_v g_ls, E_sl = d_s g_lb c^b and D_ls = c^j d_j g_ls;
-        E + E^T - D is the Koszul combination of dg contracted with c.
-        along, when given, is ``spray(ginv, dg, vs, ...)`` already formed.
+        where S = P + P^T - W - H is ddg contracted with v twice:
+        P_sl = d_s d_m g_lj v^m v^j, W_sl = d_s d_l g(v, v) and
+        H_ls = d_v d_v g_ls; E_sl = d_s g_lb c^b and D_ls = c^j d_j g_ls,
+        so E + E^T - D is the Koszul symbol contracted with c.  along,
+        when given, is ``spray(ginv, koszul, vs, ...)`` already formed, and
+        ddg_vv is S (``metric_second_partials_vv``, or the generated jet's).
         """
         if ginv is None:
             ginv = inverse(self.metric(xs))
-        if dg is None:
+        if dg is None and along is None:
             dg = self.metric_partials(xs)
-        if ddg is None:
-            ddg = self.metric_second_partials(xs)
         nb, n = xs.shape
         if vs is not None:
             if along is None:
-                along = spray(ginv, dg, vs)
-            v_row, v_col = vs[:, None, :], vs[:, :, None]
-            # q[b, s, l, j] = d_v d_s g_lj, which gives P and H
-            q = (v_row @ ddg.reshape(nb, n, n ** 3)).reshape(nb, n * n, n)
-            p = (q @ v_col).reshape(nb, n, n)
-            sym = p + p.swapaxes(1, 2)
-            sym -= (v_row @ q.reshape(nb, n, n * n)).reshape(nb, n, n)
-            vv = (v_col * v_row).reshape(nb, n * n, 1)
-            sym -= (ddg.reshape(nb, n * n, n * n) @ vv).reshape(nb, n, n)
-            sym -= (along.koszul.reshape(nb, n * n, n)
-                    @ along.gvv[:, :, None]).reshape(nb, n, n)
+                along = spray(ginv, _koszul(dg).transpose(0, 2, 3, 1), vs)
+            if ddg_vv is None:
+                ddg_vv = self.metric_second_partials_vv(xs, vs)
+            sym = ddg_vv - (along.koszul.reshape(nb, n * n, n)
+                            @ along.gvv[:, :, None]).reshape(nb, n, n)
             sym *= 0.5
             # a contiguous right operand keeps the product on the fast path
             sym += along.low_v @ along.gam_v.transpose(0, 2, 1).copy()
             return ginv @ sym
+        if ddg is None:
+            ddg = self.metric_second_partials(xs)
         gamma = self.christoffel(xs, ginv=ginv, dg=dg)
         dgamma = self.christoffel_partials(xs, ginv=ginv, dg=dg, ddg=ddg,
                                            gamma=gamma)
@@ -404,12 +518,12 @@ class ForceField:
     """Extended vector field F^k(x, v) given componentwise as expressions.
 
     F and the pair of Jacobians each come from one compiled callable.
-    ``jet`` evaluates them together with the metric and its first and
-    second partials in one further callable that shares every
-    subexpression among all of them; it is what one RK4 stage of the
-    variation equation consumes.  ``flow_jet`` evaluates only g, dg and F,
-    what a stage of the flow alone consumes.  Every callable is compiled
-    on first use.
+    ``jet`` evaluates them together with the metric, the Koszul symbol of
+    its first partials and its second partials contracted with v twice in
+    one further callable that shares every subexpression among all of
+    them; it is what one RK4 stage of the variation equation consumes.
+    ``flow_jet`` evaluates only g, the Koszul symbol and F, what a stage
+    of the flow alone consumes.  Every callable is compiled on first use.
     """
 
     def __init__(self, manifold: Manifold, components: Sequence):
@@ -439,14 +553,14 @@ class ForceField:
     def _jet_fn(self):
         man = self.manifold
         return exprlang.compile_fn(
-            [man._g_asts, man._dg_asts, man._ddg_asts, self.component_ast,
-             *self._jac_asts], self._names)
+            [man._g_asts, man._koszul_asts, man._ddg_vv_asts,
+             self.component_ast, *self._jac_asts], self._names)
 
     @functools.cached_property
     def _flow_fn(self):
         man = self.manifold
         return exprlang.compile_fn(
-            [man._g_asts, man._dg_asts, self.component_ast], self._names)
+            [man._g_asts, man._koszul_asts, self.component_ast], self._names)
 
     def _args(self, xs: np.ndarray, vs: np.ndarray) -> tuple:
         n = self.manifold.dimension
@@ -463,24 +577,27 @@ class ForceField:
         return dfdx.reshape(nb, n, n), dfdv.reshape(nb, n, n)
 
     def jet(self, xs: np.ndarray, vs: np.ndarray):
-        """(g, dg, ddg, f, dfdx, dfdv) from one compiled call.
+        """(g, koszul, ddg_vv, f, dfdx, dfdv) from one compiled call.
 
-        The same arrays, bit for bit, as ``metric``, ``metric_partials``
-        and ``metric_second_partials`` at xs and ``components`` and
-        ``jacobians`` at (xs, vs), built from the expressions those
-        already derived.
+        g, f, dfdx and dfdv are the same arrays, bit for bit, as
+        ``metric`` at xs and ``components`` and ``jacobians`` at (xs, vs);
+        ddg_vv is ``metric_second_partials_vv`` at (xs, vs), bit for bit.
+        koszul[b, j, i, r] = d_j g_ir + d_i g_jr - d_r g_ij is the Koszul
+        symbol of ``metric_partials`` (``Spray.koszul``).  All of them
+        come from the expressions those methods already derived.
         """
         man = self.manifold
-        g, dg, ddg, f, dfdx, dfdv = self._jet_fn(*self._args(xs, vs))
+        g, koszul, ddg_vv, f, dfdx, dfdv = self._jet_fn(*self._args(xs, vs))
         nb, n = xs.shape
-        return (g[:, man._g_idx], dg[:, man._dg_idx], ddg[:, man._ddg_idx],
-                f, dfdx.reshape(nb, n, n), dfdv.reshape(nb, n, n))
+        return (g[:, man._g_idx], koszul[:, man._koszul_idx],
+                ddg_vv[:, man._g_idx], f, dfdx.reshape(nb, n, n),
+                dfdv.reshape(nb, n, n))
 
     def flow_jet(self, xs: np.ndarray, vs: np.ndarray):
-        """(g, dg, f) from one compiled call, bit for bit as ``jet``'s."""
+        """(g, koszul, f) from one compiled call, bit for bit as ``jet``'s."""
         man = self.manifold
-        g, dg, f = self._flow_fn(*self._args(xs, vs))
-        return g[:, man._g_idx], dg[:, man._dg_idx], f
+        g, koszul, f = self._flow_fn(*self._args(xs, vs))
+        return g[:, man._g_idx], koszul[:, man._koszul_idx], f
 
 
 def extended_gradients(man: Manifold, force: ForceField, xs: np.ndarray,
@@ -493,8 +610,8 @@ def extended_gradients(man: Manifold, force: ForceField, xs: np.ndarray,
     connection correction for the vector index and the chase of the
     velocity argument along coordinate directions.  jac, when given, is
     the pair ``force.jacobians(xs, vs)`` already evaluated.  along, when
-    given, is ``spray(ginv, dg, vs, f_vals)`` already formed; gamma is then
-    not needed.
+    given, is ``spray(ginv, koszul, vs, f_vals)`` already formed; gamma is
+    then not needed.
     """
     if f_vals is None:
         f_vals = force.components(xs, vs)

@@ -230,12 +230,13 @@ def _block_norms(man: Manifold, force: ForceField, xs: np.ndarray,
     # The projected families vanish identically for every field when the
     # projector has rank one, so they cannot separate the complete verdict
     # from the weak one; their unprojected strengthenings (s1, and the
-    # velocity-gradient isotropy defect s2) can.
+    # velocity-gradient isotropy defect s2) can.  s2 is laid out as vel,
+    # derivative index first, and _norm_uplow takes the upper index first.
     n = man.dimension
     trace = np.trace(b['vel'], axis1=1, axis2=2)
     s2 = b['vel'] - (trace / n)[:, None, None] * np.eye(n)
     strong = np.maximum(_norm_twolow(ginv, s1),
-                        _norm_uplow(b['g'], ginv, s2))
+                        _norm_uplow(b['g'], ginv, s2.swapaxes(1, 2)))
     return weak, add, strong
 
 

@@ -6,7 +6,7 @@ import warnings
 import pytest
 
 from frontshift import exprlang
-from frontshift.cli import cmd_check, cmd_rank, main
+from frontshift.cli import cmd_blowup, cmd_check, cmd_rank, main
 from frontshift.config import load_config
 from test_rhs_reference import CHARTS
 
@@ -355,7 +355,8 @@ def _s3_drag_config(tmp_path):
             "integrator": {"step": 0.01, "t_end": 0.2, "output_every": 5},
             "sampler": {"x_box": box, "count": 300, "seed": 2},
             "rank": {"variations": 4, "window": [0.0, 0.2],
-                     "trajectories": 2}}
+                     "trajectories": 2},
+            "blowup": {"p0": [1.2, 1.0, 0.5], "nu": 1.0, "resolution": 8}}
     return _write_config(tmp_path, data)
 
 
@@ -401,7 +402,16 @@ def test_rank_compiles_the_jet_once(tmp_path, capsys, monkeypatch):
     seen = _spy_on_symbolic_work(monkeypatch)
     assert cmd_rank(cfg, tmp_path, 0.0) == 0
     capsys.readouterr()
-    assert seen["compiled_by"].count("_jet_fn") == 1
-    assert "_ddg_fn" not in seen["compiled_by"]
+    # the metric for the sampler, then the jet for every stage and for
+    # the force at the last node: no _f_fn, and no _ddg_fn
+    assert sorted(seen["compiled_by"]) == ["_g_fn", "_jet_fn"]
     # first partials, the force's, and the 36 second-partial slots
     assert seen["differentiate"] == 18 + 18 + 6 * 6
+
+
+def test_blowup_compiles_the_jet_once(tmp_path, capsys, monkeypatch):
+    cfg = load_config(_s3_drag_config(tmp_path))
+    seen = _spy_on_symbolic_work(monkeypatch)
+    assert cmd_blowup(cfg, tmp_path, 0.0) == 0
+    capsys.readouterr()
+    assert sorted(seen["compiled_by"]) == ["_g_fn", "_jet_fn"]

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from frontshift.config import ConfigError, parse_config
@@ -66,6 +67,27 @@ def test_asymmetric_metric_rejected():
     with pytest.raises(ConfigError) as info:
         parse_config(data)
     assert str(info.value).startswith("metric:")
+
+
+def test_metric_symmetric_up_to_operand_order_accepted():
+    metric = [["2", "0.1*x1*x2"], ["0.1*x2*x1", "2"]]
+    cfg = parse_config(_merged(metric=metric))
+    man, _ = cfg.build()
+    # each entry is compiled as written; the two agree as functions
+    g = man.metric(np.array([[0.3, -1.7], [2.0, 0.25]]))
+    assert np.array_equal(g, g.swapaxes(1, 2))
+    assert g[0, 0, 1] == pytest.approx(0.1 * 0.3 * -1.7, rel=1e-15)
+    three = [["1", "x1 + x2*x3", "0"], ["x3*x2 + x1", "1", "0"],
+             ["0", "0", "1"]]
+    assert parse_config(_merged(dimension=3, metric=three,
+                                force=["0"] * 3)).dimension == 3
+
+
+def test_metric_asymmetric_beyond_operand_order_rejected():
+    # the order of the operands of - and / matters
+    for a, b in (("x1 - x2", "x2 - x1"), ("x1/x2", "x2/x1")):
+        with pytest.raises(ConfigError, match="^metric: metric not symmetric"):
+            parse_config(_merged(metric=[["3", a], [b, "3"]]))
 
 
 def test_force_arity_and_path():

@@ -377,3 +377,15 @@ def test_compiled_many_property(trees, const, bindings):
             if not math.isfinite(ref + bound):
                 continue
             assert abs(got[b, k] - ref) <= 4.0 * bound + 1e-300, (k, row)
+
+
+def test_commutative_key_ignores_operand_order_in_sums_and_products():
+    def key(src):
+        return el.commutative_key(el.parse(src, ["x1", "x2", "x3"]))
+    assert key("0.1*x1*x2") == key("x2*(x1*0.1)")
+    assert key("x1 + x2*x3 + 1") == key("1 + x3*x2 + x1")
+    assert key("sin(x1*x2)^2") == key("sin(x2*x1)^2")
+    assert key("x1 - x2") != key("x2 - x1")
+    assert key("x1/x2") != key("x2/x1")
+    assert key("x1 + x2*x3") != key("(x1 + x2)*x3")
+    assert key("0*x1") != key("-0*x1")

@@ -5,7 +5,8 @@ import pytest
 
 from frontshift.geometry import (ForceField, Manifold,
                                  NonPositiveDefiniteError, ZeroVelocityError,
-                                 at_point, extended_gradients, inverse, spray)
+                                 _koszul, at_point, extended_gradients,
+                                 inverse, spray)
 from test_rhs_reference import CHARTS, _drag, _sphere
 
 EUCLID = Manifold(2, [["1", "0"], ["0", "1"]])
@@ -219,7 +220,18 @@ JET_CHARTS = dict(
     skew2=([["1 + x2^2", "0.1*x1*x2"], ["0.1*x1*x2", "2 + x1^2"]],
            ["-0.2*v1*sqrt(v1^2 + v2^2) + 0.1*x2", "sin(x1)*v2 - x1"],
            [(-1.0, 1.0)] * 2),
-    S4=(_sphere(4), _drag(4, _sphere(4)), [(0.6, 2.5)] * 3 + [(0.0, 6.0)]))
+    S4=(_sphere(4), _drag(4, _sphere(4)), [(0.6, 2.5)] * 3 + [(0.0, 6.0)]),
+    # every metric entry position dependent, every ddg slot in play
+    dense4=([["3 + x1^2", "0.2*x1*x2", "0.1*sin(x3)", "0.1*x2*x4"],
+             ["0.2*x1*x2", "3 + cos(x2)", "0.15*cos(x1 + x3)",
+              "0.1*x1*x4^2"],
+             ["0.1*sin(x3)", "0.15*cos(x1 + x3)", "3 + x3*x4",
+              "0.2*x2*x3"],
+             ["0.1*x2*x4", "0.1*x1*x4^2", "0.2*x2*x3", "3 + sin(x1*x4)"]],
+            ["-0.1*v1*sqrt(v1^2 + v2^2 + v3^2 + v4^2) + 0.1*x2*v3",
+             "sin(x1)*v2 - 0.1*x3*v4^2", "-x3 + 0.05*v1*v2*cos(x4)",
+             "0.2*x1*v4 - v2*v3"],
+            [(-0.8, 0.8)] * 4))
 
 
 def _chart_points(chart, nb=40):
@@ -268,17 +280,38 @@ def test_inverse_hand_values():
 @pytest.mark.parametrize("chart", sorted(JET_CHARTS))
 def test_jet_is_the_per_quantity_methods(chart):
     man, force, xs, vs = _chart_points(chart)
-    got = force.jet(xs, vs)
-    want = (man.metric(xs), man.metric_partials(xs),
-            man.metric_second_partials(xs), force.components(xs, vs),
-            *force.jacobians(xs, vs))
-    names = ("g", "dg", "ddg", "f", "dfdx", "dfdv")
-    for name, a, b in zip(names, got, want, strict=True):
+    g, koszul, ddg_vv, f, dfdx, dfdv = force.jet(xs, vs)
+    want = (man.metric(xs), man.metric_second_partials_vv(xs, vs),
+            force.components(xs, vs), *force.jacobians(xs, vs))
+    names = ("g", "ddg_vv", "f", "dfdx", "dfdv")
+    for name, a, b in zip(names, (g, ddg_vv, f, dfdx, dfdv), want,
+                          strict=True):
         assert a.shape == b.shape, name
         assert np.array_equal(a, b), name
-    for name, a, b in zip(("g", "dg", "f"), force.flow_jet(xs, vs),
-                          (got[0], got[1], got[3]), strict=True):
+    for name, a, b in zip(("g", "koszul", "f"), force.flow_jet(xs, vs),
+                          (g, koszul, f), strict=True):
         assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("chart", sorted(JET_CHARTS))
+def test_jet_groups_are_the_contracted_partials(chart):
+    # the Koszul symbol and S = P + P^T - W - H against their numeric
+    # forms from the full first and second partials
+    man, force, xs, vs = _chart_points(chart)
+    n = man.dimension
+    _, koszul, ddg_vv, _, _, _ = force.jet(xs, vs)
+    want = _koszul(man.metric_partials(xs)).transpose(0, 2, 3, 1)
+    assert koszul.shape == (len(xs), n, n, n)
+    assert np.abs(koszul - want).max() <= 1e-13 * np.abs(want).max()
+    ddg = man.metric_second_partials(xs)
+    p = np.einsum('bsmlj,bm,bj->bsl', ddg, vs, vs)
+    w = np.einsum('bslmj,bm,bj->bsl', ddg, vs, vs)
+    hh = np.einsum('bmjsl,bm,bj->bsl', ddg, vs, vs)
+    want = p + p.swapaxes(1, 2) - w - hh
+    scale = np.abs(want).max()
+    assert scale > 0.0
+    assert ddg_vv.shape == (len(xs), n, n)
+    assert np.abs(ddg_vv - want).max() <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("chart", sorted(JET_CHARTS))
@@ -290,11 +323,11 @@ def test_jacobi_operator_is_the_contracted_tensor(chart):
     got = man.riemann(xs, vs=vs)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12 * scale
-    # the RHS path: every input precomputed, the spray formed with F
-    g, dg, ddg, f, _, _ = force.jet(xs, vs)
+    # the RHS path: every input from the jet, the spray formed with F
+    g, koszul, ddg_vv, f, _, _ = force.jet(xs, vs)
     ginv = inverse(g)
-    along = man.riemann(xs, ginv=ginv, dg=dg, ddg=ddg, vs=vs,
-                        along=spray(ginv, dg, vs, f))
+    along = man.riemann(xs, ginv=ginv, vs=vs,
+                        along=spray(ginv, koszul, vs, f), ddg_vv=ddg_vv)
     assert np.abs(along - want).max() <= 1e-12 * scale
 
 
@@ -325,16 +358,20 @@ def _peak_bytes(fn):
 
 
 def test_jacobi_operator_builds_no_rank_four_array():
-    # any (B, n, n, n, n) temporary is as large as ddg itself; in n = 4 it
-    # is n times any rank-three one, so the contracted form's temporaries
-    # together stay well below ddg, and the full tensor's do not
+    # any (B, n, n, n, n) array is as large as ddg itself; in n = 4 it is
+    # n times any rank-three one, so neither the jet's groups nor the
+    # contracted form's temporaries reach ddg, and the full tensor's do
     man, force, xs, vs = _chart_points("S4", nb=256)
-    g, dg, ddg, f, _, _ = force.jet(xs, vs)
+    jet = force.jet(xs, vs)
+    g, koszul, ddg_vv, f, _, _ = jet
+    ddg = man.metric_second_partials(xs)
+    assert max(a.nbytes for a in jet) == koszul.nbytes < ddg.nbytes
     ginv = inverse(g)
-    along = spray(ginv, dg, vs, f)
+    along = spray(ginv, koszul, vs, f)
     contracted = _peak_bytes(lambda: man.riemann(
-        xs, ginv=ginv, dg=dg, ddg=ddg, vs=vs, along=along))
-    full = _peak_bytes(lambda: man.riemann(xs, ginv=ginv, dg=dg, ddg=ddg))
+        xs, ginv=ginv, vs=vs, along=along, ddg_vv=ddg_vv))
+    full = _peak_bytes(lambda: man.riemann(
+        xs, ginv=ginv, dg=man.metric_partials(xs), ddg=ddg))
     assert contracted < ddg.nbytes < full
 
 

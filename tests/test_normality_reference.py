@@ -221,3 +221,26 @@ def test_deviation_formulas_match_reference(system):
     for name, a, r in zip(("phi", "phi_dot", "phi_ddot"), got,
                           ref_phi_derivatives(ref_b, tau, rho)):
         _close(name, a, r)
+
+
+def test_strong_norm_is_the_index_notation_norm():
+    # n = 2: the isotropy defect S^k_i = dF^k/dv^i - (tr / n) delta^k_i
+    # has |S|^2 = g_kl g^ij S^k_i S^l_j.  Drag on the curved S^2 chart
+    # has s1 = 0, so the strong norm is |S| alone, and S is not
+    # symmetric in the metric, so reading its indices the other way
+    # round gives another number.
+    metric, force_src, box = CHARTS["S2"]
+    man = Manifold(2, metric)
+    force = ForceField(man, force_src)
+    xs, vs, g = normality.sample_tangent_points(man, box, 0.5, 2.0, 64,
+                                                seed=3)
+    _, _, strong = normality._block_norms(man, force, xs, vs, g)
+    b = ref_bundle(man, force, xs, vs)
+    defect = b['vel'] - 0.5 * np.einsum('bii->b', b['vel'])[:, None,
+                                                             None] * np.eye(2)
+    want = np.sqrt(np.einsum('bkl,bij,bik,bjl->b', b['g'], b['ginv'],
+                             defect, defect))
+    _close("strong", strong, want)
+    swapped = np.sqrt(np.einsum('bkl,bij,bki,blj->b', b['g'], b['ginv'],
+                                defect, defect))
+    assert np.abs(swapped - want).max() > 1e-3 * want.max()
