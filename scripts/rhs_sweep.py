@@ -1,7 +1,6 @@
 """Time each live piece of the variation right-hand side, per call.
 
-    python3 scripts/rhs_sweep.py [--batches 1 64 144 1024] [--repeats 7]
-        [--calls 20]
+    python3 scripts/rhs_sweep.py
 
 Imports the package of this checkout (its ``src/``) and needs numpy
 only.  On the S^2 and S^3 drag charts and the non-diagonal ``skew3``
@@ -9,16 +8,16 @@ chart it times, at each batch size B, the pieces one RK4 stage of the
 variation equation (n - 1 variations per row) evaluates: the generated
 jet (``ForceField.jet``), ``inverse``, ``spray``, the Jacobi operator
 ``Manifold.riemann(vs=)``, ``extended_gradients`` and the whole
-``dynamics._rhs``.  Each figure is the least over ``repeats`` of the
-mean of ``calls`` back-to-back calls, in microseconds per call.  The
-inputs of each piece are formed once, outside the timing, and every
-callable is compiled before it is timed.  Run it with
-OPENBLAS_NUM_THREADS=1 so that the batched products use one thread.
+``dynamics._rhs``, at B = 1, 64, 144 and 1024.  Each figure is the
+least over 7 repeats of the mean of 20 back-to-back calls, in
+microseconds per call.  The inputs of each piece are formed once,
+outside the timing, and every callable is compiled before it is timed.
+Run it with OPENBLAS_NUM_THREADS=1 so that the batched products use one
+thread.  The tests take their reference charts from ``CHARTS``.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 import timeit
 from pathlib import Path
@@ -32,7 +31,8 @@ from frontshift.geometry import (ForceField, Manifold,  # noqa: E402
                                  extended_gradients, inverse, spray)
 
 
-def _sphere(n: int) -> list:
+def sphere(n: int) -> list:
+    """The round metric of S^n in its polar chart."""
     metric = [["0"] * n for _ in range(n)]
     metric[0][0] = "1"
     for k in range(1, n):
@@ -40,12 +40,15 @@ def _sphere(n: int) -> list:
     return metric
 
 
-def _drag(metric: list, c: float = 0.3) -> list:
+def drag(metric: list, c: float = 0.3) -> list:
+    """Quadratic drag -c |v|_g v on a diagonal metric."""
     n = len(metric)
     speed = " + ".join(f"{metric[k][k]}*v{k + 1}^2" for k in range(n))
     return [f"-{c}*sqrt({speed})*v{k + 1}" for k in range(n)]
 
 
+# Off-diagonal, position-dependent, positive definite on the box below;
+# its force mixes positions and velocities in every component.
 SKEW_METRIC = [
     ["2 + x2^2", "0.3*x1*x3", "0.2*sin(x2)"],
     ["0.3*x1*x3", "2 + cos(x1)", "0.1*x2*x3"],
@@ -57,12 +60,15 @@ SKEW_FORCE = ["-0.2*v1*sqrt(v1^2 + v2^2 + v3^2) + 0.1*x2*v3",
 
 # name: (metric, force, position box)
 CHARTS = {
-    "S2": (_sphere(2), _drag(_sphere(2)), [(0.6, 2.5), (0.0, 6.0)]),
-    "S3": (_sphere(3), _drag(_sphere(3)),
+    "S2": (sphere(2), drag(sphere(2)), [(0.6, 2.5), (0.0, 6.0)]),
+    "S3": (sphere(3), drag(sphere(3)),
            [(0.6, 2.5), (0.6, 2.5), (0.0, 6.0)]),
     "skew3": (SKEW_METRIC, SKEW_FORCE, [(-0.8, 0.8)] * 3),
 }
 PIECES = ("jet", "inverse", "spray", "riemann", "gradients", "rhs")
+BATCHES = (1, 64, 144, 1024)
+REPEATS = 7
+CALLS = 20
 
 
 def pieces(man: Manifold, force: ForceField, box, nb: int,
@@ -103,18 +109,10 @@ def sweep(batches, repeats: int, calls: int):
             yield name, nb, times
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--batches", type=int, nargs="+",
-                        default=[1, 64, 144, 1024])
-    parser.add_argument("--repeats", type=int, default=7)
-    parser.add_argument("--calls", type=int, default=20)
-    args = parser.parse_args(argv)
-    if min(args.batches) < 1 or args.repeats < 1 or args.calls < 1:
-        parser.error("batches, repeats and calls must be positive")
+def main() -> int:
     print(f"{'chart':<6} {'B':>5} "
           + " ".join(f"{p:>10}" for p in PIECES) + "   (us per call)")
-    for name, nb, times in sweep(args.batches, args.repeats, args.calls):
+    for name, nb, times in sweep(BATCHES, REPEATS, CALLS):
         print(f"{name:<6} {nb:>5} "
               + " ".join(f"{times[p]:>10.1f}" for p in PIECES), flush=True)
     return 0

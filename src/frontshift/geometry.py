@@ -369,11 +369,6 @@ class Manifold:
     def _ddg_fn(self):
         return exprlang.compile_fn(self._ddg_asts, self.coords)
 
-    @functools.cached_property
-    def _ddg_vv_fn(self):
-        return exprlang.compile_fn(self._ddg_vv_asts,
-                                   self.coords + self.velocities)
-
     # -- batched evaluation (leading axis B) --------------------------------
 
     def _args(self, xs: np.ndarray) -> tuple:
@@ -389,15 +384,6 @@ class Manifold:
     def metric_second_partials(self, xs: np.ndarray) -> np.ndarray:
         """ddg[b, l, k, i, j] = d^2 g_ij / (d x^l d x^k)."""
         return self._ddg_fn(*self._args(xs))[:, self._ddg_idx]
-
-    def metric_second_partials_vv(self, xs: np.ndarray,
-                                  vs: np.ndarray) -> np.ndarray:
-        """S[b, s, l] = P_sl + P_ls - W_sl - H_sl, ddg contracted with v
-        twice (see ``riemann``), symmetric; bit for bit ``jet``'s S."""
-        n = self.dimension
-        args = tuple(xs[:, k] for k in range(n)) + tuple(
-            vs[:, k] for k in range(n))
-        return self._ddg_vv_fn(*args)[:, self._g_idx]
 
     def christoffel(self, xs: np.ndarray, ginv: np.ndarray | None = None,
                     dg: np.ndarray | None = None) -> np.ndarray:
@@ -458,26 +444,22 @@ class Manifold:
         where S = P + P^T - W - H is ddg contracted with v twice:
         P_sl = d_s d_m g_lj v^m v^j, W_sl = d_s d_l g(v, v) and
         H_ls = d_v d_v g_ls; E_sl = d_s g_lb c^b and D_ls = c^j d_j g_ls,
-        so E + E^T - D is the Koszul symbol contracted with c.  along,
-        when given, is ``spray(ginv, koszul, vs, ...)`` already formed, and
-        ddg_vv is S (``metric_second_partials_vv``, or the generated jet's).
+        so E + E^T - D is the Koszul symbol contracted with c.  With vs,
+        along (``spray(ginv, koszul, vs, ...)``) and ddg_vv (S) are
+        required; both come from ``ForceField.jet``.
         """
         if ginv is None:
             ginv = inverse(self.metric(xs))
-        if dg is None and along is None:
-            dg = self.metric_partials(xs)
         nb, n = xs.shape
         if vs is not None:
-            if along is None:
-                along = spray(ginv, _koszul(dg).transpose(0, 2, 3, 1), vs)
-            if ddg_vv is None:
-                ddg_vv = self.metric_second_partials_vv(xs, vs)
             sym = ddg_vv - (along.koszul.reshape(nb, n * n, n)
                             @ along.gvv[:, :, None]).reshape(nb, n, n)
             sym *= 0.5
             # a contiguous right operand keeps the product on the fast path
             sym += along.low_v @ along.gam_v.transpose(0, 2, 1).copy()
             return ginv @ sym
+        if dg is None:
+            dg = self.metric_partials(xs)
         if ddg is None:
             ddg = self.metric_second_partials(xs)
         gamma = self.christoffel(xs, ginv=ginv, dg=dg)
@@ -580,11 +562,12 @@ class ForceField:
         """(g, koszul, ddg_vv, f, dfdx, dfdv) from one compiled call.
 
         g, f, dfdx and dfdv are the same arrays, bit for bit, as
-        ``metric`` at xs and ``components`` and ``jacobians`` at (xs, vs);
-        ddg_vv is ``metric_second_partials_vv`` at (xs, vs), bit for bit.
+        ``metric`` at xs and ``components`` and ``jacobians`` at (xs, vs).
         koszul[b, j, i, r] = d_j g_ir + d_i g_jr - d_r g_ij is the Koszul
-        symbol of ``metric_partials`` (``Spray.koszul``).  All of them
-        come from the expressions those methods already derived.
+        symbol of ``metric_partials`` (``Spray.koszul``), and ddg_vv is
+        S = P + P^T - W - H, ``metric_second_partials`` contracted with vs
+        twice (see ``Manifold.riemann``).  All of them come from the
+        expressions those methods already derived.
         """
         man = self.manifold
         g, koszul, ddg_vv, f, dfdx, dfdv = self._jet_fn(*self._args(xs, vs))

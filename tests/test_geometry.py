@@ -7,7 +7,7 @@ from frontshift.geometry import (ForceField, Manifold,
                                  NonPositiveDefiniteError, ZeroVelocityError,
                                  _koszul, at_point, extended_gradients,
                                  inverse, spray)
-from test_rhs_reference import CHARTS, _drag, _sphere
+from test_rhs_reference import CHARTS, drag, sphere
 
 EUCLID = Manifold(2, [["1", "0"], ["0", "1"]])
 POLAR = Manifold(2, [["1", "0"], ["0", "x1^2"]])
@@ -220,7 +220,7 @@ JET_CHARTS = dict(
     skew2=([["1 + x2^2", "0.1*x1*x2"], ["0.1*x1*x2", "2 + x1^2"]],
            ["-0.2*v1*sqrt(v1^2 + v2^2) + 0.1*x2", "sin(x1)*v2 - x1"],
            [(-1.0, 1.0)] * 2),
-    S4=(_sphere(4), _drag(4, _sphere(4)), [(0.6, 2.5)] * 3 + [(0.0, 6.0)]),
+    S4=(sphere(4), drag(sphere(4)), [(0.6, 2.5)] * 3 + [(0.0, 6.0)]),
     # every metric entry position dependent, every ddg slot in play
     dense4=([["3 + x1^2", "0.2*x1*x2", "0.1*sin(x3)", "0.1*x2*x4"],
              ["0.2*x1*x2", "3 + cos(x2)", "0.15*cos(x1 + x3)",
@@ -280,12 +280,11 @@ def test_inverse_hand_values():
 @pytest.mark.parametrize("chart", sorted(JET_CHARTS))
 def test_jet_is_the_per_quantity_methods(chart):
     man, force, xs, vs = _chart_points(chart)
-    g, koszul, ddg_vv, f, dfdx, dfdv = force.jet(xs, vs)
-    want = (man.metric(xs), man.metric_second_partials_vv(xs, vs),
-            force.components(xs, vs), *force.jacobians(xs, vs))
-    names = ("g", "ddg_vv", "f", "dfdx", "dfdv")
-    for name, a, b in zip(names, (g, ddg_vv, f, dfdx, dfdv), want,
-                          strict=True):
+    g, koszul, _, f, dfdx, dfdv = force.jet(xs, vs)
+    want = (man.metric(xs), force.components(xs, vs),
+            *force.jacobians(xs, vs))
+    names = ("g", "f", "dfdx", "dfdv")
+    for name, a, b in zip(names, (g, f, dfdx, dfdv), want, strict=True):
         assert a.shape == b.shape, name
         assert np.array_equal(a, b), name
     for name, a, b in zip(("g", "koszul", "f"), force.flow_jet(xs, vs),
@@ -314,27 +313,29 @@ def test_jet_groups_are_the_contracted_partials(chart):
     assert np.abs(ddg_vv - want).max() <= 1e-13 * scale
 
 
+def _jacobi(man, force, xs, vs):
+    """riemann(vs=) with every input from the jet, as the RHS feeds it."""
+    g, koszul, ddg_vv, f, _, _ = force.jet(xs, vs)
+    ginv = inverse(g)
+    return man.riemann(xs, ginv=ginv, vs=vs,
+                       along=spray(ginv, koszul, vs, f), ddg_vv=ddg_vv)
+
+
 @pytest.mark.parametrize("chart", sorted(JET_CHARTS))
 def test_jacobi_operator_is_the_contracted_tensor(chart):
     man, force, xs, vs = _chart_points(chart)
     want = np.einsum('bkmsr,bm,br->bks', man.riemann(xs), vs, vs)
     scale = np.abs(want).max()
     assert scale > 0.0
-    got = man.riemann(xs, vs=vs)
+    got = _jacobi(man, force, xs, vs)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12 * scale
-    # the RHS path: every input from the jet, the spray formed with F
-    g, koszul, ddg_vv, f, _, _ = force.jet(xs, vs)
-    ginv = inverse(g)
-    along = man.riemann(xs, ginv=ginv, vs=vs,
-                        along=spray(ginv, koszul, vs, f), ddg_vv=ddg_vv)
-    assert np.abs(along - want).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("chart", sorted(JET_CHARTS))
 def test_jacobi_operator_identities(chart):
-    man, _, xs, vs = _chart_points(chart)
-    jacobi = man.riemann(xs, vs=vs)
+    man, force, xs, vs = _chart_points(chart)
+    jacobi = _jacobi(man, force, xs, vs)
     scale = np.abs(jacobi).max()
     # R(v, v)v = 0
     kv = (jacobi @ vs[:, :, None])[:, :, 0]
@@ -343,8 +344,8 @@ def test_jacobi_operator_identities(chart):
     low = man.metric(xs) @ jacobi
     assert np.abs(low - low.swapaxes(1, 2)).max() <= 1e-12 * np.abs(low).max()
     # quadratic in v; a power-of-two scale is exact in every product
-    assert np.array_equal(man.riemann(xs, vs=2.0 * vs), 4.0 * jacobi)
-    scaled = man.riemann(xs, vs=-0.7 * vs)
+    assert np.array_equal(_jacobi(man, force, xs, 2.0 * vs), 4.0 * jacobi)
+    scaled = _jacobi(man, force, xs, -0.7 * vs)
     assert np.abs(scaled - 0.49 * jacobi).max() <= 1e-12 * scale
 
 

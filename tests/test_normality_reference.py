@@ -14,7 +14,7 @@ import pytest
 from frontshift import deviation, normality
 from frontshift.geometry import (ForceField, Manifold, extended_gradients,
                                  force_tensors)
-from test_rhs_reference import CHARTS, _drag, _sphere
+from test_rhs_reference import CHARTS, drag, sphere
 
 REL = 1e-12
 
@@ -127,12 +127,12 @@ def _tilted(force, n):
             for k, f in enumerate(force)]
 
 
-S4 = _sphere(4)
+S4 = sphere(4)
 SYSTEMS = {
     "S2": (CHARTS["S2"][0], _tilted(CHARTS["S2"][1], 2), CHARTS["S2"][2]),
     "S3": (CHARTS["S3"][0], _tilted(CHARTS["S3"][1], 3), CHARTS["S3"][2]),
     "skew3": CHARTS["skew3"],
-    "S4": (S4, _tilted(_drag(4, S4), 4), [(0.8, 2.3)] * 3 + [(0.0, 6.0)]),
+    "S4": (S4, _tilted(drag(S4), 4), [(0.8, 2.3)] * 3 + [(0.0, 6.0)]),
 }
 
 

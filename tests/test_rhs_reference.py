@@ -7,11 +7,23 @@ the variation right-hand side with one einsum per term, as the
 production code did before it was fused into batched matrix products.
 """
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from frontshift import dynamics, exprlang
 from frontshift.geometry import ForceField, Manifold
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "rhs_sweep.py"
+_spec = importlib.util.spec_from_file_location("rhs_sweep", SCRIPT)
+rhs_sweep = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(rhs_sweep)
+
+# S^2 and S^3 under drag and the non-diagonal skew3: the charts whose
+# pieces scripts/rhs_sweep.py times, shared by the tests
+CHARTS, drag, sphere = rhs_sweep.CHARTS, rhs_sweep.drag, rhs_sweep.sphere
 
 REL = 1e-12
 
@@ -87,38 +99,6 @@ class _Reference:
         dtau = rho - np.einsum('bkrs,br,bjs->bjk', gamma, v, tau)
         drho = rho_rate - np.einsum('bkrs,br,bjs->bjk', gamma, v, rho)
         return v, dv, dtau, drho, f_vals
-
-
-def _sphere(n):
-    metric = [["0"] * n for _ in range(n)]
-    metric[0][0] = "1"
-    for k in range(1, n):
-        metric[k][k] = "*".join(f"sin(x{j + 1})^2" for j in range(k))
-    return metric
-
-
-def _drag(n, metric, c=0.3):
-    speed = " + ".join(f"{metric[k][k]}*v{k + 1}^2" for k in range(n))
-    return [f"-{c}*sqrt({speed})*v{k + 1}" for k in range(n)]
-
-
-# Off-diagonal, position-dependent, positive definite on the box below;
-# its force mixes positions and velocities in every component.
-SKEW_METRIC = [
-    ["2 + x2^2", "0.3*x1*x3", "0.2*sin(x2)"],
-    ["0.3*x1*x3", "2 + cos(x1)", "0.1*x2*x3"],
-    ["0.2*sin(x2)", "0.1*x2*x3", "2.5 + x1^2*x3"],
-]
-SKEW_FORCE = ["-0.2*v1*sqrt(v1^2 + v2^2 + v3^2) + 0.1*x2*v3",
-              "sin(x1)*v2 - 0.1*x3*v1^2",
-              "-x3 + 0.05*v1*v2*cos(x2)"]
-
-CHARTS = {
-    "S2": (_sphere(2), _drag(2, _sphere(2)), [(0.6, 2.5), (0.0, 6.0)]),
-    "S3": (_sphere(3), _drag(3, _sphere(3)),
-           [(0.6, 2.5), (0.6, 2.5), (0.0, 6.0)]),
-    "skew3": (SKEW_METRIC, SKEW_FORCE, [(-0.8, 0.8)] * 3),
-}
 
 
 @pytest.mark.parametrize("riemann_sign", [1.0, -1.0])

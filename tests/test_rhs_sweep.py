@@ -1,33 +1,12 @@
 """scripts/rhs_sweep.py at a tiny batch: every piece timed on every chart."""
 
-import importlib.util
-from pathlib import Path
-
-import pytest
-
-from test_rhs_reference import CHARTS
-
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "rhs_sweep.py"
-_spec = importlib.util.spec_from_file_location("rhs_sweep", SCRIPT)
-rhs_sweep = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(rhs_sweep)
+from test_rhs_reference import CHARTS, rhs_sweep
 
 
-def test_sweep_times_every_piece(capsys):
-    assert rhs_sweep.main(["--batches", "1", "3", "--repeats", "1",
-                           "--calls", "1"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split()[:8] == ["chart", "B", *rhs_sweep.PIECES]
-    rows = [line.split() for line in lines[1:]]
+def test_sweep_times_every_piece():
+    rows = list(rhs_sweep.sweep([1, 3], 1, 1))
     assert [row[:2] for row in rows] == [
-        [chart, nb] for chart in ("S2", "S3", "skew3") for nb in ("1", "3")]
-    assert all(float(t) > 0.0 for row in rows for t in row[2:])
-
-
-def test_sweep_charts_are_the_reference_charts():
-    assert rhs_sweep.CHARTS == CHARTS
-
-
-def test_sweep_rejects_an_empty_batch(capsys):
-    with pytest.raises(SystemExit):
-        rhs_sweep.main(["--batches", "0"])
+        (chart, nb) for chart in CHARTS for nb in (1, 3)]
+    assert all(list(times) == list(rhs_sweep.PIECES)
+               and all(t > 0.0 for t in times.values())
+               for _, _, times in rows)
