@@ -80,7 +80,7 @@ def pieces(man: Manifold, force: ForceField, box, nb: int,
     x = lo + (hi - lo) * rng.random((nb, n))
     v = rng.normal(size=(nb, n))
     tau, rho = rng.normal(size=(2, nb, n - 1, n))
-    g, koszul, ddg_vv, f, dfdx, dfdv = force.jet(x, v)
+    g, koszul, f, dfdx, dfdv, ddg_vv = force.jet(x, v)
     ginv = inverse(g)
     along = spray(ginv, koszul, v, f)
     return {
@@ -90,7 +90,7 @@ def pieces(man: Manifold, force: ForceField, box, nb: int,
         "riemann": lambda: man.riemann(x, ginv=ginv, vs=v, along=along,
                                        ddg_vv=ddg_vv),
         "gradients": lambda: extended_gradients(
-            man, force, x, v, f_vals=f, jac=(dfdx, dfdv), along=along),
+            man, force, x, v, jac=(dfdx, dfdv), along=along),
         "rhs": lambda: _rhs(man, force, x, v, tau, rho, 1.0),
     }
 

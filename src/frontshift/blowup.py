@@ -24,8 +24,8 @@ import numpy as np
 
 from . import exprlang
 from .dynamics import BatchTrajectory, IntegrationAbort, integrate_batch
-from .geometry import (ForceField, Manifold, at_point, g_norm, lower,
-                       matvec)
+from .geometry import (ForceField, Manifold, at_point, g_norm, inverse,
+                       lower, matvec, spray)
 
 TAU_NORM_FLOOR = 1e-12
 
@@ -69,17 +69,11 @@ class HypersurfaceSpec:
 class FrontRecord:
     """Record of a blow-up or shift with deviation series attached."""
 
-    kind: str                  # "blowup" or "shift"
     man: Manifold
-    force: ForceField
     u: np.ndarray              # (B, n-1) surface/sphere parameters
-    origin: np.ndarray         # (B, n) points at t=0
-    launch_speed: np.ndarray   # (B,) nu values
     batch: BatchTrajectory
     phi: np.ndarray            # (M+1, B, n-1)
     psi: np.ndarray            # (M+1, B, n-1), nan where |tau| ~ 0
-    speed: np.ndarray          # (M+1, B)
-    tau_norm: np.ndarray       # (M+1, B, n-1)
 
     @property
     def times(self) -> np.ndarray:
@@ -199,8 +193,7 @@ def simulate_blowup(man: Manifold, force: ForceField, spec: BlowupConfig,
     else:
         rho0 = (nu_grads[:, :, None] * dirs[:, None, :]
                 + nu_vals[:, None, None] * tangents)
-    return _integrate_front("blowup", man, force, u, nu_vals, x0, v0, tau0,
-                            rho0, t_end, h)
+    return _integrate_front(man, force, u, x0, v0, tau0, rho0, t_end, h)
 
 
 def surface_grid(hs: HypersurfaceSpec, n_params: int) -> np.ndarray:
@@ -271,7 +264,8 @@ def simulate_shift(man: Manifold, force: ForceField, hs: HypersurfaceSpec,
 
     Variations start at the exact coordinate tangents; their covariant
     rates are the covariant u-derivatives of the launch field nu(u)n(u),
-    obtained by central differencing plus the connection correction.
+    obtained by central differencing plus the connection correction
+    gamma(K_a, v0), taken from the stages' own jet.
     The surface map, nu and their u-derivatives are compiled once.  The
     differences evaluate nu and the surface just off the grid, so launch
     rates that come out non-finite there are a ``BlowupError`` too.
@@ -287,7 +281,9 @@ def simulate_shift(man: Manifold, force: ForceField, hs: HypersurfaceSpec,
 
     box = np.asarray(hs.box, dtype=float)
     rho0 = np.empty((u.shape[0], n_params, n))
-    gamma0 = man.christoffel(x0)
+    g0, koszul0, *_ = force.jet(x0, v0)
+    # launch[b, a, k] = gamma^k_rs K_a^r v0^s
+    launch = tangents @ spray(inverse(g0), koszul0, v0).gam_v
 
     def launch_field(params, where):
         _, _, normals = _surface_frames(man, surface, params, hs.orient_flip,
@@ -304,19 +300,18 @@ def simulate_shift(man: Manifold, force: ForceField, hs: HypersurfaceSpec,
         down[:, a] -= delta
         rho0[:, a] = (launch_field(up, where)
                       - launch_field(down, where)) / (2.0 * delta)
-        rho0[:, a] += np.einsum('bkrs,br,bs->bk', gamma0,
-                                tangents[:, a], v0)
+        rho0[:, a] += launch[:, a]
     if not np.isfinite(rho0).all():
         raise BlowupError(
             "the launch rates must be finite on the surface grid; they "
             "difference nu and the surface map just off it")
-    return _integrate_front("shift", man, force, u, nu_vals, x0, v0,
-                            tangents.copy(), rho0, t_end, h)
+    return _integrate_front(man, force, u, x0, v0, tangents.copy(), rho0,
+                            t_end, h)
 
 
-def _integrate_front(kind: str, man: Manifold, force: ForceField,
-                     u: np.ndarray, nu_vals: np.ndarray, x0, v0, tau0, rho0,
-                     t_end: float, h: float) -> FrontRecord:
+def _integrate_front(man: Manifold, force: ForceField, u: np.ndarray,
+                     x0, v0, tau0, rho0, t_end: float,
+                     h: float) -> FrontRecord:
     """Integrate the launched front and attach its deviation series.
 
     An IntegrationAbort is re-raised carrying the partial FrontRecord.
@@ -324,15 +319,15 @@ def _integrate_front(kind: str, man: Manifold, force: ForceField,
     try:
         batch = integrate_batch(man, force, x0, v0, tau0, rho0, t_end, h)
     except IntegrationAbort as abort:
-        abort.record = _attach_series(kind, man, force, u, x0, nu_vals,
-                                      abort.record)
+        abort.record = _attach_series(man, u, abort.record)
         raise
-    return _attach_series(kind, man, force, u, x0, nu_vals, batch)
+    return _attach_series(man, u, batch)
 
 
-def _attach_series(kind: str, man: Manifold, force: ForceField,
-                   u: np.ndarray, origin: np.ndarray, nu_vals: np.ndarray,
+def _attach_series(man: Manifold, u: np.ndarray,
                    batch: BatchTrajectory) -> FrontRecord:
+    """phi and psi of the batch; the g-speeds and |tau| they are formed
+    from are freed on return."""
     m1, nb, nvar, n = batch.tau.shape
     flat_x = batch.x.reshape(m1 * nb, n)
     g = man.metric(flat_x).reshape(m1, nb, n, n)
@@ -342,8 +337,7 @@ def _attach_series(kind: str, man: Manifold, force: ForceField,
     with np.errstate(invalid='ignore', divide='ignore'):
         psi = np.where(tau_norm > TAU_NORM_FLOOR,
                        phi / (speed[:, :, None] * tau_norm), np.nan)
-    return FrontRecord(kind, man, force, u, origin, nu_vals, batch,
-                       phi, psi, speed, tau_norm)
+    return FrontRecord(man, u, batch, phi, psi)
 
 
 def orthogonality_report(record: FrontRecord) -> OrthogonalityReport:

@@ -162,8 +162,8 @@ def cmd_rank(cfg: ScenarioConfig, out_dir: Path, started: float) -> int:
     s = cfg.sampler
     r = cfg.rank
     n = cfg.dimension
-    xs, vs, _ = sample_tangent_points(man, s.x_box, s.v_min, s.v_max,
-                                      r.trajectories, seed=s.seed)
+    xs, vs = sample_tangent_points(man, s.x_box, s.v_min, s.v_max,
+                                   r.trajectories, seed=s.seed)
     rng = np.random.default_rng(s.seed)
     tau0 = rng.normal(size=(r.trajectories, r.variations, n))
     rho0 = rng.normal(size=(r.trajectories, r.variations, n))

@@ -6,17 +6,15 @@ the connection terms are folded into the right-hand side on the fly.
 Classic fourth-order Runge-Kutta on a uniform grid; no adaptivity.
 
 Each RK4 stage makes one generated call (``ForceField.jet``: the metric,
-the Koszul symbol of its first partials, its second partials contracted
-with v twice, the force and both force Jacobians; or
-``ForceField.flow_jet`` when there are no variations) and one
-closed-form metric inverse (``geometry.inverse``).  The connection
-enters only as gamma contracted with v and F, and the curvature only as
-the Jacobi operator R(., v)v (``Manifold.riemann`` with the velocity
-passed, once per stage), so no stage builds gamma, its derivative, the
-metric's second partials or the curvature tensor.  The force recorded at
-the last node comes from the same callable.  ``integrate_batch`` is the
-one integrator: a single trajectory is a batch of one, read back with
-``single_record``.
+the Koszul symbol of its first partials, the force, both force
+Jacobians and the metric's second partials contracted with v twice) and
+one closed-form metric inverse (``geometry.inverse``), with or without
+variations.  The connection enters only as gamma contracted with v and
+F, and the curvature only as the Jacobi operator R(., v)v
+(``Manifold.riemann`` with the velocity passed, once per stage), so no
+stage builds gamma, its derivative, the metric's second partials or the
+curvature tensor.  ``integrate_batch`` is the one integrator: a single
+trajectory is a batch of one, read back with ``single_record``.
 
 The integrator packs each row's x, v, tau and rho into one state row of
 2n + 2Jn numbers, so each stage input, the step's combination and the
@@ -61,12 +59,11 @@ class IntegrationAbort(RuntimeError):
 class BatchTrajectory:
     """Uniform-grid record of B trajectories with J variations each.
 
-    Axes: times (M+1,), x/v/force (M+1, B, n), tau/rho (M+1, B, J, n).
-    rho holds covariant rates of tau.  From ``integrate_batch``, x, v, tau
-    and rho are views of one packed history array; force is its own
-    array.  One row of it (``single_record``)
-    is the same type without the B axis: x/v/force (M+1, n), tau/rho
-    (M+1, J, n).
+    Axes: times (M+1,), x/v (M+1, B, n), tau/rho (M+1, B, J, n).  rho
+    holds covariant rates of tau.  From ``integrate_batch``, x, v, tau and
+    rho are views of one packed history array.  One row of it
+    (``single_record``) is the same type without the B axis: x/v
+    (M+1, n), tau/rho (M+1, J, n).
     """
 
     times: np.ndarray
@@ -74,7 +71,6 @@ class BatchTrajectory:
     v: np.ndarray
     tau: np.ndarray
     rho: np.ndarray
-    force: np.ndarray
     step: float
 
     @property
@@ -84,15 +80,15 @@ class BatchTrajectory:
 
 def _rhs(man: Manifold, force: ForceField, x, v, tau, rho,
          riemann_sign: float, out=None):
-    """Plain time derivatives of the batched state: (dx, dv, dtau, drho, F).
+    """Plain time derivatives of the batched state: (dx, dv, dtau, drho).
 
     x, v: (B, n); tau, rho: (B, J, n).  riemann_sign flips the curvature
     term (debug hook for the selftest convention arbiter).  out, when
     given, is the four rate arrays (dx, dv, dtau, drho) to write into,
-    e.g. views of a packed state row; they are returned with F.
+    e.g. views of a packed state row; they are returned.
 
-    One generated call (``force.jet``, or ``force.flow_jet`` when J = 0)
-    and one closed-form ``inverse``.  gamma enters only through its
+    One generated call (``force.jet``) and one closed-form ``inverse``;
+    with J = 0 it returns after dv.  gamma enters only through its
     products with v and F (``spray``, from the jet's Koszul symbol),
     shared by the flow, the force gradient, the curvature and both
     connection terms, and the curvature only as K = R(., v)v from
@@ -106,23 +102,20 @@ def _rhs(man: Manifold, force: ForceField, x, v, tau, rho,
     if out is None:
         out = tuple(np.empty_like(a) for a in (v, v, tau, rho))
     dx, dv, dtau, drho = out
-    if tau.shape[1] == 0:
-        g, koszul, f_vals = force.flow_jet(x, v)
-    else:
-        g, koszul, ddg_vv, f_vals, dfdx, dfdv = force.jet(x, v)
+    g, koszul, f_vals, dfdx, dfdv, ddg_vv = force.jet(x, v)
     ginv = inverse(g)
     along = spray(ginv, koszul, v, f_vals)
     dx[...] = v
     np.subtract(f_vals, along.gvv, out=dv)
     if tau.shape[1] == 0:
-        return dx, dv, dtau, drho, f_vals
+        return out
     jacobi = man.riemann(x, ginv=ginv, vs=v, along=along, ddg_vv=ddg_vv)
-    spatial, velocity = extended_gradients(man, force, x, v, f_vals=f_vals,
+    spatial, velocity = extended_gradients(man, force, x, v,
                                            jac=(dfdx, dfdv), along=along)
     np.subtract(rho, tau @ along.gam_v, out=dtau)
     np.add(tau @ (spatial - riemann_sign * jacobi.swapaxes(1, 2)),
            rho @ (velocity - along.gam_v), out=drho)
-    return dx, dv, dtau, drho, f_vals
+    return out
 
 
 def integrate_batch(man: Manifold, force: ForceField, x0, v0, tau0, rho0,
@@ -152,13 +145,8 @@ def integrate_batch(man: Manifold, force: ForceField, x0, v0, tau0, rho0,
         return (x, v, tau.reshape(lead + (nvar, n)),
                 rho.reshape(lead + (nvar, n)))
 
-    def rate(point, out):
-        """Writes the rates at point into out's views; returns F."""
-        return _rhs(man, force, *point, riemann_sign, out=out)[4]
-
     times = np.arange(steps + 1) * h
     history = np.empty((steps + 1, nb, ends[-1]))
-    forces = np.empty((steps + 1, nb, n))
     # the state, the stage input and the four stage rates, with views of
     # each made once
     state, stage, k1, k2, k3, k4 = np.empty((6, nb, ends[-1]))
@@ -169,33 +157,26 @@ def integrate_batch(man: Manifold, force: ForceField, x0, v0, tau0, rho0,
     history[0] = state
     with np.errstate(all='ignore'):
         for i in range(steps):
-            forces[i] = rate(at_state, r1)
+            _rhs(man, force, *at_state, riemann_sign, out=r1)
             np.add(state, 0.5 * h * k1, out=stage)
-            rate(at_stage, r2)
+            _rhs(man, force, *at_stage, riemann_sign, out=r2)
             np.add(state, 0.5 * h * k2, out=stage)
-            rate(at_stage, r3)
+            _rhs(man, force, *at_stage, riemann_sign, out=r3)
             np.add(state, h * k3, out=stage)
-            rate(at_stage, r4)
+            _rhs(man, force, *at_stage, riemann_sign, out=r4)
             state += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             ok = np.isfinite(state).all(axis=1)
             if not ok.all():
                 partial = BatchTrajectory(times[:i + 1],
-                                          *split(history[:i + 1]),
-                                          forces[:i + 1], h)
+                                          *split(history[:i + 1]), h)
                 bad = [name for name, part in zip(names, at_state)
                        if not np.isfinite(part).all()]
                 raise IntegrationAbort(partial, i, np.nonzero(~ok)[0], bad)
             history[i + 1] = state
-        # the last node's force from the stages' own callable: its F is
-        # bit for bit that of ``components``, which is not compiled
-        x, v = at_state[:2]
-        forces[steps] = (force.jet(x, v)[3] if nvar else
-                         force.flow_jet(x, v)[2])
-    return BatchTrajectory(times, *split(history), forces, h)
+    return BatchTrajectory(times, *split(history), h)
 
 
 def single_record(batch: BatchTrajectory, row: int) -> BatchTrajectory:
     """The record of one batch row, without the batch axis."""
     return BatchTrajectory(batch.times, batch.x[:, row], batch.v[:, row],
-                           batch.tau[:, row], batch.rho[:, row],
-                           batch.force[:, row], batch.step)
+                           batch.tau[:, row], batch.rho[:, row], batch.step)

@@ -548,7 +548,7 @@ _NUMPY_FUNCS = {
 _MAX_BROADCAST_ARGS = 32
 
 
-def compile_fn(nodes: Node | Sequence[Node] | Sequence[Sequence[Node]],
+def compile_fn(nodes: Sequence[Node] | Sequence[Sequence[Node]],
                names: Sequence[str]) -> Callable:
     """Compile to a vectorized callable over positional array arguments.
 
@@ -556,63 +556,55 @@ def compile_fn(nodes: Node | Sequence[Node] | Sequence[Sequence[Node]],
     (divisions by zero become inf/nan and are caught by the integrator's
     non-finite abort).  ``evaluate`` stays the checked reference.
 
-    Given one node, the callable returns its value.  Given a sequence of
-    K nodes, it returns one array of shape ``batch + (K,)``, entry k the
-    value of node k, where ``batch`` is the broadcast shape of the
-    arguments.  Given a sequence of node groups (each a sequence of
-    nodes), it returns a tuple with one such array per group.  Either
-    way a subexpression that occurs more than once, within one node or
-    across nodes and groups, is computed once into a temporary.
+    Given a sequence of K nodes, the callable returns one array of shape
+    ``batch + (K,)``, entry k the value of node k, where ``batch`` is the
+    broadcast shape of the arguments.  Given a sequence of node groups
+    (each a sequence of nodes), it returns a tuple with one such array
+    per group.  Either way a subexpression that occurs more than once,
+    within one node or across nodes and groups, is computed once into a
+    temporary.
 
     The cost of a call grows with the entries that vary, not with all of
     them: the constant entries of a group (``Const`` roots, -0.0 kept
     apart from 0.0) are one row computed at compile time and broadcast
     into the output in one store, and only the varying entries are
     stored one by one.  The batch shape is ``np.broadcast(...).shape``,
-    which numpy 1.x allows for at most 32 arguments, so array outputs
-    take at most 32 names.
+    which numpy 1.x allows for at most 32 arguments, so a callable takes
+    at most 32 names.
     """
-    single = isinstance(nodes, Node)
-    grouped = not single and any(not isinstance(entry, Node)
-                                 for entry in nodes)
-    if single:
-        groups = [[nodes]]
-    elif grouped:
-        groups = [list(group) for group in nodes]
-    else:
-        groups = [list(nodes)]
+    grouped = any(not isinstance(entry, Node) for entry in nodes)
+    groups = ([list(group) for group in nodes] if grouped
+              else [list(nodes)])
     roots = [root for group in groups for root in group]
     for root in roots:
         undeclared = variables(root) - set(names)
         if undeclared:
             raise UnknownIdentifierError(sorted(undeclared)[0], root.pos)
-    if not single and len(names) > _MAX_BROADCAST_ARGS:
-        raise ValueError(f"array outputs take at most {_MAX_BROADCAST_ARGS} "
-                         f"argument names, got {len(names)}")
+    if len(names) > _MAX_BROADCAST_ARGS:
+        raise ValueError(f"a compiled callable takes at most "
+                         f"{_MAX_BROADCAST_ARGS} argument names, got "
+                         f"{len(names)}")
     program = _Program(roots)
     results = iter([program.emit(uid) for uid in program.roots])
     lines = [f"def _compiled({', '.join(names)}):", *program.lines]
     scope: dict = {"np": np}
-    if single:
-        lines.append(f"    return {next(results)}")
-    else:
-        lines.append(f"    _shape = np.broadcast({', '.join(names)}).shape")
-        outs = []
-        for g, group in enumerate(groups):
-            out = f"_out{g}"
-            outs.append(out)
-            lines.append(f"    {out} = np.empty(_shape + ({len(group)},))")
-            texts = [next(results) for _ in group]
-            if any(isinstance(root, Const) for root in group):
-                scope[f"_row{g}"] = np.array(
-                    [root.value if isinstance(root, Const) else 0.0
-                     for root in group])
-                lines.append(f"    {out}[...] = _row{g}")
-            lines += [f"    {out}[..., {k}] = {text}"
-                      for k, (root, text) in enumerate(zip(group, texts))
-                      if not isinstance(root, Const)]
-        lines.append(f"    return ({', '.join(outs)},)" if grouped
-                     else "    return _out0")
+    lines.append(f"    _shape = np.broadcast({', '.join(names)}).shape")
+    outs = []
+    for g, group in enumerate(groups):
+        out = f"_out{g}"
+        outs.append(out)
+        lines.append(f"    {out} = np.empty(_shape + ({len(group)},))")
+        texts = [next(results) for _ in group]
+        if any(isinstance(root, Const) for root in group):
+            scope[f"_row{g}"] = np.array(
+                [root.value if isinstance(root, Const) else 0.0
+                 for root in group])
+            lines.append(f"    {out}[...] = _row{g}")
+        lines += [f"    {out}[..., {k}] = {text}"
+                  for k, (root, text) in enumerate(zip(group, texts))
+                  if not isinstance(root, Const)]
+    lines.append(f"    return ({', '.join(outs)},)" if grouped
+                 else "    return _out0")
     exec("\n".join(lines) + "\n", scope)
     return scope["_compiled"]
 

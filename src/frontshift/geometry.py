@@ -5,14 +5,16 @@ derivatives come from fused compiled evaluators, each tensor is built
 once per call, and every contraction is a batched matrix product (``@``
 over the leading batch axis) in a fixed order.  All differentiation
 behind it is exact and symbolic, performed once on the metric and force
-component expressions.  ``ForceField.jet`` evaluates what one RK4 stage
-of the variation equation consumes (g, the Koszul symbol of dg, ddg
-contracted with v twice, F and both force Jacobians) in one generated
-call, ``flow_jet`` only g, the Koszul symbol and F, and ``inverse`` is
-the closed-form metric inverse for n <= 3; so each stage makes one
-generated call and one inverse, and no stage gathers dg or ddg.
-Batched methods carry a leading axis ``B`` so front simulations evaluate
-all directions in one call.  There is no separate single-point API:
+component expressions.  Past the metric itself, production code reads
+the geometry and the force from two generated calls built from one
+group list: ``ForceField.first_order_jet`` (g, the Koszul symbol of dg,
+F and both force Jacobians) and ``ForceField.jet``, the same five plus
+ddg contracted with v twice, what one RK4 stage of the variation
+equation consumes.  ``inverse`` is the closed-form metric inverse for
+n <= 3; so each stage, and each ``force_tensors`` call, makes one
+generated call and one inverse, and neither gathers dg or ddg.  Batched
+methods carry a leading axis ``B`` so front simulations evaluate all
+directions in one call.  There is no separate single-point API:
 ``at_point`` evaluates any batched function at one point by adding and
 stripping the batch axis, and ``force_tensors`` builds every metric and
 force tensor the deviation and normality formulas share in one place.
@@ -24,10 +26,11 @@ with the velocity passed gives the Jacobi operator K[k, s] =
 R^k_msr v^m v^r from S, the second partials contracted with v twice,
 which the jet's generated code sums symbolically; the rest costs O(n^3)
 per point, without ddg, d gamma or any (n, n, n, n) intermediate.  The
-full tensors (``metric_second_partials``, ``christoffel_partials``,
-``riemann`` without a velocity) are oracles: no production path builds
-them, and the test references compare the contracted forms against
-them.
+per-quantity methods (``metric_partials``, ``metric_second_partials``,
+``christoffel``, ``christoffel_partials``, ``riemann`` without a
+velocity, ``ForceField.components`` and ``ForceField.jacobians``) are
+oracles: no production path outside ``selfcheck`` calls them, and the
+test references compare the jets and the contracted forms against them.
 
 Lowering an index with the metric and the g-length of a vector are the
 two helpers ``lower`` and ``g_norm``; they take any leading axes, and
@@ -499,13 +502,16 @@ class Manifold:
 class ForceField:
     """Extended vector field F^k(x, v) given componentwise as expressions.
 
-    F and the pair of Jacobians each come from one compiled callable.
-    ``jet`` evaluates them together with the metric, the Koszul symbol of
-    its first partials and its second partials contracted with v twice in
-    one further callable that shares every subexpression among all of
-    them; it is what one RK4 stage of the variation equation consumes.
-    ``flow_jet`` evaluates only g, the Koszul symbol and F, what a stage
-    of the flow alone consumes.  Every callable is compiled on first use.
+    Two generated callables evaluate everything production code reads of
+    the force and the metric, sharing every subexpression among their
+    groups.  ``first_order_jet`` gives g, the Koszul symbol of its first
+    partials, F and both force Jacobians, what ``force_tensors``
+    consumes; ``jet`` gives the same five arrays from the same group list
+    plus the metric's second partials contracted with v twice, what one
+    RK4 stage of the variation equation (and the shift's launch, which
+    compiles nothing else) consumes.
+    ``components`` and ``jacobians`` are oracles with callables of their
+    own.  Every callable is compiled on first use.
     """
 
     def __init__(self, manifold: Manifold, components: Sequence):
@@ -531,23 +537,32 @@ class ForceField:
     def _jac_fn(self):
         return exprlang.compile_fn(self._jac_asts, self._names)
 
-    @functools.cached_property
-    def _jet_fn(self):
+    def _first_order_groups(self) -> list:
         man = self.manifold
-        return exprlang.compile_fn(
-            [man._g_asts, man._koszul_asts, man._ddg_vv_asts,
-             self.component_ast, *self._jac_asts], self._names)
+        return [man._g_asts, man._koszul_asts, self.component_ast,
+                *self._jac_asts]
 
     @functools.cached_property
-    def _flow_fn(self):
-        man = self.manifold
+    def _first_order_fn(self):
+        return exprlang.compile_fn(self._first_order_groups(), self._names)
+
+    @functools.cached_property
+    def _jet_fn(self):
         return exprlang.compile_fn(
-            [man._g_asts, man._koszul_asts, self.component_ast], self._names)
+            [*self._first_order_groups(), self.manifold._ddg_vv_asts],
+            self._names)
 
     def _args(self, xs: np.ndarray, vs: np.ndarray) -> tuple:
         n = self.manifold.dimension
         return tuple(xs[:, k] for k in range(n)) + tuple(
             vs[:, k] for k in range(n))
+
+    def _gather(self, g, koszul, f, dfdx, dfdv) -> tuple:
+        """The first-order groups as tensors, from their unique slots."""
+        man = self.manifold
+        nb, n = f.shape
+        return (g[:, man._g_idx], koszul[:, man._koszul_idx], f,
+                dfdx.reshape(nb, n, n), dfdv.reshape(nb, n, n))
 
     def components(self, xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
         return self._f_fn(*self._args(xs, vs))
@@ -558,79 +573,64 @@ class ForceField:
         dfdx, dfdv = self._jac_fn(*self._args(xs, vs))
         return dfdx.reshape(nb, n, n), dfdv.reshape(nb, n, n)
 
-    def jet(self, xs: np.ndarray, vs: np.ndarray):
-        """(g, koszul, ddg_vv, f, dfdx, dfdv) from one compiled call.
+    def first_order_jet(self, xs: np.ndarray, vs: np.ndarray):
+        """(g, koszul, f, dfdx, dfdv) from one compiled call.
 
         g, f, dfdx and dfdv are the same arrays, bit for bit, as
         ``metric`` at xs and ``components`` and ``jacobians`` at (xs, vs).
         koszul[b, j, i, r] = d_j g_ir + d_i g_jr - d_r g_ij is the Koszul
-        symbol of ``metric_partials`` (``Spray.koszul``), and ddg_vv is
-        S = P + P^T - W - H, ``metric_second_partials`` contracted with vs
-        twice (see ``Manifold.riemann``).  All of them come from the
-        expressions those methods already derived.
+        symbol of ``metric_partials`` (``Spray.koszul``).  All of them
+        come from the expressions those methods already derived.
         """
-        man = self.manifold
-        g, koszul, ddg_vv, f, dfdx, dfdv = self._jet_fn(*self._args(xs, vs))
-        nb, n = xs.shape
-        return (g[:, man._g_idx], koszul[:, man._koszul_idx],
-                ddg_vv[:, man._g_idx], f, dfdx.reshape(nb, n, n),
-                dfdv.reshape(nb, n, n))
+        return self._gather(*self._first_order_fn(*self._args(xs, vs)))
 
-    def flow_jet(self, xs: np.ndarray, vs: np.ndarray):
-        """(g, koszul, f) from one compiled call, bit for bit as ``jet``'s."""
-        man = self.manifold
-        g, koszul, f = self._flow_fn(*self._args(xs, vs))
-        return g[:, man._g_idx], koszul[:, man._koszul_idx], f
+    def jet(self, xs: np.ndarray, vs: np.ndarray):
+        """(g, koszul, f, dfdx, dfdv, ddg_vv) from one compiled call.
+
+        The first five are ``first_order_jet``'s, bit for bit; ddg_vv is
+        S = P + P^T - W - H, ``metric_second_partials`` contracted with vs
+        twice (see ``Manifold.riemann``).
+        """
+        *first, ddg_vv = self._jet_fn(*self._args(xs, vs))
+        return (*self._gather(*first), ddg_vv[:, self.manifold._g_idx])
 
 
 def extended_gradients(man: Manifold, force: ForceField, xs: np.ndarray,
-                       vs: np.ndarray, gamma: np.ndarray | None = None,
-                       f_vals: np.ndarray | None = None,
-                       jac: tuple | None = None, along: Spray | None = None):
+                       vs: np.ndarray, jac: tuple | None = None,
+                       along: Spray | None = None):
     """Batched spatial and velocity gradients of the force field.
 
     velocity[b,i,k] is the plain v-derivative; spatial[b,i,k] adds the
     connection correction for the vector index and the chase of the
-    velocity argument along coordinate directions.  jac, when given, is
-    the pair ``force.jacobians(xs, vs)`` already evaluated.  along, when
-    given, is ``spray(ginv, koszul, vs, f_vals)`` already formed; gamma is
-    then not needed.
+    velocity argument along coordinate directions.  jac and along, when
+    given, are the pair (dfdx, dfdv) and ``spray(ginv, koszul, vs, F)``
+    already formed; otherwise both come from ``force.first_order_jet``.
     """
-    if f_vals is None:
-        f_vals = force.components(xs, vs)
-    dfdx, dfdv = force.jacobians(xs, vs) if jac is None else jac
-    if along is None:
-        if gamma is None:
-            gamma = man.christoffel(xs)
-        nb, n = xs.shape
-        flat = gamma.reshape(nb, n * n, n)
-        # [b, i, k] = gamma^k_ij v^j and gamma^k_ij F^j
-        gam_v, gam_f = [(flat @ w[:, :, None]).reshape(nb, n, n)
-                        .transpose(0, 2, 1) for w in (vs, f_vals)]
-    else:
-        gam_v, gam_f = along.gam_v, along.gam_f
-    spatial = dfdx - gam_v @ dfdv + gam_f
+    if jac is None or along is None:
+        g, koszul, f_vals, dfdx, dfdv = force.first_order_jet(xs, vs)
+        jac = dfdx, dfdv
+        along = spray(inverse(g), koszul, vs, f_vals)
+    dfdx, dfdv = jac
+    spatial = dfdx - along.gam_v @ dfdv + along.gam_f
     return spatial, dfdv
 
 
 def force_tensors(man: Manifold, force: ForceField, xs: np.ndarray,
-                  vs: np.ndarray, g: np.ndarray | None = None) -> dict:
+                  vs: np.ndarray) -> dict:
     """Metric and force tensors at a batch of tangent-bundle points.
 
     g and g^-1; the velocity v, the force F and F lowered; the spatial and
     velocity gradients of F, raw ([b, i, k], derivative index first) and
-    with the vector index lowered (nabla_i F_j, tnabla_i F_j).  gamma
-    enters the spatial gradient but is not kept: no consumer reads it, and
-    holding it would raise the classifier's peak memory.  g, when given,
-    is the metric at xs already evaluated.
+    with the vector index lowered (nabla_i F_j, tnabla_i F_j).  All of
+    them come from one ``force.first_order_jet`` call and one ``inverse``;
+    gamma enters the spatial gradient only contracted with v and F
+    (``spray``) and is never built.
     """
-    if g is None:
-        g = man.metric(xs)
+    g, koszul, f_vals, dfdx, dfdv = force.first_order_jet(xs, vs)
     ginv = inverse(g)
-    gamma = man.christoffel(xs, ginv=ginv)
-    f_vals = force.components(xs, vs)
-    spatial, velocity = extended_gradients(man, force, xs, vs,
-                                           gamma=gamma, f_vals=f_vals)
+    spatial, velocity = extended_gradients(
+        man, force, xs, vs, jac=(dfdx, dfdv),
+        along=spray(ginv, koszul, vs, f_vals))
     return dict(g=g, ginv=ginv, v=vs, f=f_vals,
                 f_cov=lower(g, f_vals), spa=spatial, vel=velocity,
                 spa_cov=spatial @ g, vel_cov=velocity @ g)

@@ -16,9 +16,9 @@ they replaced are kept only in ``tests/test_normality_reference.py``,
 which pins these to them.
 
 ``classify`` draws its samples once and evaluates the residuals over
-fixed blocks of them, keeping per sample only the positions, velocities,
-metric and norms, so its memory grows by a few hundred bytes per sample
-instead of by every residual tensor.
+fixed blocks of them, keeping per sample only the positions, velocities
+and norms, so its memory grows with the count by those and by the
+sampler's temporaries, not by every residual tensor.
 """
 
 from __future__ import annotations
@@ -58,11 +58,11 @@ class ResidualReport:
 
 
 def bundle(man: Manifold, force: ForceField, xs: np.ndarray,
-           vs: np.ndarray, g: np.ndarray | None = None) -> dict:
+           vs: np.ndarray) -> dict:
     """Everything the residual families consume, batched: the
     force_tensors of the points plus the velocity frame (speed, unit,
-    unit_cov, proj).  g, when given, is the metric at xs."""
-    b = force_tensors(man, force, xs, vs, g=g)
+    unit_cov, proj)."""
+    b = force_tensors(man, force, xs, vs)
     b['speed'], b['unit'], b['unit_cov'], b['proj'] = man.frame(
         xs, vs, g=b['g'])
     return b
@@ -169,8 +169,9 @@ def sample_tangent_points(man: Manifold, x_box, v_min: float, v_max: float,
     Positions fill the configured box, velocity directions sweep the
     sphere, and g-speeds walk log-spaced shells in [v_min, v_max].  The
     seed offsets the Halton index, so runs are reproducible.  Returns
-    (xs, vs, g): g is the metric at xs, which the g-speeds needed, so
-    that callers do not evaluate it again.
+    (xs, vs).  Coordinate k takes the k-th prime as its Halton base and
+    direction coordinate k the (n + k)-th; only the n - 1 direction
+    coordinates the dimension uses are drawn.
     """
     if count < 1:
         raise NormalityError("empty sample set")
@@ -180,6 +181,8 @@ def sample_tangent_points(man: Manifold, x_box, v_min: float, v_max: float,
     if not 0 <= seed < 2 ** 63 - count:
         raise NormalityError("need 0 <= seed < 2^63 - count")
     n = man.dimension
+    if not 2 <= n <= 4:
+        raise NormalityError("sampler supports dimensions 2..4")
     box = np.asarray(x_box, dtype=float)
     if box.shape != (n, 2):
         raise NormalityError("x box must give [lo, hi] per coordinate")
@@ -188,7 +191,7 @@ def sample_tangent_points(man: Manifold, x_box, v_min: float, v_max: float,
     for k in range(n):
         xs[:, k] = box[k, 0] + (box[k, 1] - box[k, 0]) * halton(idx, _PRIMES[k])
 
-    u = [halton(idx, _PRIMES[n + k]) for k in range(3)]
+    u = [halton(idx, _PRIMES[n + k]) for k in range(n - 1)]
     if n == 2:
         theta = 2.0 * np.pi * u[0]
         dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
@@ -197,7 +200,7 @@ def sample_tangent_points(man: Manifold, x_box, v_min: float, v_max: float,
         phi = 2.0 * np.pi * u[1]
         r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
         dirs = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-    elif n == 4:
+    else:
         # Shoemake's uniform points on the 3-sphere.
         s1 = np.sqrt(1.0 - u[0])
         s2 = np.sqrt(u[0])
@@ -205,21 +208,18 @@ def sample_tangent_points(man: Manifold, x_box, v_min: float, v_max: float,
                          s1 * np.cos(2 * np.pi * u[1]),
                          s2 * np.sin(2 * np.pi * u[2]),
                          s2 * np.cos(2 * np.pi * u[2])], axis=1)
-    else:
-        raise NormalityError("sampler supports dimensions 2..4")
 
     shells = np.geomspace(v_min, v_max, num=min(count, 16))
     radii = shells[np.arange(count) % shells.shape[0]]
-    g = man.metric(xs)
-    vs = dirs * (radii / g_norm(g, dirs))[:, None]
-    return xs, vs, g
+    vs = dirs * (radii / g_norm(man.metric(xs), dirs))[:, None]
+    return xs, vs
 
 
 def _block_norms(man: Manifold, force: ForceField, xs: np.ndarray,
-                 vs: np.ndarray, g: np.ndarray):
+                 vs: np.ndarray):
     """Per-sample weak, additional and (n = 2, else None) strong residual
-    norms of one block of samples; g is the metric at xs."""
-    b = bundle(man, force, xs, vs, g=g)
+    norms of one block of samples."""
+    b = bundle(man, force, xs, vs)
     ginv = b['ginv']
     first, second = weak_batch(b)
     a1, a2, s1 = additional_batch(b)
@@ -251,7 +251,7 @@ def classify(man: Manifold, force: ForceField, x_box, v_min: float,
     strengthenings decide the upgrade (see report flag).
     Maxima in the guard band (tol, 100 tol) give an inconclusive verdict.
 
-    The samples (xs, vs and the metric g) are drawn once; the residuals
+    The samples (xs and vs) are drawn once; the residuals
     are evaluated over blocks of ``_SAMPLE_BLOCK`` samples, and only each
     sample's norms outlive its block, so working memory is bounded by the
     block, not the count.  Every per-sample quantity is row-independent,
@@ -259,8 +259,7 @@ def classify(man: Manifold, force: ForceField, x_box, v_min: float,
     Raises NormalityError when a norm is not finite (the force or metric
     undefined at a sample).
     """
-    xs, vs, g = sample_tangent_points(man, x_box, v_min, v_max, count,
-                                      seed)
+    xs, vs = sample_tangent_points(man, x_box, v_min, v_max, count, seed)
     trivial = man.dimension == 2
     weak_norms = np.empty(count)
     add_norms = np.empty(count)
@@ -268,8 +267,7 @@ def classify(man: Manifold, force: ForceField, x_box, v_min: float,
     with np.errstate(divide='ignore', invalid='ignore', over='ignore'):
         for lo in range(0, count, _SAMPLE_BLOCK):
             rows = slice(lo, lo + _SAMPLE_BLOCK)
-            weak, add, strong = _block_norms(man, force, xs[rows], vs[rows],
-                                             g[rows])
+            weak, add, strong = _block_norms(man, force, xs[rows], vs[rows])
             weak_norms[rows], add_norms[rows] = weak, add
             if trivial:
                 strong_norms[rows] = strong

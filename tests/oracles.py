@@ -104,13 +104,11 @@ def rk4_per_quantity(man, force, x0, v0, tau0, rho0, t_end, h,
     vs = np.empty((steps + 1, nb, n))
     taus = np.empty((steps + 1, nb, nvar, n))
     rhos = np.empty((steps + 1, nb, nvar, n))
-    forces = np.empty((steps + 1, nb, n))
     x, v, tau, rho = x0.copy(), v0.copy(), tau0.copy(), rho0.copy()
     with np.errstate(all='ignore'):
         xs[0], vs[0], taus[0], rhos[0] = x, v, tau, rho
         for i in range(steps):
             k1 = _rhs(man, force, x, v, tau, rho, riemann_sign)
-            forces[i] = k1[4]
             k2 = _rhs(man, force,
                       x + 0.5 * h * k1[0], v + 0.5 * h * k1[1],
                       tau + 0.5 * h * k1[2], rho + 0.5 * h * k1[3],
@@ -133,12 +131,11 @@ def rk4_per_quantity(man, force, x0, v0, tau0, rho0, t_end, h,
             if not ok.all():
                 partial = BatchTrajectory(
                     times[:i + 1], xs[:i + 1], vs[:i + 1],
-                    taus[:i + 1], rhos[:i + 1], forces[:i + 1], h)
+                    taus[:i + 1], rhos[:i + 1], h)
                 bad = [name for name, value in
                        (("x", x), ("v", v), ("tau", tau), ("rho", rho))
                        if not np.isfinite(value).all()]
                 raise IntegrationAbort(partial, i, np.nonzero(~ok)[0], bad)
             xs[i + 1], vs[i + 1] = x, v
             taus[i + 1], rhos[i + 1] = tau, rho
-        forces[steps] = force.components(x, v)
-    return BatchTrajectory(times, xs, vs, taus, rhos, forces, h)
+    return BatchTrajectory(times, xs, vs, taus, rhos, h)

@@ -6,7 +6,7 @@ import warnings
 import pytest
 
 from frontshift import exprlang
-from frontshift.cli import cmd_blowup, cmd_check, cmd_rank, main
+from frontshift.cli import cmd_blowup, cmd_check, cmd_rank, cmd_shift, main
 from frontshift.config import load_config
 from test_rhs_reference import CHARTS
 
@@ -356,7 +356,10 @@ def _s3_drag_config(tmp_path):
             "sampler": {"x_box": box, "count": 300, "seed": 2},
             "rank": {"variations": 4, "window": [0.0, 0.2],
                      "trajectories": 2},
-            "blowup": {"p0": [1.2, 1.0, 0.5], "nu": 1.0, "resolution": 8}}
+            "blowup": {"p0": [1.2, 1.0, 0.5], "nu": 1.0, "resolution": 8},
+            "shift": {"surface": ["1.2 + 0.2*u1", "1.0 + 0.2*u2", "0.5"],
+                      "box": [[0.0, 1.0], [0.0, 1.0]], "nu": "1 + 0.1*u1",
+                      "resolution": 4}}
     return _write_config(tmp_path, data)
 
 
@@ -391,8 +394,9 @@ def test_check_compiles_no_second_partials_and_no_jet(tmp_path, capsys,
     seen = _spy_on_symbolic_work(monkeypatch)
     assert cmd_check(cfg, tmp_path, 0.0) == 0
     capsys.readouterr()
-    assert sorted(seen["compiled_by"]) == ["_dg_fn", "_f_fn", "_g_fn",
-                                           "_jac_fn"]
+    # the metric for the sampler's g-speeds, then the first-order jet for
+    # every residual block; the stage jet, with S, is never compiled
+    assert sorted(seen["compiled_by"]) == ["_first_order_fn", "_g_fn"]
     # the metric's first partials (3 x 6) and the force's (2 x 3 x 3) once
     assert seen["differentiate"] == 18 + 18
 
@@ -402,8 +406,8 @@ def test_rank_compiles_the_jet_once(tmp_path, capsys, monkeypatch):
     seen = _spy_on_symbolic_work(monkeypatch)
     assert cmd_rank(cfg, tmp_path, 0.0) == 0
     capsys.readouterr()
-    # the metric for the sampler, then the jet for every stage and for
-    # the force at the last node: no _f_fn, and no _ddg_fn
+    # the metric for the sampler, then the jet for every stage: no
+    # _f_fn, and no _ddg_fn
     assert sorted(seen["compiled_by"]) == ["_g_fn", "_jet_fn"]
     # first partials, the force's, and the 36 second-partial slots
     assert seen["differentiate"] == 18 + 18 + 6 * 6
@@ -415,3 +419,17 @@ def test_blowup_compiles_the_jet_once(tmp_path, capsys, monkeypatch):
     assert cmd_blowup(cfg, tmp_path, 0.0) == 0
     capsys.readouterr()
     assert sorted(seen["compiled_by"]) == ["_g_fn", "_jet_fn"]
+
+
+def test_shift_compiles_the_blowup_callables(tmp_path, capsys, monkeypatch):
+    # the launch connection term comes from the stage jet, so past nu and
+    # the surface map a shift compiles what a blow-up does
+    cfg = load_config(_s3_drag_config(tmp_path))
+    seen = _spy_on_symbolic_work(monkeypatch)
+    assert cmd_shift(cfg, tmp_path, 0.0) == 0
+    capsys.readouterr()
+    assert sorted(seen["compiled_by"]) == ["_g_fn", "_jet_fn",
+                                           "_nu_function", "_surface_map"]
+    # the blow-up's 18 + 18 + 36, nu's u-gradient (2) and the surface
+    # tangents (3 x 2)
+    assert seen["differentiate"] == 18 + 18 + 6 * 6 + 2 + 6

@@ -2,10 +2,10 @@
 
 einsum stays in the oracles (selfcheck and the test references) and in
 the tests.  Every other module must not call it, so that the RHS, the
-normality residuals, their norms and the shared force tensors keep the
-matmul formulations pinned by tests/test_rhs_reference.py and
-tests/test_normality_reference.py.  blowup.py is exempt for the shift's
-launch connection term, the one einsum left outside selfcheck.
+shift's launch connection term, the normality residuals, their norms and
+the shared force tensors keep the matmul formulations pinned by
+tests/test_rhs_reference.py and tests/test_normality_reference.py.
+selfcheck.py is the one module exempt.
 """
 
 import ast
@@ -15,7 +15,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "frontshift"
 MATMUL_ONLY = sorted(path.name for path in SRC.glob("*.py")
-                     if path.name not in ("selfcheck.py", "blowup.py"))
+                     if path.name != "selfcheck.py")
 
 
 def _einsum_calls(tree: ast.AST) -> list[int]:

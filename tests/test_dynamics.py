@@ -19,7 +19,7 @@ HARMONIC = ForceField(EUCLID, ["-x1", "-x2"])
 def newton_rhs(man, force, x, v):
     """(dx, dv) of the flow at one point: dx = v, dv = F - gamma(v, v)."""
     empty = np.zeros((0, man.dimension))
-    dx, dv, _, _, _ = at_point(_rhs, man, force, x, v, empty, empty, 1.0)
+    dx, dv, _, _ = at_point(_rhs, man, force, x, v, empty, empty, 1.0)
     return dx, dv
 
 
@@ -57,33 +57,31 @@ def test_rk4_stage_is_one_jet_one_riemann_no_lapack(monkeypatch):
     for name in ("metric", "metric_partials", "metric_second_partials",
                  "christoffel", "christoffel_partials", "riemann"):
         count(Manifold, name)
-    for name in ("jet", "flow_jet", "jacobians", "components"):
+    for name in ("jet", "first_order_jet", "jacobians", "components"):
         count(ForceField, name)
     count(np.linalg, "inv")
     steps = 5
     integrate_batch(man, force, x0, v0, tau0, rho0, steps * 1e-2, 1e-2)
-    # one more jet gives the force recorded at the last node
-    assert calls == {"jet": 4 * steps + 1, "riemann": 4 * steps,
-                     "flow_jet": 0, "metric": 0, "metric_partials": 0,
-                     "metric_second_partials": 0, "christoffel": 0,
-                     "christoffel_partials": 0, "jacobians": 0,
-                     "inv": 0, "components": 0}
-    # without variations each stage evaluates only g, the Koszul symbol
-    # and F
+    assert calls == {"jet": 4 * steps, "riemann": 4 * steps,
+                     "first_order_jet": 0, "metric": 0,
+                     "metric_partials": 0, "metric_second_partials": 0,
+                     "christoffel": 0, "christoffel_partials": 0,
+                     "jacobians": 0, "inv": 0, "components": 0}
+    # without variations each stage makes the same jet call and stops
+    # after dv
     for name in calls:
         calls[name] = 0
     integrate_batch(man, force, x0, v0, tau0[:, :0], rho0[:, :0],
                     steps * 1e-2, 1e-2)
     assert {name: k for name, k in calls.items() if k} == {
-        "flow_jet": 4 * steps + 1}
+        "jet": 4 * steps}
 
 
 def test_flow_does_not_depend_on_the_variations():
     man, force, x, v, tau, rho = _s3_drag_batch()
     with_variations = _rhs(man, force, x, v, tau, rho, 1.0)
     flow_only = _rhs(man, force, x, v, tau[:, :0], rho[:, :0], 1.0)
-    for a, b in zip(with_variations[:2] + with_variations[4:],
-                    flow_only[:2] + flow_only[4:], strict=True):
+    for a, b in zip(with_variations[:2], flow_only[:2], strict=True):
         assert np.array_equal(a, b)
     assert flow_only[2].shape == flow_only[3].shape == (len(x), 0, 3)
 
@@ -204,11 +202,12 @@ def test_nabla_t_force_harmonic():
 
 def test_force_chain_rule_matches_trajectory_oracle():
     # the test that pins the spatial-gradient convention: compare the
-    # pointwise chain rule against differencing the recorded force series
+    # pointwise chain rule against differencing the force series along a
+    # trajectory
     speed = "sqrt(v1^2 + x1^2*v2^2)"
     drag = ForceField(POLAR, [f"-0.3*{speed}*v1", f"-0.3*{speed}*v2"])
     rec = run_one(POLAR, drag, [2.0, 0.3], [0.4, 0.5], 1.0, 1e-3)
-    oracle = covariant_rate(POLAR, rec, rec.force)
+    oracle = covariant_rate(POLAR, rec, drag.components(rec.x, rec.v))
     direct = force_rate(POLAR, drag, rec.x[::50], rec.v[::50])
     assert np.abs(direct - oracle[::50]).max() < 1e-5
 
@@ -255,7 +254,7 @@ def test_batch_row_equals_single_run():
         assert np.array_equal(single.rho, batch.rho[:, row])
 
 
-FIELDS = ("times", "x", "v", "tau", "rho", "force")
+FIELDS = ("times", "x", "v", "tau", "rho")
 
 
 @pytest.mark.parametrize("nvar", [2, 0])

@@ -195,9 +195,9 @@ def test_compiled_matches_evaluate():
             ref = el.evaluate(ast, b)
         except el.ExprError:
             continue
-        fn = el.compile_fn(ast, VARS)
+        fn = el.compile_fn([ast], VARS)
         args = tuple(np.array([b[name]]) for name in VARS)
-        got = float(np.asarray(fn(*args)).ravel()[0])
+        got = float(fn(*args)[0, 0])
         checked += 1
         assert got == pytest.approx(ref, rel=1e-15, abs=1e-300)
 
@@ -282,8 +282,6 @@ def test_compiled_arrays_take_at_most_32_names():
     names = [f"a{k}" for k in range(33)]
     with pytest.raises(ValueError, match="at most 32"):
         el.compile_fn([el.Var("a0")], names)
-    # a single node needs no broadcast and takes any number
-    assert el.compile_fn(el.Var("a0"), names)(*range(33)) == 0
 
 
 def test_compiled_many_rejects_undeclared_names():
@@ -362,8 +360,8 @@ def test_compiled_many_property(trees, const, bindings):
     args = _columns(bindings)
     with np.errstate(all="ignore"):
         got = fn(*args)
-        singles = [np.broadcast_to(el.compile_fn(node, VARS)(*args),
-                                   (len(bindings),)) for node in nodes]
+        singles = [el.compile_fn([node], VARS)(*args)[:, 0]
+                   for node in nodes]
     assert got.shape == (len(bindings), len(nodes))
     for k, single in enumerate(singles):
         np.testing.assert_array_equal(got[:, k], single)

@@ -280,15 +280,17 @@ def test_inverse_hand_values():
 @pytest.mark.parametrize("chart", sorted(JET_CHARTS))
 def test_jet_is_the_per_quantity_methods(chart):
     man, force, xs, vs = _chart_points(chart)
-    g, koszul, _, f, dfdx, dfdv = force.jet(xs, vs)
+    first = force.first_order_jet(xs, vs)
+    g, _, f, dfdx, dfdv = first
     want = (man.metric(xs), force.components(xs, vs),
             *force.jacobians(xs, vs))
     names = ("g", "f", "dfdx", "dfdv")
     for name, a, b in zip(names, (g, f, dfdx, dfdv), want, strict=True):
         assert a.shape == b.shape, name
         assert np.array_equal(a, b), name
-    for name, a, b in zip(("g", "koszul", "f"), force.flow_jet(xs, vs),
-                          (g, koszul, f), strict=True):
+    # the stage jet is the first-order jet plus S, bit for bit
+    names = ("g", "koszul", "f", "dfdx", "dfdv")
+    for name, a, b in zip(names, force.jet(xs, vs)[:5], first, strict=True):
         assert np.array_equal(a, b), name
 
 
@@ -298,7 +300,7 @@ def test_jet_groups_are_the_contracted_partials(chart):
     # forms from the full first and second partials
     man, force, xs, vs = _chart_points(chart)
     n = man.dimension
-    _, koszul, ddg_vv, _, _, _ = force.jet(xs, vs)
+    _, koszul, _, _, _, ddg_vv = force.jet(xs, vs)
     want = _koszul(man.metric_partials(xs)).transpose(0, 2, 3, 1)
     assert koszul.shape == (len(xs), n, n, n)
     assert np.abs(koszul - want).max() <= 1e-13 * np.abs(want).max()
@@ -315,7 +317,7 @@ def test_jet_groups_are_the_contracted_partials(chart):
 
 def _jacobi(man, force, xs, vs):
     """riemann(vs=) with every input from the jet, as the RHS feeds it."""
-    g, koszul, ddg_vv, f, _, _ = force.jet(xs, vs)
+    g, koszul, f, _, _, ddg_vv = force.jet(xs, vs)
     ginv = inverse(g)
     return man.riemann(xs, ginv=ginv, vs=vs,
                        along=spray(ginv, koszul, vs, f), ddg_vv=ddg_vv)
@@ -364,7 +366,7 @@ def test_jacobi_operator_builds_no_rank_four_array():
     # contracted form's temporaries reach ddg, and the full tensor's do
     man, force, xs, vs = _chart_points("S4", nb=256)
     jet = force.jet(xs, vs)
-    g, koszul, ddg_vv, f, _, _ = jet
+    g, koszul, f, _, _, ddg_vv = jet
     ddg = man.metric_second_partials(xs)
     assert max(a.nbytes for a in jet) == koszul.nbytes < ddg.nbytes
     ginv = inverse(g)

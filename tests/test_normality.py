@@ -215,10 +215,10 @@ def test_classify_empty_sample_set():
 
 
 def test_sampler_deterministic_and_in_range():
-    xs1, vs1, _ = sample_tangent_points(EUCLID, BOX, 0.5, 2.0, 100, seed=4)
-    xs2, vs2, _ = sample_tangent_points(EUCLID, BOX, 0.5, 2.0, 100, seed=4)
+    xs1, vs1 = sample_tangent_points(EUCLID, BOX, 0.5, 2.0, 100, seed=4)
+    xs2, vs2 = sample_tangent_points(EUCLID, BOX, 0.5, 2.0, 100, seed=4)
     assert np.array_equal(xs1, xs2) and np.array_equal(vs1, vs2)
-    xs3, _, _ = sample_tangent_points(EUCLID, BOX, 0.5, 2.0, 100, seed=5)
+    xs3, _ = sample_tangent_points(EUCLID, BOX, 0.5, 2.0, 100, seed=5)
     assert not np.array_equal(xs1, xs3)
     speeds = np.linalg.norm(vs1, axis=1)
     assert speeds.min() >= 0.5 - 1e-12
@@ -228,7 +228,8 @@ def test_sampler_deterministic_and_in_range():
 
 @pytest.mark.parametrize("chart", ["S2", "S3"])
 def test_classify_evaluates_the_metric_once(monkeypatch, chart):
-    # the sampler's metric (for the g-speeds) is the one the residuals use
+    # the sampler's g-speeds make the one metric call; the residual
+    # blocks take g from the first-order jet
     metric_src, force_src, box = CHARTS[chart]
     man = Manifold(len(metric_src), metric_src)
     force = ForceField(man, force_src)
@@ -247,7 +248,7 @@ def test_sampler_seed_range():
     # indices past the int64 range would wrap to non-positive Halton
     # indices and put every sample at the box corner
     top = 2 ** 63 - 101
-    xs, _, _ = sample_tangent_points(EUCLID, BOX, 0.5, 2.0, 100, seed=top)
+    xs, _ = sample_tangent_points(EUCLID, BOX, 0.5, 2.0, 100, seed=top)
     assert xs.min() < 0.0 < xs.max()
     for seed in (-1, top + 1):
         with pytest.raises(NormalityError):
@@ -283,8 +284,8 @@ def test_halton_is_the_digit_loop_bit_for_bit(first):
 def test_sampler_curved_metric_speeds():
     spec = BUNDLED["sphere-free"]
     man, _ = spec.build()
-    xs, vs, g = sample_tangent_points(man, spec.x_box, 0.5, 2.0, 64, seed=0)
-    assert np.array_equal(g, man.metric(xs))
+    xs, vs = sample_tangent_points(man, spec.x_box, 0.5, 2.0, 64, seed=0)
+    g = man.metric(xs)
     speeds = np.sqrt(np.einsum('bij,bi,bj->b', g, vs, vs))
     assert speeds.min() >= 0.5 - 1e-12
     assert speeds.max() <= 2.0 + 1e-12
@@ -390,7 +391,7 @@ def test_classify_rejects_undefined_residuals():
         "-0.3*sqrt(v1^2 + v2^2)*v1",
         "-0.3*sqrt(v1^2 + v2^2)*v2 + 1e-30*sqrt(x1 - 0.5)*v2"])
     box = [[0.0, 1.0], [0.0, 1.0]]
-    xs, vs, _ = sample_tangent_points(EUCLID, box, 0.5, 2.0, 300, seed=0)
+    xs, vs = sample_tangent_points(EUCLID, box, 0.5, 2.0, 300, seed=0)
     undefined = xs[:, 0] <= 0.5
     first = int(np.argmax(undefined))
     with warnings.catch_warnings():

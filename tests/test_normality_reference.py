@@ -4,16 +4,18 @@ The reference below keeps the einsum forms of the velocity frame, the
 lowered force tensors, the weak, raw and additional residual families,
 the three residual norms, alpha/beta and the deviation derivatives, as
 the production code had them before they became batched matrix
-products.  Metric, inverse and raw force gradients come from the
-production evaluators, which tests/test_rhs_reference.py pins on its own.
+products.  The spatial gradient is an einsum over the full connection
+of the oracle ``Manifold.christoffel``, with F and its Jacobians from
+the oracles ``components`` and ``jacobians``, so the reference shares
+no step with the production path, which takes them from the first-order
+jet.
 """
 
 import numpy as np
 import pytest
 
 from frontshift import deviation, normality
-from frontshift.geometry import (ForceField, Manifold, extended_gradients,
-                                 force_tensors)
+from frontshift.geometry import ForceField, Manifold, force_tensors
 from test_rhs_reference import CHARTS, drag, sphere
 
 REL = 1e-12
@@ -34,8 +36,9 @@ def ref_bundle(man, force, xs, vs):
     ginv = np.linalg.inv(g)
     gamma = man.christoffel(xs, ginv=ginv)
     f_vals = force.components(xs, vs)
-    spatial, velocity = extended_gradients(man, force, xs, vs, gamma=gamma,
-                                           f_vals=f_vals)
+    dfdx, velocity = force.jacobians(xs, vs)
+    spatial = (dfdx - np.einsum('bjis,bs,bjk->bik', gamma, vs, velocity)
+               + np.einsum('bkis,bs->bik', gamma, f_vals))
     b = dict(g=g, ginv=ginv, v=vs, f=f_vals,
              f_cov=np.einsum('bij,bj->bi', g, f_vals),
              spa=spatial, vel=velocity,
@@ -232,9 +235,8 @@ def test_strong_norm_is_the_index_notation_norm():
     metric, force_src, box = CHARTS["S2"]
     man = Manifold(2, metric)
     force = ForceField(man, force_src)
-    xs, vs, g = normality.sample_tangent_points(man, box, 0.5, 2.0, 64,
-                                                seed=3)
-    _, _, strong = normality._block_norms(man, force, xs, vs, g)
+    xs, vs = normality.sample_tangent_points(man, box, 0.5, 2.0, 64, seed=3)
+    _, _, strong = normality._block_norms(man, force, xs, vs)
     b = ref_bundle(man, force, xs, vs)
     defect = b['vel'] - 0.5 * np.einsum('bii->b', b['vel'])[:, None,
                                                              None] * np.eye(2)
