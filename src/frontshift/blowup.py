@@ -26,6 +26,7 @@ from . import exprlang
 from .dynamics import BatchTrajectory, IntegrationAbort, integrate_batch
 from .geometry import (ForceField, Manifold, at_point, g_norm, inverse,
                        lower, matvec, spray)
+from .report import FrontTable
 
 TAU_NORM_FLOOR = 1e-12
 
@@ -389,21 +390,15 @@ def front_header(dimension: int) -> list[str]:
 
 
 def export_front(record: FrontRecord, output_every: int = 1):
-    """(header, table) of the front: one float row per (output time,
-    direction), time-major and direction-minor."""
+    """(header, ``report.FrontTable``) of the front, time-major: lead
+    (dir_index, u) per direction, body (x, v, tau, phi, psi) as views."""
     if output_every < 1:
         raise BlowupError("output_every must be >= 1")
-    n = record.man.dimension
-    header = front_header(n)
-    nodes = slice(0, record.batch.node_count, output_every)
-    times = record.times[nodes]
-    shape = (times.shape[0], record.u.shape[0])
-    columns = [
-        np.broadcast_to(times[:, None, None], shape + (1,)),
-        np.broadcast_to(np.arange(shape[1], dtype=float)[None, :, None],
-                        shape + (1,)),
-        np.broadcast_to(record.u, shape + record.u.shape[1:]),
-        record.batch.x[nodes], record.batch.v[nodes],
-        record.batch.tau[nodes].reshape(shape + ((n - 1) * n,)),
-        record.phi[nodes], record.psi[nodes]]
-    return header, np.concatenate(columns, axis=2).reshape(-1, len(header))
+    n, batch = record.man.dimension, record.batch
+    nodes = slice(0, batch.node_count, output_every)
+    tau = batch.tau[nodes]
+    lead = np.column_stack([np.arange(len(record.u), dtype=float), record.u])
+    body = (batch.x[nodes], batch.v[nodes],
+            tau.reshape(tau.shape[:2] + ((n - 1) * n,)),
+            record.phi[nodes], record.psi[nodes])
+    return front_header(n), FrontTable(record.times[nodes], lead, body)

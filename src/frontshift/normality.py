@@ -76,15 +76,17 @@ def weak_batch(b: dict) -> tuple[np.ndarray, np.ndarray]:
     """Left-hand sides of the combined weak-normality system."""
     s = b['speed']
     unit, f_cov, proj, vel_cov = b['unit'], b['f_cov'], b['proj'], b['vel_cov']
-    # tnabla_i(N^j F_j) expanded with tnabla_i N^j = P^j_i / speed.
-    grad_scalar = vecmat(f_cov, proj) / s[:, None] + matvec(vel_cov, unit)
+    # tnabla_i(N^j F_j) expanded with tnabla_i N^j = P^j_i / speed; the
+    # sum is formed in place, so no extra (B, n) array outlives this line.
+    grad_scalar = matvec(vel_cov, unit)
+    nn_grad = _dot(unit, grad_scalar)
+    grad_scalar += vecmat(f_cov, proj) / s[:, None]
     first = vecmat(f_cov / s[:, None] + grad_scalar, proj)
 
     spa_cov = b['spa_cov']
     term1 = (matvec(spa_cov, unit) + vecmat(unit, spa_cov)
              - f_cov * (2.0 * _dot(f_cov, unit) / s ** 2)[:, None])
     term2 = vecmat(b['f'], vel_cov) / s[:, None]
-    nn_grad = _dot(unit, matvec(vel_cov, unit))
     term3 = -f_cov * (nn_grad / s)[:, None]
     second = vecmat(term1 + term2 + term3, proj)
     return first, second

@@ -6,17 +6,18 @@ files.  Non-finite values become JSON null; in CSV files they print as
 the tokens "nan", "inf" and "-inf".  numpy scalars and arrays serialize
 as their Python equivalents.
 
-CSV tables are float arrays streamed in fixed blocks of rows: each block
-is printed by one ``%`` operation with ``%.17g`` for every cell, which is
-the formatter ``fmt_float`` uses, so integer-valued columns such as
-``dir_index`` print without a decimal point.  Neither the whole file nor
-a list per row is ever held in memory.
+A front CSV is written from a ``FrontTable``: each output time's ``t``
+and each direction's lead (``dir_index``, u) is formatted once, and the
+body of a chunk of whole output nodes by one ``%`` operation, all with
+``%.17g`` as in ``fmt_float``, so ``dir_index`` prints as ``0``, ``1``.
+Neither the whole file nor the (rows x columns) table is held in memory.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -75,13 +76,33 @@ def write_json(path, obj) -> str:
 _CSV_BLOCK_ROWS = 1024
 
 
-def write_csv(path, header, rows) -> str:
-    path = Path(path)
-    table = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
-    line = ",".join(["%.17g"] * len(header)) + "\n"
-    with path.open("w", encoding="utf-8") as out:
+@dataclass(frozen=True)
+class FrontTable:
+    """Rows (times[i], lead[d], body[i, d]), time-major: times (T,), lead
+    (D, l), body (T, D, c_k) arrays joined along c.  len() is T * D."""
+
+    times: np.ndarray
+    lead: np.ndarray
+    body: tuple
+
+    def __len__(self) -> int:
+        return self.times.shape[0] * self.lead.shape[0]
+
+
+def write_csv(path, header, table: FrontTable) -> str:
+    nodes = max(1, _CSV_BLOCK_ROWS // max(1, table.lead.shape[0]))
+    lead = ",".join(["%.17g"] * table.lead.shape[1])
+    body = ",%.17g" * (len(header) - 1 - table.lead.shape[1]) + "\n"
+    # A node is t joined to rests: rests[0] = "" puts t before row 0.
+    rests = [""] + ["," + lead % tuple(row) + body
+                    for row in table.lead.tolist()]
+    with open(path, "w", encoding="utf-8") as out:
         out.write(",".join(header) + "\n")
-        for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
-            block = table[start:start + _CSV_BLOCK_ROWS]
-            out.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
+        for start in range(0, table.times.shape[0], nodes):
+            stop = start + nodes
+            chunk = np.concatenate([part[start:stop] for part in table.body],
+                                   axis=2)
+            text = "".join(("%.17g" % t).join(rests)
+                           for t in table.times[start:stop].tolist())
+            out.write(text % tuple(chunk.ravel().tolist()))
     return str(path)

@@ -235,14 +235,18 @@ def test_blowup_single_direction_bitwise_agreement():
 
 def test_export_front_shape_and_tokens():
     record = _free_blowup(t_end=0.1)
-    header, rows = export_front(record, output_every=10)
+    header, table = export_front(record, output_every=10)
     assert header == ["t", "dir_index", "u1", "x1", "x2", "v1", "v2",
                       "tau1_1", "tau1_2", "phi_1", "psi_1"]
     assert header == front_header(2)
-    assert len(rows) == 11 * 16
-    first = rows[0]
-    assert first[0] == 0.0 and first[1] == 0
-    assert np.isnan(first[-1])  # psi undefined at t=0
+    assert len(table) == 11 * 16
+    np.testing.assert_array_equal(table.times, record.times[::10])
+    assert table.times[0] == 0.0
+    np.testing.assert_array_equal(table.lead[:, 0], np.arange(16))
+    np.testing.assert_array_equal(table.lead[:, 1:], record.u)
+    assert [part.shape for part in table.body] == [
+        (11, 16, 2), (11, 16, 2), (11, 16, 2), (11, 16, 1), (11, 16, 1)]
+    assert np.isnan(table.body[-1][0]).all()  # psi undefined at t=0
 
 
 def test_export_front_three_dim_header():
@@ -353,6 +357,6 @@ def test_blowup_abort_carries_front_record():
         simulate_blowup(EUCLID, runaway, cfg, 1.0, 1e-3)
     partial = info.value.record
     assert partial.batch.node_count >= 1
-    header, rows = export_front(partial, output_every=100)
+    header, table = export_front(partial, output_every=100)
     assert header == front_header(2)
-    assert len(rows) >= 8
+    assert len(table) >= 8

@@ -1,10 +1,13 @@
 import json
 import math
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import frontshift
 from frontshift import exprlang
 from frontshift.cli import cmd_blowup, cmd_check, cmd_rank, cmd_shift, main
 from frontshift.config import load_config
@@ -347,6 +350,22 @@ def test_selftest_flipped_riemann_fails(tmp_path, capsys):
     doc = json.loads((tmp_path / "selftest_report.json").read_text())
     failing = [s for s in doc["suites"] if not s["passed"]]
     assert [s["name"] for s in failing] == ["variation-fidelity"]
+
+
+def test_cli_import_leaves_the_selftest_modules_out():
+    # selfcheck and its systems catalogue load with the selftest command
+    # only; normality and deviation load with the CLI, so a profiler can
+    # patch their functions through sys.modules right after the import.
+    src = Path(frontshift.__file__).resolve().parent.parent
+    script = "import sys, frontshift.cli\nprint(*sys.modules)"
+    done = subprocess.run([sys.executable, "-c", script], cwd=src,
+                          capture_output=True, text=True, check=True,
+                          timeout=60)
+    loaded = set(done.stdout.split())
+    assert "frontshift.cli" in loaded
+    assert "frontshift.selfcheck" not in loaded
+    assert "frontshift.systems" not in loaded
+    assert {"frontshift.normality", "frontshift.deviation"} <= loaded
 
 
 def _s3_drag_config(tmp_path):

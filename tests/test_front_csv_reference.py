@@ -2,13 +2,15 @@
 
 The reference below is the row-by-row ``export_front`` loop and the
 ``_cell``/``write_csv`` pair that formatted one cell at a time.  The
-array table and the block-streamed writer must produce the same bytes:
+factored table and the node-chunked writer must produce the same bytes:
 on 2D and 3D blow-ups at several output strides, on an aborted partial
-record, on row counts around the writer's block size, and on a table of
-values whose formatting is easy to get wrong.
+record, on row counts around the writer's chunk size, on a table of
+values whose formatting is easy to get wrong (in ``t``, in the lead
+columns and in the body), and on empty fronts.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from frontshift.blowup import (BlowupConfig, export_front, front_header,
                                simulate_blowup)
 from frontshift.dynamics import IntegrationAbort
 from frontshift.geometry import ForceField, Manifold
+from frontshift.report import FrontTable
 
 
 def _reference_export(record, output_every):
@@ -55,11 +58,18 @@ def _reference_csv(path, header, rows):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _assert_same_bytes(tmp_path, header, rows, table=None):
+def _table_rows(table):
+    """The rows of a factored table, time-major, as float lists."""
+    body = np.concatenate(table.body, axis=2)
+    return [[t] + lead + body[i, d].tolist()
+            for i, t in enumerate(table.times.tolist())
+            for d, lead in enumerate(table.lead.tolist())]
+
+
+def _assert_same_bytes(tmp_path, header, rows, table):
     want, got = tmp_path / "reference.csv", tmp_path / "streamed.csv"
     _reference_csv(want, header, rows)
-    assert report.write_csv(got, header,
-                            rows if table is None else table) == str(got)
+    assert report.write_csv(got, header, table) == str(got)
     assert got.read_bytes() == want.read_bytes()
 
 
@@ -95,9 +105,15 @@ def test_blowup_front_bytes_match_reference(tmp_path, records, dimension,
     header, rows = _reference_export(record, every)
     got_header, table = export_front(record, output_every=every)
     assert got_header == header
-    assert table.dtype == np.float64
-    assert table.shape == (len(rows), len(header))
-    np.testing.assert_array_equal(table, np.array(rows))
+    assert len(table) == len(rows)
+    assert table.lead.shape == (record.u.shape[0], dimension)
+    for part in table.body:
+        assert part.dtype == np.float64
+        assert part.shape[:2] == (len(table.times), record.u.shape[0])
+    assert sum(part.shape[2] for part in table.body) == \
+        len(header) - 1 - dimension
+    np.testing.assert_array_equal(np.array(_table_rows(table)),
+                                  np.array(rows))
     _assert_same_bytes(tmp_path, header, rows, table)
 
 
@@ -115,43 +131,102 @@ def test_aborted_partial_front_bytes_match_reference(tmp_path):
         _assert_same_bytes(tmp_path, header, rows, table)
 
 
+def _table(times, lead, *body):
+    return FrontTable(np.asarray(times, dtype=float),
+                      np.asarray(lead, dtype=float),
+                      tuple(np.asarray(part, dtype=float) for part in body))
+
+
+def _reference_rows(table):
+    """Rows of table with dir_index (the first lead column) as an int,
+    the way the reference export wrote it."""
+    rows = _table_rows(table)
+    for row in rows:
+        row[1] = int(row[1])
+    return rows
+
+
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 @pytest.mark.parametrize("blocks", [1, 2])
 def test_row_counts_around_block_size(tmp_path, blocks, offset):
-    nrows = blocks * report._CSV_BLOCK_ROWS + offset
-    rng = np.random.default_rng(nrows)
-    table = rng.normal(size=(nrows, 4)) * 10.0 ** rng.integers(
-        -20, 20, size=(nrows, 4))
-    table[:, 1] = np.arange(nrows)
-    rows = [[float(v) for v in row[:1]] + [int(row[1])]
-            + [float(v) for v in row[2:]] for row in table]
-    header = ["t", "dir_index", "a", "b"]
-    _assert_same_bytes(tmp_path, header, rows, table)
-    lines = (tmp_path / "streamed.csv").read_text().splitlines()
-    assert len(lines) == nrows + 1
-    assert lines[-1].split(",")[1] == str(nrows - 1)
+    header = ["t", "dir_index", "u1", "a", "b", "c"]
+    for directions in (1, 7, report._CSV_BLOCK_ROWS + 1):
+        per_chunk = max(1, report._CSV_BLOCK_ROWS // directions)
+        nodes = blocks * per_chunk + offset
+        rng = np.random.default_rng(nodes * directions)
+
+        def scaled(*shape):
+            return rng.normal(size=shape) * 10.0 ** rng.integers(
+                -20, 20, size=shape)
+
+        lead = np.column_stack([np.arange(directions),
+                                scaled(directions, 1)])
+        table = _table(scaled(nodes), lead, scaled(nodes, directions, 1),
+                       scaled(nodes, directions, 2))
+        assert len(table) == nodes * directions
+        _assert_same_bytes(tmp_path, header, _reference_rows(table), table)
+        lines = (tmp_path / "streamed.csv").read_text().splitlines()
+        assert len(lines) == nodes * directions + 1
+        if nodes:
+            assert lines[-1].split(",")[1] == str(directions - 1)
+
+
+SPECIALS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300,
+            -1e300, 0.1, 1.0, 123456789.0, 2.0 ** 53]
 
 
 def test_special_values_bytes_match_reference(tmp_path):
-    specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300,
-                -1e300, 0.1, 1.0, 123456789.0, 2.0 ** 53]
-    rows = [[0.1 * k, 1000 + 997 * k, value, -value]
-            for k, value in enumerate(specials)]
-    header = ["t", "dir_index", "a", "b"]
-    _assert_same_bytes(tmp_path, header, rows)
-    _assert_same_bytes(tmp_path, header, rows, np.array(rows, dtype=float))
+    count = len(SPECIALS)
+    specials = np.array(SPECIALS)
+    # One direction per special value and one more, so that a swap of the
+    # time and direction axes shows; u is (-0, 0) in direction 3 and
+    # (0, -0) in direction 4.
+    u = np.column_stack([specials, -specials])
+    u = np.vstack([u, [[-0.0, 0.0]]])
+    lead = np.column_stack([1000 + 997 * np.arange(count + 1), u])
+    nodes = np.arange(count)[:, None]
+    dirs = np.arange(count + 1)[None, :]
+    body_a = specials[(nodes + dirs) % count][:, :, None]
+    body_b = np.stack([specials[(5 * nodes + dirs) % count],
+                       -specials[(nodes + 7 * dirs) % count]], axis=2)
+    table = _table(specials, lead, body_a, body_b)
+    header = ["t", "dir_index", "u1", "u2", "a", "b", "c"]
+    _assert_same_bytes(tmp_path, header, _reference_rows(table), table)
     lines = (tmp_path / "streamed.csv").read_text().splitlines()
-    assert lines[1:4] == ["0,1000,nan,nan",
-                          "0.10000000000000001,1997,inf,-inf",
-                          "0.20000000000000001,2994,-inf,inf"]
-    assert lines[4] == "0.30000000000000004,3991,-0,0"
-    assert lines[6] == ("0.5,5985,4.9406564584124654e-324,"
-                        "-4.9406564584124654e-324")
-    assert lines[7] == ("0.60000000000000009,6982,1.0000000000000001e+300,"
-                        "-1.0000000000000001e+300")
-    assert lines[12] == "1.1000000000000001,11967,9007199254740992," \
-                        "-9007199254740992"
+    width = count + 1
+    assert lines[1] == "nan,1000,nan,nan,nan,nan,nan"
+    # t = inf with direction 4, u = (0, -0).
+    assert lines[1 + width + 4] == ("inf,4988,0,-0,4.9406564584124654e-324,"
+                                    "1,-4.9406564584124654e-324")
+    # t = -0.0 with the added direction, u = (-0, 0).
+    assert lines[1 + 3 * width + count] == "-0,12964,-0,0,-0,-0,0"
+    assert lines[1 + 8 * width + 6] == (
+        "0.10000000000000001,6982,1.0000000000000001e+300,"
+        "-1.0000000000000001e+300,-inf,123456789,inf")
+    assert lines[-1] == ("9007199254740992,12964,-0,0,9007199254740992,"
+                         "-1.0000000000000001e+300,-9007199254740992")
 
 
 def test_empty_table_writes_header_only(tmp_path):
-    _assert_same_bytes(tmp_path, ["a", "b"], [], np.empty((0, 2)))
+    for nodes, directions in ((0, 3), (3, 0), (0, 0)):
+        table = _table(np.zeros(nodes), np.zeros((directions, 2)),
+                       np.zeros((nodes, directions, 3)))
+        assert len(table) == 0
+        _assert_same_bytes(tmp_path, ["t", "dir_index", "u1", "a", "b", "c"],
+                           [], table)
+
+
+def test_export_and_write_peak_below_one_row_table(tmp_path):
+    euclid = Manifold(2, [["1", "0"], ["0", "1"]])
+    free = ForceField(euclid, ["0", "0"])
+    cfg = BlowupConfig(p0=[0.0, 0.0], nu=1.0, resolution=256)
+    record = simulate_blowup(euclid, free, cfg, 0.2, 1e-3)
+    tracemalloc.start()
+    try:
+        header, table = export_front(record, output_every=1)
+        report.write_csv(tmp_path / "front.csv", header, table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) >= 50_000
+    assert peak < len(table) * len(header) * 8

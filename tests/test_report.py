@@ -2,7 +2,8 @@ import json
 
 import numpy as np
 
-from frontshift.report import dump_json, fmt_float, write_csv, write_json
+from frontshift.report import (FrontTable, dump_json, fmt_float, write_csv,
+                               write_json)
 
 
 def test_floats_print_seventeen_significant_digits():
@@ -33,7 +34,9 @@ def test_json_handles_numpy_scalars_and_arrays():
 
 def test_csv_nan_token_and_digits(tmp_path):
     path = tmp_path / "t.csv"
-    write_csv(path, ["a", "b", "c"], [[0, 0.1, float("nan")]])
+    table = FrontTable(np.array([0.0]), np.array([[0.1]]),
+                       (np.array([[[float("nan")]]]),))
+    write_csv(path, ["a", "b", "c"], table)
     lines = path.read_text().splitlines()
     assert lines == ["a,b,c", "0,0.10000000000000001,nan"]
 
