@@ -7,7 +7,7 @@ record shape: batched trajectories with one variation per surface
 parameter, plus the deviation and normalized-deviation series that
 measure how far the moving fronts are from orthogonality.
 
-Each front is described by one dataclass, ``BlowupConfig`` or
+Each front is described by one record, ``BlowupConfig`` or
 ``HypersurfaceSpec``, which is also its section of a scenario file, and
 integrated by ``simulate_blowup`` or ``simulate_shift`` with the same
 arguments (man, force, spec, t_end, h).  A launch speed nu that is not
@@ -17,8 +17,7 @@ positive and finite on the grid, or whose u-gradient is not finite, is a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,8 +34,7 @@ class BlowupError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SphereSample:
+class SphereSample(NamedTuple):
     """One grid direction: sphere parameters, unit vector, tangents."""
 
     u: np.ndarray            # (n-1,)
@@ -44,8 +42,7 @@ class SphereSample:
     tangents: np.ndarray     # K_a(q), (n-1, n)
 
 
-@dataclass(frozen=True)
-class BlowupConfig:
+class BlowupConfig(NamedTuple):
     """Blow-up of the point p0 with launch speed nu(u) over a sphere grid
     of the given resolution; the ``blowup`` section of a scenario."""
 
@@ -54,8 +51,7 @@ class BlowupConfig:
     resolution: int = 64
 
 
-@dataclass(frozen=True)
-class HypersurfaceSpec:
+class HypersurfaceSpec(NamedTuple):
     """Parametric hypersurface x^k(u) with launch speed nu(u); the
     ``shift`` section of a scenario."""
 
@@ -66,8 +62,7 @@ class HypersurfaceSpec:
     orient_flip: bool = False
 
 
-@dataclass(frozen=True)
-class FrontRecord:
+class FrontRecord(NamedTuple):
     """Record of a blow-up or shift with deviation series attached."""
 
     man: Manifold
@@ -81,8 +76,7 @@ class FrontRecord:
         return self.batch.times
 
 
-@dataclass(frozen=True)
-class OrthogonalityReport:
+class OrthogonalityReport(NamedTuple):
     times: np.ndarray
     max_psi_per_time: np.ndarray   # nan where no defined entries
     mean_psi_per_time: np.ndarray

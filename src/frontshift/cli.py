@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -261,7 +260,7 @@ def main(argv=None) -> int:
             return cmd_selftest(out_dir, args.flip_riemann_sign, started)
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg = replace(cfg, sampler=replace(cfg.sampler, seed=args.seed))
+            cfg = cfg._replace(sampler=cfg.sampler._replace(seed=args.seed))
         handler = {"check": cmd_check, "blowup": cmd_blowup,
                    "shift": cmd_shift, "rank": cmd_rank}[args.command]
         return handler(cfg, out_dir, started)

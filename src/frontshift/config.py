@@ -8,8 +8,8 @@ expressions are strings in the expression-language grammar.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import exprlang
 from .blowup import BlowupConfig, HypersurfaceSpec
@@ -23,37 +23,44 @@ class ConfigError(ValueError):
         self.path = path
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
+class IntegratorConfig(NamedTuple):
     step: float = 1e-3
     t_end: float = 1.0
     output_every: int = 10
 
 
-@dataclass(frozen=True)
-class SamplerSection:
+class _SamplerFields(NamedTuple):
     x_box: list
     v_min: float = 0.5
     v_max: float = 2.0
     count: int = 500
     seed: int = 0
 
-    def __post_init__(self):
-        # checked here rather than in parse_config so that a seed set
-        # with dataclasses.replace (the CLI's --seed) is checked too
+
+class SamplerSection(_SamplerFields):
+    """The ``sampler`` section.  The seed is checked on construction,
+    which ``_replace`` (the CLI's --seed) goes through too."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.seed < 0:
             raise ConfigError("sampler.seed", "must be >= 0")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class RankSection:
+class RankSection(NamedTuple):
     variations: int = 5
     window: tuple = (0.2, 1.0)
     trajectories: int = 5
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     dimension: int
     metric: list
     force: list
@@ -69,10 +76,11 @@ class ScenarioConfig:
         return man, ForceField(man, self.force)
 
     def echo(self) -> dict:
-        """Plain dict mirror of the resolved config, for exact reruns."""
-        out = {key: value for key, value in asdict(self).items()
-               if value is not None}
-        # a list, as parse_config reads it back; asdict keeps the tuple
+        """Plain dict mirror of the resolved config, for exact reruns:
+        each section a dict, and the rank window a list, as parse_config
+        reads them back."""
+        out = {key: value._asdict() if isinstance(value, tuple) else value
+               for key, value in self._asdict().items() if value is not None}
         out["rank"]["window"] = list(self.rank.window)
         return out
 

@@ -9,7 +9,7 @@ evaluates, with finite differences kept for the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,16 +22,14 @@ class DeviationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class DeviationSeries:
+class DeviationSeries(NamedTuple):
     times: np.ndarray
     phi: np.ndarray        # (M+1, J)
     phi_dot: np.ndarray
     phi_ddot: np.ndarray
 
 
-@dataclass(frozen=True)
-class RankResult:
+class RankResult(NamedTuple):
     singular_values: np.ndarray
     ratio: float | None     # sigma3/sigma1, the rank-2 defect measure
     inconclusive: bool
@@ -55,7 +53,7 @@ def phi_derivatives(man: Manifold, force: ForceField, xs, vs, tau, rho):
     phi = (v | tau), phi_dot = (F | tau) + (v | rho) and
     phi_ddot = (alpha | rho) + (beta | tau), in closed form.
     """
-    b = force_tensors(man, force, xs, vs)
+    b = force_tensors(force, xs, vs)
     alpha, beta = alpha_beta(b)
     v_cov = lower(b['g'], vs)
     phi_vals = matvec(tau, v_cov)

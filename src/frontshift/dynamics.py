@@ -28,7 +28,7 @@ history array, and the record's x, v, tau and rho are views of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,8 +55,7 @@ class IntegrationAbort(RuntimeError):
             f"{node_index} (batch rows {self.batch_indices})")
 
 
-@dataclass(frozen=True)
-class BatchTrajectory:
+class BatchTrajectory(NamedTuple):
     """Uniform-grid record of B trajectories with J variations each.
 
     Axes: times (M+1,), x/v (M+1, B, n), tau/rho (M+1, B, J, n).  rho

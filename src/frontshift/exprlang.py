@@ -17,13 +17,18 @@ Grammar::
 The exponent of ``^`` must fold to a constant unless the base is itself
 constant; this keeps differentiation closed-form.  General powers remain
 expressible as ``exp(ln(b)*e)``.
+
+Nodes are plain slotted classes, equal by type and fields (never
+``pos``).  Each ``simplify`` pass returns every subtree in which no rule
+fired as the same object, so the fixpoint is the first pass that returns
+its input.  ``compile_fn`` prints a constant folded to +-inf or nan as
+``np.inf`` or ``np.nan``.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -59,65 +64,88 @@ class ExprDomainError(ExprError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
 class Node:
-    """AST node.  ``pos`` is the source byte offset, ignored by equality."""
+    """AST node.  Nodes of one type are equal, and hash alike, when their
+    ``_fields`` (the positional arguments of the constructor) are; the
+    keyword ``pos``, the source byte offset, is ignored by equality."""
 
-    pos: int = field(default=0, compare=False, kw_only=True)
+    __slots__ = ("pos",)
+    _fields: tuple = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = [f"{name}={getattr(self, name)!r}"
+                for name in (*self._fields, "pos")]
+        return f"{type(self).__name__}({', '.join(args)})"
 
 
-@dataclass(frozen=True)
 class Const(Node):
-    value: float = 0.0
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: float = 0.0, *, pos: int = 0):
+        self.value, self.pos = value, pos
 
 
-@dataclass(frozen=True)
 class Var(Node):
-    name: str = ""
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str = "", *, pos: int = 0):
+        self.name, self.pos = name, pos
 
 
-@dataclass(frozen=True)
 class Neg(Node):
-    arg: Node
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg: Node, *, pos: int = 0):
+        self.arg, self.pos = arg, pos
 
 
-@dataclass(frozen=True)
-class Add(Node):
-    left: Node
-    right: Node
+class _Binary(Node):
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: Node, right: Node, *, pos: int = 0):
+        self.left, self.right, self.pos = left, right, pos
 
 
-@dataclass(frozen=True)
-class Sub(Node):
-    left: Node
-    right: Node
+class Add(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Mul(Node):
-    left: Node
-    right: Node
+class Sub(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Div(Node):
-    left: Node
-    right: Node
+class Mul(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+class Div(_Binary):
+    __slots__ = ()
+
+
 class Pow(Node):
-    base: Node
-    exponent: Node
+    __slots__ = _fields = ("base", "exponent")
+
+    def __init__(self, base: Node, exponent: Node, *, pos: int = 0):
+        self.base, self.exponent, self.pos = base, exponent, pos
 
 
-@dataclass(frozen=True)
 class Call(Node):
-    func: str
-    arg: Node
+    __slots__ = _fields = ("func", "arg")
 
+    def __init__(self, func: str, arg: Node, *, pos: int = 0):
+        self.func, self.arg, self.pos = func, arg, pos
 
-ExprAst = Node
 
 
 class _Parser:
@@ -392,15 +420,20 @@ def _is_const(node: Node, value: float) -> bool:
 
 def simplify(node: Node) -> Node:
     """Constant folding plus x+0, x*1, x*0, 0/x, x^1 rewrites, to
-    fixpoint."""
+    fixpoint.
+
+    Every rewrite makes the tree smaller, so a pass that returns its
+    input object (no rule fired anywhere in it) is the fixpoint.
+    """
     while True:
         new = _simplify_once(node)
-        if new == node:
+        if new is node:
             return new
         node = new
 
 
 def _simplify_once(node: Node) -> Node:
+    """One bottom-up pass; the node itself when no rule fires in it."""
     if isinstance(node, (Const, Var)):
         return node
     if isinstance(node, Neg):
@@ -409,7 +442,7 @@ def _simplify_once(node: Node) -> Node:
             return Const(-arg.value)
         if isinstance(arg, Neg):
             return arg.arg
-        return Neg(arg, pos=node.pos)
+        return node if arg is node.arg else Neg(arg, pos=node.pos)
     if isinstance(node, Call):
         arg = _simplify_once(node.arg)
         if isinstance(arg, Const):
@@ -417,7 +450,8 @@ def _simplify_once(node: Node) -> Node:
                 return Const(evaluate(Call(node.func, arg), {}))
             except ExprDomainError:
                 pass
-        return Call(node.func, arg, pos=node.pos)
+        return node if arg is node.arg else Call(node.func, arg,
+                                                 pos=node.pos)
     if isinstance(node, Pow):
         base = _simplify_once(node.base)
         expo = _simplify_once(node.exponent)
@@ -430,7 +464,8 @@ def _simplify_once(node: Node) -> Node:
                 return Const(evaluate(Pow(base, expo), {}))
             except ExprDomainError:
                 pass
-        return Pow(base, expo, pos=node.pos)
+        return (node if base is node.base and expo is node.exponent
+                else Pow(base, expo, pos=node.pos))
 
     left = _simplify_once(node.left)
     right = _simplify_once(node.right)
@@ -456,7 +491,8 @@ def _simplify_once(node: Node) -> Node:
             return Const(0.0)
         if _is_const(right, 1.0):
             return left
-    rebuilt = type(node)(left, right, pos=node.pos)
+    rebuilt = (node if left is node.left and right is node.right
+               else type(node)(left, right, pos=node.pos))
     if isinstance(left, Const) and isinstance(right, Const):
         try:
             return Const(evaluate(rebuilt, {}))
@@ -576,15 +612,19 @@ def compile_fn(nodes: Sequence[Node] | Sequence[Sequence[Node]],
     groups = ([list(group) for group in nodes] if grouped
               else [list(nodes)])
     roots = [root for group in groups for root in group]
-    for root in roots:
-        undeclared = variables(root) - set(names)
-        if undeclared:
-            raise UnknownIdentifierError(sorted(undeclared)[0], root.pos)
+    program = _Program(roots)
+    declared = set(names)
+    # each merged node once; the roots are searched only for the error
+    if any(isinstance(node, Var) and node.name not in declared
+           for node in program.nodes):
+        for root in roots:
+            undeclared = variables(root) - declared
+            if undeclared:
+                raise UnknownIdentifierError(sorted(undeclared)[0], root.pos)
     if len(names) > _MAX_BROADCAST_ARGS:
         raise ValueError(f"a compiled callable takes at most "
                          f"{_MAX_BROADCAST_ARGS} argument names, got "
                          f"{len(names)}")
-    program = _Program(roots)
     results = iter([program.emit(uid) for uid in program.roots])
     lines = [f"def _compiled({', '.join(names)}):", *program.lines]
     scope: dict = {"np": np}
@@ -685,8 +725,12 @@ _BINARY_OPS = {Add: " + ", Sub: " - ", Mul: "*", Div: "/", Pow: "**"}
 
 def _format(node: Node, args: list[str]) -> str:
     if isinstance(node, Const):
+        text = repr(node.value)
+        if not math.isfinite(node.value):
+            # inf and nan are no names in the generated scope; np's are
+            text = text.replace("inf", "np.inf").replace("nan", "np.nan")
         # parenthesized so that e.g. (-2)**2 keeps pow from capturing the sign
-        return f"({node.value!r})" if node.value < 0 else repr(node.value)
+        return f"({text})" if node.value < 0 else text
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Neg):

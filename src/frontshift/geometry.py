@@ -615,8 +615,7 @@ def extended_gradients(man: Manifold, force: ForceField, xs: np.ndarray,
     return spatial, dfdv
 
 
-def force_tensors(man: Manifold, force: ForceField, xs: np.ndarray,
-                  vs: np.ndarray) -> dict:
+def force_tensors(force: ForceField, xs: np.ndarray, vs: np.ndarray) -> dict:
     """Metric and force tensors at a batch of tangent-bundle points.
 
     g and g^-1; the velocity v, the force F and F lowered; the spatial and
@@ -629,7 +628,7 @@ def force_tensors(man: Manifold, force: ForceField, xs: np.ndarray,
     g, koszul, f_vals, dfdx, dfdv = force.first_order_jet(xs, vs)
     ginv = inverse(g)
     spatial, velocity = extended_gradients(
-        man, force, xs, vs, jac=(dfdx, dfdv),
+        force.manifold, force, xs, vs, jac=(dfdx, dfdv),
         along=spray(ginv, koszul, vs, f_vals))
     return dict(g=g, ginv=ginv, v=vs, f=f_vals,
                 f_cov=lower(g, f_vals), spa=spatial, vel=velocity,

@@ -23,7 +23,7 @@ sampler's temporaries, not by every residual tensor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +42,7 @@ NEITHER = "neither"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     xs: np.ndarray                # (count, n) sampled positions
     vs: np.ndarray                # (count, n) sampled velocities
     max_weak: float
@@ -62,7 +61,7 @@ def bundle(man: Manifold, force: ForceField, xs: np.ndarray,
     """Everything the residual families consume, batched: the
     force_tensors of the points plus the velocity frame (speed, unit,
     unit_cov, proj)."""
-    b = force_tensors(man, force, xs, vs)
+    b = force_tensors(force, xs, vs)
     b['speed'], b['unit'], b['unit_cov'], b['proj'] = man.frame(
         xs, vs, g=b['g'])
     return b

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -76,14 +75,14 @@ def write_json(path, obj) -> str:
 _CSV_BLOCK_ROWS = 1024
 
 
-@dataclass(frozen=True)
 class FrontTable:
     """Rows (times[i], lead[d], body[i, d]), time-major: times (T,), lead
     (D, l), body (T, D, c_k) arrays joined along c.  len() is T * D."""
 
-    times: np.ndarray
-    lead: np.ndarray
-    body: tuple
+    __slots__ = ("times", "lead", "body")
+
+    def __init__(self, times: np.ndarray, lead: np.ndarray, body: tuple):
+        self.times, self.lead, self.body = times, lead, body
 
     def __len__(self) -> int:
         return self.times.shape[0] * self.lead.shape[0]

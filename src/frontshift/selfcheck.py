@@ -10,7 +10,7 @@ that pins the curvature index convention).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,16 +23,14 @@ from .normality import bundle, raw_batch, weak_batch
 from .systems import BUNDLED, SystemSpec
 
 
-@dataclass(frozen=True)
-class SuiteCase:
+class SuiteCase(NamedTuple):
     system: str
     observed: float
     tolerance: float
     passed: bool
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     module: str
     cases: list[SuiteCase]

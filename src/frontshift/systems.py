@@ -8,7 +8,7 @@ degeneracies (polar axis, sphere poles).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .geometry import ForceField, Manifold
 
@@ -19,8 +19,7 @@ SPHERE_ROUND = [["1", "0"], ["0", "sin(x1)^2"]]
 _SPEED_POLAR = "sqrt(v1^2 + x1^2*v2^2)"
 
 
-@dataclass(frozen=True)
-class SystemSpec:
+class SystemSpec(NamedTuple):
     name: str
     dimension: int
     metric: list

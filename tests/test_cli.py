@@ -279,6 +279,33 @@ def test_rank_abort_exits_three(tmp_path, capsys):
     assert "non-finite state (v, rho) after node" in err
 
 
+@pytest.mark.parametrize("constant", ["1e308*10", "1e308*10 - 1e308*10"])
+def test_force_with_a_non_finite_folded_constant_exits_checked(
+        tmp_path, capsys, constant):
+    # the term folds to inf (then nan) inside force[0], not at its root,
+    # so the generated code must print it: the checked exits are reached
+    # instead of a NameError from the compiled call
+    data = json.loads((Path(__file__).resolve().parent.parent / "configs"
+                       / "drag.json").read_text())
+    data["force"][0] += f" + x1*({constant})"
+    cfg = _write_config(tmp_path, data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        runs = {command: _run(capsys, [command, "--config", cfg, "--out-dir",
+                                       str(tmp_path / command)])
+                for command in ("check", "blowup", "rank")}
+    code, out, err = runs["check"]
+    assert (code, out) == (1, "")
+    assert err.startswith("residuals undefined at 1000 of 1000 samples")
+    assert runs["blowup"][0] == 3
+    doc = json.loads((tmp_path / "blowup" / "blowup_orthogonality.json")
+                     .read_text())
+    assert doc["abort_node"] == 0
+    code, _, err = runs["rank"]
+    assert code == 3
+    assert "after node 0" in err
+
+
 def test_seed_override_changes_samples(tmp_path, capsys):
     cfg = _write_config(tmp_path, BASE)
     _, out_a, _ = _run(capsys, ["check", "--config", cfg,

@@ -25,7 +25,7 @@ def _phis(man, force, x, v, tau, rho):
 
 def _alpha_beta(force, x, v):
     return at_point(lambda xs, vs: alpha_beta(force_tensors(
-        EUCLID, force, xs, vs)), x, v)
+        force, xs, vs)), x, v)
 
 
 def test_phi_values():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -276,6 +277,55 @@ def test_compiled_constants_are_bit_exact():
         assert np.array_equal(some_const[..., 1],
                               np.multiply(args[0], args[2]))
         assert np.array_equal(some_const[..., 3], args[1])
+
+
+@pytest.mark.parametrize("source", [
+    "x1*(1e308*10)", "v1 - x2*(1e308*10)", "x1*(1e308*10 - 1e308*10)",
+    "v1 + x2/(1e308*10)", "v1 + x2/(-1e308*10)", "(1e308*10)^2 - x1",
+    "x1*v2*(0 - 1e308*10) + v1"])
+def test_compiled_non_finite_constants_match_evaluate(source):
+    # a constant that folds to +-inf or nan below the root is printed into
+    # the generated code; the values, nan and the sign of zero included,
+    # are evaluate's
+    node = el.simplify(el.parse(source, VARS))
+    assert not isinstance(node, el.Const)
+    assert "inf" in el.to_source(node) or "nan" in el.to_source(node)
+    fn = el.compile_fn([node], VARS)
+    values = (-2.0, -0.0, 0.0, 1.5)
+    bindings = [dict(zip(VARS, combo)) for combo in itertools.product(
+        values, repeat=len(VARS))]
+    with np.errstate(all="ignore"):
+        got = fn(*_columns(bindings))[:, 0]
+    for b, value in zip(bindings, got.tolist()):
+        want = el.evaluate(node, b)
+        if math.isnan(want):
+            assert math.isnan(value), b
+        else:
+            assert value == want and (math.copysign(1.0, value)
+                                      == math.copysign(1.0, want)), b
+
+
+def test_nodes_equal_by_type_and_fields_never_pos():
+    assert el.Const(1.0, pos=3) == el.Const(1.0)
+    assert el.Const(0.0) == el.Const(-0.0)
+    assert hash(el.Const(0.0, pos=2)) == hash(el.Const(-0.0))
+    assert el.Add(el.Var("x1"), el.Const(2.0), pos=7) == el.Add(
+        el.Var("x1"), el.Const(2.0))
+    assert el.Add(el.Var("x1"), el.Var("x2")) != el.Sub(el.Var("x1"),
+                                                        el.Var("x2"))
+    assert el.Var("x1") != "x1"
+    assert el.Call("sin", el.Var("x1"), pos=4).pos == 4
+    assert len({el.Var("x1"), el.Var("x1", pos=1), el.Var("x2")}) == 2
+
+
+def test_simplify_returns_its_fixpoint_itself():
+    rng = np.random.default_rng(19)
+    for _ in range(300):
+        ast = _random_ast(rng, 3)
+        done = el.simplify(ast)
+        assert el.simplify(done) is done
+        assert el.simplify(el.Add(done, el.Const(0.0))) is done
+        assert el._simplify_once(done) is done
 
 
 def test_compiled_arrays_take_at_most_32_names():

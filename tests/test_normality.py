@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 import warnings
 
@@ -361,12 +360,12 @@ def test_blocked_classify_is_the_single_block_bit_for_bit(monkeypatch, case,
     blocked = run(block)
     assert normality.sample_blocks(count) > 2
     single = run(count)
-    for field in dataclasses.fields(single):
-        a, b = getattr(single, field.name), getattr(blocked, field.name)
+    for name in single._fields:
+        a, b = getattr(single, name), getattr(blocked, name)
         if isinstance(a, np.ndarray):
-            assert np.array_equal(a, b), field.name
+            assert np.array_equal(a, b), name
         else:
-            assert a == b, field.name
+            assert a == b, name
 
 
 def test_classify_memory_is_bounded_by_the_block():

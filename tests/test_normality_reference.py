@@ -164,7 +164,7 @@ def system(request):
 
 def test_frame_and_lowered_tensors_match_reference(system):
     man, force, xs, vs, _ = system
-    got = force_tensors(man, force, xs, vs)
+    got = force_tensors(force, xs, vs)
     ref = ref_bundle(man, force, xs, vs)
     for key in ('f_cov', 'spa_cov', 'vel_cov'):
         _close(key, got[key], ref[key])
@@ -215,7 +215,7 @@ def test_deviation_formulas_match_reference(system):
     nb, n = xs.shape
     tau = rng.normal(size=(nb, n - 1, n))
     rho = rng.normal(size=(nb, n - 1, n))
-    got_b = force_tensors(man, force, xs, vs)
+    got_b = force_tensors(force, xs, vs)
     ref_b = ref_bundle(man, force, xs, vs)
     for name, a, r in zip(("alpha", "beta"), deviation.alpha_beta(got_b),
                           ref_alpha_beta(ref_b)):
