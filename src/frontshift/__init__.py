@@ -5,9 +5,8 @@ fields."""
 from .blowup import (BlowupConfig, FrontRecord, HypersurfaceSpec,
                      export_front, initial_slopes, orthogonality_report,
                      simulate_blowup, simulate_shift, sphere_grid)
-from .deviation import deviation_rank, phi_derivatives, series_along
-from .dynamics import (BatchTrajectory, IntegrationAbort, integrate_batch,
-                       single_record)
+from .deviation import deviation_rank, phi_derivatives
+from .dynamics import BatchTrajectory, IntegrationAbort, integrate_batch
 from .geometry import (ForceField, Manifold, at_point, force_tensors, g_norm,
                        lower)
 from .normality import classify

@@ -13,6 +13,9 @@ integrated by ``simulate_blowup`` or ``simulate_shift`` with the same
 arguments (man, force, spec, t_end, h).  A launch speed nu that is not
 positive and finite on the grid, or whose u-gradient is not finite, is a
 ``BlowupError``.
+
+The sphere grid comes as whole arrays, one row per direction, and the
+record's deviation phi = g(tau, v) is ``deviation.phi`` at every node.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import exprlang
+from . import deviation, exprlang
 from .dynamics import BatchTrajectory, IntegrationAbort, integrate_batch
 from .geometry import (ForceField, Manifold, at_point, g_norm, inverse,
                        lower, matvec, spray)
@@ -32,14 +35,6 @@ TAU_NORM_FLOOR = 1e-12
 
 class BlowupError(ValueError):
     pass
-
-
-class SphereSample(NamedTuple):
-    """One grid direction: sphere parameters, unit vector, tangents."""
-
-    u: np.ndarray            # (n-1,)
-    direction: np.ndarray    # n(q), g(p0)-unit
-    tangents: np.ndarray     # K_a(q), (n-1, n)
 
 
 class BlowupConfig(NamedTuple):
@@ -65,7 +60,6 @@ class HypersurfaceSpec(NamedTuple):
 class FrontRecord(NamedTuple):
     """Record of a blow-up or shift with deviation series attached."""
 
-    man: Manifold
     u: np.ndarray              # (B, n-1) surface/sphere parameters
     batch: BatchTrajectory
     phi: np.ndarray            # (M+1, B, n-1)
@@ -86,13 +80,16 @@ class OrthogonalityReport(NamedTuple):
     inconclusive: bool
 
 
-def sphere_grid(man: Manifold, p0, resolution: int) -> list[SphereSample]:
-    """Directions covering the g(p0)-unit sphere of the tangent space.
+def sphere_grid(man: Manifold, p0, resolution: int):
+    """Directions covering the g(p0)-unit sphere of the tangent space:
+    the arrays (u, directions, tangents) of shapes (B, n-1), (B, n) and
+    (B, n-1, n), holding each direction's sphere parameters, its g(p0)-unit
+    vector n(q) and its tangents K_a(q).
 
     Built through a g(p0)-orthonormal frame (Cholesky factor of g(p0)),
     so directions are exactly g-unit and tangents exactly g-orthogonal
     to them.  n=3 grids exclude shrinking polar caps where the
-    longitude tangent degenerates.
+    longitude tangent degenerates; their directions run latitude-major.
     """
     if resolution < 8:
         raise BlowupError("resolution must be at least 8")
@@ -102,32 +99,26 @@ def sphere_grid(man: Manifold, p0, resolution: int) -> list[SphereSample]:
     man.check_positive_definite(p0, g0)
     frame = np.linalg.inv(np.linalg.cholesky(g0).T)
 
-    samples = []
+    ph = 2.0 * np.pi * np.arange(resolution) / resolution
     if n == 2:
-        for j in range(resolution):
-            u = 2.0 * np.pi * j / resolution
-            s_hat = np.array([np.cos(u), np.sin(u)])
-            ds = np.array([-np.sin(u), np.cos(u)])
-            samples.append(SphereSample(np.array([u]), frame @ s_hat,
-                                        (frame @ ds)[None, :]))
+        u = ph[:, None]
+        cp, sp = np.cos(ph), np.sin(ph)
+        s_hat = np.stack([cp, sp], axis=-1)
+        ds = np.stack([-sp, cp], axis=-1)[:, None]
     elif n == 3:
         delta = np.pi / (4.0 * resolution)
         thetas = delta + (np.pi - 2.0 * delta) * np.arange(resolution) / (
             resolution - 1)
-        for theta in thetas:
-            st, ct = np.sin(theta), np.cos(theta)
-            for j in range(resolution):
-                ph = 2.0 * np.pi * j / resolution
-                cp, sp = np.cos(ph), np.sin(ph)
-                s_hat = np.array([st * cp, st * sp, ct])
-                d_theta = np.array([ct * cp, ct * sp, -st])
-                d_phi = np.array([-st * sp, st * cp, 0.0])
-                samples.append(SphereSample(
-                    np.array([theta, ph]), frame @ s_hat,
-                    np.stack([frame @ d_theta, frame @ d_phi])))
+        theta, ph = np.repeat(thetas, resolution), np.tile(ph, resolution)
+        u = np.stack([theta, ph], axis=-1)
+        st, ct, cp, sp = np.sin(theta), np.cos(theta), np.cos(ph), np.sin(ph)
+        s_hat = np.stack([st * cp, st * sp, ct], axis=-1)
+        ds = np.stack([np.stack([ct * cp, ct * sp, -st], axis=-1),
+                       np.stack([-st * sp, st * cp, np.zeros_like(st)],
+                                axis=-1)], axis=1)
     else:
         raise BlowupError("sphere grids are built for dimensions 2 and 3")
-    return samples
+    return u, matvec(frame, s_hat), matvec(frame, ds)
 
 
 def _nu_function(nu, n_params: int):
@@ -170,12 +161,8 @@ def simulate_blowup(man: Manifold, force: ForceField, spec: BlowupConfig,
     Variations start at zero with covariant rate nu0 * K_a for constant
     nu, and d(nu n)/du^a when nu varies over the sphere.
     """
-    samples = sphere_grid(man, spec.p0, spec.resolution)
-    nb = len(samples)
-    n = man.dimension
-    u = np.stack([s.u for s in samples])
-    dirs = np.stack([s.direction for s in samples])
-    tangents = np.stack([s.tangents for s in samples])
+    u, dirs, tangents = sphere_grid(man, spec.p0, spec.resolution)
+    nb, n = dirs.shape
     nu_vals, nu_grads = _launch_speeds(_nu_function(spec.nu, n - 1), u,
                                        "the whole sphere grid")
 
@@ -327,12 +314,12 @@ def _attach_series(man: Manifold, u: np.ndarray,
     flat_x = batch.x.reshape(m1 * nb, n)
     g = man.metric(flat_x).reshape(m1, nb, n, n)
     speed = g_norm(g, batch.v)
-    phi = matvec(batch.tau, lower(g, batch.v))
+    phi = deviation.phi(g, batch.v, batch.tau)
     tau_norm = g_norm(g[:, :, None], batch.tau)
     with np.errstate(invalid='ignore', divide='ignore'):
         psi = np.where(tau_norm > TAU_NORM_FLOOR,
                        phi / (speed[:, :, None] * tau_norm), np.nan)
-    return FrontRecord(man, u, batch, phi, psi)
+    return FrontRecord(u, batch, phi, psi)
 
 
 def orthogonality_report(record: FrontRecord) -> OrthogonalityReport:
@@ -388,7 +375,8 @@ def export_front(record: FrontRecord, output_every: int = 1):
     (dir_index, u) per direction, body (x, v, tau, phi, psi) as views."""
     if output_every < 1:
         raise BlowupError("output_every must be >= 1")
-    n, batch = record.man.dimension, record.batch
+    batch = record.batch
+    n = batch.x.shape[-1]
     nodes = slice(0, batch.node_count, output_every)
     tau = batch.tau[nodes]
     lead = np.column_stack([np.arange(len(record.u), dtype=float), record.u])

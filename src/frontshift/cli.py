@@ -20,8 +20,7 @@ from .blowup import (BlowupError, export_front, initial_slopes,
                      orthogonality_report, simulate_blowup, simulate_shift)
 from .config import ConfigError, ScenarioConfig, load_config
 from .deviation import DeviationError, deviation_rank
-from .dynamics import (DynamicsError, IntegrationAbort, integrate_batch,
-                       single_record)
+from .dynamics import DynamicsError, IntegrationAbort, integrate_batch
 from .geometry import GeometryError
 from .normality import NormalityError, classify, sample_tangent_points
 
@@ -168,23 +167,16 @@ def cmd_rank(cfg: ScenarioConfig, out_dir: Path, started: float) -> int:
     rho0 = rng.normal(size=(r.trajectories, r.variations, n))
     batch = integrate_batch(man, force, xs, vs, tau0, rho0,
                             cfg.integrator.t_end, cfg.integrator.step)
-    rows = []
-    any_inconclusive = False
-    max_ratio = None
-    for i in range(r.trajectories):
-        result = deviation_rank(man, single_record(batch, i), r.window)
-        any_inconclusive = any_inconclusive or result.inconclusive
-        if result.ratio is not None:
-            max_ratio = result.ratio if max_ratio is None \
-                else max(max_ratio, result.ratio)
-        rows.append({
-            "index": i,
-            "x": [float(c) for c in xs[i]],
-            "v": [float(c) for c in vs[i]],
-            "singular_values": [float(c) for c in result.singular_values],
-            "sigma3_over_sigma1": result.ratio,
-            "inconclusive": result.inconclusive,
-        })
+    result = deviation_rank(man, batch, r.window)
+    conclusive = result.ratio[~result.inconclusive]
+    max_ratio = float(conclusive.max()) if conclusive.size else None
+    any_inconclusive = bool(result.inconclusive.any())
+    rows = [{"index": i, "x": x, "v": v, "singular_values": sv,
+             "sigma3_over_sigma1": None if bad else ratio,
+             "inconclusive": bad}
+            for i, (x, v, sv, ratio, bad) in enumerate(zip(
+                xs.tolist(), vs.tolist(), result.singular_values.tolist(),
+                result.ratio.tolist(), result.inconclusive.tolist()))]
     doc = {
         "window": [r.window[0], r.window[1]],
         "variations": r.variations,

@@ -5,6 +5,10 @@ product of the velocity with a variation vector.  Its first and second
 time derivatives have closed forms in terms of the force field and its
 gradients; those forms (not differencing) are what this module
 evaluates, with finite differences kept for the tests.
+
+Everything here is batched over any leading axes: points (..., n) and
+variations (..., J, n), such as a record's (M+1, B, ...) nodes or one
+trajectory's (M+1, ...).  phi itself is formed in one place, ``phi``.
 """
 
 from __future__ import annotations
@@ -22,17 +26,18 @@ class DeviationError(ValueError):
     pass
 
 
-class DeviationSeries(NamedTuple):
-    times: np.ndarray
-    phi: np.ndarray        # (M+1, J)
-    phi_dot: np.ndarray
-    phi_ddot: np.ndarray
-
-
 class RankResult(NamedTuple):
-    singular_values: np.ndarray
-    ratio: float | None     # sigma3/sigma1, the rank-2 defect measure
-    inconclusive: bool
+    """Rank test of each trajectory, over the record's leading axes."""
+
+    singular_values: np.ndarray   # (..., k), zero where inconclusive
+    ratio: np.ndarray             # (...) sigma3/sigma1, nan where inconclusive
+    inconclusive: np.ndarray      # (...) bool
+
+
+def phi(g, v, tau):
+    """phi[..., j] = g(tau[..., j], v): the deviation of variations tau
+    (..., J, n) from the velocity v (..., n), with the metric g (..., n, n)."""
+    return matvec(tau, lower(g, v))
 
 
 def alpha_beta(b: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -46,51 +51,51 @@ def alpha_beta(b: dict) -> tuple[np.ndarray, np.ndarray]:
     return alpha, beta
 
 
-def phi_derivatives(man: Manifold, force: ForceField, xs, vs, tau, rho):
-    """(phi, phi_dot, phi_ddot)[b, j] for variations tau[b, j] with
-    covariant rates rho[b, j] at tangent-bundle points (xs, vs).
+def phi_derivatives(force: ForceField, xs, vs, tau, rho):
+    """(phi, phi_dot, phi_ddot)[..., j] for variations tau[..., j] with
+    covariant rates rho[..., j] at tangent-bundle points (xs, vs).
 
     phi = (v | tau), phi_dot = (F | tau) + (v | rho) and
     phi_ddot = (alpha | rho) + (beta | tau), in closed form.
     """
-    b = force_tensors(force, xs, vs)
-    alpha, beta = alpha_beta(b)
-    v_cov = lower(b['g'], vs)
-    phi_vals = matvec(tau, v_cov)
-    dot_vals = matvec(tau, b['f_cov']) + matvec(rho, v_cov)
-    ddot_vals = matvec(rho, alpha) + matvec(tau, beta)
-    return phi_vals, dot_vals, ddot_vals
-
-
-def series_along(man: Manifold, force: ForceField,
-                 record: BatchTrajectory) -> DeviationSeries:
-    """phi and its formula-based derivatives at every node of a
-    single-trajectory record."""
-    return DeviationSeries(record.times, *phi_derivatives(
-        man, force, record.x, record.v, record.tau, record.rho))
+    xs, vs = np.asarray(xs, dtype=float), np.asarray(vs, dtype=float)
+    lead, n = xs.shape[:-1], xs.shape[-1]
+    b = force_tensors(force, xs.reshape(-1, n), vs.reshape(-1, n))
+    alpha, beta, f_cov = (w.reshape(lead + (n,))
+                          for w in (*alpha_beta(b), b['f_cov']))
+    g = b['g'].reshape(lead + (n, n))
+    return (phi(g, vs, tau), matvec(tau, f_cov) + phi(g, vs, rho),
+            matvec(rho, alpha) + matvec(tau, beta))
 
 
 def deviation_rank(man: Manifold, record: BatchTrajectory,
                    window: tuple[float, float]) -> RankResult:
-    """Singular values of the row-normalized phi sample matrix.
+    """Singular values of each trajectory's row-normalized phi sample
+    matrix.
 
     Rows are the variations' deviation functions sampled on the window;
     sigma3/sigma1 measures the defect from the two-dimensional solution
-    space that weak normality implies.
+    space that weak normality implies.  A trajectory whose phi stays
+    below 1e-14 on the window is inconclusive.  The record's axes
+    between time and variation (none for one trajectory) lead every
+    field of the result.
     """
-    nvar = record.tau.shape[1]
+    nvar = record.tau.shape[-2]
     if nvar < 4:
         raise DeviationError("need at least 4 variation initializations")
     lo, hi = window
     mask = (record.times >= lo - 1e-12) & (record.times <= hi + 1e-12)
     if int(mask.sum()) < 8:
         raise DeviationError("window must cover at least 8 grid nodes")
-    v_cov = lower(man.metric(record.x[mask]), record.v[mask])
-    rows = matvec(record.tau[mask], v_cov).T
-    scale = np.abs(rows).max(axis=1)
-    if np.all(scale < 1e-14):
-        return RankResult(np.zeros(min(rows.shape)), None, True)
+    x = record.x[mask]
+    g = man.metric(x.reshape(-1, x.shape[-1])).reshape(
+        x.shape + x.shape[-1:])
+    rows = np.moveaxis(phi(g, record.v[mask], record.tau[mask]), 0, -1)
+    scale = np.abs(rows).max(axis=-1)
+    inconclusive = np.all(scale < 1e-14, axis=-1)
     norm = np.where(scale > 1e-14, scale, 1.0)
-    sv = np.linalg.svd(rows / norm[:, None], compute_uv=False)
-    ratio = float(sv[2] / sv[0]) if sv.shape[0] >= 3 else None
-    return RankResult(sv, ratio, False)
+    sv = np.linalg.svd(rows / norm[..., None], compute_uv=False)
+    sv[inconclusive] = 0.0
+    with np.errstate(invalid='ignore'):
+        ratio = np.where(inconclusive, np.nan, sv[..., 2] / sv[..., 0])
+    return RankResult(sv, ratio, inconclusive)

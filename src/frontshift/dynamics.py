@@ -14,7 +14,8 @@ F, and the curvature only as the Jacobi operator R(., v)v
 (``Manifold.riemann`` with the velocity passed, once per stage), so no
 stage builds gamma, its derivative, the metric's second partials or the
 curvature tensor.  ``integrate_batch`` is the one integrator: a single
-trajectory is a batch of one, read back with ``single_record``.
+trajectory is a batch of one, and the record's consumers (the deviation
+series, the rank test, the front export) take the whole batch.
 
 The integrator packs each row's x, v, tau and rho into one state row of
 2n + 2Jn numbers, so each stage input, the step's combination and the
@@ -60,9 +61,9 @@ class BatchTrajectory(NamedTuple):
 
     Axes: times (M+1,), x/v (M+1, B, n), tau/rho (M+1, B, J, n).  rho
     holds covariant rates of tau.  From ``integrate_batch``, x, v, tau and
-    rho are views of one packed history array.  One row of it
-    (``single_record``) is the same type without the B axis: x/v
-    (M+1, n), tau/rho (M+1, J, n).
+    rho are views of one packed history array.  The same type without
+    the B axis, x/v (M+1, n) and tau/rho (M+1, J, n), is one trajectory;
+    the deviation layer takes either.
     """
 
     times: np.ndarray
@@ -173,9 +174,3 @@ def integrate_batch(man: Manifold, force: ForceField, x0, v0, tau0, rho0,
                 raise IntegrationAbort(partial, i, np.nonzero(~ok)[0], bad)
             history[i + 1] = state
     return BatchTrajectory(times, *split(history), h)
-
-
-def single_record(batch: BatchTrajectory, row: int) -> BatchTrajectory:
-    """The record of one batch row, without the batch axis."""
-    return BatchTrajectory(batch.times, batch.x[:, row], batch.v[:, row],
-                           batch.tau[:, row], batch.rho[:, row], batch.step)

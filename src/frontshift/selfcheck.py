@@ -15,8 +15,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import exprlang
-from .deviation import series_along
-from .dynamics import integrate_batch, single_record
+from .deviation import phi_derivatives
+from .dynamics import integrate_batch
 from .exprlang import Add, Const, Div, Mul, Sub, Var
 from .geometry import ForceField, Manifold, g_norm
 from .normality import bundle, raw_batch, weak_batch
@@ -184,20 +184,14 @@ def deviation_formulas(trajectories: int = 10, seed: int = 17,
         tau0 = rng.normal(size=(trajectories, 1, n))
         rho0 = rng.normal(size=(trajectories, 1, n))
         batch = integrate_batch(man, force, xs, vs, tau0, rho0, t_end, h)
-        worst_dot = 0.0
-        worst_ddot = 0.0
-        for row in range(trajectories):
-            rec = single_record(batch, row)
-            ser = series_along(man, force, rec)
-            num_dot = (ser.phi[2:] - ser.phi[:-2]) / (2.0 * h)
-            num_ddot = (ser.phi[2:] - 2.0 * ser.phi[1:-1]
-                        + ser.phi[:-2]) / h ** 2
-            ref = np.maximum(1.0, np.abs(ser.phi_dot[1:-1]))
-            worst_dot = max(worst_dot, float(
-                (np.abs(ser.phi_dot[1:-1] - num_dot) / ref).max()))
-            ref = np.maximum(1.0, np.abs(ser.phi_ddot[1:-1]))
-            worst_ddot = max(worst_ddot, float(
-                (np.abs(ser.phi_ddot[1:-1] - num_ddot) / ref).max()))
+        phi, phi_dot, phi_ddot = phi_derivatives(
+            force, batch.x, batch.v, batch.tau, batch.rho)
+        num_dot = (phi[2:] - phi[:-2]) / (2.0 * h)
+        num_ddot = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / h ** 2
+        ref = np.maximum(1.0, np.abs(phi_dot[1:-1]))
+        worst_dot = float((np.abs(phi_dot[1:-1] - num_dot) / ref).max())
+        ref = np.maximum(1.0, np.abs(phi_ddot[1:-1]))
+        worst_ddot = float((np.abs(phi_ddot[1:-1] - num_ddot) / ref).max())
         cases.append(SuiteCase(f"{name}/phi-dot", worst_dot, 1e-6,
                                worst_dot <= 1e-6))
         cases.append(SuiteCase(f"{name}/phi-ddot", worst_ddot, 1e-4,

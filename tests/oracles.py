@@ -3,9 +3,16 @@
 None of these is production code; each exists to pin one convention or
 one formula from a second, simpler route.
 
+- ``single_record``: one row of a batch record, without the batch axis.
+  The package takes whole batches; the tests compare it with itself row
+  by row through this view.
 - ``run_one``: one trajectory as a batch of one.  It is the package's
   own integrator (``integrate_batch``) read back with ``single_record``,
   so tests of single trajectories exercise the one production path.
+- ``sphere_grid_per_direction``: the blow-up's sphere grid built one
+  direction at a time, each with its own trig and frame product, as the
+  package built it before ``sphere_grid`` went whole-array.  It pins the
+  whole-array grid bit for bit.
 - ``covariant_rate``: the covariant time derivative of a vector series
   along a record, by finite differences of the recorded series plus the
   connection term.  It pins the spatial-gradient convention of
@@ -13,13 +20,13 @@ one formula from a second, simpler route.
   F . velocity must equal it along a trajectory) and the covariant rate
   rho that the integrator carries beside tau.
 - ``initial_instant``: phi, phi_dot and phi_ddot at the blow-up instant
-  of one sphere-grid direction, from the closed-form derivatives
-  (``phi_derivatives``) along a two-step integration, and phi_dddot
-  Richardson-extrapolated from the phi_ddot values at t = h and 2h.  It
-  pins the paper's statements about the first derivatives at t = 0:
-  phi and phi_dot vanish for every force, phi_ddot is the direct
-  contraction with the launch data, and for a modulated drag the defect
-  first appears in the third derivative.
+  of one sphere-grid direction (its unit vector and tangents), from the
+  closed-form derivatives (``phi_derivatives``) along a two-step
+  integration, and phi_dddot Richardson-extrapolated from the phi_ddot
+  values at t = h and 2h.  It pins the paper's statements about the
+  first derivatives at t = 0: phi and phi_dot vanish for every force,
+  phi_ddot is the direct contraction with the launch data, and for a
+  modulated drag the defect first appears in the third derivative.
 - ``rk4_per_quantity``: the RK4 loop with x, v, tau and rho held as four
   arrays, each stage input, each combination and each finite check made
   per quantity.  ``integrate_batch`` packs the four into one state row;
@@ -33,7 +40,14 @@ import numpy as np
 
 from frontshift.deviation import phi_derivatives
 from frontshift.dynamics import (BatchTrajectory, IntegrationAbort, _rhs,
-                                 integrate_batch, single_record)
+                                 integrate_batch)
+from frontshift.geometry import at_point
+
+
+def single_record(batch, row):
+    """The record of one batch row, without the batch axis."""
+    return BatchTrajectory(batch.times, batch.x[:, row], batch.v[:, row],
+                           batch.tau[:, row], batch.rho[:, row], batch.step)
 
 
 def run_one(man, force, x, v, t_end, h, tau=None, rho=None):
@@ -72,20 +86,51 @@ def covariant_rate(man, record, series):
     return deriv + np.einsum('bkrs,br,bs->bk', gamma, record.v, series)
 
 
-def initial_instant(man, force, p0, nu0, sample, h=1e-3):
+def sphere_grid_per_direction(man, p0, resolution):
+    """(u, directions, tangents) of the blow-up's sphere grid, one
+    direction at a time: (B, n-1), (B, n) and (B, n-1, n)."""
+    p0 = np.asarray(p0, dtype=float)
+    frame = np.linalg.inv(np.linalg.cholesky(at_point(man.metric, p0)).T)
+    samples = []
+    if man.dimension == 2:
+        for j in range(resolution):
+            u = 2.0 * np.pi * j / resolution
+            s_hat = np.array([np.cos(u), np.sin(u)])
+            ds = np.array([-np.sin(u), np.cos(u)])
+            samples.append((np.array([u]), frame @ s_hat,
+                            (frame @ ds)[None, :]))
+    else:
+        delta = np.pi / (4.0 * resolution)
+        thetas = delta + (np.pi - 2.0 * delta) * np.arange(resolution) / (
+            resolution - 1)
+        for theta in thetas:
+            st, ct = np.sin(theta), np.cos(theta)
+            for j in range(resolution):
+                ph = 2.0 * np.pi * j / resolution
+                cp, sp = np.cos(ph), np.sin(ph)
+                s_hat = np.array([st * cp, st * sp, ct])
+                d_theta = np.array([ct * cp, ct * sp, -st])
+                d_phi = np.array([-st * sp, st * cp, 0.0])
+                samples.append((np.array([theta, ph]), frame @ s_hat,
+                                np.stack([frame @ d_theta, frame @ d_phi])))
+    return tuple(np.stack(part) for part in zip(*samples))
+
+
+def initial_instant(man, force, p0, nu0, direction, tangents, h=1e-3):
     """(phi, phi_dot, phi_ddot, phi_dddot)[j] at t = 0 for the blow-up of
-    p0 at launch speed nu0 along one sphere-grid sample.
+    p0 at launch speed nu0 along one sphere-grid direction, with its
+    tangents (n-1, n).
 
     The launch is the blow-up's: v = nu0 n, tau = 0, rho = nu0 K_j.  The
     first three come from the closed forms at node 0; the third
     derivative is Richardson-extrapolated from the closed-form phi_ddot
     at t = h and t = 2h.
     """
-    tangents = np.asarray(sample.tangents, dtype=float)
-    rec = run_one(man, force, p0, nu0 * np.asarray(sample.direction), 2.0 * h,
+    tangents = np.asarray(tangents, dtype=float)
+    rec = run_one(man, force, p0, nu0 * np.asarray(direction), 2.0 * h,
                   h, tau=np.zeros_like(tangents), rho=nu0 * tangents)
-    phi, phi_dot, phi_ddot = phi_derivatives(man, force, rec.x, rec.v,
-                                             rec.tau, rec.rho)
+    phi, phi_dot, phi_ddot = phi_derivatives(force, rec.x, rec.v, rec.tau,
+                                             rec.rho)
     d1 = (phi_ddot[1] - phi_ddot[0]) / h
     d2 = (phi_ddot[2] - phi_ddot[0]) / (2.0 * h)
     return phi[0], phi_dot[0], phi_ddot[0], 2.0 * d1 - d2

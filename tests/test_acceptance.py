@@ -13,14 +13,14 @@ from frontshift.blowup import (BlowupConfig, initial_slopes,
                                orthogonality_report, simulate_blowup)
 from frontshift.cli import main as cli_main
 from frontshift.deviation import deviation_rank, phi_derivatives
-from frontshift.dynamics import integrate_batch, single_record
+from frontshift.dynamics import integrate_batch
 from frontshift.geometry import at_point
 from frontshift.normality import classify
 from frontshift.selfcheck import (deviation_formulas, metric_compatibility,
                                   projector_identities, rewrite_equivalence,
                                   variation_errors)
 from frontshift.systems import BUNDLED, DICHOTOMY
-from oracles import run_one
+from oracles import run_one, single_record
 
 SAMPLER_BOX = [[-1.0, 1.0], [-1.0, 1.0]]
 
@@ -83,7 +83,7 @@ def test_criterion_3_formula_fidelity():
     t = np.pi / 4
     man, force = BUNDLED["euclid-harmonic"].build()
     _, _, phi_ddot = at_point(
-        phi_derivatives, man, force, [np.cos(t), np.sin(t)],
+        phi_derivatives, force, [np.cos(t), np.sin(t)],
         [-np.sin(t), np.cos(t)], [[0.0, np.sin(t)]], [[0.0, np.cos(t)]])
     assert phi_ddot[0] == pytest.approx(-2.0, abs=1e-8)
     _ok("criterion 3 (deviation formula fidelity)")

@@ -7,7 +7,7 @@ from frontshift.blowup import (BlowupConfig, BlowupError, HypersurfaceSpec,
                                simulate_shift, sphere_grid)
 from frontshift.dynamics import IntegrationAbort
 from frontshift.geometry import ForceField, Manifold, g_norm
-from oracles import run_one
+from oracles import run_one, sphere_grid_per_direction
 
 EUCLID = Manifold(2, [["1", "0"], ["0", "1"]])
 ZERO = ForceField(EUCLID, ["0", "0"])
@@ -19,20 +19,20 @@ TWO_PI = 2.0 * np.pi
 
 
 def test_sphere_grid_cardinal_directions():
-    grid = sphere_grid(EUCLID, [0.0, 0.0], 8)
+    u, directions, tangents = sphere_grid(EUCLID, [0.0, 0.0], 8)
     cardinal = {0: [1, 0], 2: [0, 1], 4: [-1, 0], 6: [0, -1]}
     for idx, want in cardinal.items():
-        assert np.allclose(grid[idx].direction, want, atol=1e-15)
-        u = grid[idx].u[0]
-        assert np.allclose(grid[idx].tangents[0],
-                           [-np.sin(u), np.cos(u)], atol=1e-15)
+        assert np.allclose(directions[idx], want, atol=1e-15)
+        assert np.allclose(tangents[idx, 0],
+                           [-np.sin(u[idx, 0]), np.cos(u[idx, 0])],
+                           atol=1e-15)
 
 
 def test_sphere_grid_scaled_metric_frame():
     man = Manifold(2, [["1", "0"], ["0", "4"]])
-    grid = sphere_grid(man, [0.0, 0.0], 8)
-    assert np.allclose(grid[0].direction, [1.0, 0.0], atol=1e-15)
-    assert np.allclose(grid[2].direction, [0.0, 0.5], atol=1e-15)
+    _, directions, _ = sphere_grid(man, [0.0, 0.0], 8)
+    assert np.allclose(directions[0], [1.0, 0.0], atol=1e-15)
+    assert np.allclose(directions[2], [0.0, 0.5], atol=1e-15)
 
 
 def test_sphere_grid_g_orthonormality():
@@ -40,22 +40,55 @@ def test_sphere_grid_g_orthonormality():
                        ([["1", "0"], ["0", "x1^2"]], [2.0, 0.3])):
         man = Manifold(2, metric)
         g0 = man.metric(np.asarray(p0, dtype=float)[None, :])[0]
-        for s in sphere_grid(man, p0, 16):
-            assert s.direction @ g0 @ s.direction == pytest.approx(
+        _, directions, tangents = sphere_grid(man, p0, 16)
+        for direction, tangent in zip(directions, tangents[:, 0]):
+            assert direction @ g0 @ direction == pytest.approx(
                 1.0, abs=1e-12)
-            assert abs(s.direction @ g0 @ s.tangents[0]) < 1e-12
+            assert abs(direction @ g0 @ tangent) < 1e-12
 
 
 def test_sphere_grid_three_dims():
     man = Manifold(3, [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
-    grid = sphere_grid(man, [0.0, 0.0, 0.0], 8)
-    assert len(grid) == 64
+    u, directions, tangents = sphere_grid(man, [0.0, 0.0, 0.0], 8)
+    assert u.shape == (64, 2)
+    assert directions.shape == (64, 3)
+    assert tangents.shape == (64, 2, 3)
     delta = np.pi / 32.0
-    for s in grid:
-        assert delta - 1e-12 <= s.u[0] <= np.pi - delta + 1e-12
-        assert np.linalg.norm(s.direction) == pytest.approx(1.0, abs=1e-12)
+    for theta, direction, tangent in zip(u[:, 0], directions, tangents):
+        assert delta - 1e-12 <= theta <= np.pi - delta + 1e-12
+        assert np.linalg.norm(direction) == pytest.approx(1.0, abs=1e-12)
         for a in range(2):
-            assert abs(s.direction @ s.tangents[a]) < 1e-10
+            assert abs(direction @ tangent[a]) < 1e-10
+
+
+GRID_CHARTS = {
+    "euclid2": (EUCLID, [0.0, 0.0]),
+    "scaled2": (Manifold(2, [["1", "0"], ["0", "4"]]), [0.0, 0.0]),
+    "sphere2": (Manifold(2, [["1", "0"], ["0", "sin(x1)^2"]]), [1.2, 0.4]),
+    "skew2": (Manifold(2, [["2", "0.5"], ["0.5", "1 + x1^2"]]), [0.7, -0.3]),
+    "euclid3": (Manifold(3, [["1", "0", "0"], ["0", "1", "0"],
+                             ["0", "0", "1"]]), [0.0, 0.0, 0.0]),
+    "sphere3": (Manifold(3, [["1", "0", "0"], ["0", "sin(x1)^2", "0"],
+                             ["0", "0", "sin(x1)^2*sin(x2)^2"]]),
+                [1.3, 1.2, 0.3]),
+    "skew3": (Manifold(3, [["2", "0.3", "0"], ["0.3", "1 + x1^2", "0.2"],
+                           ["0", "0.2", "1.5"]]), [0.4, -0.2, 0.1]),
+}
+
+
+@pytest.mark.parametrize("chart", GRID_CHARTS)
+def test_sphere_grid_is_the_per_direction_loop(chart):
+    # the whole-array grid is the one-direction-at-a-time construction,
+    # bit for bit, on charts and grid sizes that no bundled config runs
+    man, p0 = GRID_CHARTS[chart]
+    n = man.dimension
+    for resolution in (8, 13, 32):
+        got = sphere_grid(man, p0, resolution)
+        want = sphere_grid_per_direction(man, p0, resolution)
+        nb = resolution ** (n - 1)
+        assert [a.shape for a in got] == [(nb, n - 1), (nb, n), (nb, n - 1, n)]
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and np.array_equal(a, b)
 
 
 def test_sphere_grid_rejects_low_resolution():
@@ -188,11 +221,11 @@ def test_weakly_normal_fields_keep_phi_flat():
 def test_variation_initialization_consistency():
     # integrated tau at small t matches its initial covariant rate times t
     record = _free_blowup(t_end=0.05)
-    grid = sphere_grid(EUCLID, [0.0, 0.0], 16)
+    _, _, tangents = sphere_grid(EUCLID, [0.0, 0.0], 16)
     for i in (1, 10, 50):
         t = record.times[i]
         for b in (0, 5, 11):
-            expected = grid[b].tangents[0] * t
+            expected = tangents[b, 0] * t
             assert np.abs(record.batch.tau[i, b, 0] - expected).max() < 1e-10
 
 
@@ -224,10 +257,10 @@ def test_taylor_check_orders_harmonic():
 
 def test_blowup_single_direction_bitwise_agreement():
     record = _free_blowup(t_end=0.2)
-    grid = sphere_grid(EUCLID, [0.0, 0.0], 16)
+    _, directions, tangents = sphere_grid(EUCLID, [0.0, 0.0], 16)
     k = 3
-    single = run_one(EUCLID, ZERO, [0.0, 0.0], grid[k].direction, 0.2, 1e-3,
-                     tau=np.zeros((1, 2)), rho=grid[k].tangents)
+    single = run_one(EUCLID, ZERO, [0.0, 0.0], directions[k], 0.2, 1e-3,
+                     tau=np.zeros((1, 2)), rho=tangents[k])
     assert np.array_equal(single.x, record.batch.x[:, k])
     assert np.array_equal(single.v, record.batch.v[:, k])
     assert np.array_equal(single.tau, record.batch.tau[:, k])

@@ -30,6 +30,8 @@ DIGESTS = {
         "03b614a9c028ced092c43fa189fd8202d1a1430577a9fea072d911b3d6673691",
     "config/sphere-geodesic":
         "0cd53ec748277b5cc9d85cc09212a1d7b0991eae7ee55640b2ec2c17309630c1",
+    "config/sphere3-drag":
+        "e0428a57db795baff70165bff8416f12b484c2dde3362992e050c2704f70fe47",
     "config/varying-nu":
         "ce1866d94ef22ac26be4c8d66ca27e56f254be11ebf15c4c4f4771a30af377c1",
     "chart/S2":

@@ -24,7 +24,7 @@ from frontshift.report import FrontTable
 
 
 def _reference_export(record, output_every):
-    header = front_header(record.man.dimension)
+    header = front_header(record.batch.x.shape[-1])
     rows = []
     nb = record.u.shape[0]
     for i in range(0, record.batch.node_count, output_every):

@@ -104,12 +104,12 @@ def test_golden_run_plans_every_command_and_records_exit_codes(
         tmp_path, monkeypatch, capsys):
     plan = golden_run.runs(golden_run.ROOT / "configs")
     expected = {key: code for key, _, code in plan}
-    assert len(plan) == len(expected) == 22
+    assert len(plan) == len(expected) == 26
     assert {key.split("/")[0] for key in expected} == {
         "check", "blowup", "rank", "shift", "selftest"}
     assert sorted(key for key, code in expected.items() if code) == [
         "selftest/flip-riemann-sign", "shift/harmonic",
-        "shift/sphere-geodesic", "shift/varying-nu"]
+        "shift/sphere-geodesic", "shift/sphere3-drag", "shift/varying-nu"]
     assert expected["selftest/flip-riemann-sign"] == 3
 
     def fake_run(argv, **kwargs):

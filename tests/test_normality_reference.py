@@ -220,7 +220,7 @@ def test_deviation_formulas_match_reference(system):
     for name, a, r in zip(("alpha", "beta"), deviation.alpha_beta(got_b),
                           ref_alpha_beta(ref_b)):
         _close(name, a, r)
-    got = deviation.phi_derivatives(man, force, xs, vs, tau, rho)
+    got = deviation.phi_derivatives(force, xs, vs, tau, rho)
     for name, a, r in zip(("phi", "phi_dot", "phi_ddot"), got,
                           ref_phi_derivatives(ref_b, tau, rho)):
         _close(name, a, r)

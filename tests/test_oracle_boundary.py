@@ -93,7 +93,7 @@ def test_force_tensors_read_only_the_first_order_jet(chart, calls):
     vs = rng.normal(size=(16, n))
     tau, rho = rng.normal(size=(2, 16, n - 1, n))
     force_tensors(force, xs, vs)
-    phi_derivatives(man, force, xs, vs, tau, rho)
+    phi_derivatives(force, xs, vs, tau, rho)
     classify(man, force, box, 0.5, 2.0, 300)
     # one jet call each: force_tensors, phi_derivatives and the one
     # residual block of 300 samples
