@@ -1,19 +1,29 @@
-"""Time each live piece of the variation right-hand side, per call.
+"""Time each live piece of the variation right-hand side and of a
+residual block of ``check``, per call.
 
     python3 scripts/rhs_sweep.py
 
 Imports the package of this checkout (its ``src/``) and needs numpy
-only.  On the S^2 and S^3 drag charts and the non-diagonal ``skew3``
-chart it times, at each batch size B, the pieces one RK4 stage of the
+only.  It prints two tables, both on the S^2 and S^3 drag charts and
+the non-diagonal ``skew3`` chart.
+
+The first times, at each batch size B, the pieces one RK4 stage of the
 variation equation (n - 1 variations per row) evaluates: the generated
 jet (``ForceField.jet``), ``inverse``, ``spray``, the Jacobi operator
 ``Manifold.riemann(vs=)``, ``extended_gradients`` and the whole
-``dynamics._rhs``, at B = 1, 64, 144 and 1024.  Each figure is the
-least over 7 repeats of the mean of 20 back-to-back calls, in
-microseconds per call.  The inputs of each piece are formed once,
-outside the timing, and every callable is compiled before it is timed.
-Run it with OPENBLAS_NUM_THREADS=1 so that the batched products use one
-thread.  The tests take their reference charts from ``CHARTS``.
+``dynamics._rhs``, at B = 1, 64, 144 and 1024.  These run batch-first.
+
+The second times the pieces of one residual block of
+``normality.classify`` at its block size, B = 2048 sampled points: the
+batch-last ``force_tensors``, the velocity frame (``Manifold.frame``),
+the weak and the additional families, the residual norms (with the
+n = 2 strong norms) and the whole block.
+
+Each figure is the least over 7 repeats of the mean of 20 back-to-back
+calls, in microseconds per call.  The inputs of each piece are formed
+once, outside the timing, and every callable is compiled before it is
+timed.  Run it with OPENBLAS_NUM_THREADS=1 so that the batched products
+use one thread.  The tests take their reference charts from ``CHARTS``.
 """
 
 from __future__ import annotations
@@ -26,9 +36,11 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from frontshift import normality  # noqa: E402
 from frontshift.dynamics import _rhs  # noqa: E402
 from frontshift.geometry import (ForceField, Manifold,  # noqa: E402
-                                 extended_gradients, inverse, spray)
+                                 extended_gradients, force_tensors, inverse,
+                                 spray)
 
 
 def sphere(n: int) -> list:
@@ -67,6 +79,7 @@ CHARTS = {
 }
 PIECES = ("jet", "inverse", "spray", "riemann", "gradients", "rhs")
 BATCHES = (1, 64, 144, 1024)
+BLOCK_PIECES = ("tensors", "frame", "weak", "additional", "norms", "block")
 REPEATS = 7
 CALLS = 20
 
@@ -95,26 +108,71 @@ def pieces(man: Manifold, force: ForceField, box, nb: int,
     }
 
 
+def block_pieces(man: Manifold, force: ForceField, box, nb: int,
+                 seed: int = 0) -> dict:
+    """Zero-argument callables, one per piece of a residual block, at nb
+    points of ``classify``'s sampler, laid out batch-last as it lays
+    them out."""
+    xs, vs = normality.sample_tangent_points(man, box, 0.5, 2.0, nb, seed)
+    x, v = xs.T.copy(), vs.T.copy()
+    b = normality.bundle(man, force, x, v)
+    weak = normality.weak_batch(b)
+    additional = normality.additional_batch(b)
+    return {
+        "tensors": lambda: force_tensors(force, x, v),
+        "frame": lambda: man.frame(x, v, g=b['g']),
+        "weak": lambda: normality.weak_batch(b),
+        "additional": lambda: normality.additional_batch(b),
+        "norms": lambda: normality._residual_norms(b, weak, additional),
+        "block": lambda: normality._block_norms(man, force, x, v),
+    }
+
+
+def _timed(table: dict, repeats: int, calls: int) -> dict:
+    """{piece: microseconds per call} of a table of callables."""
+    times = {}
+    for piece, fn in table.items():
+        fn()
+        best = min(timeit.repeat(fn, number=calls, repeat=repeats))
+        times[piece] = 1e6 * best / calls
+    return times
+
+
 def sweep(batches, repeats: int, calls: int):
-    """Rows (chart, B, {piece: microseconds per call})."""
+    """Rows (chart, B, {piece: microseconds per call}) of the stage."""
     for name, (metric, force_src, box) in CHARTS.items():
         man = Manifold(len(metric), metric)
         force = ForceField(man, force_src)
         for nb in batches:
-            times = {}
-            for piece, fn in pieces(man, force, box, nb).items():
-                fn()
-                best = min(timeit.repeat(fn, number=calls, repeat=repeats))
-                times[piece] = 1e6 * best / calls
-            yield name, nb, times
+            yield name, nb, _timed(pieces(man, force, box, nb), repeats,
+                                   calls)
+
+
+def block_sweep(nb: int, repeats: int, calls: int):
+    """Rows (chart, B, {piece: microseconds per call}) of a residual
+    block of nb samples."""
+    for name, (metric, force_src, box) in CHARTS.items():
+        man = Manifold(len(metric), metric)
+        force = ForceField(man, force_src)
+        yield name, nb, _timed(block_pieces(man, force, box, nb), repeats,
+                               calls)
+
+
+def _print_table(names, rows) -> None:
+    print(f"{'chart':<6} {'B':>5} "
+          + " ".join(f"{p:>10}" for p in names) + "   (us per call)")
+    for name, nb, times in rows:
+        print(f"{name:<6} {nb:>5} "
+              + " ".join(f"{times[p]:>10.1f}" for p in names), flush=True)
 
 
 def main() -> int:
-    print(f"{'chart':<6} {'B':>5} "
-          + " ".join(f"{p:>10}" for p in PIECES) + "   (us per call)")
-    for name, nb, times in sweep(BATCHES, REPEATS, CALLS):
-        print(f"{name:<6} {nb:>5} "
-              + " ".join(f"{times[p]:>10.1f}" for p in PIECES), flush=True)
+    print("RK4 stage of the variation equation (batch-first)")
+    _print_table(PIECES, sweep(BATCHES, REPEATS, CALLS))
+    print()
+    print("residual block of check (batch-last)")
+    _print_table(BLOCK_PIECES, block_sweep(normality._SAMPLE_BLOCK, REPEATS,
+                                           CALLS))
     return 0
 
 

@@ -26,8 +26,9 @@ import numpy as np
 
 from . import deviation, exprlang
 from .dynamics import BatchTrajectory, IntegrationAbort, integrate_batch
-from .geometry import (ForceField, Manifold, at_point, g_norm, inverse,
-                       lower, matvec, spray)
+from .geometry import (ForceField, Manifold, at_point,
+                       check_positive_definite, g_norm, inverse, lower,
+                       matvec, spray)
 from .report import FrontTable
 
 TAU_NORM_FLOOR = 1e-12
@@ -96,7 +97,7 @@ def sphere_grid(man: Manifold, p0, resolution: int):
     n = man.dimension
     p0 = np.asarray(p0, dtype=float)
     g0 = at_point(man.metric, p0)
-    man.check_positive_definite(p0, g0)
+    check_positive_definite(p0, g0)
     frame = np.linalg.inv(np.linalg.cholesky(g0).T)
 
     ph = 2.0 * np.pi * np.arange(resolution) / resolution

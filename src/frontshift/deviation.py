@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import BatchTrajectory
 from .geometry import (ForceField, Manifold, force_tensors, lower, matvec,
-                       vecmat)
+                       matvec_last, vecmat_last)
 
 
 class DeviationError(ValueError):
@@ -42,12 +42,12 @@ def phi(g, v, tau):
 
 def alpha_beta(b: dict) -> tuple[np.ndarray, np.ndarray]:
     """Covectors weighting the rate and the vector in phi_ddot, from the
-    force_tensors bundle b: alpha_r = 2 F_r + v^s tnabla_r F_s, beta_r per
-    the paired formula."""
+    force_tensors bundle b, batch axis last (alpha[r, b]):
+    alpha_r = 2 F_r + v^s tnabla_r F_s, beta_r per the paired formula."""
     vs, spa_cov, vel_cov = b['v'], b['spa_cov'], b['vel_cov']
-    alpha = 2.0 * b['f_cov'] + matvec(vel_cov, vs)
-    beta = (vecmat(vs, spa_cov) + matvec(spa_cov, vs)
-            + vecmat(b['f'], vel_cov))
+    alpha = 2.0 * b['f_cov'] + matvec_last(vel_cov, vs)
+    beta = (vecmat_last(vs, spa_cov) + matvec_last(spa_cov, vs)
+            + vecmat_last(b['f'], vel_cov))
     return alpha, beta
 
 
@@ -60,10 +60,10 @@ def phi_derivatives(force: ForceField, xs, vs, tau, rho):
     """
     xs, vs = np.asarray(xs, dtype=float), np.asarray(vs, dtype=float)
     lead, n = xs.shape[:-1], xs.shape[-1]
-    b = force_tensors(force, xs.reshape(-1, n), vs.reshape(-1, n))
-    alpha, beta, f_cov = (w.reshape(lead + (n,))
+    b = force_tensors(force, xs.reshape(-1, n).T, vs.reshape(-1, n).T)
+    alpha, beta, f_cov = (w.T.reshape(lead + (n,))
                           for w in (*alpha_beta(b), b['f_cov']))
-    g = b['g'].reshape(lead + (n, n))
+    g = np.moveaxis(b['g'], -1, 0).reshape(lead + (n, n))
     return (phi(g, vs, tau), matvec(tau, f_cov) + phi(g, vs, rho),
             matvec(rho, alpha) + matvec(tau, beta))
 

@@ -2,22 +2,43 @@
 
 All tensor assembly is numeric: the metric, the force and their exact
 derivatives come from fused compiled evaluators, each tensor is built
-once per call, and every contraction is a batched matrix product (``@``
-over the leading batch axis) in a fixed order.  All differentiation
-behind it is exact and symbolic, performed once on the metric and force
-component expressions.  Past the metric itself, production code reads
-the geometry and the force from two generated calls built from one
-group list: ``ForceField.first_order_jet`` (g, the Koszul symbol of dg,
-F and both force Jacobians) and ``ForceField.jet``, the same five plus
-ddg contracted with v twice, what one RK4 stage of the variation
-equation consumes.  ``inverse`` is the closed-form metric inverse for
-n <= 3; so each stage, and each ``force_tensors`` call, makes one
-generated call and one inverse, and neither gathers dg or ddg.  Batched
-methods carry a leading axis ``B`` so front simulations evaluate all
-directions in one call.  There is no separate single-point API:
-``at_point`` evaluates any batched function at one point by adding and
-stripping the batch axis, and ``force_tensors`` builds every metric and
-force tensor the deviation and normality formulas share in one place.
+once per call, and every contraction runs in a fixed order.  All
+differentiation behind it is exact and symbolic, performed once on the
+metric and force component expressions.  Past the metric itself,
+production code reads the geometry and the force from two generated
+calls built from one group list: ``ForceField.first_order_jet`` (g, the
+Koszul symbol of dg, F and both force Jacobians) and ``ForceField.jet``,
+the same five plus ddg contracted with v twice, what one RK4 stage of
+the variation equation consumes.  The closed-form metric inverse for
+n <= 3 (``inverse``, ``inverse_last``) follows; so each stage, and each
+``force_tensors`` call, makes one generated call and one inverse, and
+neither gathers dg or ddg.  There is no separate single-point API:
+``at_point`` evaluates any batch-first function at one point by adding
+and stripping the batch axis, and ``force_tensors`` builds every metric
+and force tensor the deviation and normality formulas share in one
+place.
+
+Two layers, two layouts, each where it measures faster.  The RK4 stage
+(``spray``, ``Manifold.riemann(vs=)``, ``extended_gradients``,
+``inverse``, ``ForceField.jet``) is batch-first: arrays (B, n) and
+(B, n, n), and each contraction a batched matrix product (``@`` over
+the leading axis).  The sample-point layer of ``check`` and of the
+deviation formulas (``ForceField.first_order_jet``, ``force_tensors``,
+``Manifold.frame`` and ``normality`` after them) is batch-last: points
+(n, B), tensors (n, n, B), and each contraction over an index of length
+n <= 4 one broadcast product of contiguous length-B rows plus n - 1
+additions (``matvec_last``, ``vecmat_last``, ``matmul_last``,
+``dot_last``).  numpy's ``@`` makes one BLAS call per 3 x 3 matrix, so
+at B = 2048 in 3-D (one BLAS thread, shared 2-vCPU VM) a batch-first
+matrix product took 73-150 us, and 98-211 us with a transposed operand,
+against about 60 us batch-last; a matrix times a vector 92-176 us
+against about 30 us; an outer product 84-135 us against 16-20 us; in
+2-D the batch-last forms are 5-10 times cheaper.  The stage stays
+batch-first because it runs at a handful of rows as often as at a
+thousand: a batch-last S^3 stage prototype took 41-49 % longer at
+B = 5, 1-3 % longer at B = 144 and 37 % less at B = 1024, and ``rank``
+and the selftest integrate at B <= 10.  The two layers share no
+contraction code.
 
 The variation equation needs the connection and the curvature only
 contracted with vectors: ``spray`` gives gamma contracted with v and F
@@ -25,17 +46,18 @@ from the Koszul symbol without building gamma, and ``Manifold.riemann``
 with the velocity passed gives the Jacobi operator K[k, s] =
 R^k_msr v^m v^r from S, the second partials contracted with v twice,
 which the jet's generated code sums symbolically; the rest costs O(n^3)
-per point, without ddg, d gamma or any (n, n, n, n) intermediate.  The
-per-quantity methods (``metric_partials``, ``metric_second_partials``,
-``christoffel``, ``christoffel_partials``, ``riemann`` without a
-velocity, ``ForceField.components`` and ``ForceField.jacobians``) are
-oracles: no production path outside ``selfcheck`` calls them, and the
-test references compare the jets and the contracted forms against them.
+per point, without ddg, d gamma or any (n, n, n, n) intermediate.
+``force_tensors`` contracts the Koszul symbol with v and F the same way,
+batch-last.  The per-quantity methods (``metric_partials``,
+``metric_second_partials``, ``christoffel``, ``christoffel_partials``,
+``riemann`` without a velocity, ``ForceField.components`` and
+``ForceField.jacobians``) are oracles: no production path outside
+``selfcheck`` calls them, and the test references compare the jets and
+the contracted forms against them.
 
 Lowering an index with the metric and the g-length of a vector are the
-two helpers ``lower`` and ``g_norm``; they take any leading axes, and
-every module that needs either calls them.  The lowered force tensors
-and the velocity frame are batched matrix products as well, pinned to
+two batch-first helpers ``lower`` and ``g_norm``; they take any leading
+axes.  The lowered force tensors and the velocity frame are pinned to
 the einsum forms they replaced by ``tests/test_normality_reference.py``.
 
 Index conventions (fixed, and pinned by the dynamics cross-checks):
@@ -103,6 +125,41 @@ def g_norm(g: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(w * lower(g, w), axis=-1))
 
 
+# Batch-last contractions: every operand carries the batch axis last, so
+# each factor of a product is a run of contiguous rows and a contraction
+# is one broadcast product plus n - 1 additions of its slices.  The sum
+# runs in index order, element by element, so a row's value does not
+# depend on the rows beside it or on the batch length.
+
+def _sum_rows(p: np.ndarray) -> np.ndarray:
+    """p[0] + p[1] + ... + p[-1], added in that order."""
+    out = p[0] + p[1]
+    for k in range(2, p.shape[0]):
+        out += p[k]
+    return out
+
+
+def dot_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i, ...] b[i, ...] summed over i."""
+    return _sum_rows(a * b)
+
+
+def matvec_last(m: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(m w)[i, ...] = m[i, j, ...] w[j, ...]."""
+    return _sum_rows((m * w).swapaxes(0, 1))
+
+
+def vecmat_last(w: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """(w m)[j..., b] = w[i, b] m[i, j..., b], for m with any number of
+    indices after i."""
+    return _sum_rows(np.expand_dims(w, tuple(range(1, m.ndim - 1))) * m)
+
+
+def matmul_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a b)[i, k, ...] = a[i, j, ...] b[j, k, ...]."""
+    return _sum_rows((a[:, :, None] * b).swapaxes(0, 1))
+
+
 # _COFACTOR3[:, 3 i + j]: flat indices of the four metric entries whose
 # products give adj[i, j] = C_ji = g[a, c] g[b, d] - g[a, d] g[b, c], with
 # (a, b) = (j + 1, j + 2) and (c, d) = (i + 1, i + 2) taken mod 3
@@ -126,19 +183,32 @@ def inverse(g: np.ndarray) -> np.ndarray:
     n = g.shape[-1]
     if n > 3:
         return np.linalg.inv(g)
-    t = g.reshape(-1, n * n).T          # t[n i + j] is g_ij over the batch
-    if n == 2:
-        adj = t[[3, 1, 2, 0]]
-        np.negative(adj[1:3], out=adj[1:3])
-        det = t[0] * t[3] - t[1] * t[2]
-    else:
-        a, b, c, d = _COFACTOR3
-        adj = t[a] * t[b]
-        adj -= t[c] * t[d]
-        det = t[0] * adj[0] + t[1] * adj[3] + t[2] * adj[6]
+    adj, det = _adjugate(g.reshape(-1, n * n).T)
     out = np.empty(g.shape)
     np.divide(adj.T, det[:, None], out=out.reshape(-1, n * n))
     return out
+
+
+def inverse_last(g: np.ndarray) -> np.ndarray:
+    """``inverse`` with the batch axis last: g^-1[i, j, b] of g[i, j, b]."""
+    n = g.shape[0]
+    if n > 3:
+        return np.moveaxis(np.linalg.inv(np.moveaxis(g, -1, 0)), 0, -1)
+    adj, det = _adjugate(g.reshape(n * n, -1))
+    return (adj / det).reshape(g.shape)
+
+
+def _adjugate(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(adj, det) of 2 x 2 or 3 x 3 matrices given as rows, t[n i + j]
+    holding entry (i, j) over the batch; adj comes as rows too."""
+    if t.shape[0] == 4:
+        adj = t[[3, 1, 2, 0]]
+        np.negative(adj[1:3], out=adj[1:3])
+        return adj, t[0] * t[3] - t[1] * t[2]
+    a, b, c, d = _COFACTOR3
+    adj = t[a] * t[b]
+    adj -= t[c] * t[d]
+    return adj, t[0] * adj[0] + t[1] * adj[3] + t[2] * adj[6]
 
 
 def _parse(entry, names: Sequence[str]) -> Node:
@@ -477,26 +547,31 @@ class Manifold:
 
     def frame(self, xs: np.ndarray, vs: np.ndarray,
               g: np.ndarray | None = None):
-        """speed[b], unit[b,r], unit_cov[b,i], projector[b,r,i]."""
+        """speed[b], unit[r, b], unit_cov[i, b] and projector[r, i, b] of
+        velocities vs[r, b] at positions xs[k, b], the batch axis last
+        (g[i, j, b] when given)."""
         if g is None:
-            g = self.metric(xs)
-        speed = g_norm(g, vs)
+            g = np.moveaxis(self.metric(xs.T), 0, -1)
+        v_cov = matvec_last(g, vs)
+        speed = np.sqrt(dot_last(vs, v_cov))
         if np.any(speed == 0.0) or not np.all(np.isfinite(speed)):
             raise ZeroVelocityError("zero or non-finite g-speed")
-        unit = vs / speed[:, None]
-        unit_cov = lower(g, unit)
-        proj = np.eye(self.dimension) - unit[:, :, None] * unit_cov[:, None, :]
+        unit = vs / speed
+        unit_cov = v_cov / speed
+        proj = (np.eye(self.dimension)[:, :, None]
+                - unit[:, None] * unit_cov[None])
         return speed, unit, unit_cov, proj
 
-    # -- single-point checked interface -------------------------------------
 
-    def check_positive_definite(self, x: np.ndarray, g: np.ndarray):
-        eigs = np.linalg.eigvalsh(g)
-        if eigs[0] <= 1e-10:
-            raise NonPositiveDefiniteError(
-                "metric not positive definite at "
-                f"x={[float(t) for t in np.asarray(x)]}: "
-                f"eigenvalues {[float(t) for t in eigs]}")
+def check_positive_definite(x: np.ndarray, g: np.ndarray):
+    """Raise NonPositiveDefiniteError unless the metric g at the point x
+    has all eigenvalues above 1e-10."""
+    eigs = np.linalg.eigvalsh(g)
+    if eigs[0] <= 1e-10:
+        raise NonPositiveDefiniteError(
+            "metric not positive definite at "
+            f"x={[float(t) for t in np.asarray(x)]}: "
+            f"eigenvalues {[float(t) for t in eigs]}")
 
 
 class ForceField:
@@ -574,15 +649,27 @@ class ForceField:
         return dfdx.reshape(nb, n, n), dfdv.reshape(nb, n, n)
 
     def first_order_jet(self, xs: np.ndarray, vs: np.ndarray):
-        """(g, koszul, f, dfdx, dfdv) from one compiled call.
+        """(g, koszul, f, dfdx, dfdv) from one compiled call, batch axis
+        last: the points are xs[k, b] and vs[k, b], and the arrays
+        g[i, j, b], koszul[j, i, r, b], f[k, b], dfdx[i, k, b] and
+        dfdv[i, k, b].
 
-        g, f, dfdx and dfdv are the same arrays, bit for bit, as
-        ``metric`` at xs and ``components`` and ``jacobians`` at (xs, vs).
-        koszul[b, j, i, r] = d_j g_ir + d_i g_jr - d_r g_ij is the Koszul
-        symbol of ``metric_partials`` (``Spray.koszul``).  All of them
-        come from the expressions those methods already derived.
+        Moved to the front, the batch axis gives the same arrays, bit for
+        bit, as ``metric`` at xs and ``components`` and ``jacobians`` at
+        (xs, vs).  koszul[j, i, r] = d_j g_ir + d_i g_jr - d_r g_ij is the
+        Koszul symbol of ``metric_partials`` (``Spray.koszul``).  All of
+        them come from the expressions those methods already derived.
+        The generated call returns each group batch-first; the gathers of
+        g and koszul and a copy of f move its axis last, and dfdx and dfdv
+        are batch-last views of their groups, rows strided by the group
+        width (a contiguous copy measured no faster).
         """
-        return self._gather(*self._first_order_fn(*self._args(xs, vs)))
+        man = self.manifold
+        n, nb = xs.shape
+        g, koszul, f, dfdx, dfdv = self._first_order_fn(*xs, *vs)
+        return (g.T[man._g_idx], koszul.T[man._koszul_idx],
+                np.ascontiguousarray(f.T), dfdx.T.reshape(n, n, nb),
+                dfdv.T.reshape(n, n, nb))
 
     def jet(self, xs: np.ndarray, vs: np.ndarray):
         """(g, koszul, f, dfdx, dfdv, ddg_vv) from one compiled call.
@@ -604,10 +691,12 @@ def extended_gradients(man: Manifold, force: ForceField, xs: np.ndarray,
     connection correction for the vector index and the chase of the
     velocity argument along coordinate directions.  jac and along, when
     given, are the pair (dfdx, dfdv) and ``spray(ginv, koszul, vs, F)``
-    already formed; otherwise both come from ``force.first_order_jet``.
+    already formed; otherwise both come from the first-order jet's
+    generated call, gathered batch-first.
     """
     if jac is None or along is None:
-        g, koszul, f_vals, dfdx, dfdv = force.first_order_jet(xs, vs)
+        g, koszul, f_vals, dfdx, dfdv = force._gather(
+            *force._first_order_fn(*force._args(xs, vs)))
         jac = dfdx, dfdv
         along = spray(inverse(g), koszul, vs, f_vals)
     dfdx, dfdv = jac
@@ -616,23 +705,30 @@ def extended_gradients(man: Manifold, force: ForceField, xs: np.ndarray,
 
 
 def force_tensors(force: ForceField, xs: np.ndarray, vs: np.ndarray) -> dict:
-    """Metric and force tensors at a batch of tangent-bundle points.
+    """Metric and force tensors at a batch of tangent-bundle points, with
+    the batch axis last: xs[k, b] and vs[k, b] in, every tensor out
+    indexed [..., b].
 
-    g and g^-1; the velocity v, the force F and F lowered; the spatial and
-    velocity gradients of F, raw ([b, i, k], derivative index first) and
-    with the vector index lowered (nabla_i F_j, tnabla_i F_j).  All of
-    them come from one ``force.first_order_jet`` call and one ``inverse``;
-    gamma enters the spatial gradient only contracted with v and F
-    (``spray``) and is never built.
+    g and g^-1; the velocity v, the force F and F lowered; the velocity
+    gradient of F raw (vel[i, k], derivative index first) and both
+    gradients with the vector index lowered (nabla_i F_j, tnabla_i F_j).
+    All of them come from one ``force.first_order_jet`` call and one
+    ``inverse_last``.  The connection enters only contracted with v and F,
+    through the Koszul symbol: with L_v[i, r] = gamma_rij v^j (lowered)
+    and gamma v = L_v g^-1, the lowered spatial gradient is
+    dfdx g - (gamma v) vel_cov + L_F, since gamma_F g = L_F.
     """
     g, koszul, f_vals, dfdx, dfdv = force.first_order_jet(xs, vs)
-    ginv = inverse(g)
-    spatial, velocity = extended_gradients(
-        force.manifold, force, xs, vs, jac=(dfdx, dfdv),
-        along=spray(ginv, koszul, vs, f_vals))
+    ginv = inverse_last(g)
+    low_v = 0.5 * vecmat_last(vs, koszul)
+    low_f = 0.5 * vecmat_last(f_vals, koszul)
+    vel_cov = matmul_last(dfdv, g)
+    spa_cov = matmul_last(dfdx, g)
+    spa_cov -= matmul_last(matmul_last(low_v, ginv), vel_cov)
+    spa_cov += low_f
     return dict(g=g, ginv=ginv, v=vs, f=f_vals,
-                f_cov=lower(g, f_vals), spa=spatial, vel=velocity,
-                spa_cov=spatial @ g, vel_cov=velocity @ g)
+                f_cov=matvec_last(g, f_vals), vel=dfdv,
+                spa_cov=spa_cov, vel_cov=vel_cov)
 
 
 def at_point(fn, *args):

@@ -1,11 +1,13 @@
-"""The package contracts with batched matrix products only.
+"""The package contracts without einsum.
 
 einsum stays in the oracles (selfcheck and the test references) and in
-the tests.  Every other module must not call it, so that the RHS, the
-shift's launch connection term, the normality residuals, their norms and
-the shared force tensors keep the matmul formulations pinned by
-tests/test_rhs_reference.py and tests/test_normality_reference.py.
-selfcheck.py is the one module exempt.
+the tests.  Every other module must not call it, so that the RHS and
+the shift's launch connection term (batched matrix products, batch
+first) and the normality residuals, their norms and the shared force
+tensors (broadcast products with ordered sums, batch last) keep
+formulations of their own, pinned by tests/test_rhs_reference.py and
+tests/test_normality_reference.py.  selfcheck.py is the one module
+exempt.
 """
 
 import ast

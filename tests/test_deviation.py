@@ -30,8 +30,9 @@ def _phis(man, force, x, v, tau, rho):
 
 
 def _alpha_beta(force, x, v):
-    return at_point(lambda xs, vs: alpha_beta(force_tensors(
-        force, xs, vs)), x, v)
+    """alpha_beta at one point: force_tensors takes the batch axis last."""
+    return at_point(lambda xs, vs: tuple(w.T for w in alpha_beta(
+        force_tensors(force, xs.T, vs.T))), x, v)
 
 
 def test_phi_values():

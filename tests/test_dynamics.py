@@ -5,7 +5,9 @@ from frontshift.dynamics import (DynamicsError, IntegrationAbort, _rhs,
                                  integrate_batch)
 from frontshift.geometry import (ForceField, Manifold, at_point,
                                  extended_gradients, vecmat)
-from frontshift.selfcheck import variation_errors
+from frontshift.selfcheck import (VARIATION_CASES, _twin_errors,
+                                  variation_errors)
+from frontshift.systems import BUNDLED
 from oracles import covariant_rate, rk4_per_quantity, run_one
 from test_rhs_reference import CHARTS
 
@@ -219,6 +221,19 @@ def test_variation_matches_finite_differences():
                           np.array([0.0, 1.0]), 1e-4)
     assert e3 < 1e-5
     assert 50.0 <= e3 / e4 <= 200.0
+
+
+def test_twin_batch_is_each_step_alone_bit_for_bit():
+    # the selftest integrates the base row and both twin pairs as one
+    # batch; rows are independent, so each error is the one a batch of
+    # its own three rows gives, with either curvature sign
+    man, force = BUNDLED["sphere-free"].build()
+    x0, v0 = VARIATION_CASES["sphere-free"]
+    for sign in (1.0, -1.0):
+        got = _twin_errors(man, force, x0, v0, (1e-3, 1e-4), 0.3, 1e-3, sign)
+        assert got == [variation_errors(man, force, x0, v0, du, t_end=0.3,
+                                        riemann_sign=sign)
+                       for du in (1e-3, 1e-4)]
 
 
 def test_integration_abort_keeps_partial_record():

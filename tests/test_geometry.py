@@ -5,8 +5,9 @@ import pytest
 
 from frontshift.geometry import (ForceField, Manifold,
                                  NonPositiveDefiniteError, ZeroVelocityError,
-                                 _koszul, at_point, extended_gradients,
-                                 inverse, spray)
+                                 _koszul, at_point, check_positive_definite,
+                                 extended_gradients, inverse, inverse_last,
+                                 spray)
 from test_rhs_reference import CHARTS, drag, sphere
 
 EUCLID = Manifold(2, [["1", "0"], ["0", "1"]])
@@ -17,7 +18,7 @@ SPHERE = Manifold(2, [["1", "0"], ["0", "sin(x1)^2"]])
 def _metric_checked(man, x):
     """(g, g^-1) at one point, positive-definiteness checked."""
     g = at_point(man.metric, x)
-    man.check_positive_definite(x, g)
+    check_positive_definite(x, g)
     return g, np.linalg.inv(g)
 
 
@@ -123,8 +124,22 @@ def test_riemann_antisymmetry():
         assert np.abs(riem + riem.transpose(0, 1, 2, 4, 3)).max() == 0.0
 
 
+def _frame_at(man, x, v):
+    """Manifold.frame at one point, given as a batch of one on the last
+    axis; the batch axis is stripped from each result."""
+    return tuple(a[..., 0] for a in man.frame(
+        np.array(x, dtype=float)[:, None], np.array(v, dtype=float)[:, None]))
+
+
+def _frame_first(man, xs, vs, g):
+    """Manifold.frame of batch-first points and metric, each result with
+    its batch axis moved first."""
+    return tuple(np.moveaxis(a, -1, 0) for a in man.frame(
+        xs.T, vs.T, g=np.moveaxis(g, 0, -1)))
+
+
 def test_frame_euclidean():
-    speed, unit, _, proj = at_point(EUCLID.frame, [0.0, 0.0], [0.0, 2.0])
+    speed, unit, _, proj = _frame_at(EUCLID, [0.0, 0.0], [0.0, 2.0])
     assert speed == 2.0
     assert np.array_equal(unit, [0.0, 1.0])
     assert np.array_equal(proj, [[1.0, 0.0], [0.0, 0.0]])
@@ -132,7 +147,7 @@ def test_frame_euclidean():
 
 def test_frame_curved_hand_values():
     man = Manifold(2, [["1", "0"], ["0", "4"]])
-    speed, unit, unit_cov, proj = at_point(man.frame, [2.0, 0.0], [0.0, 1.0])
+    speed, unit, unit_cov, proj = _frame_at(man, [2.0, 0.0], [0.0, 1.0])
     assert speed == pytest.approx(2.0, abs=1e-15)
     assert np.allclose(unit, [0.0, 0.5], atol=1e-15)
     assert np.allclose(unit_cov, [0.0, 2.0], atol=1e-15)
@@ -149,7 +164,7 @@ def test_frame_identities_random():
             vs.append(rng.normal(size=2) + 0.05)
         xs, vs = np.array(xs), np.array(vs)
         g = man.metric(xs)
-        speed, unit, _, p = man.frame(xs, vs, g=g)
+        speed, unit, _, p = _frame_first(man, xs, vs, g)
         assert np.abs(p @ p - p).max() < 1e-12
         assert np.all(np.abs(p @ vs[:, :, None])[:, :, 0].max(axis=1)
                       < 1e-12 * np.maximum(1.0, speed))
@@ -176,7 +191,7 @@ def test_non_diagonal_metric_identities():
                    + np.einsum('bksj,bik->bsij', gamma, g))
     assert np.abs(compat).max() < 1e-10
     vs = rng.normal(size=(100, 2)) + 0.05
-    speed, unit, unit_cov, proj = SKEW.frame(xs, vs, g=g)
+    speed, unit, unit_cov, proj = _frame_first(SKEW, xs, vs, g)
     assert np.abs(np.einsum('bri,bij->brj', proj, proj) - proj).max() < 1e-12
     assert np.abs(np.einsum('bri,bi->br', proj, vs)).max() < 1e-11
     assert np.abs(np.einsum('bij,bi,bj->b', g, unit, unit) - 1.0).max() < 1e-12
@@ -184,7 +199,7 @@ def test_non_diagonal_metric_identities():
 
 def test_frame_zero_velocity_error():
     with pytest.raises(ZeroVelocityError):
-        at_point(EUCLID.frame, [0.0, 0.0], [0.0, 0.0])
+        _frame_at(EUCLID, [0.0, 0.0], [0.0, 0.0])
 
 
 def test_gradients_position_force():
@@ -262,7 +277,11 @@ def test_inverse_matches_lapack(chart, monkeypatch):
     # any leading axes
     stacked = inverse(g.reshape(4, -1, n, n))
     assert np.array_equal(stacked, got.reshape(stacked.shape))
-    assert lapack_calls == ([] if n <= 3 else [g.shape, (4, 10, n, n)])
+    # the batch-last form is the same inverse, bit for bit
+    last = inverse_last(np.ascontiguousarray(np.moveaxis(g, 0, -1)))
+    assert np.array_equal(np.moveaxis(last, -1, 0), got)
+    assert lapack_calls == ([] if n <= 3 else
+                            [g.shape, (4, 10, n, n), g.shape])
 
 
 def test_inverse_hand_values():
@@ -280,7 +299,9 @@ def test_inverse_hand_values():
 @pytest.mark.parametrize("chart", sorted(JET_CHARTS))
 def test_jet_is_the_per_quantity_methods(chart):
     man, force, xs, vs = _chart_points(chart)
-    first = force.first_order_jet(xs, vs)
+    # batch-last points in, batch-last groups out
+    first = tuple(np.moveaxis(a, -1, 0)
+                  for a in force.first_order_jet(xs.T.copy(), vs.T.copy()))
     g, _, f, dfdx, dfdv = first
     want = (man.metric(xs), force.components(xs, vs),
             *force.jacobians(xs, vs))

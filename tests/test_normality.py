@@ -34,17 +34,28 @@ def _random_points(rng, count, lo=-1.0, hi=1.0):
     return np.array(xs), np.array(vs)
 
 
+def _bundle(man, force, xs, vs):
+    """The residual bundle of batch-first points: the families take the
+    batch axis last."""
+    return bundle(man, force, np.asarray(xs).T, np.asarray(vs).T)
+
+
+def _first(arrays):
+    """Batch-last family values with their batch axis moved first."""
+    return tuple(np.moveaxis(a, -1, 0) for a in arrays)
+
+
 def _weak(man, force, xs, vs):
-    return weak_batch(bundle(man, force, xs, vs))
+    return _first(weak_batch(_bundle(man, force, xs, vs)))
 
 
 def _raw(man, force, xs, vs):
-    return raw_batch(bundle(man, force, xs, vs))
+    return _first(raw_batch(_bundle(man, force, xs, vs)))
 
 
 def _additional(man, force, xs, vs):
-    a1, a2, _ = additional_batch(bundle(man, force, xs, vs))
-    return a1, a2
+    a1, a2, _ = additional_batch(_bundle(man, force, xs, vs))
+    return _first((a1, a2))
 
 
 def test_weak_residual_zero_force_exact():
@@ -108,8 +119,8 @@ def test_cosmetic_rewrite_equivalence():
             xs.append(x)
             vs.append(v)
         assert len(xs) > 900
-        b = bundle(man, force, np.array(xs), np.array(vs))
-        s = b['speed'][:, None]
+        b = _bundle(man, force, xs, vs)
+        s = b['speed']
         r1, r2 = weak_batch(b)
         raw1, raw2 = raw_batch(b)
         assert np.abs(raw1 - s * r1).max() < 1e-12

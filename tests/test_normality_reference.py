@@ -4,17 +4,25 @@ The reference below keeps the einsum forms of the velocity frame, the
 lowered force tensors, the weak, raw and additional residual families,
 the three residual norms, alpha/beta and the deviation derivatives, as
 the production code had them before they became batched matrix
-products.  The spatial gradient is an einsum over the full connection
-of the oracle ``Manifold.christoffel``, with F and its Jacobians from
-the oracles ``components`` and ``jacobians``, so the reference shares
-no step with the production path, which takes them from the first-order
-jet.
+products and then batch-last broadcast products.  The references stay
+batch-first; the production arrays, batch-last, are compared with their
+batch axis moved first.  The spatial gradient is an einsum over the
+full connection of the oracle ``Manifold.christoffel``, with F and its
+Jacobians from the oracles ``components`` and ``jacobians``, so the
+reference shares no step with the production path, which takes them
+from the first-order jet.  The last test runs ``classify`` itself
+against norms built from these references alone.
 """
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from frontshift import deviation, normality
+from frontshift.config import load_config, parse_config
 from frontshift.geometry import ForceField, Manifold, force_tensors
 from test_rhs_reference import CHARTS, drag, sphere
 
@@ -139,6 +147,16 @@ SYSTEMS = {
 }
 
 
+def _first(a):
+    """A batch-last production array with its batch axis moved first, the
+    layout of the references."""
+    return np.moveaxis(a, -1, 0)
+
+
+def _last(a):
+    return np.ascontiguousarray(np.moveaxis(a, 0, -1))
+
+
 def _close(name, got, ref, scale=None):
     assert got.shape == ref.shape, name
     if scale is None:
@@ -164,26 +182,26 @@ def system(request):
 
 def test_frame_and_lowered_tensors_match_reference(system):
     man, force, xs, vs, _ = system
-    got = force_tensors(force, xs, vs)
+    got = force_tensors(force, xs.T, vs.T)
     ref = ref_bundle(man, force, xs, vs)
-    for key in ('f_cov', 'spa_cov', 'vel_cov'):
-        _close(key, got[key], ref[key])
-    frame = man.frame(xs, vs, g=got['g'])
+    for key in ('g', 'ginv', 'v', 'f', 'f_cov', 'vel', 'spa_cov', 'vel_cov'):
+        _close(key, _first(got[key]), ref[key])
+    frame = man.frame(xs.T, vs.T, g=got['g'])
     for name, a, r in zip(("speed", "unit", "unit_cov", "proj"), frame,
                           ref_frame(ref['g'], vs)):
-        _close(name, a, r)
+        _close(name, _first(a), r)
 
 
 def test_residual_families_match_reference(system):
     man, force, xs, vs, _ = system
-    got = normality.bundle(man, force, xs, vs)
+    got = normality.bundle(man, force, xs.T, vs.T)
     ref = ref_bundle(man, force, xs, vs)
     for name, a, r in zip(("weak first", "weak second", "raw first",
                            "raw second"),
                           normality.weak_batch(got) + normality.raw_batch(got),
                           ref_weak(ref) + ref_raw(ref)):
-        _close(name, a, r)
-    a1, a2, s1 = normality.additional_batch(got)
+        _close(name, _first(a), r)
+    a1, a2, s1 = (_first(a) for a in normality.additional_batch(got))
     r1, r2, rs1 = ref_additional(ref)
     _close("s1", s1, rs1)
     if man.dimension == 2:
@@ -203,11 +221,17 @@ def test_norms_match_reference(system):
     ginv = np.linalg.inv(g)
     cov = rng.normal(size=(nb, n))
     t = rng.normal(size=(nb, n, n))
-    _close("norm_cov", normality._norm_cov(ginv, cov), ref_norm_cov(ginv, cov))
-    _close("norm_twolow", normality._norm_twolow(ginv, t),
+    gl, ginvl, tl = _last(g), _last(ginv), _last(t)
+    _close("norm_cov", normality._norm_cov(ginvl, cov.T),
+           ref_norm_cov(ginv, cov))
+    _close("norm_twolow", normality._norm_twolow(ginvl, tl),
            ref_norm_twolow(ginv, t))
-    _close("norm_uplow", normality._norm_uplow(g, ginv, t),
+    _close("norm_uplow", normality._norm_uplow(gl, ginvl, tl),
            ref_norm_uplow(g, ginv, t))
+    # an operand that is a transposed view, as the strong norm passes it
+    _close("norm_uplow of a view", normality._norm_uplow(
+        gl, ginvl, tl.swapaxes(0, 1)), ref_norm_uplow(g, ginv,
+                                                      t.swapaxes(1, 2)))
 
 
 def test_deviation_formulas_match_reference(system):
@@ -215,11 +239,11 @@ def test_deviation_formulas_match_reference(system):
     nb, n = xs.shape
     tau = rng.normal(size=(nb, n - 1, n))
     rho = rng.normal(size=(nb, n - 1, n))
-    got_b = force_tensors(force, xs, vs)
+    got_b = force_tensors(force, xs.T, vs.T)
     ref_b = ref_bundle(man, force, xs, vs)
     for name, a, r in zip(("alpha", "beta"), deviation.alpha_beta(got_b),
                           ref_alpha_beta(ref_b)):
-        _close(name, a, r)
+        _close(name, _first(a), r)
     got = deviation.phi_derivatives(force, xs, vs, tau, rho)
     for name, a, r in zip(("phi", "phi_dot", "phi_ddot"), got,
                           ref_phi_derivatives(ref_b, tau, rho)):
@@ -236,7 +260,7 @@ def test_strong_norm_is_the_index_notation_norm():
     man = Manifold(2, metric)
     force = ForceField(man, force_src)
     xs, vs = normality.sample_tangent_points(man, box, 0.5, 2.0, 64, seed=3)
-    _, _, strong = normality._block_norms(man, force, xs, vs)
+    _, _, strong = normality._block_norms(man, force, xs.T, vs.T)
     b = ref_bundle(man, force, xs, vs)
     defect = b['vel'] - 0.5 * np.einsum('bii->b', b['vel'])[:, None,
                                                              None] * np.eye(2)
@@ -246,3 +270,75 @@ def test_strong_norm_is_the_index_notation_norm():
     swapped = np.sqrt(np.einsum('bkl,bij,bki,blj->b', b['g'], b['ginv'],
                                 defect, defect))
     assert np.abs(swapped - want).max() > 1e-3 * want.max()
+
+
+def ref_norms(man, force, xs, vs):
+    """Per-sample weak, additional and (n = 2, else None) strong residual
+    norms of batch-first samples, every step from the references."""
+    b = ref_bundle(man, force, xs, vs)
+    g, ginv = b['g'], b['ginv']
+    first, second = ref_weak(b)
+    a1, a2, s1 = ref_additional(b)
+    weak = np.maximum(ref_norm_cov(ginv, first), ref_norm_cov(ginv, second))
+    add = np.maximum(ref_norm_twolow(ginv, a1), ref_norm_uplow(g, ginv, a2))
+    n = man.dimension
+    if n != 2:
+        return weak, add, None
+    defect = b['vel'] - (np.einsum('bii->b', b['vel']) / n)[:, None,
+                                                            None] * np.eye(n)
+    strong = np.maximum(ref_norm_twolow(ginv, s1),
+                        ref_norm_uplow(g, ginv, defect.swapaxes(1, 2)))
+    return weak, add, strong
+
+
+SCENARIOS = (Path(__file__).resolve().parent.parent / "perfbench"
+             / "scenarios.py")
+CONFIGS = sorted((Path(__file__).resolve().parent.parent
+                  / "configs").glob("*.json"))
+
+
+def _verdict_configs():
+    """The check scenarios of the benchmark's verdicts workload (S^2 drag,
+    S^3 drag and E^3 harmonic, 20 000 samples each) at one seed."""
+    spec = importlib.util.spec_from_file_location("verdict_scenarios",
+                                                  SCENARIOS)
+    scenarios = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    sys.modules[spec.name] = scenarios
+    spec.loader.exec_module(scenarios)
+    return {op.name: parse_config(doc)
+            for op, doc in scenarios.build("verdicts", 7)
+            if op.command == "check"}
+
+
+VERDICT_CONFIGS = _verdict_configs()
+CASES = sorted(VERDICT_CONFIGS) + [path.stem for path in CONFIGS]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_classify_agrees_with_the_reference_formulas(case):
+    # the verdict of every bundled config and of the benchmark's check
+    # scenarios is the one the reference formulas give on the same
+    # samples; where a residual is well above rounding (a field that is
+    # not normal), its maximum and mean agree with them too
+    cfg = (VERDICT_CONFIGS[case] if case in VERDICT_CONFIGS
+           else load_config(CONFIGS[[p.stem for p in CONFIGS].index(case)]))
+    man, force = cfg.build()
+    s = cfg.sampler
+    rep = normality.classify(man, force, s.x_box, s.v_min, s.v_max, s.count,
+                             seed=s.seed, tol=cfg.tolerance)
+    weak, add, strong = ref_norms(man, force, rep.xs, rep.vs)
+    upgrade = add if strong is None else strong
+    assert rep.verdict == normality._verdict(
+        weak.max(), upgrade.max(), cfg.tolerance)
+    pairs = [("weak", (rep.max_weak, rep.mean_weak), weak),
+             ("additional", (rep.max_additional, rep.mean_additional), add)]
+    if strong is not None:
+        pairs.append(("strong", (rep.max_strong_additional,), strong))
+    for name, got, ref in pairs:
+        want = (ref.max(), ref.mean())[:len(got)]
+        if ref.max() > 1e-6:
+            for a, r in zip(got, want):
+                assert abs(a - r) <= REL * r, name
+        else:
+            assert max(got) <= 1e-10, name

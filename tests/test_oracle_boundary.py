@@ -92,7 +92,7 @@ def test_force_tensors_read_only_the_first_order_jet(chart, calls):
     xs = lo + (hi - lo) * rng.random((16, n))
     vs = rng.normal(size=(16, n))
     tau, rho = rng.normal(size=(2, 16, n - 1, n))
-    force_tensors(force, xs, vs)
+    force_tensors(force, xs.T, vs.T)
     phi_derivatives(force, xs, vs, tau, rho)
     classify(man, force, box, 0.5, 2.0, 300)
     # one jet call each: force_tensors, phi_derivatives and the one

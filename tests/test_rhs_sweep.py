@@ -1,4 +1,5 @@
-"""scripts/rhs_sweep.py at a tiny batch: every piece timed on every chart."""
+"""scripts/rhs_sweep.py at a tiny batch: every piece of both tables timed
+on every chart."""
 
 from test_rhs_reference import CHARTS, rhs_sweep
 
@@ -8,5 +9,13 @@ def test_sweep_times_every_piece():
     assert [row[:2] for row in rows] == [
         (chart, nb) for chart in CHARTS for nb in (1, 3)]
     assert all(list(times) == list(rhs_sweep.PIECES)
+               and all(t > 0.0 for t in times.values())
+               for _, _, times in rows)
+
+
+def test_block_sweep_times_every_piece():
+    rows = list(rhs_sweep.block_sweep(3, 1, 1))
+    assert [row[:2] for row in rows] == [(chart, 3) for chart in CHARTS]
+    assert all(list(times) == list(rhs_sweep.BLOCK_PIECES)
                and all(t > 0.0 for t in times.values())
                for _, _, times in rows)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from frontshift.geometry import check_positive_definite
 from frontshift.systems import BUNDLED, DICHOTOMY, bundled
 
 
@@ -12,7 +13,7 @@ def test_every_bundled_system_builds():
         # positive definite across the probe box, corners and center
         corners = np.stack([box[:, 0], box[:, 1], box.mean(axis=1)])
         for x, g in zip(corners, man.metric(corners)):
-            man.check_positive_definite(x, g)
+            check_positive_definite(x, g)
             ginv = np.linalg.inv(g)
             assert np.abs(g @ ginv - np.eye(man.dimension)).max() < 1e-12
         v = np.full(man.dimension, 0.7)

@@ -5,8 +5,10 @@ callers must keep filling in for nothing; such parameters have piled up
 more than once as the code beneath them changed.  A parameter counts as
 read when its name is loaded anywhere in the function's body, nested
 functions included; defaults, annotations and decorators do not count.
-A method's receiver (``self``, ``cls``) is not a parameter its callers
-fill in, so it is not checked.
+A method's receiver (``self``, ``cls``) counts as a parameter too: a
+method that never reads it is a function hung on a class, which callers
+must reach through an instance for nothing.  Static methods have no
+receiver.
 """
 
 import ast
@@ -20,25 +22,22 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "frontshift"
 ALLOWED = ["geometry.extended_gradients.man"]
 
 
-def _functions(tree: ast.AST, prefix: str = "", in_class: bool = False):
+def _functions(tree: ast.AST, prefix: str = ""):
     """(qualified name, node, parameters) of every def in tree, nested
-    ones too; a method's receiver is left out of its parameters."""
+    ones and methods too; a method's receiver is one of its
+    parameters."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             args = node.args
             params = [a.arg for a in (args.posonlyargs + args.args
                                       + args.kwonlyargs)]
             params += [a.arg for a in (args.vararg, args.kwarg) if a]
-            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
-                         for d in node.decorator_list)
-            if in_class and not static:
-                params = params[1:]
             yield prefix + node.name, node, params
             yield from _functions(node, f"{prefix}{node.name}.")
         elif isinstance(node, ast.ClassDef):
-            yield from _functions(node, f"{prefix}{node.name}.", True)
+            yield from _functions(node, f"{prefix}{node.name}.")
         else:
-            yield from _functions(node, prefix, in_class)
+            yield from _functions(node, prefix)
 
 
 def unread_parameters(src: Path) -> list[str]:
@@ -69,10 +68,16 @@ def test_guard_sees_an_unread_parameter(tmp_path):
         "    return inner\n\n"
         "class K:\n"
         "    def method(self, *args, **opts):\n"
-        "        return f(*args)\n\n"
+        "        return self.f(*args)\n\n"
+        "    def receiver_unread(self, x):\n"
+        "        return x\n\n"
+        "    @classmethod\n"
+        "    def build(cls):\n"
+        "        return cls()\n\n"
         "    @staticmethod\n"
         "    def static(x, y):\n"
         "        return y\n")
     assert unread_parameters(tmp_path) == [
-        "a.K.method.opts", "a.K.static.x", "a.nested.b", "a.nested.inner.c",
-        "a.passes_on.man", "a.passes_on.scale"]
+        "a.K.method.opts", "a.K.receiver_unread.self", "a.K.static.x",
+        "a.nested.b", "a.nested.inner.c", "a.passes_on.man",
+        "a.passes_on.scale"]
