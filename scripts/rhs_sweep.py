@@ -9,9 +9,10 @@ the non-diagonal ``skew3`` chart.
 
 The first times, at each batch size B, the pieces one RK4 stage of the
 variation equation (n - 1 variations per row) evaluates: the generated
-jet (``ForceField.jet``), ``inverse``, ``spray``, the Jacobi operator
+jet (``ForceField.jet``, g^-1 included), ``spray``, the Jacobi operator
 ``Manifold.riemann(vs=)``, ``extended_gradients`` and the whole
-``dynamics._rhs``, at B = 1, 64, 144 and 1024.  These run batch-first.
+``dynamics._rhs``, at B = 1, 5 (the batch of ``rank``), 64, 144 and
+1024.  These run batch-first.
 
 The second times the pieces of one residual block of
 ``normality.classify`` at its block size, B = 2048 sampled points: the
@@ -39,8 +40,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from frontshift import normality  # noqa: E402
 from frontshift.dynamics import _rhs  # noqa: E402
 from frontshift.geometry import (ForceField, Manifold,  # noqa: E402
-                                 extended_gradients, force_tensors, inverse,
-                                 spray)
+                                 extended_gradients, force_tensors, spray)
 
 
 def sphere(n: int) -> list:
@@ -77,8 +77,8 @@ CHARTS = {
            [(0.6, 2.5), (0.6, 2.5), (0.0, 6.0)]),
     "skew3": (SKEW_METRIC, SKEW_FORCE, [(-0.8, 0.8)] * 3),
 }
-PIECES = ("jet", "inverse", "spray", "riemann", "gradients", "rhs")
-BATCHES = (1, 64, 144, 1024)
+PIECES = ("jet", "spray", "riemann", "gradients", "rhs")
+BATCHES = (1, 5, 64, 144, 1024)
 BLOCK_PIECES = ("tensors", "frame", "weak", "additional", "norms", "block")
 REPEATS = 7
 CALLS = 20
@@ -93,12 +93,10 @@ def pieces(man: Manifold, force: ForceField, box, nb: int,
     x = lo + (hi - lo) * rng.random((nb, n))
     v = rng.normal(size=(nb, n))
     tau, rho = rng.normal(size=(2, nb, n - 1, n))
-    g, koszul, f, dfdx, dfdv, ddg_vv = force.jet(x, v)
-    ginv = inverse(g)
+    _, ginv, koszul, f, dfdx, dfdv, ddg_vv = force.jet(x, v)
     along = spray(ginv, koszul, v, f)
     return {
         "jet": lambda: force.jet(x, v),
-        "inverse": lambda: inverse(g),
         "spray": lambda: spray(ginv, koszul, v, f),
         "riemann": lambda: man.riemann(x, ginv=ginv, vs=v, along=along,
                                        ddg_vv=ddg_vv),

@@ -27,8 +27,8 @@ import numpy as np
 from . import deviation, exprlang
 from .dynamics import BatchTrajectory, IntegrationAbort, integrate_batch
 from .geometry import (ForceField, Manifold, at_point,
-                       check_positive_definite, g_norm, inverse, lower,
-                       matvec, spray)
+                       check_positive_definite, g_norm, lower, matvec,
+                       spray)
 from .report import FrontTable
 
 TAU_NORM_FLOOR = 1e-12
@@ -264,9 +264,9 @@ def simulate_shift(man: Manifold, force: ForceField, hs: HypersurfaceSpec,
 
     box = np.asarray(hs.box, dtype=float)
     rho0 = np.empty((u.shape[0], n_params, n))
-    g0, koszul0, *_ = force.jet(x0, v0)
+    _, ginv0, koszul0, *_ = force.jet(x0, v0)
     # launch[b, a, k] = gamma^k_rs K_a^r v0^s
-    launch = tangents @ spray(inverse(g0), koszul0, v0).gam_v
+    launch = tangents @ spray(ginv0, koszul0, v0).gam_v
 
     def launch_field(params, where):
         _, _, normals = _surface_frames(man, surface, params, hs.orient_flip,

@@ -6,9 +6,9 @@ the connection terms are folded into the right-hand side on the fly.
 Classic fourth-order Runge-Kutta on a uniform grid; no adaptivity.
 
 Each RK4 stage makes one generated call (``ForceField.jet``: the metric,
-the Koszul symbol of its first partials, the force, both force
-Jacobians and the metric's second partials contracted with v twice) and
-one closed-form metric inverse (``geometry.inverse``), with or without
+its inverse, the Koszul symbol of its first partials, the force, both
+force Jacobians and the metric's second partials contracted with v
+twice, all views of the one array the call fills), with or without
 variations.  The connection enters only as gamma contracted with v and
 F, and the curvature only as the Jacobi operator R(., v)v
 (``Manifold.riemann`` with the velocity passed, once per stage), so no
@@ -33,8 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import (ForceField, Manifold, extended_gradients, inverse,
-                       spray)
+from .geometry import ForceField, Manifold, extended_gradients, spray
 
 
 class DynamicsError(ValueError):
@@ -87,7 +86,7 @@ def _rhs(man: Manifold, force: ForceField, x, v, tau, rho,
     given, is the four rate arrays (dx, dv, dtau, drho) to write into,
     e.g. views of a packed state row; they are returned.
 
-    One generated call (``force.jet``) and one closed-form ``inverse``;
+    One generated call (``force.jet``), which gives g^-1 with the rest;
     with J = 0 it returns after dv.  gamma enters only through its
     products with v and F (``spray``, from the jet's Koszul symbol),
     shared by the flow, the force gradient, the curvature and both
@@ -102,8 +101,7 @@ def _rhs(man: Manifold, force: ForceField, x, v, tau, rho,
     if out is None:
         out = tuple(np.empty_like(a) for a in (v, v, tau, rho))
     dx, dv, dtau, drho = out
-    g, koszul, f_vals, dfdx, dfdv, ddg_vv = force.jet(x, v)
-    ginv = inverse(g)
+    _, ginv, koszul, f_vals, dfdx, dfdv, ddg_vv = force.jet(x, v)
     along = spray(ginv, koszul, v, f_vals)
     dx[...] = v
     np.subtract(f_vals, along.gvv, out=dv)

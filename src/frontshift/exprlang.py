@@ -21,8 +21,9 @@ expressible as ``exp(ln(b)*e)``.
 Nodes are plain slotted classes, equal by type and fields (never
 ``pos``).  Each ``simplify`` pass returns every subtree in which no rule
 fired as the same object, so the fixpoint is the first pass that returns
-its input.  ``compile_fn`` prints a constant folded to +-inf or nan as
-``np.inf`` or ``np.nan``.
+its input.  Such a subtree is marked, and no later pass, over any tree
+built from it, walks it again.  ``compile_fn`` prints a constant folded
+to +-inf or nan as ``np.inf`` or ``np.nan``.
 """
 
 from __future__ import annotations
@@ -67,9 +68,11 @@ class ExprDomainError(ExprError):
 class Node:
     """AST node.  Nodes of one type are equal, and hash alike, when their
     ``_fields`` (the positional arguments of the constructor) are; the
-    keyword ``pos``, the source byte offset, is ignored by equality."""
+    keyword ``pos``, the source byte offset, is ignored by equality, and
+    so is ``_fixpoint``, true once ``simplify`` has found that no rule
+    fires anywhere in the node (from the start for a leaf)."""
 
-    __slots__ = ("pos",)
+    __slots__ = ("pos", "_fixpoint")
     _fields: tuple = ()
 
     def _values(self) -> tuple:
@@ -93,21 +96,21 @@ class Const(Node):
     __slots__ = _fields = ("value",)
 
     def __init__(self, value: float = 0.0, *, pos: int = 0):
-        self.value, self.pos = value, pos
+        self.value, self.pos, self._fixpoint = value, pos, True
 
 
 class Var(Node):
     __slots__ = _fields = ("name",)
 
     def __init__(self, name: str = "", *, pos: int = 0):
-        self.name, self.pos = name, pos
+        self.name, self.pos, self._fixpoint = name, pos, True
 
 
 class Neg(Node):
     __slots__ = _fields = ("arg",)
 
     def __init__(self, arg: Node, *, pos: int = 0):
-        self.arg, self.pos = arg, pos
+        self.arg, self.pos, self._fixpoint = arg, pos, False
 
 
 class _Binary(Node):
@@ -115,6 +118,7 @@ class _Binary(Node):
 
     def __init__(self, left: Node, right: Node, *, pos: int = 0):
         self.left, self.right, self.pos = left, right, pos
+        self._fixpoint = False
 
 
 class Add(_Binary):
@@ -138,6 +142,7 @@ class Pow(Node):
 
     def __init__(self, base: Node, exponent: Node, *, pos: int = 0):
         self.base, self.exponent, self.pos = base, exponent, pos
+        self._fixpoint = False
 
 
 class Call(Node):
@@ -145,6 +150,7 @@ class Call(Node):
 
     def __init__(self, func: str, arg: Node, *, pos: int = 0):
         self.func, self.arg, self.pos = func, arg, pos
+        self._fixpoint = False
 
 
 
@@ -423,7 +429,9 @@ def simplify(node: Node) -> Node:
     fixpoint.
 
     Every rewrite makes the tree smaller, so a pass that returns its
-    input object (no rule fired anywhere in it) is the fixpoint.
+    input object (no rule fired anywhere in it) is the fixpoint.  Each
+    subtree a pass returns unchanged is marked, and no pass walks a
+    marked subtree again.
     """
     while True:
         new = _simplify_once(node)
@@ -433,9 +441,18 @@ def simplify(node: Node) -> Node:
 
 
 def _simplify_once(node: Node) -> Node:
-    """One bottom-up pass; the node itself when no rule fires in it."""
-    if isinstance(node, (Const, Var)):
+    """One bottom-up pass; the node itself, marked, when no rule fires in
+    it."""
+    if node._fixpoint:
         return node
+    new = _rewrite(node)
+    if new is node:
+        node._fixpoint = True
+    return new
+
+
+def _rewrite(node: Node) -> Node:
+    """_simplify_once on a node not yet marked."""
     if isinstance(node, Neg):
         arg = _simplify_once(node.arg)
         if isinstance(arg, Const):

@@ -6,25 +6,30 @@ once per call, and every contraction runs in a fixed order.  All
 differentiation behind it is exact and symbolic, performed once on the
 metric and force component expressions.  Past the metric itself,
 production code reads the geometry and the force from two generated
-calls built from one group list: ``ForceField.first_order_jet`` (g, the
-Koszul symbol of dg, F and both force Jacobians) and ``ForceField.jet``,
-the same five plus ddg contracted with v twice, what one RK4 stage of
-the variation equation consumes.  The closed-form metric inverse for
-n <= 3 (``inverse``, ``inverse_last``) follows; so each stage, and each
-``force_tensors`` call, makes one generated call and one inverse, and
-neither gathers dg or ddg.  There is no separate single-point API:
-``at_point`` evaluates any batch-first function at one point by adding
-and stripping the batch axis, and ``force_tensors`` builds every metric
-and force tensor the deviation and normality formulas share in one
-place.
+calls built from one root list: ``ForceField.first_order_jet`` (g, g^-1,
+the Koszul symbol of dg, F and both force Jacobians) and
+``ForceField.jet``, the same six plus ddg contracted with v twice, what
+one RK4 stage of the variation equation consumes.  Each call fills one
+array, every tensor whole (symmetric duplicates stored twice), and the
+jets hand the tensors out as views of it: no gather, and no numeric
+inverse for n <= 3, where g^-1 is the metric's adjugate over its
+determinant as expressions (``Manifold._ginv_asts``), folded like every
+other group.  n >= 4 takes LAPACK's ``np.linalg.inv`` inside the two jet
+methods.  So each stage, and each ``force_tensors`` call, makes one
+generated call and nothing else per point.  There is no separate
+single-point API: ``at_point`` evaluates any batch-first function at one
+point by adding and stripping the batch axis, and ``force_tensors``
+builds every metric and force tensor the deviation and normality
+formulas share in one place.
 
 Two layers, two layouts, each where it measures faster.  The RK4 stage
 (``spray``, ``Manifold.riemann(vs=)``, ``extended_gradients``,
-``inverse``, ``ForceField.jet``) is batch-first: arrays (B, n) and
-(B, n, n), and each contraction a batched matrix product (``@`` over
-the leading axis).  The sample-point layer of ``check`` and of the
-deviation formulas (``ForceField.first_order_jet``, ``force_tensors``,
-``Manifold.frame`` and ``normality`` after them) is batch-last: points
+``ForceField.jet``) is batch-first: arrays (B, n) and (B, n, n), each
+matrix contiguous in its last axes, and each contraction a batched
+matrix product (``@`` over the leading axis).  The sample-point layer
+of ``check`` and of the deviation formulas
+(``ForceField.first_order_jet``, ``force_tensors``, ``Manifold.frame``
+and ``normality`` after them) is batch-last: points
 (n, B), tensors (n, n, B), and each contraction over an index of length
 n <= 4 one broadcast product of contiguous length-B rows plus n - 1
 additions (``matvec_last``, ``vecmat_last``, ``matmul_last``,
@@ -82,7 +87,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import exprlang
-from .exprlang import Add, Const, Mul, Neg, Node, Pow, Sub, Var
+from .exprlang import Add, Const, Div, Mul, Neg, Node, Pow, Sub, Var
 
 
 class GeometryError(ValueError):
@@ -158,57 +163,6 @@ def vecmat_last(w: np.ndarray, m: np.ndarray) -> np.ndarray:
 def matmul_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(a b)[i, k, ...] = a[i, j, ...] b[j, k, ...]."""
     return _sum_rows((a[:, :, None] * b).swapaxes(0, 1))
-
-
-# _COFACTOR3[:, 3 i + j]: flat indices of the four metric entries whose
-# products give adj[i, j] = C_ji = g[a, c] g[b, d] - g[a, d] g[b, c], with
-# (a, b) = (j + 1, j + 2) and (c, d) = (i + 1, i + 2) taken mod 3
-_COFACTOR3 = np.array(
-    [[3 * ((j + 1) % 3) + (i + 1) % 3 for i in range(3) for j in range(3)],
-     [3 * ((j + 2) % 3) + (i + 2) % 3 for i in range(3) for j in range(3)],
-     [3 * ((j + 1) % 3) + (i + 2) % 3 for i in range(3) for j in range(3)],
-     [3 * ((j + 2) % 3) + (i + 1) % 3 for i in range(3) for j in range(3)]])
-
-
-def inverse(g: np.ndarray) -> np.ndarray:
-    """g^-1 over any leading axes.
-
-    n = 2 and n = 3 use the closed-form adjugate over the determinant:
-    each step is one vectorized operation over the whole batch, and the
-    result is written into one preallocated array.  From about a hundred
-    rows up that is several times faster than LAPACK's per-matrix
-    ``np.linalg.inv``; at a handful of rows it costs a few microseconds
-    more.  n >= 4 falls back to ``np.linalg.inv``.
-    """
-    n = g.shape[-1]
-    if n > 3:
-        return np.linalg.inv(g)
-    adj, det = _adjugate(g.reshape(-1, n * n).T)
-    out = np.empty(g.shape)
-    np.divide(adj.T, det[:, None], out=out.reshape(-1, n * n))
-    return out
-
-
-def inverse_last(g: np.ndarray) -> np.ndarray:
-    """``inverse`` with the batch axis last: g^-1[i, j, b] of g[i, j, b]."""
-    n = g.shape[0]
-    if n > 3:
-        return np.moveaxis(np.linalg.inv(np.moveaxis(g, -1, 0)), 0, -1)
-    adj, det = _adjugate(g.reshape(n * n, -1))
-    return (adj / det).reshape(g.shape)
-
-
-def _adjugate(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(adj, det) of 2 x 2 or 3 x 3 matrices given as rows, t[n i + j]
-    holding entry (i, j) over the batch; adj comes as rows too."""
-    if t.shape[0] == 4:
-        adj = t[[3, 1, 2, 0]]
-        np.negative(adj[1:3], out=adj[1:3])
-        return adj, t[0] * t[3] - t[1] * t[2]
-    a, b, c, d = _COFACTOR3
-    adj = t[a] * t[b]
-    adj -= t[c] * t[d]
-    return adj, t[0] * adj[0] + t[1] * adj[3] + t[2] * adj[6]
 
 
 def _parse(entry, names: Sequence[str]) -> Node:
@@ -322,10 +276,9 @@ class Manifold:
     only the unique symmetric slots (i <= j, and l <= k for ddg), sharing
     repeated subexpressions; the full tensors are gathered from those.
     The exact first partials are derived on construction; the second
-    partials, the two combinations the variation equation consumes (the
-    Koszul symbol of dg and ddg contracted with v twice) and every
-    callable are built on first use, so a command pays only for what it
-    evaluates.
+    partials, the groups the jets add (the Koszul symbol of dg, ddg
+    contracted with v twice and g^-1) and every callable are built on
+    first use, so a command pays only for what it evaluates.
     """
 
     def __init__(self, dimension: int, metric: Sequence[Sequence]):
@@ -347,7 +300,6 @@ class Manifold:
         self._g_idx = slot
         self._dg_idx = np.arange(n)[:, None, None] * npair + slot
         self._ddg_idx = slot[:, :, None, None] * npair + slot
-        self._koszul_idx = slot[:, :, None] * n + np.arange(n)
 
     @functools.cached_property
     def _ddg_asts(self) -> list:
@@ -431,6 +383,42 @@ class Manifold:
         return out
 
     @functools.cached_property
+    def _ginv_asts(self) -> list:
+        """g^-1[i, j] at n i + j, for n <= 3 the adjugate over the
+        determinant of the metric entries.
+
+        The products, and their order, are those of the numeric form
+        (``tests/oracles.py``): entry (i, j) of the adjugate is
+        g[a, c] g[b, d] - g[a, d] g[b, c] with (a, b) = (j + 1, j + 2) and
+        (c, d) = (i + 1, i + 2) mod 3, or (g11, -g01, -g10, g00) in 2-D,
+        and det = g00 adj00 + g01 adj10 + g02 adj20 (g00 g11 - g01 g10 in
+        2-D).  Simplification folds the structural zeros and constants,
+        so a diagonal metric costs a few divisions and a constant one
+        nothing.  A zero numerator stays a constant of its own sign: the
+        determinant of a positive definite metric is positive, and the
+        numeric form gives -0.0 there.  For n >= 4 the entries are zero
+        placeholders, which the jets overwrite with LAPACK's inverse.
+        """
+        n = self.dimension
+        if n > 3:
+            return [Const(0.0)] * (n * n)
+        t = [self._g_asts[p] for p in self._g_idx.ravel()]
+        if n == 2:
+            adj = [t[3], Neg(t[1]), Neg(t[2]), t[0]]
+        else:
+            adj = [Sub(Mul(t[3 * ((j + 1) % 3) + (i + 1) % 3],
+                           t[3 * ((j + 2) % 3) + (i + 2) % 3]),
+                       Mul(t[3 * ((j + 1) % 3) + (i + 2) % 3],
+                           t[3 * ((j + 2) % 3) + (i + 1) % 3]))
+                   for i in range(3) for j in range(3)]
+        adj = [exprlang.simplify(entry) for entry in adj]
+        det = exprlang.simplify(
+            Sub(Mul(t[0], t[3]), Mul(t[1], t[2])) if n == 2 else
+            Add(Add(Mul(t[0], adj[0]), Mul(t[1], adj[3])), Mul(t[2], adj[6])))
+        return [entry if isinstance(entry, Const) and entry.value == 0.0
+                else exprlang.simplify(Div(entry, det)) for entry in adj]
+
+    @functools.cached_property
     def _g_fn(self):
         return exprlang.compile_fn(self._g_asts, self.coords)
 
@@ -462,7 +450,7 @@ class Manifold:
                     dg: np.ndarray | None = None) -> np.ndarray:
         """gamma[b, k, i, j] of the metric connection."""
         if ginv is None:
-            ginv = inverse(self.metric(xs))
+            ginv = np.linalg.inv(self.metric(xs))
         if dg is None:
             dg = self.metric_partials(xs)
         nb, n = xs.shape
@@ -481,7 +469,7 @@ class Manifold:
         the symbolic dg/ddg, so no finite differences enter the curvature.
         """
         if ginv is None:
-            ginv = inverse(self.metric(xs))
+            ginv = np.linalg.inv(self.metric(xs))
         if dg is None:
             dg = self.metric_partials(xs)
         if ddg is None:
@@ -522,7 +510,7 @@ class Manifold:
         required; both come from ``ForceField.jet``.
         """
         if ginv is None:
-            ginv = inverse(self.metric(xs))
+            ginv = np.linalg.inv(self.metric(xs))
         nb, n = xs.shape
         if vs is not None:
             sym = ddg_vv - (along.koszul.reshape(nb, n * n, n)
@@ -579,14 +567,18 @@ class ForceField:
 
     Two generated callables evaluate everything production code reads of
     the force and the metric, sharing every subexpression among their
-    groups.  ``first_order_jet`` gives g, the Koszul symbol of its first
-    partials, F and both force Jacobians, what ``force_tensors``
-    consumes; ``jet`` gives the same five arrays from the same group list
-    plus the metric's second partials contracted with v twice, what one
-    RK4 stage of the variation equation (and the shift's launch, which
-    compiles nothing else) consumes.
-    ``components`` and ``jacobians`` are oracles with callables of their
-    own.  Every callable is compiled on first use.
+    entries.  ``first_order_jet`` gives g, g^-1, the Koszul symbol of the
+    metric's first partials, F and both force Jacobians, what
+    ``force_tensors`` consumes; ``jet`` gives the same six tensors from
+    the same root list plus the metric's second partials contracted with
+    v twice, what one RK4 stage of the variation equation (and the
+    shift's launch, which compiles nothing else) consumes.  Each call
+    fills one (B, K) array, one record of every tensor's entries per
+    point (the constant entries stored in one row, the varying ones one
+    by one, symmetric duplicates included), and ``jet`` hands out the
+    tensors as views of it.  ``components`` and ``jacobians`` are oracles
+    with callables of their own.  Every callable is compiled on first
+    use.
     """
 
     def __init__(self, manifold: Manifold, components: Sequence):
@@ -603,6 +595,13 @@ class ForceField:
                                                   wrt[i])
                            for i in range(n) for k in range(n)]
                           for wrt in (manifold.coords, manifold.velocities)]
+        # a point's row of the jets' array as one record; a field access
+        # is one view, cheaper than a slice and a reshape at a few rows
+        fields = [("g", float, (n, n)), ("ginv", float, (n, n)),
+                  ("koszul", float, (n, n, n)), ("f", float, (n,)),
+                  ("dfdx", float, (n, n)), ("dfdv", float, (n, n))]
+        self._first_order_record = np.dtype(fields)
+        self._jet_record = np.dtype(fields + [("ddg_vv", float, (n, n))])
 
     @functools.cached_property
     def _f_fn(self):
@@ -612,32 +611,40 @@ class ForceField:
     def _jac_fn(self):
         return exprlang.compile_fn(self._jac_asts, self._names)
 
-    def _first_order_groups(self) -> list:
+    def _first_order_roots(self) -> list:
+        """Every entry of g, g^-1, koszul, F, dF/dx and dF/dv, row-major."""
         man = self.manifold
-        return [man._g_asts, man._koszul_asts, self.component_ast,
-                *self._jac_asts]
+        n, slots = man.dimension, man._g_idx.ravel()
+        return [*(man._g_asts[p] for p in slots), *man._ginv_asts,
+                *(man._koszul_asts[p * n + r] for p in slots
+                  for r in range(n)),
+                *self.component_ast, *self._jac_asts[0], *self._jac_asts[1]]
 
     @functools.cached_property
     def _first_order_fn(self):
-        return exprlang.compile_fn(self._first_order_groups(), self._names)
+        return exprlang.compile_fn(self._first_order_roots(), self._names)
 
     @functools.cached_property
     def _jet_fn(self):
+        man = self.manifold
         return exprlang.compile_fn(
-            [*self._first_order_groups(), self.manifold._ddg_vv_asts],
+            [*self._first_order_roots(),
+             *(man._ddg_vv_asts[p] for p in man._g_idx.ravel())],
             self._names)
 
-    def _args(self, xs: np.ndarray, vs: np.ndarray) -> tuple:
-        n = self.manifold.dimension
-        return tuple(xs[:, k] for k in range(n)) + tuple(
-            vs[:, k] for k in range(n))
+    @staticmethod
+    def _args(xs: np.ndarray, vs: np.ndarray) -> tuple:
+        """The coordinate and velocity rows of batch-first points."""
+        return (*xs.T, *vs.T)
 
-    def _gather(self, g, koszul, f, dfdx, dfdv) -> tuple:
-        """The first-order groups as tensors, from their unique slots."""
-        man = self.manifold
-        nb, n = f.shape
-        return (g[:, man._g_idx], koszul[:, man._koszul_idx], f,
-                dfdx.reshape(nb, n, n), dfdv.reshape(nb, n, n))
+    def _records(self, fn, args: tuple, record: np.dtype) -> np.ndarray:
+        """fn's array at the coordinate and velocity rows args, one record
+        per point; for n >= 4 its g^-1 placeholders are overwritten with
+        LAPACK's inverse."""
+        out = fn(*args).view(record)[:, 0]
+        if self.manifold.dimension > 3:
+            out["ginv"] = np.linalg.inv(out["g"])
+        return out
 
     def components(self, xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
         return self._f_fn(*self._args(xs, vs))
@@ -649,37 +656,37 @@ class ForceField:
         return dfdx.reshape(nb, n, n), dfdv.reshape(nb, n, n)
 
     def first_order_jet(self, xs: np.ndarray, vs: np.ndarray):
-        """(g, koszul, f, dfdx, dfdv) from one compiled call, batch axis
-        last: the points are xs[k, b] and vs[k, b], and the arrays
-        g[i, j, b], koszul[j, i, r, b], f[k, b], dfdx[i, k, b] and
-        dfdv[i, k, b].
+        """(g, ginv, koszul, f, dfdx, dfdv) from one compiled call, batch
+        axis last: the points are xs[k, b] and vs[k, b], and the arrays
+        g[i, j, b], ginv[i, j, b], koszul[j, i, r, b], f[k, b],
+        dfdx[i, k, b] and dfdv[i, k, b].
 
         Moved to the front, the batch axis gives the same arrays, bit for
         bit, as ``metric`` at xs and ``components`` and ``jacobians`` at
         (xs, vs).  koszul[j, i, r] = d_j g_ir + d_i g_jr - d_r g_ij is the
         Koszul symbol of ``metric_partials`` (``Spray.koszul``).  All of
-        them come from the expressions those methods already derived.
-        The generated call returns each group batch-first; the gathers of
-        g and koszul and a copy of f move its axis last, and dfdx and dfdv
-        are batch-last views of their groups, rows strided by the group
-        width (a contiguous copy measured no faster).
+        them come from the expressions those methods already derived, and
+        ginv from ``Manifold._ginv_asts``.  The generated call fills one
+        record per point, and each tensor is copied out of the records
+        with the batch axis moved last, so that its rows are contiguous.
         """
-        man = self.manifold
-        n, nb = xs.shape
-        g, koszul, f, dfdx, dfdv = self._first_order_fn(*xs, *vs)
-        return (g.T[man._g_idx], koszul.T[man._koszul_idx],
-                np.ascontiguousarray(f.T), dfdx.T.reshape(n, n, nb),
-                dfdv.T.reshape(n, n, nb))
+        record = self._first_order_record
+        out = self._records(self._first_order_fn, (*xs, *vs), record)
+        return tuple(np.ascontiguousarray(np.moveaxis(out[name], 0, -1))
+                     for name in record.names)
 
     def jet(self, xs: np.ndarray, vs: np.ndarray):
-        """(g, koszul, f, dfdx, dfdv, ddg_vv) from one compiled call.
+        """(g, ginv, koszul, f, dfdx, dfdv, ddg_vv) from one compiled call,
+        batch-first views of the one array it fills: g[b, i, j],
+        koszul[b, j, i, r], and so on, each matrix contiguous.
 
-        The first five are ``first_order_jet``'s, bit for bit; ddg_vv is
+        The first six are ``first_order_jet``'s, bit for bit; ddg_vv is
         S = P + P^T - W - H, ``metric_second_partials`` contracted with vs
         twice (see ``Manifold.riemann``).
         """
-        *first, ddg_vv = self._jet_fn(*self._args(xs, vs))
-        return (*self._gather(*first), ddg_vv[:, self.manifold._g_idx])
+        out = self._records(self._jet_fn, self._args(xs, vs),
+                            self._jet_record)
+        return tuple([out[name] for name in self._jet_record.names])
 
 
 def extended_gradients(man: Manifold, force: ForceField, xs: np.ndarray,
@@ -692,13 +699,13 @@ def extended_gradients(man: Manifold, force: ForceField, xs: np.ndarray,
     velocity argument along coordinate directions.  jac and along, when
     given, are the pair (dfdx, dfdv) and ``spray(ginv, koszul, vs, F)``
     already formed; otherwise both come from the first-order jet's
-    generated call, gathered batch-first.
+    generated call, read batch-first.
     """
     if jac is None or along is None:
-        g, koszul, f_vals, dfdx, dfdv = force._gather(
-            *force._first_order_fn(*force._args(xs, vs)))
-        jac = dfdx, dfdv
-        along = spray(inverse(g), koszul, vs, f_vals)
+        out = force._records(force._first_order_fn, force._args(xs, vs),
+                             force._first_order_record)
+        jac = out["dfdx"], out["dfdv"]
+        along = spray(out["ginv"], out["koszul"], vs, out["f"])
     dfdx, dfdv = jac
     spatial = dfdx - along.gam_v @ dfdv + along.gam_f
     return spatial, dfdv
@@ -712,14 +719,13 @@ def force_tensors(force: ForceField, xs: np.ndarray, vs: np.ndarray) -> dict:
     g and g^-1; the velocity v, the force F and F lowered; the velocity
     gradient of F raw (vel[i, k], derivative index first) and both
     gradients with the vector index lowered (nabla_i F_j, tnabla_i F_j).
-    All of them come from one ``force.first_order_jet`` call and one
-    ``inverse_last``.  The connection enters only contracted with v and F,
+    All of them come from one ``force.first_order_jet`` call.  The
+    connection enters only contracted with v and F,
     through the Koszul symbol: with L_v[i, r] = gamma_rij v^j (lowered)
     and gamma v = L_v g^-1, the lowered spatial gradient is
     dfdx g - (gamma v) vel_cov + L_F, since gamma_F g = L_F.
     """
-    g, koszul, f_vals, dfdx, dfdv = force.first_order_jet(xs, vs)
-    ginv = inverse_last(g)
+    g, ginv, koszul, f_vals, dfdx, dfdv = force.first_order_jet(xs, vs)
     low_v = 0.5 * vecmat_last(vs, koszul)
     low_f = 0.5 * vecmat_last(f_vals, koszul)
     vel_cov = matmul_last(dfdv, g)

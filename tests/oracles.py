@@ -27,6 +27,11 @@ one formula from a second, simpler route.
   first derivatives at t = 0: phi and phi_dot vanish for every force,
   phi_ddot is the direct contraction with the launch data, and for a
   modulated drag the defect first appears in the third derivative.
+- ``adjugate_inverse``: g^-1 of 2 x 2 and 3 x 3 metrics as the numeric
+  adjugate over the determinant, each product one array operation over
+  the batch, as the package computed it before the jets generated g^-1.
+  The generated entries use the same products in the same order, so it
+  pins them byte for byte, signed zeros included.
 - ``rk4_per_quantity``: the RK4 loop with x, v, tau and rho held as four
   arrays, each stage input, each combination and each finite check made
   per quantity.  ``integrate_batch`` packs the four into one state row;
@@ -134,6 +139,32 @@ def initial_instant(man, force, p0, nu0, direction, tangents, h=1e-3):
     d1 = (phi_ddot[1] - phi_ddot[0]) / h
     d2 = (phi_ddot[2] - phi_ddot[0]) / (2.0 * h)
     return phi[0], phi_dot[0], phi_ddot[0], 2.0 * d1 - d2
+
+
+# _COFACTOR3[:, 3 i + j]: flat indices of the four metric entries whose
+# products give adj[i, j] = C_ji = g[a, c] g[b, d] - g[a, d] g[b, c], with
+# (a, b) = (j + 1, j + 2) and (c, d) = (i + 1, i + 2) taken mod 3
+_COFACTOR3 = np.array(
+    [[3 * ((j + 1) % 3) + (i + 1) % 3 for i in range(3) for j in range(3)],
+     [3 * ((j + 2) % 3) + (i + 2) % 3 for i in range(3) for j in range(3)],
+     [3 * ((j + 1) % 3) + (i + 2) % 3 for i in range(3) for j in range(3)],
+     [3 * ((j + 2) % 3) + (i + 1) % 3 for i in range(3) for j in range(3)]])
+
+
+def adjugate_inverse(g):
+    """g^-1 of g[..., n, n], n = 2 or 3, over any leading axes."""
+    n = g.shape[-1]
+    t = np.asarray(g, dtype=float).reshape(-1, n * n).T
+    if n == 2:
+        adj = t[[3, 1, 2, 0]]
+        np.negative(adj[1:3], out=adj[1:3])
+        det = t[0] * t[3] - t[1] * t[2]
+    else:
+        a, b, c, d = _COFACTOR3
+        adj = t[a] * t[b]
+        adj -= t[c] * t[d]
+        det = t[0] * adj[0] + t[1] * adj[3] + t[2] * adj[6]
+    return (adj / det).T.reshape(g.shape)
 
 
 def rk4_per_quantity(man, force, x0, v0, tau0, rho0, t_end, h,

@@ -9,6 +9,7 @@ from frontshift.selfcheck import (VARIATION_CASES, _twin_errors,
                                   variation_errors)
 from frontshift.systems import BUNDLED
 from oracles import covariant_rate, rk4_per_quantity, run_one
+from test_geometry import owner
 from test_rhs_reference import CHARTS
 
 EUCLID = Manifold(2, [["1", "0"], ["0", "1"]])
@@ -62,6 +63,16 @@ def test_rk4_stage_is_one_jet_one_riemann_no_lapack(monkeypatch):
     for name in ("jet", "first_order_jet", "jacobians", "components"):
         count(ForceField, name)
     count(np.linalg, "inv")
+    # every tensor a stage reads is a view of the one array the jet's
+    # generated call fills: no gather copies any of them out
+    owners = []
+    jet = ForceField.jet
+
+    def viewed(self, xs, vs):
+        tensors = jet(self, xs, vs)
+        owners.append({id(owner(a)) for a in tensors})
+        return tensors
+    monkeypatch.setattr(ForceField, "jet", viewed)
     steps = 5
     integrate_batch(man, force, x0, v0, tau0, rho0, steps * 1e-2, 1e-2)
     assert calls == {"jet": 4 * steps, "riemann": 4 * steps,
@@ -69,6 +80,7 @@ def test_rk4_stage_is_one_jet_one_riemann_no_lapack(monkeypatch):
                      "metric_partials": 0, "metric_second_partials": 0,
                      "christoffel": 0, "christoffel_partials": 0,
                      "jacobians": 0, "inv": 0, "components": 0}
+    assert len(owners) == 4 * steps and all(len(o) == 1 for o in owners)
     # without variations each stage makes the same jet call and stops
     # after dv
     for name in calls:

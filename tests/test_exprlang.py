@@ -328,6 +328,28 @@ def test_simplify_returns_its_fixpoint_itself():
         assert el._simplify_once(done) is done
 
 
+def test_simplify_does_not_walk_a_simplified_subtree_again(monkeypatch):
+    rng = np.random.default_rng(23)
+    parts = [part for part in (el.simplify(_random_ast(rng, 4))
+                               for _ in range(60))
+             if not isinstance(part, (el.Const, el.Var))]
+    # the same tree built fresh, never simplified, is the reference
+    fresh = [el.parse(el.to_source(part), VARS) for part in parts]
+    rewritten = []
+    rewrite = el._rewrite
+
+    def counted(node):
+        rewritten.append(node)
+        return rewrite(node)
+    monkeypatch.setattr(el, "_rewrite", counted)
+    for part, copy in zip(parts, fresh):
+        rewritten.clear()
+        tree = el.simplify(el.Sub(el.Mul(part, el.Var("v1")), part))
+        # the two new nodes only, once each: the marked part is skipped
+        assert len(rewritten) == 2
+        assert tree == el.simplify(el.Sub(el.Mul(copy, el.Var("v1")), copy))
+
+
 def test_compiled_arrays_take_at_most_32_names():
     names = [f"a{k}" for k in range(33)]
     with pytest.raises(ValueError, match="at most 32"):

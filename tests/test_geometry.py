@@ -3,11 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from frontshift.exprlang import Const
 from frontshift.geometry import (ForceField, Manifold,
                                  NonPositiveDefiniteError, ZeroVelocityError,
                                  _koszul, at_point, check_positive_definite,
-                                 extended_gradients, inverse, inverse_last,
-                                 spray)
+                                 extended_gradients, spray)
+from oracles import adjugate_inverse
 from test_rhs_reference import CHARTS, drag, sphere
 
 EUCLID = Manifold(2, [["1", "0"], ["0", "1"]])
@@ -228,8 +229,8 @@ def test_drag_jacobian_structural_zeros_at_rest():
     assert np.array_equal(dfdx[:, 1, :], np.zeros((2, 2)))
 
 
-# the RHS charts, a non-diagonal 2-D chart, and round S^4, where inverse
-# takes the LAPACK branch
+# the RHS charts, a non-diagonal 2-D chart, and round S^4 and a dense
+# 4-D chart, where the jets take g^-1 from LAPACK
 JET_CHARTS = dict(
     CHARTS,
     skew2=([["1 + x2^2", "0.1*x1*x2"], ["0.1*x1*x2", "2 + x1^2"]],
@@ -259,9 +260,17 @@ def _chart_points(chart, nb=40):
     return man, ForceField(man, force_src), xs, rng.normal(size=(nb, n))
 
 
+def _ginv_of_both_jets(force, xs, vs):
+    """g and g^-1 from the stage jet, and g^-1 from the first-order jet
+    with its batch axis moved to the front."""
+    g, ginv, *_ = force.jet(xs, vs)
+    last = force.first_order_jet(xs.T.copy(), vs.T.copy())[1]
+    return g, ginv, np.moveaxis(last, -1, 0)
+
+
 @pytest.mark.parametrize("chart", sorted(JET_CHARTS))
 def test_inverse_matches_lapack(chart, monkeypatch):
-    man, _, xs, _ = _chart_points(chart)
+    man, force, xs, vs = _chart_points(chart)
     n = man.dimension
     g = man.metric(xs)
     ref = np.linalg.inv(g)
@@ -269,50 +278,93 @@ def test_inverse_matches_lapack(chart, monkeypatch):
     real_inv = np.linalg.inv
     monkeypatch.setattr(np.linalg, "inv", lambda a: (
         lapack_calls.append(a.shape), real_inv(a))[1])
-    got = inverse(g)
-    assert got.shape == g.shape and got.flags.c_contiguous
-    scale = np.abs(ref).max(axis=(1, 2), keepdims=True)
-    assert np.all(np.abs(got - ref) <= 1e-13 * scale)
-    assert np.abs(g @ got - np.eye(n)).max() <= 1e-13
-    # any leading axes
-    stacked = inverse(g.reshape(4, -1, n, n))
-    assert np.array_equal(stacked, got.reshape(stacked.shape))
-    # the batch-last form is the same inverse, bit for bit
-    last = inverse_last(np.ascontiguousarray(np.moveaxis(g, 0, -1)))
-    assert np.array_equal(np.moveaxis(last, -1, 0), got)
-    assert lapack_calls == ([] if n <= 3 else
-                            [g.shape, (4, 10, n, n), g.shape])
+    g_jet, ginv, last = _ginv_of_both_jets(force, xs, vs)
+    assert np.array_equal(g_jet, g)
+    assert ginv.shape == g.shape and ginv.strides[1:] == (8 * n, 8)
+    assert last.tobytes() == ginv.tobytes()
+    if n <= 3:
+        scale = np.abs(ref).max(axis=(1, 2), keepdims=True)
+        assert np.all(np.abs(ginv - ref) <= 1e-13 * scale)
+        assert np.abs(g @ ginv - np.eye(n)).max() <= 1e-13
+        assert lapack_calls == []
+    else:
+        # LAPACK itself, once in each jet
+        assert np.array_equal(ginv, ref)
+        assert lapack_calls == [g.shape, g.shape]
+
+
+# E^3 adds a constant chart, whose g^-1 folds to constants
+INVERSE_CHARTS = dict(
+    {name: JET_CHARTS[name][:2] for name in ("S2", "S3", "skew2", "skew3")},
+    E3=([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        ["-x1", "-x2", "-x3"]))
+
+
+@pytest.mark.parametrize("nb", [1, 5, 144, 1024])
+@pytest.mark.parametrize("chart", sorted(INVERSE_CHARTS))
+def test_generated_inverse_is_the_adjugate_byte_for_byte(chart, nb):
+    # the adjugate's products in its order, so the same bytes, signed
+    # zeros included (S^2's off-diagonal entries are -0.0); at points
+    # where no varying entry of the metric vanishes
+    metric, force_src = INVERSE_CHARTS[chart]
+    n = len(metric)
+    man = Manifold(n, metric)
+    force = ForceField(man, force_src)
+    rng = np.random.default_rng([37, nb, n])
+    xs = rng.uniform(0.6, 0.9, size=(nb, n))
+    g, ginv, last = _ginv_of_both_jets(force, xs, rng.normal(size=(nb, n)))
+    want = adjugate_inverse(np.ascontiguousarray(g))
+    assert ginv.tobytes() == want.tobytes()
+    assert last.tobytes() == want.tobytes()
+    if chart == "S2":
+        assert np.signbit(ginv[:, 0, 1]).all()
 
 
 def test_inverse_hand_values():
-    g = np.array([[[2.0, 1.0], [1.0, 3.0]],
-                  [[4.0, 0.0], [0.0, 0.5]]])
-    want = np.array([[[0.6, -0.2], [-0.2, 0.4]],
-                     [[0.25, 0.0], [0.0, 2.0]]])
-    assert np.allclose(inverse(g), want, rtol=0, atol=1e-15)
-    g3 = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
-    want3 = np.array([[3.0, -2.0, 1.0], [-2.0, 4.0, -2.0],
-                      [1.0, -2.0, 3.0]]) / 4.0
-    assert np.allclose(inverse(g3), want3, rtol=0, atol=1e-15)
+    # constant metrics: every entry of g^-1 folds to a constant
+    for metric, want in (
+            ([["2", "1"], ["1", "3"]], [[0.6, -0.2], [-0.2, 0.4]]),
+            ([["4", "0"], ["0", "0.5"]], [[0.25, -0.0], [-0.0, 2.0]]),
+            ([["2", "1", "0"], ["1", "2", "1"], ["0", "1", "2"]],
+             np.array([[3.0, -2.0, 1.0], [-2.0, 4.0, -2.0],
+                       [1.0, -2.0, 3.0]]) / 4.0)):
+        man = Manifold(len(metric), metric)
+        assert all(isinstance(entry, Const) for entry in man._ginv_asts)
+        force = ForceField(man, ["0"] * len(metric))
+        xs = np.zeros((2, len(metric)))
+        _, ginv, *_ = force.jet(xs, xs)
+        assert np.allclose(ginv, want, rtol=0, atol=1e-15)
+        assert np.array_equal(np.signbit(ginv), np.signbit([want] * 2))
+
+
+def owner(a):
+    """The array whose memory a views (a itself when it owns it)."""
+    while a.base is not None:
+        a = a.base
+    return a
 
 
 @pytest.mark.parametrize("chart", sorted(JET_CHARTS))
 def test_jet_is_the_per_quantity_methods(chart):
     man, force, xs, vs = _chart_points(chart)
-    # batch-last points in, batch-last groups out
-    first = tuple(np.moveaxis(a, -1, 0)
-                  for a in force.first_order_jet(xs.T.copy(), vs.T.copy()))
-    g, _, f, dfdx, dfdv = first
+    # batch-last points in, contiguous batch-last tensors out
+    last = force.first_order_jet(xs.T.copy(), vs.T.copy())
+    assert all(a.flags.c_contiguous for a in last)
+    first = tuple(np.moveaxis(a, -1, 0) for a in last)
+    g, _, _, f, dfdx, dfdv = first
     want = (man.metric(xs), force.components(xs, vs),
             *force.jacobians(xs, vs))
     names = ("g", "f", "dfdx", "dfdv")
     for name, a, b in zip(names, (g, f, dfdx, dfdv), want, strict=True):
         assert a.shape == b.shape, name
         assert np.array_equal(a, b), name
-    # the stage jet is the first-order jet plus S, bit for bit
-    names = ("g", "koszul", "f", "dfdx", "dfdv")
-    for name, a, b in zip(names, force.jet(xs, vs)[:5], first, strict=True):
+    # the stage jet is the first-order jet plus S, bit for bit, every
+    # tensor a view of one array
+    jet = force.jet(xs, vs)
+    names = ("g", "ginv", "koszul", "f", "dfdx", "dfdv")
+    for name, a, b in zip(names, jet[:6], first, strict=True):
         assert np.array_equal(a, b), name
+    assert all(owner(a) is owner(jet[0]) for a in jet)
 
 
 @pytest.mark.parametrize("chart", sorted(JET_CHARTS))
@@ -321,7 +373,7 @@ def test_jet_groups_are_the_contracted_partials(chart):
     # forms from the full first and second partials
     man, force, xs, vs = _chart_points(chart)
     n = man.dimension
-    _, koszul, _, _, _, ddg_vv = force.jet(xs, vs)
+    _, _, koszul, _, _, _, ddg_vv = force.jet(xs, vs)
     want = _koszul(man.metric_partials(xs)).transpose(0, 2, 3, 1)
     assert koszul.shape == (len(xs), n, n, n)
     assert np.abs(koszul - want).max() <= 1e-13 * np.abs(want).max()
@@ -338,8 +390,7 @@ def test_jet_groups_are_the_contracted_partials(chart):
 
 def _jacobi(man, force, xs, vs):
     """riemann(vs=) with every input from the jet, as the RHS feeds it."""
-    g, koszul, f, _, _, ddg_vv = force.jet(xs, vs)
-    ginv = inverse(g)
+    _, ginv, koszul, f, _, _, ddg_vv = force.jet(xs, vs)
     return man.riemann(xs, ginv=ginv, vs=vs,
                        along=spray(ginv, koszul, vs, f), ddg_vv=ddg_vv)
 
@@ -387,10 +438,10 @@ def test_jacobi_operator_builds_no_rank_four_array():
     # contracted form's temporaries reach ddg, and the full tensor's do
     man, force, xs, vs = _chart_points("S4", nb=256)
     jet = force.jet(xs, vs)
-    g, koszul, f, _, _, ddg_vv = jet
+    _, ginv, koszul, f, _, _, ddg_vv = jet
     ddg = man.metric_second_partials(xs)
-    assert max(a.nbytes for a in jet) == koszul.nbytes < ddg.nbytes
-    ginv = inverse(g)
+    assert max(a.nbytes for a in jet) == koszul.nbytes
+    assert owner(koszul).nbytes < ddg.nbytes
     along = spray(ginv, koszul, vs, f)
     contracted = _peak_bytes(lambda: man.riemann(
         xs, ginv=ginv, vs=vs, along=along, ddg_vv=ddg_vv))

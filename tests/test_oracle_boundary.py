@@ -7,8 +7,8 @@ The per-quantity methods (``Manifold.christoffel``, ``metric_partials``,
 package calls them, except the oracle methods themselves building on
 one another.  The static guard below enforces that over ``src/``; the
 call counts show it for the normality and deviation formulas at run
-time, where ``force_tensors`` takes g, F and both gradients from one
-``ForceField.first_order_jet`` call and one closed-form inverse.
+time, where ``force_tensors`` takes g, g^-1, F and both gradients from
+one ``ForceField.first_order_jet`` call and no numeric inverse.
 """
 
 import ast

@@ -4,6 +4,14 @@ on every chart."""
 from test_rhs_reference import CHARTS, rhs_sweep
 
 
+def test_sweep_follows_the_stage():
+    # g^-1 comes from the jet, so there is no inverse piece; B = 5 is the
+    # batch of rank
+    assert rhs_sweep.PIECES == ("jet", "spray", "riemann", "gradients",
+                                "rhs")
+    assert 5 in rhs_sweep.BATCHES
+
+
 def test_sweep_times_every_piece():
     rows = list(rhs_sweep.sweep([1, 3], 1, 1))
     assert [row[:2] for row in rows] == [
