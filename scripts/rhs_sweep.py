@@ -118,7 +118,7 @@ def block_pieces(man: Manifold, force: ForceField, box, nb: int,
     additional = normality.additional_batch(b)
     return {
         "tensors": lambda: force_tensors(force, x, v),
-        "frame": lambda: man.frame(x, v, g=b['g']),
+        "frame": lambda: man.frame(v, b['g']),
         "weak": lambda: normality.weak_batch(b),
         "additional": lambda: normality.additional_batch(b),
         "norms": lambda: normality._residual_norms(b, weak, additional),

@@ -9,6 +9,7 @@ written to --out-dir are byte-deterministic for a fixed config and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -218,6 +219,7 @@ def cmd_selftest(out_dir: Path, flip_riemann_sign: bool,
     return EXIT_OK if doc["all_passed"] else EXIT_ABORT
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="frontshift",

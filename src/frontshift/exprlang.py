@@ -22,8 +22,13 @@ Nodes are plain slotted classes, equal by type and fields (never
 ``pos``).  Each ``simplify`` pass returns every subtree in which no rule
 fired as the same object, so the fixpoint is the first pass that returns
 its input.  Such a subtree is marked, and no later pass, over any tree
-built from it, walks it again.  ``compile_fn`` prints a constant folded
-to +-inf or nan as ``np.inf`` or ``np.nan``.
+built from it, walks it again.
+
+A tree leaves the language only as generated numpy code: ``compile_fn``
+turns a list of K nodes into one callable that fills one array of K
+entries per point, and prints a constant folded to +-inf or nan as
+``np.inf`` or ``np.nan``.  There is no printer back to the expression
+language.
 """
 
 from __future__ import annotations
@@ -215,7 +220,7 @@ class _Parser:
             pos = self.i
             self.i += 1
             arg = self._factor()
-            # Fold a negated literal so printing round-trips exactly.
+            # a negated literal is a constant of its own
             if isinstance(arg, Const):
                 return Const(-arg.value, pos=pos)
             return Neg(arg, pos=pos)
@@ -330,6 +335,16 @@ def evaluate(node: Node, bindings: Mapping[str, float]) -> float:
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def _children(node: Node) -> tuple:
+    if isinstance(node, (Neg, Call)):
+        return (node.arg,)
+    if isinstance(node, (Add, Sub, Mul, Div)):
+        return (node.left, node.right)
+    if isinstance(node, Pow):
+        return (node.base, node.exponent)
+    return ()
+
+
 def variables(node: Node) -> set[str]:
     """Names of all variables occurring in the expression."""
     out: set[str] = set()
@@ -338,14 +353,7 @@ def variables(node: Node) -> set[str]:
         cur = stack.pop()
         if isinstance(cur, Var):
             out.add(cur.name)
-        elif isinstance(cur, Neg):
-            stack.append(cur.arg)
-        elif isinstance(cur, (Add, Sub, Mul, Div)):
-            stack.extend((cur.left, cur.right))
-        elif isinstance(cur, Pow):
-            stack.extend((cur.base, cur.exponent))
-        elif isinstance(cur, Call):
-            stack.append(cur.arg)
+        stack.extend(_children(cur))
     return out
 
 
@@ -547,45 +555,6 @@ def commutative_key(node: Node) -> tuple:
         commutative_key(child) for child in _children(node))
 
 
-_PRECEDENCE = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4}
-
-
-def to_source(node: Node) -> str:
-    """Canonical printer; ``parse(to_source(a), ...) == a`` structurally."""
-    return _print(node, 0)
-
-
-def _print(node: Node, parent_prec: int) -> str:
-    if isinstance(node, Const):
-        text = repr(node.value)
-        if text.endswith(".0"):
-            text = text[:-2]
-        if node.value < 0.0 and parent_prec > 1:
-            return f"({text})"
-        return text
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Call):
-        return f"{node.func}({_print(node.arg, 0)})"
-    prec = _PRECEDENCE[type(node)]
-    if isinstance(node, Neg):
-        text = f"-{_print(node.arg, prec)}"
-    elif isinstance(node, Add):
-        text = f"{_print(node.left, prec)} + {_print(node.right, prec + 1)}"
-    elif isinstance(node, Sub):
-        text = f"{_print(node.left, prec)} - {_print(node.right, prec + 1)}"
-    elif isinstance(node, Mul):
-        text = f"{_print(node.left, prec)}*{_print(node.right, prec + 1)}"
-    elif isinstance(node, Div):
-        text = f"{_print(node.left, prec)}/{_print(node.right, prec + 1)}"
-    elif isinstance(node, Pow):
-        text = (f"{_print(node.base, prec + 1)}"
-                f"^{_print(node.exponent, prec + 1)}")
-    else:
-        raise TypeError(f"not an expression node: {node!r}")
-    return f"({text})" if prec < parent_prec else text
-
-
 _NUMPY_FUNCS = {
     "sin": "np.sin",
     "cos": "np.cos",
@@ -601,8 +570,7 @@ _NUMPY_FUNCS = {
 _MAX_BROADCAST_ARGS = 32
 
 
-def compile_fn(nodes: Sequence[Node] | Sequence[Sequence[Node]],
-               names: Sequence[str]) -> Callable:
+def compile_fn(nodes: Sequence[Node], names: Sequence[str]) -> Callable:
     """Compile to a vectorized callable over positional array arguments.
 
     The fast path for integration: no domain checking, IEEE semantics
@@ -611,24 +579,19 @@ def compile_fn(nodes: Sequence[Node] | Sequence[Sequence[Node]],
 
     Given a sequence of K nodes, the callable returns one array of shape
     ``batch + (K,)``, entry k the value of node k, where ``batch`` is the
-    broadcast shape of the arguments.  Given a sequence of node groups
-    (each a sequence of nodes), it returns a tuple with one such array
-    per group.  Either way a subexpression that occurs more than once,
-    within one node or across nodes and groups, is computed once into a
+    broadcast shape of the arguments.  A subexpression that occurs more
+    than once, within one node or across nodes, is computed once into a
     temporary.
 
     The cost of a call grows with the entries that vary, not with all of
-    them: the constant entries of a group (``Const`` roots, -0.0 kept
-    apart from 0.0) are one row computed at compile time and broadcast
-    into the output in one store, and only the varying entries are
-    stored one by one.  The batch shape is ``np.broadcast(...).shape``,
-    which numpy 1.x allows for at most 32 arguments, so a callable takes
-    at most 32 names.
+    them: the constant entries (``Const`` roots, -0.0 kept apart from
+    0.0) are one row computed at compile time and broadcast into the
+    output in one store, and only the varying entries are stored one by
+    one.  The batch shape is ``np.broadcast(...).shape``, which numpy 1.x
+    allows for at most 32 arguments, so a callable takes at most 32
+    names.
     """
-    grouped = any(not isinstance(entry, Node) for entry in nodes)
-    groups = ([list(group) for group in nodes] if grouped
-              else [list(nodes)])
-    roots = [root for group in groups for root in group]
+    roots = list(nodes)
     program = _Program(roots)
     declared = set(names)
     # each merged node once; the roots are searched only for the error
@@ -642,38 +605,21 @@ def compile_fn(nodes: Sequence[Node] | Sequence[Sequence[Node]],
         raise ValueError(f"a compiled callable takes at most "
                          f"{_MAX_BROADCAST_ARGS} argument names, got "
                          f"{len(names)}")
-    results = iter([program.emit(uid) for uid in program.roots])
-    lines = [f"def _compiled({', '.join(names)}):", *program.lines]
+    texts = [program.emit(uid) for uid in program.roots]
+    lines = [f"def _compiled({', '.join(names)}):", *program.lines,
+             f"    _shape = np.broadcast({', '.join(names)}).shape",
+             f"    _out0 = np.empty(_shape + ({len(roots)},))"]
     scope: dict = {"np": np}
-    lines.append(f"    _shape = np.broadcast({', '.join(names)}).shape")
-    outs = []
-    for g, group in enumerate(groups):
-        out = f"_out{g}"
-        outs.append(out)
-        lines.append(f"    {out} = np.empty(_shape + ({len(group)},))")
-        texts = [next(results) for _ in group]
-        if any(isinstance(root, Const) for root in group):
-            scope[f"_row{g}"] = np.array(
-                [root.value if isinstance(root, Const) else 0.0
-                 for root in group])
-            lines.append(f"    {out}[...] = _row{g}")
-        lines += [f"    {out}[..., {k}] = {text}"
-                  for k, (root, text) in enumerate(zip(group, texts))
-                  if not isinstance(root, Const)]
-    lines.append(f"    return ({', '.join(outs)},)" if grouped
-                 else "    return _out0")
+    if any(isinstance(root, Const) for root in roots):
+        scope["_row0"] = np.array([root.value if isinstance(root, Const)
+                                   else 0.0 for root in roots])
+        lines.append("    _out0[...] = _row0")
+    lines += [f"    _out0[..., {k}] = {text}"
+              for k, (root, text) in enumerate(zip(roots, texts))
+              if not isinstance(root, Const)]
+    lines.append("    return _out0")
     exec("\n".join(lines) + "\n", scope)
     return scope["_compiled"]
-
-
-def _children(node: Node) -> tuple:
-    if isinstance(node, (Neg, Call)):
-        return (node.arg,)
-    if isinstance(node, (Add, Sub, Mul, Div)):
-        return (node.left, node.right)
-    if isinstance(node, Pow):
-        return (node.base, node.exponent)
-    return ()
 
 
 class _Program:

@@ -533,13 +533,10 @@ class Manifold:
         half = dgamma.transpose(0, 2, 3, 1, 4) + gg.transpose(0, 1, 3, 2, 4)
         return half - half.swapaxes(3, 4)
 
-    def frame(self, xs: np.ndarray, vs: np.ndarray,
-              g: np.ndarray | None = None):
+    def frame(self, vs: np.ndarray, g: np.ndarray):
         """speed[b], unit[r, b], unit_cov[i, b] and projector[r, i, b] of
-        velocities vs[r, b] at positions xs[k, b], the batch axis last
-        (g[i, j, b] when given)."""
-        if g is None:
-            g = np.moveaxis(self.metric(xs.T), 0, -1)
+        velocities vs[r, b] under the metric g[i, j, b] at their points,
+        the batch axis last."""
         v_cov = matvec_last(g, vs)
         speed = np.sqrt(dot_last(vs, v_cov))
         if np.any(speed == 0.0) or not np.all(np.isfinite(speed)):
@@ -589,12 +586,11 @@ class ForceField:
         self.manifold = manifold
         self.component_ast = [exprlang.simplify(_parse(c, names))
                               for c in components]
-        # entry (i, k) of group w: derivative of component k in direction
-        # i of the coordinates (w = 0) or velocities (w = 1)
-        self._jac_asts = [[exprlang.differentiate(self.component_ast[k],
-                                                  wrt[i])
-                           for i in range(n) for k in range(n)]
-                          for wrt in (manifold.coords, manifold.velocities)]
+        # entry (w, i, k): derivative of component k in direction i of the
+        # coordinates (w = 0) or velocities (w = 1)
+        self._jac_asts = [exprlang.differentiate(self.component_ast[k], wrt[i])
+                          for wrt in (manifold.coords, manifold.velocities)
+                          for i in range(n) for k in range(n)]
         # a point's row of the jets' array as one record; a field access
         # is one view, cheaper than a slice and a reshape at a few rows
         fields = [("g", float, (n, n)), ("ginv", float, (n, n)),
@@ -618,7 +614,7 @@ class ForceField:
         return [*(man._g_asts[p] for p in slots), *man._ginv_asts,
                 *(man._koszul_asts[p * n + r] for p in slots
                   for r in range(n)),
-                *self.component_ast, *self._jac_asts[0], *self._jac_asts[1]]
+                *self.component_ast, *self._jac_asts]
 
     @functools.cached_property
     def _first_order_fn(self):
@@ -652,8 +648,8 @@ class ForceField:
     def jacobians(self, xs: np.ndarray, vs: np.ndarray):
         """(dfdx[b,i,k], dfdv[b,i,k]) of plain partial derivatives."""
         nb, n = xs.shape
-        dfdx, dfdv = self._jac_fn(*self._args(xs, vs))
-        return dfdx.reshape(nb, n, n), dfdv.reshape(nb, n, n)
+        jac = self._jac_fn(*self._args(xs, vs)).reshape(nb, 2, n, n)
+        return jac[:, 0], jac[:, 1]
 
     def first_order_jet(self, xs: np.ndarray, vs: np.ndarray):
         """(g, ginv, koszul, f, dfdx, dfdv) from one compiled call, batch

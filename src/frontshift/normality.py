@@ -73,8 +73,7 @@ def bundle(man: Manifold, force: ForceField, xs: np.ndarray,
     vs[k, b], batch axis last: the force_tensors of the points plus the
     velocity frame (speed, unit, unit_cov, proj)."""
     b = force_tensors(force, xs, vs)
-    b['speed'], b['unit'], b['unit_cov'], b['proj'] = man.frame(
-        xs, vs, g=b['g'])
+    b['speed'], b['unit'], b['unit_cov'], b['proj'] = man.frame(vs, b['g'])
     return b
 
 

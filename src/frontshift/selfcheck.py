@@ -110,7 +110,7 @@ def projector_identities(count: int = 100, seed: int = 11) -> SuiteResult:
         # the frame is batch-last; the identities below read it batch-first
         speed, unit, unit_cov, proj = (
             np.moveaxis(a, -1, 0)
-            for a in man.frame(xs.T, vs.T, g=np.moveaxis(g, 0, -1)))
+            for a in man.frame(vs.T, np.moveaxis(g, 0, -1)))
 
         alg = max(
             float(np.abs(np.einsum('bri,bij->brj', proj, proj) - proj).max()),

@@ -58,11 +58,3 @@ BUNDLED: dict[str, SystemSpec] = {spec.name: spec for spec in [
 # The five flat fields of the classification dichotomy, in verdict order.
 DICHOTOMY = ("euclid-free", "euclid-linear", "euclid-drag",
              "euclid-const", "euclid-harmonic")
-
-
-def bundled(name: str) -> SystemSpec:
-    try:
-        return BUNDLED[name]
-    except KeyError:
-        raise KeyError(f"no bundled system named {name!r}; "
-                       f"available: {sorted(BUNDLED)}") from None

@@ -9,7 +9,8 @@ import pytest
 
 import frontshift
 from frontshift import exprlang
-from frontshift.cli import cmd_blowup, cmd_check, cmd_rank, cmd_shift, main
+from frontshift.cli import (build_parser, cmd_blowup, cmd_check, cmd_rank,
+                            cmd_shift, main)
 from frontshift.config import load_config
 from test_rhs_reference import CHARTS
 
@@ -315,6 +316,22 @@ def test_seed_override_changes_samples(tmp_path, capsys):
                                 "--seed", "99"])
     assert json.loads(out_a)["config"]["sampler"]["seed"] == 0
     assert json.loads(out_b)["config"]["sampler"]["seed"] == 99
+
+
+def test_parser_is_built_once_and_keeps_no_option(tmp_path, capsys):
+    # the second call parses with the parser the first built, and still
+    # echoes the config's own seed, not the first call's --seed
+    cfg = _write_config(tmp_path, dict(BASE, sampler=dict(BASE["sampler"],
+                                                          seed=7)))
+    parser = build_parser()
+    _, out_a, _ = _run(capsys, ["check", "--config", cfg,
+                                "--out-dir", str(tmp_path / "a"),
+                                "--seed", "3"])
+    _, out_b, _ = _run(capsys, ["check", "--config", cfg,
+                                "--out-dir", str(tmp_path / "b")])
+    assert build_parser() is parser
+    assert json.loads(out_a)["config"]["sampler"]["seed"] == 3
+    assert json.loads(out_b)["config"]["sampler"]["seed"] == 7
 
 
 @pytest.mark.parametrize("command, seed", [("rank", "-1"), ("check", "-3")])

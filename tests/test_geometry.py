@@ -127,16 +127,18 @@ def test_riemann_antisymmetry():
 
 def _frame_at(man, x, v):
     """Manifold.frame at one point, given as a batch of one on the last
-    axis; the batch axis is stripped from each result."""
+    axis, under the metric there; the batch axis is stripped from each
+    result."""
+    g = man.metric(np.array([x], dtype=float))
     return tuple(a[..., 0] for a in man.frame(
-        np.array(x, dtype=float)[:, None], np.array(v, dtype=float)[:, None]))
+        np.array(v, dtype=float)[:, None], np.moveaxis(g, 0, -1)))
 
 
-def _frame_first(man, xs, vs, g):
-    """Manifold.frame of batch-first points and metric, each result with
-    its batch axis moved first."""
-    return tuple(np.moveaxis(a, -1, 0) for a in man.frame(
-        xs.T, vs.T, g=np.moveaxis(g, 0, -1)))
+def _frame_first(man, vs, g):
+    """Manifold.frame of batch-first velocities and metric, each result
+    with its batch axis moved first."""
+    return tuple(np.moveaxis(a, -1, 0)
+                 for a in man.frame(vs.T, np.moveaxis(g, 0, -1)))
 
 
 def test_frame_euclidean():
@@ -165,7 +167,7 @@ def test_frame_identities_random():
             vs.append(rng.normal(size=2) + 0.05)
         xs, vs = np.array(xs), np.array(vs)
         g = man.metric(xs)
-        speed, unit, _, p = _frame_first(man, xs, vs, g)
+        speed, unit, _, p = _frame_first(man, vs, g)
         assert np.abs(p @ p - p).max() < 1e-12
         assert np.all(np.abs(p @ vs[:, :, None])[:, :, 0].max(axis=1)
                       < 1e-12 * np.maximum(1.0, speed))
@@ -192,7 +194,7 @@ def test_non_diagonal_metric_identities():
                    + np.einsum('bksj,bik->bsij', gamma, g))
     assert np.abs(compat).max() < 1e-10
     vs = rng.normal(size=(100, 2)) + 0.05
-    speed, unit, unit_cov, proj = _frame_first(SKEW, xs, vs, g)
+    speed, unit, unit_cov, proj = _frame_first(SKEW, vs, g)
     assert np.abs(np.einsum('bri,bij->brj', proj, proj) - proj).max() < 1e-12
     assert np.abs(np.einsum('bri,bi->br', proj, vs)).max() < 1e-11
     assert np.abs(np.einsum('bij,bi,bj->b', g, unit, unit) - 1.0).max() < 1e-12

@@ -186,7 +186,7 @@ def test_frame_and_lowered_tensors_match_reference(system):
     ref = ref_bundle(man, force, xs, vs)
     for key in ('g', 'ginv', 'v', 'f', 'f_cov', 'vel', 'spa_cov', 'vel_cov'):
         _close(key, _first(got[key]), ref[key])
-    frame = man.frame(xs.T, vs.T, g=got['g'])
+    frame = man.frame(vs.T, got['g'])
     for name, a, r in zip(("speed", "unit", "unit_cov", "proj"), frame,
                           ref_frame(ref['g'], vs)):
         _close(name, _first(a), r)

@@ -1,8 +1,7 @@
 import numpy as np
-import pytest
 
 from frontshift.geometry import check_positive_definite
-from frontshift.systems import BUNDLED, DICHOTOMY, bundled
+from frontshift.systems import BUNDLED, DICHOTOMY
 
 
 def test_every_bundled_system_builds():
@@ -24,10 +23,4 @@ def test_every_bundled_system_builds():
 def test_dichotomy_names_resolve():
     assert len(DICHOTOMY) == 5
     for name in DICHOTOMY:
-        assert bundled(name) is BUNDLED[name]
-
-
-def test_unknown_system_message():
-    with pytest.raises(KeyError) as info:
-        bundled("no-such-system")
-    assert "no-such-system" in str(info.value)
+        assert BUNDLED[name].name == name
