@@ -1,20 +1,25 @@
-"""Time each live piece of the variation right-hand side and of a
-residual block of ``check``, per call.
+"""Time each live piece of the RK4 integration of the variation
+equation and of a residual block of ``check``, per call.
 
     python3 scripts/rhs_sweep.py
 
 Imports the package of this checkout (its ``src/``) and needs numpy
-only.  It prints two tables, both on the S^2 and S^3 drag charts and
+only.  It prints three tables, each on the S^2 and S^3 drag charts and
 the non-diagonal ``skew3`` chart.
 
-The first times, at each batch size B, the pieces one RK4 stage of the
-variation equation (n - 1 variations per row) evaluates: the generated
-jet (``ForceField.jet``, g^-1 included), ``spray``, the Jacobi operator
-``Manifold.riemann(vs=)``, ``extended_gradients`` and the whole
-``dynamics._rhs``, at B = 1, 5 (the batch of ``rank``), 64, 144 and
-1024.  These run batch-first.
+The first times, at each batch size B, what one RK4 step of
+``integrate_batch`` runs per stage row, batch-first, with n - 1
+variations per row: the flow's generated call (``ForceField.flow_jet``,
+g^-1 included) and ``spray`` at one stage, one step of the flow (four
+stages) and one step of the variations (four stages of three batched
+products each), at B = 1, 5 (the batch of ``rank``), 64, 144 and 1024.
 
-The second times the pieces of one residual block of
+The second times the coefficient block at its size, ``BLOCK_POINTS``
+stage points: the variation call (``ForceField.variation_jet``), the
+Jacobi operator ``Manifold.riemann(vs=)``, ``extended_gradients`` and
+the whole coefficient step of a block.
+
+The third times the pieces of one residual block of
 ``normality.classify`` at its block size, B = 2048 sampled points: the
 batch-last ``force_tensors``, the velocity frame (``Manifold.frame``),
 the weak and the additional families, the residual norms (with the
@@ -37,10 +42,10 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from frontshift import normality  # noqa: E402
-from frontshift.dynamics import _rhs  # noqa: E402
+from frontshift import dynamics, normality  # noqa: E402
 from frontshift.geometry import (ForceField, Manifold,  # noqa: E402
-                                 extended_gradients, force_tensors, spray)
+                                 Spray, extended_gradients, force_tensors,
+                                 spray)
 
 
 def sphere(n: int) -> list:
@@ -77,32 +82,68 @@ CHARTS = {
            [(0.6, 2.5), (0.6, 2.5), (0.0, 6.0)]),
     "skew3": (SKEW_METRIC, SKEW_FORCE, [(-0.8, 0.8)] * 3),
 }
-PIECES = ("jet", "spray", "riemann", "gradients", "rhs")
+PIECES = ("flow_jet", "spray", "flow_step", "variation_step")
 BATCHES = (1, 5, 64, 144, 1024)
+COEFFICIENT_PIECES = ("variation_jet", "riemann", "gradients",
+                      "coefficients")
 BLOCK_PIECES = ("tensors", "frame", "weak", "additional", "norms", "block")
 REPEATS = 7
 CALLS = 20
+STEP = 1e-3
+
+
+def _stages(man: Manifold, force: ForceField, box, nb: int, seed: int):
+    """The integrator's stages over one step of nb random rows, the step
+    run once so that its stage points, records and coefficients are in
+    place; and the history it writes into."""
+    n = man.dimension
+    rng = np.random.default_rng(seed)
+    lo, hi = np.array(box, dtype=float).T
+    history = np.empty((2, nb, 2 * n * n))
+    history[0, :, :n] = lo + (hi - lo) * rng.random((nb, n))
+    history[0, :, n:] = rng.normal(size=(nb, n + 2 * (n - 1) * n))
+    stages = dynamics._Stages(man, force, history[0], n - 1, 4 * nb, 1.0)
+    stages.flow(history, 0, 1, STEP)
+    return stages, history
 
 
 def pieces(man: Manifold, force: ForceField, box, nb: int,
            seed: int = 0) -> dict:
-    """Zero-argument callables, one per piece, at nb random rows."""
+    """Zero-argument callables, one per piece of a step, at nb random
+    rows."""
     n = man.dimension
-    rng = np.random.default_rng(seed)
-    lo, hi = np.array(box, dtype=float).T
-    x = lo + (hi - lo) * rng.random((nb, n))
-    v = rng.normal(size=(nb, n))
-    tau, rho = rng.normal(size=(2, nb, n - 1, n))
-    _, ginv, koszul, f, dfdx, dfdv, ddg_vv = force.jet(x, v)
-    along = spray(ginv, koszul, v, f)
+    stages, history = _stages(man, force, box, nb, seed)
+    xs, vs = stages.points[:nb, :n], stages.points[:nb, n:]
+    flows, along = stages.flows[:nb], Spray(*(a[:nb] for a in stages.along))
+    sprays = tuple(buf[:nb] for buf in stages.sprays)
     return {
-        "jet": lambda: force.jet(x, v),
-        "spray": lambda: spray(ginv, koszul, v, f),
-        "riemann": lambda: man.riemann(x, ginv=ginv, vs=v, along=along,
-                                       ddg_vv=ddg_vv),
+        "flow_jet": lambda: force.flow_jet(xs, vs, out=flows),
+        "spray": lambda: spray(stages.ginv[:nb], along.koszul, vs,
+                               stages.f[:nb], out=sprays),
+        "flow_step": lambda: stages.flow(history, 0, 1, STEP),
+        "variation_step": lambda: stages.variations(history, 0, 0, STEP),
+    }
+
+
+def coefficient_pieces(man: Manifold, force: ForceField, box,
+                       seed: int = 0) -> dict:
+    """Zero-argument callables, one per piece of the coefficient step, at
+    ``BLOCK_POINTS`` stage points of random rows."""
+    n = man.dimension
+    size = dynamics.BLOCK_POINTS
+    stages, _ = _stages(man, force, box, size // 4, seed)
+    xs, vs = stages.points[:, :n], stages.points[:, n:]
+    jet = force.variation_jet(xs, vs, out=stages.jets)
+    return {
+        "variation_jet": lambda: force.variation_jet(xs, vs,
+                                                     out=stages.jets),
+        "riemann": lambda: man.riemann(xs, ginv=stages.ginv, vs=vs,
+                                       along=stages.along,
+                                       ddg_vv=jet["ddg_vv"]),
         "gradients": lambda: extended_gradients(
-            man, force, x, v, jac=(dfdx, dfdv), along=along),
-        "rhs": lambda: _rhs(man, force, x, v, tau, rho, 1.0),
+            man, force, xs, vs, jac=(jet["dfdx"], jet["dfdv"]),
+            along=stages.along),
+        "coefficients": lambda: stages.coefficients(0, size),
     }
 
 
@@ -136,37 +177,53 @@ def _timed(table: dict, repeats: int, calls: int) -> dict:
     return times
 
 
-def sweep(batches, repeats: int, calls: int):
-    """Rows (chart, B, {piece: microseconds per call}) of the stage."""
+def _charts():
     for name, (metric, force_src, box) in CHARTS.items():
         man = Manifold(len(metric), metric)
-        force = ForceField(man, force_src)
+        yield name, man, ForceField(man, force_src), box
+
+
+def sweep(batches, repeats: int, calls: int):
+    """Rows (chart, B, {piece: microseconds per call}) of the steps."""
+    for name, man, force, box in _charts():
         for nb in batches:
             yield name, nb, _timed(pieces(man, force, box, nb), repeats,
                                    calls)
 
 
+def coefficient_sweep(repeats: int, calls: int):
+    """Rows (chart, points, {piece: microseconds per call}) of the
+    coefficient step."""
+    for name, man, force, box in _charts():
+        yield name, dynamics.BLOCK_POINTS, _timed(
+            coefficient_pieces(man, force, box), repeats, calls)
+
+
 def block_sweep(nb: int, repeats: int, calls: int):
     """Rows (chart, B, {piece: microseconds per call}) of a residual
     block of nb samples."""
-    for name, (metric, force_src, box) in CHARTS.items():
-        man = Manifold(len(metric), metric)
-        force = ForceField(man, force_src)
+    for name, man, force, box in _charts():
         yield name, nb, _timed(block_pieces(man, force, box, nb), repeats,
                                calls)
 
 
 def _print_table(names, rows) -> None:
+    widths = [max(10, len(p)) for p in names]
     print(f"{'chart':<6} {'B':>5} "
-          + " ".join(f"{p:>10}" for p in names) + "   (us per call)")
+          + " ".join(f"{p:>{w}}" for p, w in zip(names, widths))
+          + "   (us per call)")
     for name, nb, times in rows:
         print(f"{name:<6} {nb:>5} "
-              + " ".join(f"{times[p]:>10.1f}" for p in names), flush=True)
+              + " ".join(f"{times[p]:>{w}.1f}"
+                         for p, w in zip(names, widths)), flush=True)
 
 
 def main() -> int:
-    print("RK4 stage of the variation equation (batch-first)")
+    print("RK4 step of the variation equation (batch-first)")
     _print_table(PIECES, sweep(BATCHES, REPEATS, CALLS))
+    print()
+    print("coefficients of a block of stage points (batch-first)")
+    _print_table(COEFFICIENT_PIECES, coefficient_sweep(REPEATS, CALLS))
     print()
     print("residual block of check (batch-last)")
     _print_table(BLOCK_PIECES, block_sweep(normality._SAMPLE_BLOCK, REPEATS,

@@ -5,26 +5,26 @@ rate stored alongside each variation vector is its covariant rate, and
 the connection terms are folded into the right-hand side on the fly.
 Classic fourth-order Runge-Kutta on a uniform grid; no adaptivity.
 
-Each RK4 stage makes one generated call (``ForceField.jet``: the metric,
-its inverse, the Koszul symbol of its first partials, the force, both
-force Jacobians and the metric's second partials contracted with v
-twice, all views of the one array the call fills), with or without
-variations.  The connection enters only as gamma contracted with v and
-F, and the curvature only as the Jacobi operator R(., v)v
-(``Manifold.riemann`` with the velocity passed, once per stage), so no
-stage builds gamma, its derivative, the metric's second partials or the
-curvature tensor.  ``integrate_batch`` is the one integrator: a single
-trajectory is a batch of one, and the record's consumers (the deviation
-series, the rank test, the front export) take the whole batch.
+The system is block-triangular: the flow (x, v) never reads the
+variations (tau, rho), which are linear with coefficients that depend
+only on the flow's stage points.  So ``integrate_batch`` takes a block
+of steps (at most ``BLOCK_POINTS`` stage points, or one step) at a time:
 
-The integrator packs each row's x, v, tau and rho into one state row of
-2n + 2Jn numbers, so each stage input, the step's combination and the
-finite check are one array operation for the whole batch however many
-quantities it carries; ``_rhs`` takes the quantities one by one, as
-views of that row, and writes the four rates into views of a stage
-rate row.  The elementwise arithmetic is the same as on four separate
-arrays, bit for bit.  The stored nodes are one (M+1, B, 2n + 2Jn)
-history array, and the record's x, v, tau and rho are views of it.
+1. the flow's RK4, each stage one ``ForceField.flow_jet`` call (F, g^-1
+   and the Koszul symbol) and one ``spray``, written into a workspace
+   allocated once per integration;
+2. the coefficients at the block's stage points in one
+   ``ForceField.variation_jet`` call (the force Jacobians and S), one
+   ``Manifold.riemann(vs=)`` (K = R(., v)v) and one
+   ``extended_gradients`` (at most ``BLOCK_POINTS`` points per call);
+3. the variations' RK4, three batched products per stage, and the
+   finite check after each step.
+
+No stage builds gamma, its derivative or the curvature tensor.  The flow
+stops at its first non-finite node, so no call sees a point past the
+step that aborts.  The record's x, v, tau and rho are views of one
+(M+1, B, 2n + 2Jn) history array of rows [x, v, tau, rho], bit for bit
+the record of a stage-by-stage RK4 on the whole row (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import ForceField, Manifold, extended_gradients, spray
+from .geometry import (ForceField, Manifold, Spray, extended_gradients,
+                       spray)
 
 
 class DynamicsError(ValueError):
@@ -77,43 +78,126 @@ class BatchTrajectory(NamedTuple):
         return self.times.shape[0]
 
 
-def _rhs(man: Manifold, force: ForceField, x, v, tau, rho,
-         riemann_sign: float, out=None):
-    """Plain time derivatives of the batched state: (dx, dv, dtau, drho).
+# Stage points per block (as many whole steps of 4B points as fit, at
+# least one) and per coefficient call.
+BLOCK_POINTS = 2048
 
-    x, v: (B, n); tau, rho: (B, J, n).  riemann_sign flips the curvature
-    term (debug hook for the selftest convention arbiter).  out, when
-    given, is the four rate arrays (dx, dv, dtau, drho) to write into,
-    e.g. views of a packed state row; they are returned.
 
-    One generated call (``force.jet``), which gives g^-1 with the rest;
-    with J = 0 it returns after dv.  gamma enters only through its
-    products with v and F (``spray``, from the jet's Koszul symbol),
-    shared by the flow, the force gradient, the curvature and both
-    connection terms, and the curvature only as K = R(., v)v from
-    ``man.riemann``, which takes the jet's ddg contracted with v twice.
-    With (gamma v)^T[i, k] = gamma^k_ij v^j, the variation rates are
-    three products per row:
+class _Stages:
+    """The RK4 stages of one integration over a workspace sized by its
+    block of stage points (ordered by step, stage, batch row), never by
+    its steps: the pending points' x and v, flow records and sprays, and
+    coefs[:, p], the three matrices the variations read at point p."""
 
-        dtau = rho - tau (gamma v)^T
-        drho = tau (spatial - riemann_sign K^T) + rho (dF/dv - (gamma v)^T)
-    """
-    if out is None:
-        out = tuple(np.empty_like(a) for a in (v, v, tau, rho))
-    dx, dv, dtau, drho = out
-    _, ginv, koszul, f_vals, dfdx, dfdv, ddg_vv = force.jet(x, v)
-    along = spray(ginv, koszul, v, f_vals)
-    dx[...] = v
-    np.subtract(f_vals, along.gvv, out=dv)
-    if tau.shape[1] == 0:
-        return out
-    jacobi = man.riemann(x, ginv=ginv, vs=v, along=along, ddg_vv=ddg_vv)
-    spatial, velocity = extended_gradients(man, force, x, v,
-                                           jac=(dfdx, dfdv), along=along)
-    np.subtract(rho, tau @ along.gam_v, out=dtau)
-    np.add(tau @ (spatial - riemann_sign * jacobi.swapaxes(1, 2)),
-           rho @ (velocity - along.gam_v), out=drho)
-    return out
+    def __init__(self, man: Manifold, force: ForceField, y0: np.ndarray,
+                 nvar: int, size: int, riemann_sign: float):
+        nb, n = len(y0), man.dimension
+        self.man, self.force, self.sign = man, force, riemann_sign
+        self.shape = (nb, nvar, n)
+        self.y, self.vy = y0[:, :2 * n].copy(), y0[:, 2 * n:].copy()
+        # fewer than BLOCK_POINTS are pending before a stage adds its nb
+        pending = min(size, BLOCK_POINTS + nb - 1)
+        self.points = np.empty((pending, 2 * n))
+        self.flows = np.empty((pending, force.flow_record.itemsize // 8))
+        flow = self.flows.view(force.flow_record)[:, 0]
+        self.f, self.ginv = flow["f"], flow["ginv"]
+        self.sprays = (np.empty((pending, 2, n * n)),
+                       np.empty((pending, 2, n, n)),
+                       np.empty((pending, 1, n)))
+        low, up, gvv = self.sprays
+        self.along = Spray(flow["koszul"], low[:, 0].reshape(pending, n, n),
+                           up[:, 0], up[:, 1], gvv[:, 0])
+        self.jets = np.empty((min(pending, BLOCK_POINTS),
+                              force.variation_record.itemsize // 8))
+        self.coefs = np.empty((3, size, n, n))
+        # stage rates, and the variations' (tau, rho, dtau, drho) views
+        self.k = np.empty((4, nb, 2 * n))
+        self.vk = np.empty((4, nb, 2 * nvar * n))
+        self.vstage = np.empty((nb, 2 * nvar * n))
+        self.views = []
+        for s, k in enumerate(self.vk):
+            y = (self.vstage if s else self.vy).reshape(nb, 2, nvar, n)
+            k = k.reshape(nb, 2, nvar, n)
+            self.views.append((y[:, 0], y[:, 1], k[:, 0], k[:, 1]))
+
+    def flow(self, history, first: int, last: int, h: float) -> int:
+        """The flow's RK4 over the steps first..last, and the coefficients
+        once BLOCK_POINTS points are pending and at the end; returns the
+        node it stopped at, the first non-finite one or last."""
+        nb, nvar, n = self.shape
+        low, up, gvv = self.sprays
+        y, done = self.y, 0
+        for i in range(first, last):
+            for s, k in enumerate(self.k):
+                a = (4 * (i - first) + s) * nb - done
+                b = a + nb
+                point = self.points[a:b]
+                if s == 0:
+                    point[...] = y
+                else:
+                    np.add(y, (h if s == 3 else 0.5 * h) * self.k[s - 1],
+                           out=point)
+                vs = point[:, n:]
+                self.force.flow_jet(point[:, :n], vs, out=self.flows[a:b])
+                along = spray(self.ginv[a:b], self.along.koszul[a:b], vs,
+                              self.f[a:b], out=(low[a:b], up[a:b], gvv[a:b]))
+                k[:, :n] = vs
+                np.subtract(self.f[a:b], along.gvv, out=k[:, n:])
+                if b >= BLOCK_POINTS:
+                    if nvar:
+                        self.coefficients(done, b)
+                    done += b
+            k1, k2, k3, k4 = self.k
+            y += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            history[i + 1, :, :2 * n] = y
+            if not np.isfinite(y).all():
+                last = i + 1
+                break
+        if nvar:
+            self.coefficients(done, 4 * nb * (last - first) - done)
+        return last
+
+    def coefficients(self, offset: int, count: int) -> None:
+        """coefs = (gamma v)^T, spatial - riemann_sign K^T and dF/dv -
+        (gamma v)^T at the count pending points, the block's from offset
+        on."""
+        man, force, n = self.man, self.force, self.shape[2]
+        koszul, low_v, gam_v, gam_f, gvv = self.along
+        coefs = self.coefs[:, offset:offset + count]
+        for a in range(0, count, BLOCK_POINTS):
+            b = min(count, a + BLOCK_POINTS)
+            connection, curvature, velocity = coefs[:, a:b]
+            xs, vs = self.points[a:b, :n], self.points[a:b, n:]
+            jet = force.variation_jet(xs, vs, out=self.jets[:b - a])
+            along = Spray(koszul[a:b], low_v[a:b], gam_v[a:b], gam_f[a:b],
+                          gvv[a:b])
+            jacobi = man.riemann(xs, ginv=self.ginv[a:b], vs=vs,
+                                 along=along, ddg_vv=jet["ddg_vv"])
+            spatial, dfdv = extended_gradients(
+                man, force, xs, vs, jac=(jet["dfdx"], jet["dfdv"]),
+                along=along)
+            connection[...] = along.gam_v
+            np.multiply(self.sign, jacobi.swapaxes(1, 2), out=curvature)
+            np.subtract(spatial, curvature, out=curvature)
+            np.subtract(dfdv, along.gam_v, out=velocity)
+
+    def variations(self, history, i: int, step: int, h: float) -> None:
+        """The variations' RK4 step from node i, the block's step
+        ``step``: dtau = rho - tau (gamma v)^T and drho =
+        tau (spatial - riemann_sign K^T) + rho (dF/dv - (gamma v)^T)."""
+        nb, _, n = self.shape
+        y = self.vy
+        for s, (tau, rho, dtau, drho) in enumerate(self.views):
+            gam_v, curvature, velocity = self.coefs[
+                :, (4 * step + s) * nb:(4 * step + s + 1) * nb]
+            if s:
+                np.add(y, (h if s == 3 else 0.5 * h) * self.vk[s - 1],
+                       out=self.vstage)
+            np.subtract(rho, tau @ gam_v, out=dtau)
+            np.add(tau @ curvature, rho @ velocity, out=drho)
+        k1, k2, k3, k4 = self.vk
+        y += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        history[i + 1, :, 2 * n:] = y
 
 
 def integrate_batch(man: Manifold, force: ForceField, x0, v0, tau0, rho0,
@@ -131,6 +215,8 @@ def integrate_batch(man: Manifold, force: ForceField, x0, v0, tau0, rho0,
         raise DynamicsError("t_end must be an integer multiple of the step")
     x0 = np.asarray(x0, dtype=float)
     nb, n = x0.shape
+    if nb == 0:
+        raise DynamicsError("no trajectories to integrate")
     tau0 = np.asarray(tau0, dtype=float)
     nvar = tau0.shape[1]
     # each trajectory's state row is [x, v, tau, rho], split at these ends
@@ -145,30 +231,24 @@ def integrate_batch(man: Manifold, force: ForceField, x0, v0, tau0, rho0,
 
     times = np.arange(steps + 1) * h
     history = np.empty((steps + 1, nb, ends[-1]))
-    # the state, the stage input and the four stage rates, with views of
-    # each made once
-    state, stage, k1, k2, k3, k4 = np.empty((6, nb, ends[-1]))
-    at_state, at_stage = split(state), split(stage)
-    r1, r2, r3, r4 = split(k1), split(k2), split(k3), split(k4)
-    for part, value in zip(at_state, (x0, v0, tau0, rho0)):
+    for part, value in zip(split(history[0]), (x0, v0, tau0, rho0)):
         part[...] = value
-    history[0] = state
+    block = min(steps, max(1, BLOCK_POINTS // (4 * nb)))
+    stages = _Stages(man, force, history[0], nvar, 4 * nb * block,
+                     riemann_sign)
     with np.errstate(all='ignore'):
-        for i in range(steps):
-            _rhs(man, force, *at_state, riemann_sign, out=r1)
-            np.add(state, 0.5 * h * k1, out=stage)
-            _rhs(man, force, *at_stage, riemann_sign, out=r2)
-            np.add(state, 0.5 * h * k2, out=stage)
-            _rhs(man, force, *at_stage, riemann_sign, out=r3)
-            np.add(state, h * k3, out=stage)
-            _rhs(man, force, *at_stage, riemann_sign, out=r4)
-            state += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            ok = np.isfinite(state).all(axis=1)
-            if not ok.all():
-                partial = BatchTrajectory(times[:i + 1],
-                                          *split(history[:i + 1]), h)
-                bad = [name for name, part in zip(names, at_state)
-                       if not np.isfinite(part).all()]
-                raise IntegrationAbort(partial, i, np.nonzero(~ok)[0], bad)
-            history[i + 1] = state
+        for first in range(0, steps, block):
+            last = stages.flow(history, first, min(steps, first + block), h)
+            for i in range(first, last):
+                if nvar:
+                    stages.variations(history, i, i - first, h)
+                ok = np.isfinite(history[i + 1]).all(axis=1)
+                if not ok.all():
+                    partial = BatchTrajectory(times[:i + 1],
+                                              *split(history[:i + 1]), h)
+                    bad = [name for name, part in
+                           zip(names, split(history[i + 1]))
+                           if not np.isfinite(part).all()]
+                    raise IntegrationAbort(partial, i, np.nonzero(~ok)[0],
+                                           bad)
     return BatchTrajectory(times, *split(history), h)

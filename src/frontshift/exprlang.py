@@ -579,9 +579,10 @@ def compile_fn(nodes: Sequence[Node], names: Sequence[str]) -> Callable:
 
     Given a sequence of K nodes, the callable returns one array of shape
     ``batch + (K,)``, entry k the value of node k, where ``batch`` is the
-    broadcast shape of the arguments.  A subexpression that occurs more
-    than once, within one node or across nodes, is computed once into a
-    temporary.
+    broadcast shape of the arguments.  Passed as the keyword ``_out``, an
+    array of that shape (the rows of a caller's workspace, say) is filled
+    and returned instead.  A subexpression that occurs more than once,
+    within one node or across nodes, is computed once into a temporary.
 
     The cost of a call grows with the entries that vary, not with all of
     them: the constant entries (``Const`` roots, -0.0 kept apart from
@@ -606,18 +607,20 @@ def compile_fn(nodes: Sequence[Node], names: Sequence[str]) -> Callable:
                          f"{_MAX_BROADCAST_ARGS} argument names, got "
                          f"{len(names)}")
     texts = [program.emit(uid) for uid in program.roots]
-    lines = [f"def _compiled({', '.join(names)}):", *program.lines,
-             f"    _shape = np.broadcast({', '.join(names)}).shape",
-             f"    _out0 = np.empty(_shape + ({len(roots)},))"]
+    lines = [f"def _compiled({', '.join([*names, '_out=None'])}):",
+             *program.lines,
+             "    if _out is None:",
+             f"        _out = np.empty(np.broadcast({', '.join(names)}).shape"
+             f" + ({len(roots)},))"]
     scope: dict = {"np": np}
     if any(isinstance(root, Const) for root in roots):
         scope["_row0"] = np.array([root.value if isinstance(root, Const)
                                    else 0.0 for root in roots])
-        lines.append("    _out0[...] = _row0")
-    lines += [f"    _out0[..., {k}] = {text}"
+        lines.append("    _out[...] = _row0")
+    lines += [f"    _out[..., {k}] = {text}"
               for k, (root, text) in enumerate(zip(roots, texts))
               if not isinstance(root, Const)]
-    lines.append("    return _out0")
+    lines.append("    return _out")
     exec("\n".join(lines) + "\n", scope)
     return scope["_compiled"]
 

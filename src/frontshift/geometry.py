@@ -5,26 +5,28 @@ derivatives come from fused compiled evaluators, each tensor is built
 once per call, and every contraction runs in a fixed order.  All
 differentiation behind it is exact and symbolic, performed once on the
 metric and force component expressions.  Past the metric itself,
-production code reads the geometry and the force from two generated
-calls built from one root list: ``ForceField.first_order_jet`` (g, g^-1,
-the Koszul symbol of dg, F and both force Jacobians) and
-``ForceField.jet``, the same six plus ddg contracted with v twice, what
-one RK4 stage of the variation equation consumes.  Each call fills one
-array, every tensor whole (symmetric duplicates stored twice), and the
-jets hand the tensors out as views of it: no gather, and no numeric
-inverse for n <= 3, where g^-1 is the metric's adjugate over its
-determinant as expressions (``Manifold._ginv_asts``), folded like every
-other group.  n >= 4 takes LAPACK's ``np.linalg.inv`` inside the two jet
-methods.  So each stage, and each ``force_tensors`` call, makes one
-generated call and nothing else per point.  There is no separate
-single-point API: ``at_point`` evaluates any batch-first function at one
-point by adding and stripping the batch axis, and ``force_tensors``
-builds every metric and force tensor the deviation and normality
-formulas share in one place.
+production code reads the geometry and the force from generated calls
+built from one set of root expressions: ``ForceField.first_order_jet``
+(g, g^-1, the Koszul symbol of dg, F and both force Jacobians) for the
+sample points, and for the RK4 integration ``ForceField.flow_jet``
+(F, g^-1 and the Koszul symbol, once per stage) and
+``ForceField.variation_jet`` (both force Jacobians and ddg contracted
+with v twice, once per block of stage points).  Each call fills one
+array, or the caller's, every tensor whole (symmetric duplicates stored
+twice), and the stage calls hand the tensors out as views of it: no
+gather, and no numeric inverse for n <= 3, where g^-1 is the metric's
+adjugate over its determinant as expressions (``Manifold._ginv_asts``),
+folded like every other group.  n >= 4 takes LAPACK's
+``np.linalg.inv`` inside ``first_order_jet`` and ``flow_jet``.  There is
+no separate single-point API: ``at_point`` evaluates any batch-first
+function at one point by adding and stripping the batch axis, and
+``force_tensors`` builds every metric and force tensor the deviation and
+normality formulas share in one place.
 
-Two layers, two layouts, each where it measures faster.  The RK4 stage
-(``spray``, ``Manifold.riemann(vs=)``, ``extended_gradients``,
-``ForceField.jet``) is batch-first: arrays (B, n) and (B, n, n), each
+Two layers, two layouts, each where it measures faster.  The RK4
+integration (``ForceField.flow_jet``, ``spray``, and per block
+``ForceField.variation_jet``, ``Manifold.riemann(vs=)`` and
+``extended_gradients``) is batch-first: arrays (B, n) and (B, n, n), each
 matrix contiguous in its last axes, and each contraction a batched
 matrix product (``@`` over the leading axis).  The sample-point layer
 of ``check`` and of the deviation formulas
@@ -50,10 +52,10 @@ contracted with vectors: ``spray`` gives gamma contracted with v and F
 from the Koszul symbol without building gamma, and ``Manifold.riemann``
 with the velocity passed gives the Jacobi operator K[k, s] =
 R^k_msr v^m v^r from S, the second partials contracted with v twice,
-which the jet's generated code sums symbolically; the rest costs O(n^3)
-per point, without ddg, d gamma or any (n, n, n, n) intermediate.
-``force_tensors`` contracts the Koszul symbol with v and F the same way,
-batch-last.  The per-quantity methods (``metric_partials``,
+which the variation call's generated code sums symbolically; the rest
+costs O(n^3) per point, without ddg, d gamma or any (n, n, n, n)
+intermediate.  ``force_tensors`` contracts the Koszul symbol with v and
+F the same way, batch-last.  The per-quantity methods (``metric_partials``,
 ``metric_second_partials``, ``christoffel``, ``christoffel_partials``,
 ``riemann`` without a velocity, ``ForceField.components`` and
 ``ForceField.jacobians``) are oracles: no production path outside
@@ -113,11 +115,6 @@ def velocity_names(n: int) -> list[str]:
 def matvec(m: np.ndarray, w: np.ndarray) -> np.ndarray:
     """(m w)[..., i] = m[..., i, j] w[..., j]; leading axes broadcast."""
     return (m @ w[..., None])[..., 0]
-
-
-def vecmat(w: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """(w m)[..., j] = w[..., i] m[..., i, j]; leading axes broadcast."""
-    return (w[..., None, :] @ m)[..., 0, :]
 
 
 def lower(g: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -225,22 +222,29 @@ class Spray(NamedTuple):
 
 
 def spray(ginv: np.ndarray, koszul: np.ndarray, vs: np.ndarray,
-          f_vals: np.ndarray | None = None) -> Spray:
+          f_vals: np.ndarray | None = None, out: tuple | None = None) -> Spray:
     """gamma contracted with vs and f_vals, without building gamma.
 
     koszul[b, j, i, r] is the Koszul combination of dg (``Spray.koszul``,
-    as ``ForceField.jet`` returns it).  The products with v and F are
+    as ``ForceField.flow_jet`` returns it).  The products with v and F are
     formed together: one batched product of it with the rows [v, F], then
-    one with g^-1.
+    one with g^-1.  out, when given, is the arrays written into: the
+    lowered products (B, m, n * n), the raised ones (B, m, n, n) and gvv
+    (B, 1, n), with m = 2 when f_vals is given and 1 otherwise.
     """
     nb, n = vs.shape
     rows = (vs[:, None, :] if f_vals is None else
             np.concatenate((vs, f_vals), axis=1).reshape(nb, 2, n))
-    low = 0.5 * (rows @ koszul.reshape(nb, n, n * n))
-    up = (low.reshape(nb, -1, n) @ ginv).reshape(nb, -1, n, n)
+    m = rows.shape[1]
+    low, up, gvv = out or (np.empty((nb, m, n * n)), np.empty((nb, m, n, n)),
+                           np.empty((nb, 1, n)))
+    np.matmul(rows, koszul.reshape(nb, n, n * n), out=low)
+    low *= 0.5
+    np.matmul(low.reshape(nb, -1, n), ginv, out=up.reshape(nb, -1, n))
     gam_v = up[:, 0]
+    np.matmul(vs[:, None, :], gam_v, out=gvv)
     return Spray(koszul, low[:, 0].reshape(nb, n, n), gam_v,
-                 None if f_vals is None else up[:, 1], vecmat(vs, gam_v))
+                 None if f_vals is None else up[:, 1], gvv[:, 0])
 
 
 def metric_asts(dimension: int, metric: Sequence[Sequence]) -> list:
@@ -507,7 +511,7 @@ class Manifold:
         H_ls = d_v d_v g_ls; E_sl = d_s g_lb c^b and D_ls = c^j d_j g_ls,
         so E + E^T - D is the Koszul symbol contracted with c.  With vs,
         along (``spray(ginv, koszul, vs, ...)``) and ddg_vv (S) are
-        required; both come from ``ForceField.jet``.
+        required, from ``ForceField.flow_jet`` and ``variation_jet``.
         """
         if ginv is None:
             ginv = np.linalg.inv(self.metric(xs))
@@ -562,20 +566,19 @@ def check_positive_definite(x: np.ndarray, g: np.ndarray):
 class ForceField:
     """Extended vector field F^k(x, v) given componentwise as expressions.
 
-    Two generated callables evaluate everything production code reads of
-    the force and the metric, sharing every subexpression among their
-    entries.  ``first_order_jet`` gives g, g^-1, the Koszul symbol of the
-    metric's first partials, F and both force Jacobians, what
-    ``force_tensors`` consumes; ``jet`` gives the same six tensors from
-    the same root list plus the metric's second partials contracted with
-    v twice, what one RK4 stage of the variation equation (and the
-    shift's launch, which compiles nothing else) consumes.  Each call
-    fills one (B, K) array, one record of every tensor's entries per
-    point (the constant entries stored in one row, the varying ones one
-    by one, symmetric duplicates included), and ``jet`` hands out the
-    tensors as views of it.  ``components`` and ``jacobians`` are oracles
-    with callables of their own.  Every callable is compiled on first
-    use.
+    Three generated callables evaluate everything production code reads
+    of the force and the metric, each sharing every subexpression among
+    its entries.  ``first_order_jet`` gives g, g^-1, the Koszul symbol of
+    the metric's first partials, F and both force Jacobians, what
+    ``force_tensors`` consumes; ``flow_jet`` F, g^-1 and the Koszul
+    symbol, what an RK4 stage of the flow (and the shift's launch)
+    reads; ``variation_jet`` both force Jacobians and the metric's second
+    partials contracted with v twice, what the variation coefficients
+    read.  Each call fills one (B, K) array, one record of every tensor's
+    entries per point (the constant entries stored in one row, the
+    varying ones one by one, symmetric duplicates included).
+    ``components`` and ``jacobians`` are oracles with callables of their
+    own.  Every callable is compiled on first use.
     """
 
     def __init__(self, manifold: Manifold, components: Sequence):
@@ -591,13 +594,19 @@ class ForceField:
         self._jac_asts = [exprlang.differentiate(self.component_ast[k], wrt[i])
                           for wrt in (manifold.coords, manifold.velocities)
                           for i in range(n) for k in range(n)]
-        # a point's row of the jets' array as one record; a field access
-        # is one view, cheaper than a slice and a reshape at a few rows
-        fields = [("g", float, (n, n)), ("ginv", float, (n, n)),
-                  ("koszul", float, (n, n, n)), ("f", float, (n,)),
-                  ("dfdx", float, (n, n)), ("dfdv", float, (n, n))]
-        self._first_order_record = np.dtype(fields)
-        self._jet_record = np.dtype(fields + [("ddg_vv", float, (n, n))])
+        # a point's row of a generated call's array as one record; a field
+        # access is one view, cheaper than a slice and a reshape at a few
+        # rows.  g enters the flow record only for LAPACK's inverse.
+        shapes = dict(g=(n, n), ginv=(n, n), koszul=(n, n, n), f=(n,),
+                      dfdx=(n, n), dfdv=(n, n), ddg_vv=(n, n))
+
+        def record(*fields):
+            return np.dtype([(name, float, shapes[name]) for name in fields])
+        self._first_order_record = record("g", "ginv", "koszul", "f",
+                                          "dfdx", "dfdv")
+        self.flow_record = record("f", *(["g"] if n > 3 else []), "ginv",
+                                  "koszul")
+        self.variation_record = record("dfdx", "dfdv", "ddg_vv")
 
     @functools.cached_property
     def _f_fn(self):
@@ -607,37 +616,48 @@ class ForceField:
     def _jac_fn(self):
         return exprlang.compile_fn(self._jac_asts, self._names)
 
-    def _first_order_roots(self) -> list:
-        """Every entry of g, g^-1, koszul, F, dF/dx and dF/dv, row-major."""
+    def _roots(self, record: np.dtype) -> list:
+        """Every entry of the record's tensors, in its field order and
+        row-major within each."""
         man = self.manifold
         n, slots = man.dimension, man._g_idx.ravel()
-        return [*(man._g_asts[p] for p in slots), *man._ginv_asts,
-                *(man._koszul_asts[p * n + r] for p in slots
-                  for r in range(n)),
-                *self.component_ast, *self._jac_asts]
+        groups = dict(
+            g=lambda: [man._g_asts[p] for p in slots],
+            ginv=lambda: man._ginv_asts,
+            koszul=lambda: [man._koszul_asts[p * n + r] for p in slots
+                            for r in range(n)],
+            f=lambda: self.component_ast,
+            dfdx=lambda: self._jac_asts[:n * n],
+            dfdv=lambda: self._jac_asts[n * n:],
+            ddg_vv=lambda: [man._ddg_vv_asts[p] for p in slots])
+        return [root for name in record.names for root in groups[name]()]
 
     @functools.cached_property
     def _first_order_fn(self):
-        return exprlang.compile_fn(self._first_order_roots(), self._names)
+        return exprlang.compile_fn(self._roots(self._first_order_record),
+                                   self._names)
 
     @functools.cached_property
-    def _jet_fn(self):
-        man = self.manifold
-        return exprlang.compile_fn(
-            [*self._first_order_roots(),
-             *(man._ddg_vv_asts[p] for p in man._g_idx.ravel())],
-            self._names)
+    def _flow_fn(self):
+        return exprlang.compile_fn(self._roots(self.flow_record),
+                                   self._names)
+
+    @functools.cached_property
+    def _variation_fn(self):
+        return exprlang.compile_fn(self._roots(self.variation_record),
+                                   self._names)
 
     @staticmethod
     def _args(xs: np.ndarray, vs: np.ndarray) -> tuple:
         """The coordinate and velocity rows of batch-first points."""
         return (*xs.T, *vs.T)
 
-    def _records(self, fn, args: tuple, record: np.dtype) -> np.ndarray:
+    def _records(self, fn, args: tuple, record: np.dtype,
+                 out: np.ndarray | None = None) -> np.ndarray:
         """fn's array at the coordinate and velocity rows args, one record
-        per point; for n >= 4 its g^-1 placeholders are overwritten with
-        LAPACK's inverse."""
-        out = fn(*args).view(record)[:, 0]
+        per point, written into out when given; for n >= 4 its g^-1
+        placeholders are overwritten with LAPACK's inverse."""
+        out = fn(*args, _out=out).view(record)[:, 0]
         if self.manifold.dimension > 3:
             out["ginv"] = np.linalg.inv(out["g"])
         return out
@@ -671,18 +691,22 @@ class ForceField:
         return tuple(np.ascontiguousarray(np.moveaxis(out[name], 0, -1))
                      for name in record.names)
 
-    def jet(self, xs: np.ndarray, vs: np.ndarray):
-        """(g, ginv, koszul, f, dfdx, dfdv, ddg_vv) from one compiled call,
-        batch-first views of the one array it fills: g[b, i, j],
-        koszul[b, j, i, r], and so on, each matrix contiguous.
+    def flow_jet(self, xs: np.ndarray, vs: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+        """F, g^-1 and the Koszul symbol at batch-first points, one
+        ``flow_record`` per point from one compiled call (into out, a
+        (B, K) array, when given): first_order_jet's values bit for bit,
+        batch-first, each matrix contiguous."""
+        return self._records(self._flow_fn, self._args(xs, vs),
+                             self.flow_record, out)
 
-        The first six are ``first_order_jet``'s, bit for bit; ddg_vv is
-        S = P + P^T - W - H, ``metric_second_partials`` contracted with vs
-        twice (see ``Manifold.riemann``).
-        """
-        out = self._records(self._jet_fn, self._args(xs, vs),
-                            self._jet_record)
-        return tuple([out[name] for name in self._jet_record.names])
+    def variation_jet(self, xs: np.ndarray, vs: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
+        """dF/dx, dF/dv and S = P + P^T - W - H (``Manifold.riemann``), one
+        ``variation_record`` per point like ``flow_jet``; S is
+        ``metric_second_partials`` contracted with vs twice."""
+        out = self._variation_fn(*self._args(xs, vs), _out=out)
+        return out.view(self.variation_record)[:, 0]
 
 
 def extended_gradients(man: Manifold, force: ForceField, xs: np.ndarray,

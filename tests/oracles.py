@@ -32,11 +32,18 @@ one formula from a second, simpler route.
   the batch, as the package computed it before the jets generated g^-1.
   The generated entries use the same products in the same order, so it
   pins them byte for byte, signed zeros included.
-- ``rk4_per_quantity``: the RK4 loop with x, v, tau and rho held as four
-  arrays, each stage input, each combination and each finite check made
-  per quantity.  ``integrate_batch`` packs the four into one state row;
-  this pins it to the same arithmetic, bit for bit, and to the same
-  abort.
+- ``rhs``: the plain time derivatives of the batched state at one RK4
+  stage, composed of the production pieces at the stage's own points:
+  the flow call and ``spray``, then the variation call,
+  ``Manifold.riemann(vs=)`` and ``extended_gradients``.  The integrator
+  forms the same pieces a block of stages at a time; this is the stage
+  they add up to, which ``tests/test_rhs_reference.py`` pins to the
+  einsum formulation.
+- ``rk4_per_quantity``: the RK4 loop over ``rhs`` with x, v, tau and rho
+  held as four arrays, each stage input, each combination and each
+  finite check made per quantity.  ``integrate_batch`` runs the flow
+  ahead of the variations, block by block, over one history array; this
+  pins it to the same arithmetic, bit for bit, and to the same abort.
 """
 
 from __future__ import annotations
@@ -44,9 +51,9 @@ from __future__ import annotations
 import numpy as np
 
 from frontshift.deviation import phi_derivatives
-from frontshift.dynamics import (BatchTrajectory, IntegrationAbort, _rhs,
+from frontshift.dynamics import (BatchTrajectory, IntegrationAbort,
                                  integrate_batch)
-from frontshift.geometry import at_point
+from frontshift.geometry import at_point, extended_gradients, spray
 
 
 def single_record(batch, row):
@@ -167,6 +174,27 @@ def adjugate_inverse(g):
     return (adj / det).T.reshape(g.shape)
 
 
+def rhs(man, force, x, v, tau, rho, riemann_sign):
+    """(dx, dv, dtau, drho) at x, v: (B, n) and tau, rho: (B, J, n).
+
+    With (gamma v)^T[i, k] = gamma^k_ij v^j and K = R(., v)v,
+
+        dtau = rho - tau (gamma v)^T
+        drho = tau (spatial - riemann_sign K^T) + rho (dF/dv - (gamma v)^T)
+    """
+    flow = force.flow_jet(x, v)
+    along = spray(flow["ginv"], flow["koszul"], v, flow["f"])
+    jet = force.variation_jet(x, v)
+    jacobi = man.riemann(x, ginv=flow["ginv"], vs=v, along=along,
+                         ddg_vv=jet["ddg_vv"])
+    spatial, velocity = extended_gradients(man, force, x, v,
+                                           jac=(jet["dfdx"], jet["dfdv"]),
+                                           along=along)
+    return (v.copy(), flow["f"] - along.gvv, rho - tau @ along.gam_v,
+            tau @ (spatial - riemann_sign * jacobi.swapaxes(1, 2))
+            + rho @ (velocity - along.gam_v))
+
+
 def rk4_per_quantity(man, force, x0, v0, tau0, rho0, t_end, h,
                      riemann_sign=1.0):
     """integrate_batch's record, from four per-quantity state arrays."""
@@ -184,16 +212,16 @@ def rk4_per_quantity(man, force, x0, v0, tau0, rho0, t_end, h,
     with np.errstate(all='ignore'):
         xs[0], vs[0], taus[0], rhos[0] = x, v, tau, rho
         for i in range(steps):
-            k1 = _rhs(man, force, x, v, tau, rho, riemann_sign)
-            k2 = _rhs(man, force,
+            k1 = rhs(man, force, x, v, tau, rho, riemann_sign)
+            k2 = rhs(man, force,
                       x + 0.5 * h * k1[0], v + 0.5 * h * k1[1],
                       tau + 0.5 * h * k1[2], rho + 0.5 * h * k1[3],
                       riemann_sign)
-            k3 = _rhs(man, force,
+            k3 = rhs(man, force,
                       x + 0.5 * h * k2[0], v + 0.5 * h * k2[1],
                       tau + 0.5 * h * k2[2], rho + 0.5 * h * k2[3],
                       riemann_sign)
-            k4 = _rhs(man, force,
+            k4 = rhs(man, force,
                       x + h * k3[0], v + h * k3[1],
                       tau + h * k3[2], rho + h * k3[3],
                       riemann_sign)

@@ -428,7 +428,7 @@ def _s3_drag_config(tmp_path):
 
 def _spy_on_symbolic_work(monkeypatch):
     """Counts of differentiate calls, and the compile_fn calls listed by
-    the name of the function that made them (``_jet_fn``, ...)."""
+    the name of the function that made them (``_flow_fn``, ...)."""
     seen = {"differentiate": 0, "compiled_by": []}
     compile_fn, differentiate = exprlang.compile_fn, exprlang.differentiate
 
@@ -458,7 +458,7 @@ def test_check_compiles_no_second_partials_and_no_jet(tmp_path, capsys,
     assert cmd_check(cfg, tmp_path, 0.0) == 0
     capsys.readouterr()
     # the metric for the sampler's g-speeds, then the first-order jet for
-    # every residual block; the stage jet, with S, is never compiled
+    # every residual block; neither stage call is compiled, and S never
     assert sorted(seen["compiled_by"]) == ["_first_order_fn", "_g_fn"]
     # the metric's first partials (3 x 6) and the force's (2 x 3 x 3) once
     assert seen["differentiate"] == 18 + 18
@@ -469,9 +469,11 @@ def test_rank_compiles_the_jet_once(tmp_path, capsys, monkeypatch):
     seen = _spy_on_symbolic_work(monkeypatch)
     assert cmd_rank(cfg, tmp_path, 0.0) == 0
     capsys.readouterr()
-    # the metric for the sampler, then the jet for every stage: no
-    # _f_fn, and no _ddg_fn
-    assert sorted(seen["compiled_by"]) == ["_g_fn", "_jet_fn"]
+    # the metric for the sampler, then the flow call for every stage and
+    # the variation call for every block of stages: no _f_fn, and no
+    # _ddg_fn
+    assert sorted(seen["compiled_by"]) == ["_flow_fn", "_g_fn",
+                                           "_variation_fn"]
     # first partials, the force's, and the 36 second-partial slots
     assert seen["differentiate"] == 18 + 18 + 6 * 6
 
@@ -481,18 +483,20 @@ def test_blowup_compiles_the_jet_once(tmp_path, capsys, monkeypatch):
     seen = _spy_on_symbolic_work(monkeypatch)
     assert cmd_blowup(cfg, tmp_path, 0.0) == 0
     capsys.readouterr()
-    assert sorted(seen["compiled_by"]) == ["_g_fn", "_jet_fn"]
+    assert sorted(seen["compiled_by"]) == ["_flow_fn", "_g_fn",
+                                           "_variation_fn"]
 
 
 def test_shift_compiles_the_blowup_callables(tmp_path, capsys, monkeypatch):
-    # the launch connection term comes from the stage jet, so past nu and
-    # the surface map a shift compiles what a blow-up does
+    # the launch connection term comes from the stages' flow call, so
+    # past nu and the surface map a shift compiles what a blow-up does
     cfg = load_config(_s3_drag_config(tmp_path))
     seen = _spy_on_symbolic_work(monkeypatch)
     assert cmd_shift(cfg, tmp_path, 0.0) == 0
     capsys.readouterr()
-    assert sorted(seen["compiled_by"]) == ["_g_fn", "_jet_fn",
-                                           "_nu_function", "_surface_map"]
+    assert sorted(seen["compiled_by"]) == ["_flow_fn", "_g_fn",
+                                           "_nu_function", "_surface_map",
+                                           "_variation_fn"]
     # the blow-up's 18 + 18 + 36, nu's u-gradient (2) and the surface
     # tangents (3 x 2)
     assert seen["differentiate"] == 18 + 18 + 6 * 6 + 2 + 6

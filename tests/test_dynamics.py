@@ -1,15 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from frontshift.dynamics import (DynamicsError, IntegrationAbort, _rhs,
+from frontshift import dynamics
+from frontshift.dynamics import (DynamicsError, IntegrationAbort,
                                  integrate_batch)
 from frontshift.geometry import (ForceField, Manifold, at_point,
-                                 extended_gradients, vecmat)
+                                 extended_gradients)
 from frontshift.selfcheck import (VARIATION_CASES, _twin_errors,
                                   variation_errors)
 from frontshift.systems import BUNDLED
-from oracles import covariant_rate, rk4_per_quantity, run_one
-from test_geometry import owner
+from oracles import covariant_rate, rhs, rk4_per_quantity, run_one
+from test_geometry import JET_CHARTS, owner
 from test_rhs_reference import CHARTS
 
 EUCLID = Manifold(2, [["1", "0"], ["0", "1"]])
@@ -22,7 +25,7 @@ HARMONIC = ForceField(EUCLID, ["-x1", "-x2"])
 def newton_rhs(man, force, x, v):
     """(dx, dv) of the flow at one point: dx = v, dv = F - gamma(v, v)."""
     empty = np.zeros((0, man.dimension))
-    dx, dv, _, _ = at_point(_rhs, man, force, x, v, empty, empty, 1.0)
+    dx, dv, _, _ = at_point(rhs, man, force, x, v, empty, empty, 1.0)
     return dx, dv
 
 
@@ -30,21 +33,35 @@ def force_rate(man, force, xs, vs):
     """Covariant rate of the force along the flow through (xs, vs), by the
     chain rule: v . spatial + F . velocity."""
     spatial, velocity = extended_gradients(man, force, xs, vs)
-    return (vecmat(vs, spatial)
-            + vecmat(force.components(xs, vs), velocity))
+    return (vs[:, None, :] @ spatial
+            + force.components(xs, vs)[:, None, :] @ velocity)[:, 0]
+
+
+def _chart_batch(chart, nb, nvar=None, seed=43):
+    """(man, force, x0, v0, tau0, rho0) of nb random rows on a chart of
+    ``JET_CHARTS``, with n - 1 variations by default."""
+    metric, force_src, box = JET_CHARTS[chart]
+    n = len(metric)
+    man = Manifold(n, metric)
+    rng = np.random.default_rng([seed, nb, n])
+    lo, hi = np.array(box).T
+    x0 = lo + (hi - lo) * rng.random((nb, n))
+    tau0, rho0 = rng.normal(size=(2, nb, n - 1 if nvar is None else nvar, n))
+    return (man, ForceField(man, force_src), x0,
+            0.5 * rng.normal(size=(nb, n)), tau0, rho0)
 
 
 def _s3_drag_batch(nb=6):
-    metric, force_src, box = CHARTS["S3"]
-    man = Manifold(3, metric)
-    rng = np.random.default_rng(43)
-    lo, hi = np.array(box).T
-    x0 = lo + (hi - lo) * rng.random((nb, 3))
-    return (man, ForceField(man, force_src), x0, rng.normal(size=(nb, 3)),
-            rng.normal(size=(nb, 2, 3)), rng.normal(size=(nb, 2, 3)))
+    return _chart_batch("S3", nb)
 
 
-def test_rk4_stage_is_one_jet_one_riemann_no_lapack(monkeypatch):
+def _block_steps(nb):
+    """The steps of one block at batch size nb."""
+    return max(1, dynamics.BLOCK_POINTS // (4 * nb))
+
+
+def test_rk4_block_is_four_flow_calls_a_step_one_coefficient_call(
+        monkeypatch):
     man, force, x0, v0, tau0, rho0 = _s3_drag_batch()
     calls = {}
 
@@ -60,59 +77,78 @@ def test_rk4_stage_is_one_jet_one_riemann_no_lapack(monkeypatch):
     for name in ("metric", "metric_partials", "metric_second_partials",
                  "christoffel", "christoffel_partials", "riemann"):
         count(Manifold, name)
-    for name in ("jet", "first_order_jet", "jacobians", "components"):
+    for name in ("first_order_jet", "jacobians", "components"):
         count(ForceField, name)
     count(np.linalg, "inv")
-    # every tensor a stage reads is a view of the one array the jet's
-    # generated call fills: no gather copies any of them out
-    owners = []
-    jet = ForceField.jet
+    # every tensor a stage or a coefficient call reads is a view of the
+    # workspace: each call writes into the array it is given
+    owners = {"flow_jet": [], "variation_jet": []}
 
-    def viewed(self, xs, vs):
-        tensors = jet(self, xs, vs)
-        owners.append({id(owner(a)) for a in tensors})
-        return tensors
-    monkeypatch.setattr(ForceField, "jet", viewed)
-    steps = 5
-    integrate_batch(man, force, x0, v0, tau0, rho0, steps * 1e-2, 1e-2)
-    assert calls == {"jet": 4 * steps, "riemann": 4 * steps,
-                     "first_order_jet": 0, "metric": 0,
+    def viewed(name):
+        real = getattr(ForceField, name)
+
+        def call(self, xs, vs, out=None):
+            records = real(self, xs, vs, out=out)
+            owners[name].append(tuple(id(owner(a))
+                                      for a in (records, out, xs)))
+            return records
+        monkeypatch.setattr(ForceField, name, call)
+    viewed("flow_jet")
+    viewed("variation_jet")
+    # two whole blocks and a partial one
+    block = _block_steps(len(x0))
+    steps = 2 * block + 3
+    integrate_batch(man, force, x0, v0, tau0, rho0, steps * 1e-3, 1e-3)
+    assert {name: len(seen) for name, seen in owners.items()} == {
+        "flow_jet": 4 * steps, "variation_jet": 3}
+    assert calls == {"riemann": 3, "first_order_jet": 0, "metric": 0,
                      "metric_partials": 0, "metric_second_partials": 0,
                      "christoffel": 0, "christoffel_partials": 0,
                      "jacobians": 0, "inv": 0, "components": 0}
-    assert len(owners) == 4 * steps and all(len(o) == 1 for o in owners)
-    # without variations each stage makes the same jet call and stops
-    # after dv
-    for name in calls:
-        calls[name] = 0
+    workspaces = {own for seen in owners.values() for triple in seen
+                  for own in triple}
+    # the stage points, the flow records and the coefficient records:
+    # three arrays for the whole integration, none of them per block
+    assert len(workspaces) == 3
+    assert all(records == out for seen in owners.values()
+               for records, out, _ in seen)
+    # without variations only the flow runs
+    for seen in owners.values():
+        seen.clear()
     integrate_batch(man, force, x0, v0, tau0[:, :0], rho0[:, :0],
-                    steps * 1e-2, 1e-2)
-    assert {name: k for name, k in calls.items() if k} == {
-        "jet": 4 * steps}
+                    steps * 1e-3, 1e-3)
+    assert {name: len(seen) for name, seen in owners.items()} == {
+        "flow_jet": 4 * steps, "variation_jet": 0}
+    assert calls["riemann"] == 3
 
 
 def test_flow_does_not_depend_on_the_variations():
     man, force, x, v, tau, rho = _s3_drag_batch()
-    with_variations = _rhs(man, force, x, v, tau, rho, 1.0)
-    flow_only = _rhs(man, force, x, v, tau[:, :0], rho[:, :0], 1.0)
-    for a, b in zip(with_variations[:2], flow_only[:2], strict=True):
-        assert np.array_equal(a, b)
-    assert flow_only[2].shape == flow_only[3].shape == (len(x), 0, 3)
+    with_variations = integrate_batch(man, force, x, v, tau, rho, 0.05, 1e-2)
+    flow_only = integrate_batch(man, force, x, v, tau[:, :0], rho[:, :0],
+                                0.05, 1e-2)
+    assert np.array_equal(with_variations.x, flow_only.x)
+    assert np.array_equal(with_variations.v, flow_only.v)
+    assert flow_only.tau.shape == flow_only.rho.shape == (6, len(x), 0, 3)
 
 
 def test_curvature_term_is_what_riemann_returns(monkeypatch):
     # the benchmark's curvature flip negates Manifold.riemann; that must
-    # act on the RHS exactly as the riemann_sign debug hook does
+    # act on the whole record exactly as the riemann_sign debug hook does
     man, force, x, v, tau, rho = _s3_drag_batch()
-    flipped = _rhs(man, force, x, v, tau, rho, -1.0)
+    steps = _block_steps(len(x)) + 2
+    flipped = integrate_batch(man, force, x, v, tau, rho, steps * 1e-2,
+                              1e-2, riemann_sign=-1.0)
     riemann = Manifold.riemann
     monkeypatch.setattr(Manifold, "riemann",
                         lambda self, *a, **k: -riemann(self, *a, **k))
-    negated = _rhs(man, force, x, v, tau, rho, 1.0)
-    for a, b in zip(flipped, negated, strict=True):
-        assert np.array_equal(a, b)
-    assert not np.array_equal(flipped[3],
-                              _rhs(man, force, x, v, tau, rho, -1.0)[3])
+    negated = integrate_batch(man, force, x, v, tau, rho, steps * 1e-2, 1e-2)
+    for name in FIELDS:
+        assert np.array_equal(getattr(flipped, name),
+                              getattr(negated, name)), name
+    monkeypatch.setattr(Manifold, "riemann", riemann)
+    plain = integrate_batch(man, force, x, v, tau, rho, steps * 1e-2, 1e-2)
+    assert not np.array_equal(flipped.rho, plain.rho)
 
 
 def test_newton_rhs_free():
@@ -151,6 +187,13 @@ def test_integrate_rejects_offgrid_t_end():
     for t_end, h in ((1.0005, 1e-3), (1.0, -1e-3)):
         with pytest.raises(DynamicsError):
             run_one(EUCLID, ZERO, [0.0, 0.0], [1.0, 0.0], t_end, h)
+
+
+def test_integrate_rejects_an_empty_batch():
+    empty = np.zeros((0, 2))
+    with pytest.raises(DynamicsError):
+        integrate_batch(EUCLID, ZERO, empty, empty, np.zeros((0, 1, 2)),
+                        np.zeros((0, 1, 2)), 1.0, 1e-3)
 
 
 def test_integrate_harmonic_variation_closed_form():
@@ -324,7 +367,103 @@ def test_packed_abort_is_the_per_quantity_abort():
         (loop.node_index, loop.batch_indices, loop.quantities)
     assert packed.batch_indices == [1, 3]
     assert packed.quantities == ["x", "v", "tau", "rho"]
+    # the flow runs ahead of the variations; the abort falls in a later
+    # block than the first
+    assert packed.node_index >= 2 * _block_steps(len(x0))
     assert str(packed) == str(loop)
     for name in FIELDS:
         assert np.array_equal(getattr(packed.record, name),
                               getattr(loop.record, name)), name
+
+
+def test_flow_stops_at_the_step_that_aborts(monkeypatch):
+    # the flow runs ahead of the variations, but not past a non-finite
+    # node: no generated call, nor LAPACK's inverse for n >= 4, sees a
+    # point beyond the step that aborts
+    runaway = ForceField(EUCLID, ["x1^3", "0"])
+    x0 = np.array([[0.1, 0.0], [2.0, 0.0]])
+    v0 = np.array([[0.1, 0.0], [5.0, 0.0]])
+    calls = []
+    flow_jet = ForceField.flow_jet
+    monkeypatch.setattr(ForceField, "flow_jet", lambda self, *a, **k: (
+        calls.append(1), flow_jet(self, *a, **k))[1])
+    with pytest.raises(IntegrationAbort) as info:
+        integrate_batch(EUCLID, runaway, x0, v0, np.zeros((2, 1, 2)),
+                        np.ones((2, 1, 2)), 1.0, 1e-3)
+    assert info.value.node_index % _block_steps(2) != 0
+    assert len(calls) == 4 * (info.value.node_index + 1)
+
+
+def test_variation_abort_in_a_later_block_is_the_per_quantity_abort():
+    # tau = tau0 + t rho0 overflows near t = 0.39 in row 2 while every
+    # flow stays finite, and the flow has run ahead to the block's end
+    x0 = np.zeros((4, 2))
+    v0 = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [1.0, 1.0]])
+    tau0, rho0 = np.zeros((2, 4, 1, 2))
+    tau0[2, 0, 0], rho0[2, 0, 0] = 1.7e308, 2.5e307
+    aborts = []
+    for run in (integrate_batch, rk4_per_quantity):
+        with pytest.raises(IntegrationAbort) as info:
+            run(EUCLID, ZERO, x0, v0, tau0, rho0, 1.0, 1e-3)
+        aborts.append(info.value)
+    packed, loop = aborts
+    # inf tau times the zero coefficients makes drho nan at the same step
+    assert (packed.batch_indices, packed.quantities) == ([2], ["tau", "rho"])
+    assert packed.node_index % _block_steps(4) != 0
+    assert packed.node_index >= 2 * _block_steps(4)
+    assert str(packed) == str(loop)
+    for name in FIELDS:
+        assert np.array_equal(getattr(packed.record, name),
+                              getattr(loop.record, name)), name
+
+
+@pytest.mark.parametrize("nvar", [None, 0])
+@pytest.mark.parametrize("chart", ["S2", "S3", "S4"])
+def test_blocks_are_the_per_quantity_loop(chart, nvar):
+    # three whole blocks of 4B stage points and a partial fourth at B = 5,
+    # n = 2, 3 and 4 (g^-1 from LAPACK), with and without variations
+    man, force, x0, v0, tau0, rho0 = _chart_batch(chart, 5, nvar)
+    steps = 3 * _block_steps(5) + 7
+    packed = integrate_batch(man, force, x0, v0, tau0, rho0, steps * 1e-3,
+                             1e-3)
+    loop = rk4_per_quantity(man, force, x0, v0, tau0, rho0, steps * 1e-3,
+                            1e-3)
+    for name in FIELDS:
+        assert np.array_equal(getattr(packed, name), getattr(loop, name)), \
+            name
+
+
+@pytest.mark.parametrize("nb", [1000, 2100])
+@pytest.mark.parametrize("chart", ["S2", "S4"])
+def test_a_step_larger_than_a_block_is_the_per_quantity_loop(chart, nb):
+    # 4B above BLOCK_POINTS: a block is one step, and the coefficients
+    # are formed once BLOCK_POINTS points are pending, in calls of at
+    # most BLOCK_POINTS.  At B = 1000 the first three stages go in a full
+    # call and a partial one and the fourth at the step's end; at
+    # B = 2100 each stage goes in a full call and a partial one
+    assert 2 * 1000 < dynamics.BLOCK_POINTS < 3 * 1000 < 2 * 2100
+    man, force, x0, v0, tau0, rho0 = _chart_batch(chart, nb)
+    packed = integrate_batch(man, force, x0, v0, tau0, rho0, 3e-3, 1e-3)
+    loop = rk4_per_quantity(man, force, x0, v0, tau0, rho0, 3e-3, 1e-3)
+    for name in FIELDS:
+        assert np.array_equal(getattr(packed, name), getattr(loop, name)), \
+            name
+
+
+def test_workspace_does_not_grow_with_the_steps():
+    # B = 64 fills a block with 8 steps at either length; what the
+    # integration holds beyond its history is the same at 50 and at 500
+    # (the first long run in a process allocates about 0.1 MiB more once,
+    # so each length is measured after a run of its own)
+    man, force, x0, v0, tau0, rho0 = _chart_batch("S3", 64)
+    extra = {}
+    for steps in (50, 500, 50, 500):
+        tracemalloc.start()
+        try:
+            rec = integrate_batch(man, force, x0, v0, tau0, rho0,
+                                  steps * 1e-3, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra[steps] = peak - owner(rec.x).nbytes
+    assert abs(extra[50] - extra[500]) <= 64 * 1024, extra

@@ -263,11 +263,11 @@ def _chart_points(chart, nb=40):
 
 
 def _ginv_of_both_jets(force, xs, vs):
-    """g and g^-1 from the stage jet, and g^-1 from the first-order jet
-    with its batch axis moved to the front."""
-    g, ginv, *_ = force.jet(xs, vs)
-    last = force.first_order_jet(xs.T.copy(), vs.T.copy())[1]
-    return g, ginv, np.moveaxis(last, -1, 0)
+    """g from the first-order jet, g^-1 from the flow call, and g^-1 from
+    the first-order jet, the batch axis moved to the front."""
+    g, last = force.first_order_jet(xs.T.copy(), vs.T.copy())[:2]
+    return (np.moveaxis(g, -1, 0), force.flow_jet(xs, vs)["ginv"],
+            np.moveaxis(last, -1, 0))
 
 
 @pytest.mark.parametrize("chart", sorted(JET_CHARTS))
@@ -334,7 +334,7 @@ def test_inverse_hand_values():
         assert all(isinstance(entry, Const) for entry in man._ginv_asts)
         force = ForceField(man, ["0"] * len(metric))
         xs = np.zeros((2, len(metric)))
-        _, ginv, *_ = force.jet(xs, xs)
+        ginv = force.flow_jet(xs, xs)["ginv"]
         assert np.allclose(ginv, want, rtol=0, atol=1e-15)
         assert np.array_equal(np.signbit(ginv), np.signbit([want] * 2))
 
@@ -360,13 +360,26 @@ def test_jet_is_the_per_quantity_methods(chart):
     for name, a, b in zip(names, (g, f, dfdx, dfdv), want, strict=True):
         assert a.shape == b.shape, name
         assert np.array_equal(a, b), name
-    # the stage jet is the first-order jet plus S, bit for bit, every
-    # tensor a view of one array
-    jet = force.jet(xs, vs)
+    # the two stage calls split the first-order jet's roots (plus S),
+    # bit for bit, every tensor a field of the one array each call fills,
+    # or of the array passed to it
     names = ("g", "ginv", "koszul", "f", "dfdx", "dfdv")
-    for name, a, b in zip(names, jet[:6], first, strict=True):
-        assert np.array_equal(a, b), name
-    assert all(owner(a) is owner(jet[0]) for a in jet)
+    stage = {**{name: force.flow_jet(xs, vs)[name]
+                for name in force.flow_record.names},
+             **{name: force.variation_jet(xs, vs)[name]
+                for name in ("dfdx", "dfdv")}}
+    assert sorted(stage) == sorted(name for name in names
+                                   if name != "g" or man.dimension > 3)
+    for name, b in zip(names, first, strict=True):
+        if name in stage:
+            assert np.array_equal(stage[name], b), name
+    for jet, record in ((force.flow_jet, force.flow_record),
+                        (force.variation_jet, force.variation_record)):
+        out = np.empty((len(xs) + 2, record.itemsize // 8))
+        rows = jet(xs, vs, out=out[1:-1])
+        assert owner(rows) is out
+        assert all(np.array_equal(rows[name], jet(xs, vs)[name])
+                   for name in record.names)
 
 
 @pytest.mark.parametrize("chart", sorted(JET_CHARTS))
@@ -375,7 +388,8 @@ def test_jet_groups_are_the_contracted_partials(chart):
     # forms from the full first and second partials
     man, force, xs, vs = _chart_points(chart)
     n = man.dimension
-    _, _, koszul, _, _, _, ddg_vv = force.jet(xs, vs)
+    koszul = force.flow_jet(xs, vs)["koszul"]
+    ddg_vv = force.variation_jet(xs, vs)["ddg_vv"]
     want = _koszul(man.metric_partials(xs)).transpose(0, 2, 3, 1)
     assert koszul.shape == (len(xs), n, n, n)
     assert np.abs(koszul - want).max() <= 1e-13 * np.abs(want).max()
@@ -391,10 +405,12 @@ def test_jet_groups_are_the_contracted_partials(chart):
 
 
 def _jacobi(man, force, xs, vs):
-    """riemann(vs=) with every input from the jet, as the RHS feeds it."""
-    _, ginv, koszul, f, _, _, ddg_vv = force.jet(xs, vs)
-    return man.riemann(xs, ginv=ginv, vs=vs,
-                       along=spray(ginv, koszul, vs, f), ddg_vv=ddg_vv)
+    """riemann(vs=) with every input from the stage calls, as the
+    integrator feeds it."""
+    flow = force.flow_jet(xs, vs)
+    along = spray(flow["ginv"], flow["koszul"], vs, flow["f"])
+    return man.riemann(xs, ginv=flow["ginv"], vs=vs, along=along,
+                       ddg_vv=force.variation_jet(xs, vs)["ddg_vv"])
 
 
 @pytest.mark.parametrize("chart", sorted(JET_CHARTS))
@@ -436,14 +452,16 @@ def _peak_bytes(fn):
 
 def test_jacobi_operator_builds_no_rank_four_array():
     # any (B, n, n, n, n) array is as large as ddg itself; in n = 4 it is
-    # n times any rank-three one, so neither the jet's groups nor the
-    # contracted form's temporaries reach ddg, and the full tensor's do
+    # n times any rank-three one, so neither the stage calls' groups nor
+    # the contracted form's temporaries reach ddg, and the full tensor's do
     man, force, xs, vs = _chart_points("S4", nb=256)
-    jet = force.jet(xs, vs)
-    _, ginv, koszul, f, _, _, ddg_vv = jet
+    flow, jet = force.flow_jet(xs, vs), force.variation_jet(xs, vs)
+    ginv, koszul, f = flow["ginv"], flow["koszul"], flow["f"]
+    ddg_vv = jet["ddg_vv"]
     ddg = man.metric_second_partials(xs)
-    assert max(a.nbytes for a in jet) == koszul.nbytes
-    assert owner(koszul).nbytes < ddg.nbytes
+    assert max(flow[name].nbytes for name in flow.dtype.names) \
+        == koszul.nbytes
+    assert owner(koszul).nbytes + owner(ddg_vv).nbytes < ddg.nbytes
     along = spray(ginv, koszul, vs, f)
     contracted = _peak_bytes(lambda: man.riemann(
         xs, ginv=ginv, vs=vs, along=along, ddg_vv=ddg_vv))

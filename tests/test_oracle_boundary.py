@@ -60,7 +60,7 @@ def test_guard_sees_an_oracle_call():
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of the oracle calls, the two jets and np.linalg.inv."""
+    """Counts of the oracle calls, the three jets and np.linalg.inv."""
     counts = {}
 
     def count(owner, name):
@@ -75,7 +75,8 @@ def calls(monkeypatch):
     for name in ("christoffel", "metric_partials", "christoffel_partials",
                  "metric_second_partials"):
         count(Manifold, name)
-    for name in ("components", "jacobians", "jet", "first_order_jet"):
+    for name in ("components", "jacobians", "flow_jet", "variation_jet",
+                 "first_order_jet"):
         count(ForceField, name)
     count(np.linalg, "inv")
     return counts
@@ -99,5 +100,5 @@ def test_force_tensors_read_only_the_first_order_jet(chart, calls):
     # residual block of 300 samples
     assert calls == {"christoffel": 0, "metric_partials": 0,
                      "christoffel_partials": 0, "metric_second_partials": 0,
-                     "components": 0, "jacobians": 0, "jet": 0,
-                     "first_order_jet": 3, "inv": 0}
+                     "components": 0, "jacobians": 0, "flow_jet": 0,
+                     "variation_jet": 0, "first_order_jet": 3, "inv": 0}

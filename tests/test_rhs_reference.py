@@ -1,10 +1,13 @@
-"""dynamics._rhs pinned to the einsum formulation it replaced.
+"""The RK4 stage's production pieces, composed by ``oracles.rhs``, pinned
+to the einsum formulation they replaced.
 
 The reference below evaluates every metric, metric-derivative and
 force-Jacobian entry with its own compiled expression (no symmetric-slot
 fill, no shared subexpressions) and assembles connection, curvature and
 the variation right-hand side with one einsum per term, as the
 production code did before it was fused into batched matrix products.
+``integrate_batch`` equals the RK4 loop over ``oracles.rhs`` bit for bit
+(``tests/test_dynamics.py``).
 """
 
 import importlib.util
@@ -13,8 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frontshift import dynamics, exprlang
+from frontshift import exprlang
 from frontshift.geometry import ForceField, Manifold
+from oracles import rhs
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "rhs_sweep.py"
 _spec = importlib.util.spec_from_file_location("rhs_sweep", SCRIPT)
@@ -117,7 +121,7 @@ def test_rhs_matches_einsum_reference(chart, riemann_sign):
     tau = rng.normal(size=(nb, nvar, n))
     rho = rng.normal(size=(nb, nvar, n))
 
-    got = dynamics._rhs(man, force, x, v, tau, rho, riemann_sign)
+    got = rhs(man, force, x, v, tau, rho, riemann_sign)
     ref = _Reference(man, force).rhs(x, v, tau, rho, riemann_sign)
     for name, a, b in zip(("dx", "dv", "dtau", "drho"), got, ref,
                           strict=True):
@@ -139,5 +143,5 @@ def test_reference_sees_a_flipped_curvature_sign():
     v, tau, rho = (rng.normal(size=s) for s in ((8, 3), (8, 2, 3), (8, 2, 3)))
     ref = _Reference(man, force)
     plus = ref.rhs(x, v, tau, rho, 1.0)[3]
-    minus = dynamics._rhs(man, force, x, v, tau, rho, -1.0)[3]
+    minus = rhs(man, force, x, v, tau, rho, -1.0)[3]
     assert np.abs(plus - minus).max() > 1e3 * REL * np.abs(plus).max()

@@ -1,14 +1,18 @@
-"""scripts/rhs_sweep.py at a tiny batch: every piece of both tables timed
+"""scripts/rhs_sweep.py at a tiny batch: every piece of every table timed
 on every chart."""
 
+from frontshift import dynamics
 from test_rhs_reference import CHARTS, rhs_sweep
 
 
 def test_sweep_follows_the_stage():
-    # g^-1 comes from the jet, so there is no inverse piece; B = 5 is the
-    # batch of rank
-    assert rhs_sweep.PIECES == ("jet", "spray", "riemann", "gradients",
-                                "rhs")
+    # the flow's stage pieces and one step of each half of the system,
+    # the coefficient block at its size; g^-1 comes from the flow call, so
+    # there is no inverse piece, and B = 5 is the batch of rank
+    assert rhs_sweep.PIECES == ("flow_jet", "spray", "flow_step",
+                                "variation_step")
+    assert rhs_sweep.COEFFICIENT_PIECES == ("variation_jet", "riemann",
+                                            "gradients", "coefficients")
     assert 5 in rhs_sweep.BATCHES
 
 
@@ -17,6 +21,15 @@ def test_sweep_times_every_piece():
     assert [row[:2] for row in rows] == [
         (chart, nb) for chart in CHARTS for nb in (1, 3)]
     assert all(list(times) == list(rhs_sweep.PIECES)
+               and all(t > 0.0 for t in times.values())
+               for _, _, times in rows)
+
+
+def test_coefficient_sweep_times_every_piece():
+    rows = list(rhs_sweep.coefficient_sweep(1, 1))
+    assert [row[:2] for row in rows] == [
+        (chart, dynamics.BLOCK_POINTS) for chart in CHARTS]
+    assert all(list(times) == list(rhs_sweep.COEFFICIENT_PIECES)
                and all(t > 0.0 for t in times.values())
                for _, _, times in rows)
 
