@@ -10,9 +10,11 @@ the non-diagonal ``skew3`` chart.
 The first times, at each batch size B, what one RK4 step of
 ``integrate_batch`` runs per stage row, batch-first, with n - 1
 variations per row: the flow's generated call (``ForceField.flow_jet``,
-g^-1 included) and ``spray`` at one stage, one step of the flow (four
-stages) and one step of the variations (four stages of three batched
-products each), at B = 1, 5 (the batch of ``rank``), 64, 144 and 1024.
+the acceleration, which is all a stage of the flow evaluates), one step
+of the flow (four stages), a block of the flow without variations
+(``BLOCK_POINTS // (4 B)`` steps, at least one) and one step of the
+variations (four stages of three batched products each), at B = 1, 5
+(the batch of ``rank``), 64, 144 and 1024.
 
 The second times the coefficient block at its size, ``BLOCK_POINTS``
 stage points: the variation call (``ForceField.variation_jet``), the
@@ -44,8 +46,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from frontshift import dynamics, normality  # noqa: E402
 from frontshift.geometry import (ForceField, Manifold,  # noqa: E402
-                                 Spray, extended_gradients, force_tensors,
-                                 spray)
+                                 Spray, extended_gradients, force_tensors)
 
 
 def sphere(n: int) -> list:
@@ -82,7 +83,7 @@ CHARTS = {
            [(0.6, 2.5), (0.6, 2.5), (0.0, 6.0)]),
     "skew3": (SKEW_METRIC, SKEW_FORCE, [(-0.8, 0.8)] * 3),
 }
-PIECES = ("flow_jet", "spray", "flow_step", "variation_step")
+PIECES = ("flow_jet", "flow_step", "flow_block", "variation_step")
 BATCHES = (1, 5, 64, 144, 1024)
 COEFFICIENT_PIECES = ("variation_jet", "riemann", "gradients",
                       "coefficients")
@@ -92,17 +93,21 @@ CALLS = 20
 STEP = 1e-3
 
 
-def _stages(man: Manifold, force: ForceField, box, nb: int, seed: int):
-    """The integrator's stages over one step of nb random rows, the step
-    run once so that its stage points, records and coefficients are in
-    place; and the history it writes into."""
+def _stages(man: Manifold, force: ForceField, box, nb: int, seed: int,
+            steps: int = 1, nvar: int | None = None):
+    """The integrator's stages over the given steps of nb random rows,
+    with nvar variations (n - 1 by default), the first step run once so
+    that its stage points, records and coefficients are in place; and the
+    history they write into."""
     n = man.dimension
+    nvar = n - 1 if nvar is None else nvar
     rng = np.random.default_rng(seed)
     lo, hi = np.array(box, dtype=float).T
-    history = np.empty((2, nb, 2 * n * n))
+    history = np.empty((steps + 1, nb, 2 * n + 2 * nvar * n))
     history[0, :, :n] = lo + (hi - lo) * rng.random((nb, n))
-    history[0, :, n:] = rng.normal(size=(nb, n + 2 * (n - 1) * n))
-    stages = dynamics._Stages(man, force, history[0], n - 1, 4 * nb, 1.0)
+    history[0, :, n:] = rng.normal(size=(nb, n + 2 * nvar * n))
+    stages = dynamics._Stages(man, force, history[0], nvar,
+                              4 * nb * steps, 1.0)
     stages.flow(history, 0, 1, STEP)
     return stages, history
 
@@ -114,13 +119,19 @@ def pieces(man: Manifold, force: ForceField, box, nb: int,
     n = man.dimension
     stages, history = _stages(man, force, box, nb, seed)
     xs, vs = stages.points[:nb, :n], stages.points[:nb, n:]
-    flows, along = stages.flows[:nb], Spray(*(a[:nb] for a in stages.along))
-    sprays = tuple(buf[:nb] for buf in stages.sprays)
+    rates = stages.k[0, :, n:]
+    block = max(1, dynamics.BLOCK_POINTS // (4 * nb))
+    flow_only, flow_history = _stages(man, force, box, nb, seed, block, 0)
+    y0 = flow_history[0].copy()
+
+    def flow_block():
+        # each block from the same start, so that no run drifts off the box
+        flow_only.y[...] = y0
+        flow_only.flow(flow_history, 0, block, STEP)
     return {
-        "flow_jet": lambda: force.flow_jet(xs, vs, out=flows),
-        "spray": lambda: spray(stages.ginv[:nb], along.koszul, vs,
-                               stages.f[:nb], out=sprays),
+        "flow_jet": lambda: force.flow_jet(xs, vs, out=rates),
         "flow_step": lambda: stages.flow(history, 0, 1, STEP),
+        "flow_block": flow_block,
         "variation_step": lambda: stages.variations(history, 0, 0, STEP),
     }
 
@@ -134,15 +145,15 @@ def coefficient_pieces(man: Manifold, force: ForceField, box,
     stages, _ = _stages(man, force, box, size // 4, seed)
     xs, vs = stages.points[:, :n], stages.points[:, n:]
     jet = force.variation_jet(xs, vs, out=stages.jets)
+    along = Spray.of(jet)
     return {
         "variation_jet": lambda: force.variation_jet(xs, vs,
                                                      out=stages.jets),
-        "riemann": lambda: man.riemann(xs, ginv=stages.ginv, vs=vs,
-                                       along=stages.along,
-                                       ddg_vv=jet["ddg_vv"]),
+        "riemann": lambda: man.riemann(xs, ginv=jet["ginv"], vs=vs,
+                                       along=along, ddg_vv=jet["ddg_vv"]),
         "gradients": lambda: extended_gradients(
             man, force, xs, vs, jac=(jet["dfdx"], jet["dfdv"]),
-            along=stages.along),
+            along=along),
         "coefficients": lambda: stages.coefficients(0, size),
     }
 

@@ -27,8 +27,7 @@ import numpy as np
 from . import deviation, exprlang
 from .dynamics import BatchTrajectory, IntegrationAbort, integrate_batch
 from .geometry import (ForceField, Manifold, at_point,
-                       check_positive_definite, g_norm, lower, matvec,
-                       spray)
+                       check_positive_definite, g_norm, lower, matvec)
 from .report import FrontTable
 
 TAU_NORM_FLOOR = 1e-12
@@ -248,7 +247,7 @@ def simulate_shift(man: Manifold, force: ForceField, hs: HypersurfaceSpec,
     Variations start at the exact coordinate tangents; their covariant
     rates are the covariant u-derivatives of the launch field nu(u)n(u),
     obtained by central differencing plus the connection correction
-    gamma(K_a, v0), taken from the stages' own flow call.
+    gamma(K_a, v0), taken from the variation coefficients' own call.
     The surface map, nu and their u-derivatives are compiled once.  The
     differences evaluate nu and the surface just off the grid, so launch
     rates that come out non-finite there are a ``BlowupError`` too.
@@ -264,9 +263,8 @@ def simulate_shift(man: Manifold, force: ForceField, hs: HypersurfaceSpec,
 
     box = np.asarray(hs.box, dtype=float)
     rho0 = np.empty((u.shape[0], n_params, n))
-    flow0 = force.flow_jet(x0, v0)
     # launch[b, a, k] = gamma^k_rs K_a^r v0^s
-    launch = tangents @ spray(flow0["ginv"], flow0["koszul"], v0).gam_v
+    launch = tangents @ force.variation_jet(x0, v0)["gam_v"]
 
     def launch_field(params, where):
         _, _, normals = _surface_frames(man, surface, params, hs.orient_flip,

@@ -21,7 +21,8 @@ from .blowup import (BlowupError, export_front, initial_slopes,
                      orthogonality_report, simulate_blowup, simulate_shift)
 from .config import ConfigError, ScenarioConfig, load_config
 from .deviation import DeviationError, deviation_rank
-from .dynamics import DynamicsError, IntegrationAbort, integrate_batch
+from .dynamics import (DynamicsError, IntegrationAbort, integrate_batch,
+                       integration_work)
 from .geometry import GeometryError
 from .normality import NormalityError, classify, sample_tangent_points
 
@@ -38,14 +39,18 @@ def _emit_run_report(command: str, config_echo: dict, stats: dict,
     """Print the run report.  Given the integrated batch (a
     BatchTrajectory, possibly cut short by an abort), stats gains the work
     it did: four RHS evaluations and one row step per row for each step
-    completed, and row steps per second of the run's duration.  Given the
+    completed, the generated calls of the integration of those steps
+    (``dynamics.integration_work``), and row steps per second of the
+    run's duration.  Given the
     classifier's sample count, it gains the samples, the residual blocks
     they were evaluated in, and samples per second."""
     elapsed = time.perf_counter() - started
     if batch is not None:
         steps = batch.node_count - 1
         row_steps = batch.x.shape[1] * steps
+        nb, nvar = batch.tau.shape[1:3]
         stats["work"] = {"rhs_evals": 4 * steps, "row_steps": row_steps,
+                         **integration_work(nb, nvar, steps),
                          "row_steps_per_s": row_steps / elapsed}
     if samples is not None:
         stats["work"] = {"samples": samples,

@@ -10,21 +10,28 @@ variations (tau, rho), which are linear with coefficients that depend
 only on the flow's stage points.  So ``integrate_batch`` takes a block
 of steps (at most ``BLOCK_POINTS`` stage points, or one step) at a time:
 
-1. the flow's RK4, each stage one ``ForceField.flow_jet`` call (F, g^-1
-   and the Koszul symbol) and one ``spray``, written into a workspace
-   allocated once per integration;
+1. the flow's RK4: each stage forms its point, makes one
+   ``ForceField.flow_jet`` call, which writes the acceleration
+   a = F - gamma(v, v) straight into the stage rate, and copies v beside
+   it, all in a workspace allocated once per integration;
 2. the coefficients at the block's stage points in one
-   ``ForceField.variation_jet`` call (the force Jacobians and S), one
+   ``ForceField.variation_jet`` call (the force Jacobians, S, g^-1, the
+   Koszul symbol and the ``Spray`` fields), one
    ``Manifold.riemann(vs=)`` (K = R(., v)v) and one
-   ``extended_gradients`` (at most ``BLOCK_POINTS`` points per call);
+   ``extended_gradients``, both reading the call's record (at most
+   ``BLOCK_POINTS`` points per call);
 3. the variations' RK4, three batched products per stage, and the
    finite check after each step.
 
-No stage builds gamma, its derivative or the curvature tensor.  The flow
-stops at its first non-finite node, so no call sees a point past the
-step that aborts.  The record's x, v, tau and rho are views of one
-(M+1, B, 2n + 2Jn) history array of rows [x, v, tau, rho], bit for bit
-the record of a stage-by-stage RK4 on the whole row (``tests/oracles.py``).
+No stage builds gamma, its derivative or the curvature tensor.  For
+n >= 4 the flow call completes a with LAPACK's inverse of g, and the
+variation call its g^-1 and raised fields (``ForceField._records``).
+The flow stops at its first non-finite node, so no call sees a point
+past the step that aborts.  ``integration_work`` counts the calls an
+integration makes, for the run report.  The record's x, v, tau and rho
+are views of one (M+1, B, 2n + 2Jn) history array of rows [x, v, tau,
+rho], bit for bit the record of a stage-by-stage RK4 on the whole row
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -33,8 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import (ForceField, Manifold, Spray, extended_gradients,
-                       spray)
+from .geometry import ForceField, Manifold, Spray, extended_gradients
 
 
 class DynamicsError(ValueError):
@@ -83,10 +89,38 @@ class BatchTrajectory(NamedTuple):
 BLOCK_POINTS = 2048
 
 
+def _block_steps(nb: int, steps: int) -> int:
+    """The steps of a block of nb rows, in an integration of steps."""
+    return max(1, min(steps, BLOCK_POINTS // (4 * nb)))
+
+
+def integration_work(nb: int, nvar: int, steps: int) -> dict:
+    """The calls ``integrate_batch`` makes over steps steps of nb rows
+    with nvar variations each: flow_calls, one ``ForceField.flow_jet`` per
+    stage; coefficient_calls, each one ``ForceField.variation_jet``, one
+    ``Manifold.riemann(vs=)`` and one ``extended_gradients`` (none
+    without variations); and coefficient_points, the stage points those
+    evaluate.  It follows ``_Stages.flow``: a call at most every
+    BLOCK_POINTS pending points, and one more at each block's end."""
+    calls = 0
+    if nvar:
+        block = _block_steps(nb, steps)
+        for first in range(0, steps, block):
+            pending = 0
+            for _ in range(4 * min(block, steps - first)):
+                pending += nb
+                if pending >= BLOCK_POINTS:
+                    calls += -(-pending // BLOCK_POINTS)
+                    pending = 0
+            calls += -(-pending // BLOCK_POINTS)
+    return {"flow_calls": 4 * steps, "coefficient_calls": calls,
+            "coefficient_points": 4 * nb * steps if nvar else 0}
+
+
 class _Stages:
     """The RK4 stages of one integration over a workspace sized by its
     block of stage points (ordered by step, stage, batch row), never by
-    its steps: the pending points' x and v, flow records and sprays, and
+    its steps: the pending points' x and v, their variation records, and
     coefs[:, p], the three matrices the variations read at point p."""
 
     def __init__(self, man: Manifold, force: ForceField, y0: np.ndarray,
@@ -98,15 +132,6 @@ class _Stages:
         # fewer than BLOCK_POINTS are pending before a stage adds its nb
         pending = min(size, BLOCK_POINTS + nb - 1)
         self.points = np.empty((pending, 2 * n))
-        self.flows = np.empty((pending, force.flow_record.itemsize // 8))
-        flow = self.flows.view(force.flow_record)[:, 0]
-        self.f, self.ginv = flow["f"], flow["ginv"]
-        self.sprays = (np.empty((pending, 2, n * n)),
-                       np.empty((pending, 2, n, n)),
-                       np.empty((pending, 1, n)))
-        low, up, gvv = self.sprays
-        self.along = Spray(flow["koszul"], low[:, 0].reshape(pending, n, n),
-                           up[:, 0], up[:, 1], gvv[:, 0])
         self.jets = np.empty((min(pending, BLOCK_POINTS),
                               force.variation_record.itemsize // 8))
         self.coefs = np.empty((3, size, n, n))
@@ -125,7 +150,6 @@ class _Stages:
         once BLOCK_POINTS points are pending and at the end; returns the
         node it stopped at, the first non-finite one or last."""
         nb, nvar, n = self.shape
-        low, up, gvv = self.sprays
         y, done = self.y, 0
         for i in range(first, last):
             for s, k in enumerate(self.k):
@@ -137,12 +161,9 @@ class _Stages:
                 else:
                     np.add(y, (h if s == 3 else 0.5 * h) * self.k[s - 1],
                            out=point)
-                vs = point[:, n:]
-                self.force.flow_jet(point[:, :n], vs, out=self.flows[a:b])
-                along = spray(self.ginv[a:b], self.along.koszul[a:b], vs,
-                              self.f[a:b], out=(low[a:b], up[a:b], gvv[a:b]))
-                k[:, :n] = vs
-                np.subtract(self.f[a:b], along.gvv, out=k[:, n:])
+                self.force.flow_jet(point[:, :n], point[:, n:],
+                                    out=k[:, n:])
+                k[:, :n] = point[:, n:]
                 if b >= BLOCK_POINTS:
                     if nvar:
                         self.coefficients(done, b)
@@ -162,17 +183,15 @@ class _Stages:
         (gamma v)^T at the count pending points, the block's from offset
         on."""
         man, force, n = self.man, self.force, self.shape[2]
-        koszul, low_v, gam_v, gam_f, gvv = self.along
         coefs = self.coefs[:, offset:offset + count]
         for a in range(0, count, BLOCK_POINTS):
             b = min(count, a + BLOCK_POINTS)
             connection, curvature, velocity = coefs[:, a:b]
             xs, vs = self.points[a:b, :n], self.points[a:b, n:]
             jet = force.variation_jet(xs, vs, out=self.jets[:b - a])
-            along = Spray(koszul[a:b], low_v[a:b], gam_v[a:b], gam_f[a:b],
-                          gvv[a:b])
-            jacobi = man.riemann(xs, ginv=self.ginv[a:b], vs=vs,
-                                 along=along, ddg_vv=jet["ddg_vv"])
+            along = Spray.of(jet)
+            jacobi = man.riemann(xs, ginv=jet["ginv"], vs=vs, along=along,
+                                 ddg_vv=jet["ddg_vv"])
             spatial, dfdv = extended_gradients(
                 man, force, xs, vs, jac=(jet["dfdx"], jet["dfdv"]),
                 along=along)
@@ -233,7 +252,7 @@ def integrate_batch(man: Manifold, force: ForceField, x0, v0, tau0, rho0,
     history = np.empty((steps + 1, nb, ends[-1]))
     for part, value in zip(split(history[0]), (x0, v0, tau0, rho0)):
         part[...] = value
-    block = min(steps, max(1, BLOCK_POINTS // (4 * nb)))
+    block = _block_steps(nb, steps)
     stages = _Stages(man, force, history[0], nvar, 4 * nb * block,
                      riemann_sign)
     with np.errstate(all='ignore'):

@@ -8,23 +8,31 @@ metric and force component expressions.  Past the metric itself,
 production code reads the geometry and the force from generated calls
 built from one set of root expressions: ``ForceField.first_order_jet``
 (g, g^-1, the Koszul symbol of dg, F and both force Jacobians) for the
-sample points, and for the RK4 integration ``ForceField.flow_jet``
-(F, g^-1 and the Koszul symbol, once per stage) and
-``ForceField.variation_jet`` (both force Jacobians and ddg contracted
-with v twice, once per block of stage points).  Each call fills one
-array, or the caller's, every tensor whole (symmetric duplicates stored
-twice), and the stage calls hand the tensors out as views of it: no
-gather, and no numeric inverse for n <= 3, where g^-1 is the metric's
-adjugate over its determinant as expressions (``Manifold._ginv_asts``),
-folded like every other group.  n >= 4 takes LAPACK's
-``np.linalg.inv`` inside ``first_order_jet`` and ``flow_jet``.  There is
-no separate single-point API: ``at_point`` evaluates any batch-first
+sample points, and for the RK4 integration ``ForceField.flow_jet`` (the
+acceleration a = F - gamma(v, v), once per stage) and
+``ForceField.variation_jet`` (both force Jacobians, ddg contracted with
+v twice, g^-1, the Koszul symbol and the ``Spray`` fields, once per
+block of stage points).  The connection enters the integration only
+contracted with v and F, and those contractions are generated too
+(``Manifold._lowered_asts``, ``_gvv_lowered_asts`` and
+``_raised_asts``), so they share every subexpression, the trig
+included, with the tensors of the same call.  A flow stage is the one
+generated call and nothing else.  Each call fills one array, or the
+caller's, every tensor whole (symmetric duplicates stored twice), and
+the variation call hands the tensors out as views of it: no gather, and
+no numeric inverse for n <= 3, where g^-1 is the metric's adjugate over
+its determinant as expressions (``Manifold._ginv_asts``), folded like
+every other group.  For n >= 4 the generated g^-1 entries are zero
+placeholders, and ``ForceField._records`` takes LAPACK's
+``np.linalg.inv`` of the generated g and adds the products with it to
+each raised field (a, gam_v, gam_f, gvv) from its lowered field.  There
+is no separate single-point API: ``at_point`` evaluates any batch-first
 function at one point by adding and stripping the batch axis, and
 ``force_tensors`` builds every metric and force tensor the deviation and
 normality formulas share in one place.
 
 Two layers, two layouts, each where it measures faster.  The RK4
-integration (``ForceField.flow_jet``, ``spray``, and per block
+integration (``ForceField.flow_jet``, and per block
 ``ForceField.variation_jet``, ``Manifold.riemann(vs=)`` and
 ``extended_gradients``) is batch-first: arrays (B, n) and (B, n, n), each
 matrix contiguous in its last axes, and each contraction a batched
@@ -48,14 +56,14 @@ and the selftest integrate at B <= 10.  The two layers share no
 contraction code.
 
 The variation equation needs the connection and the curvature only
-contracted with vectors: ``spray`` gives gamma contracted with v and F
-from the Koszul symbol without building gamma, and ``Manifold.riemann``
-with the velocity passed gives the Jacobi operator K[k, s] =
-R^k_msr v^m v^r from S, the second partials contracted with v twice,
-which the variation call's generated code sums symbolically; the rest
-costs O(n^3) per point, without ddg, d gamma or any (n, n, n, n)
-intermediate.  ``force_tensors`` contracts the Koszul symbol with v and
-F the same way, batch-last.  The per-quantity methods (``metric_partials``,
+contracted with vectors: the ``Spray`` fields give gamma contracted with
+v and F without building gamma, and ``Manifold.riemann`` with the
+velocity passed gives the Jacobi operator K[k, s] = R^k_msr v^m v^r from
+S, the second partials contracted with v twice, which the variation
+call's generated code sums symbolically; the rest costs O(n^3) per
+point, without ddg, d gamma or any (n, n, n, n) intermediate.
+``force_tensors`` contracts the Koszul symbol with v and F the same way,
+batch-last.  The per-quantity methods (``metric_partials``,
 ``metric_second_partials``, ``christoffel``, ``christoffel_partials``,
 ``riemann`` without a velocity, ``ForceField.components`` and
 ``ForceField.jacobians``) are oracles: no production path outside
@@ -205,46 +213,31 @@ def _koszul(d: np.ndarray) -> np.ndarray:
     return d.transpose(*lead, b, a, c) + d.transpose(*lead, b, c, a) - d
 
 
+def _total(terms: Sequence[Node]) -> Node:
+    """terms[0] + terms[1] + ..., added in that order, simplified."""
+    return exprlang.simplify(functools.reduce(Add, terms))
+
+
 class Spray(NamedTuple):
-    """The connection contracted with a velocity v (and a force F).
+    """The connection contracted with a velocity v and a force F.
 
     koszul[b, j, i, r] = d_j g_ir + d_i g_jr - d_r g_ij = 2 gamma_rij, with
     the first index lowered; low_v[b, i, r] = gamma_rij v^j (no inverse
     enters); gam_v[b, i, k] = gamma^k_ij v^j and gam_f[b, i, k] =
-    gamma^k_ij F^j (None without F); gvv[b, k] = gamma^k_ij v^i v^j.
+    gamma^k_ij F^j; gvv[b, k] = gamma^k_ij v^i v^j.  Each is a field of
+    ``ForceField.variation_record``.
     """
 
     koszul: np.ndarray
     low_v: np.ndarray
     gam_v: np.ndarray
-    gam_f: np.ndarray | None
+    gam_f: np.ndarray
     gvv: np.ndarray
 
-
-def spray(ginv: np.ndarray, koszul: np.ndarray, vs: np.ndarray,
-          f_vals: np.ndarray | None = None, out: tuple | None = None) -> Spray:
-    """gamma contracted with vs and f_vals, without building gamma.
-
-    koszul[b, j, i, r] is the Koszul combination of dg (``Spray.koszul``,
-    as ``ForceField.flow_jet`` returns it).  The products with v and F are
-    formed together: one batched product of it with the rows [v, F], then
-    one with g^-1.  out, when given, is the arrays written into: the
-    lowered products (B, m, n * n), the raised ones (B, m, n, n) and gvv
-    (B, 1, n), with m = 2 when f_vals is given and 1 otherwise.
-    """
-    nb, n = vs.shape
-    rows = (vs[:, None, :] if f_vals is None else
-            np.concatenate((vs, f_vals), axis=1).reshape(nb, 2, n))
-    m = rows.shape[1]
-    low, up, gvv = out or (np.empty((nb, m, n * n)), np.empty((nb, m, n, n)),
-                           np.empty((nb, 1, n)))
-    np.matmul(rows, koszul.reshape(nb, n, n * n), out=low)
-    low *= 0.5
-    np.matmul(low.reshape(nb, -1, n), ginv, out=up.reshape(nb, -1, n))
-    gam_v = up[:, 0]
-    np.matmul(vs[:, None, :], gam_v, out=gvv)
-    return Spray(koszul, low[:, 0].reshape(nb, n, n), gam_v,
-                 None if f_vals is None else up[:, 1], gvv[:, 0])
+    @classmethod
+    def of(cls, record: np.ndarray) -> "Spray":
+        """The fields of a ``ForceField.variation_jet`` record, as views."""
+        return cls(*(record[name] for name in cls._fields))
 
 
 def metric_asts(dimension: int, metric: Sequence[Sequence]) -> list:
@@ -281,8 +274,9 @@ class Manifold:
     repeated subexpressions; the full tensors are gathered from those.
     The exact first partials are derived on construction; the second
     partials, the groups the jets add (the Koszul symbol of dg, ddg
-    contracted with v twice and g^-1) and every callable are built on
-    first use, so a command pays only for what it evaluates.
+    contracted with v twice, g^-1, and the connection contracted with
+    vectors) and every callable are built on first use, so a command
+    pays only for what it evaluates.
     """
 
     def __init__(self, dimension: int, metric: Sequence[Sequence]):
@@ -401,7 +395,9 @@ class Manifold:
         nothing.  A zero numerator stays a constant of its own sign: the
         determinant of a positive definite metric is positive, and the
         numeric form gives -0.0 there.  For n >= 4 the entries are zero
-        placeholders, which the jets overwrite with LAPACK's inverse.
+        placeholders: every entry raised with them (``_raised_asts``)
+        comes out as its part without g^-1, and the jets complete it with
+        LAPACK's inverse (``ForceField._records``).
         """
         n = self.dimension
         if n > 3:
@@ -421,6 +417,37 @@ class Manifold:
             Add(Add(Mul(t[0], adj[0]), Mul(t[1], adj[3])), Mul(t[2], adj[6])))
         return [entry if isinstance(entry, Const) and entry.value == 0.0
                 else exprlang.simplify(Div(entry, det)) for entry in adj]
+
+    def _lowered_asts(self, w: Sequence[Node]) -> list:
+        """L[i, r] = gamma_rij w^j = koszul[j, i, r] (w^j / 2) at n i + r, for
+        a vector w of n expressions; no inverse enters."""
+        n, slot, koszul = self.dimension, self._g_idx, self._koszul_asts
+        half = [Mul(Const(0.5), entry) for entry in w]
+        return [_total([Mul(koszul[slot[j, i] * n + r], half[j])
+                        for j in range(n)])
+                for i in range(n) for r in range(n)]
+
+    @functools.cached_property
+    def _gvv_lowered_asts(self) -> list:
+        """c_r = gamma_rij v^i v^j = koszul[j, i, r] v^i v^j / 2, summed over
+        the monomials, koszul[i, j, r] v^i v^j for i < j and koszul[i, i,
+        r] (v^i)^2 / 2, with the square written v^2, as a force has it."""
+        n, slot, koszul = self.dimension, self._g_idx, self._koszul_asts
+        vel = [Var(name) for name in self.velocities]
+        mono = {(i, j): Mul(Const(0.5), Pow(vel[i], Const(2.0))) if i == j
+                else Mul(vel[i], vel[j])
+                for i in range(n) for j in range(i, n)}
+        return [_total([Mul(koszul[slot[i, j] * n + r], m)
+                        for (i, j), m in mono.items()])
+                for r in range(n)]
+
+    def _raised_asts(self, lowered: Sequence[Node]) -> list:
+        """w[row, k] = g^-1[k, r] w[row, r] at n row + k, for rows of n
+        lowered entries, r last; 0 for n >= 4 (``_ginv_asts``)."""
+        n, ginv = self.dimension, self._ginv_asts
+        return [_total([Mul(ginv[k * n + r], lowered[row * n + r])
+                        for r in range(n)])
+                for row in range(len(lowered) // n) for k in range(n)]
 
     @functools.cached_property
     def _g_fn(self):
@@ -510,8 +537,8 @@ class Manifold:
         P_sl = d_s d_m g_lj v^m v^j, W_sl = d_s d_l g(v, v) and
         H_ls = d_v d_v g_ls; E_sl = d_s g_lb c^b and D_ls = c^j d_j g_ls,
         so E + E^T - D is the Koszul symbol contracted with c.  With vs,
-        along (``spray(ginv, koszul, vs, ...)``) and ddg_vv (S) are
-        required, from ``ForceField.flow_jet`` and ``variation_jet``.
+        along (a ``Spray``) and ddg_vv (S) are required, both from the
+        record of ``ForceField.variation_jet``, and ginv from it too.
         """
         if ginv is None:
             ginv = np.linalg.inv(self.metric(xs))
@@ -570,16 +597,23 @@ class ForceField:
     of the force and the metric, each sharing every subexpression among
     its entries.  ``first_order_jet`` gives g, g^-1, the Koszul symbol of
     the metric's first partials, F and both force Jacobians, what
-    ``force_tensors`` consumes; ``flow_jet`` F, g^-1 and the Koszul
-    symbol, what an RK4 stage of the flow (and the shift's launch)
-    reads; ``variation_jet`` both force Jacobians and the metric's second
-    partials contracted with v twice, what the variation coefficients
-    read.  Each call fills one (B, K) array, one record of every tensor's
-    entries per point (the constant entries stored in one row, the
-    varying ones one by one, symmetric duplicates included).
+    ``force_tensors`` consumes; ``flow_jet`` the acceleration
+    a = F - gamma(v, v), what an RK4 stage of the flow reads;
+    ``variation_jet`` both force Jacobians, the metric's second partials
+    contracted with v twice, g^-1, the Koszul symbol and the ``Spray``
+    fields, what the variation coefficients (and the shift's launch)
+    read.  The first and the last fill one (B, K) array, one record of
+    every tensor's entries per point (the constant entries stored in one
+    row, the varying ones one by one, symmetric duplicates included).
     ``components`` and ``jacobians`` are oracles with callables of their
     own.  Every callable is compiled on first use.
     """
+
+    # For n >= 4: (raised field, its lowered field, sign).  The generated
+    # raised entries hold their part without g^-1 (F for a, 0 for the
+    # others), and ``_records`` adds sign * lowered g^-1 to them.
+    _RAISED = (("a", "c", -1.0), ("gvv", "c", 1.0),
+               ("gam_v", "low_v", 1.0), ("gam_f", "low_f", 1.0))
 
     def __init__(self, manifold: Manifold, components: Sequence):
         n = manifold.dimension
@@ -596,17 +630,22 @@ class ForceField:
                           for i in range(n) for k in range(n)]
         # a point's row of a generated call's array as one record; a field
         # access is one view, cheaper than a slice and a reshape at a few
-        # rows.  g enters the flow record only for LAPACK's inverse.
+        # rows.  g and the lowered c and low_f enter only for n >= 4, for
+        # LAPACK's inverse.
         shapes = dict(g=(n, n), ginv=(n, n), koszul=(n, n, n), f=(n,),
-                      dfdx=(n, n), dfdv=(n, n), ddg_vv=(n, n))
+                      dfdx=(n, n), dfdv=(n, n), ddg_vv=(n, n), a=(n,),
+                      c=(n,), low_v=(n, n), low_f=(n, n), gam_v=(n, n),
+                      gam_f=(n, n), gvv=(n,))
+        lapack = n > 3
 
         def record(*fields):
             return np.dtype([(name, float, shapes[name]) for name in fields])
         self._first_order_record = record("g", "ginv", "koszul", "f",
                                           "dfdx", "dfdv")
-        self.flow_record = record("f", *(["g"] if n > 3 else []), "ginv",
-                                  "koszul")
-        self.variation_record = record("dfdx", "dfdv", "ddg_vv")
+        self._flow_record = record("a", *(["g", "c"] if lapack else []))
+        self.variation_record = record(
+            "dfdx", "dfdv", "ddg_vv", "ginv", *Spray._fields,
+            *(["g", "low_f", "c"] if lapack else []))
 
     @functools.cached_property
     def _f_fn(self):
@@ -615,6 +654,26 @@ class ForceField:
     @functools.cached_property
     def _jac_fn(self):
         return exprlang.compile_fn(self._jac_asts, self._names)
+
+    @functools.cached_property
+    def _connection_asts(self) -> dict:
+        """The connection contracted with v and F: the lowered c_r =
+        gamma_rij v^i v^j, low_v and low_f, the raised gam_v and gam_f,
+        gvv = v^i gam_v[i] (``Spray``), and a = F - g^-1 c."""
+        man = self.manifold
+        n = man.dimension
+        low = dict(c=man._gvv_lowered_asts,
+                   low_v=man._lowered_asts([Var(name)
+                                            for name in man.velocities]),
+                   low_f=man._lowered_asts(self.component_ast))
+        gam_v = man._raised_asts(low["low_v"])
+        vel = [Var(name) for name in man.velocities]
+        gvv = [_total([Mul(vel[i], gam_v[i * n + k]) for i in range(n)])
+               for k in range(n)]
+        return dict(low, gam_v=gam_v, gam_f=man._raised_asts(low["low_f"]),
+                    gvv=gvv, a=[exprlang.simplify(Sub(f, cv)) for f, cv in
+                                zip(self.component_ast,
+                                    man._raised_asts(low["c"]))])
 
     def _roots(self, record: np.dtype) -> list:
         """Every entry of the record's tensors, in its field order and
@@ -630,7 +689,9 @@ class ForceField:
             dfdx=lambda: self._jac_asts[:n * n],
             dfdv=lambda: self._jac_asts[n * n:],
             ddg_vv=lambda: [man._ddg_vv_asts[p] for p in slots])
-        return [root for name in record.names for root in groups[name]()]
+        return [root for name in record.names
+                for root in (groups[name]() if name in groups
+                             else self._connection_asts[name])]
 
     @functools.cached_property
     def _first_order_fn(self):
@@ -639,7 +700,7 @@ class ForceField:
 
     @functools.cached_property
     def _flow_fn(self):
-        return exprlang.compile_fn(self._roots(self.flow_record),
+        return exprlang.compile_fn(self._roots(self._flow_record),
                                    self._names)
 
     @functools.cached_property
@@ -655,11 +716,20 @@ class ForceField:
     def _records(self, fn, args: tuple, record: np.dtype,
                  out: np.ndarray | None = None) -> np.ndarray:
         """fn's array at the coordinate and velocity rows args, one record
-        per point, written into out when given; for n >= 4 its g^-1
-        placeholders are overwritten with LAPACK's inverse."""
+        per point, written into out when given.  For n >= 4, g^-1 is
+        LAPACK's inverse of g, and the fields raised with it are completed
+        from their lowered fields (``_RAISED``)."""
         out = fn(*args, _out=out).view(record)[:, 0]
-        if self.manifold.dimension > 3:
-            out["ginv"] = np.linalg.inv(out["g"])
+        n, names = self.manifold.dimension, record.names
+        if n > 3:
+            ginv = np.linalg.inv(out["g"])
+            if "ginv" in names:
+                out["ginv"] = ginv
+            for raised, lowered, sign in self._RAISED:
+                if raised in names:
+                    low = out[lowered]
+                    out[raised] += sign * (low.reshape(len(low), -1, n)
+                                           @ ginv).reshape(low.shape)
         return out
 
     def components(self, xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -693,20 +763,35 @@ class ForceField:
 
     def flow_jet(self, xs: np.ndarray, vs: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:
-        """F, g^-1 and the Koszul symbol at batch-first points, one
-        ``flow_record`` per point from one compiled call (into out, a
-        (B, K) array, when given): first_order_jet's values bit for bit,
-        batch-first, each matrix contiguous."""
-        return self._records(self._flow_fn, self._args(xs, vs),
-                             self.flow_record, out)
+        """The acceleration a = F - gamma(v, v) at batch-first points, (B,
+        n), written into out when given.
+
+        For n <= 3 it is one compiled call and nothing else: a_k = F_k -
+        g^-1[k, r] c_r, with g^-1 from ``Manifold._ginv_asts`` and c_r =
+        gamma_rij v^i v^j from ``Manifold._gvv_lowered_asts``.  For n >= 4
+        the call gives F, g and c, and a = F - g^-1 c with LAPACK's
+        inverse (``_records``).
+        """
+        args = self._args(xs, vs)
+        if self.manifold.dimension <= 3:
+            return self._flow_fn(*args, _out=out)
+        a = self._records(self._flow_fn, args, self._flow_record)["a"]
+        if out is None:
+            return a
+        out[...] = a
+        return out
 
     def variation_jet(self, xs: np.ndarray, vs: np.ndarray,
                       out: np.ndarray | None = None) -> np.ndarray:
-        """dF/dx, dF/dv and S = P + P^T - W - H (``Manifold.riemann``), one
-        ``variation_record`` per point like ``flow_jet``; S is
-        ``metric_second_partials`` contracted with vs twice."""
-        out = self._variation_fn(*self._args(xs, vs), _out=out)
-        return out.view(self.variation_record)[:, 0]
+        """dF/dx, dF/dv, S = P + P^T - W - H (``Manifold.riemann``), g^-1,
+        the Koszul symbol and the ``Spray`` fields at batch-first points,
+        one ``variation_record`` per point from one compiled call (into
+        out, a (B, K) array, when given).  S is
+        ``metric_second_partials`` contracted with vs twice; dF/dx, dF/dv,
+        g^-1 and the Koszul symbol are first_order_jet's values bit for
+        bit, batch-first."""
+        return self._records(self._variation_fn, self._args(xs, vs),
+                             self.variation_record, out)
 
 
 def extended_gradients(man: Manifold, force: ForceField, xs: np.ndarray,
@@ -717,15 +802,12 @@ def extended_gradients(man: Manifold, force: ForceField, xs: np.ndarray,
     velocity[b,i,k] is the plain v-derivative; spatial[b,i,k] adds the
     connection correction for the vector index and the chase of the
     velocity argument along coordinate directions.  jac and along, when
-    given, are the pair (dfdx, dfdv) and ``spray(ginv, koszul, vs, F)``
-    already formed; otherwise both come from the first-order jet's
-    generated call, read batch-first.
+    given, are the pair (dfdx, dfdv) and the ``Spray`` at (xs, vs)
+    already formed; otherwise both come from ``force.variation_jet``.
     """
     if jac is None or along is None:
-        out = force._records(force._first_order_fn, force._args(xs, vs),
-                             force._first_order_record)
-        jac = out["dfdx"], out["dfdv"]
-        along = spray(out["ginv"], out["koszul"], vs, out["f"])
+        jet = force.variation_jet(xs, vs)
+        jac, along = (jet["dfdx"], jet["dfdv"]), Spray.of(jet)
     dfdx, dfdv = jac
     spatial = dfdx - along.gam_v @ dfdv + along.gam_f
     return spatial, dfdv

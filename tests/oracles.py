@@ -32,9 +32,15 @@ one formula from a second, simpler route.
   the batch, as the package computed it before the jets generated g^-1.
   The generated entries use the same products in the same order, so it
   pins them byte for byte, signed zeros included.
+- ``spray``: the connection contracted with v and F from g^-1 and the
+  Koszul symbol, in batched matrix products, as the package formed it
+  at every RK4 stage before the jets generated the contractions.  It
+  pins the acceleration of ``ForceField.flow_jet`` and the ``Spray``
+  fields of ``ForceField.variation_jet``, read against the records of
+  ``first_order_jet``.
 - ``rhs``: the plain time derivatives of the batched state at one RK4
   stage, composed of the production pieces at the stage's own points:
-  the flow call and ``spray``, then the variation call,
+  the flow call (the acceleration), then the variation call,
   ``Manifold.riemann(vs=)`` and ``extended_gradients``.  The integrator
   forms the same pieces a block of stages at a time; this is the stage
   they add up to, which ``tests/test_rhs_reference.py`` pins to the
@@ -53,7 +59,7 @@ import numpy as np
 from frontshift.deviation import phi_derivatives
 from frontshift.dynamics import (BatchTrajectory, IntegrationAbort,
                                  integrate_batch)
-from frontshift.geometry import at_point, extended_gradients, spray
+from frontshift.geometry import Spray, at_point, extended_gradients
 
 
 def single_record(batch, row):
@@ -174,6 +180,20 @@ def adjugate_inverse(g):
     return (adj / det).T.reshape(g.shape)
 
 
+def spray(ginv, koszul, vs, f_vals):
+    """The ``Spray`` of the batch-first g^-1[b, k, r], koszul[b, j, i, r]
+    (the Koszul symbol of dg), velocities vs[b, j] and forces f_vals[b, j]:
+    one batched product of the Koszul symbol with the rows [v, F], then
+    one with g^-1."""
+    nb, n = vs.shape
+    rows = np.stack((vs, f_vals), axis=1)
+    low = 0.5 * (rows @ koszul.reshape(nb, n, n * n))
+    up = (low.reshape(nb, -1, n) @ ginv).reshape(nb, 2, n, n)
+    gam_v = up[:, 0]
+    gvv = (vs[:, None, :] @ gam_v)[:, 0]
+    return Spray(koszul, low[:, 0].reshape(nb, n, n), gam_v, up[:, 1], gvv)
+
+
 def rhs(man, force, x, v, tau, rho, riemann_sign):
     """(dx, dv, dtau, drho) at x, v: (B, n) and tau, rho: (B, J, n).
 
@@ -182,15 +202,14 @@ def rhs(man, force, x, v, tau, rho, riemann_sign):
         dtau = rho - tau (gamma v)^T
         drho = tau (spatial - riemann_sign K^T) + rho (dF/dv - (gamma v)^T)
     """
-    flow = force.flow_jet(x, v)
-    along = spray(flow["ginv"], flow["koszul"], v, flow["f"])
     jet = force.variation_jet(x, v)
-    jacobi = man.riemann(x, ginv=flow["ginv"], vs=v, along=along,
+    along = Spray.of(jet)
+    jacobi = man.riemann(x, ginv=jet["ginv"], vs=v, along=along,
                          ddg_vv=jet["ddg_vv"])
     spatial, velocity = extended_gradients(man, force, x, v,
                                            jac=(jet["dfdx"], jet["dfdv"]),
                                            along=along)
-    return (v.copy(), flow["f"] - along.gvv, rho - tau @ along.gam_v,
+    return (v.copy(), force.flow_jet(x, v), rho - tau @ along.gam_v,
             tau @ (spatial - riemann_sign * jacobi.swapaxes(1, 2))
             + rho @ (velocity - along.gam_v))
 

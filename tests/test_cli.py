@@ -130,9 +130,13 @@ def test_blowup_outputs(tmp_path, capsys):
     assert code == 0
     run = json.loads(out)
     assert run["stats"]["max_psi"] < 1e-10
-    # 200 steps of 8 rows, four RHS evaluations per step
+    # 200 steps of 8 rows, four RHS evaluations per step; a flow call per
+    # stage, and blocks of 64 steps (2048 stage points), so the
+    # coefficients of 6400 points in four calls
     work = run["stats"]["work"]
     assert (work["rhs_evals"], work["row_steps"]) == (800, 1600)
+    assert (work["flow_calls"], work["coefficient_calls"],
+            work["coefficient_points"]) == (800, 4, 6400)
     assert work["row_steps_per_s"] > 0
     csv_lines = (out_dir / "blowup_front.csv").read_text().splitlines()
     assert csv_lines[0] == ("t,dir_index,u1,x1,x2,v1,v2,tau1_1,tau1_2,"
@@ -201,13 +205,18 @@ def test_blowup_abort_keeps_partial_output(tmp_path, capsys):
     assert doc["aborted"] is True
     assert isinstance(doc["abort_node"], int)
     assert doc["abort_directions"]
-    assert doc["abort_quantities"] == ["x", "v", "tau", "rho"]
+    # a flat chart: tau's rate is rho exactly, since every connection
+    # entry is the constant 0.0, so tau is still finite at the node where
+    # x, v and rho blow up
+    assert doc["abort_quantities"] == ["x", "v", "rho"]
     # the work counts the steps completed before the failing one; it is
     # in the run report only
     steps = doc["abort_node"]
     assert 0 < steps < 1000
-    assert run["stats"]["work"]["rhs_evals"] == 4 * steps
-    assert run["stats"]["work"]["row_steps"] == 8 * steps
+    work = run["stats"]["work"]
+    assert work["rhs_evals"] == work["flow_calls"] == 4 * steps
+    assert work["row_steps"] == 8 * steps
+    assert work["coefficient_points"] == 4 * 8 * steps
     assert "work" not in doc
 
 
@@ -219,7 +228,11 @@ def test_shift_outputs(tmp_path, capsys):
     code, out, _ = _run(capsys, ["shift", "--config", cfg,
                                  "--out-dir", str(out_dir)])
     assert code == 0
-    assert json.loads(out)["stats"]["max_psi"] < 1e-10
+    run = json.loads(out)
+    assert run["stats"]["max_psi"] < 1e-10
+    work = run["stats"]["work"]
+    assert (work["flow_calls"], work["coefficient_calls"],
+            work["coefficient_points"]) == (800, 4, 6400)
     assert (out_dir / "shift_orthogonality.json").exists()
     csv_lines = (out_dir / "shift_front.csv").read_text().splitlines()
     header = csv_lines[0].split(",")
@@ -244,6 +257,9 @@ def test_rank_free_field(tmp_path, capsys):
     assert doc["max_sigma3_over_sigma1"] <= 1e-10
     work = json.loads(out)["stats"]["work"]
     assert (work["rhs_evals"], work["row_steps"]) == (4000, 5000)
+    # blocks of 102 steps of 5 rows: ten coefficient calls
+    assert (work["flow_calls"], work["coefficient_calls"],
+            work["coefficient_points"]) == (4000, 10, 20000)
     assert len(doc["trajectories"]) == 5
     assert all(len(t["singular_values"]) == 5 for t in doc["trajectories"])
 

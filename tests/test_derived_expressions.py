@@ -4,7 +4,8 @@ Each case hashes the structure (``structure``: each node's type name
 and the ``repr`` of its payload, recursively) of every expression group
 a compiled callable of ``Manifold`` or ``ForceField`` evaluates: g, its
 first and second partials, the Koszul symbol, S (the second partials
-contracted with v twice), F and both force Jacobians.  The association
+contracted with v twice), F and both force Jacobians; and, pinned apart,
+g^-1 and the connection contracted with v and F.  The association
 order of sums and products and the sign of a zero constant change a
 digest, as they change the generated code.  A refactor of the parser,
 the differentiator or the simplifier must leave every digest as it is.
@@ -46,6 +47,31 @@ DIGESTS = {
 }
 
 
+# g^-1 and the connection contracted with v and F (the lowered c, L_v
+# and L_F, the raised Gamma v, Gamma F and Gamma(v, v), and the
+# acceleration), pinned apart so that the groups above keep their digests
+CONNECTION_DIGESTS = {
+    "config/drag":
+        "0bc044c2809d531bad55941a3bd2931e63df2891d668d85f2d47faa50efb062f",
+    "config/free":
+        "4686addb7e51de24ce4a558e32d84d745171a52e4bbd5732114b29caaf86f83d",
+    "config/harmonic":
+        "820a76b2309251a569db3633ce57ec5eb7bdb584699e8d7c1ac398bdcc3e8bfb",
+    "config/sphere-geodesic":
+        "60f89d70412073beea22529ffbb9acc252d365513e993b8ca8b48bb41f9a4889",
+    "config/sphere3-drag":
+        "e42cc65070884e7454c1991e04c8b7c5b2ee4c365b5a6a28fddffc67d0ed4e92",
+    "config/varying-nu":
+        "4686addb7e51de24ce4a558e32d84d745171a52e4bbd5732114b29caaf86f83d",
+    "chart/S2":
+        "f8929538224d30e96a659c04fe2cbe48546065164c9db4f23ab9579c57a1d0ac",
+    "chart/S3":
+        "e42cc65070884e7454c1991e04c8b7c5b2ee4c365b5a6a28fddffc67d0ed4e92",
+    "chart/skew3":
+        "2d005adc7d9ac5823e73bc5a2e821904652b234cb0c46786278484f89ccbed9e",
+}
+
+
 def groups(man: Manifold, force: ForceField) -> dict:
     nn = man.dimension ** 2
     return {"g": man._g_asts, "dg": man._dg_asts, "ddg": man._ddg_asts,
@@ -62,10 +88,14 @@ def structure(node: Node) -> str:
     return f"{type(node).__name__}({', '.join(parts)})"
 
 
-def digest(man: Manifold, force: ForceField) -> str:
+def connection_groups(man: Manifold, force: ForceField) -> dict:
+    return {"ginv": man._ginv_asts, **force._connection_asts}
+
+
+def digest(man: Manifold, force: ForceField, of=groups) -> str:
     text = "".join(f"{name}\n" + "".join(f"{structure(node)}\n"
                                          for node in group)
-                   for name, group in groups(man, force).items())
+                   for name, group in of(man, force).items())
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -83,9 +113,15 @@ CASES = ([f"config/{path.stem}" for path in sorted(CONFIGS.glob("*.json"))]
 
 
 def test_every_bundled_config_and_chart_is_pinned():
-    assert sorted(DIGESTS) == sorted(CASES)
+    assert sorted(DIGESTS) == sorted(CONNECTION_DIGESTS) == sorted(CASES)
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_derived_expressions_match_their_digest(case):
     assert digest(*build(case)) == DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_connection_expressions_match_their_digest(case):
+    assert (digest(*build(case), of=connection_groups)
+            == CONNECTION_DIGESTS[case])

@@ -1,4 +1,7 @@
+import sys
 import tracemalloc
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,22 +68,31 @@ def test_rk4_block_is_four_flow_calls_a_step_one_coefficient_call(
     man, force, x0, v0, tau0, rho0 = _s3_drag_batch()
     calls = {}
 
-    def count(cls, name):
-        real = getattr(cls, name)
+    def count(owner, name):
+        real = getattr(owner, name)
         calls[name] = 0
 
         def counted(*args, **kwargs):
             calls[name] += 1
             return real(*args, **kwargs)
-        monkeypatch.setattr(cls, name, counted)
+        monkeypatch.setattr(owner, name, counted)
 
     for name in ("metric", "metric_partials", "metric_second_partials",
-                 "christoffel", "christoffel_partials", "riemann"):
+                 "christoffel", "christoffel_partials"):
         count(Manifold, name)
     for name in ("first_order_jet", "jacobians", "components"):
         count(ForceField, name)
     count(np.linalg, "inv")
-    # every tensor a stage or a coefficient call reads is a view of the
+    count(dynamics, "extended_gradients")
+    # the contracted form only: every riemann call passes the velocity
+    riemann = Manifold.riemann
+    calls["riemann(vs=)"] = 0
+
+    def contracted(self, xs, **kwargs):
+        calls["riemann(vs=)"] += kwargs["vs"] is not None
+        return riemann(self, xs, **kwargs)
+    monkeypatch.setattr(Manifold, "riemann", contracted)
+    # every array a stage or a coefficient call writes is a view of the
     # workspace: each call writes into the array it is given
     owners = {"flow_jet": [], "variation_jet": []}
 
@@ -88,10 +100,10 @@ def test_rk4_block_is_four_flow_calls_a_step_one_coefficient_call(
         real = getattr(ForceField, name)
 
         def call(self, xs, vs, out=None):
-            records = real(self, xs, vs, out=out)
+            written = real(self, xs, vs, out=out)
             owners[name].append(tuple(id(owner(a))
-                                      for a in (records, out, xs)))
-            return records
+                                      for a in (written, out, xs)))
+            return written
         monkeypatch.setattr(ForceField, name, call)
     viewed("flow_jet")
     viewed("variation_jet")
@@ -101,17 +113,19 @@ def test_rk4_block_is_four_flow_calls_a_step_one_coefficient_call(
     integrate_batch(man, force, x0, v0, tau0, rho0, steps * 1e-3, 1e-3)
     assert {name: len(seen) for name, seen in owners.items()} == {
         "flow_jet": 4 * steps, "variation_jet": 3}
-    assert calls == {"riemann": 3, "first_order_jet": 0, "metric": 0,
+    assert calls == {"riemann(vs=)": 3, "extended_gradients": 3,
+                     "first_order_jet": 0, "metric": 0,
                      "metric_partials": 0, "metric_second_partials": 0,
                      "christoffel": 0, "christoffel_partials": 0,
                      "jacobians": 0, "inv": 0, "components": 0}
     workspaces = {own for seen in owners.values() for triple in seen
                   for own in triple}
-    # the stage points, the flow records and the coefficient records:
-    # three arrays for the whole integration, none of them per block
+    # the stage points, the stage rates the flow call writes its
+    # acceleration into, and the coefficient records: three arrays for
+    # the whole integration, none of them per block
     assert len(workspaces) == 3
-    assert all(records == out for seen in owners.values()
-               for records, out, _ in seen)
+    assert all(written == out for seen in owners.values()
+               for written, out, _ in seen)
     # without variations only the flow runs
     for seen in owners.values():
         seen.clear()
@@ -119,7 +133,59 @@ def test_rk4_block_is_four_flow_calls_a_step_one_coefficient_call(
                     steps * 1e-3, 1e-3)
     assert {name: len(seen) for name, seen in owners.items()} == {
         "flow_jet": 4 * steps, "variation_jet": 0}
-    assert calls["riemann"] == 3
+    assert calls["riemann(vs=)"] == calls["extended_gradients"] == 3
+
+
+def test_a_flow_stage_is_one_generated_call(monkeypatch):
+    # the Python functions of the package a flow-only integration enters:
+    # per stage the flow call (its argument rows and its generated code)
+    # and nothing else, no contraction of the connection and no record
+    man, force, x0, v0, tau0, rho0 = _s3_drag_batch()
+    src = str(Path(dynamics.__file__).parent)
+    entered = Counter()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and (code.co_filename.startswith(src)
+                                or code.co_name == "_compiled"):
+            entered[code.co_name] += 1
+    steps = _block_steps(len(x0)) + 2
+    force.flow_jet(x0, v0)  # compiled outside the profile
+    sys.setprofile(profile)
+    try:
+        integrate_batch(man, force, x0, v0, tau0[:, :0], rho0[:, :0],
+                        steps * 1e-3, 1e-3)
+    finally:
+        sys.setprofile(None)
+    assert entered == {"integrate_batch": 1, "split": 2, "_block_steps": 1,
+                       "__init__": 1, "flow": 2, "flow_jet": 4 * steps,
+                       "_args": 4 * steps, "_compiled": 4 * steps}
+
+
+@pytest.mark.parametrize("nb, steps, nvar", [
+    (6, 2 * 85 + 3, 2), (6, 50, 0), (128, 9, 1), (512, 3, 1),
+    (1000, 3, 1), (2100, 2, 1)])
+def test_integration_work_is_the_calls_made(nb, steps, nvar, monkeypatch):
+    # partial blocks, a block of exactly BLOCK_POINTS points, and steps
+    # larger than a block
+    man, force, x0, v0, tau0, rho0 = _chart_batch("S2", nb, nvar)
+    made = Counter()
+
+    def counted(name):
+        real = getattr(ForceField, name)
+
+        def call(self, xs, vs, out=None):
+            made[name] += 1
+            made[name, "points"] += len(xs)
+            return real(self, xs, vs, out=out)
+        monkeypatch.setattr(ForceField, name, call)
+    counted("flow_jet")
+    counted("variation_jet")
+    integrate_batch(man, force, x0, v0, tau0, rho0, steps * 1e-3, 1e-3)
+    assert dynamics.integration_work(nb, nvar, steps) == {
+        "flow_calls": made["flow_jet"],
+        "coefficient_calls": made["variation_jet"],
+        "coefficient_points": made["variation_jet", "points"]}
 
 
 def test_flow_does_not_depend_on_the_variations():
@@ -370,6 +436,30 @@ def test_packed_abort_is_the_per_quantity_abort():
     # the flow runs ahead of the variations; the abort falls in a later
     # block than the first
     assert packed.node_index >= 2 * _block_steps(len(x0))
+    assert str(packed) == str(loop)
+    for name in FIELDS:
+        assert np.array_equal(getattr(packed.record, name),
+                              getattr(loop.record, name)), name
+
+
+def test_curved_runaway_names_every_quantity():
+    # on a flat chart tau's rate is rho exactly (every connection entry is
+    # the constant 0.0), and the blow-up's abort in tests/test_cli.py
+    # leaves tau finite; a cubic runaway on S^2, launched the same way
+    # (tau = 0), still carries x, v, tau and rho to inf/nan at one step
+    runaway = ForceField(SPHERE, ["v1^3", "0"])
+    x0 = np.array([[2.0, 0.0], [2.0, 0.0]])
+    v0 = np.array([[5.0, 0.0], [5.0 * np.cos(0.3), 5.0 * np.sin(0.3)]])
+    tau0 = np.zeros((2, 1, 2))
+    rho0 = 5.0 * np.array([[[0.0, 1.0]], [[-np.sin(0.3), np.cos(0.3)]]])
+    aborts = []
+    for run in (integrate_batch, rk4_per_quantity):
+        with pytest.raises(IntegrationAbort) as info:
+            run(SPHERE, runaway, x0, v0, tau0, rho0, 1.0, 1e-3)
+        aborts.append(info.value)
+    packed, loop = aborts
+    assert packed.quantities == ["x", "v", "tau", "rho"]
+    assert packed.batch_indices == [0]
     assert str(packed) == str(loop)
     for name in FIELDS:
         assert np.array_equal(getattr(packed.record, name),

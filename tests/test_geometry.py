@@ -5,10 +5,10 @@ import pytest
 
 from frontshift.exprlang import Const
 from frontshift.geometry import (ForceField, Manifold,
-                                 NonPositiveDefiniteError, ZeroVelocityError,
-                                 _koszul, at_point, check_positive_definite,
-                                 extended_gradients, spray)
-from oracles import adjugate_inverse
+                                 NonPositiveDefiniteError, Spray,
+                                 ZeroVelocityError, _koszul, at_point,
+                                 check_positive_definite, extended_gradients)
+from oracles import adjugate_inverse, spray
 from test_rhs_reference import CHARTS, drag, sphere
 
 EUCLID = Manifold(2, [["1", "0"], ["0", "1"]])
@@ -263,10 +263,10 @@ def _chart_points(chart, nb=40):
 
 
 def _ginv_of_both_jets(force, xs, vs):
-    """g from the first-order jet, g^-1 from the flow call, and g^-1 from
-    the first-order jet, the batch axis moved to the front."""
+    """g from the first-order jet, g^-1 from the variation call, and g^-1
+    from the first-order jet, the batch axis moved to the front."""
     g, last = force.first_order_jet(xs.T.copy(), vs.T.copy())[:2]
-    return (np.moveaxis(g, -1, 0), force.flow_jet(xs, vs)["ginv"],
+    return (np.moveaxis(g, -1, 0), force.variation_jet(xs, vs)["ginv"],
             np.moveaxis(last, -1, 0))
 
 
@@ -334,7 +334,7 @@ def test_inverse_hand_values():
         assert all(isinstance(entry, Const) for entry in man._ginv_asts)
         force = ForceField(man, ["0"] * len(metric))
         xs = np.zeros((2, len(metric)))
-        ginv = force.flow_jet(xs, xs)["ginv"]
+        ginv = force.variation_jet(xs, xs)["ginv"]
         assert np.allclose(ginv, want, rtol=0, atol=1e-15)
         assert np.array_equal(np.signbit(ginv), np.signbit([want] * 2))
 
@@ -360,26 +360,78 @@ def test_jet_is_the_per_quantity_methods(chart):
     for name, a, b in zip(names, (g, f, dfdx, dfdv), want, strict=True):
         assert a.shape == b.shape, name
         assert np.array_equal(a, b), name
-    # the two stage calls split the first-order jet's roots (plus S),
-    # bit for bit, every tensor a field of the one array each call fills,
-    # or of the array passed to it
+    # the variation call shares the first-order jet's roots (g only for
+    # LAPACK's inverse), bit for bit, every tensor a field of the one
+    # array the call fills, or of the array passed to it
     names = ("g", "ginv", "koszul", "f", "dfdx", "dfdv")
-    stage = {**{name: force.flow_jet(xs, vs)[name]
-                for name in force.flow_record.names},
-             **{name: force.variation_jet(xs, vs)[name]
-                for name in ("dfdx", "dfdv")}}
-    assert sorted(stage) == sorted(name for name in names
-                                   if name != "g" or man.dimension > 3)
+    jet = force.variation_jet(xs, vs)
+    shared = [name for name in names if name in jet.dtype.names]
+    assert shared == [name for name in names[:3] + names[4:]
+                      if name != "g" or man.dimension > 3]
     for name, b in zip(names, first, strict=True):
-        if name in stage:
-            assert np.array_equal(stage[name], b), name
-    for jet, record in ((force.flow_jet, force.flow_record),
-                        (force.variation_jet, force.variation_record)):
-        out = np.empty((len(xs) + 2, record.itemsize // 8))
-        rows = jet(xs, vs, out=out[1:-1])
-        assert owner(rows) is out
-        assert all(np.array_equal(rows[name], jet(xs, vs)[name])
-                   for name in record.names)
+        if name in shared:
+            assert np.array_equal(jet[name], b), name
+    record = force.variation_record
+    out = np.empty((len(xs) + 2, record.itemsize // 8))
+    rows = force.variation_jet(xs, vs, out=out[1:-1])
+    assert owner(rows) is out
+    assert all(np.array_equal(rows[name], jet[name]) for name in record.names)
+    # the flow call writes the acceleration, (B, n), into the rows given
+    out = np.empty((len(xs), 2 * man.dimension))
+    rows = force.flow_jet(xs, vs, out=out[:, man.dimension:])
+    assert owner(rows) is out and rows.shape == xs.shape
+    assert np.array_equal(rows, force.flow_jet(xs, vs))
+
+
+def _first_order_spray(force, xs, vs):
+    """(F, ``spray``) from the first-order jet's records, batch-first."""
+    _, ginv, koszul, f, _, _ = (np.moveaxis(a, -1, 0) for a in
+                                force.first_order_jet(xs.T.copy(),
+                                                      vs.T.copy()))
+    return f, spray(ginv, koszul, vs, f)
+
+
+def _close(got, want, rel=1e-13):
+    """got within rel of want, relative to want's largest entry."""
+    assert got.shape == want.shape
+    return np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+@pytest.mark.parametrize("chart", sorted(JET_CHARTS))
+def test_acceleration_is_the_force_minus_the_spray(chart):
+    # a = F - gamma(v, v), generated whole for n <= 3 and completed with
+    # LAPACK's inverse for n >= 4 (S4 and dense4)
+    man, force, xs, vs = _chart_points(chart)
+    f, along = _first_order_spray(force, xs, vs)
+    assert np.abs(along.gvv).max() > 0.0
+    assert _close(force.flow_jet(xs, vs), f - along.gvv)
+
+
+@pytest.mark.parametrize("chart", sorted(JET_CHARTS))
+def test_variation_record_holds_the_spray(chart):
+    man, force, xs, vs = _chart_points(chart)
+    _, want = _first_order_spray(force, xs, vs)
+    got = Spray.of(force.variation_jet(xs, vs))
+    assert np.array_equal(got.koszul, want.koszul)
+    for name in Spray._fields[1:]:
+        assert np.abs(getattr(want, name)).max() > 0.0, name
+        assert _close(getattr(got, name), getattr(want, name)), name
+
+
+def test_flat_chart_connection_entries_are_exact_zeros():
+    # E^3: every connection entry folds to the constant 0.0, so a is F bit
+    # for bit, and stays so at velocities where 0 * inf would be nan
+    metric, force_src = INVERSE_CHARTS["E3"]
+    man = Manifold(3, metric)
+    force = ForceField(man, force_src)
+    rng = np.random.default_rng(41)
+    xs, vs = rng.normal(size=(2, 6, 3))
+    vs[0] = np.inf
+    jet = force.variation_jet(xs, vs)
+    for name in Spray._fields:
+        assert np.array_equal(jet[name], np.zeros_like(jet[name])), name
+        assert not np.signbit(jet[name]).any(), name
+    assert np.array_equal(force.flow_jet(xs, vs), force.components(xs, vs))
 
 
 @pytest.mark.parametrize("chart", sorted(JET_CHARTS))
@@ -388,8 +440,8 @@ def test_jet_groups_are_the_contracted_partials(chart):
     # forms from the full first and second partials
     man, force, xs, vs = _chart_points(chart)
     n = man.dimension
-    koszul = force.flow_jet(xs, vs)["koszul"]
-    ddg_vv = force.variation_jet(xs, vs)["ddg_vv"]
+    jet = force.variation_jet(xs, vs)
+    koszul, ddg_vv = jet["koszul"], jet["ddg_vv"]
     want = _koszul(man.metric_partials(xs)).transpose(0, 2, 3, 1)
     assert koszul.shape == (len(xs), n, n, n)
     assert np.abs(koszul - want).max() <= 1e-13 * np.abs(want).max()
@@ -405,12 +457,11 @@ def test_jet_groups_are_the_contracted_partials(chart):
 
 
 def _jacobi(man, force, xs, vs):
-    """riemann(vs=) with every input from the stage calls, as the
+    """riemann(vs=) with every input from the variation call, as the
     integrator feeds it."""
-    flow = force.flow_jet(xs, vs)
-    along = spray(flow["ginv"], flow["koszul"], vs, flow["f"])
-    return man.riemann(xs, ginv=flow["ginv"], vs=vs, along=along,
-                       ddg_vv=force.variation_jet(xs, vs)["ddg_vv"])
+    jet = force.variation_jet(xs, vs)
+    return man.riemann(xs, ginv=jet["ginv"], vs=vs, along=Spray.of(jet),
+                       ddg_vv=jet["ddg_vv"])
 
 
 @pytest.mark.parametrize("chart", sorted(JET_CHARTS))
@@ -452,17 +503,17 @@ def _peak_bytes(fn):
 
 def test_jacobi_operator_builds_no_rank_four_array():
     # any (B, n, n, n, n) array is as large as ddg itself; in n = 4 it is
-    # n times any rank-three one, so neither the stage calls' groups nor
-    # the contracted form's temporaries reach ddg, and the full tensor's do
+    # n times any rank-three one, so neither the variation call's record
+    # nor the contracted form's temporaries reach ddg, and the full
+    # tensor's do
     man, force, xs, vs = _chart_points("S4", nb=256)
-    flow, jet = force.flow_jet(xs, vs), force.variation_jet(xs, vs)
-    ginv, koszul, f = flow["ginv"], flow["koszul"], flow["f"]
-    ddg_vv = jet["ddg_vv"]
+    jet = force.variation_jet(xs, vs)
+    ginv, koszul, ddg_vv = jet["ginv"], jet["koszul"], jet["ddg_vv"]
     ddg = man.metric_second_partials(xs)
-    assert max(flow[name].nbytes for name in flow.dtype.names) \
+    assert max(jet[name].nbytes for name in jet.dtype.names) \
         == koszul.nbytes
-    assert owner(koszul).nbytes + owner(ddg_vv).nbytes < ddg.nbytes
-    along = spray(ginv, koszul, vs, f)
+    assert owner(koszul).nbytes < ddg.nbytes
+    along = Spray.of(jet)
     contracted = _peak_bytes(lambda: man.riemann(
         xs, ginv=ginv, vs=vs, along=along, ddg_vv=ddg_vv))
     full = _peak_bytes(lambda: man.riemann(

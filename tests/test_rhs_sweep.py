@@ -6,10 +6,11 @@ from test_rhs_reference import CHARTS, rhs_sweep
 
 
 def test_sweep_follows_the_stage():
-    # the flow's stage pieces and one step of each half of the system,
-    # the coefficient block at its size; g^-1 comes from the flow call, so
-    # there is no inverse piece, and B = 5 is the batch of rank
-    assert rhs_sweep.PIECES == ("flow_jet", "spray", "flow_step",
+    # a flow stage is its one generated call; one step of each half of
+    # the system and a flow-only block; the coefficient block at its size,
+    # with g^-1 from the variation call, so there is no inverse piece; and
+    # B = 5 is the batch of rank
+    assert rhs_sweep.PIECES == ("flow_jet", "flow_step", "flow_block",
                                 "variation_step")
     assert rhs_sweep.COEFFICIENT_PIECES == ("variation_jet", "riemann",
                                             "gradients", "coefficients")
