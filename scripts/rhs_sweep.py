@@ -17,9 +17,14 @@ variations (four stages of three batched products each), at B = 1, 5
 (the batch of ``rank``), 64, 144 and 1024.
 
 The second times the coefficient block at its size, ``BLOCK_POINTS``
-stage points: the variation call (``ForceField.variation_jet``), the
-Jacobi operator ``Manifold.riemann(vs=)``, ``extended_gradients`` and
-the whole coefficient step of a block.
+stage points, batch-last: the variation call
+(``ForceField.variation_jet``, which fills one entry-first (K, P)
+record, a contiguous row per entry), the Jacobi operator
+``Manifold.riemann(vs=)`` and ``extended_gradients`` (ordered
+batch-last sums, ``matvec_last`` and ``matmul_last``, over the record's
+views), and the whole coefficient step of a block, which adds the
+three transposed stores into the batch-first coefficients the
+variations' stages read.
 
 The third times the pieces of one residual block of
 ``normality.classify`` at its block size, B = 2048 sampled points: the
@@ -119,7 +124,7 @@ def pieces(man: Manifold, force: ForceField, box, nb: int,
     n = man.dimension
     stages, history = _stages(man, force, box, nb, seed)
     xs, vs = stages.points[:nb, :n], stages.points[:nb, n:]
-    rates = stages.k[0, :, n:]
+    rates = stages.k[0, :, n:].T
     block = max(1, dynamics.BLOCK_POINTS // (4 * nb))
     flow_only, flow_history = _stages(man, force, box, nb, seed, block, 0)
     y0 = flow_history[0].copy()
@@ -233,7 +238,8 @@ def main() -> int:
     print("RK4 step of the variation equation (batch-first)")
     _print_table(PIECES, sweep(BATCHES, REPEATS, CALLS))
     print()
-    print("coefficients of a block of stage points (batch-first)")
+    print("coefficients of a block of stage points (batch-last, stored "
+          "batch-first)")
     _print_table(COEFFICIENT_PIECES, coefficient_sweep(REPEATS, CALLS))
     print()
     print("residual block of check (batch-last)")

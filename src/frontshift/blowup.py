@@ -135,7 +135,7 @@ def _nu_function(nu, n_params: int):
 
     def values(u: np.ndarray):
         out = fn(*(u[:, k] for k in range(n_params)))
-        return out[:, 0], out[:, 1:]
+        return out[0], out[1:].T
     return values
 
 
@@ -204,7 +204,7 @@ def _surface_map(n: int, hs: HypersurfaceSpec):
                 for a in range(n_params) for k in range(n)], names)
 
     def points_and_tangents(u: np.ndarray):
-        out = fn(*(u[:, k] for k in range(n_params)))
+        out = fn(*(u[:, k] for k in range(n_params))).T.copy()
         return out[:, :n], out[:, n:].reshape(u.shape[0], n_params, n)
     return points_and_tangents
 
@@ -264,7 +264,8 @@ def simulate_shift(man: Manifold, force: ForceField, hs: HypersurfaceSpec,
     box = np.asarray(hs.box, dtype=float)
     rho0 = np.empty((u.shape[0], n_params, n))
     # launch[b, a, k] = gamma^k_rs K_a^r v0^s
-    launch = tangents @ force.variation_jet(x0, v0)["gam_v"]
+    launch = tangents @ np.moveaxis(force.variation_jet(x0, v0)["gam_v"],
+                                    -1, 0).copy()
 
     def launch_field(params, where):
         _, _, normals = _surface_frames(man, surface, params, hs.orient_flip,

@@ -12,14 +12,13 @@ of steps (at most ``BLOCK_POINTS`` stage points, or one step) at a time:
 
 1. the flow's RK4: each stage forms its point, makes one
    ``ForceField.flow_jet`` call, which writes the acceleration
-   a = F - gamma(v, v) straight into the stage rate, and copies v beside
-   it, all in a workspace allocated once per integration;
-2. the coefficients at the block's stage points in one
-   ``ForceField.variation_jet`` call (the force Jacobians, S, g^-1, the
-   Koszul symbol and the ``Spray`` fields), one
-   ``Manifold.riemann(vs=)`` (K = R(., v)v) and one
-   ``extended_gradients``, both reading the call's record (at most
-   ``BLOCK_POINTS`` points per call);
+   a = F - gamma(v, v) through the transpose of the stage rate, and
+   copies v beside it, all in a workspace allocated once per integration;
+2. the coefficients at the block's stage points, batch-last: one
+   ``ForceField.variation_jet`` record (the force Jacobians, S, g^-1,
+   the Koszul symbol and the ``Spray`` fields), ``Manifold.riemann(vs=)``
+   (K = R(., v)v) and ``extended_gradients`` over its views, and one
+   transposed store per matrix (at most ``BLOCK_POINTS`` points a call);
 3. the variations' RK4, three batched products per stage, and the
    finite check after each step.
 
@@ -132,8 +131,8 @@ class _Stages:
         # fewer than BLOCK_POINTS are pending before a stage adds its nb
         pending = min(size, BLOCK_POINTS + nb - 1)
         self.points = np.empty((pending, 2 * n))
-        self.jets = np.empty((min(pending, BLOCK_POINTS),
-                              force.variation_record.itemsize // 8))
+        self.jets = np.empty((force.variation_record.size,
+                              min(pending, BLOCK_POINTS)))
         self.coefs = np.empty((3, size, n, n))
         # stage rates, and the variations' (tau, rho, dtau, drho) views
         self.k = np.empty((4, nb, 2 * n))
@@ -162,7 +161,7 @@ class _Stages:
                     np.add(y, (h if s == 3 else 0.5 * h) * self.k[s - 1],
                            out=point)
                 self.force.flow_jet(point[:, :n], point[:, n:],
-                                    out=k[:, n:])
+                                    out=k[:, n:].T)
                 k[:, :n] = point[:, n:]
                 if b >= BLOCK_POINTS:
                     if nvar:
@@ -181,14 +180,15 @@ class _Stages:
     def coefficients(self, offset: int, count: int) -> None:
         """coefs = (gamma v)^T, spatial - riemann_sign K^T and dF/dv -
         (gamma v)^T at the count pending points, the block's from offset
-        on."""
+        on, formed batch-last and each stored through one transposed
+        view."""
         man, force, n = self.man, self.force, self.shape[2]
-        coefs = self.coefs[:, offset:offset + count]
+        coefs = self.coefs[:, offset:offset + count].transpose(0, 2, 3, 1)
         for a in range(0, count, BLOCK_POINTS):
             b = min(count, a + BLOCK_POINTS)
-            connection, curvature, velocity = coefs[:, a:b]
+            connection, curvature, velocity = coefs[..., a:b]
             xs, vs = self.points[a:b, :n], self.points[a:b, n:]
-            jet = force.variation_jet(xs, vs, out=self.jets[:b - a])
+            jet = force.variation_jet(xs, vs, out=self.jets[:, :b - a])
             along = Spray.of(jet)
             jacobi = man.riemann(xs, ginv=jet["ginv"], vs=vs, along=along,
                                  ddg_vv=jet["ddg_vv"])
@@ -196,8 +196,8 @@ class _Stages:
                 man, force, xs, vs, jac=(jet["dfdx"], jet["dfdv"]),
                 along=along)
             connection[...] = along.gam_v
-            np.multiply(self.sign, jacobi.swapaxes(1, 2), out=curvature)
-            np.subtract(spatial, curvature, out=curvature)
+            np.subtract(spatial, self.sign * jacobi.swapaxes(0, 1),
+                        out=curvature)
             np.subtract(dfdv, along.gam_v, out=velocity)
 
     def variations(self, history, i: int, step: int, h: float) -> None:

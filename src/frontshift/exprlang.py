@@ -25,8 +25,8 @@ its input.  Such a subtree is marked, and no later pass, over any tree
 built from it, walks it again.
 
 A tree leaves the language only as generated numpy code: ``compile_fn``
-turns a list of K nodes into one callable that fills one array of K
-entries per point, and prints a constant folded to +-inf or nan as
+turns a list of K nodes into one callable that fills one (K,) + batch
+array, entry first, and prints a constant folded to +-inf or nan as
 ``np.inf`` or ``np.nan``.  There is no printer back to the expression
 language.
 """
@@ -577,16 +577,17 @@ def compile_fn(nodes: Sequence[Node], names: Sequence[str]) -> Callable:
     (divisions by zero become inf/nan and are caught by the integrator's
     non-finite abort).  ``evaluate`` stays the checked reference.
 
-    Given a sequence of K nodes, the callable returns one array of shape
-    ``batch + (K,)``, entry k the value of node k, where ``batch`` is the
-    broadcast shape of the arguments.  Passed as the keyword ``_out``, an
-    array of that shape (the rows of a caller's workspace, say) is filled
+    Given K nodes, the callable returns one array of shape ``(K,) +
+    batch``, entry first, ``out[k]`` the value of node k, where ``batch``
+    is the broadcast shape of the arguments: each entry is one contiguous
+    row store.  Passed as the keyword ``_out``, an array of that shape,
+    contiguous or not (the transpose of a caller's rows, say), is filled
     and returned instead.  A subexpression that occurs more than once,
     within one node or across nodes, is computed once into a temporary.
 
     The cost of a call grows with the entries that vary, not with all of
     them: the constant entries (``Const`` roots, -0.0 kept apart from
-    0.0) are one row computed at compile time and broadcast into the
+    0.0) are one column computed at compile time and broadcast into the
     output in one store, and only the varying entries are stored one by
     one.  The batch shape is ``np.broadcast(...).shape``, which numpy 1.x
     allows for at most 32 arguments, so a callable takes at most 32
@@ -610,14 +611,14 @@ def compile_fn(nodes: Sequence[Node], names: Sequence[str]) -> Callable:
     lines = [f"def _compiled({', '.join([*names, '_out=None'])}):",
              *program.lines,
              "    if _out is None:",
-             f"        _out = np.empty(np.broadcast({', '.join(names)}).shape"
-             f" + ({len(roots)},))"]
+             f"        _out = np.empty(({len(roots)},)"
+             f" + np.broadcast({', '.join(names)}).shape)"]
     scope: dict = {"np": np}
     if any(isinstance(root, Const) for root in roots):
         scope["_row0"] = np.array([root.value if isinstance(root, Const)
                                    else 0.0 for root in roots])
-        lines.append("    _out[...] = _row0")
-    lines += [f"    _out[..., {k}] = {text}"
+        lines.append("    _out.T[...] = _row0")
+    lines += [f"    _out[{k}] = {text}"
               for k, (root, text) in enumerate(zip(roots, texts))
               if not isinstance(root, Const)]
     lines.append("    return _out")

@@ -1,79 +1,59 @@
 """Metric geometry and extended-field gradients at tangent-bundle points.
 
-All tensor assembly is numeric: the metric, the force and their exact
-derivatives come from fused compiled evaluators, each tensor is built
-once per call, and every contraction runs in a fixed order.  All
-differentiation behind it is exact and symbolic, performed once on the
-metric and force component expressions.  Past the metric itself,
-production code reads the geometry and the force from generated calls
-built from one set of root expressions: ``ForceField.first_order_jet``
-(g, g^-1, the Koszul symbol of dg, F and both force Jacobians) for the
-sample points, and for the RK4 integration ``ForceField.flow_jet`` (the
-acceleration a = F - gamma(v, v), once per stage) and
-``ForceField.variation_jet`` (both force Jacobians, ddg contracted with
-v twice, g^-1, the Koszul symbol and the ``Spray`` fields, once per
-block of stage points).  The connection enters the integration only
-contracted with v and F, and those contractions are generated too
-(``Manifold._lowered_asts``, ``_gvv_lowered_asts`` and
-``_raised_asts``), so they share every subexpression, the trig
-included, with the tensors of the same call.  A flow stage is the one
-generated call and nothing else.  Each call fills one array, or the
-caller's, every tensor whole (symmetric duplicates stored twice), and
-the variation call hands the tensors out as views of it: no gather, and
-no numeric inverse for n <= 3, where g^-1 is the metric's adjugate over
-its determinant as expressions (``Manifold._ginv_asts``), folded like
-every other group.  For n >= 4 the generated g^-1 entries are zero
-placeholders, and ``ForceField._records`` takes LAPACK's
+All tensor assembly is numeric, on the exact symbolic derivatives of the
+metric and force expressions, and every contraction runs in a fixed
+order.  Past the metric itself, production code reads the geometry and
+the force from generated calls built from one set of root expressions:
+``ForceField.first_order_jet`` (g, g^-1, the Koszul symbol of dg, F and
+both force Jacobians) for the sample points, and for the RK4
+integration ``ForceField.flow_jet`` (the acceleration a = F - gamma(v,
+v), once per stage) and ``ForceField.variation_jet`` (both force
+Jacobians, ddg contracted with v twice, g^-1, the Koszul symbol and the
+``Spray`` fields, once per block of stage points).  The connection
+enters only contracted with v and F, and those contractions are
+generated too (``Manifold._lowered_asts``, ``_gvv_lowered_asts`` and
+``_raised_asts``), sharing every subexpression with the tensors of the
+same call.  Each call fills one entry-first (K, B) array, or the
+caller's, one row per tensor entry, and a ``Record`` hands the tensors
+out as views of its rows: no gather, and no numeric inverse for n <= 3,
+where g^-1 is the metric's adjugate over its determinant as expressions
+(``Manifold._ginv_asts``).  For n >= 4 the generated g^-1 entries are
+zero placeholders, and ``ForceField._records`` takes LAPACK's
 ``np.linalg.inv`` of the generated g and adds the products with it to
-each raised field (a, gam_v, gam_f, gvv) from its lowered field.  There
-is no separate single-point API: ``at_point`` evaluates any batch-first
-function at one point by adding and stripping the batch axis, and
+each raised field (a, gam_v, gam_f, gvv) from its lowered field.
+``at_point`` evaluates any batch-first function at one point, and
 ``force_tensors`` builds every metric and force tensor the deviation and
 normality formulas share in one place.
 
-Two layers, two layouts, each where it measures faster.  The RK4
-integration (``ForceField.flow_jet``, and per block
-``ForceField.variation_jet``, ``Manifold.riemann(vs=)`` and
-``extended_gradients``) is batch-first: arrays (B, n) and (B, n, n), each
-matrix contiguous in its last axes, and each contraction a batched
-matrix product (``@`` over the leading axis).  The sample-point layer
-of ``check`` and of the deviation formulas
-(``ForceField.first_order_jet``, ``force_tensors``, ``Manifold.frame``
-and ``normality`` after them) is batch-last: points
-(n, B), tensors (n, n, B), and each contraction over an index of length
-n <= 4 one broadcast product of contiguous length-B rows plus n - 1
-additions (``matvec_last``, ``vecmat_last``, ``matmul_last``,
-``dot_last``).  numpy's ``@`` makes one BLAS call per 3 x 3 matrix, so
-at B = 2048 in 3-D (one BLAS thread, shared 2-vCPU VM) a batch-first
-matrix product took 73-150 us, and 98-211 us with a transposed operand,
-against about 60 us batch-last; a matrix times a vector 92-176 us
-against about 30 us; an outer product 84-135 us against 16-20 us; in
-2-D the batch-last forms are 5-10 times cheaper.  The stage stays
-batch-first because it runs at a handful of rows as often as at a
-thousand: a batch-last S^3 stage prototype took 41-49 % longer at
-B = 5, 1-3 % longer at B = 144 and 37 % less at B = 1024, and ``rank``
-and the selftest integrate at B <= 10.  The two layers share no
-contraction code.
+Two layouts, each where it measures faster.  The records' tensors are
+batch-last, (n, n, B), and every contraction over them is one broadcast
+product of contiguous length-B rows plus n - 1 additions in index order
+(``matvec_last``, ``vecmat_last``, ``matmul_last``, ``dot_last``): the
+sample-point layer of ``check`` and of the deviation formulas
+(``force_tensors``, ``Manifold.frame``, ``normality``), and the
+variation coefficients of a block of stage points
+(``Manifold.riemann(vs=)``, ``extended_gradients``).  numpy's ``@``
+makes one BLAS call per 3 x 3 matrix, so at 2048 points in 3-D (one
+BLAS thread, shared 2-vCPU VM) a batch-first matrix product took 73-150
+us against about 60 us batch-last, a matrix times a vector 92-176 us
+against about 30 us, and in 2-D the batch-last forms are 5-10 times
+cheaper.  The RK4 stages stay batch-first, points (B, n): ``rank`` and
+the selftest integrate at B <= 10, where a batch-last S^3 stage took
+41-49 % longer.  So the flow call writes its (n, B) acceleration
+through the transpose of the stage rates, and the coefficients are
+stored batch-first, (B, n, n), for the variations' batched products.
 
-The variation equation needs the connection and the curvature only
-contracted with vectors: the ``Spray`` fields give gamma contracted with
-v and F without building gamma, and ``Manifold.riemann`` with the
-velocity passed gives the Jacobi operator K[k, s] = R^k_msr v^m v^r from
-S, the second partials contracted with v twice, which the variation
-call's generated code sums symbolically; the rest costs O(n^3) per
-point, without ddg, d gamma or any (n, n, n, n) intermediate.
-``force_tensors`` contracts the Koszul symbol with v and F the same way,
-batch-last.  The per-quantity methods (``metric_partials``,
+The ``Spray`` fields give gamma contracted with v and F without building
+gamma, and ``Manifold.riemann`` with the velocity passed gives the
+Jacobi operator K[k, s] = R^k_msr v^m v^r from S, the second partials
+contracted with v twice, summed symbolically by the variation call; the
+rest costs O(n^3) per point, without ddg, d gamma or any (n, n, n, n)
+intermediate.  The per-quantity methods (``metric_partials``,
 ``metric_second_partials``, ``christoffel``, ``christoffel_partials``,
 ``riemann`` without a velocity, ``ForceField.components`` and
-``ForceField.jacobians``) are oracles: no production path outside
-``selfcheck`` calls them, and the test references compare the jets and
-the contracted forms against them.
-
-Lowering an index with the metric and the g-length of a vector are the
-two batch-first helpers ``lower`` and ``g_norm``; they take any leading
-axes.  The lowered force tensors and the velocity frame are pinned to
-the einsum forms they replaced by ``tests/test_normality_reference.py``.
+``ForceField.jacobians``) are batch-first oracles: no production path
+outside ``selfcheck`` calls them.  ``lower`` and ``g_norm`` lower an
+index and take a g-length over any leading axes, batch-first.
 
 Index conventions (fixed, and pinned by the dynamics cross-checks):
 
@@ -219,12 +199,13 @@ def _total(terms: Sequence[Node]) -> Node:
 
 
 class Spray(NamedTuple):
-    """The connection contracted with a velocity v and a force F.
+    """The connection contracted with a velocity v and a force F, the
+    batch axis last.
 
-    koszul[b, j, i, r] = d_j g_ir + d_i g_jr - d_r g_ij = 2 gamma_rij, with
-    the first index lowered; low_v[b, i, r] = gamma_rij v^j (no inverse
-    enters); gam_v[b, i, k] = gamma^k_ij v^j and gam_f[b, i, k] =
-    gamma^k_ij F^j; gvv[b, k] = gamma^k_ij v^i v^j.  Each is a field of
+    koszul[j, i, r, b] = d_j g_ir + d_i g_jr - d_r g_ij = 2 gamma_rij, with
+    the first index lowered; low_v[i, r, b] = gamma_rij v^j (no inverse
+    enters); gam_v[i, k, b] = gamma^k_ij v^j and gam_f[i, k, b] =
+    gamma^k_ij F^j; gvv[k, b] = gamma^k_ij v^i v^j.  Each is a field of
     ``ForceField.variation_record``.
     """
 
@@ -235,9 +216,26 @@ class Spray(NamedTuple):
     gvv: np.ndarray
 
     @classmethod
-    def of(cls, record: np.ndarray) -> "Spray":
+    def of(cls, record: dict) -> "Spray":
         """The fields of a ``ForceField.variation_jet`` record, as views."""
         return cls(*(record[name] for name in cls._fields))
+
+
+class Record:
+    """Named fields of the entry-first (K, ...) array a generated call
+    fills: each a range of rows, handed out as a (shape..., ...) view."""
+
+    def __init__(self, shapes: dict, names: Sequence[str]):
+        self.names, self._rows, start = tuple(names), {}, 0
+        for name in self.names:
+            stop = start + int(np.prod(shapes[name]))
+            self._rows[name], start = (slice(start, stop), shapes[name]), stop
+        self.size = start
+
+    def views(self, array: np.ndarray) -> dict:
+        """{name: field view} of a (size, ...) array."""
+        return {name: array[rows].reshape(shape + array.shape[1:])
+                for name, (rows, shape) in self._rows.items()}
 
 
 def metric_asts(dimension: int, metric: Sequence[Sequence]) -> list:
@@ -467,15 +465,15 @@ class Manifold:
         return tuple(xs[:, k] for k in range(self.dimension))
 
     def metric(self, xs: np.ndarray) -> np.ndarray:
-        return self._g_fn(*self._args(xs))[:, self._g_idx]
+        return self._g_fn(*self._args(xs)).T[:, self._g_idx]
 
     def metric_partials(self, xs: np.ndarray) -> np.ndarray:
         """dg[b, k, i, j] = d g_ij / d x^k."""
-        return self._dg_fn(*self._args(xs))[:, self._dg_idx]
+        return self._dg_fn(*self._args(xs)).T[:, self._dg_idx]
 
     def metric_second_partials(self, xs: np.ndarray) -> np.ndarray:
         """ddg[b, l, k, i, j] = d^2 g_ij / (d x^l d x^k)."""
-        return self._ddg_fn(*self._args(xs))[:, self._ddg_idx]
+        return self._ddg_fn(*self._args(xs)).T[:, self._ddg_idx]
 
     def christoffel(self, xs: np.ndarray, ginv: np.ndarray | None = None,
                     dg: np.ndarray | None = None) -> np.ndarray:
@@ -523,13 +521,14 @@ class Manifold:
         """The curvature tensor, or with vs its Jacobi operator along vs.
 
         Without vs: riemann[b, k, m, s, r], antisymmetric in (s, r), built
-        from the full connection derivative; this is the oracle form.
+        from the full connection derivative at the batch-first points xs;
+        this is the oracle form.
 
-        With vs: jacobi[b, k, s] = R^k_msr v^m v^r, so that R(tau, v)v is
-        jacobi @ tau.  It costs O(n^3) per point on top of S, and neither
-        ddg, d gamma nor any (n, n, n, n) array is formed.  With
-        c = gamma(v, v), the lowered L_ls = gamma_lsr v^r and
-        gamma v = g^-1 L,
+        With vs: jacobi[k, s, b] = R^k_msr v^m v^r at the points xs[b],
+        the batch axis last, so that R(tau, v)v is jacobi[..., b] @ tau.
+        It costs O(n^3) per point on top of S, and neither ddg, d gamma
+        nor any (n, n, n, n) array is formed.  With c = gamma(v, v), the
+        lowered L_ls = gamma_lsr v^r and gamma v = g^-1 L,
 
             jacobi = g^-1 [(S - E - E^T + D) / 2 + L^T gamma v]
 
@@ -537,19 +536,20 @@ class Manifold:
         P_sl = d_s d_m g_lj v^m v^j, W_sl = d_s d_l g(v, v) and
         H_ls = d_v d_v g_ls; E_sl = d_s g_lb c^b and D_ls = c^j d_j g_ls,
         so E + E^T - D is the Koszul symbol contracted with c.  With vs,
-        along (a ``Spray``) and ddg_vv (S) are required, both from the
-        record of ``ForceField.variation_jet``, and ginv from it too.
+        ginv, along (a ``Spray``) and ddg_vv (S) are required, all fields
+        of the record of ``ForceField.variation_jet`` and so batch-last;
+        each product is a ``matvec_last`` or ``matmul_last``.
         """
+        n = self.dimension
+        if vs is not None:
+            koszul = along.koszul.reshape(n * n, n, -1)
+            sym = ddg_vv - matvec_last(koszul, along.gvv).reshape(ddg_vv.shape)
+            sym *= 0.5
+            sym += matmul_last(along.low_v, along.gam_v.swapaxes(0, 1))
+            return matmul_last(ginv, sym)
         if ginv is None:
             ginv = np.linalg.inv(self.metric(xs))
-        nb, n = xs.shape
-        if vs is not None:
-            sym = ddg_vv - (along.koszul.reshape(nb, n * n, n)
-                            @ along.gvv[:, :, None]).reshape(nb, n, n)
-            sym *= 0.5
-            # a contiguous right operand keeps the product on the fast path
-            sym += along.low_v @ along.gam_v.transpose(0, 2, 1).copy()
-            return ginv @ sym
+        nb = len(xs)
         if dg is None:
             dg = self.metric_partials(xs)
         if ddg is None:
@@ -602,11 +602,11 @@ class ForceField:
     ``variation_jet`` both force Jacobians, the metric's second partials
     contracted with v twice, g^-1, the Koszul symbol and the ``Spray``
     fields, what the variation coefficients (and the shift's launch)
-    read.  The first and the last fill one (B, K) array, one record of
-    every tensor's entries per point (the constant entries stored in one
-    row, the varying ones one by one, symmetric duplicates included).
-    ``components`` and ``jacobians`` are oracles with callables of their
-    own.  Every callable is compiled on first use.
+    read.  Each fills one entry-first (K, B) array, a row per tensor entry
+    (symmetric duplicates included), and the first and the last hand the
+    tensors out as ``Record`` views, batch axis last.  ``components`` and
+    ``jacobians`` are oracles with callables of their own.  Every
+    callable is compiled on first use.
     """
 
     # For n >= 4: (raised field, its lowered field, sign).  The generated
@@ -628,24 +628,19 @@ class ForceField:
         self._jac_asts = [exprlang.differentiate(self.component_ast[k], wrt[i])
                           for wrt in (manifold.coords, manifold.velocities)
                           for i in range(n) for k in range(n)]
-        # a point's row of a generated call's array as one record; a field
-        # access is one view, cheaper than a slice and a reshape at a few
-        # rows.  g and the lowered c and low_f enter only for n >= 4, for
-        # LAPACK's inverse.
+        # the rows of each generated call's array by field; g and the
+        # lowered c and low_f enter only for n >= 4, for LAPACK's inverse
         shapes = dict(g=(n, n), ginv=(n, n), koszul=(n, n, n), f=(n,),
                       dfdx=(n, n), dfdv=(n, n), ddg_vv=(n, n), a=(n,),
                       c=(n,), low_v=(n, n), low_f=(n, n), gam_v=(n, n),
                       gam_f=(n, n), gvv=(n,))
         lapack = n > 3
-
-        def record(*fields):
-            return np.dtype([(name, float, shapes[name]) for name in fields])
-        self._first_order_record = record("g", "ginv", "koszul", "f",
-                                          "dfdx", "dfdv")
-        self._flow_record = record("a", *(["g", "c"] if lapack else []))
-        self.variation_record = record(
+        self._first_order_record = Record(shapes, ("g", "ginv", "koszul",
+                                                   "f", "dfdx", "dfdv"))
+        self._flow_record = Record(shapes, ("a", *(["g", "c"] * lapack)))
+        self.variation_record = Record(shapes, (
             "dfdx", "dfdv", "ddg_vv", "ginv", *Spray._fields,
-            *(["g", "low_f", "c"] if lapack else []))
+            *(["g", "low_f", "c"] * lapack)))
 
     @functools.cached_property
     def _f_fn(self):
@@ -675,7 +670,7 @@ class ForceField:
                                 zip(self.component_ast,
                                     man._raised_asts(low["c"]))])
 
-    def _roots(self, record: np.dtype) -> list:
+    def _roots(self, record: Record) -> list:
         """Every entry of the record's tensors, in its field order and
         row-major within each."""
         man = self.manifold
@@ -713,33 +708,35 @@ class ForceField:
         """The coordinate and velocity rows of batch-first points."""
         return (*xs.T, *vs.T)
 
-    def _records(self, fn, args: tuple, record: np.dtype,
-                 out: np.ndarray | None = None) -> np.ndarray:
-        """fn's array at the coordinate and velocity rows args, one record
-        per point, written into out when given.  For n >= 4, g^-1 is
+    def _records(self, fn, args: tuple, record: Record,
+                 out: np.ndarray | None = None) -> dict:
+        """The record's views of fn's (K, B) array at the coordinate and
+        velocity rows args (into out when given).  For n >= 4, g^-1 is
         LAPACK's inverse of g, and the fields raised with it are completed
         from their lowered fields (``_RAISED``)."""
-        out = fn(*args, _out=out).view(record)[:, 0]
-        n, names = self.manifold.dimension, record.names
+        fields = record.views(fn(*args, _out=out))
+        n = self.manifold.dimension
         if n > 3:
-            ginv = np.linalg.inv(out["g"])
-            if "ginv" in names:
-                out["ginv"] = ginv
+            ginv = np.moveaxis(np.linalg.inv(np.moveaxis(fields["g"], -1, 0)),
+                               0, -1)
+            if "ginv" in fields:
+                fields["ginv"][...] = ginv
             for raised, lowered, sign in self._RAISED:
-                if raised in names:
-                    low = out[lowered]
-                    out[raised] += sign * (low.reshape(len(low), -1, n)
-                                           @ ginv).reshape(low.shape)
-        return out
+                if raised in fields:
+                    low = fields[lowered]
+                    fields[raised] += sign * matmul_last(
+                        low.reshape(-1, n, low.shape[-1]),
+                        ginv).reshape(low.shape)
+        return fields
 
     def components(self, xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        return self._f_fn(*self._args(xs, vs))
+        return self._f_fn(*self._args(xs, vs)).T
 
     def jacobians(self, xs: np.ndarray, vs: np.ndarray):
         """(dfdx[b,i,k], dfdv[b,i,k]) of plain partial derivatives."""
-        nb, n = xs.shape
-        jac = self._jac_fn(*self._args(xs, vs)).reshape(nb, 2, n, n)
-        return jac[:, 0], jac[:, 1]
+        n = self.manifold.dimension
+        jac = self._jac_fn(*self._args(xs, vs)).reshape(2, n, n, -1)
+        return np.moveaxis(jac[0], -1, 0), np.moveaxis(jac[1], -1, 0)
 
     def first_order_jet(self, xs: np.ndarray, vs: np.ndarray):
         """(g, ginv, koszul, f, dfdx, dfdv) from one compiled call, batch
@@ -753,18 +750,16 @@ class ForceField:
         Koszul symbol of ``metric_partials`` (``Spray.koszul``).  All of
         them come from the expressions those methods already derived, and
         ginv from ``Manifold._ginv_asts``.  The generated call fills one
-        record per point, and each tensor is copied out of the records
-        with the batch axis moved last, so that its rows are contiguous.
+        (K, B) array, and each tensor is a view of its rows, contiguous.
         """
-        record = self._first_order_record
-        out = self._records(self._first_order_fn, (*xs, *vs), record)
-        return tuple(np.ascontiguousarray(np.moveaxis(out[name], 0, -1))
-                     for name in record.names)
+        return tuple(self._records(self._first_order_fn, (*xs, *vs),
+                                   self._first_order_record).values())
 
     def flow_jet(self, xs: np.ndarray, vs: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:
-        """The acceleration a = F - gamma(v, v) at batch-first points, (B,
-        n), written into out when given.
+        """The acceleration a = F - gamma(v, v) at batch-first points,
+        entry first, (n, B), written into out when given (the flow passes
+        the transpose of its batch-first stage rates).
 
         For n <= 3 it is one compiled call and nothing else: a_k = F_k -
         g^-1[k, r] c_r, with g^-1 from ``Manifold._ginv_asts`` and c_r =
@@ -785,11 +780,11 @@ class ForceField:
                       out: np.ndarray | None = None) -> np.ndarray:
         """dF/dx, dF/dv, S = P + P^T - W - H (``Manifold.riemann``), g^-1,
         the Koszul symbol and the ``Spray`` fields at batch-first points,
-        one ``variation_record`` per point from one compiled call (into
-        out, a (B, K) array, when given).  S is
+        the fields of ``variation_record``, batch axis last, as views of
+        the (K, B) array of one compiled call (out, when given).  S is
         ``metric_second_partials`` contracted with vs twice; dF/dx, dF/dv,
         g^-1 and the Koszul symbol are first_order_jet's values bit for
-        bit, batch-first."""
+        bit."""
         return self._records(self._variation_fn, self._args(xs, vs),
                              self.variation_record, out)
 
@@ -797,19 +792,22 @@ class ForceField:
 def extended_gradients(man: Manifold, force: ForceField, xs: np.ndarray,
                        vs: np.ndarray, jac: tuple | None = None,
                        along: Spray | None = None):
-    """Batched spatial and velocity gradients of the force field.
+    """Spatial and velocity gradients of the force field at the
+    batch-first points (xs, vs), the batch axis last.
 
-    velocity[b,i,k] is the plain v-derivative; spatial[b,i,k] adds the
-    connection correction for the vector index and the chase of the
-    velocity argument along coordinate directions.  jac and along, when
-    given, are the pair (dfdx, dfdv) and the ``Spray`` at (xs, vs)
-    already formed; otherwise both come from ``force.variation_jet``.
+    velocity[i, k, b] is the plain v-derivative; spatial[i, k, b] adds
+    the connection correction for the vector index and the chase of the
+    velocity argument along coordinate directions, one ``matmul_last``.
+    jac and along, when given, are the pair (dfdx, dfdv) and the
+    ``Spray`` at (xs, vs) already formed, batch-last; otherwise both come
+    from ``force.variation_jet``.
     """
     if jac is None or along is None:
         jet = force.variation_jet(xs, vs)
         jac, along = (jet["dfdx"], jet["dfdv"]), Spray.of(jet)
     dfdx, dfdv = jac
-    spatial = dfdx - along.gam_v @ dfdv + along.gam_f
+    spatial = dfdx - matmul_last(along.gam_v, dfdv)
+    spatial += along.gam_f
     return spatial, dfdv
 
 

@@ -41,7 +41,8 @@ one formula from a second, simpler route.
 - ``rhs``: the plain time derivatives of the batched state at one RK4
   stage, composed of the production pieces at the stage's own points:
   the flow call (the acceleration), then the variation call,
-  ``Manifold.riemann(vs=)`` and ``extended_gradients``.  The integrator
+  ``Manifold.riemann(vs=)`` and ``extended_gradients``, whose batch-last
+  matrices it moves batch-first for the products.  The integrator
   forms the same pieces a block of stages at a time; this is the stage
   they add up to, which ``tests/test_rhs_reference.py`` pins to the
   einsum formulation.
@@ -209,9 +210,14 @@ def rhs(man, force, x, v, tau, rho, riemann_sign):
     spatial, velocity = extended_gradients(man, force, x, v,
                                            jac=(jet["dfdx"], jet["dfdv"]),
                                            along=along)
-    return (v.copy(), force.flow_jet(x, v), rho - tau @ along.gam_v,
-            tau @ (spatial - riemann_sign * jacobi.swapaxes(1, 2))
-            + rho @ (velocity - along.gam_v))
+    # the pieces are batch-last; the products take contiguous batch-first
+    # matrices, as the integrator stores them
+    gam_v, curvature, velocity = (
+        np.ascontiguousarray(np.moveaxis(a, -1, 0)) for a in
+        (along.gam_v, spatial - riemann_sign * jacobi.swapaxes(0, 1),
+         velocity - along.gam_v))
+    return (v.copy(), force.flow_jet(x, v).T, rho - tau @ gam_v,
+            tau @ curvature + rho @ velocity)
 
 
 def rk4_per_quantity(man, force, x0, v0, tau0, rho0, t_end, h,

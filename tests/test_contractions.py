@@ -1,13 +1,14 @@
 """The package contracts without einsum.
 
 einsum stays in the oracles (selfcheck and the test references) and in
-the tests.  Every other module must not call it, so that the RHS and
-the shift's launch connection term (batched matrix products, batch
-first) and the normality residuals, their norms and the shared force
-tensors (broadcast products with ordered sums, batch last) keep
-formulations of their own, pinned by tests/test_rhs_reference.py and
-tests/test_normality_reference.py.  selfcheck.py is the one module
-exempt.
+the tests.  Every other module must not call it, so that the RHS keeps
+formulations of its own: the variations' RK4 stages and the shift's
+launch connection term in batched matrix products, batch first; the
+variation coefficients of a block of stage points, the normality
+residuals, their norms and the shared force tensors in broadcast
+products with ordered sums, batch last.  tests/test_rhs_reference.py
+and tests/test_normality_reference.py pin them.  selfcheck.py is the
+one module exempt.
 """
 
 import ast

@@ -9,13 +9,13 @@ import pytest
 from frontshift import dynamics
 from frontshift.dynamics import (DynamicsError, IntegrationAbort,
                                  integrate_batch)
-from frontshift.geometry import (ForceField, Manifold, at_point,
+from frontshift.geometry import (ForceField, Manifold, _koszul, at_point,
                                  extended_gradients)
 from frontshift.selfcheck import (VARIATION_CASES, _twin_errors,
                                   variation_errors)
 from frontshift.systems import BUNDLED
-from oracles import covariant_rate, rhs, rk4_per_quantity, run_one
-from test_geometry import JET_CHARTS, owner
+from oracles import covariant_rate, rhs, rk4_per_quantity, run_one, spray
+from test_geometry import JET_CHARTS, _chart_points, owner
 from test_rhs_reference import CHARTS
 
 EUCLID = Manifold(2, [["1", "0"], ["0", "1"]])
@@ -35,7 +35,8 @@ def newton_rhs(man, force, x, v):
 def force_rate(man, force, xs, vs):
     """Covariant rate of the force along the flow through (xs, vs), by the
     chain rule: v . spatial + F . velocity."""
-    spatial, velocity = extended_gradients(man, force, xs, vs)
+    spatial, velocity = (np.moveaxis(a, -1, 0)
+                         for a in extended_gradients(man, force, xs, vs))
     return (vs[:, None, :] @ spatial
             + force.components(xs, vs)[:, None, :] @ velocity)[:, 0]
 
@@ -93,7 +94,8 @@ def test_rk4_block_is_four_flow_calls_a_step_one_coefficient_call(
         return riemann(self, xs, **kwargs)
     monkeypatch.setattr(Manifold, "riemann", contracted)
     # every array a stage or a coefficient call writes is a view of the
-    # workspace: each call writes into the array it is given
+    # workspace: each call writes into the array it is given, and each
+    # field of the variation record is a view of it
     owners = {"flow_jet": [], "variation_jet": []}
 
     def viewed(name):
@@ -101,8 +103,10 @@ def test_rk4_block_is_four_flow_calls_a_step_one_coefficient_call(
 
         def call(self, xs, vs, out=None):
             written = real(self, xs, vs, out=out)
+            fields = (list(written.values()) if isinstance(written, dict)
+                      else [written])
             owners[name].append(tuple(id(owner(a))
-                                      for a in (written, out, xs)))
+                                      for a in (*fields, out, xs)))
             return written
         monkeypatch.setattr(ForceField, name, call)
     viewed("flow_jet")
@@ -124,8 +128,8 @@ def test_rk4_block_is_four_flow_calls_a_step_one_coefficient_call(
     # acceleration into, and the coefficient records: three arrays for
     # the whole integration, none of them per block
     assert len(workspaces) == 3
-    assert all(written == out for seen in owners.values()
-               for written, out, _ in seen)
+    assert all(len(set(ids[:-1])) == 1 for seen in owners.values()
+               for ids in seen)
     # without variations only the flow runs
     for seen in owners.values():
         seen.clear()
@@ -186,6 +190,35 @@ def test_integration_work_is_the_calls_made(nb, steps, nvar, monkeypatch):
         "flow_calls": made["flow_jet"],
         "coefficient_calls": made["variation_jet"],
         "coefficient_points": made["variation_jet", "points"]}
+
+
+@pytest.mark.parametrize("points", [1, 20, 2048])
+@pytest.mark.parametrize("chart", sorted(JET_CHARTS))
+def test_coefficients_are_the_einsum_composition_of_the_oracles(chart,
+                                                                points):
+    # the block's three matrices, formed batch-last and stored batch-first,
+    # against einsums over the batch-first oracle pieces: the full
+    # curvature tensor, the per-quantity Jacobians and the numeric spray;
+    # S4 and dense4 raise with LAPACK's inverse through matmul_last
+    man, force, xs, vs = _chart_points(chart, nb=points)
+    n, sign = man.dimension, -1.0
+    stages = dynamics._Stages(man, force, np.zeros((1, 4 * n)), 1, points,
+                              sign)
+    stages.points[:, :n], stages.points[:, n:] = xs, vs
+    stages.coefficients(0, points)
+    ginv = np.linalg.inv(man.metric(xs))
+    koszul = _koszul(man.metric_partials(xs)).transpose(0, 2, 3, 1)
+    along = spray(ginv, koszul, vs, force.components(xs, vs))
+    dfdx, dfdv = force.jacobians(xs, vs)
+    spatial = (dfdx - np.einsum('bij,bjk->bik', along.gam_v, dfdv)
+               + along.gam_f)
+    jacobi = np.einsum('bkmsr,bm,br->bks', man.riemann(xs), vs, vs)
+    want = (along.gam_v, spatial - sign * jacobi.swapaxes(1, 2),
+            dfdv - along.gam_v)
+    for name, got, ref in zip(("connection", "curvature", "velocity"),
+                              stages.coefs, want, strict=True):
+        assert got.shape == ref.shape == (points, n, n), name
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), name
 
 
 def test_flow_does_not_depend_on_the_variations():

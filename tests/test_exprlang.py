@@ -229,12 +229,12 @@ def test_compiled_many_matches_evaluate_entrywise():
     rng = np.random.default_rng(3)
     bindings = [_random_binding(rng) for _ in range(5)]
     got = fn(*_columns(bindings))
-    assert got.shape == (5, len(nodes))
-    assert np.array_equal(got[:, 2], np.full(5, -2.5))
-    assert np.array_equal(got[:, 0], got[:, 4])
+    assert got.shape == (len(nodes), 5)
+    assert np.array_equal(got[2], np.full(5, -2.5))
+    assert np.array_equal(got[0], got[4])
     for b, row in enumerate(bindings):
         for k, node in enumerate(nodes):
-            assert got[b, k] == pytest.approx(el.evaluate(node, row),
+            assert got[k, b] == pytest.approx(el.evaluate(node, row),
                                               rel=1e-15, abs=1e-300)
     # scalar arguments: batch shape ()
     assert fn(*(bindings[0][name] for name in VARS)).shape == (len(nodes),)
@@ -253,17 +253,44 @@ def test_compiled_constants_are_bit_exact():
     for args, batch in ((_columns(bindings), (4,)),
                         (tuple(bindings[0][name] for name in VARS), ())):
         out = fn(*args)
-        assert out.shape == batch + (9,)
-        all_const, some_const = out[..., :5], out[..., 5:]
-        want = np.broadcast_to([c.value for c in consts], batch + (5,))
+        assert out.shape == (9,) + batch
+        all_const, some_const = out[:5], out[5:]
+        want = np.broadcast_to(np.array([c.value for c in consts]).reshape(
+            (5,) + (1,) * len(batch)), (5,) + batch)
         assert all_const.tobytes() == np.ascontiguousarray(want).tobytes()
-        assert np.signbit(all_const[..., 0]).all()
-        assert not np.signbit(all_const[..., 1]).any()
-        assert np.signbit(some_const[..., 0]).all()
-        assert (some_const[..., 2] == 1 / 3).all()
-        assert np.array_equal(some_const[..., 1],
-                              np.multiply(args[0], args[2]))
-        assert np.array_equal(some_const[..., 3], args[1])
+        assert np.signbit(all_const[0]).all()
+        assert not np.signbit(all_const[1]).any()
+        assert np.signbit(some_const[0]).all()
+        assert (some_const[2] == 1 / 3).all()
+        assert np.array_equal(some_const[1], np.multiply(args[0], args[2]))
+        assert np.array_equal(some_const[3], args[1])
+
+
+@pytest.mark.parametrize("batch", [(), (5,), (3, 4)])
+def test_compiled_array_is_entry_first(batch):
+    # (K,) + batch, entry k node k's value at every point of the batch;
+    # into a non-contiguous _out, the transpose of a slice of batch-first
+    # rows as a flow stage passes its stage rates, the same bytes; the
+    # constant entries keep -0.0 apart from 0.0
+    nodes = [el.parse("sin(x1)*v1 + x2", VARS), el.Const(-0.0),
+             el.Var("v2"), el.Const(0.0), el.parse("x1*x2 - v1^2", VARS),
+             el.Const(2.5)]
+    fn = el.compile_fn(nodes, VARS)
+    rng = np.random.default_rng([47, len(batch)])
+    args = tuple(rng.uniform(0.4, 2.0, size=batch) for _ in VARS)
+    got = fn(*args)
+    assert got.shape == (len(nodes),) + batch and got.flags.c_contiguous
+    for k, node in enumerate(nodes):
+        want = el.compile_fn([node], VARS)(*args)[0]
+        assert got[k].tobytes() == np.broadcast_to(want, batch).tobytes(), k
+    assert np.signbit(got[1]).all() and not np.signbit(got[3]).any()
+    assert (got[5] == 2.5).all()
+    rows = np.full(batch + (2 * len(nodes),), np.nan)
+    into = np.moveaxis(rows[..., len(nodes):], -1, 0)
+    assert batch == () or not into.flags.c_contiguous
+    assert fn(*args, _out=into) is into
+    assert np.ascontiguousarray(into).tobytes() == got.tobytes()
+    assert np.isnan(rows[..., :len(nodes)]).all()
 
 
 @pytest.mark.parametrize("source", [
@@ -283,7 +310,7 @@ def test_compiled_non_finite_constants_match_evaluate(source):
     bindings = [dict(zip(VARS, combo)) for combo in itertools.product(
         values, repeat=len(VARS))]
     with np.errstate(all="ignore"):
-        got = fn(*_columns(bindings))[:, 0]
+        got = fn(*_columns(bindings))[0]
     for b, value in zip(bindings, got.tolist()):
         want = el.evaluate(node, b)
         if math.isnan(want):
@@ -420,11 +447,11 @@ def test_compiled_many_property(trees, const, bindings):
     args = _columns(bindings)
     with np.errstate(all="ignore"):
         got = fn(*args)
-        singles = [el.compile_fn([node], VARS)(*args)[:, 0]
+        singles = [el.compile_fn([node], VARS)(*args)[0]
                    for node in nodes]
-    assert got.shape == (len(bindings), len(nodes))
+    assert got.shape == (len(nodes), len(bindings))
     for k, single in enumerate(singles):
-        np.testing.assert_array_equal(got[:, k], single)
+        np.testing.assert_array_equal(got[k], single)
     for b, row in enumerate(bindings):
         for k, node in enumerate(nodes):
             try:
@@ -434,7 +461,7 @@ def test_compiled_many_property(trees, const, bindings):
                 continue
             if not math.isfinite(ref + bound):
                 continue
-            assert abs(got[b, k] - ref) <= 4.0 * bound + 1e-300, (k, row)
+            assert abs(got[k, b] - ref) <= 4.0 * bound + 1e-300, (k, row)
 
 
 def test_commutative_key_ignores_operand_order_in_sums_and_products():

@@ -205,18 +205,23 @@ def test_frame_zero_velocity_error():
         _frame_at(EUCLID, [0.0, 0.0], [0.0, 0.0])
 
 
+def _gradients_at(man, force, x, v):
+    """extended_gradients at one point, (spatial[i, k], velocity[i, k]):
+    the batch axis, last, stripped."""
+    return tuple(a[..., 0] for a in extended_gradients(
+        man, force, np.array([x], dtype=float), np.array([v], dtype=float)))
+
+
 def test_gradients_position_force():
     force = ForceField(EUCLID, ["-x1", "-x2"])
-    spatial, velocity = at_point(extended_gradients, EUCLID, force,
-                                 [0.3, 0.4], [1.0, 2.0])
+    spatial, velocity = _gradients_at(EUCLID, force, [0.3, 0.4], [1.0, 2.0])
     assert np.allclose(spatial, -np.eye(2), atol=0)
     assert np.abs(velocity).max() == 0.0
 
 
 def test_gradients_velocity_force():
     force = ForceField(EUCLID, ["0.5*v1", "0.5*v2"])
-    spatial, velocity = at_point(extended_gradients, EUCLID, force,
-                                 [0.3, 0.4], [1.0, 2.0])
+    spatial, velocity = _gradients_at(EUCLID, force, [0.3, 0.4], [1.0, 2.0])
     assert np.abs(spatial).max() == 0.0
     assert np.allclose(velocity, 0.5 * np.eye(2), atol=0)
 
@@ -266,8 +271,8 @@ def _ginv_of_both_jets(force, xs, vs):
     """g from the first-order jet, g^-1 from the variation call, and g^-1
     from the first-order jet, the batch axis moved to the front."""
     g, last = force.first_order_jet(xs.T.copy(), vs.T.copy())[:2]
-    return (np.moveaxis(g, -1, 0), force.variation_jet(xs, vs)["ginv"],
-            np.moveaxis(last, -1, 0))
+    return tuple(np.moveaxis(a, -1, 0) for a in
+                 (g, force.variation_jet(xs, vs)["ginv"], last))
 
 
 @pytest.mark.parametrize("chart", sorted(JET_CHARTS))
@@ -282,7 +287,8 @@ def test_inverse_matches_lapack(chart, monkeypatch):
         lapack_calls.append(a.shape), real_inv(a))[1])
     g_jet, ginv, last = _ginv_of_both_jets(force, xs, vs)
     assert np.array_equal(g_jet, g)
-    assert ginv.shape == g.shape and ginv.strides[1:] == (8 * n, 8)
+    # each entry of the batch-last field is one contiguous row
+    assert ginv.shape == g.shape and ginv.strides[0] == 8
     assert last.tobytes() == ginv.tobytes()
     if n <= 3:
         scale = np.abs(ref).max(axis=(1, 2), keepdims=True)
@@ -334,7 +340,7 @@ def test_inverse_hand_values():
         assert all(isinstance(entry, Const) for entry in man._ginv_asts)
         force = ForceField(man, ["0"] * len(metric))
         xs = np.zeros((2, len(metric)))
-        ginv = force.variation_jet(xs, xs)["ginv"]
+        ginv = np.moveaxis(force.variation_jet(xs, xs)["ginv"], -1, 0)
         assert np.allclose(ginv, want, rtol=0, atol=1e-15)
         assert np.array_equal(np.signbit(ginv), np.signbit([want] * 2))
 
@@ -361,25 +367,30 @@ def test_jet_is_the_per_quantity_methods(chart):
         assert a.shape == b.shape, name
         assert np.array_equal(a, b), name
     # the variation call shares the first-order jet's roots (g only for
-    # LAPACK's inverse), bit for bit, every tensor a field of the one
-    # array the call fills, or of the array passed to it
+    # LAPACK's inverse), bit for bit, every tensor a view of the rows of
+    # the one (K, B) array the call fills, or of the array passed to it
     names = ("g", "ginv", "koszul", "f", "dfdx", "dfdv")
     jet = force.variation_jet(xs, vs)
-    shared = [name for name in names if name in jet.dtype.names]
+    shared = [name for name in names if name in jet]
     assert shared == [name for name in names[:3] + names[4:]
                       if name != "g" or man.dimension > 3]
-    for name, b in zip(names, first, strict=True):
+    for name, b in zip(names, last, strict=True):
         if name in shared:
             assert np.array_equal(jet[name], b), name
+            assert jet[name].flags.c_contiguous, name
     record = force.variation_record
-    out = np.empty((len(xs) + 2, record.itemsize // 8))
-    rows = force.variation_jet(xs, vs, out=out[1:-1])
-    assert owner(rows) is out
+    assert list(jet) == list(record.names)
+    assert len({id(owner(a)) for a in jet.values()}) == 1
+    assert owner(jet["ginv"]).shape == (record.size, len(xs))
+    out = np.empty((record.size, len(xs) + 2))
+    rows = force.variation_jet(xs, vs, out=out[:, 1:-1])
+    assert all(owner(a) is out for a in rows.values())
     assert all(np.array_equal(rows[name], jet[name]) for name in record.names)
-    # the flow call writes the acceleration, (B, n), into the rows given
+    # the flow call writes the acceleration, entry first, (n, B), into the
+    # transpose of the batch-first rows given
     out = np.empty((len(xs), 2 * man.dimension))
-    rows = force.flow_jet(xs, vs, out=out[:, man.dimension:])
-    assert owner(rows) is out and rows.shape == xs.shape
+    rows = force.flow_jet(xs, vs, out=out[:, man.dimension:].T)
+    assert owner(rows) is out and rows.shape == xs.T.shape
     assert np.array_equal(rows, force.flow_jet(xs, vs))
 
 
@@ -404,14 +415,15 @@ def test_acceleration_is_the_force_minus_the_spray(chart):
     man, force, xs, vs = _chart_points(chart)
     f, along = _first_order_spray(force, xs, vs)
     assert np.abs(along.gvv).max() > 0.0
-    assert _close(force.flow_jet(xs, vs), f - along.gvv)
+    assert _close(force.flow_jet(xs, vs).T, f - along.gvv)
 
 
 @pytest.mark.parametrize("chart", sorted(JET_CHARTS))
 def test_variation_record_holds_the_spray(chart):
     man, force, xs, vs = _chart_points(chart)
     _, want = _first_order_spray(force, xs, vs)
-    got = Spray.of(force.variation_jet(xs, vs))
+    got = Spray(*(np.moveaxis(a, -1, 0)
+                  for a in Spray.of(force.variation_jet(xs, vs))))
     assert np.array_equal(got.koszul, want.koszul)
     for name in Spray._fields[1:]:
         assert np.abs(getattr(want, name)).max() > 0.0, name
@@ -431,7 +443,8 @@ def test_flat_chart_connection_entries_are_exact_zeros():
     for name in Spray._fields:
         assert np.array_equal(jet[name], np.zeros_like(jet[name])), name
         assert not np.signbit(jet[name]).any(), name
-    assert np.array_equal(force.flow_jet(xs, vs), force.components(xs, vs))
+    assert np.array_equal(force.flow_jet(xs, vs).T,
+                          force.components(xs, vs))
 
 
 @pytest.mark.parametrize("chart", sorted(JET_CHARTS))
@@ -441,7 +454,8 @@ def test_jet_groups_are_the_contracted_partials(chart):
     man, force, xs, vs = _chart_points(chart)
     n = man.dimension
     jet = force.variation_jet(xs, vs)
-    koszul, ddg_vv = jet["koszul"], jet["ddg_vv"]
+    koszul, ddg_vv = (np.moveaxis(jet[name], -1, 0)
+                      for name in ("koszul", "ddg_vv"))
     want = _koszul(man.metric_partials(xs)).transpose(0, 2, 3, 1)
     assert koszul.shape == (len(xs), n, n, n)
     assert np.abs(koszul - want).max() <= 1e-13 * np.abs(want).max()
@@ -458,10 +472,11 @@ def test_jet_groups_are_the_contracted_partials(chart):
 
 def _jacobi(man, force, xs, vs):
     """riemann(vs=) with every input from the variation call, as the
-    integrator feeds it."""
+    integrator feeds it, the batch axis moved to the front."""
     jet = force.variation_jet(xs, vs)
-    return man.riemann(xs, ginv=jet["ginv"], vs=vs, along=Spray.of(jet),
-                       ddg_vv=jet["ddg_vv"])
+    return np.moveaxis(man.riemann(xs, ginv=jet["ginv"], vs=vs,
+                                   along=Spray.of(jet),
+                                   ddg_vv=jet["ddg_vv"]), -1, 0)
 
 
 @pytest.mark.parametrize("chart", sorted(JET_CHARTS))
@@ -510,21 +525,20 @@ def test_jacobi_operator_builds_no_rank_four_array():
     jet = force.variation_jet(xs, vs)
     ginv, koszul, ddg_vv = jet["ginv"], jet["koszul"], jet["ddg_vv"]
     ddg = man.metric_second_partials(xs)
-    assert max(jet[name].nbytes for name in jet.dtype.names) \
-        == koszul.nbytes
+    assert max(a.nbytes for a in jet.values()) == koszul.nbytes
     assert owner(koszul).nbytes < ddg.nbytes
     along = Spray.of(jet)
     contracted = _peak_bytes(lambda: man.riemann(
         xs, ginv=ginv, vs=vs, along=along, ddg_vv=ddg_vv))
+    ginv_first = np.moveaxis(ginv, -1, 0)
     full = _peak_bytes(lambda: man.riemann(
-        xs, ginv=ginv, dg=man.metric_partials(xs), ddg=ddg))
+        xs, ginv=ginv_first, dg=man.metric_partials(xs), ddg=ddg))
     assert contracted < ddg.nbytes < full
 
 
 def test_gradients_connection_terms_enter():
     force = ForceField(POLAR, ["-x1", "0"])
-    spatial, velocity = at_point(extended_gradients, POLAR, force,
-                                 [2.0, 0.3], [1.0, 1.0])
+    spatial, velocity = _gradients_at(POLAR, force, [2.0, 0.3], [1.0, 1.0])
     # nabla_2 F^2 = Gamma^2_{21} F^1 = (1/x1)(-x1) = -1
     assert spatial[1, 1] == pytest.approx(-1.0, abs=1e-14)
     # nabla_2 F^1 = Gamma^1_{22} F^2 = 0, but plain d F^1/d x^2 = 0 too;

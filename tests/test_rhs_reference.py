@@ -64,7 +64,7 @@ class _Reference:
         nb = args[0].shape[0]
         out = np.empty((nb, len(fns)))
         for e, fn in enumerate(fns):
-            out[:, e] = fn(*args)[:, 0]
+            out[:, e] = fn(*args)[0]
         return out.reshape((nb,) + shape)
 
     def rhs(self, x, v, tau, rho, riemann_sign):
