@@ -20,15 +20,16 @@ The second times the coefficient block at its size, ``BLOCK_POINTS``
 stage points, batch-last: the variation call
 (``ForceField.variation_jet``, which fills one entry-first (K, P)
 record, a contiguous row per entry), the Jacobi operator
-``Manifold.riemann(vs=)`` and ``extended_gradients`` (ordered
-batch-last sums, ``matvec_last`` and ``matmul_last``, over the record's
-views), and the whole coefficient step of a block, which adds the
+``Manifold.riemann(record=)`` and ``extended_gradients(record=)``
+(ordered batch-last sums, ``matvec_last`` and ``matmul_last``, over the
+record's views), and the whole coefficient step of a block, which adds the
 three transposed stores into the batch-first coefficients the
 variations' stages read.
 
 The third times the pieces of one residual block of
 ``normality.classify`` at its block size, B = 2048 sampled points: the
-batch-last ``force_tensors``, the velocity frame (``Manifold.frame``),
+batch-last ``force_tensors`` (the first-order call and its gradients
+through ``extended_gradients``), the velocity frame (``Manifold.frame``),
 the weak and the additional families, the residual norms (with the
 n = 2 strong norms) and the whole block.
 
@@ -51,7 +52,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from frontshift import dynamics, normality  # noqa: E402
 from frontshift.geometry import (ForceField, Manifold,  # noqa: E402
-                                 Spray, extended_gradients, force_tensors)
+                                 extended_gradients, force_tensors)
 
 
 def sphere(n: int) -> list:
@@ -150,15 +151,12 @@ def coefficient_pieces(man: Manifold, force: ForceField, box,
     stages, _ = _stages(man, force, box, size // 4, seed)
     xs, vs = stages.points[:, :n], stages.points[:, n:]
     jet = force.variation_jet(xs, vs, out=stages.jets)
-    along = Spray.of(jet)
     return {
         "variation_jet": lambda: force.variation_jet(xs, vs,
                                                      out=stages.jets),
-        "riemann": lambda: man.riemann(xs, ginv=jet["ginv"], vs=vs,
-                                       along=along, ddg_vv=jet["ddg_vv"]),
-        "gradients": lambda: extended_gradients(
-            man, force, xs, vs, jac=(jet["dfdx"], jet["dfdv"]),
-            along=along),
+        "riemann": lambda: man.riemann(xs, record=jet),
+        "gradients": lambda: extended_gradients(man, force, xs, vs,
+                                                record=jet),
         "coefficients": lambda: stages.coefficients(0, size),
     }
 

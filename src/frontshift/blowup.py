@@ -247,7 +247,7 @@ def simulate_shift(man: Manifold, force: ForceField, hs: HypersurfaceSpec,
     Variations start at the exact coordinate tangents; their covariant
     rates are the covariant u-derivatives of the launch field nu(u)n(u),
     obtained by central differencing plus the connection correction
-    gamma(K_a, v0), taken from the variation coefficients' own call.
+    gamma(K_a, v0), the gam_v of ``ForceField.first_order_jet``.
     The surface map, nu and their u-derivatives are compiled once.  The
     differences evaluate nu and the surface just off the grid, so launch
     rates that come out non-finite there are a ``BlowupError`` too.
@@ -264,8 +264,8 @@ def simulate_shift(man: Manifold, force: ForceField, hs: HypersurfaceSpec,
     box = np.asarray(hs.box, dtype=float)
     rho0 = np.empty((u.shape[0], n_params, n))
     # launch[b, a, k] = gamma^k_rs K_a^r v0^s
-    launch = tangents @ np.moveaxis(force.variation_jet(x0, v0)["gam_v"],
-                                    -1, 0).copy()
+    launch = tangents @ np.moveaxis(force.first_order_jet(x0.T, v0.T)
+                                    ["gam_v"], -1, 0).copy()
 
     def launch_field(params, where):
         _, _, normals = _surface_frames(man, surface, params, hs.orient_flip,

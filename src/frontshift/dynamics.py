@@ -16,9 +16,10 @@ of steps (at most ``BLOCK_POINTS`` stage points, or one step) at a time:
    copies v beside it, all in a workspace allocated once per integration;
 2. the coefficients at the block's stage points, batch-last: one
    ``ForceField.variation_jet`` record (the force Jacobians, S, g^-1,
-   the Koszul symbol and the ``Spray`` fields), ``Manifold.riemann(vs=)``
-   (K = R(., v)v) and ``extended_gradients`` over its views, and one
-   transposed store per matrix (at most ``BLOCK_POINTS`` points a call);
+   the Koszul symbol and the connection contracted with v and F), and
+   ``Manifold.riemann(record=)`` (K = R(., v)v) and
+   ``extended_gradients(record=)`` over its views, and one transposed
+   store per matrix (at most ``BLOCK_POINTS`` points a call);
 3. the variations' RK4, three batched products per stage, and the
    finite check after each step.
 
@@ -39,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import ForceField, Manifold, Spray, extended_gradients
+from .geometry import ForceField, Manifold, extended_gradients
 
 
 class DynamicsError(ValueError):
@@ -97,7 +98,7 @@ def integration_work(nb: int, nvar: int, steps: int) -> dict:
     """The calls ``integrate_batch`` makes over steps steps of nb rows
     with nvar variations each: flow_calls, one ``ForceField.flow_jet`` per
     stage; coefficient_calls, each one ``ForceField.variation_jet``, one
-    ``Manifold.riemann(vs=)`` and one ``extended_gradients`` (none
+    ``Manifold.riemann(record=)`` and one ``extended_gradients`` (none
     without variations); and coefficient_points, the stage points those
     evaluate.  It follows ``_Stages.flow``: a call at most every
     BLOCK_POINTS pending points, and one more at each block's end."""
@@ -189,16 +190,13 @@ class _Stages:
             connection, curvature, velocity = coefs[..., a:b]
             xs, vs = self.points[a:b, :n], self.points[a:b, n:]
             jet = force.variation_jet(xs, vs, out=self.jets[:, :b - a])
-            along = Spray.of(jet)
-            jacobi = man.riemann(xs, ginv=jet["ginv"], vs=vs, along=along,
-                                 ddg_vv=jet["ddg_vv"])
-            spatial, dfdv = extended_gradients(
-                man, force, xs, vs, jac=(jet["dfdx"], jet["dfdv"]),
-                along=along)
-            connection[...] = along.gam_v
+            jacobi = man.riemann(xs, record=jet)
+            spatial, dfdv = extended_gradients(man, force, xs, vs,
+                                               record=jet)
+            connection[...] = jet["gam_v"]
             np.subtract(spatial, self.sign * jacobi.swapaxes(0, 1),
                         out=curvature)
-            np.subtract(dfdv, along.gam_v, out=velocity)
+            np.subtract(dfdv, jet["gam_v"], out=velocity)
 
     def variations(self, history, i: int, step: int, h: float) -> None:
         """The variations' RK4 step from node i, the block's step

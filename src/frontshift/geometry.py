@@ -4,26 +4,29 @@ All tensor assembly is numeric, on the exact symbolic derivatives of the
 metric and force expressions, and every contraction runs in a fixed
 order.  Past the metric itself, production code reads the geometry and
 the force from generated calls built from one set of root expressions:
-``ForceField.first_order_jet`` (g, g^-1, the Koszul symbol of dg, F and
-both force Jacobians) for the sample points, and for the RK4
-integration ``ForceField.flow_jet`` (the acceleration a = F - gamma(v,
-v), once per stage) and ``ForceField.variation_jet`` (both force
-Jacobians, ddg contracted with v twice, g^-1, the Koszul symbol and the
-``Spray`` fields, once per block of stage points).  The connection
-enters only contracted with v and F, and those contractions are
-generated too (``Manifold._lowered_asts``, ``_gvv_lowered_asts`` and
-``_raised_asts``), sharing every subexpression with the tensors of the
-same call.  Each call fills one entry-first (K, B) array, or the
-caller's, one row per tensor entry, and a ``Record`` hands the tensors
-out as views of its rows: no gather, and no numeric inverse for n <= 3,
-where g^-1 is the metric's adjugate over its determinant as expressions
-(``Manifold._ginv_asts``).  For n >= 4 the generated g^-1 entries are
-zero placeholders, and ``ForceField._records`` takes LAPACK's
-``np.linalg.inv`` of the generated g and adds the products with it to
-each raised field (a, gam_v, gam_f, gvv) from its lowered field.
+``ForceField.first_order_jet`` (g, g^-1, F, both force Jacobians and
+the connection contracted with v and with F) for the sample points, and
+for the RK4 integration ``ForceField.flow_jet`` (the acceleration a =
+F - gamma(v, v), once per stage) and ``ForceField.variation_jet`` (the
+first-order fields but g, ddg contracted with v twice, the Koszul
+symbol and gamma(v, v), once per block of stage points).  The
+connection enters only contracted with v and F, and those contractions
+are generated once (``ForceField._connection_asts``, from
+``Manifold._lowered_asts``, ``_gvv_lowered_asts`` and
+``_raised_asts``) for every call that reads them, sharing every
+subexpression with the tensors of the same call.  Each call fills one
+entry-first (K, B) array, or the caller's, one row per tensor entry,
+and a ``Record`` hands the tensors out as views of its rows: no gather,
+and no numeric inverse for n <= 3, where g^-1 is the metric's adjugate
+over its determinant as expressions (``Manifold._ginv_asts``).  For
+n >= 4 the generated g^-1 entries are zero placeholders, and
+``ForceField._records`` takes LAPACK's ``np.linalg.inv`` of the
+generated g and adds the products with it to each raised field (a,
+gam_v, gam_f, gvv) from its lowered field.
 ``at_point`` evaluates any batch-first function at one point, and
 ``force_tensors`` builds every metric and force tensor the deviation and
-normality formulas share in one place.
+normality formulas share in one place, its covariant spatial gradient
+through ``extended_gradients``, the one place that forms it.
 
 Two layouts, each where it measures faster.  The records' tensors are
 batch-last, (n, n, B), and every contraction over them is one broadcast
@@ -32,7 +35,7 @@ product of contiguous length-B rows plus n - 1 additions in index order
 sample-point layer of ``check`` and of the deviation formulas
 (``force_tensors``, ``Manifold.frame``, ``normality``), and the
 variation coefficients of a block of stage points
-(``Manifold.riemann(vs=)``, ``extended_gradients``).  numpy's ``@``
+(``Manifold.riemann(record=)``, ``extended_gradients``).  numpy's ``@``
 makes one BLAS call per 3 x 3 matrix, so at 2048 points in 3-D (one
 BLAS thread, shared 2-vCPU VM) a batch-first matrix product took 73-150
 us against about 60 us batch-last, a matrix times a vector 92-176 us
@@ -43,16 +46,16 @@ the selftest integrate at B <= 10, where a batch-last S^3 stage took
 through the transpose of the stage rates, and the coefficients are
 stored batch-first, (B, n, n), for the variations' batched products.
 
-The ``Spray`` fields give gamma contracted with v and F without building
-gamma, and ``Manifold.riemann`` with the velocity passed gives the
-Jacobi operator K[k, s] = R^k_msr v^m v^r from S, the second partials
-contracted with v twice, summed symbolically by the variation call; the
-rest costs O(n^3) per point, without ddg, d gamma or any (n, n, n, n)
-intermediate.  The per-quantity methods (``metric_partials``,
-``metric_second_partials``, ``christoffel``, ``christoffel_partials``,
-``riemann`` without a velocity, ``ForceField.components`` and
-``ForceField.jacobians``) are batch-first oracles: no production path
-outside ``selfcheck`` calls them.  ``lower`` and ``g_norm`` lower an
+The connection fields give gamma contracted with v and F without
+building gamma, and ``Manifold.riemann`` with the variation record
+passed gives the Jacobi operator K[k, s] = R^k_msr v^m v^r from S, the
+second partials contracted with v twice, summed symbolically by the
+variation call; the rest costs O(n^3) per point, without ddg, d gamma
+or any (n, n, n, n) intermediate.  The per-quantity methods
+(``metric_partials``, ``metric_second_partials``, ``christoffel``,
+``christoffel_partials``, ``riemann`` without a record,
+``ForceField.components`` and ``ForceField.jacobians``) are batch-first
+oracles: no production path outside ``selfcheck`` calls them.  ``lower`` and ``g_norm`` lower an
 index and take a g-length over any leading axes, batch-first.
 
 Index conventions (fixed, and pinned by the dynamics cross-checks):
@@ -72,7 +75,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -140,9 +143,8 @@ def matvec_last(m: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def vecmat_last(w: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """(w m)[j..., b] = w[i, b] m[i, j..., b], for m with any number of
-    indices after i."""
-    return _sum_rows(np.expand_dims(w, tuple(range(1, m.ndim - 1))) * m)
+    """(w m)[j, ...] = w[i, ...] m[i, j, ...]."""
+    return _sum_rows(w[:, None] * m)
 
 
 def matmul_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -196,29 +198,6 @@ def _koszul(d: np.ndarray) -> np.ndarray:
 def _total(terms: Sequence[Node]) -> Node:
     """terms[0] + terms[1] + ..., added in that order, simplified."""
     return exprlang.simplify(functools.reduce(Add, terms))
-
-
-class Spray(NamedTuple):
-    """The connection contracted with a velocity v and a force F, the
-    batch axis last.
-
-    koszul[j, i, r, b] = d_j g_ir + d_i g_jr - d_r g_ij = 2 gamma_rij, with
-    the first index lowered; low_v[i, r, b] = gamma_rij v^j (no inverse
-    enters); gam_v[i, k, b] = gamma^k_ij v^j and gam_f[i, k, b] =
-    gamma^k_ij F^j; gvv[k, b] = gamma^k_ij v^i v^j.  Each is a field of
-    ``ForceField.variation_record``.
-    """
-
-    koszul: np.ndarray
-    low_v: np.ndarray
-    gam_v: np.ndarray
-    gam_f: np.ndarray
-    gvv: np.ndarray
-
-    @classmethod
-    def of(cls, record: dict) -> "Spray":
-        """The fields of a ``ForceField.variation_jet`` record, as views."""
-        return cls(*(record[name] for name in cls._fields))
 
 
 class Record:
@@ -516,18 +495,19 @@ class Manifold:
 
     def riemann(self, xs: np.ndarray, ginv: np.ndarray | None = None,
                 dg: np.ndarray | None = None, ddg: np.ndarray | None = None,
-                vs: np.ndarray | None = None, along: Spray | None = None,
-                ddg_vv: np.ndarray | None = None) -> np.ndarray:
-        """The curvature tensor, or with vs its Jacobi operator along vs.
+                record: dict | None = None) -> np.ndarray:
+        """The curvature tensor, or with a record the Jacobi operator
+        along its velocities.
 
-        Without vs: riemann[b, k, m, s, r], antisymmetric in (s, r), built
-        from the full connection derivative at the batch-first points xs;
-        this is the oracle form.
+        Without a record: riemann[b, k, m, s, r], antisymmetric in (s, r),
+        built from the full connection derivative at the batch-first
+        points xs; this is the oracle form.
 
-        With vs: jacobi[k, s, b] = R^k_msr v^m v^r at the points xs[b],
-        the batch axis last, so that R(tau, v)v is jacobi[..., b] @ tau.
-        It costs O(n^3) per point on top of S, and neither ddg, d gamma
-        nor any (n, n, n, n) array is formed.  With c = gamma(v, v), the
+        With record, the views of ``ForceField.variation_jet`` at (xs,
+        vs): jacobi[k, s, b] = R^k_msr v^m v^r at the points xs[b], the
+        batch axis last, so that R(tau, v)v is jacobi[..., b] @ tau.  It
+        costs O(n^3) per point on top of S, and neither ddg, d gamma nor
+        any (n, n, n, n) array is formed.  With c = gamma(v, v), the
         lowered L_ls = gamma_lsr v^r and gamma v = g^-1 L,
 
             jacobi = g^-1 [(S - E - E^T + D) / 2 + L^T gamma v]
@@ -535,18 +515,20 @@ class Manifold:
         where S = P + P^T - W - H is ddg contracted with v twice:
         P_sl = d_s d_m g_lj v^m v^j, W_sl = d_s d_l g(v, v) and
         H_ls = d_v d_v g_ls; E_sl = d_s g_lb c^b and D_ls = c^j d_j g_ls,
-        so E + E^T - D is the Koszul symbol contracted with c.  With vs,
-        ginv, along (a ``Spray``) and ddg_vv (S) are required, all fields
-        of the record of ``ForceField.variation_jet`` and so batch-last;
-        each product is a ``matvec_last`` or ``matmul_last``.
+        so E + E^T - D is the Koszul symbol contracted with c.  It reads
+        the record's ddg_vv (S), koszul, gvv (c), low_v (L), gam_v and
+        ginv; each product is a ``matvec_last`` or ``matmul_last``.
         """
         n = self.dimension
-        if vs is not None:
-            koszul = along.koszul.reshape(n * n, n, -1)
-            sym = ddg_vv - matvec_last(koszul, along.gvv).reshape(ddg_vv.shape)
+        if record is not None:
+            ddg_vv = record["ddg_vv"]
+            koszul = record["koszul"].reshape(n * n, n, -1)
+            sym = ddg_vv - matvec_last(koszul,
+                                       record["gvv"]).reshape(ddg_vv.shape)
             sym *= 0.5
-            sym += matmul_last(along.low_v, along.gam_v.swapaxes(0, 1))
-            return matmul_last(ginv, sym)
+            sym += matmul_last(record["low_v"],
+                               record["gam_v"].swapaxes(0, 1))
+            return matmul_last(record["ginv"], sym)
         if ginv is None:
             ginv = np.linalg.inv(self.metric(xs))
         nb = len(xs)
@@ -595,18 +577,19 @@ class ForceField:
 
     Three generated callables evaluate everything production code reads
     of the force and the metric, each sharing every subexpression among
-    its entries.  ``first_order_jet`` gives g, g^-1, the Koszul symbol of
-    the metric's first partials, F and both force Jacobians, what
-    ``force_tensors`` consumes; ``flow_jet`` the acceleration
-    a = F - gamma(v, v), what an RK4 stage of the flow reads;
-    ``variation_jet`` both force Jacobians, the metric's second partials
-    contracted with v twice, g^-1, the Koszul symbol and the ``Spray``
-    fields, what the variation coefficients (and the shift's launch)
-    read.  Each fills one entry-first (K, B) array, a row per tensor entry
-    (symmetric duplicates included), and the first and the last hand the
-    tensors out as ``Record`` views, batch axis last.  ``components`` and
-    ``jacobians`` are oracles with callables of their own.  Every
-    callable is compiled on first use.
+    its entries.  ``first_order_jet`` gives g, g^-1, F, both force
+    Jacobians and the connection contracted with v and with F (gam_v,
+    gam_f), what ``force_tensors`` and the shift's launch read;
+    ``flow_jet`` the acceleration a = F - gamma(v, v), what an RK4 stage
+    of the flow reads; ``variation_jet`` the same Jacobians, g^-1, gam_v
+    and gam_f, and the metric's second partials contracted with v twice,
+    the Koszul symbol, low_v and gvv, what the variation coefficients
+    read.  The connection fields of every call come from one set of
+    expressions (``_connection_asts``).  Each call fills one entry-first
+    (K, B) array, a row per tensor entry (symmetric duplicates included),
+    and the first and the last hand the tensors out as ``Record`` views,
+    batch axis last.  ``components`` and ``jacobians`` are oracles with
+    callables of their own.  Every callable is compiled on first use.
     """
 
     # For n >= 4: (raised field, its lowered field, sign).  The generated
@@ -635,12 +618,13 @@ class ForceField:
                       c=(n,), low_v=(n, n), low_f=(n, n), gam_v=(n, n),
                       gam_f=(n, n), gvv=(n,))
         lapack = n > 3
-        self._first_order_record = Record(shapes, ("g", "ginv", "koszul",
-                                                   "f", "dfdx", "dfdv"))
+        self._first_order_record = Record(shapes, (
+            "g", "ginv", "f", "dfdx", "dfdv", "gam_v", "gam_f",
+            *(["low_v", "low_f"] * lapack)))
         self._flow_record = Record(shapes, ("a", *(["g", "c"] * lapack)))
         self.variation_record = Record(shapes, (
-            "dfdx", "dfdv", "ddg_vv", "ginv", *Spray._fields,
-            *(["g", "low_f", "c"] * lapack)))
+            "dfdx", "dfdv", "ddg_vv", "ginv", "koszul", "low_v", "gam_v",
+            "gam_f", "gvv", *(["g", "low_f", "c"] * lapack)))
 
     @functools.cached_property
     def _f_fn(self):
@@ -652,9 +636,12 @@ class ForceField:
 
     @functools.cached_property
     def _connection_asts(self) -> dict:
-        """The connection contracted with v and F: the lowered c_r =
-        gamma_rij v^i v^j, low_v and low_f, the raised gam_v and gam_f,
-        gvv = v^i gam_v[i] (``Spray``), and a = F - g^-1 c."""
+        """The connection contracted with v and F, the fields every
+        generated call reads it through: the lowered c[r] = gamma_rij v^i
+        v^j, low_v[i, r] = gamma_rij v^j and low_f[i, r] = gamma_rij F^j
+        (no inverse enters), the raised gam_v[i, k] = gamma^k_ij v^j and
+        gam_f[i, k] = gamma^k_ij F^j, gvv[k] = gamma^k_ij v^i v^j =
+        v^i gam_v[i, k], and the acceleration a = F - g^-1 c."""
         man = self.manifold
         n = man.dimension
         low = dict(c=man._gvv_lowered_asts,
@@ -738,22 +725,20 @@ class ForceField:
         jac = self._jac_fn(*self._args(xs, vs)).reshape(2, n, n, -1)
         return np.moveaxis(jac[0], -1, 0), np.moveaxis(jac[1], -1, 0)
 
-    def first_order_jet(self, xs: np.ndarray, vs: np.ndarray):
-        """(g, ginv, koszul, f, dfdx, dfdv) from one compiled call, batch
-        axis last: the points are xs[k, b] and vs[k, b], and the arrays
-        g[i, j, b], ginv[i, j, b], koszul[j, i, r, b], f[k, b],
-        dfdx[i, k, b] and dfdv[i, k, b].
+    def first_order_jet(self, xs: np.ndarray, vs: np.ndarray) -> dict:
+        """g, g^-1, F, dF/dx, dF/dv, gam_v and gam_f (``_connection_asts``)
+        at the points xs[k, b], vs[k, b], batch axis last: the fields of
+        one compiled call's record, each a contiguous view of its rows
+        (for n >= 4 also low_v and low_f, which complete the raised
+        fields with LAPACK's inverse, ``_records``).
 
-        Moved to the front, the batch axis gives the same arrays, bit for
-        bit, as ``metric`` at xs and ``components`` and ``jacobians`` at
-        (xs, vs).  koszul[j, i, r] = d_j g_ir + d_i g_jr - d_r g_ij is the
-        Koszul symbol of ``metric_partials`` (``Spray.koszul``).  All of
-        them come from the expressions those methods already derived, and
-        ginv from ``Manifold._ginv_asts``.  The generated call fills one
-        (K, B) array, and each tensor is a view of its rows, contiguous.
+        Moved to the front, the batch axis gives g, F, dF/dx and dF/dv bit
+        for bit as ``metric`` at xs and ``components`` and ``jacobians``
+        at (xs, vs), and every field it shares with ``variation_jet`` is
+        that call's, bit for bit: the same expressions, the same inverse.
         """
-        return tuple(self._records(self._first_order_fn, (*xs, *vs),
-                                   self._first_order_record).values())
+        return self._records(self._first_order_fn, (*xs, *vs),
+                             self._first_order_record)
 
     def flow_jet(self, xs: np.ndarray, vs: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:
@@ -777,38 +762,36 @@ class ForceField:
         return out
 
     def variation_jet(self, xs: np.ndarray, vs: np.ndarray,
-                      out: np.ndarray | None = None) -> np.ndarray:
+                      out: np.ndarray | None = None) -> dict:
         """dF/dx, dF/dv, S = P + P^T - W - H (``Manifold.riemann``), g^-1,
-        the Koszul symbol and the ``Spray`` fields at batch-first points,
-        the fields of ``variation_record``, batch axis last, as views of
-        the (K, B) array of one compiled call (out, when given).  S is
-        ``metric_second_partials`` contracted with vs twice; dF/dx, dF/dv,
-        g^-1 and the Koszul symbol are first_order_jet's values bit for
-        bit."""
+        the Koszul symbol and the connection fields low_v, gam_v, gam_f
+        and gvv (``_connection_asts``) at batch-first points, the fields
+        of ``variation_record``, batch axis last, as views of the (K, B)
+        array of one compiled call (out, when given).  S is
+        ``metric_second_partials`` contracted with vs twice, and the
+        Koszul symbol koszul[j, i, r] = d_j g_ir + d_i g_jr - d_r g_ij =
+        2 gamma_rij that of ``metric_partials``."""
         return self._records(self._variation_fn, self._args(xs, vs),
                              self.variation_record, out)
 
 
 def extended_gradients(man: Manifold, force: ForceField, xs: np.ndarray,
-                       vs: np.ndarray, jac: tuple | None = None,
-                       along: Spray | None = None):
+                       vs: np.ndarray, record: dict | None = None):
     """Spatial and velocity gradients of the force field at the
     batch-first points (xs, vs), the batch axis last.
 
-    velocity[i, k, b] is the plain v-derivative; spatial[i, k, b] adds
-    the connection correction for the vector index and the chase of the
-    velocity argument along coordinate directions, one ``matmul_last``.
-    jac and along, when given, are the pair (dfdx, dfdv) and the
-    ``Spray`` at (xs, vs) already formed, batch-last; otherwise both come
-    from ``force.variation_jet``.
+    velocity[i, k, b] is the plain v-derivative; spatial[i, k, b] =
+    dF/dx - (gamma v) dF/dv + gamma F adds the connection correction for
+    the vector index and the chase of the velocity argument along
+    coordinate directions, one ``matmul_last``.  record, when given, is
+    a jet's record at (xs, vs) already formed (dfdx, dfdv, gam_v and
+    gam_f are read); otherwise it comes from ``force.variation_jet``.
     """
-    if jac is None or along is None:
-        jet = force.variation_jet(xs, vs)
-        jac, along = (jet["dfdx"], jet["dfdv"]), Spray.of(jet)
-    dfdx, dfdv = jac
-    spatial = dfdx - matmul_last(along.gam_v, dfdv)
-    spatial += along.gam_f
-    return spatial, dfdv
+    if record is None:
+        record = force.variation_jet(xs, vs)
+    spatial = record["dfdx"] - matmul_last(record["gam_v"], record["dfdv"])
+    spatial += record["gam_f"]
+    return spatial, record["dfdv"]
 
 
 def force_tensors(force: ForceField, xs: np.ndarray, vs: np.ndarray) -> dict:
@@ -819,22 +802,18 @@ def force_tensors(force: ForceField, xs: np.ndarray, vs: np.ndarray) -> dict:
     g and g^-1; the velocity v, the force F and F lowered; the velocity
     gradient of F raw (vel[i, k], derivative index first) and both
     gradients with the vector index lowered (nabla_i F_j, tnabla_i F_j).
-    All of them come from one ``force.first_order_jet`` call.  The
-    connection enters only contracted with v and F,
-    through the Koszul symbol: with L_v[i, r] = gamma_rij v^j (lowered)
-    and gamma v = L_v g^-1, the lowered spatial gradient is
-    dfdx g - (gamma v) vel_cov + L_F, since gamma_F g = L_F.
+    All of them come from one ``force.first_order_jet`` call: the
+    gradients are ``extended_gradients`` of its record, each lowered
+    once with g.
     """
-    g, ginv, koszul, f_vals, dfdx, dfdv = force.first_order_jet(xs, vs)
-    low_v = 0.5 * vecmat_last(vs, koszul)
-    low_f = 0.5 * vecmat_last(f_vals, koszul)
-    vel_cov = matmul_last(dfdv, g)
-    spa_cov = matmul_last(dfdx, g)
-    spa_cov -= matmul_last(matmul_last(low_v, ginv), vel_cov)
-    spa_cov += low_f
-    return dict(g=g, ginv=ginv, v=vs, f=f_vals,
-                f_cov=matvec_last(g, f_vals), vel=dfdv,
-                spa_cov=spa_cov, vel_cov=vel_cov)
+    jet = force.first_order_jet(xs, vs)
+    g, f_vals = jet["g"], jet["f"]
+    spatial, vel = extended_gradients(force.manifold, force, xs.T, vs.T,
+                                      record=jet)
+    return dict(g=g, ginv=jet["ginv"], v=vs, f=f_vals,
+                f_cov=matvec_last(g, f_vals), vel=vel,
+                spa_cov=matmul_last(spatial, g),
+                vel_cov=matmul_last(vel, g))
 
 
 def at_point(fn, *args):

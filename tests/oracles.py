@@ -34,14 +34,14 @@ one formula from a second, simpler route.
   pins them byte for byte, signed zeros included.
 - ``spray``: the connection contracted with v and F from g^-1 and the
   Koszul symbol, in batched matrix products, as the package formed it
-  at every RK4 stage before the jets generated the contractions.  It
-  pins the acceleration of ``ForceField.flow_jet`` and the ``Spray``
-  fields of ``ForceField.variation_jet``, read against the records of
-  ``first_order_jet``.
+  at every RK4 stage before the jets generated the contractions, keyed
+  by the names of the jets' record fields.  It pins the acceleration of
+  ``ForceField.flow_jet`` and the connection fields of
+  ``ForceField.variation_jet``, which ``first_order_jet`` shares.
 - ``rhs``: the plain time derivatives of the batched state at one RK4
   stage, composed of the production pieces at the stage's own points:
   the flow call (the acceleration), then the variation call,
-  ``Manifold.riemann(vs=)`` and ``extended_gradients``, whose batch-last
+  ``Manifold.riemann(record=)`` and ``extended_gradients``, whose batch-last
   matrices it moves batch-first for the products.  The integrator
   forms the same pieces a block of stages at a time; this is the stage
   they add up to, which ``tests/test_rhs_reference.py`` pins to the
@@ -60,7 +60,7 @@ import numpy as np
 from frontshift.deviation import phi_derivatives
 from frontshift.dynamics import (BatchTrajectory, IntegrationAbort,
                                  integrate_batch)
-from frontshift.geometry import Spray, at_point, extended_gradients
+from frontshift.geometry import at_point, extended_gradients
 
 
 def single_record(batch, row):
@@ -182,17 +182,19 @@ def adjugate_inverse(g):
 
 
 def spray(ginv, koszul, vs, f_vals):
-    """The ``Spray`` of the batch-first g^-1[b, k, r], koszul[b, j, i, r]
-    (the Koszul symbol of dg), velocities vs[b, j] and forces f_vals[b, j]:
-    one batched product of the Koszul symbol with the rows [v, F], then
-    one with g^-1."""
+    """The connection fields koszul, low_v, gam_v, gam_f and gvv of a
+    jet's record (``ForceField._connection_asts``), batch-first, from
+    g^-1[b, k, r], koszul[b, j, i, r] (the Koszul symbol of dg),
+    velocities vs[b, j] and forces f_vals[b, j]: one batched product of
+    the Koszul symbol with the rows [v, F], then one with g^-1."""
     nb, n = vs.shape
     rows = np.stack((vs, f_vals), axis=1)
     low = 0.5 * (rows @ koszul.reshape(nb, n, n * n))
     up = (low.reshape(nb, -1, n) @ ginv).reshape(nb, 2, n, n)
     gam_v = up[:, 0]
     gvv = (vs[:, None, :] @ gam_v)[:, 0]
-    return Spray(koszul, low[:, 0].reshape(nb, n, n), gam_v, up[:, 1], gvv)
+    return dict(koszul=koszul, low_v=low[:, 0].reshape(nb, n, n),
+                gam_v=gam_v, gam_f=up[:, 1], gvv=gvv)
 
 
 def rhs(man, force, x, v, tau, rho, riemann_sign):
@@ -204,18 +206,14 @@ def rhs(man, force, x, v, tau, rho, riemann_sign):
         drho = tau (spatial - riemann_sign K^T) + rho (dF/dv - (gamma v)^T)
     """
     jet = force.variation_jet(x, v)
-    along = Spray.of(jet)
-    jacobi = man.riemann(x, ginv=jet["ginv"], vs=v, along=along,
-                         ddg_vv=jet["ddg_vv"])
-    spatial, velocity = extended_gradients(man, force, x, v,
-                                           jac=(jet["dfdx"], jet["dfdv"]),
-                                           along=along)
+    jacobi = man.riemann(x, record=jet)
+    spatial, velocity = extended_gradients(man, force, x, v, record=jet)
     # the pieces are batch-last; the products take contiguous batch-first
     # matrices, as the integrator stores them
     gam_v, curvature, velocity = (
         np.ascontiguousarray(np.moveaxis(a, -1, 0)) for a in
-        (along.gam_v, spatial - riemann_sign * jacobi.swapaxes(0, 1),
-         velocity - along.gam_v))
+        (jet["gam_v"], spatial - riemann_sign * jacobi.swapaxes(0, 1),
+         velocity - jet["gam_v"]))
     return (v.copy(), force.flow_jet(x, v).T, rho - tau @ gam_v,
             tau @ curvature + rho @ velocity)
 

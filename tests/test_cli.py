@@ -504,15 +504,15 @@ def test_blowup_compiles_the_jet_once(tmp_path, capsys, monkeypatch):
 
 
 def test_shift_compiles_the_blowup_callables(tmp_path, capsys, monkeypatch):
-    # the launch connection term comes from the stages' flow call, so
-    # past nu and the surface map a shift compiles what a blow-up does
+    # past nu and the surface map a shift compiles what a blow-up does,
+    # and the first-order jet, whose gam_v is the launch connection term
     cfg = load_config(_s3_drag_config(tmp_path))
     seen = _spy_on_symbolic_work(monkeypatch)
     assert cmd_shift(cfg, tmp_path, 0.0) == 0
     capsys.readouterr()
-    assert sorted(seen["compiled_by"]) == ["_flow_fn", "_g_fn",
-                                           "_nu_function", "_surface_map",
-                                           "_variation_fn"]
+    assert sorted(seen["compiled_by"]) == ["_first_order_fn", "_flow_fn",
+                                           "_g_fn", "_nu_function",
+                                           "_surface_map", "_variation_fn"]
     # the blow-up's 18 + 18 + 36, nu's u-gradient (2) and the surface
     # tangents (3 x 2)
     assert seen["differentiate"] == 18 + 18 + 6 * 6 + 2 + 6

@@ -85,12 +85,12 @@ def test_rk4_block_is_four_flow_calls_a_step_one_coefficient_call(
         count(ForceField, name)
     count(np.linalg, "inv")
     count(dynamics, "extended_gradients")
-    # the contracted form only: every riemann call passes the velocity
+    # the contracted form only: every riemann call passes the record
     riemann = Manifold.riemann
-    calls["riemann(vs=)"] = 0
+    calls["riemann(record=)"] = 0
 
     def contracted(self, xs, **kwargs):
-        calls["riemann(vs=)"] += kwargs["vs"] is not None
+        calls["riemann(record=)"] += kwargs["record"] is not None
         return riemann(self, xs, **kwargs)
     monkeypatch.setattr(Manifold, "riemann", contracted)
     # every array a stage or a coefficient call writes is a view of the
@@ -117,7 +117,7 @@ def test_rk4_block_is_four_flow_calls_a_step_one_coefficient_call(
     integrate_batch(man, force, x0, v0, tau0, rho0, steps * 1e-3, 1e-3)
     assert {name: len(seen) for name, seen in owners.items()} == {
         "flow_jet": 4 * steps, "variation_jet": 3}
-    assert calls == {"riemann(vs=)": 3, "extended_gradients": 3,
+    assert calls == {"riemann(record=)": 3, "extended_gradients": 3,
                      "first_order_jet": 0, "metric": 0,
                      "metric_partials": 0, "metric_second_partials": 0,
                      "christoffel": 0, "christoffel_partials": 0,
@@ -137,7 +137,7 @@ def test_rk4_block_is_four_flow_calls_a_step_one_coefficient_call(
                     steps * 1e-3, 1e-3)
     assert {name: len(seen) for name, seen in owners.items()} == {
         "flow_jet": 4 * steps, "variation_jet": 0}
-    assert calls["riemann(vs=)"] == calls["extended_gradients"] == 3
+    assert calls["riemann(record=)"] == calls["extended_gradients"] == 3
 
 
 def test_a_flow_stage_is_one_generated_call(monkeypatch):
@@ -210,11 +210,11 @@ def test_coefficients_are_the_einsum_composition_of_the_oracles(chart,
     koszul = _koszul(man.metric_partials(xs)).transpose(0, 2, 3, 1)
     along = spray(ginv, koszul, vs, force.components(xs, vs))
     dfdx, dfdv = force.jacobians(xs, vs)
-    spatial = (dfdx - np.einsum('bij,bjk->bik', along.gam_v, dfdv)
-               + along.gam_f)
+    spatial = (dfdx - np.einsum('bij,bjk->bik', along["gam_v"], dfdv)
+               + along["gam_f"])
     jacobi = np.einsum('bkmsr,bm,br->bks', man.riemann(xs), vs, vs)
-    want = (along.gam_v, spatial - sign * jacobi.swapaxes(1, 2),
-            dfdv - along.gam_v)
+    want = (along["gam_v"], spatial - sign * jacobi.swapaxes(1, 2),
+            dfdv - along["gam_v"])
     for name, got, ref in zip(("connection", "curvature", "velocity"),
                               stages.coefs, want, strict=True):
         assert got.shape == ref.shape == (points, n, n), name

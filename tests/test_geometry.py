@@ -5,9 +5,9 @@ import pytest
 
 from frontshift.exprlang import Const
 from frontshift.geometry import (ForceField, Manifold,
-                                 NonPositiveDefiniteError, Spray,
-                                 ZeroVelocityError, _koszul, at_point,
-                                 check_positive_definite, extended_gradients)
+                                 NonPositiveDefiniteError, ZeroVelocityError,
+                                 _koszul, at_point, check_positive_definite,
+                                 extended_gradients)
 from oracles import adjugate_inverse, spray
 from test_rhs_reference import CHARTS, drag, sphere
 
@@ -270,9 +270,10 @@ def _chart_points(chart, nb=40):
 def _ginv_of_both_jets(force, xs, vs):
     """g from the first-order jet, g^-1 from the variation call, and g^-1
     from the first-order jet, the batch axis moved to the front."""
-    g, last = force.first_order_jet(xs.T.copy(), vs.T.copy())[:2]
+    last = force.first_order_jet(xs.T.copy(), vs.T.copy())
     return tuple(np.moveaxis(a, -1, 0) for a in
-                 (g, force.variation_jet(xs, vs)["ginv"], last))
+                 (last["g"], force.variation_jet(xs, vs)["ginv"],
+                  last["ginv"]))
 
 
 @pytest.mark.parametrize("chart", sorted(JET_CHARTS))
@@ -357,27 +358,17 @@ def test_jet_is_the_per_quantity_methods(chart):
     man, force, xs, vs = _chart_points(chart)
     # batch-last points in, contiguous batch-last tensors out
     last = force.first_order_jet(xs.T.copy(), vs.T.copy())
-    assert all(a.flags.c_contiguous for a in last)
-    first = tuple(np.moveaxis(a, -1, 0) for a in last)
-    g, _, _, f, dfdx, dfdv = first
-    want = (man.metric(xs), force.components(xs, vs),
-            *force.jacobians(xs, vs))
-    names = ("g", "f", "dfdx", "dfdv")
-    for name, a, b in zip(names, (g, f, dfdx, dfdv), want, strict=True):
+    assert all(a.flags.c_contiguous for a in last.values())
+    dfdx, dfdv = force.jacobians(xs, vs)
+    want = dict(g=man.metric(xs), f=force.components(xs, vs), dfdx=dfdx,
+                dfdv=dfdv)
+    for name, b in want.items():
+        a = np.moveaxis(last[name], -1, 0)
         assert a.shape == b.shape, name
         assert np.array_equal(a, b), name
-    # the variation call shares the first-order jet's roots (g only for
-    # LAPACK's inverse), bit for bit, every tensor a view of the rows of
-    # the one (K, B) array the call fills, or of the array passed to it
-    names = ("g", "ginv", "koszul", "f", "dfdx", "dfdv")
+    # every tensor of the variation call is a view of the rows of the one
+    # (K, B) array the call fills, or of the array passed to it
     jet = force.variation_jet(xs, vs)
-    shared = [name for name in names if name in jet]
-    assert shared == [name for name in names[:3] + names[4:]
-                      if name != "g" or man.dimension > 3]
-    for name, b in zip(names, last, strict=True):
-        if name in shared:
-            assert np.array_equal(jet[name], b), name
-            assert jet[name].flags.c_contiguous, name
     record = force.variation_record
     assert list(jet) == list(record.names)
     assert len({id(owner(a)) for a in jet.values()}) == 1
@@ -394,12 +385,34 @@ def test_jet_is_the_per_quantity_methods(chart):
     assert np.array_equal(rows, force.flow_jet(xs, vs))
 
 
+@pytest.mark.parametrize("chart", sorted(JET_CHARTS))
+def test_both_records_hold_one_connection(chart):
+    # the variation call shares every field of the first-order jet but F
+    # (g, low_v and low_f only for LAPACK's inverse): the connection
+    # contracted with v and F, and what it is read with, are the same
+    # expressions and the same inverse in both records, so the same bits;
+    # only the variation record holds the Koszul symbol
+    man, force, xs, vs = _chart_points(chart)
+    first = force.first_order_jet(xs.T.copy(), vs.T.copy())
+    jet = force.variation_jet(xs, vs)
+    assert "koszul" not in first and "koszul" in jet
+    shared = [name for name in first if name in jet]
+    assert shared == [name for name in first
+                      if name != "f" and (name != "g" or man.dimension > 3)]
+    for name in shared:
+        assert np.array_equal(first[name], jet[name]), name
+        assert jet[name].flags.c_contiguous, name
+    for name in ("gam_v", "gam_f"):
+        assert np.abs(first[name]).max() > 0.0, name
+
+
 def _first_order_spray(force, xs, vs):
-    """(F, ``spray``) from the first-order jet's records, batch-first."""
-    _, ginv, koszul, f, _, _ = (np.moveaxis(a, -1, 0) for a in
-                                force.first_order_jet(xs.T.copy(),
-                                                      vs.T.copy()))
-    return f, spray(ginv, koszul, vs, f)
+    """(F, ``spray``) from the first-order jet's g^-1 and F and the
+    variation record's Koszul symbol, batch-first."""
+    first = {name: np.moveaxis(a, -1, 0) for name, a in
+             force.first_order_jet(xs.T.copy(), vs.T.copy()).items()}
+    koszul = np.moveaxis(force.variation_jet(xs, vs)["koszul"], -1, 0)
+    return first["f"], spray(first["ginv"], koszul, vs, first["f"])
 
 
 def _close(got, want, rel=1e-13):
@@ -414,20 +427,18 @@ def test_acceleration_is_the_force_minus_the_spray(chart):
     # LAPACK's inverse for n >= 4 (S4 and dense4)
     man, force, xs, vs = _chart_points(chart)
     f, along = _first_order_spray(force, xs, vs)
-    assert np.abs(along.gvv).max() > 0.0
-    assert _close(force.flow_jet(xs, vs).T, f - along.gvv)
+    assert np.abs(along["gvv"]).max() > 0.0
+    assert _close(force.flow_jet(xs, vs).T, f - along["gvv"])
 
 
 @pytest.mark.parametrize("chart", sorted(JET_CHARTS))
 def test_variation_record_holds_the_spray(chart):
     man, force, xs, vs = _chart_points(chart)
     _, want = _first_order_spray(force, xs, vs)
-    got = Spray(*(np.moveaxis(a, -1, 0)
-                  for a in Spray.of(force.variation_jet(xs, vs))))
-    assert np.array_equal(got.koszul, want.koszul)
-    for name in Spray._fields[1:]:
-        assert np.abs(getattr(want, name)).max() > 0.0, name
-        assert _close(getattr(got, name), getattr(want, name)), name
+    jet = force.variation_jet(xs, vs)
+    for name in ("low_v", "gam_v", "gam_f", "gvv"):
+        assert np.abs(want[name]).max() > 0.0, name
+        assert _close(np.moveaxis(jet[name], -1, 0), want[name]), name
 
 
 def test_flat_chart_connection_entries_are_exact_zeros():
@@ -440,7 +451,7 @@ def test_flat_chart_connection_entries_are_exact_zeros():
     xs, vs = rng.normal(size=(2, 6, 3))
     vs[0] = np.inf
     jet = force.variation_jet(xs, vs)
-    for name in Spray._fields:
+    for name in ("koszul", "low_v", "gam_v", "gam_f", "gvv"):
         assert np.array_equal(jet[name], np.zeros_like(jet[name])), name
         assert not np.signbit(jet[name]).any(), name
     assert np.array_equal(force.flow_jet(xs, vs).T,
@@ -471,12 +482,10 @@ def test_jet_groups_are_the_contracted_partials(chart):
 
 
 def _jacobi(man, force, xs, vs):
-    """riemann(vs=) with every input from the variation call, as the
+    """riemann(record=) with the variation call's record, as the
     integrator feeds it, the batch axis moved to the front."""
-    jet = force.variation_jet(xs, vs)
-    return np.moveaxis(man.riemann(xs, ginv=jet["ginv"], vs=vs,
-                                   along=Spray.of(jet),
-                                   ddg_vv=jet["ddg_vv"]), -1, 0)
+    return np.moveaxis(man.riemann(xs, record=force.variation_jet(xs, vs)),
+                       -1, 0)
 
 
 @pytest.mark.parametrize("chart", sorted(JET_CHARTS))
@@ -523,14 +532,12 @@ def test_jacobi_operator_builds_no_rank_four_array():
     # tensor's do
     man, force, xs, vs = _chart_points("S4", nb=256)
     jet = force.variation_jet(xs, vs)
-    ginv, koszul, ddg_vv = jet["ginv"], jet["koszul"], jet["ddg_vv"]
+    koszul = jet["koszul"]
     ddg = man.metric_second_partials(xs)
     assert max(a.nbytes for a in jet.values()) == koszul.nbytes
     assert owner(koszul).nbytes < ddg.nbytes
-    along = Spray.of(jet)
-    contracted = _peak_bytes(lambda: man.riemann(
-        xs, ginv=ginv, vs=vs, along=along, ddg_vv=ddg_vv))
-    ginv_first = np.moveaxis(ginv, -1, 0)
+    contracted = _peak_bytes(lambda: man.riemann(xs, record=jet))
+    ginv_first = np.moveaxis(jet["ginv"], -1, 0)
     full = _peak_bytes(lambda: man.riemann(
         xs, ginv=ginv_first, dg=man.metric_partials(xs), ddg=ddg))
     assert contracted < ddg.nbytes < full
