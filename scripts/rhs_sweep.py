@@ -8,13 +8,14 @@ only.  It prints three tables, each on the S^2 and S^3 drag charts and
 the non-diagonal ``skew3`` chart.
 
 The first times, at each batch size B, what one RK4 step of
-``integrate_batch`` runs per stage row, batch-first, with n - 1
-variations per row: the flow's generated call (``ForceField.flow_jet``,
-the acceleration, which is all a stage of the flow evaluates), one step
-of the flow (four stages), a block of the flow without variations
-(``BLOCK_POINTS // (4 B)`` steps, at least one) and one step of the
-variations (four stages of three batched products each), at B = 1, 5
-(the batch of ``rank``), 64, 144 and 1024.
+``integrate_batch`` runs, with n - 1 variations per row: the flow's
+generated call (``ForceField.flow_jet``, the acceleration, which is all
+a stage of the flow evaluates, on the entry-first rows of the stage
+points), one step of the flow (four stages), a block of the flow
+without variations (``BLOCK_POINTS // (4 B)`` steps, at least one) and
+one step of the variations (four stages of one batched product each,
+the rows [tau_j, rho_j] times the stage points' rate matrices), at B =
+1, 5 (the batch of ``rank``), 64, 144 and 1024.
 
 The second times the coefficient block at its size, ``BLOCK_POINTS``
 stage points, batch-last: the variation call
@@ -22,9 +23,9 @@ stage points, batch-last: the variation call
 record, a contiguous row per entry), the Jacobi operator
 ``Manifold.riemann(record=)`` and ``extended_gradients(record=)``
 (ordered batch-last sums, ``matvec_last`` and ``matmul_last``, over the
-record's views), and the whole coefficient step of a block, which adds the
-three transposed stores into the batch-first coefficients the
-variations' stages read.
+record's views), and the whole coefficient step of a block, which adds
+the stores of three blocks of the batch-first rate matrices the
+variations' stages read, through one transposed view.
 
 The third times the pieces of one residual block of
 ``normality.classify`` at its block size, B = 2048 sampled points: the
@@ -124,21 +125,30 @@ def pieces(man: Manifold, force: ForceField, box, nb: int,
     rows."""
     n = man.dimension
     stages, history = _stages(man, force, box, nb, seed)
-    xs, vs = stages.points[:nb, :n], stages.points[:nb, n:]
-    rates = stages.k[0, :, n:].T
+    xs, vs = stages.points[:n, :nb], stages.points[n:, :nb]
+    rates = stages.k[0, n:]
     block = max(1, dynamics.BLOCK_POINTS // (4 * nb))
     flow_only, flow_history = _stages(man, force, box, nb, seed, block, 0)
-    y0 = flow_history[0].copy()
+    vy0 = stages.vy.copy()
+
+    # each step and block from the same start, so that no run drifts off
+    # the box or overflows
+    def flow_step():
+        stages.y[...] = history[0, :, :2 * n].T
+        stages.flow(history, 0, 1, STEP)
 
     def flow_block():
-        # each block from the same start, so that no run drifts off the box
-        flow_only.y[...] = y0
+        flow_only.y[...] = flow_history[0].T
         flow_only.flow(flow_history, 0, block, STEP)
+
+    def variation_step():
+        stages.vy[...] = vy0
+        stages.variations(history, 0, 0, STEP)
     return {
         "flow_jet": lambda: force.flow_jet(xs, vs, out=rates),
-        "flow_step": lambda: stages.flow(history, 0, 1, STEP),
+        "flow_step": flow_step,
         "flow_block": flow_block,
-        "variation_step": lambda: stages.variations(history, 0, 0, STEP),
+        "variation_step": variation_step,
     }
 
 
@@ -149,13 +159,13 @@ def coefficient_pieces(man: Manifold, force: ForceField, box,
     n = man.dimension
     size = dynamics.BLOCK_POINTS
     stages, _ = _stages(man, force, box, size // 4, seed)
-    xs, vs = stages.points[:, :n], stages.points[:, n:]
+    xs, vs = stages.points[:n], stages.points[n:]
     jet = force.variation_jet(xs, vs, out=stages.jets)
     return {
         "variation_jet": lambda: force.variation_jet(xs, vs,
                                                      out=stages.jets),
-        "riemann": lambda: man.riemann(xs, record=jet),
-        "gradients": lambda: extended_gradients(man, force, xs, vs,
+        "riemann": lambda: man.riemann(xs.T, record=jet),
+        "gradients": lambda: extended_gradients(man, force, xs.T, vs.T,
                                                 record=jet),
         "coefficients": lambda: stages.coefficients(0, size),
     }
@@ -233,10 +243,11 @@ def _print_table(names, rows) -> None:
 
 
 def main() -> int:
-    print("RK4 step of the variation equation (batch-first)")
+    print("RK4 step of the variation equation (flow entry-first, one "
+          "product per variation stage)")
     _print_table(PIECES, sweep(BATCHES, REPEATS, CALLS))
     print()
-    print("coefficients of a block of stage points (batch-last, stored "
+    print("rate matrices of a block of stage points (batch-last, stored "
           "batch-first)")
     _print_table(COEFFICIENT_PIECES, coefficient_sweep(REPEATS, CALLS))
     print()

@@ -10,18 +10,21 @@ variations (tau, rho), which are linear with coefficients that depend
 only on the flow's stage points.  So ``integrate_batch`` takes a block
 of steps (at most ``BLOCK_POINTS`` stage points, or one step) at a time:
 
-1. the flow's RK4: each stage forms its point, makes one
-   ``ForceField.flow_jet`` call, which writes the acceleration
-   a = F - gamma(v, v) through the transpose of the stage rate, and
-   copies v beside it, all in a workspace allocated once per integration;
+1. the flow's RK4, entry-first, (2n, B) rows: each stage forms its
+   point, makes one ``ForceField.flow_jet`` call on its coordinate
+   rows, which writes the acceleration a = F - gamma(v, v) into the
+   stage rate's rows, and copies v beside it, all in a workspace
+   allocated once per integration;
 2. the coefficients at the block's stage points, batch-last: one
    ``ForceField.variation_jet`` record (the force Jacobians, S, g^-1,
    the Koszul symbol and the connection contracted with v and F), and
    ``Manifold.riemann(record=)`` (K = R(., v)v) and
-   ``extended_gradients(record=)`` over its views, and one transposed
-   store per matrix (at most ``BLOCK_POINTS`` points a call);
-3. the variations' RK4, three batched products per stage, and the
-   finite check after each step.
+   ``extended_gradients(record=)`` over its views, stored through one
+   transposed view as a batch-first rate matrix per point (at most
+   ``BLOCK_POINTS`` points a call);
+3. the variations' RK4 on the rows [tau_j, rho_j], (B, J, 2n): one
+   batched product with the rate matrices per stage, and the finite
+   check after each step.
 
 No stage builds gamma, its derivative or the curvature tensor.  For
 n >= 4 the flow call completes a with LAPACK's inverse of g, and the
@@ -30,7 +33,8 @@ The flow stops at its first non-finite node, so no call sees a point
 past the step that aborts.  ``integration_work`` counts the calls an
 integration makes, for the run report.  The record's x, v, tau and rho
 are views of one (M+1, B, 2n + 2Jn) history array of rows [x, v, tau,
-rho], bit for bit the record of a stage-by-stage RK4 on the whole row
+rho], written by one transposed store per step of each half, bit for
+bit the record of a stage-by-stage RK4 on the whole row
 (``tests/oracles.py``).
 """
 
@@ -120,30 +124,30 @@ def integration_work(nb: int, nvar: int, steps: int) -> dict:
 class _Stages:
     """The RK4 stages of one integration over a workspace sized by its
     block of stage points (ordered by step, stage, batch row), never by
-    its steps: the pending points' x and v, their variation records, and
-    coefs[:, p], the three matrices the variations read at point p."""
+    its steps: the flow's state y, stage rates k[s] and pending points,
+    (2n, B) rows; the points' variation records; and rates[p], the
+    matrix the rows [tau_j, rho_j] at point p are multiplied by."""
 
     def __init__(self, man: Manifold, force: ForceField, y0: np.ndarray,
                  nvar: int, size: int, riemann_sign: float):
         nb, n = len(y0), man.dimension
         self.man, self.force, self.sign = man, force, riemann_sign
         self.shape = (nb, nvar, n)
-        self.y, self.vy = y0[:, :2 * n].copy(), y0[:, 2 * n:].copy()
+        self.y = y0[:, :2 * n].T.copy()
+        # [tau_j, rho_j] per variation, always a copy: with one variation
+        # the swapped axes are contiguous, and a reshape would be a view
+        tau_rho = y0[:, 2 * n:].reshape(nb, 2, nvar, n).swapaxes(1, 2)
+        self.vy = tau_rho.copy().reshape(nb, nvar, 2 * n)
         # fewer than BLOCK_POINTS are pending before a stage adds its nb
         pending = min(size, BLOCK_POINTS + nb - 1)
-        self.points = np.empty((pending, 2 * n))
+        self.points = np.empty((2 * n, pending))
         self.jets = np.empty((force.variation_record.size,
                               min(pending, BLOCK_POINTS)))
-        self.coefs = np.empty((3, size, n, n))
-        # stage rates, and the variations' (tau, rho, dtau, drho) views
-        self.k = np.empty((4, nb, 2 * n))
-        self.vk = np.empty((4, nb, 2 * nvar * n))
-        self.vstage = np.empty((nb, 2 * nvar * n))
-        self.views = []
-        for s, k in enumerate(self.vk):
-            y = (self.vstage if s else self.vy).reshape(nb, 2, nvar, n)
-            k = k.reshape(nb, 2, nvar, n)
-            self.views.append((y[:, 0], y[:, 1], k[:, 0], k[:, 1]))
+        self.rates = np.empty((size, 2 * n, 2 * n))
+        self.rates[:, n:, :n] = np.eye(n)
+        self.k = np.empty((4, 2 * n, nb))
+        self.vk = np.empty((4, nb, nvar, 2 * n))
+        self.vstage = np.empty((nb, nvar, 2 * n))
 
     def flow(self, history, first: int, last: int, h: float) -> int:
         """The flow's RK4 over the steps first..last, and the coefficients
@@ -155,22 +159,21 @@ class _Stages:
             for s, k in enumerate(self.k):
                 a = (4 * (i - first) + s) * nb - done
                 b = a + nb
-                point = self.points[a:b]
+                point = self.points[:, a:b]
                 if s == 0:
                     point[...] = y
                 else:
                     np.add(y, (h if s == 3 else 0.5 * h) * self.k[s - 1],
                            out=point)
-                self.force.flow_jet(point[:, :n], point[:, n:],
-                                    out=k[:, n:].T)
-                k[:, :n] = point[:, n:]
+                self.force.flow_jet(point[:n], point[n:], out=k[n:])
+                k[:n] = point[n:]
                 if b >= BLOCK_POINTS:
                     if nvar:
                         self.coefficients(done, b)
                     done += b
             k1, k2, k3, k4 = self.k
             y += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            history[i + 1, :, :2 * n] = y
+            history[i + 1, :, :2 * n] = y.T
             if not np.isfinite(y).all():
                 last = i + 1
                 break
@@ -179,42 +182,43 @@ class _Stages:
         return last
 
     def coefficients(self, offset: int, count: int) -> None:
-        """coefs = (gamma v)^T, spatial - riemann_sign K^T and dF/dv -
-        (gamma v)^T at the count pending points, the block's from offset
-        on, formed batch-last and each stored through one transposed
-        view."""
+        """The rate matrices [[-(gamma v)^T, spatial - riemann_sign K^T],
+        [I, dF/dv - (gamma v)^T]] at the count pending points, the
+        block's from offset on, formed batch-last and stored through one
+        transposed view per block; the I block is the workspace's own."""
         man, force, n = self.man, self.force, self.shape[2]
-        coefs = self.coefs[:, offset:offset + count].transpose(0, 2, 3, 1)
+        rates = self.rates[offset:offset + count].transpose(1, 2, 0)
         for a in range(0, count, BLOCK_POINTS):
             b = min(count, a + BLOCK_POINTS)
-            connection, curvature, velocity = coefs[..., a:b]
-            xs, vs = self.points[a:b, :n], self.points[a:b, n:]
+            rate = rates[..., a:b]
+            xs, vs = self.points[:n, a:b], self.points[n:, a:b]
             jet = force.variation_jet(xs, vs, out=self.jets[:, :b - a])
-            jacobi = man.riemann(xs, record=jet)
-            spatial, dfdv = extended_gradients(man, force, xs, vs,
+            jacobi = man.riemann(xs.T, record=jet)
+            spatial, dfdv = extended_gradients(man, force, xs.T, vs.T,
                                                record=jet)
-            connection[...] = jet["gam_v"]
+            np.negative(jet["gam_v"], out=rate[:n, :n])
             np.subtract(spatial, self.sign * jacobi.swapaxes(0, 1),
-                        out=curvature)
-            np.subtract(dfdv, jet["gam_v"], out=velocity)
+                        out=rate[:n, n:])
+            np.subtract(dfdv, jet["gam_v"], out=rate[n:, n:])
 
     def variations(self, history, i: int, step: int, h: float) -> None:
         """The variations' RK4 step from node i, the block's step
-        ``step``: dtau = rho - tau (gamma v)^T and drho =
+        ``step``: each stage is one product of the rows [tau_j, rho_j]
+        with the rate matrices, dtau = rho - tau (gamma v)^T and drho =
         tau (spatial - riemann_sign K^T) + rho (dF/dv - (gamma v)^T)."""
-        nb, _, n = self.shape
-        y = self.vy
-        for s, (tau, rho, dtau, drho) in enumerate(self.views):
-            gam_v, curvature, velocity = self.coefs[
-                :, (4 * step + s) * nb:(4 * step + s + 1) * nb]
+        nb, nvar, n = self.shape
+        y, vk = self.vy, self.vk
+        for s in range(4):
+            p = (4 * step + s) * nb
             if s:
-                np.add(y, (h if s == 3 else 0.5 * h) * self.vk[s - 1],
+                np.add(y, (h if s == 3 else 0.5 * h) * vk[s - 1],
                        out=self.vstage)
-            np.subtract(rho, tau @ gam_v, out=dtau)
-            np.add(tau @ curvature, rho @ velocity, out=drho)
-        k1, k2, k3, k4 = self.vk
+            np.matmul(self.vstage if s else y, self.rates[p:p + nb],
+                      out=vk[s])
+        k1, k2, k3, k4 = vk
         y += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        history[i + 1, :, 2 * n:] = y
+        tau_rho = history[i + 1, :, 2 * n:].reshape(nb, 2, nvar, n)
+        tau_rho[...] = y.reshape(nb, nvar, 2, n).swapaxes(1, 2)
 
 
 def integrate_batch(man: Manifold, force: ForceField, x0, v0, tau0, rho0,

@@ -28,23 +28,23 @@ gam_v, gam_f, gvv) from its lowered field.
 normality formulas share in one place, its covariant spatial gradient
 through ``extended_gradients``, the one place that forms it.
 
-Two layouts, each where it measures faster.  The records' tensors are
-batch-last, (n, n, B), and every contraction over them is one broadcast
-product of contiguous length-B rows plus n - 1 additions in index order
-(``matvec_last``, ``vecmat_last``, ``matmul_last``, ``dot_last``): the
-sample-point layer of ``check`` and of the deviation formulas
-(``force_tensors``, ``Manifold.frame``, ``normality``), and the
-variation coefficients of a block of stage points
-(``Manifold.riemann(record=)``, ``extended_gradients``).  numpy's ``@``
-makes one BLAS call per 3 x 3 matrix, so at 2048 points in 3-D (one
-BLAS thread, shared 2-vCPU VM) a batch-first matrix product took 73-150
-us against about 60 us batch-last, a matrix times a vector 92-176 us
-against about 30 us, and in 2-D the batch-last forms are 5-10 times
-cheaper.  The RK4 stages stay batch-first, points (B, n): ``rank`` and
-the selftest integrate at B <= 10, where a batch-last S^3 stage took
-41-49 % longer.  So the flow call writes its (n, B) acceleration
-through the transpose of the stage rates, and the coefficients are
-stored batch-first, (B, n, n), for the variations' batched products.
+Two layouts, each where it measures faster.  The generated calls take
+coordinate rows, xs[k, b], and the records' tensors are batch-last,
+(n, n, B): every contraction over them is one broadcast product of
+contiguous length-B rows plus n - 1 additions in index order
+(``matvec_last``, ``vecmat_last``, ``matmul_last``, ``dot_last``).  So
+are the sample-point layer of ``check`` and of the deviation formulas
+(``force_tensors``, ``Manifold.frame``, ``normality``), the flow's RK4
+(its state and stage rates are (2n, B) rows) and the variation
+coefficients of a block of stage points.  numpy's ``@`` makes one BLAS
+call per 3 x 3 matrix, so at 2048 points in 3-D (one BLAS thread,
+shared 2-vCPU VM) a batch-first matrix product took 73-150 us against
+about 60 us batch-last, and in 2-D the batch-last forms are 5-10 times
+cheaper.  The variations' stages alone stay batch-first: one ``@`` per
+stage of the rows [tau_j, rho_j] with a (P, 2n, 2n) rate matrix per
+point.  A whole stage batch-last took 41-49 % longer on S^3 at B <= 10
+(``rank``, the selftest); the flow alone entry-first, with the one
+product, made ``integrate_batch`` 2-23 % faster at B = 1 to 1024.
 
 The connection fields give gamma contracted with v and F without
 building gamma, and ``Manifold.riemann`` with the variation record
@@ -690,11 +690,6 @@ class ForceField:
         return exprlang.compile_fn(self._roots(self.variation_record),
                                    self._names)
 
-    @staticmethod
-    def _args(xs: np.ndarray, vs: np.ndarray) -> tuple:
-        """The coordinate and velocity rows of batch-first points."""
-        return (*xs.T, *vs.T)
-
     def _records(self, fn, args: tuple, record: Record,
                  out: np.ndarray | None = None) -> dict:
         """The record's views of fn's (K, B) array at the coordinate and
@@ -717,12 +712,12 @@ class ForceField:
         return fields
 
     def components(self, xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        return self._f_fn(*self._args(xs, vs)).T
+        return self._f_fn(*xs.T, *vs.T).T
 
     def jacobians(self, xs: np.ndarray, vs: np.ndarray):
         """(dfdx[b,i,k], dfdv[b,i,k]) of plain partial derivatives."""
         n = self.manifold.dimension
-        jac = self._jac_fn(*self._args(xs, vs)).reshape(2, n, n, -1)
+        jac = self._jac_fn(*xs.T, *vs.T).reshape(2, n, n, -1)
         return np.moveaxis(jac[0], -1, 0), np.moveaxis(jac[1], -1, 0)
 
     def first_order_jet(self, xs: np.ndarray, vs: np.ndarray) -> dict:
@@ -742,9 +737,9 @@ class ForceField:
 
     def flow_jet(self, xs: np.ndarray, vs: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:
-        """The acceleration a = F - gamma(v, v) at batch-first points,
-        entry first, (n, B), written into out when given (the flow passes
-        the transpose of its batch-first stage rates).
+        """The acceleration a = F - gamma(v, v) at the points xs[k, b],
+        vs[k, b], entry first, (n, B), written into out when given (the
+        flow passes its stage rates' rows).
 
         For n <= 3 it is one compiled call and nothing else: a_k = F_k -
         g^-1[k, r] c_r, with g^-1 from ``Manifold._ginv_asts`` and c_r =
@@ -752,7 +747,7 @@ class ForceField:
         the call gives F, g and c, and a = F - g^-1 c with LAPACK's
         inverse (``_records``).
         """
-        args = self._args(xs, vs)
+        args = (*xs, *vs)
         if self.manifold.dimension <= 3:
             return self._flow_fn(*args, _out=out)
         a = self._records(self._flow_fn, args, self._flow_record)["a"]
@@ -765,13 +760,13 @@ class ForceField:
                       out: np.ndarray | None = None) -> dict:
         """dF/dx, dF/dv, S = P + P^T - W - H (``Manifold.riemann``), g^-1,
         the Koszul symbol and the connection fields low_v, gam_v, gam_f
-        and gvv (``_connection_asts``) at batch-first points, the fields
-        of ``variation_record``, batch axis last, as views of the (K, B)
-        array of one compiled call (out, when given).  S is
+        and gvv (``_connection_asts``) at the points xs[k, b], vs[k, b],
+        the fields of ``variation_record``, batch axis last, as views of
+        the (K, B) array of one compiled call (out, when given).  S is
         ``metric_second_partials`` contracted with vs twice, and the
         Koszul symbol koszul[j, i, r] = d_j g_ir + d_i g_jr - d_r g_ij =
         2 gamma_rij that of ``metric_partials``."""
-        return self._records(self._variation_fn, self._args(xs, vs),
+        return self._records(self._variation_fn, (*xs, *vs),
                              self.variation_record, out)
 
 
@@ -788,7 +783,7 @@ def extended_gradients(man: Manifold, force: ForceField, xs: np.ndarray,
     gam_f are read); otherwise it comes from ``force.variation_jet``.
     """
     if record is None:
-        record = force.variation_jet(xs, vs)
+        record = force.variation_jet(xs.T, vs.T)
     spatial = record["dfdx"] - matmul_last(record["gam_v"], record["dfdv"])
     spatial += record["gam_f"]
     return spatial, record["dfdv"]

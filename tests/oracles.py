@@ -42,10 +42,16 @@ one formula from a second, simpler route.
   stage, composed of the production pieces at the stage's own points:
   the flow call (the acceleration), then the variation call,
   ``Manifold.riemann(record=)`` and ``extended_gradients``, whose batch-last
-  matrices it moves batch-first for the products.  The integrator
-  forms the same pieces a block of stages at a time; this is the stage
-  they add up to, which ``tests/test_rhs_reference.py`` pins to the
-  einsum formulation.
+  matrices it moves batch-first into one rate matrix per point, and
+  one product of that matrix with the rows [tau_j, rho_j].  The
+  integrator forms the same pieces a block of stages at a time; this
+  is the stage they add up to, which ``tests/test_rhs_reference.py``
+  pins to the einsum formulation.
+- ``three_products``: the variation rates of ``rhs`` from the same
+  three matrices in three batched products, rho - tau (gamma v)^T and
+  tau (spatial - riemann_sign K^T) + rho (dF/dv - (gamma v)^T), the
+  integrator's stage before it stored one rate matrix per point.  It
+  pins the one-product stage to within rounding.
 - ``rk4_per_quantity``: the RK4 loop over ``rhs`` with x, v, tau and rho
   held as four arrays, each stage input, each combination and each
   finite check made per quantity.  ``integrate_batch`` runs the flow
@@ -197,6 +203,17 @@ def spray(ginv, koszul, vs, f_vals):
                 gam_v=gam_v, gam_f=up[:, 1], gvv=gvv)
 
 
+def _coefficients(man, force, x, v, riemann_sign):
+    """(gamma v)^T, spatial - riemann_sign K^T and dF/dv - (gamma v)^T at
+    the points x, v: (B, n), each a contiguous batch-first matrix."""
+    jet = force.variation_jet(x.T, v.T)
+    jacobi = man.riemann(x, record=jet)
+    spatial, velocity = extended_gradients(man, force, x, v, record=jet)
+    return tuple(np.ascontiguousarray(np.moveaxis(a, -1, 0)) for a in
+                 (jet["gam_v"], spatial - riemann_sign * jacobi.swapaxes(0, 1),
+                  velocity - jet["gam_v"]))
+
+
 def rhs(man, force, x, v, tau, rho, riemann_sign):
     """(dx, dv, dtau, drho) at x, v: (B, n) and tau, rho: (B, J, n).
 
@@ -204,18 +221,31 @@ def rhs(man, force, x, v, tau, rho, riemann_sign):
 
         dtau = rho - tau (gamma v)^T
         drho = tau (spatial - riemann_sign K^T) + rho (dF/dv - (gamma v)^T)
+
+    as one product of the rows [tau_j, rho_j] with the rate matrix
+    [[-(gamma v)^T, spatial - riemann_sign K^T], [I, dF/dv - (gamma
+    v)^T]], (B, 2n, 2n), as the integrator stores it.
     """
-    jet = force.variation_jet(x, v)
-    jacobi = man.riemann(x, record=jet)
-    spatial, velocity = extended_gradients(man, force, x, v, record=jet)
-    # the pieces are batch-last; the products take contiguous batch-first
-    # matrices, as the integrator stores them
-    gam_v, curvature, velocity = (
-        np.ascontiguousarray(np.moveaxis(a, -1, 0)) for a in
-        (jet["gam_v"], spatial - riemann_sign * jacobi.swapaxes(0, 1),
-         velocity - jet["gam_v"]))
-    return (v.copy(), force.flow_jet(x, v).T, rho - tau @ gam_v,
-            tau @ curvature + rho @ velocity)
+    n = x.shape[1]
+    gam_v, curvature, velocity = _coefficients(man, force, x, v,
+                                               riemann_sign)
+    rate = np.empty((len(x), 2 * n, 2 * n))
+    rate[:, :n, :n] = -gam_v
+    rate[:, :n, n:] = curvature
+    rate[:, n:, :n] = np.eye(n)
+    rate[:, n:, n:] = velocity
+    rates = np.concatenate((tau, rho), axis=-1) @ rate
+    return (v.copy(), force.flow_jet(x.T, v.T).T, rates[..., :n],
+            rates[..., n:])
+
+
+def three_products(man, force, x, v, tau, rho, riemann_sign):
+    """(dtau, drho) of ``rhs`` in three batched products, as the
+    integrator formed each variation stage before it stored one rate
+    matrix per point."""
+    gam_v, curvature, velocity = _coefficients(man, force, x, v,
+                                               riemann_sign)
+    return rho - tau @ gam_v, tau @ curvature + rho @ velocity
 
 
 def rk4_per_quantity(man, force, x0, v0, tau0, rho0, t_end, h,

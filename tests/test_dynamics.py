@@ -14,7 +14,8 @@ from frontshift.geometry import (ForceField, Manifold, _koszul, at_point,
 from frontshift.selfcheck import (VARIATION_CASES, _twin_errors,
                                   variation_errors)
 from frontshift.systems import BUNDLED
-from oracles import covariant_rate, rhs, rk4_per_quantity, run_one, spray
+from oracles import (covariant_rate, rhs, rk4_per_quantity, run_one, spray,
+                     three_products)
 from test_geometry import JET_CHARTS, _chart_points, owner
 from test_rhs_reference import CHARTS
 
@@ -154,7 +155,7 @@ def test_a_flow_stage_is_one_generated_call(monkeypatch):
                                 or code.co_name == "_compiled"):
             entered[code.co_name] += 1
     steps = _block_steps(len(x0)) + 2
-    force.flow_jet(x0, v0)  # compiled outside the profile
+    force.flow_jet(x0.T, v0.T)  # compiled outside the profile
     sys.setprofile(profile)
     try:
         integrate_batch(man, force, x0, v0, tau0[:, :0], rho0[:, :0],
@@ -163,7 +164,7 @@ def test_a_flow_stage_is_one_generated_call(monkeypatch):
         sys.setprofile(None)
     assert entered == {"integrate_batch": 1, "split": 2, "_block_steps": 1,
                        "__init__": 1, "flow": 2, "flow_jet": 4 * steps,
-                       "_args": 4 * steps, "_compiled": 4 * steps}
+                       "_compiled": 4 * steps}
 
 
 @pytest.mark.parametrize("nb, steps, nvar", [
@@ -180,7 +181,7 @@ def test_integration_work_is_the_calls_made(nb, steps, nvar, monkeypatch):
 
         def call(self, xs, vs, out=None):
             made[name] += 1
-            made[name, "points"] += len(xs)
+            made[name, "points"] += xs.shape[1]
             return real(self, xs, vs, out=out)
         monkeypatch.setattr(ForceField, name, call)
     counted("flow_jet")
@@ -196,15 +197,16 @@ def test_integration_work_is_the_calls_made(nb, steps, nvar, monkeypatch):
 @pytest.mark.parametrize("chart", sorted(JET_CHARTS))
 def test_coefficients_are_the_einsum_composition_of_the_oracles(chart,
                                                                 points):
-    # the block's three matrices, formed batch-last and stored batch-first,
-    # against einsums over the batch-first oracle pieces: the full
-    # curvature tensor, the per-quantity Jacobians and the numeric spray;
-    # S4 and dense4 raise with LAPACK's inverse through matmul_last
+    # the four blocks of the block's rate matrices, formed batch-last and
+    # stored batch-first, against einsums over the batch-first oracle
+    # pieces: the full curvature tensor, the per-quantity Jacobians and
+    # the numeric spray; S4 and dense4 raise with LAPACK's inverse
+    # through matmul_last
     man, force, xs, vs = _chart_points(chart, nb=points)
     n, sign = man.dimension, -1.0
     stages = dynamics._Stages(man, force, np.zeros((1, 4 * n)), 1, points,
                               sign)
-    stages.points[:, :n], stages.points[:, n:] = xs, vs
+    stages.points[:n], stages.points[n:] = xs.T, vs.T
     stages.coefficients(0, points)
     ginv = np.linalg.inv(man.metric(xs))
     koszul = _koszul(man.metric_partials(xs)).transpose(0, 2, 3, 1)
@@ -213,12 +215,33 @@ def test_coefficients_are_the_einsum_composition_of_the_oracles(chart,
     spatial = (dfdx - np.einsum('bij,bjk->bik', along["gam_v"], dfdv)
                + along["gam_f"])
     jacobi = np.einsum('bkmsr,bm,br->bks', man.riemann(xs), vs, vs)
-    want = (along["gam_v"], spatial - sign * jacobi.swapaxes(1, 2),
-            dfdv - along["gam_v"])
-    for name, got, ref in zip(("connection", "curvature", "velocity"),
-                              stages.coefs, want, strict=True):
-        assert got.shape == ref.shape == (points, n, n), name
+    rates = stages.rates
+    assert rates.shape == (points, 2 * n, 2 * n)
+    blocks = dict(connection=(rates[:, :n, :n], -along["gam_v"]),
+                  curvature=(rates[:, :n, n:],
+                             spatial - sign * jacobi.swapaxes(1, 2)),
+                  velocity=(rates[:, n:, n:], dfdv - along["gam_v"]))
+    for name, (got, ref) in blocks.items():
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), name
+    # the identity block is the workspace's, written when it is allocated
+    assert np.array_equal(rates[:, n:, :n],
+                          np.broadcast_to(np.eye(n), (points, n, n)))
+
+
+@pytest.mark.parametrize("riemann_sign", [1.0, -1.0])
+@pytest.mark.parametrize("chart", sorted(JET_CHARTS))
+def test_one_product_stage_is_the_three_product_stage(chart, riemann_sign):
+    # one product of [tau_j, rho_j] with the rate matrix adds the same
+    # terms as the three products, in another order
+    man, force, xs, vs = _chart_points(chart, nb=64)
+    rng = np.random.default_rng([47, man.dimension])
+    tau, rho = rng.normal(size=(2, len(xs), man.dimension - 1,
+                                man.dimension))
+    got = rhs(man, force, xs, vs, tau, rho, riemann_sign)[2:]
+    want = three_products(man, force, xs, vs, tau, rho, riemann_sign)
+    for name, a, b in zip(("dtau", "drho"), got, want, strict=True):
+        assert a.shape == b.shape, name
+        assert np.abs(a - b).max() <= 1e-15 * np.abs(b).max(), name
 
 
 def test_flow_does_not_depend_on_the_variations():
@@ -421,6 +444,17 @@ def test_batch_row_equals_single_run():
         assert np.array_equal(single.v, batch.v[:, row])
         assert np.array_equal(single.tau, batch.tau[:, row])
         assert np.array_equal(single.rho, batch.rho[:, row])
+
+
+def test_one_row_one_variation_keeps_its_first_node():
+    # with one variation (here at B = 1) the interleaved rows [tau, rho]
+    # of the first node are already contiguous; the variations' state is a
+    # copy of them, not a view, so the steps leave node 0 as it was given
+    man, force, x0, v0, tau0, rho0 = _chart_batch("S2", 1, 1)
+    rec = integrate_batch(man, force, x0, v0, tau0, rho0, 0.05, 1e-2)
+    for name, given in (("x", x0), ("v", v0), ("tau", tau0), ("rho", rho0)):
+        assert np.array_equal(getattr(rec, name)[0], given), name
+    assert not np.array_equal(rec.tau[1], tau0)
 
 
 FIELDS = ("times", "x", "v", "tau", "rho")

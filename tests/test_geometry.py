@@ -272,7 +272,7 @@ def _ginv_of_both_jets(force, xs, vs):
     from the first-order jet, the batch axis moved to the front."""
     last = force.first_order_jet(xs.T.copy(), vs.T.copy())
     return tuple(np.moveaxis(a, -1, 0) for a in
-                 (last["g"], force.variation_jet(xs, vs)["ginv"],
+                 (last["g"], force.variation_jet(xs.T, vs.T)["ginv"],
                   last["ginv"]))
 
 
@@ -341,7 +341,7 @@ def test_inverse_hand_values():
         assert all(isinstance(entry, Const) for entry in man._ginv_asts)
         force = ForceField(man, ["0"] * len(metric))
         xs = np.zeros((2, len(metric)))
-        ginv = np.moveaxis(force.variation_jet(xs, xs)["ginv"], -1, 0)
+        ginv = np.moveaxis(force.variation_jet(xs.T, xs.T)["ginv"], -1, 0)
         assert np.allclose(ginv, want, rtol=0, atol=1e-15)
         assert np.array_equal(np.signbit(ginv), np.signbit([want] * 2))
 
@@ -368,21 +368,21 @@ def test_jet_is_the_per_quantity_methods(chart):
         assert np.array_equal(a, b), name
     # every tensor of the variation call is a view of the rows of the one
     # (K, B) array the call fills, or of the array passed to it
-    jet = force.variation_jet(xs, vs)
+    jet = force.variation_jet(xs.T, vs.T)
     record = force.variation_record
     assert list(jet) == list(record.names)
     assert len({id(owner(a)) for a in jet.values()}) == 1
     assert owner(jet["ginv"]).shape == (record.size, len(xs))
     out = np.empty((record.size, len(xs) + 2))
-    rows = force.variation_jet(xs, vs, out=out[:, 1:-1])
+    rows = force.variation_jet(xs.T, vs.T, out=out[:, 1:-1])
     assert all(owner(a) is out for a in rows.values())
     assert all(np.array_equal(rows[name], jet[name]) for name in record.names)
     # the flow call writes the acceleration, entry first, (n, B), into the
-    # transpose of the batch-first rows given
-    out = np.empty((len(xs), 2 * man.dimension))
-    rows = force.flow_jet(xs, vs, out=out[:, man.dimension:].T)
+    # rows given, as a flow stage passes the rows of its stage rates
+    out = np.empty((2 * man.dimension, len(xs)))
+    rows = force.flow_jet(xs.T, vs.T, out=out[man.dimension:])
     assert owner(rows) is out and rows.shape == xs.T.shape
-    assert np.array_equal(rows, force.flow_jet(xs, vs))
+    assert np.array_equal(rows, force.flow_jet(xs.T, vs.T))
 
 
 @pytest.mark.parametrize("chart", sorted(JET_CHARTS))
@@ -394,7 +394,7 @@ def test_both_records_hold_one_connection(chart):
     # only the variation record holds the Koszul symbol
     man, force, xs, vs = _chart_points(chart)
     first = force.first_order_jet(xs.T.copy(), vs.T.copy())
-    jet = force.variation_jet(xs, vs)
+    jet = force.variation_jet(xs.T, vs.T)
     assert "koszul" not in first and "koszul" in jet
     shared = [name for name in first if name in jet]
     assert shared == [name for name in first
@@ -411,7 +411,7 @@ def _first_order_spray(force, xs, vs):
     variation record's Koszul symbol, batch-first."""
     first = {name: np.moveaxis(a, -1, 0) for name, a in
              force.first_order_jet(xs.T.copy(), vs.T.copy()).items()}
-    koszul = np.moveaxis(force.variation_jet(xs, vs)["koszul"], -1, 0)
+    koszul = np.moveaxis(force.variation_jet(xs.T, vs.T)["koszul"], -1, 0)
     return first["f"], spray(first["ginv"], koszul, vs, first["f"])
 
 
@@ -428,14 +428,14 @@ def test_acceleration_is_the_force_minus_the_spray(chart):
     man, force, xs, vs = _chart_points(chart)
     f, along = _first_order_spray(force, xs, vs)
     assert np.abs(along["gvv"]).max() > 0.0
-    assert _close(force.flow_jet(xs, vs).T, f - along["gvv"])
+    assert _close(force.flow_jet(xs.T, vs.T).T, f - along["gvv"])
 
 
 @pytest.mark.parametrize("chart", sorted(JET_CHARTS))
 def test_variation_record_holds_the_spray(chart):
     man, force, xs, vs = _chart_points(chart)
     _, want = _first_order_spray(force, xs, vs)
-    jet = force.variation_jet(xs, vs)
+    jet = force.variation_jet(xs.T, vs.T)
     for name in ("low_v", "gam_v", "gam_f", "gvv"):
         assert np.abs(want[name]).max() > 0.0, name
         assert _close(np.moveaxis(jet[name], -1, 0), want[name]), name
@@ -450,11 +450,11 @@ def test_flat_chart_connection_entries_are_exact_zeros():
     rng = np.random.default_rng(41)
     xs, vs = rng.normal(size=(2, 6, 3))
     vs[0] = np.inf
-    jet = force.variation_jet(xs, vs)
+    jet = force.variation_jet(xs.T, vs.T)
     for name in ("koszul", "low_v", "gam_v", "gam_f", "gvv"):
         assert np.array_equal(jet[name], np.zeros_like(jet[name])), name
         assert not np.signbit(jet[name]).any(), name
-    assert np.array_equal(force.flow_jet(xs, vs).T,
+    assert np.array_equal(force.flow_jet(xs.T, vs.T).T,
                           force.components(xs, vs))
 
 
@@ -464,7 +464,7 @@ def test_jet_groups_are_the_contracted_partials(chart):
     # forms from the full first and second partials
     man, force, xs, vs = _chart_points(chart)
     n = man.dimension
-    jet = force.variation_jet(xs, vs)
+    jet = force.variation_jet(xs.T, vs.T)
     koszul, ddg_vv = (np.moveaxis(jet[name], -1, 0)
                       for name in ("koszul", "ddg_vv"))
     want = _koszul(man.metric_partials(xs)).transpose(0, 2, 3, 1)
@@ -484,8 +484,8 @@ def test_jet_groups_are_the_contracted_partials(chart):
 def _jacobi(man, force, xs, vs):
     """riemann(record=) with the variation call's record, as the
     integrator feeds it, the batch axis moved to the front."""
-    return np.moveaxis(man.riemann(xs, record=force.variation_jet(xs, vs)),
-                       -1, 0)
+    return np.moveaxis(
+        man.riemann(xs, record=force.variation_jet(xs.T, vs.T)), -1, 0)
 
 
 @pytest.mark.parametrize("chart", sorted(JET_CHARTS))
@@ -531,7 +531,7 @@ def test_jacobi_operator_builds_no_rank_four_array():
     # nor the contracted form's temporaries reach ddg, and the full
     # tensor's do
     man, force, xs, vs = _chart_points("S4", nb=256)
-    jet = force.variation_jet(xs, vs)
+    jet = force.variation_jet(xs.T, vs.T)
     koszul = jet["koszul"]
     ddg = man.metric_second_partials(xs)
     assert max(a.nbytes for a in jet.values()) == koszul.nbytes
