@@ -26,9 +26,8 @@ of steps (at most ``BLOCK_POINTS`` stage points, or one step) at a time:
    batched product with the rate matrices per stage, and the finite
    check after each step.
 
-No stage builds gamma, its derivative or the curvature tensor.  For
-n >= 4 the flow call completes a with LAPACK's inverse of g, and the
-variation call its g^-1 and raised fields (``ForceField._records``).
+No stage builds gamma, its derivative or the curvature tensor, and none
+inverts a matrix numerically: g^-1 is generated in every dimension.
 The flow stops at its first non-finite node, so no call sees a point
 past the step that aborts.  ``integration_work`` counts the calls an
 integration makes, for the run report.  The record's x, v, tau and rho

@@ -17,12 +17,8 @@ are generated once (``ForceField._connection_asts``, from
 subexpression with the tensors of the same call.  Each call fills one
 entry-first (K, B) array, or the caller's, one row per tensor entry,
 and a ``Record`` hands the tensors out as views of its rows: no gather,
-and no numeric inverse for n <= 3, where g^-1 is the metric's adjugate
-over its determinant as expressions (``Manifold._ginv_asts``).  For
-n >= 4 the generated g^-1 entries are zero placeholders, and
-``ForceField._records`` takes LAPACK's ``np.linalg.inv`` of the
-generated g and adds the products with it to each raised field (a,
-gam_v, gam_f, gvv) from its lowered field.
+and no numeric inverse in any dimension, since g^-1 is the metric's
+adjugate over its determinant as expressions (``Manifold._ginv_asts``).
 ``at_point`` evaluates any batch-first function at one point, and
 ``force_tensors`` builds every metric and force tensor the deviation and
 normality formulas share in one place, its covariant spatial gradient
@@ -359,39 +355,50 @@ class Manifold:
 
     @functools.cached_property
     def _ginv_asts(self) -> list:
-        """g^-1[i, j] at n i + j, for n <= 3 the adjugate over the
-        determinant of the metric entries.
+        """g^-1[i, j] at n i + j, the adjugate over the determinant of the
+        metric entries, in every dimension.
 
         The products, and their order, are those of the numeric form
         (``tests/oracles.py``): entry (i, j) of the adjugate is
-        g[a, c] g[b, d] - g[a, d] g[b, c] with (a, b) = (j + 1, j + 2) and
-        (c, d) = (i + 1, i + 2) mod 3, or (g11, -g01, -g10, g00) in 2-D,
-        and det = g00 adj00 + g01 adj10 + g02 adj20 (g00 g11 - g01 g10 in
-        2-D).  Simplification folds the structural zeros and constants,
-        so a diagonal metric costs a few divisions and a constant one
-        nothing.  A zero numerator stays a constant of its own sign: the
-        determinant of a positive definite metric is positive, and the
-        numeric form gives -0.0 there.  For n >= 4 the entries are zero
-        placeholders: every entry raised with them (``_raised_asts``)
-        comes out as its part without g^-1, and the jets complete it with
-        LAPACK's inverse (``ForceField._records``).
+        (-1)^((n - 1)(i + j)) times the minor of g over the rows after j
+        and the columns after i, taken cyclically mod n, and a minor is
+        expanded along its first row with alternating signs.  So in 3-D
+        adj[i, j] = g[a, c] g[b, d] - g[a, d] g[b, c] with (a, b) =
+        (j + 1, j + 2) and (c, d) = (i + 1, i + 2) mod 3, in 2-D it is
+        (g11, -g01, -g10, g00), and det = sum_k g[0, k] adj[k, 0], added
+        in k order (g00 g11 - g01 g10 in 2-D).  Simplification folds the
+        structural zeros and constants, so a diagonal metric costs a few
+        divisions and a constant one nothing.  A zero numerator stays a
+        constant of its own sign: the determinant of a positive definite
+        metric is positive, and the numeric form gives -0.0 there.
         """
         n = self.dimension
-        if n > 3:
-            return [Const(0.0)] * (n * n)
         t = [self._g_asts[p] for p in self._g_idx.ravel()]
-        if n == 2:
-            adj = [t[3], Neg(t[1]), Neg(t[2]), t[0]]
-        else:
-            adj = [Sub(Mul(t[3 * ((j + 1) % 3) + (i + 1) % 3],
-                           t[3 * ((j + 2) % 3) + (i + 2) % 3]),
-                       Mul(t[3 * ((j + 1) % 3) + (i + 2) % 3],
-                           t[3 * ((j + 2) % 3) + (i + 1) % 3]))
-                   for i in range(3) for j in range(3)]
-        adj = [exprlang.simplify(entry) for entry in adj]
-        det = exprlang.simplify(
-            Sub(Mul(t[0], t[3]), Mul(t[1], t[2])) if n == 2 else
-            Add(Add(Mul(t[0], adj[0]), Mul(t[1], adj[3])), Mul(t[2], adj[6])))
+
+        def minor(rows, cols):
+            if len(rows) == 1:
+                return t[n * rows[0] + cols[0]]
+            total = None
+            for k, c in enumerate(cols):
+                term = Mul(t[n * rows[0] + c],
+                           minor(rows[1:], cols[:k] + cols[k + 1:]))
+                total = (term if total is None else
+                         Sub(total, term) if k % 2 else Add(total, term))
+            return total
+
+        def after(k):
+            return [(k + s) % n for s in range(1, n)]
+
+        odd = [(n - 1) * (i + j) % 2 for i in range(n) for j in range(n)]
+        minors = [exprlang.simplify(minor(after(j), after(i)))
+                  for i in range(n) for j in range(n)]
+        adj = [exprlang.simplify(Neg(m)) if sign else m
+               for m, sign in zip(minors, odd)]
+        det = Mul(t[0], minors[0])
+        for k in range(1, n):
+            term = Mul(t[k], minors[k * n])
+            det = Sub(det, term) if odd[k * n] else Add(det, term)
+        det = exprlang.simplify(det)
         return [entry if isinstance(entry, Const) and entry.value == 0.0
                 else exprlang.simplify(Div(entry, det)) for entry in adj]
 
@@ -420,7 +427,7 @@ class Manifold:
 
     def _raised_asts(self, lowered: Sequence[Node]) -> list:
         """w[row, k] = g^-1[k, r] w[row, r] at n row + k, for rows of n
-        lowered entries, r last; 0 for n >= 4 (``_ginv_asts``)."""
+        lowered entries, r last."""
         n, ginv = self.dimension, self._ginv_asts
         return [_total([Mul(ginv[k * n + r], lowered[row * n + r])
                         for r in range(n)])
@@ -592,12 +599,6 @@ class ForceField:
     callables of their own.  Every callable is compiled on first use.
     """
 
-    # For n >= 4: (raised field, its lowered field, sign).  The generated
-    # raised entries hold their part without g^-1 (F for a, 0 for the
-    # others), and ``_records`` adds sign * lowered g^-1 to them.
-    _RAISED = (("a", "c", -1.0), ("gvv", "c", 1.0),
-               ("gam_v", "low_v", 1.0), ("gam_f", "low_f", 1.0))
-
     def __init__(self, manifold: Manifold, components: Sequence):
         n = manifold.dimension
         if len(components) != n:
@@ -611,20 +612,15 @@ class ForceField:
         self._jac_asts = [exprlang.differentiate(self.component_ast[k], wrt[i])
                           for wrt in (manifold.coords, manifold.velocities)
                           for i in range(n) for k in range(n)]
-        # the rows of each generated call's array by field; g and the
-        # lowered c and low_f enter only for n >= 4, for LAPACK's inverse
+        # the rows of each record's generated array by field
         shapes = dict(g=(n, n), ginv=(n, n), koszul=(n, n, n), f=(n,),
-                      dfdx=(n, n), dfdv=(n, n), ddg_vv=(n, n), a=(n,),
-                      c=(n,), low_v=(n, n), low_f=(n, n), gam_v=(n, n),
-                      gam_f=(n, n), gvv=(n,))
-        lapack = n > 3
+                      dfdx=(n, n), dfdv=(n, n), ddg_vv=(n, n),
+                      low_v=(n, n), gam_v=(n, n), gam_f=(n, n), gvv=(n,))
         self._first_order_record = Record(shapes, (
-            "g", "ginv", "f", "dfdx", "dfdv", "gam_v", "gam_f",
-            *(["low_v", "low_f"] * lapack)))
-        self._flow_record = Record(shapes, ("a", *(["g", "c"] * lapack)))
+            "g", "ginv", "f", "dfdx", "dfdv", "gam_v", "gam_f"))
         self.variation_record = Record(shapes, (
             "dfdx", "dfdv", "ddg_vv", "ginv", "koszul", "low_v", "gam_v",
-            "gam_f", "gvv", *(["g", "low_f", "c"] * lapack)))
+            "gam_f", "gvv"))
 
     @functools.cached_property
     def _f_fn(self):
@@ -682,34 +678,12 @@ class ForceField:
 
     @functools.cached_property
     def _flow_fn(self):
-        return exprlang.compile_fn(self._roots(self._flow_record),
-                                   self._names)
+        return exprlang.compile_fn(self._connection_asts["a"], self._names)
 
     @functools.cached_property
     def _variation_fn(self):
         return exprlang.compile_fn(self._roots(self.variation_record),
                                    self._names)
-
-    def _records(self, fn, args: tuple, record: Record,
-                 out: np.ndarray | None = None) -> dict:
-        """The record's views of fn's (K, B) array at the coordinate and
-        velocity rows args (into out when given).  For n >= 4, g^-1 is
-        LAPACK's inverse of g, and the fields raised with it are completed
-        from their lowered fields (``_RAISED``)."""
-        fields = record.views(fn(*args, _out=out))
-        n = self.manifold.dimension
-        if n > 3:
-            ginv = np.moveaxis(np.linalg.inv(np.moveaxis(fields["g"], -1, 0)),
-                               0, -1)
-            if "ginv" in fields:
-                fields["ginv"][...] = ginv
-            for raised, lowered, sign in self._RAISED:
-                if raised in fields:
-                    low = fields[lowered]
-                    fields[raised] += sign * matmul_last(
-                        low.reshape(-1, n, low.shape[-1]),
-                        ginv).reshape(low.shape)
-        return fields
 
     def components(self, xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
         return self._f_fn(*xs.T, *vs.T).T
@@ -723,38 +697,25 @@ class ForceField:
     def first_order_jet(self, xs: np.ndarray, vs: np.ndarray) -> dict:
         """g, g^-1, F, dF/dx, dF/dv, gam_v and gam_f (``_connection_asts``)
         at the points xs[k, b], vs[k, b], batch axis last: the fields of
-        one compiled call's record, each a contiguous view of its rows
-        (for n >= 4 also low_v and low_f, which complete the raised
-        fields with LAPACK's inverse, ``_records``).
+        one compiled call's record, each a contiguous view of its rows.
 
         Moved to the front, the batch axis gives g, F, dF/dx and dF/dv bit
         for bit as ``metric`` at xs and ``components`` and ``jacobians``
         at (xs, vs), and every field it shares with ``variation_jet`` is
-        that call's, bit for bit: the same expressions, the same inverse.
+        that call's, bit for bit: the same expressions.
         """
-        return self._records(self._first_order_fn, (*xs, *vs),
-                             self._first_order_record)
+        return self._first_order_record.views(
+            self._first_order_fn(*xs, *vs))
 
     def flow_jet(self, xs: np.ndarray, vs: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:
         """The acceleration a = F - gamma(v, v) at the points xs[k, b],
         vs[k, b], entry first, (n, B), written into out when given (the
-        flow passes its stage rates' rows).
-
-        For n <= 3 it is one compiled call and nothing else: a_k = F_k -
+        flow passes its stage rates' rows): one compiled call, a_k = F_k -
         g^-1[k, r] c_r, with g^-1 from ``Manifold._ginv_asts`` and c_r =
-        gamma_rij v^i v^j from ``Manifold._gvv_lowered_asts``.  For n >= 4
-        the call gives F, g and c, and a = F - g^-1 c with LAPACK's
-        inverse (``_records``).
+        gamma_rij v^i v^j from ``Manifold._gvv_lowered_asts``.
         """
-        args = (*xs, *vs)
-        if self.manifold.dimension <= 3:
-            return self._flow_fn(*args, _out=out)
-        a = self._records(self._flow_fn, args, self._flow_record)["a"]
-        if out is None:
-            return a
-        out[...] = a
-        return out
+        return self._flow_fn(*xs, *vs, _out=out)
 
     def variation_jet(self, xs: np.ndarray, vs: np.ndarray,
                       out: np.ndarray | None = None) -> dict:
@@ -766,8 +727,8 @@ class ForceField:
         ``metric_second_partials`` contracted with vs twice, and the
         Koszul symbol koszul[j, i, r] = d_j g_ir + d_i g_jr - d_r g_ij =
         2 gamma_rij that of ``metric_partials``."""
-        return self._records(self._variation_fn, (*xs, *vs),
-                             self.variation_record, out)
+        return self.variation_record.views(
+            self._variation_fn(*xs, *vs, _out=out))
 
 
 def extended_gradients(man: Manifold, force: ForceField, xs: np.ndarray,

@@ -27,11 +27,12 @@ one formula from a second, simpler route.
   first derivatives at t = 0: phi and phi_dot vanish for every force,
   phi_ddot is the direct contraction with the launch data, and for a
   modulated drag the defect first appears in the third derivative.
-- ``adjugate_inverse``: g^-1 of 2 x 2 and 3 x 3 metrics as the numeric
-  adjugate over the determinant, each product one array operation over
-  the batch, as the package computed it before the jets generated g^-1.
-  The generated entries use the same products in the same order, so it
-  pins them byte for byte, signed zeros included.
+- ``adjugate_inverse``: g^-1 of 2 x 2, 3 x 3 and 4 x 4 metrics as the
+  numeric adjugate over the determinant, each product one array
+  operation over the batch, as the package computed it for n <= 3
+  before the jets generated g^-1.  The generated entries use the same
+  cyclic cofactor products in the same order, so it pins them byte for
+  byte, signed zeros included.
 - ``spray``: the connection contracted with v and F from g^-1 and the
   Koszul symbol, in batched matrix products, as the package formed it
   at every RK4 stage before the jets generated the contractions, keyed
@@ -171,19 +172,39 @@ _COFACTOR3 = np.array(
      [3 * ((j + 2) % 3) + (i + 1) % 3 for i in range(3) for j in range(3)]])
 
 
+def _cofactor4(t, i, j):
+    """adj[i, j] of a 4 x 4 matrix with flat entries t: (-1)^(i + j) times
+    the minor over the rows (a, b, c) = (j + 1, j + 2, j + 3) and the
+    columns (d, e, f) = (i + 1, i + 2, i + 3) mod 4, expanded along its
+    first row."""
+    a, b, c = ((j + k) % 4 for k in (1, 2, 3))
+    d, e, f = ((i + k) % 4 for k in (1, 2, 3))
+
+    def m(r, s, u, w):
+        """The 2 x 2 minor over the rows (r, s) and the columns (u, w)."""
+        return t[4 * r + u] * t[4 * s + w] - t[4 * r + w] * t[4 * s + u]
+    minor = (t[4 * a + d] * m(b, c, e, f) - t[4 * a + e] * m(b, c, d, f)
+             + t[4 * a + f] * m(b, c, d, e))
+    return -minor if (i + j) % 2 else minor
+
+
 def adjugate_inverse(g):
-    """g^-1 of g[..., n, n], n = 2 or 3, over any leading axes."""
+    """g^-1 of g[..., n, n], n = 2, 3 or 4, over any leading axes."""
     n = g.shape[-1]
     t = np.asarray(g, dtype=float).reshape(-1, n * n).T
     if n == 2:
         adj = t[[3, 1, 2, 0]]
         np.negative(adj[1:3], out=adj[1:3])
         det = t[0] * t[3] - t[1] * t[2]
-    else:
+    elif n == 3:
         a, b, c, d = _COFACTOR3
         adj = t[a] * t[b]
         adj -= t[c] * t[d]
         det = t[0] * adj[0] + t[1] * adj[3] + t[2] * adj[6]
+    else:
+        adj = np.array([_cofactor4(t, i, j)
+                        for i in range(4) for j in range(4)])
+        det = t[0] * adj[0] + t[1] * adj[4] + t[2] * adj[8] + t[3] * adj[12]
     return (adj / det).T.reshape(g.shape)
 
 

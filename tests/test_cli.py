@@ -12,7 +12,7 @@ from frontshift import exprlang
 from frontshift.cli import (build_parser, cmd_blowup, cmd_check, cmd_rank,
                             cmd_shift, main)
 from frontshift.config import load_config
-from test_rhs_reference import CHARTS
+from test_rhs_reference import CHARTS, drag, sphere
 
 BASE = {
     "dimension": 2,
@@ -272,6 +272,42 @@ def test_rank_harmonic_field(tmp_path, capsys):
                                  "--out-dir", str(tmp_path / "r")])
     assert code == 0
     assert json.loads(out)["stats"]["max_sigma3_over_sigma1"] >= 1e-3
+
+
+def test_four_dimensional_drag_through_every_command(tmp_path, capsys):
+    # S^4 under drag, parsed and run as a user's config: check, rank and
+    # shift read the same generated g^-1 as in 2-D and 3-D; the blow-up's
+    # sphere grids exist for n = 2 and 3 only, a config error
+    metric = sphere(4)
+    data = dict(BASE, dimension=4, metric=metric, force=drag(metric),
+                integrator={"step": 0.005, "t_end": 0.5, "output_every": 10},
+                sampler={"x_box": [[1.3, 1.84]] * 3 + [[0.0, 6.0]],
+                         "v_min": 0.5, "v_max": 2.0, "count": 2000,
+                         "seed": 0},
+                blowup={"p0": [1.3, 1.2, 1.4, 0.3], "nu": 1.0,
+                        "resolution": 8},
+                rank={"variations": 5, "window": [0.1, 0.5],
+                      "trajectories": 5},
+                shift={"surface": ["1.4", "u1", "u2", "u3"],
+                       "box": [[1.3, 1.8]] * 2 + [[0.0, 1.0]],
+                       "resolution": 3})
+    cfg = _write_config(tmp_path, data)
+
+    def run(command):
+        return _run(capsys, [command, "--config", cfg,
+                             "--out-dir", str(tmp_path / command)])
+    code, out, _ = run("check")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "complete-normal"
+    code, out, _ = run("rank")
+    assert code == 0
+    assert json.loads(out)["stats"]["max_sigma3_over_sigma1"] < 1e-6
+    code, out, _ = run("shift")
+    assert code == 0
+    assert json.loads(out)["stats"]["max_psi"] < 1e-10
+    code, _, err = run("blowup")
+    assert code == 1
+    assert "sphere grids are built for dimensions 2 and 3" in err
 
 
 def test_rank_too_few_variations(tmp_path, capsys):

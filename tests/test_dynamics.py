@@ -200,8 +200,7 @@ def test_coefficients_are_the_einsum_composition_of_the_oracles(chart,
     # the four blocks of the block's rate matrices, formed batch-last and
     # stored batch-first, against einsums over the batch-first oracle
     # pieces: the full curvature tensor, the per-quantity Jacobians and
-    # the numeric spray; S4 and dense4 raise with LAPACK's inverse
-    # through matmul_last
+    # the numeric spray, in 2-D, 3-D and 4-D
     man, force, xs, vs = _chart_points(chart, nb=points)
     n, sign = man.dimension, -1.0
     stages = dynamics._Stages(man, force, np.zeros((1, 4 * n)), 1, points,
@@ -535,8 +534,7 @@ def test_curved_runaway_names_every_quantity():
 
 def test_flow_stops_at_the_step_that_aborts(monkeypatch):
     # the flow runs ahead of the variations, but not past a non-finite
-    # node: no generated call, nor LAPACK's inverse for n >= 4, sees a
-    # point beyond the step that aborts
+    # node: no generated call sees a point beyond the step that aborts
     runaway = ForceField(EUCLID, ["x1^3", "0"])
     x0 = np.array([[0.1, 0.0], [2.0, 0.0]])
     v0 = np.array([[0.1, 0.0], [5.0, 0.0]])
@@ -578,7 +576,7 @@ def test_variation_abort_in_a_later_block_is_the_per_quantity_abort():
 @pytest.mark.parametrize("chart", ["S2", "S3", "S4"])
 def test_blocks_are_the_per_quantity_loop(chart, nvar):
     # three whole blocks of 4B stage points and a partial fourth at B = 5,
-    # n = 2, 3 and 4 (g^-1 from LAPACK), with and without variations
+    # n = 2, 3 and 4, with and without variations
     man, force, x0, v0, tau0, rho0 = _chart_batch(chart, 5, nvar)
     steps = 3 * _block_steps(5) + 7
     packed = integrate_batch(man, force, x0, v0, tau0, rho0, steps * 1e-3,

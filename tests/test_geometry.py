@@ -237,7 +237,7 @@ def test_drag_jacobian_structural_zeros_at_rest():
 
 
 # the RHS charts, a non-diagonal 2-D chart, and round S^4 and a dense
-# 4-D chart, where the jets take g^-1 from LAPACK
+# 4-D chart
 JET_CHARTS = dict(
     CHARTS,
     skew2=([["1 + x2^2", "0.1*x1*x2"], ["0.1*x1*x2", "2 + x1^2"]],
@@ -276,35 +276,66 @@ def _ginv_of_both_jets(force, xs, vs):
                   last["ginv"]))
 
 
+def _record_linalg_calls(monkeypatch) -> list:
+    """The names of the ``np.linalg`` functions called from now on, each
+    still doing its work."""
+    calls = []
+    for name in np.linalg.__all__:
+        fn = getattr(np.linalg, name)
+        if callable(fn) and not isinstance(fn, type):
+            monkeypatch.setattr(np.linalg, name, lambda *a, _name=name,
+                                _fn=fn, **k: (calls.append(_name),
+                                              _fn(*a, **k))[1])
+    return calls
+
+
 @pytest.mark.parametrize("chart", sorted(JET_CHARTS))
 def test_inverse_matches_lapack(chart, monkeypatch):
+    # g^-1 is generated in every dimension: no jet calls into np.linalg
     man, force, xs, vs = _chart_points(chart)
     n = man.dimension
     g = man.metric(xs)
     ref = np.linalg.inv(g)
-    lapack_calls = []
-    real_inv = np.linalg.inv
-    monkeypatch.setattr(np.linalg, "inv", lambda a: (
-        lapack_calls.append(a.shape), real_inv(a))[1])
+    linalg_calls = _record_linalg_calls(monkeypatch)
     g_jet, ginv, last = _ginv_of_both_jets(force, xs, vs)
+    force.flow_jet(xs.T, vs.T)
+    assert linalg_calls == []
     assert np.array_equal(g_jet, g)
     # each entry of the batch-last field is one contiguous row
     assert ginv.shape == g.shape and ginv.strides[0] == 8
     assert last.tobytes() == ginv.tobytes()
-    if n <= 3:
-        scale = np.abs(ref).max(axis=(1, 2), keepdims=True)
-        assert np.all(np.abs(ginv - ref) <= 1e-13 * scale)
-        assert np.abs(g @ ginv - np.eye(n)).max() <= 1e-13
-        assert lapack_calls == []
-    else:
-        # LAPACK itself, once in each jet
-        assert np.array_equal(ginv, ref)
-        assert lapack_calls == [g.shape, g.shape]
+    scale = np.abs(ref).max(axis=(1, 2), keepdims=True)
+    assert np.all(np.abs(ginv - ref) <= 1e-13 * scale)
+    assert np.abs(g @ ginv - np.eye(n)).max() <= 1e-13
+
+
+def test_inverse_of_an_ill_conditioned_chart_matches_lapack():
+    # dense4 with rows and columns scaled by s, so the diagonal of g runs
+    # from about 3e4 down to 3e-4 (condition number 1e8 at these points):
+    # the cofactor entries stay within rounding of LAPACK's, measured
+    # in the balanced frame s_i s_j g^-1[i, j]
+    metric, force_src, box = JET_CHARTS["dense4"]
+    s = [1e2, 1e1, 1e-1, 1e-2]
+    man = Manifold(4, [[f"{s[i] * s[j]:g}*({metric[i][j]})"
+                        for j in range(4)] for i in range(4)])
+    force = ForceField(man, force_src)
+    rng = np.random.default_rng(41)
+    lo, hi = np.array(box).T
+    xs = lo + (hi - lo) * rng.random((200, 4))
+    g = man.metric(xs)
+    assert np.linalg.cond(g).min() > 5e7
+    ref = np.linalg.inv(g)
+    ginv = np.moveaxis(force.first_order_jet(
+        xs.T.copy(), rng.normal(size=(4, 200)))["ginv"], -1, 0)
+    balance = np.outer(s, s)
+    scale = np.abs(ref * balance).max(axis=(1, 2), keepdims=True)
+    assert np.all(np.abs(ginv - ref) * balance <= 1e-12 * scale)
 
 
 # E^3 adds a constant chart, whose g^-1 folds to constants
 INVERSE_CHARTS = dict(
-    {name: JET_CHARTS[name][:2] for name in ("S2", "S3", "skew2", "skew3")},
+    {name: JET_CHARTS[name][:2]
+     for name in ("S2", "S3", "skew2", "skew3", "S4", "dense4")},
     E3=([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
         ["-x1", "-x2", "-x3"]))
 
@@ -336,9 +367,16 @@ def test_inverse_hand_values():
             ([["4", "0"], ["0", "0.5"]], [[0.25, -0.0], [-0.0, 2.0]]),
             ([["2", "1", "0"], ["1", "2", "1"], ["0", "1", "2"]],
              np.array([[3.0, -2.0, 1.0], [-2.0, 4.0, -2.0],
-                       [1.0, -2.0, 3.0]]) / 4.0)):
+                       [1.0, -2.0, 3.0]]) / 4.0),
+            ([["2", "1", "0", "0"], ["1", "2", "1", "0"],
+              ["0", "1", "2", "1"], ["0", "0", "1", "2"]],
+             np.array([[4.0, -3.0, 2.0, -1.0], [-3.0, 6.0, -4.0, 2.0],
+                       [2.0, -4.0, 6.0, -3.0],
+                       [-1.0, 2.0, -3.0, 4.0]]) / 5.0)):
         man = Manifold(len(metric), metric)
         assert all(isinstance(entry, Const) for entry in man._ginv_asts)
+        assert np.allclose([entry.value for entry in man._ginv_asts],
+                           np.ravel(want), rtol=0, atol=1e-15)
         force = ForceField(man, ["0"] * len(metric))
         xs = np.zeros((2, len(metric)))
         ginv = np.moveaxis(force.variation_jet(xs.T, xs.T)["ginv"], -1, 0)
@@ -387,18 +425,16 @@ def test_jet_is_the_per_quantity_methods(chart):
 
 @pytest.mark.parametrize("chart", sorted(JET_CHARTS))
 def test_both_records_hold_one_connection(chart):
-    # the variation call shares every field of the first-order jet but F
-    # (g, low_v and low_f only for LAPACK's inverse): the connection
-    # contracted with v and F, and what it is read with, are the same
-    # expressions and the same inverse in both records, so the same bits;
-    # only the variation record holds the Koszul symbol
-    man, force, xs, vs = _chart_points(chart)
+    # the variation call shares every field of the first-order jet but g
+    # and F: the connection contracted with v and F, and the g^-1 it is
+    # read with, are the same expressions in both records, so the same
+    # bits; only the variation record holds the Koszul symbol
+    _, force, xs, vs = _chart_points(chart)
     first = force.first_order_jet(xs.T.copy(), vs.T.copy())
     jet = force.variation_jet(xs.T, vs.T)
     assert "koszul" not in first and "koszul" in jet
     shared = [name for name in first if name in jet]
-    assert shared == [name for name in first
-                      if name != "f" and (name != "g" or man.dimension > 3)]
+    assert shared == [name for name in first if name not in ("g", "f")]
     for name in shared:
         assert np.array_equal(first[name], jet[name]), name
         assert jet[name].flags.c_contiguous, name
@@ -423,8 +459,7 @@ def _close(got, want, rel=1e-13):
 
 @pytest.mark.parametrize("chart", sorted(JET_CHARTS))
 def test_acceleration_is_the_force_minus_the_spray(chart):
-    # a = F - gamma(v, v), generated whole for n <= 3 and completed with
-    # LAPACK's inverse for n >= 4 (S4 and dense4)
+    # a = F - gamma(v, v), generated whole in every dimension
     man, force, xs, vs = _chart_points(chart)
     f, along = _first_order_spray(force, xs, vs)
     assert np.abs(along["gvv"]).max() > 0.0
