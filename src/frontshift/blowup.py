@@ -14,8 +14,9 @@ arguments (man, force, spec, t_end, h).  A launch speed nu that is not
 positive and finite on the grid, or whose u-gradient is not finite, is a
 ``BlowupError``.
 
-The sphere grid comes as whole arrays, one row per direction, and the
-record's deviation phi = g(tau, v) is ``deviation.phi`` at every node.
+The sphere grid is one hyperspherical recursion in every dimension, as
+whole arrays with one row per direction, and the record's deviation
+phi = g(tau, v) is ``deviation.phi`` at every node.
 """
 
 from __future__ import annotations
@@ -83,13 +84,16 @@ class OrthogonalityReport(NamedTuple):
 def sphere_grid(man: Manifold, p0, resolution: int):
     """Directions covering the g(p0)-unit sphere of the tangent space:
     the arrays (u, directions, tangents) of shapes (B, n-1), (B, n) and
-    (B, n-1, n), holding each direction's sphere parameters, its g(p0)-unit
-    vector n(q) and its tangents K_a(q).
+    (B, n-1, n), B = resolution^(n-1), holding each direction's sphere
+    parameters, its g(p0)-unit vector n(q) and its tangents K_a(q).
 
-    Built through a g(p0)-orthonormal frame (Cholesky factor of g(p0)),
-    so directions are exactly g-unit and tangents exactly g-orthogonal
-    to them.  n=3 grids exclude shrinking polar caps where the
-    longitude tangent degenerates; their directions run latitude-major.
+    One hyperspherical recursion in every dimension: s(phi) =
+    (cos phi, sin phi), s(theta, rest) = (sin theta s(rest), cos theta),
+    with u = (theta_1, ..., theta_{n-2}, phi) meshed row-major, the
+    first polar angle outermost.  Every polar angle excludes shrinking
+    caps where the inner tangents degenerate.  Built through a
+    g(p0)-orthonormal frame (Cholesky factor of g(p0)), so directions
+    are exactly g-unit and tangents exactly g-orthogonal to them.
     """
     if resolution < 8:
         raise BlowupError("resolution must be at least 8")
@@ -99,25 +103,21 @@ def sphere_grid(man: Manifold, p0, resolution: int):
     check_positive_definite(p0, g0)
     frame = np.linalg.inv(np.linalg.cholesky(g0).T)
 
+    delta = np.pi / (4.0 * resolution)
+    polar = delta + (np.pi - 2.0 * delta) * np.arange(resolution) / (
+        resolution - 1)
     ph = 2.0 * np.pi * np.arange(resolution) / resolution
-    if n == 2:
-        u = ph[:, None]
-        cp, sp = np.cos(ph), np.sin(ph)
-        s_hat = np.stack([cp, sp], axis=-1)
-        ds = np.stack([-sp, cp], axis=-1)[:, None]
-    elif n == 3:
-        delta = np.pi / (4.0 * resolution)
-        thetas = delta + (np.pi - 2.0 * delta) * np.arange(resolution) / (
-            resolution - 1)
-        theta, ph = np.repeat(thetas, resolution), np.tile(ph, resolution)
-        u = np.stack([theta, ph], axis=-1)
-        st, ct, cp, sp = np.sin(theta), np.cos(theta), np.cos(ph), np.sin(ph)
-        s_hat = np.stack([st * cp, st * sp, ct], axis=-1)
-        ds = np.stack([np.stack([ct * cp, ct * sp, -st], axis=-1),
-                       np.stack([-st * sp, st * cp, np.zeros_like(st)],
-                                axis=-1)], axis=1)
-    else:
-        raise BlowupError("sphere grids are built for dimensions 2 and 3")
+    mesh = np.meshgrid(*[polar] * (n - 2), ph, indexing='ij')
+    u = np.stack([axis.ravel() for axis in mesh], axis=-1)
+    s_hat = np.stack([np.cos(u[:, -1]), np.sin(u[:, -1])], axis=-1)
+    ds = np.stack([-s_hat[:, 1], s_hat[:, 0]], axis=-1)[:, None]
+    for k in reversed(range(n - 2)):
+        st, ct = np.sin(u[:, k])[:, None], np.cos(u[:, k])[:, None]
+        d_theta = np.concatenate([ct * s_hat, -st], axis=-1)[:, None]
+        lifted = np.concatenate([st[:, None] * ds,
+                                 np.zeros_like(ds[..., :1])], axis=-1)
+        ds = np.concatenate([d_theta, lifted], axis=1)
+        s_hat = np.concatenate([st * s_hat, ct], axis=-1)
     return u, matvec(frame, s_hat), matvec(frame, ds)
 
 

@@ -10,8 +10,8 @@ one formula from a second, simpler route.
   own integrator (``integrate_batch``) read back with ``single_record``,
   so tests of single trajectories exercise the one production path.
 - ``sphere_grid_per_direction``: the blow-up's sphere grid built one
-  direction at a time, each with its own trig and frame product, as the
-  package built it before ``sphere_grid`` went whole-array.  It pins the
+  direction at a time, each with its own scalar trig, hyperspherical
+  recursion and frame product, in every dimension.  It pins the
   whole-array grid bit for bit.
 - ``covariant_rate``: the covariant time derivative of a vector series
   along a record, by finite differences of the recorded series plus the
@@ -61,6 +61,8 @@ one formula from a second, simpler route.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -117,28 +119,23 @@ def sphere_grid_per_direction(man, p0, resolution):
     direction at a time: (B, n-1), (B, n) and (B, n-1, n)."""
     p0 = np.asarray(p0, dtype=float)
     frame = np.linalg.inv(np.linalg.cholesky(at_point(man.metric, p0)).T)
+    delta = np.pi / (4.0 * resolution)
+    thetas = delta + (np.pi - 2.0 * delta) * np.arange(resolution) / (
+        resolution - 1)
     samples = []
-    if man.dimension == 2:
-        for j in range(resolution):
-            u = 2.0 * np.pi * j / resolution
-            s_hat = np.array([np.cos(u), np.sin(u)])
-            ds = np.array([-np.sin(u), np.cos(u)])
-            samples.append((np.array([u]), frame @ s_hat,
-                            (frame @ ds)[None, :]))
-    else:
-        delta = np.pi / (4.0 * resolution)
-        thetas = delta + (np.pi - 2.0 * delta) * np.arange(resolution) / (
-            resolution - 1)
-        for theta in thetas:
+    for index in itertools.product(range(resolution),
+                                   repeat=man.dimension - 1):
+        ph = 2.0 * np.pi * index[-1] / resolution
+        polar = [thetas[i] for i in index[:-1]]
+        s_hat = np.array([np.cos(ph), np.sin(ph)])
+        ds = [np.array([-np.sin(ph), np.cos(ph)])]
+        for theta in reversed(polar):
             st, ct = np.sin(theta), np.cos(theta)
-            for j in range(resolution):
-                ph = 2.0 * np.pi * j / resolution
-                cp, sp = np.cos(ph), np.sin(ph)
-                s_hat = np.array([st * cp, st * sp, ct])
-                d_theta = np.array([ct * cp, ct * sp, -st])
-                d_phi = np.array([-st * sp, st * cp, 0.0])
-                samples.append((np.array([theta, ph]), frame @ s_hat,
-                                np.stack([frame @ d_theta, frame @ d_phi])))
+            ds = ([np.append(ct * s_hat, -st)]
+                  + [np.append(st * t, 0.0) for t in ds])
+            s_hat = np.append(st * s_hat, ct)
+        samples.append((np.array(polar + [ph]), frame @ s_hat,
+                        np.stack([frame @ t for t in ds])))
     return tuple(np.stack(part) for part in zip(*samples))
 
 

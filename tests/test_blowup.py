@@ -8,6 +8,8 @@ from frontshift.blowup import (BlowupConfig, BlowupError, HypersurfaceSpec,
 from frontshift.dynamics import IntegrationAbort
 from frontshift.geometry import ForceField, Manifold, g_norm
 from oracles import run_one, sphere_grid_per_direction
+from test_geometry import JET_CHARTS
+from test_rhs_reference import sphere
 
 EUCLID = Manifold(2, [["1", "0"], ["0", "1"]])
 ZERO = ForceField(EUCLID, ["0", "0"])
@@ -36,15 +38,19 @@ def test_sphere_grid_scaled_metric_frame():
 
 
 def test_sphere_grid_g_orthonormality():
-    for metric, p0 in (([["1", "0"], ["0", "4"]], [0.0, 0.0]),
-                       ([["1", "0"], ["0", "x1^2"]], [2.0, 0.3])):
-        man = Manifold(2, metric)
+    for metric, p0, resolution in (
+            ([["1", "0"], ["0", "4"]], [0.0, 0.0], 16),
+            ([["1", "0"], ["0", "x1^2"]], [2.0, 0.3], 16),
+            (sphere(4), [1.3, 1.2, 1.4, 0.3], 8),
+            (JET_CHARTS["dense4"][0], [0.3, -0.4, 0.5, 0.2], 8)):
+        man = Manifold(len(p0), metric)
         g0 = man.metric(np.asarray(p0, dtype=float)[None, :])[0]
-        _, directions, tangents = sphere_grid(man, p0, 16)
-        for direction, tangent in zip(directions, tangents[:, 0]):
+        _, directions, tangents = sphere_grid(man, p0, resolution)
+        assert len(directions) == resolution ** (len(p0) - 1)
+        for direction, tangent in zip(directions, tangents):
             assert direction @ g0 @ direction == pytest.approx(
                 1.0, abs=1e-12)
-            assert abs(direction @ g0 @ tangent) < 1e-12
+            assert np.all(np.abs(tangent @ g0 @ direction) < 1e-12)
 
 
 def test_sphere_grid_three_dims():
@@ -73,16 +79,21 @@ GRID_CHARTS = {
                 [1.3, 1.2, 0.3]),
     "skew3": (Manifold(3, [["2", "0.3", "0"], ["0.3", "1 + x1^2", "0.2"],
                            ["0", "0.2", "1.5"]]), [0.4, -0.2, 0.1]),
+    "euclid4": (Manifold(4, [["1" if i == j else "0" for j in range(4)]
+                             for i in range(4)]), [0.0] * 4),
+    "sphere4": (Manifold(4, sphere(4)), [1.3, 1.2, 1.4, 0.3]),
+    "dense4": (Manifold(4, JET_CHARTS["dense4"][0]), [0.3, -0.4, 0.5, 0.2]),
 }
 
 
 @pytest.mark.parametrize("chart", GRID_CHARTS)
 def test_sphere_grid_is_the_per_direction_loop(chart):
     # the whole-array grid is the one-direction-at-a-time construction,
-    # bit for bit, on charts and grid sizes that no bundled config runs
+    # bit for bit, on charts and grid sizes that no bundled config runs;
+    # 32 only for n <= 3: at n = 4 it is 32 768 directions of the loop
     man, p0 = GRID_CHARTS[chart]
     n = man.dimension
-    for resolution in (8, 13, 32):
+    for resolution in (8, 13, 32) if n <= 3 else (8, 13):
         got = sphere_grid(man, p0, resolution)
         want = sphere_grid_per_direction(man, p0, resolution)
         nb = resolution ** (n - 1)

@@ -275,9 +275,9 @@ def test_rank_harmonic_field(tmp_path, capsys):
 
 
 def test_four_dimensional_drag_through_every_command(tmp_path, capsys):
-    # S^4 under drag, parsed and run as a user's config: check, rank and
-    # shift read the same generated g^-1 as in 2-D and 3-D; the blow-up's
-    # sphere grids exist for n = 2 and 3 only, a config error
+    # S^4 under drag, parsed and run as a user's config: every command
+    # reads the same generated g^-1 as in 2-D and 3-D, and the blow-up
+    # fans out over the same hyperspherical grid, 8^3 directions
     metric = sphere(4)
     data = dict(BASE, dimension=4, metric=metric, force=drag(metric),
                 integrator={"step": 0.005, "t_end": 0.5, "output_every": 10},
@@ -305,9 +305,17 @@ def test_four_dimensional_drag_through_every_command(tmp_path, capsys):
     code, out, _ = run("shift")
     assert code == 0
     assert json.loads(out)["stats"]["max_psi"] < 1e-10
-    code, _, err = run("blowup")
-    assert code == 1
-    assert "sphere grids are built for dimensions 2 and 3" in err
+    code, out, _ = run("blowup")
+    assert code == 0
+    stats = json.loads(out)["stats"]
+    assert (stats["directions"], stats["nodes"]) == (512, 101)
+    assert stats["max_psi"] < 1e-10
+    csv_lines = (tmp_path / "blowup" / "blowup_front.csv").read_text(
+    ).splitlines()
+    header = csv_lines[0].split(",")
+    assert "u3" in header and "tau3_4" in header
+    # 0.5/0.005 = 100 steps, every 10th node plus t=0: 11 fronts of 512
+    assert len(csv_lines) == 1 + 11 * 512
 
 
 def test_rank_too_few_variations(tmp_path, capsys):
