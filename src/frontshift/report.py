@@ -6,11 +6,12 @@ files.  Non-finite values become JSON null; in CSV files they print as
 the tokens "nan", "inf" and "-inf".  numpy scalars and arrays serialize
 as their Python equivalents.
 
-A front CSV is written from a ``FrontTable``: each output time's ``t``
-and each direction's lead (``dir_index``, u) is formatted once, and the
-body of a chunk of whole output nodes by one ``%`` operation, all with
-``%.17g`` as in ``fmt_float``, so ``dir_index`` prints as ``0``, ``1``.
-Neither the whole file nor the (rows x columns) table is held in memory.
+A front CSV is written from a ``FrontTable`` in chunks of whole rows,
+at most about ``_CSV_CELLS`` cells (a wider node is split), so neither
+the file nor the (rows x columns) table is held in memory.  Every cell
+goes through ``fmt17.slots``, loaded with the first front: a numpy
+kernel with exactly the bytes of ``%.17g``, so ``dir_index`` prints as
+``0``, ``1``.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def write_json(path, obj) -> str:
     return str(path)
 
 
-_CSV_BLOCK_ROWS = 1024
+_CSV_CELLS = 8192           # cells per chunk: the writer's memory bound
 
 
 class FrontTable:
@@ -89,19 +90,30 @@ class FrontTable:
 
 
 def write_csv(path, header, table: FrontTable) -> str:
-    nodes = max(1, _CSV_BLOCK_ROWS // max(1, table.lead.shape[0]))
-    lead = ",".join(["%.17g"] * table.lead.shape[1])
-    body = ",%.17g" * (len(header) - 1 - table.lead.shape[1]) + "\n"
-    # A node is t joined to rests: rests[0] = "" puts t before row 0.
-    rests = [""] + ["," + lead % tuple(row) + body
-                    for row in table.lead.tolist()]
-    with open(path, "w", encoding="utf-8") as out:
-        out.write(",".join(header) + "\n")
-        for start in range(0, table.times.shape[0], nodes):
-            stop = start + nodes
-            chunk = np.concatenate([part[start:stop] for part in table.body],
-                                   axis=2)
-            text = "".join(("%.17g" % t).join(rests)
-                           for t in table.times[start:stop].tolist())
-            out.write(text % tuple(chunk.ravel().tolist()))
+    from . import fmt17     # on the first front, not with the CLI
+    times, lead, width = table.times, table.lead, fmt17.WIDTH
+    directions, leads = lead.shape
+    rows = max(1, _CSV_CELLS // len(header))
+    nodes = max(1, rows // max(1, directions))
+    dirs = max(1, min(directions, rows))
+    with open(path, "wb") as out:
+        out.write((",".join(header) + "\n").encode())
+        for start in range(0, len(times), nodes):
+            t = times[start:start + nodes]
+            for first in range(0, directions, dirs):
+                d = slice(first, first + dirs)
+                body = np.concatenate(
+                    [part[start:start + nodes, d] for part in table.body],
+                    axis=2)
+                text = np.split(fmt17.slots(np.concatenate(
+                    [t, lead[d].ravel(), body.ravel()])),
+                    [len(t), len(t) + lead[d].size])
+                cells = np.empty(body.shape[:2] + (len(header), width),
+                                 np.uint8)
+                cells[:, :, 0] = text[0][:, None]
+                cells[:, :, 1:1 + leads] = text[1].reshape(-1, leads, width)
+                cells[:, :, 1 + leads:] = text[2].reshape(
+                    body.shape + (width,))
+                cells[:, :, -1, -1] = ord("\n")
+                out.write(cells.tobytes().translate(None, b"\0"))
     return str(path)

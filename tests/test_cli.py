@@ -458,8 +458,10 @@ def test_selftest_flipped_riemann_fails(tmp_path, capsys):
 
 def test_cli_import_leaves_the_selftest_modules_out():
     # selfcheck and its systems catalogue load with the selftest command
-    # only; normality and deviation load with the CLI, so a profiler can
-    # patch their functions through sys.modules right after the import.
+    # only, and the CSV writer's fmt17 kernel with the first front written
+    # (a command without a front never compiles it or builds its tables);
+    # normality and deviation load with the CLI, so a profiler can patch
+    # their functions through sys.modules right after the import.
     src = Path(frontshift.__file__).resolve().parent.parent
     script = "import sys, frontshift.cli\nprint(*sys.modules)"
     done = subprocess.run([sys.executable, "-c", script], cwd=src,
@@ -469,6 +471,7 @@ def test_cli_import_leaves_the_selftest_modules_out():
     assert "frontshift.cli" in loaded
     assert "frontshift.selfcheck" not in loaded
     assert "frontshift.systems" not in loaded
+    assert "frontshift.fmt17" not in loaded
     assert {"frontshift.normality", "frontshift.deviation"} <= loaded
 
 

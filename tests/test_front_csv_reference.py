@@ -2,11 +2,13 @@
 
 The reference below is the row-by-row ``export_front`` loop and the
 ``_cell``/``write_csv`` pair that formatted one cell at a time.  The
-factored table and the node-chunked writer must produce the same bytes:
-on 2D and 3D blow-ups at several output strides, on an aborted partial
-record, on row counts around the writer's chunk size, on a table of
-values whose formatting is easy to get wrong (in ``t``, in the lead
-columns and in the body), and on empty fronts.
+factored table and the chunked writer must produce the same bytes: on
+2D and 3D blow-ups at several output strides, on a 3D front whose one
+node is wider than a chunk, on an aborted partial record, on row counts
+around the writer's chunk size, on a table of values whose formatting
+is easy to get wrong (in ``t``, in the lead columns and in the body),
+on values the writer's kernel hands to Python's own formatting on both
+sides of a chunk edge, and on empty fronts.
 """
 
 import math
@@ -150,8 +152,10 @@ def _reference_rows(table):
 @pytest.mark.parametrize("blocks", [1, 2])
 def test_row_counts_around_block_size(tmp_path, blocks, offset):
     header = ["t", "dir_index", "u1", "a", "b", "c"]
-    for directions in (1, 7, report._CSV_BLOCK_ROWS + 1):
-        per_chunk = max(1, report._CSV_BLOCK_ROWS // directions)
+    rows = report._CSV_CELLS // len(header)     # whole rows in one chunk
+    # one node per chunk just below the bound; above it a node is split
+    for directions in (1, 7, rows - 1, rows + 1):
+        per_chunk = max(1, rows // directions)
         nodes = blocks * per_chunk + offset
         rng = np.random.default_rng(nodes * directions)
 
@@ -169,6 +173,57 @@ def test_row_counts_around_block_size(tmp_path, blocks, offset):
         assert len(lines) == nodes * directions + 1
         if nodes:
             assert lines[-1].split(",")[1] == str(directions - 1)
+
+
+# Values the writer's kernel leaves to Python's own formatting: a 17-digit
+# tie, subnormals, |v| >= 1e280, zeros and non-finite values.
+FALLBACKS = [2.0 ** -25, -3 * 2.0 ** -25, 5e-324, -1e-310, 1e300, -1e300,
+             0.0, -0.0, math.nan, -math.inf]
+
+
+def test_fallback_values_across_a_chunk_edge(tmp_path):
+    header = ["t", "dir_index", "u1", "u2", "a", "b"]
+    directions = 7
+    per_chunk = report._CSV_CELLS // len(header) // directions
+    nodes = 2 * per_chunk
+    rng = np.random.default_rng(11)
+    times = rng.normal(size=nodes)
+    u = rng.normal(size=(directions, 2))
+    body = rng.normal(size=(nodes, directions, 2))
+    edge = range(per_chunk - 2, per_chunk + 2)  # last and first nodes
+    for i, node in enumerate(edge):
+        times[node] = FALLBACKS[i]
+        body[node] = np.resize(np.roll(FALLBACKS, i), (directions, 2))
+    u[:5] = np.reshape(FALLBACKS, (5, 2))
+    table = _table(times, np.column_stack([np.arange(directions), u]),
+                   body[:, :, :1], body[:, :, 1:])
+    _assert_same_bytes(tmp_path, header, _reference_rows(table), table)
+    lines = (tmp_path / "streamed.csv").read_text().splitlines()
+    assert lines[1 + per_chunk * directions] == (
+        "4.9406564584124654e-324,0,2.9802322387695312e-08,"
+        "-8.9406967163085938e-08,nan,-inf")
+
+
+def test_three_dim_node_wider_than_a_chunk(tmp_path):
+    cfg = BlowupConfig(p0=[1.2, 1.0, 0.3], nu="1 + 0.2*cos(u1)",
+                       resolution=32)
+    record = simulate_blowup(S3, S3_DRAG, cfg, 0.02, 1e-3)
+    header, table = export_front(record, output_every=1)
+    cells = len(header) * table.lead.shape[0]
+    assert cells > 2 * report._CSV_CELLS     # each node spans three chunks
+    every = 5
+    _, strided = export_front(record, output_every=every)
+    _assert_same_bytes(tmp_path, header,
+                       _reference_export(record, every)[1], strided)
+    tracemalloc.start()
+    try:
+        report.write_csv(tmp_path / "front.csv", header, table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # split nodes peak near 290 bytes per chunk cell; whole 20 480-cell
+    # nodes near 690
+    assert peak < 400 * report._CSV_CELLS
 
 
 SPECIALS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300,
