@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import random
 import sys
 import time
 from pathlib import Path
@@ -168,9 +169,11 @@ def cmd_rank(cfg: ScenarioConfig, out_dir: Path, started: float) -> int:
     n = cfg.dimension
     xs, vs = sample_tangent_points(man, s.x_box, s.v_min, s.v_max,
                                    r.trajectories, seed=s.seed)
-    rng = np.random.default_rng(s.seed)
-    tau0 = rng.normal(size=(r.trajectories, r.variations, n))
-    rho0 = rng.normal(size=(r.trajectories, r.variations, n))
+    # generic tau0, then rho0, uniform in [-1, 1) from a fixed stream
+    rng = random.Random(s.seed)
+    tau0, rho0 = np.reshape(
+        [2.0 * rng.random() - 1.0 for _ in range(2 * vs.size * r.variations)],
+        (2, r.trajectories, r.variations, n))
     batch = integrate_batch(man, force, xs, vs, tau0, rho0,
                             cfg.integrator.t_end, cfg.integrator.step)
     result = deviation_rank(man, batch, r.window)

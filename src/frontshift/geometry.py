@@ -51,8 +51,9 @@ or any (n, n, n, n) intermediate.  The per-quantity methods
 (``metric_partials``, ``metric_second_partials``, ``christoffel``,
 ``christoffel_partials``, ``riemann`` without a record,
 ``ForceField.components`` and ``ForceField.jacobians``) are batch-first
-oracles: no production path outside ``selfcheck`` calls them.  ``lower`` and ``g_norm`` lower an
-index and take a g-length over any leading axes, batch-first.
+oracles: no production path outside ``selfcheck`` calls them.  ``lower``
+and ``g_norm`` lower an index and take a g-length over any leading axes,
+batch-first; ``Manifold.g_norm_last`` takes the g-length batch-last.
 
 Index conventions (fixed, and pinned by the dynamics cross-checks):
 
@@ -552,6 +553,20 @@ class Manifold:
         # half[b, k, m, s, r] = d_s gamma[k,m,r] + gamma[k,s,j] gamma[j,m,r]
         half = dgamma.transpose(0, 2, 3, 1, 4) + gg.transpose(0, 1, 3, 2, 4)
         return half - half.swapaxes(3, 4)
+
+    def g_norm_last(self, xs: np.ndarray, ws: np.ndarray) -> np.ndarray:
+        """g-lengths of vectors ws[k, b] at points xs[k, b]: ``g_norm``'s
+        sums in its order, bit for bit, from one call of the metric's
+        unique-entry rows, with no (n, n, B) array."""
+        rows, slot = self._g_fn(*xs), self._g_idx
+        total = None
+        for i, w in enumerate(ws):
+            low = rows[slot[i, 0]] * ws[0]
+            for j in range(1, len(ws)):
+                low += rows[slot[i, j]] * ws[j]
+            low *= w
+            total = low if total is None else np.add(total, low, out=total)
+        return np.sqrt(total, out=total)
 
     def frame(self, vs: np.ndarray, g: np.ndarray):
         """speed[b], unit[r, b], unit_cov[i, b] and projector[r, i, b] of

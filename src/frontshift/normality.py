@@ -27,9 +27,9 @@ forms the residuals once had are kept, batch-first, only in
 ``classify`` draws its samples once and evaluates the residuals over
 fixed blocks of them, keeping per sample only the positions, velocities
 and norms, so its memory grows with the count by those and by the
-sampler's temporaries, not by every residual tensor.  The sampler and
-the report stay batch-first ((count, n) positions and velocities);
-``classify`` lays the samples out batch-last once.
+sampler's temporaries, not by every residual tensor.  The sampler builds
+its samples batch-last, (n, count) rows, and hands them out as (count,
+n) views, the layout of the report; ``classify`` reads the rows.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .deviation import alpha_beta
-from .geometry import (ForceField, Manifold, dot_last, force_tensors, g_norm,
+from .geometry import (ForceField, Manifold, dot_last, force_tensors,
                        matmul_last, matvec_last, vecmat_last)
 
 
@@ -184,6 +184,25 @@ def sample_blocks(count: int) -> int:
     return -(-count // _SAMPLE_BLOCK)
 
 
+def _directions(u: list) -> np.ndarray:
+    """(n, count) unit directions from the n - 1 Halton rows u; apart, so
+    that their temporaries are freed before the metric rows are formed."""
+    if len(u) == 1:
+        theta = 2.0 * np.pi * u[0]
+        return np.stack([np.cos(theta), np.sin(theta)])
+    if len(u) == 2:
+        z = 2.0 * u[0] - 1.0
+        phi = 2.0 * np.pi * u[1]
+        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+        return np.stack([r * np.cos(phi), r * np.sin(phi), z])
+    # Shoemake's uniform points on the 3-sphere.
+    s1, s2 = np.sqrt(1.0 - u[0]), np.sqrt(u[0])
+    return np.stack([s1 * np.sin(2 * np.pi * u[1]),
+                     s1 * np.cos(2 * np.pi * u[1]),
+                     s2 * np.sin(2 * np.pi * u[2]),
+                     s2 * np.cos(2 * np.pi * u[2])])
+
+
 def sample_tangent_points(man: Manifold, x_box, v_min: float, v_max: float,
                           count: int, seed: int = 0):
     """Deterministic low-discrepancy samples of the tangent bundle.
@@ -191,9 +210,10 @@ def sample_tangent_points(man: Manifold, x_box, v_min: float, v_max: float,
     Positions fill the configured box, velocity directions sweep the
     sphere, and g-speeds walk log-spaced shells in [v_min, v_max].  The
     seed offsets the Halton index, so runs are reproducible.  Returns
-    (xs, vs).  Coordinate k takes the k-th prime as its Halton base and
-    direction coordinate k the (n + k)-th; only the n - 1 direction
-    coordinates the dimension uses are drawn.
+    (xs, vs), (count, n) views of (n, count) rows, built batch-last with
+    ``Manifold.g_norm_last``.  Coordinate k takes the k-th prime as its
+    Halton base and direction coordinate k the (n + k)-th; only the n - 1
+    direction coordinates the dimension uses are drawn.
     """
     if count < 1:
         raise NormalityError("empty sample set")
@@ -209,32 +229,14 @@ def sample_tangent_points(man: Manifold, x_box, v_min: float, v_max: float,
     if box.shape != (n, 2):
         raise NormalityError("x box must give [lo, hi] per coordinate")
     idx = np.arange(count, dtype=np.int64) + 1 + int(seed)
-    xs = np.empty((count, n))
+    xs = np.empty((n, count))
     for k in range(n):
-        xs[:, k] = box[k, 0] + (box[k, 1] - box[k, 0]) * halton(idx, _PRIMES[k])
-
-    u = [halton(idx, _PRIMES[n + k]) for k in range(n - 1)]
-    if n == 2:
-        theta = 2.0 * np.pi * u[0]
-        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    elif n == 3:
-        z = 2.0 * u[0] - 1.0
-        phi = 2.0 * np.pi * u[1]
-        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        dirs = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-    else:
-        # Shoemake's uniform points on the 3-sphere.
-        s1 = np.sqrt(1.0 - u[0])
-        s2 = np.sqrt(u[0])
-        dirs = np.stack([s1 * np.sin(2 * np.pi * u[1]),
-                         s1 * np.cos(2 * np.pi * u[1]),
-                         s2 * np.sin(2 * np.pi * u[2]),
-                         s2 * np.cos(2 * np.pi * u[2])], axis=1)
-
-    shells = np.geomspace(v_min, v_max, num=min(count, 16))
-    radii = shells[np.arange(count) % shells.shape[0]]
-    vs = dirs * (radii / g_norm(man.metric(xs), dirs))[:, None]
-    return xs, vs
+        xs[k] = box[k, 0] + (box[k, 1] - box[k, 0]) * halton(idx, _PRIMES[k])
+    vs = _directions([halton(idx, _PRIMES[n + k]) for k in range(n - 1)])
+    radii = np.resize(np.geomspace(v_min, v_max, num=min(count, 16)), count)
+    radii /= man.g_norm_last(xs, vs)
+    vs *= radii
+    return xs.T, vs.T
 
 
 def _block_norms(man: Manifold, force: ForceField, xs: np.ndarray,
@@ -301,7 +303,7 @@ def classify(man: Manifold, force: ForceField, x_box, v_min: float,
     """
     xs, vs = sample_tangent_points(man, x_box, v_min, v_max, count, seed)
     # the residual layer runs batch-last: component k of sample b at [k, b]
-    x_rows, v_rows = xs.T.copy(), vs.T.copy()
+    x_rows, v_rows = xs.T, vs.T
     trivial = man.dimension == 2
     weak_norms = np.empty(count)
     add_norms = np.empty(count)

@@ -58,6 +58,12 @@ one formula from a second, simpler route.
   finite check made per quantity.  ``integrate_batch`` runs the flow
   ahead of the variations, block by block, over one history array; this
   pins it to the same arithmetic, bit for bit, and to the same abort.
+- ``sample_tangent_points_batch_first``: the classifier's sampler as it
+  was written batch-first, the directions stacked as (count, n) rows
+  and the g-speeds taken with ``g_norm`` of the gathered (count, n, n)
+  metric.  ``normality.sample_tangent_points`` builds the same samples
+  batch-last, from the metric's unique-entry rows; this pins its
+  samples and speeds bit for bit.
 """
 
 from __future__ import annotations
@@ -69,7 +75,8 @@ import numpy as np
 from frontshift.deviation import phi_derivatives
 from frontshift.dynamics import (BatchTrajectory, IntegrationAbort,
                                  integrate_batch)
-from frontshift.geometry import at_point, extended_gradients
+from frontshift.geometry import at_point, extended_gradients, g_norm
+from frontshift.normality import _PRIMES, halton
 
 
 def single_record(batch, row):
@@ -314,3 +321,37 @@ def rk4_per_quantity(man, force, x0, v0, tau0, rho0, t_end, h,
             xs[i + 1], vs[i + 1] = x, v
             taus[i + 1], rhos[i + 1] = tau, rho
     return BatchTrajectory(times, xs, vs, taus, rhos, h)
+
+
+def sample_tangent_points_batch_first(man, x_box, v_min, v_max, count,
+                                      seed=0):
+    """(xs, vs) of ``normality.sample_tangent_points``, batch-first, for
+    valid arguments."""
+    n = man.dimension
+    box = np.asarray(x_box, dtype=float)
+    idx = np.arange(count, dtype=np.int64) + 1 + int(seed)
+    xs = np.empty((count, n))
+    for k in range(n):
+        xs[:, k] = box[k, 0] + (box[k, 1] - box[k, 0]) * halton(idx, _PRIMES[k])
+
+    u = [halton(idx, _PRIMES[n + k]) for k in range(n - 1)]
+    if n == 2:
+        theta = 2.0 * np.pi * u[0]
+        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    elif n == 3:
+        z = 2.0 * u[0] - 1.0
+        phi = 2.0 * np.pi * u[1]
+        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+        dirs = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+    else:
+        s1 = np.sqrt(1.0 - u[0])
+        s2 = np.sqrt(u[0])
+        dirs = np.stack([s1 * np.sin(2 * np.pi * u[1]),
+                         s1 * np.cos(2 * np.pi * u[1]),
+                         s2 * np.sin(2 * np.pi * u[2]),
+                         s2 * np.cos(2 * np.pi * u[2])], axis=1)
+
+    shells = np.geomspace(v_min, v_max, num=min(count, 16))
+    radii = shells[np.arange(count) % shells.shape[0]]
+    vs = dirs * (radii / g_norm(man.metric(xs), dirs))[:, None]
+    return xs, vs

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import subprocess
 import sys
 import warnings
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import frontshift
+from frontshift import cli as cli_module
 from frontshift import exprlang
 from frontshift.cli import (build_parser, cmd_blowup, cmd_check, cmd_rank,
                             cmd_shift, main)
@@ -473,6 +475,50 @@ def test_cli_import_leaves_the_selftest_modules_out():
     assert "frontshift.systems" not in loaded
     assert "frontshift.fmt17" not in loaded
     assert {"frontshift.normality", "frontshift.deviation"} <= loaded
+
+
+def test_commands_leave_numpy_random_out(tmp_path):
+    # rank draws its initial variations from the standard library's
+    # generator; numpy.random, with hashlib and secrets behind it, loads
+    # with the selftest's samplers only
+    data = dict(BASE, force=["-0.3*v1", "-0.3*v2"],
+                integrator={"step": 0.01, "t_end": 1.0, "output_every": 20})
+    cfg = _write_config(tmp_path, data)
+    src = Path(frontshift.__file__).resolve().parent.parent
+    script = ("import sys\nfrom frontshift.cli import main\n"
+              "codes = [main([c, '--config', sys.argv[1], '--out-dir', "
+              "sys.argv[2]]) for c in ('check', 'rank', 'blowup', 'shift')]\n"
+              "print(codes, 'numpy.random' in sys.modules, file=sys.stderr)")
+    done = subprocess.run(
+        [sys.executable, "-c", script, cfg, str(tmp_path / "out")], cwd=src,
+        capture_output=True, text=True, check=True, timeout=120)
+    assert done.stderr.splitlines()[-1] == "[0, 0, 0, 0] False"
+
+
+def test_rank_draws_tau_then_rho_from_random(tmp_path, capsys, monkeypatch):
+    # 2 rand - 1 per component, tau0 first, then rho0, row-major over
+    # (trajectory, variation, coordinate), from random.Random(seed)
+    data = dict(BASE, integrator={"step": 0.01, "t_end": 1.0,
+                                  "output_every": 20},
+                sampler=dict(BASE["sampler"], seed=7))
+    cfg = load_config(_write_config(tmp_path, data))
+    seen = []
+    real = cli_module.integrate_batch
+
+    def spy(man, force, xs, vs, tau0, rho0, *args):
+        seen.append((tau0.copy(), rho0.copy()))
+        return real(man, force, xs, vs, tau0, rho0, *args)
+    monkeypatch.setattr(cli_module, "integrate_batch", spy)
+    assert cmd_rank(cfg, tmp_path, 0.0) == 0
+    (tau0, rho0), = seen
+    shape = (cfg.rank.trajectories, cfg.rank.variations, 2)
+    assert tau0.shape == rho0.shape == shape
+    rng = random.Random(7)
+    draws = [2.0 * rng.random() - 1.0 for _ in range(2 * tau0.size)]
+    assert tau0.ravel().tolist() == draws[:tau0.size]
+    assert rho0.ravel().tolist() == draws[tau0.size:]
+    assert (tau0[0, 0, 0], rho0[0, 0, 0]) == (-0.35233447033367526,
+                                              0.9603496949851642)
 
 
 def _s3_drag_config(tmp_path):

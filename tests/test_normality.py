@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from frontshift import normality
-from frontshift.geometry import ForceField, Manifold, at_point
+from frontshift.geometry import ForceField, Manifold, at_point, g_norm
 from frontshift.normality import (_PRIMES, NormalityError, additional_batch,
                                   bundle, classify, halton, raw_batch,
                                   sample_tangent_points, weak_batch)
 from frontshift.systems import BUNDLED
+from oracles import sample_tangent_points_batch_first
+from test_geometry import JET_CHARTS
 from test_rhs_reference import CHARTS
 
 EUCLID = Manifold(2, [["1", "0"], ["0", "1"]])
@@ -238,18 +240,18 @@ def test_sampler_deterministic_and_in_range():
 
 @pytest.mark.parametrize("chart", ["S2", "S3"])
 def test_classify_evaluates_the_metric_once(monkeypatch, chart):
-    # the sampler's g-speeds make the one metric call; the residual
-    # blocks take g from the first-order jet
+    # the sampler's g-speeds make the one metric call, batch-last over
+    # every sample; the residual blocks take g from the first-order jet
     metric_src, force_src, box = CHARTS[chart]
     man = Manifold(len(metric_src), metric_src)
     force = ForceField(man, force_src)
     calls = []
-    metric = Manifold.metric
+    g_norm_last = Manifold.g_norm_last
 
-    def counted(self, xs):
-        calls.append(len(xs))
-        return metric(self, xs)
-    monkeypatch.setattr(Manifold, "metric", counted)
+    def counted(self, xs, ws):
+        calls.append(xs.shape[-1])
+        return g_norm_last(self, xs, ws)
+    monkeypatch.setattr(Manifold, "g_norm_last", counted)
     classify(man, force, box, 0.5, 2.0, 300)
     assert calls == [300]
 
@@ -289,6 +291,50 @@ def test_halton_is_the_digit_loop_bit_for_bit(first):
     assert np.array_equal(halton(np.array([0, 5, 0]), 3),
                           _halton_reference(np.array([0, 5, 0]), 3))
     assert halton(np.zeros(0, dtype=np.int64), 2).shape == (0,)
+
+
+def _sampler_chart(chart):
+    """(manifold, box) of S^2, S^3, S^4, E^3 or the dense 4-D chart."""
+    if chart == "E3":
+        flat = [["1" if i == j else "0" for j in range(3)] for i in range(3)]
+        return Manifold(3, flat), [[-1.0, 1.0]] * 3
+    metric_src, _, box = JET_CHARTS[chart]
+    return Manifold(len(metric_src), metric_src), box
+
+
+@pytest.mark.parametrize("chart", ["S2", "S3", "S4", "E3", "dense4"])
+def test_sampler_is_the_batch_first_sampler_bit_for_bit(chart):
+    man, box = _sampler_chart(chart)
+    n = man.dimension
+    for count in (1, 7, 2049, 20_000):
+        for seed in (0, 977):
+            xs, vs = sample_tangent_points(man, box, 0.5, 2.0, count, seed)
+            ref_xs, ref_vs = sample_tangent_points_batch_first(
+                man, box, 0.5, 2.0, count, seed)
+            assert np.array_equal(xs, ref_xs) and np.array_equal(vs, ref_vs)
+            # (count, n) views of batch-last rows
+            assert xs.shape == vs.shape == (count, n)
+            assert xs.T.flags.c_contiguous and vs.T.flags.c_contiguous
+            assert np.array_equal(man.g_norm_last(xs.T, vs.T),
+                                  g_norm(man.metric(ref_xs), ref_vs))
+
+
+def test_sampler_forms_no_metric_per_sample():
+    # 50 000 samples in 3-D.  The sampler must hold its two outputs
+    # (2.4 MB) and the metric's six unique-entry rows (2.4 MB); beyond
+    # those it peaked at 2.0 MB batch-last, and at 6.4 MB batch-first,
+    # where the gathered (count, 3, 3) metric alone takes 3.6 MB.
+    man, box = _sampler_chart("S3")
+    count, n = 50_000, 3
+    sample_tangent_points(man, box, 0.5, 2.0, 1)   # compile outside the trace
+    tracemalloc.start()
+    try:
+        xs, vs = sample_tangent_points(man, box, 0.5, 2.0, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = xs.nbytes + vs.nbytes + count * n * (n + 1) // 2 * 8
+    assert peak - held < count * n * n * 8
 
 
 def test_sampler_curved_metric_speeds():
