@@ -7,8 +7,7 @@ from .blowup import (BlowupConfig, FrontRecord, HypersurfaceSpec,
                      simulate_blowup, simulate_shift, sphere_grid)
 from .deviation import deviation_rank, phi_derivatives
 from .dynamics import BatchTrajectory, IntegrationAbort, integrate_batch
-from .geometry import (ForceField, Manifold, at_point, force_tensors, g_norm,
-                       lower)
+from .geometry import ForceField, Manifold, at_point, force_tensors
 from .normality import classify
 
 __version__ = "0.1.0"

@@ -15,8 +15,8 @@ positive and finite on the grid, or whose u-gradient is not finite, is a
 ``BlowupError``.
 
 The sphere grid is one hyperspherical recursion in every dimension, as
-whole arrays with one row per direction, and the record's deviation
-phi = g(tau, v) is ``deviation.phi`` at every node.
+whole arrays with the direction axis last, and the record's deviation
+phi = g(tau, v) is ``deviation.phi`` at every node, batch-last.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ import numpy as np
 from . import deviation, exprlang
 from .dynamics import BatchTrajectory, IntegrationAbort, integrate_batch
 from .geometry import (ForceField, Manifold, at_point,
-                       check_positive_definite, g_norm, lower, matvec)
+                       check_positive_definite, dot_last, matvec_last,
+                       vecmat_last)
 from .report import FrontTable
 
 TAU_NORM_FLOOR = 1e-12
@@ -109,16 +110,17 @@ def sphere_grid(man: Manifold, p0, resolution: int):
     ph = 2.0 * np.pi * np.arange(resolution) / resolution
     mesh = np.meshgrid(*[polar] * (n - 2), ph, indexing='ij')
     u = np.stack([axis.ravel() for axis in mesh], axis=-1)
-    s_hat = np.stack([np.cos(u[:, -1]), np.sin(u[:, -1])], axis=-1)
-    ds = np.stack([-s_hat[:, 1], s_hat[:, 0]], axis=-1)[:, None]
+    # s_hat[k, b] and its tangents ds[k, a, b]
+    s_hat = np.stack([np.cos(u[:, -1]), np.sin(u[:, -1])])
+    ds = np.stack([-s_hat[1], s_hat[0]])[:, None]
     for k in reversed(range(n - 2)):
-        st, ct = np.sin(u[:, k])[:, None], np.cos(u[:, k])[:, None]
-        d_theta = np.concatenate([ct * s_hat, -st], axis=-1)[:, None]
-        lifted = np.concatenate([st[:, None] * ds,
-                                 np.zeros_like(ds[..., :1])], axis=-1)
+        st, ct = np.sin(u[:, k]), np.cos(u[:, k])
+        d_theta = np.concatenate([ct * s_hat, -st[None]])[:, None]
+        lifted = np.concatenate([st * ds, np.zeros_like(ds[:1])])
         ds = np.concatenate([d_theta, lifted], axis=1)
-        s_hat = np.concatenate([st * s_hat, ct], axis=-1)
-    return u, matvec(frame, s_hat), matvec(frame, ds)
+        s_hat = np.concatenate([st * s_hat, ct[None]])
+    return (u, matvec_last(frame[:, :, None], s_hat).T,
+            matvec_last(frame[:, :, None, None], ds).T)
 
 
 def _nu_function(nu, n_params: int):
@@ -227,10 +229,11 @@ def _surface_frames(man: Manifold, surface, u: np.ndarray,
             f"surface map has degenerate Jacobian at grid rows "
             f"{np.nonzero(degenerate)[0].tolist()[:8]}")
 
-    g = man.metric(x)
-    _, _, vt = np.linalg.svd(lower(g[:, None], tangents))
+    rows = man.metric_rows(x.T)
+    lowered = np.stack(list(man.lower_rows(rows, tangents.T)))   # [i, a, b]
+    _, _, vt = np.linalg.svd(lowered.T)
     normal = vt[:, -1, :]
-    normal = normal / g_norm(g, normal)[:, None]
+    normal = normal / man.g_norm_rows(rows, normal.T)[:, None]
     # Orientation: (tangents..., normal) positively oriented, optional flip.
     basis = np.concatenate([tangents, normal[:, None, :]], axis=1)
     sign = np.sign(np.linalg.det(np.swapaxes(basis, 1, 2)))
@@ -262,10 +265,9 @@ def simulate_shift(man: Manifold, force: ForceField, hs: HypersurfaceSpec,
     v0 = nu_vals[:, None] * normal
 
     box = np.asarray(hs.box, dtype=float)
-    rho0 = np.empty((u.shape[0], n_params, n))
-    # launch[b, a, k] = gamma^k_rs K_a^r v0^s
-    launch = tangents @ np.moveaxis(force.first_order_jet(x0.T, v0.T)
-                                    ["gam_v"], -1, 0).copy()
+    # launch term rho0[b, a, k] = gamma^k_rs K_a^r v0^s; differences added
+    gam_v = force.first_order_jet(x0.T, v0.T)["gam_v"]
+    rho0 = vecmat_last(tangents.T, gam_v[:, :, None]).T
 
     def launch_field(params, where):
         _, _, normals = _surface_frames(man, surface, params, hs.orient_flip,
@@ -280,9 +282,8 @@ def simulate_shift(man: Manifold, force: ForceField, hs: HypersurfaceSpec,
         up, down = u.copy(), u.copy()
         up[:, a] += delta
         down[:, a] -= delta
-        rho0[:, a] = (launch_field(up, where)
-                      - launch_field(down, where)) / (2.0 * delta)
-        rho0[:, a] += launch[:, a]
+        rho0[:, a] += (launch_field(up, where)
+                       - launch_field(down, where)) / (2.0 * delta)
     if not np.isfinite(rho0).all():
         raise BlowupError(
             "the launch rates must be finite on the surface grid; they "
@@ -308,17 +309,22 @@ def _integrate_front(man: Manifold, force: ForceField, u: np.ndarray,
 
 def _attach_series(man: Manifold, u: np.ndarray,
                    batch: BatchTrajectory) -> FrontRecord:
-    """phi and psi of the batch; the g-speeds and |tau| they are formed
-    from are freed on return."""
-    m1, nb, nvar, n = batch.tau.shape
-    flat_x = batch.x.reshape(m1 * nb, n)
-    g = man.metric(flat_x).reshape(m1, nb, n, n)
-    speed = g_norm(g, batch.v)
-    phi = deviation.phi(g, batch.v, batch.tau)
-    tau_norm = g_norm(g[:, :, None], batch.tau)
+    """phi and psi of the batch from the metric's unique-entry rows at its
+    nodes: x, v and each variation as [k, m, b] views of the record, one
+    variation at a time, since its components lie side by side there."""
+    x, v = np.moveaxis(batch.x, -1, 0), np.moveaxis(batch.v, -1, 0)
+    taus = np.moveaxis(batch.tau, (-1, -2), (1, 0))     # [j][k, m, b]
+    rows = man.metric_rows(x)
+    v_cov = list(man.lower_rows(rows, v))
+    speed = np.sqrt(dot_last(v, v_cov))
+    phi = np.stack([deviation.phi(v_cov, tau) for tau in taus], axis=-1)
+    del v_cov
+    tau_norm = np.stack([man.g_norm_rows(rows, tau) for tau in taus],
+                        axis=-1)
+    del rows
     with np.errstate(invalid='ignore', divide='ignore'):
         psi = np.where(tau_norm > TAU_NORM_FLOOR,
-                       phi / (speed[:, :, None] * tau_norm), np.nan)
+                       phi / (speed[..., None] * tau_norm), np.nan)
     return FrontRecord(u, batch, phi, psi)
 
 

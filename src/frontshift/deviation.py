@@ -6,9 +6,10 @@ time derivatives have closed forms in terms of the force field and its
 gradients; those forms (not differencing) are what this module
 evaluates, with finite differences kept for the tests.
 
-Everything here is batched over any leading axes: points (..., n) and
-variations (..., J, n), such as a record's (M+1, B, ...) nodes or one
-trajectory's (M+1, ...).  phi itself is formed in one place, ``phi``.
+The public functions are batched over any leading axes: points (..., n)
+and variations (..., J, n), such as a record's (M+1, B, ...) nodes or
+one trajectory's (M+1, ...).  They work batch-last inside, and phi
+itself is formed in one place, ``phi``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import BatchTrajectory
-from .geometry import (ForceField, Manifold, force_tensors, lower, matvec,
+from .geometry import (ForceField, Manifold, dot_last, force_tensors,
                        matvec_last, vecmat_last)
 
 
@@ -34,10 +35,11 @@ class RankResult(NamedTuple):
     inconclusive: np.ndarray      # (...) bool
 
 
-def phi(g, v, tau):
-    """phi[..., j] = g(tau[..., j], v): the deviation of variations tau
-    (..., J, n) from the velocity v (..., n), with the metric g (..., n, n)."""
-    return matvec(tau, lower(g, v))
+def phi(w_cov, tau):
+    """phi[...] = w_i tau^i[...], batch axis last: the covector w_cov (n,
+    ...) paired with variations tau (n, ...) or (n, J, ...); with the
+    lowered velocity (rows from ``lower_rows``, say) it is g(tau, v)."""
+    return dot_last(tau, w_cov)
 
 
 def alpha_beta(b: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -60,12 +62,15 @@ def phi_derivatives(force: ForceField, xs, vs, tau, rho):
     """
     xs, vs = np.asarray(xs, dtype=float), np.asarray(vs, dtype=float)
     lead, n = xs.shape[:-1], xs.shape[-1]
+    nvar = np.shape(tau)[-2]
+    tau, rho = (np.asarray(w, dtype=float).reshape(-1, nvar, n).T
+                for w in (tau, rho))
     b = force_tensors(force, xs.reshape(-1, n).T, vs.reshape(-1, n).T)
-    alpha, beta, f_cov = (w.T.reshape(lead + (n,))
-                          for w in (*alpha_beta(b), b['f_cov']))
-    g = np.moveaxis(b['g'], -1, 0).reshape(lead + (n, n))
-    return (phi(g, vs, tau), matvec(tau, f_cov) + phi(g, vs, rho),
-            matvec(rho, alpha) + matvec(tau, beta))
+    alpha, beta = alpha_beta(b)
+    v_cov = matvec_last(b['g'], b['v'])
+    return tuple(p.T.reshape(lead + (nvar,)) for p in (
+        phi(v_cov, tau), phi(b['f_cov'], tau) + phi(v_cov, rho),
+        phi(alpha, rho) + phi(beta, tau)))
 
 
 def deviation_rank(man: Manifold, record: BatchTrajectory,
@@ -87,10 +92,11 @@ def deviation_rank(man: Manifold, record: BatchTrajectory,
     mask = (record.times >= lo - 1e-12) & (record.times <= hi + 1e-12)
     if int(mask.sum()) < 8:
         raise DeviationError("window must cover at least 8 grid nodes")
-    x = record.x[mask]
-    g = man.metric(x.reshape(-1, x.shape[-1])).reshape(
-        x.shape + x.shape[-1:])
-    rows = np.moveaxis(phi(g, record.v[mask], record.tau[mask]), 0, -1)
+    x, v, tau = (np.moveaxis(a[mask], -1, 0) for a in
+                 (record.x, record.v, record.tau))
+    v_cov = list(man.lower_rows(man.metric_rows(x), v))
+    # phi[j, t, ...] -> rows[..., j, t]
+    rows = np.moveaxis(phi(v_cov, np.moveaxis(tau, -1, 1)), (0, 1), (-2, -1))
     scale = np.abs(rows).max(axis=-1)
     inconclusive = np.all(scale < 1e-14, axis=-1)
     norm = np.where(scale > 1e-14, scale, 1.0)

@@ -24,23 +24,23 @@ adjugate over its determinant as expressions (``Manifold._ginv_asts``).
 normality formulas share in one place, its covariant spatial gradient
 through ``extended_gradients``, the one place that forms it.
 
-Two layouts, each where it measures faster.  The generated calls take
-coordinate rows, xs[k, b], and the records' tensors are batch-last,
-(n, n, B): every contraction over them is one broadcast product of
-contiguous length-B rows plus n - 1 additions in index order
-(``matvec_last``, ``vecmat_last``, ``matmul_last``, ``dot_last``).  So
-are the sample-point layer of ``check`` and of the deviation formulas
-(``force_tensors``, ``Manifold.frame``, ``normality``), the flow's RK4
-(its state and stage rates are (2n, B) rows) and the variation
-coefficients of a block of stage points.  numpy's ``@`` makes one BLAS
-call per 3 x 3 matrix, so at 2048 points in 3-D (one BLAS thread,
-shared 2-vCPU VM) a batch-first matrix product took 73-150 us against
-about 60 us batch-last, and in 2-D the batch-last forms are 5-10 times
-cheaper.  The variations' stages alone stay batch-first: one ``@`` per
-stage of the rows [tau_j, rho_j] with a (P, 2n, 2n) rate matrix per
-point.  A whole stage batch-last took 41-49 % longer on S^3 at B <= 10
-(``rank``, the selftest); the flow alone entry-first, with the one
-product, made ``integrate_batch`` 2-23 % faster at B = 1 to 1024.
+One layout, batch-last, but for one product.  The generated calls take
+coordinate rows, xs[k, b], and the records' tensors are (n, n, B):
+every contraction over them is n broadcast products of contiguous
+length-B rows added in index order (``dot_last``).  So are ``check``,
+``deviation``, the flow's RK4 (its state and stage rates are (2n, B)
+rows), the variation coefficients, the sphere grid and the shift, and
+where only the metric is read it is read as its unique-entry rows
+(``Manifold.metric_rows``, ``lower_rows``, ``g_norm_rows``), with no
+(n, n, B) array.  numpy's ``@`` makes one BLAS call per 3 x 3 matrix,
+so at 2048 points in 3-D (one BLAS thread, shared 2-vCPU VM) a
+batch-first matrix product took 73-150 us against about 60 us
+batch-last, and in 2-D the batch-last forms are 5-10 times cheaper.
+The variations' stages alone stay batch-first: one ``@`` per stage of
+the rows [tau_j, rho_j] with a (P, 2n, 2n) rate matrix per point.  A
+whole stage batch-last took 41-49 % longer on S^3 at B <= 10 (``rank``,
+the selftest); the flow alone entry-first, with the one product, made
+``integrate_batch`` 2-23 % faster at B = 1 to 1024.
 
 The connection fields give gamma contracted with v and F without
 building gamma, and ``Manifold.riemann`` with the variation record
@@ -51,9 +51,7 @@ or any (n, n, n, n) intermediate.  The per-quantity methods
 (``metric_partials``, ``metric_second_partials``, ``christoffel``,
 ``christoffel_partials``, ``riemann`` without a record,
 ``ForceField.components`` and ``ForceField.jacobians``) are batch-first
-oracles: no production path outside ``selfcheck`` calls them.  ``lower``
-and ``g_norm`` lower an index and take a g-length over any leading axes,
-batch-first; ``Manifold.g_norm_last`` takes the g-length batch-last.
+oracles: no production path outside ``selfcheck`` calls them.
 
 Index conventions (fixed, and pinned by the dynamics cross-checks):
 
@@ -100,53 +98,35 @@ def velocity_names(n: int) -> list[str]:
     return [f"v{k + 1}" for k in range(n)]
 
 
-def matvec(m: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(m w)[..., i] = m[..., i, j] w[..., j]; leading axes broadcast."""
-    return (m @ w[..., None])[..., 0]
-
-
-def lower(g: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """w_i = g_ij w^j over any leading axes, which broadcast."""
-    return matvec(g, w)
-
-
-def g_norm(g: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The g-length sqrt(g_ij w^i w^j) over any leading axes."""
-    return np.sqrt(np.sum(w * lower(g, w), axis=-1))
-
-
 # Batch-last contractions: every operand carries the batch axis last, so
-# each factor of a product is a run of contiguous rows and a contraction
-# is one broadcast product plus n - 1 additions of its slices.  The sum
-# runs in index order, element by element, so a row's value does not
-# depend on the rows beside it or on the batch length.
+# each factor of a product is a run of contiguous rows, and a contraction
+# is ``dot_last``: one broadcast product of rows per index, accumulated
+# in index order, element by element, so a row's value does not depend
+# on the rows beside it or on the batch length.
 
-def _sum_rows(p: np.ndarray) -> np.ndarray:
-    """p[0] + p[1] + ... + p[-1], added in that order."""
-    out = p[0] + p[1]
-    for k in range(2, p.shape[0]):
-        out += p[k]
+def dot_last(a, b) -> np.ndarray:
+    """a[i, ...] b[i, ...] summed over i, one index at a time: a is a
+    sequence of rows, b any iterable of rows, each read when used."""
+    b = iter(b)
+    out = a[0] * next(b)
+    for i in range(1, len(a)):
+        out += a[i] * next(b)
     return out
-
-
-def dot_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a[i, ...] b[i, ...] summed over i."""
-    return _sum_rows(a * b)
 
 
 def matvec_last(m: np.ndarray, w: np.ndarray) -> np.ndarray:
     """(m w)[i, ...] = m[i, j, ...] w[j, ...]."""
-    return _sum_rows((m * w).swapaxes(0, 1))
+    return dot_last(m.swapaxes(0, 1), w)
 
 
 def vecmat_last(w: np.ndarray, m: np.ndarray) -> np.ndarray:
     """(w m)[j, ...] = w[i, ...] m[i, j, ...]."""
-    return _sum_rows(w[:, None] * m)
+    return dot_last(w[:, None], m)
 
 
 def matmul_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(a b)[i, k, ...] = a[i, j, ...] b[j, k, ...]."""
-    return _sum_rows((a[:, :, None] * b).swapaxes(0, 1))
+    return dot_last(a.swapaxes(0, 1)[:, :, None], b)
 
 
 def _parse(entry, names: Sequence[str]) -> Node:
@@ -554,19 +534,27 @@ class Manifold:
         half = dgamma.transpose(0, 2, 3, 1, 4) + gg.transpose(0, 1, 3, 2, 4)
         return half - half.swapaxes(3, 4)
 
-    def g_norm_last(self, xs: np.ndarray, ws: np.ndarray) -> np.ndarray:
-        """g-lengths of vectors ws[k, b] at points xs[k, b]: ``g_norm``'s
-        sums in its order, bit for bit, from one call of the metric's
-        unique-entry rows, with no (n, n, B) array."""
-        rows, slot = self._g_fn(*xs), self._g_idx
-        total = None
-        for i, w in enumerate(ws):
-            low = rows[slot[i, 0]] * ws[0]
-            for j in range(1, len(ws)):
-                low += rows[slot[i, j]] * ws[j]
-            low *= w
-            total = low if total is None else np.add(total, low, out=total)
+    def metric_rows(self, xs) -> np.ndarray:
+        """The metric's unique-entry rows at the points xs[k, ...], for
+        ``lower_rows`` and ``g_norm_rows``: no (n, n, ...) array."""
+        return self._g_fn(*xs)
+
+    def lower_rows(self, rows: np.ndarray, ws):
+        """The lowered g_ij w^j of the vectors ws[j, ...], one row per i in
+        turn, from ``metric_rows`` at their points; ws may carry axes
+        before the points' axes."""
+        for slots in self._g_idx:
+            yield dot_last([rows[p] for p in slots], ws)
+
+    def g_norm_rows(self, rows: np.ndarray, ws) -> np.ndarray:
+        """g-lengths of the vectors ws[k, ...] from ``metric_rows`` at their
+        points, summed in index order, one lowered row alive at a time."""
+        total = dot_last(ws, self.lower_rows(rows, ws))
         return np.sqrt(total, out=total)
+
+    def g_norm_last(self, xs: np.ndarray, ws: np.ndarray) -> np.ndarray:
+        """g-lengths of vectors ws[k, b] at points xs[k, b]."""
+        return self.g_norm_rows(self.metric_rows(xs), ws)
 
     def frame(self, vs: np.ndarray, g: np.ndarray):
         """speed[b], unit[r, b], unit_cov[i, b] and projector[r, i, b] of

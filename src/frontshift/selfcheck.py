@@ -18,7 +18,7 @@ from . import exprlang
 from .deviation import phi_derivatives
 from .dynamics import integrate_batch
 from .exprlang import Add, Const, Div, Mul, Sub, Var
-from .geometry import ForceField, Manifold, g_norm
+from .geometry import ForceField, Manifold
 from .normality import bundle, raw_batch, weak_batch
 from .systems import BUNDLED, SystemSpec
 
@@ -47,7 +47,7 @@ def _probe_points(spec: SystemSpec, man: Manifold, count: int,
         (count, man.dimension))
     dirs = rng.normal(size=(count, man.dimension))
     radii = spec.v_min + (spec.v_max - spec.v_min) * rng.random(count)
-    vs = dirs * (radii / g_norm(man.metric(xs), dirs))[:, None]
+    vs = dirs * (radii / man.g_norm_last(xs.T, dirs.T))[:, None]
     return xs, vs
 
 

@@ -11,8 +11,16 @@ one formula from a second, simpler route.
   so tests of single trajectories exercise the one production path.
 - ``sphere_grid_per_direction``: the blow-up's sphere grid built one
   direction at a time, each with its own scalar trig, hyperspherical
-  recursion and frame product, in every dimension.  It pins the
+  recursion and frame product (its columns added in index order, as
+  ``geometry.matvec_last`` adds them), in every dimension.  It pins the
   whole-array grid bit for bit.
+- ``g_norm`` and ``front_series_batch_first``: g-lengths over any
+  leading axes, and the front series phi = g(tau, v) and psi =
+  phi / (|v| |tau|) of a record, batch-first, from the gathered
+  (M+1, B, n, n) metric and ``@`` products, as the package formed them
+  before the series read the metric's unique-entry rows.  They pin the
+  batch-last series to within rounding (``@`` does not add in index
+  order) and the samplers' g-speeds bit for bit.
 - ``covariant_rate``: the covariant time derivative of a vector series
   along a record, by finite differences of the recorded series plus the
   connection term.  It pins the spatial-gradient convention of
@@ -72,10 +80,11 @@ import itertools
 
 import numpy as np
 
+from frontshift.blowup import TAU_NORM_FLOOR
 from frontshift.deviation import phi_derivatives
 from frontshift.dynamics import (BatchTrajectory, IntegrationAbort,
                                  integrate_batch)
-from frontshift.geometry import at_point, extended_gradients, g_norm
+from frontshift.geometry import at_point, extended_gradients
 from frontshift.normality import _PRIMES, halton
 
 
@@ -141,9 +150,38 @@ def sphere_grid_per_direction(man, p0, resolution):
             ds = ([np.append(ct * s_hat, -st)]
                   + [np.append(st * t, 0.0) for t in ds])
             s_hat = np.append(st * s_hat, ct)
-        samples.append((np.array(polar + [ph]), frame @ s_hat,
-                        np.stack([frame @ t for t in ds])))
+        samples.append((np.array(polar + [ph]), _columns(frame, s_hat),
+                        np.stack([_columns(frame, t) for t in ds])))
     return tuple(np.stack(part) for part in zip(*samples))
+
+
+def _columns(m, w):
+    """m w, the columns m[:, j] w[j] added in index order."""
+    out = m[:, 0] * w[0]
+    for j in range(1, len(w)):
+        out = out + m[:, j] * w[j]
+    return out
+
+
+def g_norm(g, w):
+    """The g-length sqrt(g_ij w^i w^j) over any leading axes, which
+    broadcast: w lowered by one batched ``@``."""
+    return np.sqrt(np.sum(w * (g @ w[..., None])[..., 0], axis=-1))
+
+
+def front_series_batch_first(man, batch):
+    """(phi, psi) of a record, (M+1, B, J) each: the metric gathered at
+    every node, then phi = tau (g v) and the g-lengths by ``@``."""
+    m1, nb, nvar, n = batch.tau.shape
+    g = man.metric(batch.x.reshape(m1 * nb, n)).reshape(m1, nb, n, n)
+    speed = g_norm(g, batch.v)
+    v_cov = (g @ batch.v[..., None])[..., 0]
+    phi = (batch.tau @ v_cov[..., None])[..., 0]
+    tau_norm = g_norm(g[:, :, None], batch.tau)
+    with np.errstate(invalid='ignore', divide='ignore'):
+        psi = np.where(tau_norm > TAU_NORM_FLOOR,
+                       phi / (speed[:, :, None] * tau_norm), np.nan)
+    return phi, psi
 
 
 def initial_instant(man, force, p0, nu0, direction, tangents, h=1e-3):

@@ -6,8 +6,8 @@ from frontshift.blowup import (BlowupConfig, BlowupError, HypersurfaceSpec,
                                orthogonality_report, simulate_blowup,
                                simulate_shift, sphere_grid)
 from frontshift.dynamics import IntegrationAbort
-from frontshift.geometry import ForceField, Manifold, g_norm
-from oracles import run_one, sphere_grid_per_direction
+from frontshift.geometry import ForceField, Manifold
+from oracles import g_norm, run_one, sphere_grid_per_direction
 from test_geometry import JET_CHARTS
 from test_rhs_reference import sphere
 

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from frontshift import normality
-from frontshift.geometry import ForceField, Manifold, at_point, g_norm
+from frontshift.geometry import ForceField, Manifold, at_point
 from frontshift.normality import (_PRIMES, NormalityError, additional_batch,
                                   bundle, classify, halton, raw_batch,
                                   sample_tangent_points, weak_batch)
 from frontshift.systems import BUNDLED
-from oracles import sample_tangent_points_batch_first
+from oracles import g_norm, sample_tangent_points_batch_first
 from test_geometry import JET_CHARTS
 from test_rhs_reference import CHARTS
 
