@@ -105,12 +105,12 @@ def velocity_names(n: int) -> list[str]:
 # on the rows beside it or on the batch length.
 
 def dot_last(a, b) -> np.ndarray:
-    """a[i, ...] b[i, ...] summed over i, one index at a time: a is a
-    sequence of rows, b any iterable of rows, each read when used."""
-    b = iter(b)
-    out = a[0] * next(b)
-    for i in range(1, len(a)):
-        out += a[i] * next(b)
+    """a[i, ...] b[i, ...] summed over i, one index at a time: a and b
+    are iterables of rows (an array is one), each row read when used."""
+    a, b = iter(a), iter(b)
+    out = next(a) * next(b)
+    for row in a:
+        out += row * next(b)
     return out
 
 
@@ -551,10 +551,6 @@ class Manifold:
         points, summed in index order, one lowered row alive at a time."""
         total = dot_last(ws, self.lower_rows(rows, ws))
         return np.sqrt(total, out=total)
-
-    def g_norm_last(self, xs: np.ndarray, ws: np.ndarray) -> np.ndarray:
-        """g-lengths of vectors ws[k, b] at points xs[k, b]."""
-        return self.g_norm_rows(self.metric_rows(xs), ws)
 
     def frame(self, vs: np.ndarray, g: np.ndarray):
         """speed[b], unit[r, b], unit_cov[i, b] and projector[r, i, b] of

@@ -211,7 +211,7 @@ def sample_tangent_points(man: Manifold, x_box, v_min: float, v_max: float,
     sphere, and g-speeds walk log-spaced shells in [v_min, v_max].  The
     seed offsets the Halton index, so runs are reproducible.  Returns
     (xs, vs), (count, n) views of (n, count) rows, built batch-last with
-    ``Manifold.g_norm_last``.  Coordinate k takes the k-th prime as its
+    ``Manifold.g_norm_rows``.  Coordinate k takes the k-th prime as its
     Halton base and direction coordinate k the (n + k)-th; only the n - 1
     direction coordinates the dimension uses are drawn.
     """
@@ -234,7 +234,7 @@ def sample_tangent_points(man: Manifold, x_box, v_min: float, v_max: float,
         xs[k] = box[k, 0] + (box[k, 1] - box[k, 0]) * halton(idx, _PRIMES[k])
     vs = _directions([halton(idx, _PRIMES[n + k]) for k in range(n - 1)])
     radii = np.resize(np.geomspace(v_min, v_max, num=min(count, 16)), count)
-    radii /= man.g_norm_last(xs, vs)
+    radii /= man.g_norm_rows(man.metric_rows(xs), vs)
     vs *= radii
     return xs.T, vs.T
 

@@ -246,12 +246,12 @@ def test_classify_evaluates_the_metric_once(monkeypatch, chart):
     man = Manifold(len(metric_src), metric_src)
     force = ForceField(man, force_src)
     calls = []
-    g_norm_last = Manifold.g_norm_last
+    metric_rows = Manifold.metric_rows
 
-    def counted(self, xs, ws):
+    def counted(self, xs):
         calls.append(xs.shape[-1])
-        return g_norm_last(self, xs, ws)
-    monkeypatch.setattr(Manifold, "g_norm_last", counted)
+        return metric_rows(self, xs)
+    monkeypatch.setattr(Manifold, "metric_rows", counted)
     classify(man, force, box, 0.5, 2.0, 300)
     assert calls == [300]
 
@@ -315,8 +315,8 @@ def test_sampler_is_the_batch_first_sampler_bit_for_bit(chart):
             # (count, n) views of batch-last rows
             assert xs.shape == vs.shape == (count, n)
             assert xs.T.flags.c_contiguous and vs.T.flags.c_contiguous
-            assert np.array_equal(man.g_norm_last(xs.T, vs.T),
-                                  g_norm(man.metric(ref_xs), ref_vs))
+            speeds = man.g_norm_rows(man.metric_rows(xs.T), vs.T)
+            assert np.array_equal(speeds, g_norm(man.metric(ref_xs), ref_vs))
 
 
 def test_sampler_forms_no_metric_per_sample():
