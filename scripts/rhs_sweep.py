@@ -11,8 +11,9 @@ The first times, at each batch size B, what one RK4 step of
 ``integrate_batch`` runs, with n - 1 variations per row: the flow's
 generated call (``ForceField.flow_jet``, the acceleration, which is all
 a stage of the flow evaluates, on the entry-first rows of the stage
-points), one step of the flow (four stages), a block of the flow
-without variations (``BLOCK_POINTS // (4 B)`` steps, at least one) and
+points, with the integration's registers), one step of the flow (four
+stages), a block of the flow without variations (``BLOCK_POINTS //
+(4 B)`` steps, at least one) and
 one step of the variations (four stages of one batched product each,
 the rows [tau_j, rho_j] times the stage points' rate matrices), at B =
 1, 5 (the batch of ``rank``), 64, 144 and 1024.
@@ -20,7 +21,8 @@ the rows [tau_j, rho_j] times the stage points' rate matrices), at B =
 The second times the coefficient block at its size, ``BLOCK_POINTS``
 stage points, batch-last: the variation call
 (``ForceField.variation_jet``, which fills one entry-first (K, P)
-record, a contiguous row per entry), the Jacobi operator
+record, a contiguous row per entry, with the integration's registers),
+the Jacobi operator
 ``Manifold.riemann(record=)`` and ``extended_gradients(record=)``
 (ordered batch-last sums, ``matvec_last`` and ``matmul_last``, over the
 record's views), and the whole coefficient step of a block, which adds
@@ -29,8 +31,9 @@ variations' stages read, through one transposed view.
 
 The third times the pieces of one residual block of
 ``normality.classify`` at its block size, B = 2048 sampled points: the
-batch-last ``force_tensors`` (the first-order call and its gradients
-through ``extended_gradients``), the velocity frame (``Manifold.frame``),
+batch-last ``force_tensors`` (the first-order call, into the output
+and registers ``classify`` owns, and its gradients through
+``extended_gradients``), the velocity frame (``Manifold.frame``),
 the weak and the additional families, the residual norms (with the
 n = 2 strong norms) and the whole block.
 
@@ -145,7 +148,8 @@ def pieces(man: Manifold, force: ForceField, box, nb: int,
         stages.vy[...] = vy0
         stages.variations(history, 0, 0, STEP)
     return {
-        "flow_jet": lambda: force.flow_jet(xs, vs, out=rates),
+        "flow_jet": lambda: force.flow_jet(xs, vs, out=rates,
+                                           registers=stages.flow_registers),
         "flow_step": flow_step,
         "flow_block": flow_block,
         "variation_step": variation_step,
@@ -160,10 +164,11 @@ def coefficient_pieces(man: Manifold, force: ForceField, box,
     size = dynamics.BLOCK_POINTS
     stages, _ = _stages(man, force, box, size // 4, seed)
     xs, vs = stages.points[:n], stages.points[n:]
-    jet = force.variation_jet(xs, vs, out=stages.jets)
+    jet = force.variation_jet(xs, vs, out=stages.jets,
+                              registers=stages.registers)
     return {
-        "variation_jet": lambda: force.variation_jet(xs, vs,
-                                                     out=stages.jets),
+        "variation_jet": lambda: force.variation_jet(
+            xs, vs, out=stages.jets, registers=stages.registers),
         "riemann": lambda: man.riemann(xs.T, record=jet),
         "gradients": lambda: extended_gradients(man, force, xs.T, vs.T,
                                                 record=jet),
@@ -181,13 +186,16 @@ def block_pieces(man: Manifold, force: ForceField, box, nb: int,
     b = normality.bundle(man, force, x, v)
     weak = normality.weak_batch(b)
     additional = normality.additional_batch(b)
+    # the output and registers classify owns for its blocks
+    out = np.empty((force.first_order_record.size, nb))
+    jet = dict(out=out, registers=force.registers("first_order", out))
     return {
-        "tensors": lambda: force_tensors(force, x, v),
+        "tensors": lambda: force_tensors(force, x, v, **jet),
         "frame": lambda: man.frame(v, b['g']),
         "weak": lambda: normality.weak_batch(b),
         "additional": lambda: normality.additional_batch(b),
         "norms": lambda: normality._residual_norms(b, weak, additional),
-        "block": lambda: normality._block_norms(man, force, x, v),
+        "block": lambda: normality._block_norms(man, force, x, v, **jet),
     }
 
 

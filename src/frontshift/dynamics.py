@@ -10,31 +10,24 @@ variations (tau, rho), which are linear with coefficients that depend
 only on the flow's stage points.  So ``integrate_batch`` takes a block
 of steps (at most ``BLOCK_POINTS`` stage points, or one step) at a time:
 
-1. the flow's RK4, entry-first, (2n, B) rows: each stage forms its
-   point, makes one ``ForceField.flow_jet`` call on its coordinate
-   rows, which writes the acceleration a = F - gamma(v, v) into the
-   stage rate's rows, and copies v beside it, all in a workspace
-   allocated once per integration;
+1. the flow's RK4, (2n, B) rows: per stage one ``ForceField.flow_jet``
+   call writes a = F - gamma(v, v) beside v into the stage rate's rows;
 2. the coefficients at the block's stage points, batch-last: one
-   ``ForceField.variation_jet`` record (the force Jacobians, S, g^-1,
-   the Koszul symbol and the connection contracted with v and F), and
-   ``Manifold.riemann(record=)`` (K = R(., v)v) and
-   ``extended_gradients(record=)`` over its views, stored through one
-   transposed view as a batch-first rate matrix per point (at most
-   ``BLOCK_POINTS`` points a call);
+   ``ForceField.variation_jet`` record, and ``Manifold.riemann(record=)``
+   (K = R(., v)v) and ``extended_gradients(record=)`` over its views,
+   stored through one transposed view as a batch-first rate matrix per
+   point (at most ``BLOCK_POINTS`` points a call);
 3. the variations' RK4 on the rows [tau_j, rho_j], (B, J, 2n): one
-   batched product with the rate matrices per stage, and the finite
-   check after each step.
+   batched product with the rate matrices per stage, then finite checks.
 
-No stage builds gamma, its derivative or the curvature tensor, and none
-inverts a matrix numerically: g^-1 is generated in every dimension.
-The flow stops at its first non-finite node, so no call sees a point
-past the step that aborts.  ``integration_work`` counts the calls an
-integration makes, for the run report.  The record's x, v, tau and rho
-are views of one (M+1, B, 2n + 2Jn) history array of rows [x, v, tau,
-rho], written by one transposed store per step of each half, bit for
-bit the record of a stage-by-stage RK4 on the whole row
-(``tests/oracles.py``).
+The workspace, made once per integration, owns both generated calls'
+outputs and register rows (``ForceField.registers``): neither call
+allocates an array.  No stage builds gamma, its derivative or the
+curvature tensor, or inverts a matrix.  The flow stops at its first
+non-finite node.  ``integration_work`` counts the calls.  The record's
+x, v, tau and rho are views of one (M+1, B, 2n + 2Jn) history array of
+rows [x, v, tau, rho], one transposed store per step of each half, bit
+for bit a stage-by-stage RK4 on the whole row (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -123,14 +116,16 @@ def integration_work(nb: int, nvar: int, steps: int) -> dict:
 class _Stages:
     """The RK4 stages of one integration over a workspace sized by its
     block of stage points (ordered by step, stage, batch row), never by
-    its steps: the flow's state y, stage rates k[s] and pending points,
-    (2n, B) rows; the points' variation records; and rates[p], the
-    matrix the rows [tau_j, rho_j] at point p are multiplied by."""
+    its steps: the flow's state y, stage rates k[s] and points, (2n, B)
+    rows; the points' variation records; both calls' registers (the
+    flow's a list of rows, so that no stage makes a view); rates[p], the
+    matrix the rows [tau_j, rho_j] at point p multiply."""
 
     def __init__(self, man: Manifold, force: ForceField, y0: np.ndarray,
                  nvar: int, size: int, riemann_sign: float):
         nb, n = len(y0), man.dimension
-        self.man, self.force, self.sign = man, force, riemann_sign
+        self.man, self.force = man, force
+        self.jacobi = np.subtract if riemann_sign > 0 else np.add   # -+ K^T
         self.shape = (nb, nvar, n)
         self.y = y0[:, :2 * n].T.copy()
         # [tau_j, rho_j] per variation, always a copy: with one variation
@@ -140,11 +135,14 @@ class _Stages:
         # fewer than BLOCK_POINTS are pending before a stage adds its nb
         pending = min(size, BLOCK_POINTS + nb - 1)
         self.points = np.empty((2 * n, pending))
-        self.jets = np.empty((force.variation_record.size,
-                              min(pending, BLOCK_POINTS)))
+        if nvar:
+            self.jets = np.empty((force.variation_record.size,
+                                  min(pending, BLOCK_POINTS)))
+            self.registers = force.registers("variation", self.jets)
         self.rates = np.empty((size, 2 * n, 2 * n))
         self.rates[:, n:, :n] = np.eye(n)
         self.k = np.empty((4, 2 * n, nb))
+        self.flow_registers = list(force.registers("flow", *self.k[:, n:]))
         self.vk = np.empty((4, nb, nvar, 2 * n))
         self.vstage = np.empty((nb, nvar, 2 * n))
 
@@ -164,7 +162,8 @@ class _Stages:
                 else:
                     np.add(y, (h if s == 3 else 0.5 * h) * self.k[s - 1],
                            out=point)
-                self.force.flow_jet(point[:n], point[n:], out=k[n:])
+                self.force.flow_jet(point[:n], point[n:], out=k[n:],
+                                    registers=self.flow_registers)
                 k[:n] = point[n:]
                 if b >= BLOCK_POINTS:
                     if nvar:
@@ -191,13 +190,13 @@ class _Stages:
             b = min(count, a + BLOCK_POINTS)
             rate = rates[..., a:b]
             xs, vs = self.points[:n, a:b], self.points[n:, a:b]
-            jet = force.variation_jet(xs, vs, out=self.jets[:, :b - a])
+            jet = force.variation_jet(xs, vs, out=self.jets[:, :b - a],
+                                      registers=self.registers[:, :b - a])
             jacobi = man.riemann(xs.T, record=jet)
             spatial, dfdv = extended_gradients(man, force, xs.T, vs.T,
                                                record=jet)
             np.negative(jet["gam_v"], out=rate[:n, :n])
-            np.subtract(spatial, self.sign * jacobi.swapaxes(0, 1),
-                        out=rate[:n, n:])
+            self.jacobi(spatial, jacobi.swapaxes(0, 1), out=rate[:n, n:])
             np.subtract(dfdv, jet["gam_v"], out=rate[n:, n:])
 
     def variations(self, history, i: int, step: int, h: float) -> None:
@@ -223,7 +222,8 @@ class _Stages:
 def integrate_batch(man: Manifold, force: ForceField, x0, v0, tau0, rho0,
                     t_end: float, h: float,
                     riemann_sign: float = 1.0) -> BatchTrajectory:
-    """RK4 on the combined system for B trajectories at once.
+    """RK4 on the combined system for B trajectories at once, the
+    curvature term's sign riemann_sign = 1 or -1 (``--flip-riemann-sign``).
 
     Raises IntegrationAbort with the truncated record when any state
     component becomes non-finite; nothing is clamped.

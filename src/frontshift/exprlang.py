@@ -24,16 +24,16 @@ fired as the same object, so the fixpoint is the first pass that returns
 its input.  Such a subtree is marked, and no later pass, over any tree
 built from it, walks it again.
 
-A tree leaves the language only as generated numpy code: ``compile_fn``
-turns a list of K nodes into one callable that fills one (K,) + batch
-array, entry first, and prints a constant folded to +-inf or nan as
-``np.inf`` or ``np.nan``.  There is no printer back to the expression
-language.
+A tree leaves the language only as numpy ufunc calls: ``compile_fn``
+turns K nodes into one callable that runs fixed ufunc steps over reused
+rows into one (K,) + batch array, entry first.  No source text is made,
+and nothing prints a tree back into the language.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -156,7 +156,6 @@ class Call(Node):
     def __init__(self, func: str, arg: Node, *, pos: int = 0):
         self.func, self.arg, self.pos = func, arg, pos
         self._fixpoint = False
-
 
 
 class _Parser:
@@ -282,15 +281,9 @@ def parse(source: str, names: Iterable[str]) -> Node:
     return _Parser(source, names).parse()
 
 
-_UNARY_MATH: Mapping[str, Callable[[float], float]] = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": math.exp,
-    "ln": math.log,
-    "sqrt": math.sqrt,
-    "abs": abs,
-}
+_UNARY_MATH: Mapping[str, Callable[[float], float]] = dict(
+    sin=math.sin, cos=math.cos, tan=math.tan, exp=math.exp, ln=math.log,
+    sqrt=math.sqrt, abs=abs)
 
 
 def evaluate(node: Node, bindings: Mapping[str, float]) -> float:
@@ -555,47 +548,36 @@ def commutative_key(node: Node) -> tuple:
         commutative_key(child) for child in _children(node))
 
 
-_NUMPY_FUNCS = {
-    "sin": "np.sin",
-    "cos": "np.cos",
-    "tan": "np.tan",
-    "exp": "np.exp",
-    "ln": "np.log",
-    "sqrt": "np.sqrt",
-    "abs": "np.abs",
-}
-
-
-# np.broadcast's argument limit under numpy 1.x (numpy 2 allows 64)
-_MAX_BROADCAST_ARGS = 32
+# The ufunc of each node; a ``**`` of constant exponent runs what numpy's
+# ``**`` gives the same bits with: a square for 2, a root for 0.5.
+_UFUNCS = {Neg: np.negative, Add: np.add, Sub: np.subtract,
+           Mul: np.multiply, Div: np.true_divide, Pow: np.power,
+           "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
+           "ln": np.log, "sqrt": np.sqrt, "abs": np.abs}
+_POWERS = {2.0: np.square, 0.5: np.sqrt}
+_FOLDS = {Neg: operator.neg, Add: operator.add, Sub: operator.sub,
+          Mul: operator.mul, Div: operator.truediv, Pow: operator.pow}
 
 
 def compile_fn(nodes: Sequence[Node], names: Sequence[str]) -> Callable:
-    """Compile to a vectorized callable over positional array arguments.
+    """Compile to a vectorized callable over positional array arguments,
+    with IEEE semantics and no domain checks (``evaluate`` checks).
 
-    The fast path for integration: no domain checking, IEEE semantics
-    (divisions by zero become inf/nan and are caught by the integrator's
-    non-finite abort).  ``evaluate`` stays the checked reference.
-
-    Given K nodes, the callable returns one array of shape ``(K,) +
-    batch``, entry first, ``out[k]`` the value of node k, where ``batch``
-    is the broadcast shape of the arguments: each entry is one contiguous
-    row store.  Passed as the keyword ``_out``, an array of that shape,
-    contiguous or not (the transpose of a caller's rows, say), is filled
-    and returned instead.  A subexpression that occurs more than once,
-    within one node or across nodes, is computed once into a temporary.
-
-    The cost of a call grows with the entries that vary, not with all of
-    them: the constant entries (``Const`` roots, -0.0 kept apart from
-    0.0) are one column computed at compile time and broadcast into the
-    output in one store, and only the varying entries are stored one by
-    one.  The batch shape is ``np.broadcast(...).shape``, which numpy 1.x
-    allows for at most 32 arguments, so a callable takes at most 32
-    names.
+    Given K nodes, the callable fills one (K,) + batch array, entry
+    first (batch the arguments' broadcast shape): a new one, or the
+    keyword ``_out``, contiguous or not.  The merged DAG (``_Program``)
+    runs as fixed ufunc steps, each writing with ``out=`` into its root's
+    output row or a register row, reused after the last read of its
+    value: a repeated subexpression is computed once, and no step makes
+    an array.  A caller that calls it many times into one output owns its
+    registers: ``fn.registers(*outs)`` stores outs' constant entries
+    (-0.0 apart from 0.0) once and returns (R,) + batch rows to pass as
+    ``_registers`` (sliced as out is, or as a list of rows), with which
+    a call stores only the varying entries.  Without them a call makes
+    its own registers and stores the constants anew.
     """
-    roots = list(nodes)
+    roots, declared = list(nodes), set(names)
     program = _Program(roots)
-    declared = set(names)
     # each merged node once; the roots are searched only for the error
     if any(isinstance(node, Var) and node.name not in declared
            for node in program.nodes):
@@ -603,50 +585,52 @@ def compile_fn(nodes: Sequence[Node], names: Sequence[str]) -> Callable:
             undeclared = variables(root) - declared
             if undeclared:
                 raise UnknownIdentifierError(sorted(undeclared)[0], root.pos)
-    if len(names) > _MAX_BROADCAST_ARGS:
-        raise ValueError(f"a compiled callable takes at most "
-                         f"{_MAX_BROADCAST_ARGS} argument names, got "
-                         f"{len(names)}")
-    texts = [program.emit(uid) for uid in program.roots]
-    lines = [f"def _compiled({', '.join([*names, '_out=None'])}):",
-             *program.lines,
-             "    if _out is None:",
-             f"        _out = np.empty(({len(roots)},)"
-             f" + np.broadcast({', '.join(names)}).shape)"]
-    scope: dict = {"np": np}
-    if any(isinstance(root, Const) for root in roots):
-        scope["_row0"] = np.array([root.value if isinstance(root, Const)
-                                   else 0.0 for root in roots])
-        lines.append("    _out.T[...] = _row0")
-    lines += [f"    _out[{k}] = {text}"
-              for k, (root, text) in enumerate(zip(roots, texts))
-              if not isinstance(root, Const)]
-    lines.append("    return _out")
-    exec("\n".join(lines) + "\n", scope)
-    return scope["_compiled"]
+    if len(names) > 32:             # np.broadcast's limit under numpy 1.x
+        raise ValueError(f"a compiled callable takes at most 32 argument "
+                         f"names, got {len(names)}")
+    steps, width, tail = program.steps(list(names))
+    values = [root.value if isinstance(root, Const) else program.values[uid]
+              for root, uid in zip(roots, program.roots)]
+    row0 = np.array([0.0 if v is None else v for v in values])
+    fixed = any(v is not None for v in values)
+
+    def registers(*outs):
+        for out in outs if fixed else ():
+            out.T[...] = row0
+        return np.empty((width,) + outs[0].shape[1:], outs[0].dtype)
+
+    def _compiled(*args, _out=None, _registers=None):
+        if _out is None:
+            _out = np.empty((len(roots),) + np.broadcast(*args).shape)
+        rows = _out if _out.ndim > 1 else _out[:, None]
+        if _registers is None:
+            _registers = registers(rows)
+        slots = [*args, *rows, *_registers, *tail]
+        for func, i, j, o in steps:
+            if j is None:
+                func(slots[i], slots[o])
+            else:
+                func(slots[i], slots[j], slots[o])
+        return _out
+    _compiled.registers = registers
+    return _compiled
 
 
 class _Program:
-    """Expression DAG with structurally equal subtrees merged.
-
-    A node's key is its type, its payload and the ids of its children, so
-    interning is linear in the tree size; constants are keyed by repr so
-    that 0.0 and -0.0 stay apart.  ``uses`` counts the distinct parents
-    (and roots) of each merged node; a non-leaf with more than one becomes
-    a temporary when emitted.
-    """
+    """Expression DAG with structurally equal subtrees merged, keyed by
+    type, payload and the ids of the children (constants by repr, so that
+    0.0 and -0.0 stay apart), in time linear in the tree size.
+    ``values`` holds the number a subtree of constants folds to by
+    Python's operators (a nan constant as ``math.nan``), or None where a
+    variable enters or the fold fails (x/0, an overflow, a complex
+    power), which numpy then computes."""
 
     def __init__(self, roots: Sequence[Node]):
         self.nodes: list[Node] = []
         self.kids: list[tuple] = []
-        self.uses: list[int] = []
-        self._ids: dict = {}
-        self._seen: dict[int, int] = {}
+        self.values: list = []
+        self._ids, self._seen = {}, {}
         self.roots = [self._intern(root) for root in roots]
-        for uid in self.roots:
-            self.uses[uid] += 1
-        self.lines: list[str] = []
-        self._temps: dict[int, str] = {}
 
     def _intern(self, node: Node) -> int:
         uid = self._seen.get(id(node))
@@ -666,45 +650,61 @@ class _Program:
             uid = self._ids[key] = len(self.nodes)
             self.nodes.append(node)
             self.kids.append(kids)
-            self.uses.append(0)
-            for kid in kids:
-                self.uses[kid] += 1
+            self.values.append(self._fold(node, kids))
         self._seen[id(node)] = uid
         return uid
 
-    def emit(self, uid: int) -> str:
-        """Source text of node uid; shared non-leaves become temporaries."""
-        temp = self._temps.get(uid)
-        if temp is not None:
-            return temp
-        node = self.nodes[uid]
-        args = [self.emit(kid) for kid in self.kids[uid]]
-        text = _format(node, args)
-        if args and self.uses[uid] > 1:
-            temp = self._temps[uid] = f"_t{len(self._temps)}"
-            self.lines.append(f"    {temp} = {text}")
-            return temp
-        return text
+    def _fold(self, node: Node, kids: tuple):
+        if isinstance(node, Const):
+            return node.value if node.value == node.value else math.nan
+        args = [self.values[kid] for kid in kids]
+        if isinstance(node, Var) or None in args:
+            return None
+        try:
+            with np.errstate(all="ignore"):
+                value = (_UFUNCS[node.func] if isinstance(node, Call)
+                         else _FOLDS[type(node)])(*args)
+        except ArithmeticError:
+            return None
+        return value if isinstance(value, float) else None
 
-
-_BINARY_OPS = {Add: " + ", Sub: " - ", Mul: "*", Div: "/", Pow: "**"}
-
-
-def _format(node: Node, args: list[str]) -> str:
-    if isinstance(node, Const):
-        text = repr(node.value)
-        if not math.isfinite(node.value):
-            # inf and nan are no names in the generated scope; np's are
-            text = text.replace("inf", "np.inf").replace("nan", "np.nan")
-        # parenthesized so that e.g. (-2)**2 keeps pow from capturing the sign
-        return f"({text})" if node.value < 0 else text
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        return f"(-{args[0]})"
-    if isinstance(node, Call):
-        return f"{_NUMPY_FUNCS[node.func]}({args[0]})"
-    op = _BINARY_OPS.get(type(node))
-    if op is None:
-        raise TypeError(f"not an expression node: {node!r}")
-    return f"({args[0]}{op}{args[1]})"
+    def steps(self, names: list) -> tuple:
+        """(steps, width, tail): steps (func, i, j, o) run func(s[i], s[j],
+        out=s[o]), j None for one operand, over the slots s = [*args,
+        *output rows, *width registers, *tail], tail the constants read,
+        last first.  A register is free after its last reader (numpy
+        copies for an in-place ufunc on one element)."""
+        nodes, kids, values = self.nodes, self.kids, self.values
+        where = {uid: names.index(node.name)
+                 for uid, node in enumerate(nodes) if isinstance(node, Var)}
+        # a node is interned after its children: the order of the steps
+        order = [uid for uid in range(len(nodes))
+                 if uid not in where and values[uid] is None]
+        last = {kid: i for i, uid in enumerate(order) for kid in kids[uid]}
+        base = len(names) + len(self.roots)
+        rows = {uid: base - k for k, uid in enumerate(self.roots[::-1], 1)}
+        tail, free, width, steps = [], [], 0, []
+        for i, uid in enumerate(order):
+            node, args = nodes[uid], list(kids[uid])
+            func = _UFUNCS[getattr(node, "func", type(node))]
+            if isinstance(node, Pow) and values[args[1]] in _POWERS:
+                func = _POWERS[values[args.pop()]]
+            for kid in args:
+                if kid not in where:
+                    tail.insert(0, values[kid])
+                    where[kid] = -len(tail)
+            if uid in rows:
+                where[uid] = rows[uid]
+            elif free:
+                where[uid] = free.pop()
+            else:
+                where[uid], width = base + width, width + 1
+            free += {where[kid] for kid in args
+                     if last[kid] == i and where[kid] >= base}
+            first, second = ([where[kid] for kid in args] + [None])[:2]
+            steps.append((func, first, second, where[uid]))
+        # a root that is a variable, or a second row of one node, a copy
+        steps += [(np.copyto, len(names) + k, None, where[uid])
+                  for k, uid in enumerate(self.roots)
+                  if values[uid] is None and where[uid] != len(names) + k]
+        return steps, width, tail

@@ -27,10 +27,14 @@ _TEN = 10 ** np.arange(17, dtype=np.int64)
 
 def _quads() -> np.ndarray:
     """4-digit text of 0..9999 as 4-byte words, then with trailing NULs."""
-    quad = np.arange(10000, dtype=np.int32)[:, None]
-    digits = quad // [1000, 100, 10, 1] % 10 + 48
-    trailing = quad % [10000, 1000, 100, 10] != 0
-    return np.array([digits, digits * trailing], np.uint8).view("<u4").ravel()
+    quad = np.arange(10000, dtype=np.uint32)
+    words, kept = np.zeros((2, 10000), np.uint32), quad < 0
+    for k in range(4):          # the units digit is the last byte
+        digit = quad // 10 ** k % 10 + 48
+        kept |= digit > 48
+        words[0] |= digit << 24 - 8 * k
+        words[1] |= digit * kept << 24 - 8 * k
+    return words.ravel()
 
 
 def _words(texts: list, width: int) -> np.ndarray:
@@ -43,18 +47,30 @@ def _by_exponent() -> tuple:
     integer digits less one), and per X and fraction or none, the digit
     field's masks: bytes kept, bytes taken from one place down, bytes set
     (a '0' under each integer digit, then the '.')."""
-    xs = range(-_X0, _X0 + 1)
-    heads = ["0." + "0" * (-1 - x) if -4 <= x < 0 else "" for x in xs]
-    tails = ["" if -4 <= x < 17 else f"e{x:+03d}" for x in xs]
-    ints = np.clip(xs, 0, 16) * (np.array(xs) < 17)
+    xs = np.arange(-_X0, _X0 + 1)
+    small = (-4 <= xs) & (xs < 0)
+    heads = _words([sign + ("0." + "0" * (k - 1) if k else "")
+                    for sign in ("", "-") for k in range(5)], 8)[:, 0]
+    lead = np.where(small, -xs, 0)
+    # "e+XX", "e-XXX", ...: 'e', the sign, two or three digits; then ','
+    tails = np.zeros((len(xs), 8), np.uint8)
+    a = np.abs(xs)
+    three = a >= 100
+    tails[:, 0], tails[:, 1] = ord("e"), np.where(xs < 0, ord("-"), ord("+"))
+    for col, digit in enumerate((a // 100, a // 10 % 10, a % 10)):
+        tails[three, 2 + col] = 48 + digit[three]
+        if col:
+            tails[~three, 1 + col] = 48 + digit[~three]
+    tails[(-4 <= xs) & (xs < 17), :7] = 0
+    tails[:, 7] = ord(",")
+    ints = np.clip(xs, 0, 16) * (xs < 17)
     field = [("\0" * 3 + "\xff" * (1 + i)).ljust(24, "\0")
              + "\0" * (5 + i) + "\xff" * (19 - i)
              + ("\0" * 3 + "0" * (1 + i) + dot).ljust(24, "\0")
              for dot in "\0." for i in range(17)]
-    dot = np.array([not -4 <= x < 0 for x in xs])
-    return (_words(heads + ["-" + h for h in heads], 8)[:, 0],
-            _words([t.ljust(7, "\0") + "," for t in tails], 8)[:, 0], ints,
-            _words(field, 72)[np.concatenate([ints, ints + 17 * dot])])
+    return (np.concatenate([heads[lead], heads[lead + 5]]),
+            tails.view("<u8")[:, 0], ints,
+            _words(field, 72)[np.concatenate([ints, ints + 17 * ~small])])
 
 
 _TRAILS = _quads()                  # [digits; trailing zeros as NUL]

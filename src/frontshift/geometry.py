@@ -10,44 +10,32 @@ for the RK4 integration ``ForceField.flow_jet`` (the acceleration a =
 F - gamma(v, v), once per stage) and ``ForceField.variation_jet`` (the
 first-order fields but g, ddg contracted with v twice, the Koszul
 symbol and gamma(v, v), once per block of stage points).  The
-connection enters only contracted with v and F, and those contractions
-are generated once (``ForceField._connection_asts``, from
-``Manifold._lowered_asts``, ``_gvv_lowered_asts`` and
-``_raised_asts``) for every call that reads them, sharing every
-subexpression with the tensors of the same call.  Each call fills one
-entry-first (K, B) array, or the caller's, one row per tensor entry,
-and a ``Record`` hands the tensors out as views of its rows: no gather,
-and no numeric inverse in any dimension, since g^-1 is the metric's
-adjugate over its determinant as expressions (``Manifold._ginv_asts``).
-``at_point`` evaluates any batch-first function at one point, and
-``force_tensors`` builds every metric and force tensor the deviation and
-normality formulas share in one place, its covariant spatial gradient
-through ``extended_gradients``, the one place that forms it.
+connection enters only contracted with v and F, generated once
+(``ForceField._connection_asts``) for every call that reads it, sharing
+every subexpression with the tensors of the same call.  Each call fills
+one entry-first (K, B) array, or the caller's, one row per tensor entry,
+and a ``Record`` hands the tensors out as views of its rows; g^-1 is the
+metric's adjugate over its determinant as expressions
+(``Manifold._ginv_asts``).  A caller that makes a call many times owns
+its output and the call's register rows (``ForceField.registers``): the
+flow (``dynamics._Stages``) and ``normality.classify``.  ``at_point``
+evaluates any batch-first function at one point, and ``force_tensors``
+builds every metric and force tensor the deviation and normality
+formulas share, its covariant spatial gradient through
+``extended_gradients``, the one place that forms it.
 
 One layout, batch-last, but for one product.  The generated calls take
 coordinate rows, xs[k, b], and the records' tensors are (n, n, B):
 every contraction over them is n broadcast products of contiguous
-length-B rows added in index order (``dot_last``).  So are ``check``,
-``deviation``, the flow's RK4 (its state and stage rates are (2n, B)
-rows), the variation coefficients, the sphere grid and the shift, and
-where only the metric is read it is read as its unique-entry rows
-(``Manifold.metric_rows``, ``lower_rows``, ``g_norm_rows``), with no
-(n, n, B) array.  numpy's ``@`` makes one BLAS call per 3 x 3 matrix,
-so at 2048 points in 3-D (one BLAS thread, shared 2-vCPU VM) a
-batch-first matrix product took 73-150 us against about 60 us
-batch-last, and in 2-D the batch-last forms are 5-10 times cheaper.
-The variations' stages alone stay batch-first: one ``@`` per stage of
-the rows [tau_j, rho_j] with a (P, 2n, 2n) rate matrix per point.  A
-whole stage batch-last took 41-49 % longer on S^3 at B <= 10 (``rank``,
-the selftest); the flow alone entry-first, with the one product, made
-``integrate_batch`` 2-23 % faster at B = 1 to 1024.
-
-The connection fields give gamma contracted with v and F without
-building gamma, and ``Manifold.riemann`` with the variation record
-passed gives the Jacobi operator K[k, s] = R^k_msr v^m v^r from S, the
-second partials contracted with v twice, summed symbolically by the
-variation call; the rest costs O(n^3) per point, without ddg, d gamma
-or any (n, n, n, n) intermediate.  The per-quantity methods
+length-B rows added in index order (``dot_last``); numpy's ``@`` makes
+one BLAS call per 3 x 3 matrix, 1.2-10 times as slow.  Where only the
+metric is read it is read as its unique entries (``Manifold.metric_rows``,
+``lower_rows``, ``g_norm_rows``): a row per varying entry, a number per
+constant one, and no (n, n, B) array.  The variations' stages alone stay
+batch-first: one ``@`` per stage of the rows [tau_j, rho_j] with a (P,
+2n, 2n) rate matrix per point (batch-last took 41-49 % longer on S^3 at
+B <= 10).  ``Manifold.riemann`` with the variation record passed gives
+the Jacobi operator in O(n^3) per point.  The per-quantity methods
 (``metric_partials``, ``metric_second_partials``, ``christoffel``,
 ``christoffel_partials``, ``riemann`` without a record,
 ``ForceField.components`` and ``ForceField.jacobians``) are batch-first
@@ -223,14 +211,13 @@ def metric_asts(dimension: int, metric: Sequence[Sequence]) -> list:
 class Manifold:
     """Chart of dimension n with metric components g_ij(x1..xn).
 
-    g, dg and ddg each come from one compiled callable that evaluates
-    only the unique symmetric slots (i <= j, and l <= k for ddg), sharing
-    repeated subexpressions; the full tensors are gathered from those.
-    The exact first partials are derived on construction; the second
-    partials, the groups the jets add (the Koszul symbol of dg, ddg
-    contracted with v twice, g^-1, and the connection contracted with
-    vectors) and every callable are built on first use, so a command
-    pays only for what it evaluates.
+    g (its varying entries), dg and ddg each come from one compiled
+    callable over the unique symmetric slots (i <= j, and l <= k for
+    ddg).  The exact first partials are derived on construction; the
+    second partials, the groups the jets add (the Koszul symbol, ddg
+    contracted with v twice, g^-1, the contracted connection) and every
+    callable are built on first use, so a command pays only for what it
+    evaluates.
     """
 
     def __init__(self, dimension: int, metric: Sequence[Sequence]):
@@ -416,7 +403,8 @@ class Manifold:
 
     @functools.cached_property
     def _g_fn(self):
-        return exprlang.compile_fn(self._g_asts, self.coords)
+        return exprlang.compile_fn([g for g in self._g_asts
+                                    if not isinstance(g, Const)], self.coords)
 
     @functools.cached_property
     def _dg_fn(self):
@@ -432,7 +420,8 @@ class Manifold:
         return tuple(xs[:, k] for k in range(self.dimension))
 
     def metric(self, xs: np.ndarray) -> np.ndarray:
-        return self._g_fn(*self._args(xs)).T[:, self._g_idx]
+        rows = np.broadcast_arrays(*self.metric_rows(xs.T), xs[:, 0])
+        return np.array(rows[:-1]).T[:, self._g_idx]
 
     def metric_partials(self, xs: np.ndarray) -> np.ndarray:
         """dg[b, k, i, j] = d g_ij / d x^k."""
@@ -534,17 +523,29 @@ class Manifold:
         half = dgamma.transpose(0, 2, 3, 1, 4) + gg.transpose(0, 1, 3, 2, 4)
         return half - half.swapaxes(3, 4)
 
-    def metric_rows(self, xs) -> np.ndarray:
-        """The metric's unique-entry rows at the points xs[k, ...], for
-        ``lower_rows`` and ``g_norm_rows``: no (n, n, ...) array."""
-        return self._g_fn(*xs)
+    def metric_rows(self, xs) -> list:
+        """The metric's unique entries at the points xs[k, ...], for
+        ``lower_rows`` and ``g_norm_rows``: a row per varying entry and
+        the number of a constant one, and no (n, n, ...) array."""
+        rows = iter(self._g_fn(*xs))
+        return [g.value if isinstance(g, Const) else next(rows)
+                for g in self._g_asts]
 
-    def lower_rows(self, rows: np.ndarray, ws):
+    def lower_rows(self, rows: list, ws):
         """The lowered g_ij w^j of the vectors ws[j, ...], one row per i in
-        turn, from ``metric_rows`` at their points; ws may carry axes
-        before the points' axes."""
+        turn, from ``metric_rows`` at their points, the terms added in j
+        order: a constant 0 adds none, a constant 1 the row w^j itself
+        (which is the row handed out when it is the only term).  ws may
+        carry axes before the points' axes."""
         for slots in self._g_idx:
-            yield dot_last([rows[p] for p in slots], ws)
+            terms = (w if type(g) is float and g == 1.0 else g * w
+                     for g, w in zip((rows[p] for p in slots), ws)
+                     if type(g) is not float or g != 0.0)
+            total = next(terms, None)
+            for k, term in enumerate(terms):
+                # the first sum is a new row: the first term may be a w
+                total = np.add(total, term, out=total if k else None)
+            yield np.zeros_like(ws[0]) if total is None else total
 
     def g_norm_rows(self, rows: np.ndarray, ws) -> np.ndarray:
         """g-lengths of the vectors ws[k, ...] from ``metric_rows`` at their
@@ -581,21 +582,15 @@ def check_positive_definite(x: np.ndarray, g: np.ndarray):
 class ForceField:
     """Extended vector field F^k(x, v) given componentwise as expressions.
 
-    Three generated callables evaluate everything production code reads
-    of the force and the metric, each sharing every subexpression among
-    its entries.  ``first_order_jet`` gives g, g^-1, F, both force
-    Jacobians and the connection contracted with v and with F (gam_v,
-    gam_f), what ``force_tensors`` and the shift's launch read;
-    ``flow_jet`` the acceleration a = F - gamma(v, v), what an RK4 stage
-    of the flow reads; ``variation_jet`` the same Jacobians, g^-1, gam_v
-    and gam_f, and the metric's second partials contracted with v twice,
-    the Koszul symbol, low_v and gvv, what the variation coefficients
-    read.  The connection fields of every call come from one set of
-    expressions (``_connection_asts``).  Each call fills one entry-first
-    (K, B) array, a row per tensor entry (symmetric duplicates included),
-    and the first and the last hand the tensors out as ``Record`` views,
-    batch axis last.  ``components`` and ``jacobians`` are oracles with
-    callables of their own.  Every callable is compiled on first use.
+    Three generated callables, ``first_order_jet``, ``flow_jet`` and
+    ``variation_jet``, evaluate everything production code reads of the
+    force and the metric, each sharing every subexpression among its
+    entries and the connection fields from one set of expressions
+    (``_connection_asts``).  Each fills one entry-first (K, B) array, a
+    row per tensor entry (symmetric duplicates included); the first and
+    the last hand the tensors out as ``Record`` views, batch axis last.
+    ``components`` and ``jacobians`` are oracles with callables of their
+    own.  Every callable is compiled on first use.
     """
 
     def __init__(self, manifold: Manifold, components: Sequence):
@@ -615,7 +610,7 @@ class ForceField:
         shapes = dict(g=(n, n), ginv=(n, n), koszul=(n, n, n), f=(n,),
                       dfdx=(n, n), dfdv=(n, n), ddg_vv=(n, n),
                       low_v=(n, n), gam_v=(n, n), gam_f=(n, n), gvv=(n,))
-        self._first_order_record = Record(shapes, (
+        self.first_order_record = Record(shapes, (
             "g", "ginv", "f", "dfdx", "dfdv", "gam_v", "gam_f"))
         self.variation_record = Record(shapes, (
             "dfdx", "dfdv", "ddg_vv", "ginv", "koszul", "low_v", "gam_v",
@@ -672,7 +667,7 @@ class ForceField:
 
     @functools.cached_property
     def _first_order_fn(self):
-        return exprlang.compile_fn(self._roots(self._first_order_record),
+        return exprlang.compile_fn(self._roots(self.first_order_record),
                                    self._names)
 
     @functools.cached_property
@@ -693,41 +688,47 @@ class ForceField:
         jac = self._jac_fn(*xs.T, *vs.T).reshape(2, n, n, -1)
         return np.moveaxis(jac[0], -1, 0), np.moveaxis(jac[1], -1, 0)
 
-    def first_order_jet(self, xs: np.ndarray, vs: np.ndarray) -> dict:
+    def registers(self, jet: str, *outs) -> np.ndarray:
+        """Register rows for many ``{jet}_jet`` calls (jet "flow",
+        "variation" or "first_order") into outs or slices of their batch,
+        whose constant entries are stored here, once: their caller owns
+        them and passes them with each call (``exprlang.compile_fn``)."""
+        return getattr(self, f"_{jet}_fn").registers(*outs)
+
+    def first_order_jet(self, xs: np.ndarray, vs: np.ndarray, out=None,
+                        registers=None) -> dict:
         """g, g^-1, F, dF/dx, dF/dv, gam_v and gam_f (``_connection_asts``)
         at the points xs[k, b], vs[k, b], batch axis last: the fields of
-        one compiled call's record, each a contiguous view of its rows.
+        one compiled call's record (out and its registers, when given),
+        each a contiguous view of its rows.  Moved to the front, the batch
+        axis gives g, F, dF/dx and dF/dv bit for bit as ``metric``,
+        ``components`` and ``jacobians``, and every field it shares with
+        ``variation_jet`` is that call's, bit for bit."""
+        return self.first_order_record.views(self._first_order_fn(
+            *xs, *vs, _out=out, _registers=registers))
 
-        Moved to the front, the batch axis gives g, F, dF/dx and dF/dv bit
-        for bit as ``metric`` at xs and ``components`` and ``jacobians``
-        at (xs, vs), and every field it shares with ``variation_jet`` is
-        that call's, bit for bit: the same expressions.
-        """
-        return self._first_order_record.views(
-            self._first_order_fn(*xs, *vs))
-
-    def flow_jet(self, xs: np.ndarray, vs: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
+    def flow_jet(self, xs: np.ndarray, vs: np.ndarray, out=None,
+                 registers=None) -> np.ndarray:
         """The acceleration a = F - gamma(v, v) at the points xs[k, b],
         vs[k, b], entry first, (n, B), written into out when given (the
-        flow passes its stage rates' rows): one compiled call, a_k = F_k -
-        g^-1[k, r] c_r, with g^-1 from ``Manifold._ginv_asts`` and c_r =
-        gamma_rij v^i v^j from ``Manifold._gvv_lowered_asts``.
-        """
-        return self._flow_fn(*xs, *vs, _out=out)
+        flow passes its stage rates' rows, and its registers): one
+        compiled call, a_k = F_k - g^-1[k, r] c_r, with g^-1 from
+        ``Manifold._ginv_asts`` and c_r = gamma_rij v^i v^j from
+        ``Manifold._gvv_lowered_asts``."""
+        return self._flow_fn(*xs, *vs, _out=out, _registers=registers)
 
-    def variation_jet(self, xs: np.ndarray, vs: np.ndarray,
-                      out: np.ndarray | None = None) -> dict:
+    def variation_jet(self, xs: np.ndarray, vs: np.ndarray, out=None,
+                      registers=None) -> dict:
         """dF/dx, dF/dv, S = P + P^T - W - H (``Manifold.riemann``), g^-1,
         the Koszul symbol and the connection fields low_v, gam_v, gam_f
         and gvv (``_connection_asts``) at the points xs[k, b], vs[k, b],
         the fields of ``variation_record``, batch axis last, as views of
-        the (K, B) array of one compiled call (out, when given).  S is
-        ``metric_second_partials`` contracted with vs twice, and the
-        Koszul symbol koszul[j, i, r] = d_j g_ir + d_i g_jr - d_r g_ij =
-        2 gamma_rij that of ``metric_partials``."""
+        the (K, B) array of one compiled call (out and its registers,
+        when given).  S is ``metric_second_partials`` contracted with vs
+        twice, and the Koszul symbol koszul[j, i, r] = d_j g_ir + d_i g_jr
+        - d_r g_ij = 2 gamma_rij that of ``metric_partials``."""
         return self.variation_record.views(
-            self._variation_fn(*xs, *vs, _out=out))
+            self._variation_fn(*xs, *vs, _out=out, _registers=registers))
 
 
 def extended_gradients(man: Manifold, force: ForceField, xs: np.ndarray,
@@ -749,19 +750,18 @@ def extended_gradients(man: Manifold, force: ForceField, xs: np.ndarray,
     return spatial, record["dfdv"]
 
 
-def force_tensors(force: ForceField, xs: np.ndarray, vs: np.ndarray) -> dict:
+def force_tensors(force: ForceField, xs: np.ndarray, vs: np.ndarray,
+                  **jet) -> dict:
     """Metric and force tensors at a batch of tangent-bundle points, with
     the batch axis last: xs[k, b] and vs[k, b] in, every tensor out
-    indexed [..., b].
-
-    g and g^-1; the velocity v, the force F and F lowered; the velocity
-    gradient of F raw (vel[i, k], derivative index first) and both
-    gradients with the vector index lowered (nabla_i F_j, tnabla_i F_j).
-    All of them come from one ``force.first_order_jet`` call: the
-    gradients are ``extended_gradients`` of its record, each lowered
-    once with g.
+    indexed [..., b]: g and g^-1; the velocity v, the force F and F
+    lowered; the velocity gradient of F raw (vel[i, k], derivative index
+    first) and both gradients with the vector index lowered (nabla_i F_j,
+    tnabla_i F_j).  All come from one ``force.first_order_jet`` call (jet
+    its out and registers): the gradients are ``extended_gradients`` of
+    its record, each lowered once with g.
     """
-    jet = force.first_order_jet(xs, vs)
+    jet = force.first_order_jet(xs, vs, **jet)
     g, f_vals = jet["g"], jet["f"]
     spatial, vel = extended_gradients(force.manifold, force, xs.T, vs.T,
                                       record=jet)

@@ -15,21 +15,17 @@ xs[k, b] and vs[k, b], and every tensor, family and norm carries the
 sample axis last (a covector [k, b], a two-index tensor [i, j, b]).
 Each contraction over an index of length n <= 4 is then one broadcast
 product of contiguous length-B rows plus n - 1 additions
-(``geometry.matvec_last`` and its siblings) instead of one BLAS call
-per n x n matrix, which is what ``@`` over a leading sample axis makes:
-at the block size, 2048 samples, an S^3 drag block took 3.9-6.9 ms
-batch-first and about 2 ms batch-last (one BLAS thread, shared 2-vCPU
-VM).  The additions run in index order, element by element, so a
-sample's norms do not depend on the block it falls in.  The einsum
-forms the residuals once had are kept, batch-first, only in
-``tests/test_normality_reference.py``, which pins these to them.
+(``geometry.matvec_last`` and its siblings), not one BLAS call per
+n x n matrix as ``@`` over a leading sample axis makes (3.9-6.9 against
+2 ms on an S^3 drag block of 2048 samples).  The additions run in index
+order, so a sample's norms do not depend on the block.
+``tests/test_normality_reference.py`` pins these to the einsum forms.
 
 ``classify`` draws its samples once and evaluates the residuals over
 fixed blocks of them, keeping per sample only the positions, velocities
 and norms, so its memory grows with the count by those and by the
-sampler's temporaries, not by every residual tensor.  The sampler builds
-its samples batch-last, (n, count) rows, and hands them out as (count,
-n) views, the layout of the report; ``classify`` reads the rows.
+sampler's temporaries.  The sampler builds its samples batch-last, (n,
+count) rows, and hands out (count, n) views, the report's layout.
 """
 
 from __future__ import annotations
@@ -68,11 +64,11 @@ class ResidualReport(NamedTuple):
 
 
 def bundle(man: Manifold, force: ForceField, xs: np.ndarray,
-           vs: np.ndarray) -> dict:
+           vs: np.ndarray, **jet) -> dict:
     """Everything the residual families consume at the points xs[k, b],
-    vs[k, b], batch axis last: the force_tensors of the points plus the
-    velocity frame (speed, unit, unit_cov, proj)."""
-    b = force_tensors(force, xs, vs)
+    vs[k, b], batch axis last: the force_tensors of the points (jet the
+    first-order call's out and registers) and the velocity frame."""
+    b = force_tensors(force, xs, vs, **jet)
     b['speed'], b['unit'], b['unit_cov'], b['proj'] = man.frame(vs, b['g'])
     return b
 
@@ -240,10 +236,10 @@ def sample_tangent_points(man: Manifold, x_box, v_min: float, v_max: float,
 
 
 def _block_norms(man: Manifold, force: ForceField, xs: np.ndarray,
-                 vs: np.ndarray):
+                 vs: np.ndarray, **jet):
     """Per-sample weak, additional and (n = 2, else None) strong residual
     norms of one block of samples xs[k, b], vs[k, b]."""
-    b = bundle(man, force, xs, vs)
+    b = bundle(man, force, xs, vs, **jet)
     return _residual_norms(b, weak_batch(b), additional_batch(b))
 
 
@@ -293,11 +289,11 @@ def classify(man: Manifold, force: ForceField, x_box, v_min: float,
     strengthenings decide the upgrade (see report flag).
     Maxima in the guard band (tol, 100 tol) give an inconclusive verdict.
 
-    The samples (xs and vs) are drawn once; the residuals
-    are evaluated over blocks of ``_SAMPLE_BLOCK`` samples, and only each
-    sample's norms outlive its block, so working memory is bounded by the
-    block, not the count.  Every per-sample quantity is row-independent,
-    so the norms, and hence the report, are those of a single block.
+    The samples (xs and vs) are drawn once; the residuals are evaluated
+    over blocks of ``_SAMPLE_BLOCK`` samples, whose first-order calls
+    write into one output with registers classify owns, and only each
+    sample's norms outlive its block: working memory is bounded by the
+    block, not the count, and the norms are those of a single block.
     Raises NormalityError when a norm is not finite (the force or metric
     undefined at a sample).
     """
@@ -308,11 +304,15 @@ def classify(man: Manifold, force: ForceField, x_box, v_min: float,
     weak_norms = np.empty(count)
     add_norms = np.empty(count)
     strong_norms = np.empty(count) if trivial else None
+    out = np.empty((force.first_order_record.size, min(count, _SAMPLE_BLOCK)))
+    registers = force.registers("first_order", out)
     with np.errstate(divide='ignore', invalid='ignore', over='ignore'):
         for lo in range(0, count, _SAMPLE_BLOCK):
             rows = slice(lo, lo + _SAMPLE_BLOCK)
-            weak, add, strong = _block_norms(man, force, x_rows[:, rows],
-                                             v_rows[:, rows])
+            cols = slice(min(count - lo, _SAMPLE_BLOCK))
+            weak, add, strong = _block_norms(
+                man, force, x_rows[:, rows], v_rows[:, rows],
+                out=out[:, cols], registers=registers[:, cols])
             weak_norms[rows], add_norms[rows] = weak, add
             if trivial:
                 strong_norms[rows] = strong

@@ -96,6 +96,8 @@ def write_csv(path, header, table: FrontTable) -> str:
     rows = max(1, _CSV_CELLS // len(header))
     nodes = max(1, rows // max(1, directions))
     dirs = max(1, min(directions, rows))
+    # each direction's lead cells are the same in every node: text once
+    lead_text = fmt17.slots(lead).reshape(directions, leads, width)
     with open(path, "wb") as out:
         out.write((",".join(header) + "\n").encode())
         for start in range(0, len(times), nodes):
@@ -105,14 +107,12 @@ def write_csv(path, header, table: FrontTable) -> str:
                 body = np.concatenate(
                     [part[start:start + nodes, d] for part in table.body],
                     axis=2)
-                text = np.split(fmt17.slots(np.concatenate(
-                    [t, lead[d].ravel(), body.ravel()])),
-                    [len(t), len(t) + lead[d].size])
+                text = fmt17.slots(np.concatenate([t, body.ravel()]))
                 cells = np.empty(body.shape[:2] + (len(header), width),
                                  np.uint8)
-                cells[:, :, 0] = text[0][:, None]
-                cells[:, :, 1:1 + leads] = text[1].reshape(-1, leads, width)
-                cells[:, :, 1 + leads:] = text[2].reshape(
+                cells[:, :, 0] = text[:len(t), None]
+                cells[:, :, 1:1 + leads] = lead_text[d]
+                cells[:, :, 1 + leads:] = text[len(t):].reshape(
                     body.shape + (width,))
                 cells[:, :, -1, -1] = ord("\n")
                 out.write(cells.tobytes().translate(None, b"\0"))

@@ -72,16 +72,24 @@ one formula from a second, simpler route.
   metric.  ``normality.sample_tangent_points`` builds the same samples
   batch-last, from the metric's unique-entry rows; this pins its
   samples and speeds bit for bit.
+- ``compile_text``: ``exprlang.compile_fn`` as it was written before it
+  ran ufunc steps: the merged DAG printed as Python source, a shared
+  non-leaf as a temporary, and run through ``exec``, each operation
+  returning a fresh array, with one mend: a constant -0.0 is printed in
+  parentheses, as a negative one was, so a power of it is not negated.
+  ``tests/test_compile_steps.py`` pins the steps to it bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from frontshift.blowup import TAU_NORM_FLOOR
 from frontshift.deviation import phi_derivatives
+from frontshift import exprlang as el
 from frontshift.dynamics import (BatchTrajectory, IntegrationAbort,
                                  integrate_batch)
 from frontshift.geometry import at_point, extended_gradients
@@ -393,3 +401,106 @@ def sample_tangent_points_batch_first(man, x_box, v_min, v_max, count,
     radii = shells[np.arange(count) % shells.shape[0]]
     vs = dirs * (radii / g_norm(man.metric(xs), dirs))[:, None]
     return xs, vs
+
+
+_NUMPY_FUNCS = {"sin": "np.sin", "cos": "np.cos", "tan": "np.tan",
+                "exp": "np.exp", "ln": "np.log", "sqrt": "np.sqrt",
+                "abs": "np.abs"}
+_BINARY_OPS = {el.Add: " + ", el.Sub: " - ", el.Mul: "*", el.Div: "/",
+               el.Pow: "**"}
+
+
+class _TextProgram:
+    """The merged DAG of ``compile_text``: ``exprlang._Program``'s
+    interning, plus ``uses``, the distinct parents (and roots) of each
+    merged node; a non-leaf with more than one becomes a temporary."""
+
+    def __init__(self, roots):
+        self.nodes, self.kids, self.uses = [], [], []
+        self._ids, self._seen = {}, {}
+        self.roots = [self._intern(root) for root in roots]
+        for uid in self.roots:
+            self.uses[uid] += 1
+        self.lines, self._temps = [], {}
+
+    def _intern(self, node):
+        uid = self._seen.get(id(node))
+        if uid is not None:
+            return uid
+        kids = tuple(self._intern(child) for child in el._children(node))
+        if isinstance(node, el.Const):
+            key = (el.Const, repr(node.value))
+        elif isinstance(node, el.Var):
+            key = (el.Var, node.name)
+        elif isinstance(node, el.Call):
+            key = (el.Call, node.func, kids)
+        else:
+            key = (type(node), kids)
+        uid = self._ids.get(key)
+        if uid is None:
+            uid = self._ids[key] = len(self.nodes)
+            self.nodes.append(node)
+            self.kids.append(kids)
+            self.uses.append(0)
+            for kid in kids:
+                self.uses[kid] += 1
+        self._seen[id(node)] = uid
+        return uid
+
+    def emit(self, uid):
+        """Source text of node uid; shared non-leaves become temporaries."""
+        temp = self._temps.get(uid)
+        if temp is not None:
+            return temp
+        node = self.nodes[uid]
+        args = [self.emit(kid) for kid in self.kids[uid]]
+        text = _format(node, args)
+        if args and self.uses[uid] > 1:
+            temp = self._temps[uid] = f"_t{len(self._temps)}"
+            self.lines.append(f"    {temp} = {text}")
+            return temp
+        return text
+
+
+def _format(node, args):
+    if isinstance(node, el.Const):
+        text = repr(node.value)
+        if not math.isfinite(node.value):
+            # inf and nan are no names in the generated scope; np's are
+            text = text.replace("inf", "np.inf").replace("nan", "np.nan")
+        # parenthesized so that e.g. (-2)**2 keeps pow from capturing the
+        # sign; -0.0 too (the package's emitter tested value < 0, so that
+        # -0.0**c ran as -(0.0**c), its one departure from IEEE)
+        return f"({text})" if math.copysign(1.0, node.value) < 0 else text
+    if isinstance(node, el.Var):
+        return node.name
+    if isinstance(node, el.Neg):
+        return f"(-{args[0]})"
+    if isinstance(node, el.Call):
+        return f"{_NUMPY_FUNCS[node.func]}({args[0]})"
+    return f"({args[0]}{_BINARY_OPS[type(node)]}{args[1]})"
+
+
+def compile_text(nodes, names):
+    """The callable ``exprlang.compile_fn`` generated as Python source:
+    the same signature without ``_registers``, the constant entries
+    stored as one broadcast column on every call."""
+    roots = list(nodes)
+    program = _TextProgram(roots)
+    texts = [program.emit(uid) for uid in program.roots]
+    lines = [f"def _compiled({', '.join([*names, '_out=None'])}):",
+             *program.lines,
+             "    if _out is None:",
+             f"        _out = np.empty(({len(roots)},)"
+             f" + np.broadcast({', '.join(names)}).shape)"]
+    scope = {"np": np}
+    if any(isinstance(root, el.Const) for root in roots):
+        scope["_row0"] = np.array([root.value if isinstance(root, el.Const)
+                                   else 0.0 for root in roots])
+        lines.append("    _out.T[...] = _row0")
+    lines += [f"    _out[{k}] = {text}"
+              for k, (root, text) in enumerate(zip(roots, texts))
+              if not isinstance(root, el.Const)]
+    lines.append("    return _out")
+    exec("\n".join(lines) + "\n", scope)
+    return scope["_compiled"]

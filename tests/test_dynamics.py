@@ -102,8 +102,8 @@ def test_rk4_block_is_four_flow_calls_a_step_one_coefficient_call(
     def viewed(name):
         real = getattr(ForceField, name)
 
-        def call(self, xs, vs, out=None):
-            written = real(self, xs, vs, out=out)
+        def call(self, xs, vs, out=None, registers=None):
+            written = real(self, xs, vs, out=out, registers=registers)
             fields = (list(written.values()) if isinstance(written, dict)
                       else [written])
             owners[name].append(tuple(id(owner(a))
@@ -144,7 +144,9 @@ def test_rk4_block_is_four_flow_calls_a_step_one_coefficient_call(
 def test_a_flow_stage_is_one_generated_call(monkeypatch):
     # the Python functions of the package a flow-only integration enters:
     # per stage the flow call (its argument rows and its generated code)
-    # and nothing else, no contraction of the connection and no record
+    # and nothing else, no contraction of the connection and no record;
+    # once per integration, the flow call's registers
+    # (``ForceField.registers`` and the callable's own)
     man, force, x0, v0, tau0, rho0 = _s3_drag_batch()
     src = str(Path(dynamics.__file__).parent)
     entered = Counter()
@@ -164,7 +166,7 @@ def test_a_flow_stage_is_one_generated_call(monkeypatch):
         sys.setprofile(None)
     assert entered == {"integrate_batch": 1, "split": 2, "_block_steps": 1,
                        "__init__": 1, "flow": 2, "flow_jet": 4 * steps,
-                       "_compiled": 4 * steps}
+                       "_compiled": 4 * steps, "registers": 2}
 
 
 @pytest.mark.parametrize("nb, steps, nvar", [
@@ -179,10 +181,10 @@ def test_integration_work_is_the_calls_made(nb, steps, nvar, monkeypatch):
     def counted(name):
         real = getattr(ForceField, name)
 
-        def call(self, xs, vs, out=None):
+        def call(self, xs, vs, out=None, registers=None):
             made[name] += 1
             made[name, "points"] += xs.shape[1]
-            return real(self, xs, vs, out=out)
+            return real(self, xs, vs, out=out, registers=registers)
         monkeypatch.setattr(ForceField, name, call)
     counted("flow_jet")
     counted("variation_jet")
